@@ -10,23 +10,32 @@ Ring signals carry a triangular ripple on their high level; the ripple
 amplitude stays well below the logic threshold margin, so detection is
 unaffected.
 
-Per engine step at time t:
+Engine, one stage at a time.  The key observation: a stage's modulation
+voltage never depends on its own state.  It is a function of the logic
+bits and the previous stage's post-step state signal S = r_f / M, and that
+stage has already run over the whole time grid.  So `run_chain`:
 
-1. sample all signal levels and derive logic bits;
-2. stage 1: pick (scheme, voltage) from the first-order table on
-   (food, ring1) bits and advance the device by one Euler step;
-3. stage k >= 2: compute the previous stage's state signal S = r_f / M
-   from its freshly updated resistance, clamp the adjusted learning
-   voltage g * S, pick the scheme from the higher-order table on
-   (state bit, ring(k-1) bit, ring(k) bit), advance the device;
-4. record per stage: modulation voltage, scheme, resistance, state
-   signal, readout response, instantaneous power.
+1. samples all signal levels on the grid and derives the logic bits;
+2. for stage 1, reads (scheme, voltage) per row from a 2^2 lookup table
+   built once from its rule table, indexed by the (food, ring1) bits;
+3. for stage k >= 2, clamps the adjusted learning voltage g * S over the
+   whole previous-stage S column, derives the state bit S >= threshold,
+   and reads (scheme, voltage) from the 2^3 table indexed by (state bit,
+   ring(k-1) bit, ring(k) bit), taking the adjusted voltage on rows whose
+   rule asks for it;
+4. runs the stage's device over its voltage column with one
+   `device.trajectory` call (the scalar kernel; `pow` stays scalar);
+5. derives the state signal, readout response and power columns from the
+   resistance column with numpy.  Only + - * / and min/max are
+   vectorized, all correctly rounded, so every column is bit-identical to
+   stepping the chain row by row.
 
-The recorded resistance is the post-step value, which is exactly the value
-the next stage's gate saw; the response voltage is the sub-threshold
-readout amplitude passed through the inverting stage whenever the stage's
-conditioned stimulus is present; power is modulation voltage squared over
-the recorded resistance.
+Schemes stay int8 codes into the stage's scheme names until the trace is
+written.  The recorded resistance is the post-step value, which is exactly
+the value the next stage's gate saw; the response voltage is the
+sub-threshold readout amplitude passed through the inverting stage
+whenever the stage's conditioned stimulus is present; power is modulation
+voltage squared over the recorded resistance.
 
 Everything here is pure and deterministic: identical configs produce
 bit-identical traces.
@@ -41,7 +50,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .device import DeviceParams, DeviceState, power, resistance, step
+from .device import DeviceParams, trajectory
 from .errors import InvalidInputError
 
 __all__ = [
@@ -210,6 +219,11 @@ class ModulationRule:
     scheme: str
     voltage: float | None
 
+    def __post_init__(self) -> None:
+        if self.voltage is not None and not math.isfinite(self.voltage):
+            raise InvalidInputError(
+                f"rule voltage must be finite, got {self.voltage!r}")
+
     def matches(self, bits: Sequence[int]) -> bool:
         return all(rb is None or rb == b for rb, b in zip(self.bits, bits))
 
@@ -358,8 +372,13 @@ class ChainConfig:
         if self.duration < self.dt or not math.isfinite(self.duration):
             raise InvalidInputError(
                 f"duration must cover at least one step, got {self.duration!r}")
-        if self.readout_amplitude < 0.0:
-            raise InvalidInputError("readout amplitude must be >= 0")
+        if not math.isfinite(self.logic_threshold):
+            raise InvalidInputError(
+                f"logic threshold must be finite, got {self.logic_threshold!r}")
+        if self.readout_amplitude < 0.0 or not math.isfinite(self.readout_amplitude):
+            raise InvalidInputError(
+                f"readout amplitude must be finite and >= 0, "
+                f"got {self.readout_amplitude!r}")
         needed = self.signal_names()
         roles = set(self.schedule.roles())
         if roles != set(needed):
@@ -378,16 +397,31 @@ class ChainConfig:
 
 @dataclass(frozen=True)
 class StageTrace:
-    """Per-stage recorded columns plus the constants metrics needs."""
+    """Per-stage recorded columns plus the constants metrics needs.
+
+    The scheme column is stored as int8 codes into `schemes`.
+    """
 
     mod_v: np.ndarray
-    scheme: np.ndarray
+    scheme_code: np.ndarray
+    schemes: tuple[str, ...]
     r_ohm: np.ndarray
     s_v: np.ndarray
     resp_v: np.ndarray
     p_w: np.ndarray
     r_on: float
     reset_r_ohm: float
+
+    @property
+    def scheme(self) -> np.ndarray:
+        """Scheme name per row."""
+        return np.array(self.schemes)[self.scheme_code]
+
+    def in_scheme(self, name: str) -> np.ndarray:
+        """Boolean mask of the rows run under scheme `name`."""
+        if name not in self.schemes:
+            return np.zeros(self.scheme_code.shape, dtype=bool)
+        return self.scheme_code == self.schemes.index(name)
 
 
 @dataclass(frozen=True)
@@ -401,12 +435,32 @@ class SimTrace:
     stages: tuple[StageTrace, ...]
 
 
+def _rule_lookup(rules: RuleTable
+                 ) -> tuple[tuple[str, ...], np.ndarray, np.ndarray, np.ndarray]:
+    """The rule table resolved for every bit pattern.
+
+    Pattern index reads the bits as a binary number, first bit most
+    significant.  Returns the scheme names, then per pattern the int8
+    scheme code, the fixed voltage (0 where unset) and whether the rule
+    takes the adjusted learning voltage instead.
+    """
+    fired = [next(r for r in rules.rules if r.matches(combo))
+             for combo in np.ndindex(*(2,) * rules.n_bits)]
+    schemes = tuple(dict.fromkeys(rule.scheme for rule in fired))
+    code = np.array([schemes.index(rule.scheme) for rule in fired], dtype=np.int8)
+    volt = np.array([0.0 if rule.voltage is None else rule.voltage
+                     for rule in fired], dtype=float)
+    adjusted = np.array([rule.voltage is None for rule in fired])
+    return schemes, code, volt, adjusted
+
+
 def run_chain(config: ChainConfig,
               initial_states: Sequence[float] | None = None) -> SimTrace:
     """Integrate the whole chain on a uniform grid of `dt` steps.
 
     `initial_states` optionally sets each stage's starting w; the default
-    is the fully reset state w_on.
+    is the fully reset state w_on.  Stages run one after another over the
+    whole grid (see the module docstring).
     """
     n_stages = len(config.stages)
     if initial_states is None:
@@ -414,6 +468,9 @@ def run_chain(config: ChainConfig,
     if len(initial_states) != n_stages:
         raise InvalidInputError(
             f"need {n_stages} initial states, got {len(initial_states)}")
+    if not all(math.isfinite(w) for w in initial_states):
+        raise InvalidInputError(
+            f"initial states must be finite, got {list(initial_states)!r}")
 
     n_rows = int(round(config.duration / config.dt)) + 1
     t = np.arange(n_rows) * config.dt
@@ -422,49 +479,36 @@ def run_chain(config: ChainConfig,
                         for name in names])
     bits = (levels >= config.logic_threshold).astype(np.int8)
 
-    states = [DeviceState(w) for w in initial_states]
-    mod_v = [np.empty(n_rows) for _ in range(n_stages)]
-    scheme = [np.empty(n_rows, dtype="<U18") for _ in range(n_stages)]
-    r_ohm = [np.empty(n_rows) for _ in range(n_stages)]
-    s_v = [np.empty(n_rows) for _ in range(n_stages)]
-    resp_v = [np.empty(n_rows) for _ in range(n_stages)]
-    p_w = [np.empty(n_rows) for _ in range(n_stages)]
-
-    dt = config.dt
     readout = config.readout_amplitude
-    for i in range(n_rows):
-        s_prev = 0.0
-        for k, stage in enumerate(config.stages):
-            if k == 0:
-                key = (int(bits[0, i]), int(bits[1, i]))
-                sch, v_mod = stage.rules.select(key)
-            else:
-                v_adj = adjust_learning_voltage(s_prev, stage.gain,
-                                                stage.v_learn_max)
-                state_bit = 1 if s_prev >= stage.state_threshold_v else 0
-                key = (state_bit, int(bits[k, i]), int(bits[k + 1, i]))
-                sch, v_mod = stage.rules.select(key, v_adj)
-            states[k] = step(stage.device, states[k], v_mod, dt)
-            r = resistance(stage.device, states[k].w)
-            s = state_signal(stage.r_f, r)
-            mod_v[k][i] = v_mod
-            scheme[k][i] = sch
-            r_ohm[k][i] = r
-            s_v[k][i] = s
-            resp_v[k][i] = (synaptic_output(readout, stage.r_f, r)
-                            if bits[k + 1, i] else 0.0)
-            p_w[k][i] = power(v_mod, r)
-            s_prev = s
-
-    stage_traces = tuple(
-        StageTrace(mod_v=mod_v[k], scheme=scheme[k], r_ohm=r_ohm[k],
-                   s_v=s_v[k], resp_v=resp_v[k], p_w=p_w[k],
-                   r_on=config.stages[k].device.r_on,
-                   reset_r_ohm=config.stages[k].r_f
-                   / config.stages[k].state_threshold_v)
-        for k in range(n_stages))
-    return SimTrace(t=t, dt=dt, signal_names=names, signal_levels=levels,
-                    stages=stage_traces)
+    stage_traces: list[StageTrace] = []
+    for k, stage in enumerate(config.stages):
+        schemes, code_table, volt_table, adjusted_table = _rule_lookup(stage.rules)
+        if k == 0:
+            pattern = bits[0] * 2 + bits[1]
+            v_adj = None
+        else:
+            s_prev = stage_traces[-1].s_v
+            state_bit = s_prev >= stage.state_threshold_v
+            pattern = state_bit * 4 + bits[k] * 2 + bits[k + 1]
+            v_adj = np.minimum(np.maximum(stage.gain * s_prev, 0.0),
+                               stage.v_learn_max)
+        mod_v = volt_table[pattern]
+        adjusted = adjusted_table[pattern]
+        if adjusted.any():
+            if v_adj is None:
+                raise InvalidInputError("rule needs an adjusted learning voltage")
+            mod_v = np.where(adjusted, v_adj, mod_v)
+        r = np.array(trajectory(stage.device, mod_v, config.dt,
+                                initial_states[k]))[1:]
+        stage_traces.append(StageTrace(
+            mod_v=mod_v, scheme_code=code_table[pattern], schemes=schemes,
+            r_ohm=r, s_v=stage.r_f / r,
+            resp_v=np.where(bits[k + 1] != 0, -readout * stage.r_f / r, 0.0),
+            p_w=mod_v * mod_v / r,
+            r_on=stage.device.r_on,
+            reset_r_ohm=stage.r_f / stage.state_threshold_v))
+    return SimTrace(t=t, dt=config.dt, signal_names=names,
+                    signal_levels=levels, stages=tuple(stage_traces))
 
 
 def metrics(trace: SimTrace) -> dict[str, float]:
@@ -489,7 +533,7 @@ def metrics(trace: SimTrace) -> dict[str, float]:
     switch_times: dict[int, float] = {}
     for k, stage in enumerate(trace.stages, start=1):
         threshold = stage.r_on * 1.01
-        learning = stage.scheme == SCHEME_LEARNING
+        learning = stage.in_scheme(SCHEME_LEARNING)
         accumulated = np.cumsum(learning.astype(float)) * trace.dt
         crossed = np.nonzero(stage.r_ohm <= threshold)[0]
         if crossed.size:
@@ -509,27 +553,34 @@ def metrics(trace: SimTrace) -> dict[str, float]:
     return report
 
 
+_TRACE_CHUNK_ROWS = 256  # rows formatted per write; bounds the formatted text held
+
+
 def write_sim_trace_csv(trace: SimTrace, path: str | Path) -> None:
     """Emit the trace with one row per step.
 
     Header: t_s, one level column per signal, then per stage K the block
-    modK_v, schemeK, rK_ohm, sK_v, respK_v, pK_w.
+    modK_v, schemeK, rK_ohm, sK_v, respK_v, pK_w.  Numbers are written
+    as `.10g`; rows are formatted column by column in chunks.
     """
     header = ["t_s"] + [f"{name}_v" for name in trace.signal_names]
-    for k in range(1, len(trace.stages) + 1):
+    # (column, scheme names when the column holds scheme codes)
+    columns: list[tuple[np.ndarray, tuple[str, ...] | None]] = [(trace.t, None)]
+    columns += [(levels, None) for levels in trace.signal_levels]
+    for k, stage in enumerate(trace.stages, start=1):
         header += [f"mod{k}_v", f"scheme{k}", f"r{k}_ohm",
                    f"s{k}_v", f"resp{k}_v", f"p{k}_w"]
+        columns += [(stage.mod_v, None), (stage.scheme_code, stage.schemes),
+                    (stage.r_ohm, None), (stage.s_v, None),
+                    (stage.resp_v, None), (stage.p_w, None)]
     with Path(path).open("w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        n_sig = len(trace.signal_names)
-        for i in range(len(trace.t)):
-            cells = [f"{trace.t[i]:.10g}"]
-            cells += [f"{trace.signal_levels[j, i]:.10g}" for j in range(n_sig)]
-            for stage in trace.stages:
-                cells += [f"{stage.mod_v[i]:.10g}", str(stage.scheme[i]),
-                          f"{stage.r_ohm[i]:.10g}", f"{stage.s_v[i]:.10g}",
-                          f"{stage.resp_v[i]:.10g}", f"{stage.p_w[i]:.10g}"]
-            fh.write(",".join(cells) + "\n")
+        for start in range(0, len(trace.t), _TRACE_CHUNK_ROWS):
+            chunk = slice(start, start + _TRACE_CHUNK_ROWS)
+            cells = [[f"{x:.10g}" for x in col[chunk].tolist()] if names is None
+                     else [names[c] for c in col[chunk].tolist()]
+                     for col, names in columns]
+            fh.write("".join(",".join(row) + "\n" for row in zip(*cells)))
 
 
 def write_metrics_report(report: dict[str, float], path: str | Path) -> None:

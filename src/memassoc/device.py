@@ -22,6 +22,15 @@ Exact threshold equality (v == v_on or v == v_off) gives zero rate because
 the over-threshold factor vanishes; with the default unit exponents the
 rate is therefore continuous across the dead-zone edges.
 
+`trajectory` is the integrator every workload runs: it folds `step` over
+a voltage sequence with plain floats, checks its inputs once per call
+instead of once per step, and returns the resistance along the run.  It
+applies the rate window by clamping alone, which gives the same state as
+zeroing the rate at the bound (a zero state may differ in sign), so the
+resistance after each step is bit-identical to the `step` fold.
+`drive_rate` is the rate before the window; the vision array computes it
+once per distinct cell voltage and reuses it for a whole pulse.
+
 Units: volts, ohms, seconds, watts; w is dimensionless.  All functions are
 pure and all types immutable, so values can be shared freely across
 threads and processes.
@@ -29,18 +38,24 @@ threads and processes.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
 
 from .errors import InvalidInputError
 
 __all__ = [
     "DeviceParams",
     "DeviceState",
+    "drive_rate",
     "drift_rate",
     "resistance",
     "normalized_state",
     "step",
+    "trajectory",
     "power",
 ]
 
@@ -96,6 +111,18 @@ class DeviceState:
             raise InvalidInputError(f"state w must be finite, got {self.w!r}")
 
 
+def drive_rate(params: DeviceParams, v: float) -> float:
+    """Power-law state velocity in 1/s under voltage v, before the window.
+
+    Zero in the dead zone; no input checks, so callers validate v.
+    """
+    if v >= params.v_on:
+        return params.k_on * (v / params.v_on - 1.0) ** params.alpha_on
+    if v <= params.v_off:
+        return params.k_off * (v / params.v_off - 1.0) ** params.alpha_off
+    return 0.0
+
+
 def drift_rate(params: DeviceParams, w: float, v: float) -> float:
     """State velocity dw/dt in 1/s at state w under voltage v.
 
@@ -104,15 +131,10 @@ def drift_rate(params: DeviceParams, w: float, v: float) -> float:
     """
     if not (math.isfinite(w) and math.isfinite(v)):
         raise InvalidInputError(f"non-finite drift input: w={w!r}, v={v!r}")
-    if v >= params.v_on:
-        if w >= params.w_off:
-            return 0.0
-        return params.k_on * (v / params.v_on - 1.0) ** params.alpha_on
-    if v <= params.v_off:
-        if w <= params.w_on:
-            return 0.0
-        return params.k_off * (v / params.v_off - 1.0) ** params.alpha_off
-    return 0.0
+    if (v >= params.v_on and w >= params.w_off) or (
+            v <= params.v_off and w <= params.w_on):
+        return 0.0
+    return drive_rate(params, v)
 
 
 def resistance(params: DeviceParams, w: float) -> float:
@@ -148,6 +170,68 @@ def step(params: DeviceParams, state: DeviceState, v: float,
     elif w > params.w_off:
         w = params.w_off
     return DeviceState(w)
+
+
+def trajectory(params: DeviceParams, v: Sequence[float] | np.ndarray,
+               dt: float | Sequence[float] | np.ndarray, w0: float,
+               source_r_ohm: float = 0.0) -> list[float]:
+    """Resistance before the first Euler step and after each of len(v) steps.
+
+    Step k applies voltage v[k] for dt (one float for every step, or one
+    per step) starting from state w0.  With a positive `source_r_ohm`, v is
+    a source voltage behind that series resistance and step k drives the
+    device with v[k] / (R + source_r_ohm) * R, R read before the step.
+    The resistances match folding `step` over the voltages bit for bit.
+    Inputs are checked once: v and w0 finite, every dt finite and > 0.
+    """
+    vs = np.asarray(v, dtype=float)
+    if vs.ndim != 1 or not np.isfinite(vs).all():
+        raise InvalidInputError("voltages must be a finite 1-D sequence")
+    if not math.isfinite(w0):
+        raise InvalidInputError(f"state w must be finite, got {w0!r}")
+    dts = np.asarray(dt, dtype=float)
+    if dts.ndim != 0 and dts.shape != vs.shape:
+        raise InvalidInputError(
+            f"need one dt or one per step: {dts.size} dt values for {vs.size} steps")
+    bad_dt = dts[~(np.isfinite(dts) & (dts > 0.0))]
+    if bad_dt.size:
+        raise InvalidInputError(f"need finite dt > 0, got dt={float(bad_dt[0])!r}")
+    if source_r_ohm < 0.0 or not math.isfinite(source_r_ohm):
+        raise InvalidInputError(f"source_r_ohm must be >= 0, got {source_r_ohm!r}")
+
+    v_on, v_off = params.v_on, params.v_off
+    k_on, k_off = params.k_on, params.k_off
+    alpha_on, alpha_off = params.alpha_on, params.alpha_off
+    w_on, w_off = params.w_on, params.w_off
+    r_on, r_ratio, span = params.r_on, params.r_off / params.r_on, w_off - w_on
+    divided = source_r_ohm > 0.0
+
+    w = w0
+    r = r_on * r_ratio ** ((w_off - w) / span)
+    out = [r]
+    append = out.append
+    dt_steps = dts.tolist() if dts.ndim else itertools.repeat(float(dts))
+    for vk, h in zip(vs.tolist(), dt_steps):
+        if divided:
+            vk = vk / (r + source_r_ohm) * r
+        # `drive_rate`, inlined: a call per step makes the fit replay about
+        # a fifth slower.  The window is left to the clamp: a step toward a
+        # bound the state already sits on clamps straight back to it
+        if vk >= v_on:
+            w_next = w + h * (k_on * (vk / v_on - 1.0) ** alpha_on)
+        elif vk <= v_off:
+            w_next = w + h * (k_off * (vk / v_off - 1.0) ** alpha_off)
+        else:
+            w_next = w + h * 0.0
+        if w_next < w_on:
+            w_next = w_on
+        elif w_next > w_off:
+            w_next = w_off
+        if w_next != w:
+            r = r_on * r_ratio ** ((w_off - w_next) / span)
+        w = w_next
+        append(r)
+    return out
 
 
 def power(v: float, r: float) -> float:

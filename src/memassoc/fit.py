@@ -30,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .device import DeviceParams, DeviceState, resistance, step
+from .device import DeviceParams, trajectory
 from .errors import DataError, InvalidInputError, InvalidStartError
 
 __all__ = [
@@ -136,21 +136,11 @@ def simulate_current(params: DeviceParams, drive: IVTrace,
     the device then sees the divided voltage, which also feeds the voltage
     error term of `rmse`.
     """
-    if source_r_ohm < 0.0 or not math.isfinite(source_r_ohm):
-        raise InvalidInputError(f"source_r_ohm must be >= 0, got {source_r_ohm!r}")
     w = params.w_on if w0 is None else w0
-    state = DeviceState(w)
-    n = len(drive)
-    i_out = np.empty(n)
-    v_out = np.empty(n)
-    divided = source_r_ohm > 0.0
-    for k in range(n):
-        r = resistance(params, state.w)
-        i_k = drive.v[k] / (r + source_r_ohm)
-        i_out[k] = i_k
-        v_out[k] = i_k * r if divided else drive.v[k]
-        if k + 1 < n:
-            state = step(params, state, v_out[k], drive.t[k + 1] - drive.t[k])
+    r = np.array(trajectory(params, drive.v[:-1], np.diff(drive.t), w,
+                            source_r_ohm))
+    i_out = drive.v / (r + source_r_ohm)
+    v_out = i_out * r if source_r_ohm > 0.0 else drive.v
     return IVTrace(drive.t, v_out, i_out)
 
 
@@ -267,9 +257,10 @@ def fit(real: IVTrace, config: FitConfig) -> FitResult:
     def objective(x: np.ndarray) -> float:
         try:
             params = _from_vector(x, config)
-        except InvalidInputError:
+        except (InvalidInputError, OverflowError):
             # clamped box corner that violates a cross-parameter ordering
-            # (e.g. r_on >= r_off); large finite value backs the search off
+            # (e.g. r_on >= r_off), or a log-space coordinate too large for
+            # exp; a large finite value backs the search off
             return _INFEASIBLE
         model = simulate_current(params, real,
                                  source_r_ohm=config.source_r_ohm)

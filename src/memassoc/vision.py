@@ -15,8 +15,15 @@ match), and commits the verdict to a separate label device: scores below
 the threshold drive a set pulse (low resistance, label "cat"), others a
 reset pulse (high resistance, label "non-cat").
 
-Cell updates are independent; the vectorized stepper reproduces the
-scalar device semantics bit for bit.
+Cell updates are independent and a cell's voltage is constant for the
+whole pulse, so training computes each distinct voltage's rate once with
+the scalar `device.drive_rate`, scatters it over the grid, and then only
+adds the step and clamps to the state bounds on every Euler step; the
+clamp gives the same state as the device's rate window.  Array `pow`
+can differ from scalar `pow` in the last bit, so no rate is computed on
+arrays: the grid reproduces `device.step` cell by cell, bit for bit, for
+every exponent (up to the sign of a zero state).  The label device runs
+on `device.trajectory`.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .device import DeviceParams, DeviceState, resistance, step
+from .device import DeviceParams, drive_rate, trajectory
 from .errors import DataError, InvalidInputError
 
 __all__ = [
@@ -332,18 +339,17 @@ def modulation_voltages(counts: np.ndarray, scope_n: int,
 
 
 def _step_grid(params: DeviceParams, w: np.ndarray, v: np.ndarray,
-               dt: float) -> np.ndarray:
-    """One Euler step over the whole grid; scalar-step semantics cellwise."""
-    rate = np.zeros_like(w)
-    setting = v >= params.v_on
-    if setting.any():
-        drive = params.k_on * (v[setting] / params.v_on - 1.0) ** params.alpha_on
-        rate[setting] = np.where(w[setting] >= params.w_off, 0.0, drive)
-    resetting = v <= params.v_off
-    if resetting.any():
-        drive = params.k_off * (v[resetting] / params.v_off - 1.0) ** params.alpha_off
-        rate[resetting] = np.where(w[resetting] <= params.w_on, 0.0, drive)
-    return np.clip(w + rate * dt, params.w_on, params.w_off)
+               dt: float, n_steps: int = 1) -> np.ndarray:
+    """`n_steps` Euler steps of dt over the grid at constant cell voltages;
+    scalar-step semantics cellwise."""
+    levels, where = np.unique(v, return_inverse=True)
+    rates = np.array([drive_rate(params, float(x)) for x in levels])
+    dw = rates[where.reshape(v.shape)] * dt
+    w = np.array(w, dtype=float)
+    for _ in range(n_steps):
+        w += dw
+        np.clip(w, params.w_on, params.w_off, out=w)
+    return w
 
 
 def train_pair(array: ArrayState, input_img: np.ndarray,
@@ -359,9 +365,8 @@ def train_pair(array: ArrayState, input_img: np.ndarray,
             f"array shape {array.w.shape}")
     counts, scope_n = match_counts(input_img, teacher_img, cfg)
     volts = modulation_voltages(counts, scope_n, cfg.v_min, cfg.v_max)
-    w = array.w
-    for _ in range(int(round(cfg.pulse_dt / cfg.dt))):
-        w = _step_grid(array.params, w, volts, cfg.dt)
+    w = _step_grid(array.params, array.w, volts, cfg.dt,
+                   int(round(cfg.pulse_dt / cfg.dt)))
     return replace(array, w=w)
 
 
@@ -421,10 +426,9 @@ def classify(array: ArrayState, img: np.ndarray, cfg: InferConfig,
     score = similarity(state_grid(array), img, binarize_threshold)
     drive = (cfg.label_learn_v if score < cfg.similarity_threshold
              else cfg.label_forget_v)
-    state = DeviceState(cfg.label_device.w_on)
-    for _ in range(int(round(cfg.label_pulse_s / cfg.dt))):
-        state = step(cfg.label_device, state, drive, cfg.dt)
-    r = resistance(cfg.label_device, state.w)
+    n_steps = int(round(cfg.label_pulse_s / cfg.dt))
+    r = trajectory(cfg.label_device, [drive] * n_steps, cfg.dt,
+                   cfg.label_device.w_on)[-1]
     label = LABEL_POSITIVE if r < cfg.label_boundary_ohm else LABEL_NEGATIVE
     return ClassifyResult(label=label, label_resistance=r, score=score)
 

@@ -5,6 +5,8 @@ entry point, so they validate the exact artifacts a user would produce.
 Run with `pytest -s tests/test_acceptance.py` to see the lines on success.
 """
 
+import hashlib
+import json
 from pathlib import Path
 
 import numpy as np
@@ -222,3 +224,19 @@ def test_acceptance_9_determinism(shipped_runs):
     report(9, "determinism", not mismatches,
            f"{names} outputs byte-identical across double runs"
            if not mismatches else "mismatch in " + ", ".join(mismatches))
+
+
+def test_shipped_outputs_match_golden_hashes(shipped_runs):
+    """Every shipped-config output keeps the SHA-256 pinned by the benchmark.
+
+    The pins live in perfbench/golden.json under "shipped"; a change meant
+    to move results re-pins them there.
+    """
+    pins = json.loads((REPO / "perfbench" / "golden.json").read_text())["shipped"]
+    assert set(pins) == set(shipped_runs)
+    moved = [f"{stem}/{name}"
+             for stem, outputs in sorted(pins.items())
+             for name, digest in sorted(outputs.items())
+             if hashlib.sha256((shipped_runs[stem][0] / name).read_bytes())
+             .hexdigest() != digest]
+    assert not moved, "outputs differ from the golden hashes: " + ", ".join(moved)

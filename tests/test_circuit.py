@@ -9,10 +9,14 @@ Covered invariants:
   * the reference schedules reproduce frozen switch/reset/speedup values;
   * higher-stage learning only happens while the previous stage's state
     signal is asserted;
-  * CSV/metrics serialization is byte-deterministic.
+  * non-finite levels, rule voltages and initial states are rejected
+    before any integration;
+  * CSV/metrics serialization is byte-deterministic, and the chunked
+    trace writer matches the row-by-row layout byte for byte.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -387,6 +391,30 @@ class TestConfigValidation:
         with pytest.raises(InvalidInputError):
             single_stage_chain(sched, duration=0.0)
 
+    def test_non_finite_levels_rejected_at_construction(self):
+        sched = StimulusSchedule({"food": (), "ring1": ()})
+        stages = (StageConfig(rules=first_order_rules()),)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(InvalidInputError, match="readout"):
+                ChainConfig(stages=stages, schedule=sched, duration=0.1,
+                            readout_amplitude=bad)
+            with pytest.raises(InvalidInputError, match="logic threshold"):
+                ChainConfig(stages=stages, schedule=sched, duration=0.1,
+                            logic_threshold=bad)
+            with pytest.raises(InvalidInputError, match="rule voltage"):
+                ModulationRule((1, 1), SCHEME_LEARNING, bad)
+            with pytest.raises(InvalidInputError, match="rule voltage"):
+                first_order_rules(forgetting_v=bad)
+
+    def test_non_finite_initial_state_rejected(self):
+        sched = StimulusSchedule({"food": (), "ring1": (), "ring2": ()})
+        cfg = ChainConfig(stages=(StageConfig(rules=first_order_rules()),
+                                  StageConfig(rules=higher_order_rules())),
+                          schedule=sched, duration=0.01)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(InvalidInputError, match="initial states"):
+                run_chain(cfg, initial_states=[0.0, bad])
+
     def test_stage_config_validation(self):
         with pytest.raises(InvalidInputError):
             StageConfig(r_f=0.0)
@@ -416,6 +444,43 @@ class TestSerialization:
             "mod2_v", "scheme2", "r2_ohm", "s2_v", "resp2_v", "p2_w",
         ]
         assert len(first.decode().splitlines()) == 3001 + 1
+
+    @pytest.mark.parametrize("n_rows", [1, 255, 256, 257])
+    def test_trace_csv_matches_row_by_row_writer(self, tmp_path, n_rows):
+        # the chunked column-wise writer against the row-by-row writer it
+        # replaced, around the chunk boundary
+        cfg = ChainConfig(
+            stages=(StageConfig(rules=first_order_rules()),
+                    StageConfig(rules=higher_order_rules())),
+            schedule=pavlov_schedule(2), duration=0.97, dt=1e-3)
+        full = run_chain(cfg, initial_states=[0.3, 0.9])
+        # rows from around 0.6 s cover every scheme and a negative response
+        rows = slice(600 - n_rows // 2, 600 - n_rows // 2 + n_rows)
+        trace = replace(
+            full, t=full.t[rows], signal_levels=full.signal_levels[:, rows],
+            stages=tuple(replace(
+                st, mod_v=st.mod_v[rows], scheme_code=st.scheme_code[rows],
+                r_ohm=st.r_ohm[rows], s_v=st.s_v[rows],
+                resp_v=st.resp_v[rows], p_w=st.p_w[rows])
+                for st in full.stages))
+        path = tmp_path / "trace.csv"
+        write_sim_trace_csv(trace, path)
+
+        header = ["t_s"] + [f"{name}_v" for name in trace.signal_names]
+        for k in range(1, len(trace.stages) + 1):
+            header += [f"mod{k}_v", f"scheme{k}", f"r{k}_ohm",
+                       f"s{k}_v", f"resp{k}_v", f"p{k}_w"]
+        lines = [",".join(header)]
+        for i in range(len(trace.t)):
+            cells = [f"{trace.t[i]:.10g}"]
+            cells += [f"{trace.signal_levels[j, i]:.10g}"
+                      for j in range(len(trace.signal_names))]
+            for st in trace.stages:
+                cells += [f"{st.mod_v[i]:.10g}", str(st.scheme[i]),
+                          f"{st.r_ohm[i]:.10g}", f"{st.s_v[i]:.10g}",
+                          f"{st.resp_v[i]:.10g}", f"{st.p_w[i]:.10g}"]
+            lines.append(",".join(cells))
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
 
     def test_metrics_report_format(self, tmp_path):
         path = tmp_path / "metrics.txt"

@@ -276,6 +276,15 @@ class TestCmdPavlov:
         manifest = json.loads((out2 / "manifest.json").read_text())
         assert "dt_s = 0.0002" in manifest["config_text"]
 
+    def test_non_finite_readout_exits_1_before_writing(self, tmp_path, capsys):
+        cfg = tmp_path / "c.conf"
+        cfg.write_text(CUSTOM_CHAIN + "readout_v = inf\n")
+        out = tmp_path / "run"
+        assert console_main(["pavlov", "--config", str(cfg),
+                             "--out", str(out)]) == 1
+        assert "readout" in capsys.readouterr().err
+        assert not (out / "trace.csv").exists()
+
     def test_plot_script_is_valid_python(self, tmp_path):
         out = tmp_path / "run"
         cfg = tmp_path / "c.conf"

@@ -29,6 +29,7 @@ from memassoc.device import (
     power,
     resistance,
     step,
+    trajectory,
 )
 from memassoc.errors import InvalidInputError
 
@@ -123,6 +124,22 @@ class TestStep:
             step(P, DeviceState(0.5), 0.2, 0.0)
         with pytest.raises(InvalidInputError):
             step(P, DeviceState(0.5), 0.2, -1e-4)
+
+    def test_trajectory_checks_inputs_once(self):
+        # the checks `step` makes on every call, made once per trajectory
+        assert trajectory(P, [], DT, 0.0) == [P.r_off]
+        bad = [
+            dict(v=[0.2, math.inf], dt=DT, w0=0.5),
+            dict(v=[0.2, math.nan], dt=DT, w0=0.5),
+            dict(v=[0.2], dt=DT, w0=math.nan),
+            dict(v=[0.2], dt=0.0, w0=0.5),
+            dict(v=[0.2, 0.2], dt=[DT, -DT], w0=0.5),
+            dict(v=[0.2, 0.2], dt=[DT], w0=0.5),
+            dict(v=[0.2], dt=DT, w0=0.5, source_r_ohm=-1.0),
+        ]
+        for kwargs in bad:
+            with pytest.raises(InvalidInputError):
+                trajectory(P, **kwargs)
 
     def test_bounded_under_random_drive(self):
         rng = np.random.default_rng(42)

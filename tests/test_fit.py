@@ -7,12 +7,14 @@ Covered here:
 - rmse hand-computed values, resampling invariance, current-scaling law;
 - gradient vs an independently coded central-difference oracle;
 - fit determinism, monotone accepted objective, trivial start at truth,
-  and full self-consistency recovery from a +-30% perturbed start.
+  and full self-consistency recovery from a +-30% perturbed start;
+- a start whose line search overflows exp still returns a result.
 """
 
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from memassoc.errors import DataError, InvalidInputError, InvalidStartError
 from memassoc.fit import (
     PARAM_NAMES,
     FitConfig,
+    FitResult,
     IVTrace,
     central_difference_gradient,
     default_bounds,
@@ -32,6 +35,7 @@ from memassoc.fit import (
     write_trace_csv,
 )
 
+REPO = Path(__file__).resolve().parents[1]
 TRUE = DeviceParams()
 
 
@@ -223,6 +227,19 @@ class TestFit:
         real = IVTrace(t, np.array([0.1, 0.1, 0.1]), np.zeros(3))
         with pytest.raises((InvalidStartError, InvalidInputError)):
             fit(real, FitConfig(initial=TRUE))
+
+    def test_exp_overflow_start_is_searched_not_raised(self):
+        # every parameter 0.7x or 1.3x the device behind the shipped sine
+        # trace, 1.3x where bit j of 252 is set; the line search probes a
+        # log-space point whose exp overflows, which must score as
+        # infeasible instead of escaping as OverflowError
+        start = DeviceParams(**{
+            name: getattr(TRUE, name) * (1.3 if 252 >> j & 1 else 0.7)
+            for j, name in enumerate(PARAM_NAMES)})
+        real = read_trace_csv(REPO / "data" / "iv" / "sine_10hz_0v5.csv")
+        res = fit(real, FitConfig(initial=start))
+        assert isinstance(res, FitResult)
+        assert math.isfinite(res.rmse)
 
     def test_structural_state_bounds_fixed(self, reference_trace):
         start = perturbed_start()

@@ -1,0 +1,254 @@
+"""Property tests: the fast engines against their step-by-step references.
+
+Covered invariants (hypothesis-generated inputs, exact comparisons):
+  * `device.trajectory` equals a fold of `device.step` and `resistance`
+    for rate exponents away from 1, start states at and between the
+    bounds, voltages across both thresholds, per-step dt and a series
+    source resistance;
+  * the grid stepper and `train_pair` equal `device.step` cell by cell
+    for rate exponents away from 1 (states compared as numbers, so a
+    signed-zero state bound may differ in the sign of a zero state);
+  * the stage-at-a-time `run_chain` equals the row-at-a-time engine it
+    replaced (kept below as the oracle) on random custom schedules with
+    one to four stages, column for column and bit for bit.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from memassoc.circuit import (
+    ChainConfig,
+    Segment,
+    StageConfig,
+    StimulusSchedule,
+    _sample_signal_array,
+    adjust_learning_voltage,
+    first_order_rules,
+    higher_order_rules,
+    run_chain,
+    state_signal,
+    synaptic_output,
+)
+from memassoc.device import (
+    DeviceParams,
+    DeviceState,
+    power,
+    resistance,
+    step,
+    trajectory,
+)
+from memassoc.vision import TrainConfig, _step_grid, new_array, train_pair
+
+finite = dict(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def device_params(draw):
+    r_on = draw(st.floats(1e3, 5e4))
+    w_on = draw(st.floats(-1.0, 0.5))
+    return DeviceParams(
+        r_on=r_on, r_off=r_on * draw(st.floats(1.5, 20.0)),
+        alpha_on=draw(st.floats(0.5, 3.0)), alpha_off=draw(st.floats(0.5, 3.0)),
+        k_on=draw(st.floats(0.5, 200.0)), k_off=-draw(st.floats(0.5, 200.0)),
+        v_on=draw(st.floats(0.05, 0.4)), v_off=-draw(st.floats(0.05, 0.4)),
+        w_on=w_on, w_off=w_on + draw(st.floats(0.1, 2.0)))
+
+
+@st.composite
+def start_state(draw, params):
+    lo, hi = params.w_on, params.w_off
+    return draw(st.sampled_from([lo, hi]) | st.floats(lo, hi))
+
+
+def bits64(a: np.ndarray) -> np.ndarray:
+    """Raw IEEE bits, so that -0.0 and 0.0 count as different."""
+    return np.ascontiguousarray(a, dtype=float).view(np.int64)
+
+
+# --- device kernel ------------------------------------------------------------
+
+def fold_step(params, v, dts, w0, source_r_ohm):
+    """Reference: one `step` per voltage, resistance read after each."""
+    state = DeviceState(w0)
+    out = [resistance(params, w0)]
+    for vk, h in zip(v, dts):
+        if source_r_ohm > 0.0:
+            r = out[-1]
+            vk = vk / (r + source_r_ohm) * r
+        state = step(params, state, vk, h)
+        out.append(resistance(params, state.w))
+    return out
+
+
+@st.composite
+def kernel_case(draw):
+    params = draw(device_params())
+    n = draw(st.integers(0, 60))
+    v = draw(st.lists(st.floats(-1.0, 1.0, **finite), min_size=n, max_size=n))
+    dt_floats = st.floats(1e-5, 0.1)
+    per_step = draw(st.booleans())
+    dt = draw(st.lists(dt_floats, min_size=n, max_size=n)) if per_step \
+        else draw(dt_floats)
+    source = draw(st.just(0.0) | st.floats(0.0, 1e5))
+    return params, v, dt, draw(start_state(params)), source
+
+
+@settings(max_examples=200, deadline=None)
+@given(kernel_case())
+def test_trajectory_matches_step_fold(case):
+    params, v, dt, w0, source = case
+    dts = dt if isinstance(dt, list) else [dt] * len(v)
+    got = trajectory(params, v, dt, w0, source)
+    want = fold_step(params, v, dts, w0, source)
+    assert np.array_equal(bits64(np.array(got)), bits64(np.array(want)))
+
+
+# --- vision grid --------------------------------------------------------------
+
+@st.composite
+def grid_case(draw):
+    params = draw(device_params())
+    side = draw(st.integers(1, 6))
+    w = np.array(draw(st.lists(start_state(params), min_size=side * side,
+                               max_size=side * side))).reshape(side, side)
+    v = np.array(draw(st.lists(st.floats(-1.0, 1.0, **finite),
+                               min_size=side * side, max_size=side * side)))
+    return params, w, v.reshape(side, side), draw(st.floats(1e-5, 0.1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(grid_case())
+def test_grid_step_matches_scalar_step(case):
+    params, w, v, dt = case
+    got = _step_grid(params, w, v, dt)
+    want = np.array([[step(params, DeviceState(w[i, j]), v[i, j], dt).w
+                      for j in range(w.shape[1])] for i in range(w.shape[0])])
+    # states compare as numbers: clamping to a bound of -0.0 can leave -0.0
+    # where the rate window leaves 0.0; every resistance is the same
+    assert np.array_equal(got, want)
+
+
+@settings(max_examples=50, deadline=None)
+@given(alpha=st.floats(0.5, 3.0), seed=st.integers(0, 2**32 - 1),
+       pulses=st.integers(1, 8))
+def test_train_pair_matches_scalar_step(alpha, seed, pulses):
+    params = DeviceParams(alpha_on=alpha, alpha_off=alpha, k_on=40.0)
+    rng = np.random.default_rng(seed)
+    inp, teacher = rng.random((6, 6)), rng.random((6, 6))
+    cfg = TrainConfig(predicate="abs-diff", tau=0.3, v_max=0.5,
+                      pulse_dt=pulses * 1e-3, dt=1e-3)
+    got = train_pair(new_array(params, side=6), inp, teacher, cfg).w
+    # the voltages train_pair derives, rebuilt from the documented formula
+    counts = np.array([[np.sum(np.abs(inp - t) <= cfg.tau) for t in row]
+                       for row in teacher], dtype=float)
+    volts = cfg.v_min + (cfg.v_max - cfg.v_min) * counts / inp.size
+    want = np.empty_like(got)
+    for (i, j), v in np.ndenumerate(volts):
+        state = DeviceState(params.w_on)
+        for _ in range(pulses):
+            state = step(params, state, float(v), cfg.dt)
+        want[i, j] = state.w
+    assert np.array_equal(got, want)
+
+
+# --- chain engine ---------------------------------------------------------------
+
+def row_at_a_time_chain(config, initial_states):
+    """The row-at-a-time engine `run_chain` replaced: per row, every stage
+    selects its rule and advances its device by one `step`."""
+    n_stages = len(config.stages)
+    n_rows = int(round(config.duration / config.dt)) + 1
+    t = np.arange(n_rows) * config.dt
+    levels = np.vstack([_sample_signal_array(config.schedule, name, t)
+                        for name in config.signal_names()])
+    bits = (levels >= config.logic_threshold).astype(np.int8)
+
+    states = [DeviceState(w) for w in initial_states]
+    cols = {name: [np.empty(n_rows) for _ in range(n_stages)]
+            for name in ("mod_v", "r_ohm", "s_v", "resp_v", "p_w")}
+    cols["scheme"] = [np.empty(n_rows, dtype=object) for _ in range(n_stages)]
+    readout = config.readout_amplitude
+    for i in range(n_rows):
+        s_prev = 0.0
+        for k, stage in enumerate(config.stages):
+            if k == 0:
+                sch, v_mod = stage.rules.select((int(bits[0, i]), int(bits[1, i])))
+            else:
+                v_adj = adjust_learning_voltage(s_prev, stage.gain,
+                                                stage.v_learn_max)
+                state_bit = 1 if s_prev >= stage.state_threshold_v else 0
+                key = (state_bit, int(bits[k, i]), int(bits[k + 1, i]))
+                sch, v_mod = stage.rules.select(key, v_adj)
+            states[k] = step(stage.device, states[k], v_mod, config.dt)
+            r = resistance(stage.device, states[k].w)
+            s = state_signal(stage.r_f, r)
+            cols["mod_v"][k][i] = v_mod
+            cols["scheme"][k][i] = sch
+            cols["r_ohm"][k][i] = r
+            cols["s_v"][k][i] = s
+            cols["resp_v"][k][i] = (synaptic_output(readout, stage.r_f, r)
+                                    if bits[k + 1, i] else 0.0)
+            cols["p_w"][k][i] = power(v_mod, r)
+            s_prev = s
+    return cols
+
+
+@st.composite
+def segments(draw, duration, rippled):
+    cuts = sorted(draw(st.lists(st.floats(0.0, duration), max_size=8,
+                                unique=True)))
+    segs = []
+    for a, b in zip(cuts[::2], cuts[1::2]):
+        if b > a:
+            ripple = draw(st.floats(0.0, 0.3)) if rippled else 0.0
+            segs.append(Segment(a, b, draw(st.floats(0.2, 1.5)), ripple,
+                                draw(st.floats(20.0, 500.0))))
+    return tuple(segs)
+
+
+@st.composite
+def chain_case(draw):
+    n_stages = draw(st.integers(1, 4))
+    dt = 1e-3
+    duration = draw(st.integers(2, 200)) * dt
+    device = DeviceParams(
+        alpha_on=draw(st.floats(0.5, 3.0)), alpha_off=draw(st.floats(0.5, 3.0)),
+        k_on=draw(st.floats(1.0, 60.0)), k_off=-draw(st.floats(1.0, 60.0)))
+    stages = []
+    for k in range(n_stages):
+        stages.append(StageConfig(
+            device=device,
+            rules=(first_order_rules(learning_v=draw(st.floats(0.15, 0.6)))
+                   if k == 0 else higher_order_rules()),
+            gain=draw(st.floats(0.5, 5.0)),
+            v_learn_max=draw(st.floats(0.2, 0.6)),
+            state_threshold_v=draw(st.floats(0.03, 0.2))))
+    # signals either share one window set (co-pulsed, so higher stages
+    # can learn) or draw their own
+    shared = draw(segments(duration, False))
+    signals = {"food": draw(st.just(shared) | segments(duration, False))}
+    for k in range(1, n_stages + 1):
+        signals[f"ring{k}"] = draw(st.just(shared) | segments(duration, True))
+    config = ChainConfig(
+        stages=tuple(stages), schedule=StimulusSchedule(signals),
+        duration=duration, dt=dt,
+        logic_threshold=draw(st.floats(0.1, 1.0)),
+        readout_amplitude=draw(st.floats(0.0, 0.3)))
+    initial = [draw(start_state(device)) for _ in range(n_stages)]
+    return config, initial
+
+
+@settings(max_examples=100, deadline=None)
+@given(chain_case())
+def test_run_chain_matches_row_at_a_time_engine(case):
+    config, initial = case
+    trace = run_chain(config, initial)
+    want = row_at_a_time_chain(config, initial)
+    for k, stage in enumerate(trace.stages):
+        for name in ("mod_v", "r_ohm", "s_v", "resp_v", "p_w"):
+            assert np.array_equal(bits64(getattr(stage, name)),
+                                  bits64(want[name][k])), (k, name)
+        assert stage.scheme.tolist() == want["scheme"][k].tolist(), k

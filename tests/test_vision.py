@@ -4,7 +4,8 @@ Covered invariants:
   * CSV/PGM ingestion, 8-bit auto-scaling, dimension/resize policing;
   * count semantics for both predicates and scopes, including the 2x2
     enumeration case and full/zero-match extremes;
-  * vectorized grid stepping is bitwise identical to the scalar device;
+  * vectorized grid stepping is bitwise identical to the scalar device,
+    also for rate exponents other than 1;
   * training monotonicity and saturation;
   * similarity extremes and classification against the shipped demo data
     (clusters separate, 10/10 labels with the frozen threshold).
@@ -213,6 +214,18 @@ class TestGridStepping:
         got = _step_grid(params, w, v, 1e-3)
         want = np.array([[step(params, DeviceState(w[i, j]), v[i, j], 1e-3).w
                           for j in range(5)] for i in range(5)])
+        np.testing.assert_array_equal(got, want)
+
+    def test_grid_step_matches_scalar_device_off_unit_exponent(self):
+        # numpy's array pow can differ from scalar pow in the last bit; one
+        # cell of this grid did before rates were computed per voltage
+        params = DeviceParams(alpha_on=1.7, alpha_off=1.7)
+        rng = np.random.default_rng(0)
+        w = np.full((20, 20), 0.5)
+        v = rng.uniform(-0.6, 0.6, (20, 20))
+        got = _step_grid(params, w, v, 1e-3)
+        want = np.array([[step(params, DeviceState(w[i, j]), v[i, j], 1e-3).w
+                          for j in range(20)] for i in range(20)])
         np.testing.assert_array_equal(got, want)
 
     def test_grid_step_respects_bounds(self):
