@@ -46,12 +46,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .device import DeviceParams, trajectory
-from .errors import InvalidInputError
+from .errors import InvalidInputError, require
 
 __all__ = [
     "SCHEME_LEARNING",
@@ -65,12 +65,11 @@ __all__ = [
     "RuleTable",
     "first_order_rules",
     "higher_order_rules",
-    "select_modulation_first",
-    "select_modulation_higher",
     "synaptic_output",
     "state_signal",
     "adjust_learning_voltage",
     "StageConfig",
+    "check_sim",
     "ChainConfig",
     "StageTrace",
     "SimTrace",
@@ -78,6 +77,7 @@ __all__ = [
     "metrics",
     "write_sim_trace_csv",
     "write_metrics_report",
+    "stimulus_schedule",
     "pavlov_schedule",
     "default_duration",
 ]
@@ -159,11 +159,6 @@ class StimulusSchedule:
     def roles(self) -> tuple[str, ...]:
         return tuple(self.signals)
 
-    def end_time(self) -> float:
-        """Latest segment end over all signals; 0.0 for an empty schedule."""
-        ends = [seg.end for segs in self.signals.values() for seg in segs]
-        return max(ends) if ends else 0.0
-
 
 def sample_signal(schedule: StimulusSchedule, signal: str, t: float) -> float:
     """Signal level at time t: segment level plus ripple, 0 outside."""
@@ -220,9 +215,16 @@ class ModulationRule:
     voltage: float | None
 
     def __post_init__(self) -> None:
-        if self.voltage is not None and not math.isfinite(self.voltage):
-            raise InvalidInputError(
-                f"rule voltage must be finite, got {self.voltage!r}")
+        if self.voltage is None:
+            return
+        # learning sets the device; every other scheme resets it
+        if self.scheme == SCHEME_LEARNING:
+            ok, sign = 0.0 < self.voltage < math.inf, "positive"
+        else:
+            ok, sign = -math.inf < self.voltage < 0.0, "negative"
+        if not ok:
+            raise InvalidInputError(f"{self.scheme} rule voltage must be {sign} "
+                                    f"and finite, got {self.voltage!r}")
 
     def matches(self, bits: Sequence[int]) -> bool:
         return all(rb is None or rb == b for rb, b in zip(self.bits, bits))
@@ -293,19 +295,6 @@ def higher_order_rules(forgetting_v: float = FORGETTING_V_HIGHER,
     ))
 
 
-def select_modulation_first(food_bit: int, ring_bit: int) -> tuple[str, float]:
-    """(scheme, voltage) for stage 1 at default levels."""
-    return first_order_rules().select((food_bit, ring_bit))
-
-
-def select_modulation_higher(state_bit: int, ring_prev_bit: int,
-                             ring_new_bit: int,
-                             v_adjusted: float) -> tuple[str, float]:
-    """(scheme, voltage) for a higher-order stage at default levels."""
-    return higher_order_rules().select(
-        (state_bit, ring_prev_bit, ring_new_bit), v_adjusted)
-
-
 def synaptic_output(v_in: float, r_f: float, m: float) -> float:
     """Inverting stage output -v_in * r_f / m (memristor at the input)."""
     if not all(math.isfinite(x) for x in (v_in, r_f, m)) or r_f <= 0 or m <= 0:
@@ -341,16 +330,27 @@ class StageConfig:
     state_threshold_v: float = DEFAULT_STATE_THRESHOLD  # V, on previous stage's S
 
     def __post_init__(self) -> None:
-        if self.r_f <= 0.0 or not math.isfinite(self.r_f):
-            raise InvalidInputError(f"r_f must be positive, got {self.r_f!r}")
-        if self.gain <= 0.0 or not math.isfinite(self.gain):
-            raise InvalidInputError(f"gain must be positive, got {self.gain!r}")
-        if self.v_learn_max <= 0.0 or not math.isfinite(self.v_learn_max):
-            raise InvalidInputError(
-                f"v_learn_max must be positive, got {self.v_learn_max!r}")
-        if self.state_threshold_v <= 0.0 or not math.isfinite(self.state_threshold_v):
-            raise InvalidInputError(
-                f"state_threshold_v must be positive, got {self.state_threshold_v!r}")
+        require(self, *((name, 0.0 < getattr(self, name) < math.inf,
+                         "be positive and finite")
+                        for name in ("r_f", "gain", "v_learn_max", "state_threshold_v")))
+
+
+def check_sim(dt: float, duration: float | None, logic_threshold: float,
+              readout_amplitude: float) -> None:
+    """`ChainConfig`'s time grid and readout checks; a None duration (a
+    preset's default, not yet resolved) is not checked."""
+    if not 0.0 < dt < math.inf:
+        raise InvalidInputError(f"dt must be positive and finite, got {dt!r}")
+    if duration is not None and not dt <= duration < math.inf:
+        raise InvalidInputError(
+            f"duration must be finite and cover at least one step of dt, "
+            f"got duration={duration!r}, dt={dt!r}")
+    if not 0.0 < logic_threshold < math.inf:
+        raise InvalidInputError(f"logic threshold must be positive and finite, "
+                                f"got logic_threshold={logic_threshold!r}")
+    if not 0.0 <= readout_amplitude < math.inf:
+        raise InvalidInputError(f"readout amplitude must be finite and >= 0, "
+                                f"got readout_amplitude={readout_amplitude!r}")
 
 
 @dataclass(frozen=True)
@@ -367,18 +367,8 @@ class ChainConfig:
     def __post_init__(self) -> None:
         if len(self.stages) < 1:
             raise InvalidInputError("chain needs at least one stage")
-        if self.dt <= 0.0 or not math.isfinite(self.dt):
-            raise InvalidInputError(f"dt must be positive, got {self.dt!r}")
-        if self.duration < self.dt or not math.isfinite(self.duration):
-            raise InvalidInputError(
-                f"duration must cover at least one step, got {self.duration!r}")
-        if not math.isfinite(self.logic_threshold):
-            raise InvalidInputError(
-                f"logic threshold must be finite, got {self.logic_threshold!r}")
-        if self.readout_amplitude < 0.0 or not math.isfinite(self.readout_amplitude):
-            raise InvalidInputError(
-                f"readout amplitude must be finite and >= 0, "
-                f"got {self.readout_amplitude!r}")
+        check_sim(self.dt, self.duration, self.logic_threshold,
+                  self.readout_amplitude)
         needed = self.signal_names()
         roles = set(self.schedule.roles())
         if roles != set(needed):
@@ -617,6 +607,37 @@ def default_duration(n_orders: int) -> float:
     return _PRESET_DURATION[n_orders]
 
 
+def stimulus_schedule(windows: Mapping[str, Iterable[tuple[float, ...]]],
+                      high_level: float = DEFAULT_HIGH_LEVEL,
+                      zigzag_amplitude: float = DEFAULT_ZIGZAG_AMPLITUDE,
+                      zigzag_frequency: float = DEFAULT_ZIGZAG_FREQUENCY,
+                      ) -> StimulusSchedule:
+    """Schedule from per-role (start, end[, level]) windows.
+
+    A window without a level runs at `high_level`.  `ring*` roles carry the
+    zigzag ripple on their level; `food` carries none.
+    """
+    if not 0.0 < high_level < math.inf:
+        raise InvalidInputError(
+            f"high_level must be positive and finite, got {high_level!r}")
+    if not 0.0 <= zigzag_amplitude < math.inf:
+        raise InvalidInputError(
+            f"zigzag_amplitude must be finite and >= 0, got {zigzag_amplitude!r}")
+    if not 0.0 < zigzag_frequency < math.inf:
+        raise InvalidInputError(
+            f"zigzag_frequency must be positive and finite, got {zigzag_frequency!r}")
+    signals: dict[str, tuple[Segment, ...]] = {}
+    for role, role_windows in windows.items():
+        ripple = (zigzag_amplitude, zigzag_frequency) if role.startswith("ring") else ()
+        try:
+            signals[role] = tuple(
+                Segment(start, end, level[0] if level else high_level, *ripple)
+                for start, end, *level in role_windows)
+        except InvalidInputError as exc:
+            raise InvalidInputError(f"signal {role!r}: {exc}") from exc
+    return StimulusSchedule(signals)
+
+
 def pavlov_schedule(n_orders: int,
                     high_level: float = DEFAULT_HIGH_LEVEL,
                     zigzag_amplitude: float = DEFAULT_ZIGZAG_AMPLITUDE,
@@ -626,24 +647,16 @@ def pavlov_schedule(n_orders: int,
     if n_orders not in _PRESET_DURATION:
         raise InvalidInputError(
             f"no reference schedule for order {n_orders}; supply segments")
-
-    def plain(windows: Iterable[tuple[float, float]]) -> tuple[Segment, ...]:
-        return tuple(Segment(a, b, high_level) for a, b in windows)
-
-    def rippled(windows: Iterable[tuple[float, float]]) -> tuple[Segment, ...]:
-        return tuple(Segment(a, b, high_level, zigzag_amplitude,
-                             zigzag_frequency) for a, b in windows)
-
     n_slots = {1: 0, 2: 3, 3: 4}[n_orders]
     shared = _BASE_WINDOWS + [_FOOD_SOLO_GAP] + _LATE_WINDOWS \
         + _PAIR_SLOTS[:n_slots]
     ring1 = _BASE_WINDOWS + [_RING1_BRIDGE] + _LATE_WINDOWS \
         + _PAIR_SLOTS[:n_slots]
-    signals = {"food": plain(shared), "ring1": rippled(ring1)}
+    windows = {"food": shared, "ring1": ring1}
     if n_orders >= 2:
-        ring2 = [(_SECOND_ORDER_START, _LATE_WINDOWS[-1][1])] \
+        windows["ring2"] = [(_SECOND_ORDER_START, _LATE_WINDOWS[-1][1])] \
             + _PAIR_SLOTS[:n_slots]
-        signals["ring2"] = rippled(ring2)
     if n_orders >= 3:
-        signals["ring3"] = rippled(_PAIR_SLOTS[2:4])
-    return StimulusSchedule(signals)
+        windows["ring3"] = _PAIR_SLOTS[2:4]
+    return stimulus_schedule(windows, high_level, zigzag_amplitude,
+                             zigzag_frequency)

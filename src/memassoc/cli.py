@@ -3,8 +3,8 @@
 Config files are line-oriented `key = value` entries under `[section]`
 headers (`#` starts a comment).  Sections: [device], [stage.K] for
 K = 1..N, [schedule], [sim], [fit], [vision].  Unknown sections or keys
-are rejected with their line number; numeric keys carry their unit in
-the suffix (_v, _ohm, _s, _per_s).
+and values the domain types reject fail with their line number; numeric
+keys carry their unit in the suffix (_v, _ohm, _s, _per_s).
 
 Subcommands:
   fit             extract device parameters from an I-V trace CSV;
@@ -33,41 +33,43 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from . import __version__
 from .circuit import (
+    SCHEME_FORGETTING,
+    SCHEME_LEARNING,
+    SCHEME_NATURAL,
     ChainConfig,
-    Segment,
+    RuleTable,
     StageConfig,
     StimulusSchedule,
+    check_sim,
     default_duration,
     first_order_rules,
     higher_order_rules,
     metrics,
     pavlov_schedule,
     run_chain,
+    stimulus_schedule,
     write_metrics_report,
     write_sim_trace_csv,
 )
 from .device import DeviceParams
 from .errors import ConfigError, DataError, InvalidInputError, InvalidStartError
-from .fit import FitConfig, fit, read_trace_csv
+from .fit import PARAM_NAMES, FitConfig, fit, read_trace_csv
 from .vision import (
     InferConfig,
     TrainConfig,
     classify,
     load_image,
     new_array,
-    similarity,
     state_grid,
     train_many,
     write_state_csv,
 )
 
 __all__ = [
-    "DeviceSettings",
-    "StageSettings",
     "ScheduleSettings",
     "SimSettings",
     "FitSettings",
@@ -83,50 +85,56 @@ __all__ = [
     "console_main",
 ]
 
+_SECTIONS = ("device", "schedule", "sim", "fit", "vision")  # and stage.K
 _PRESETS = ("pavlov1", "pavlov2", "pavlov3", "custom")
 _ROLE_RE = re.compile(r"^(food|ring[1-9][0-9]*)_segments$")
 
-# fit parameter names keyed by their config spelling
-_FIT_PARAM_KEYS = {
+# Key tables, one per section: config key -> the domain field it sets, in
+# serialized order.  They drive parsing, serialization and the line a
+# domain error is reported at, so every domain message names its field.
+_DEVICE_KEYS = {
     "r_on_ohm": "r_on", "r_off_ohm": "r_off",
     "alpha_on": "alpha_on", "alpha_off": "alpha_off",
     "k_on_per_s": "k_on", "k_off_per_s": "k_off",
-    "v_on_v": "v_on", "v_off_v": "v_off",
+    "v_on_v": "v_on", "v_off_v": "v_off", "w_on": "w_on", "w_off": "w_off",
+}
+# the voltage keys set the rules of one scheme in the stage's rule table
+_STAGE_KEYS = {
+    "r_f_ohm": "r_f", "gain": "gain", "v_learn_max_v": "v_learn_max",
+    "state_threshold_v": "state_threshold_v", "learning_v": SCHEME_LEARNING,
+    "forgetting_v": SCHEME_FORGETTING, "natural_forgetting_v": SCHEME_NATURAL,
+}
+_STAGE_FIELDS = {f.name for f in fields(StageConfig)}
+# plus one `<role>_segments` key per custom signal
+_SCHEDULE_KEYS = {
+    "preset": "preset", "high_level_v": "high_level",
+    "zigzag_amplitude_v": "zigzag_amplitude",
+    "zigzag_frequency_hz": "zigzag_frequency",
+}
+_SIM_KEYS = {
+    "dt_s": "dt", "duration_s": "duration",
+    "logic_threshold_v": "logic_threshold", "readout_v": "readout_amplitude",
+}
+# `<device key>_lo` / `_hi` bound one fitted parameter
+_FIT_KEYS = {
+    "grad_step": "grad_step", "max_iters": "max_iters", "tol": "tol",
+    "source_r_ohm": "source_r_ohm",
+    **{f"{key}_{end}": name for end in ("lo", "hi")
+       for key, name in _DEVICE_KEYS.items() if name in PARAM_NAMES},
+}
+_VISION_KEYS = {
+    "binarize_threshold": "binarize_threshold", "match_predicate": "predicate",
+    "match_tau": "tau", "match_scope": "scope", "v_min_v": "v_min",
+    "v_max_v": "v_max", "pulse_dt_s": "pulse_dt", "dt_s": "dt",
+    "similarity_threshold": "similarity_threshold",
+    "label_learn_v": "label_learn_v", "label_forget_v": "label_forget_v",
+    "label_pulse_s": "label_pulse_s", "allow_resize": "allow_resize",
 }
 
 
-@dataclass(frozen=True)
-class DeviceSettings:
-    r_on_ohm: float = 20e3
-    r_off_ohm: float = 190e3
-    alpha_on: float = 1.0
-    alpha_off: float = 1.0
-    k_on_per_s: float = 2.82
-    k_off_per_s: float = -18.33
-    v_on_v: float = 0.14
-    v_off_v: float = -0.16
-    w_on: float = 0.0
-    w_off: float = 1.0
-
-
-@dataclass(frozen=True)
-class StageSettings:
-    r_f_ohm: float = 5e3
-    gain: float = 1.8
-    v_learn_max_v: float = 0.47
-    state_threshold_v: float = 0.1
-    learning_v: float | None = 0.35     # fixed level; stage 1 only
-    forgetting_v: float = -0.175
-    natural_forgetting_v: float = -0.165
-
-
-def _default_stage(index: int) -> StageSettings:
-    """Stage defaults: index 1 uses first-order levels, the rest higher-order."""
-    if index == 1:
-        return StageSettings()
-    return StageSettings(learning_v=None, forgetting_v=-0.19,
-                         natural_forgetting_v=-0.18)
-
+# The sections below stay plain records: their domain types cannot be
+# written back (a preset's name, the fit's default bounds, a missing
+# similarity threshold).  `parse_config` checks them through those types.
 
 @dataclass(frozen=True)
 class ScheduleSettings:
@@ -175,8 +183,10 @@ class VisionSettings:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    device: DeviceSettings = field(default_factory=DeviceSettings)
-    stages: tuple[StageSettings, ...] = (StageSettings(),)
+    """A parsed config.  Every stage runs on the `[device]` parameters."""
+
+    device: DeviceParams = field(default_factory=DeviceParams)
+    stages: tuple[StageConfig, ...] = (StageConfig(rules=first_order_rules()),)
     schedule: ScheduleSettings = field(default_factory=ScheduleSettings)
     sim: SimSettings = field(default_factory=SimSettings)
     fit: FitSettings = field(default_factory=FitSettings)
@@ -185,27 +195,28 @@ class ExperimentConfig:
 
 # --- parsing ---------------------------------------------------------------
 
-def _parse_float(raw: str, where: str) -> float:
+@dataclass
+class _Section:
+    """One `[name]` block: its header line (None when absent) and entries."""
+
+    name: str
+    line: int | None = None
+    entries: dict[str, tuple[str, int]] = field(default_factory=dict)
+
+
+def _convert(raw: str, like: Any, where: str) -> Any:
+    """`raw` read as the type of the default value `like` (None reads a float)."""
+    if isinstance(like, str):
+        return raw
+    if isinstance(like, bool):
+        if raw.lower() not in ("true", "yes", "1", "false", "no", "0"):
+            raise ConfigError(f"{where}: not a boolean: {raw!r}")
+        return raw.lower() in ("true", "yes", "1")
     try:
-        return float(raw)
+        return int(raw) if isinstance(like, int) else float(raw)
     except ValueError:
-        raise ConfigError(f"{where}: not a number: {raw!r}") from None
-
-
-def _parse_int(raw: str, where: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"{where}: not an integer: {raw!r}") from None
-
-
-def _parse_bool(raw: str, where: str) -> bool:
-    lowered = raw.lower()
-    if lowered in ("true", "yes", "1"):
-        return True
-    if lowered in ("false", "no", "0"):
-        return False
-    raise ConfigError(f"{where}: not a boolean: {raw!r}")
+        kind = "an integer" if isinstance(like, int) else "a number"
+        raise ConfigError(f"{where}: not {kind}: {raw!r}") from None
 
 
 def _parse_segments(raw: str, where: str,
@@ -217,16 +228,16 @@ def _parse_segments(raw: str, where: str,
         if len(parts) not in (2, 3):
             raise ConfigError(
                 f"{where}: segment must be start:end[:level], got {chunk.strip()!r}")
-        nums = [_parse_float(p, where) for p in parts]
+        nums = [_convert(p, 0.0, where) for p in parts]
         level = nums[2] if len(nums) == 3 else default_level
         out.append((nums[0], nums[1], level))
     return tuple(out)
 
 
-def _split_sections(text: str) -> dict[str, dict[str, tuple[str, int]]]:
-    """Raw section map: {section: {key: (value, line_no)}}."""
-    sections: dict[str, dict[str, tuple[str, int]]] = {}
-    current: dict[str, tuple[str, int]] | None = None
+def _split_sections(text: str) -> dict[str, _Section]:
+    """Raw sections with each entry's value and line number."""
+    sections: dict[str, _Section] = {}
+    current: _Section | None = None
     for ln, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
@@ -236,9 +247,11 @@ def _split_sections(text: str) -> dict[str, dict[str, tuple[str, int]]]:
             if m is None:
                 raise ConfigError(f"line {ln}: malformed section header {line!r}")
             name = m.group(1)
+            if name not in _SECTIONS and not name.startswith("stage."):
+                raise ConfigError(f"line {ln}: unknown section [{name}]")
             if name in sections:
                 raise ConfigError(f"line {ln}: duplicate section [{name}]")
-            current = sections.setdefault(name, {})
+            current = sections[name] = _Section(name, ln)
             continue
         if "=" not in line:
             raise ConfigError(f"line {ln}: expected key = value, got {line!r}")
@@ -247,286 +260,214 @@ def _split_sections(text: str) -> dict[str, dict[str, tuple[str, int]]]:
         key, value = (part.strip() for part in line.split("=", 1))
         if not key:
             raise ConfigError(f"line {ln}: empty key")
-        if key in current:
+        if key in current.entries:
             raise ConfigError(f"line {ln}: duplicate key {key!r}")
-        current[key] = (value, ln)
+        current.entries[key] = (value, ln)
     return sections
 
 
-def _apply_scalars(settings: Any, entries: dict[str, tuple[str, int]],
-                   converters: dict[str, Callable[[str, str], Any]],
-                   section: str) -> Any:
-    """Overlay `key = value` entries onto a settings dataclass."""
-    updates = {}
-    for key, (raw, ln) in entries.items():
-        if key not in converters:
-            raise ConfigError(f"line {ln}: unknown key {key!r} in [{section}]")
-        updates[key] = converters[key](raw, f"line {ln}")
-    return replace(settings, **updates) if updates else settings
+def _values(section: _Section, keys: Mapping[str, str],
+            defaults: Any = None) -> dict[str, Any]:
+    """The section's entries by config key, each read as the type of the
+    same-named field of `defaults` (a float where there is none)."""
+    values = {}
+    for key, (raw, ln) in section.entries.items():
+        if key not in keys:
+            raise ConfigError(f"line {ln}: unknown key {key!r} in [{section.name}]")
+        values[key] = _convert(raw, getattr(defaults, key, 0.0), f"line {ln}")
+    return values
 
 
-_DEVICE_CONVERTERS = {f.name: _parse_float for f in fields(DeviceSettings)}
-_STAGE_CONVERTERS = {f.name: _parse_float for f in fields(StageSettings)}
-_SIM_CONVERTERS = {f.name: _parse_float for f in fields(SimSettings)}
-_VISION_CONVERTERS: dict[str, Callable[[str, str], Any]] = {
-    **{f.name: _parse_float for f in fields(VisionSettings)},
-    "match_predicate": lambda raw, _w: raw,
-    "match_scope": lambda raw, _w: raw,
-    "allow_resize": _parse_bool,
-}
+def _located(section: _Section, keys: Mapping[str, str],
+             make: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
+    """`make(*args, **kwargs)`, its error re-raised at the line of the key
+    whose domain field the message names first, else at the section header."""
+    try:
+        return make(*args, **kwargs)
+    except InvalidInputError as exc:
+        message = str(exc)
+        named = [(m.start(), key) for key, name in keys.items()
+                 if key in section.entries
+                 for m in [re.search(rf"(?<!\w){re.escape(name)}(?!\w)", message)]
+                 if m is not None]
+        if named:
+            key = min(named)[1]
+            where = f"line {section.entries[key][1]}: {key}"
+        else:  # defaults are valid, so a failing section has a header
+            where = f"line {section.line}: [{section.name}]"
+        raise ConfigError(f"{where}: {message}") from exc
 
 
-def _check(cond: bool, message: str, line: int | None = None) -> None:
-    if not cond:
-        prefix = f"line {line}: " if line is not None else ""
-        raise ConfigError(prefix + message)
-
-
-def _line_of(entries: dict[str, tuple[str, int]], key: str) -> int | None:
-    return entries[key][1] if key in entries else None
-
-
-def _validate_device(dev: DeviceSettings,
-                     entries: dict[str, tuple[str, int]]) -> None:
-    _check(dev.r_on_ohm > 0, "r_on must be positive", _line_of(entries, "r_on_ohm"))
-    _check(dev.r_off_ohm > dev.r_on_ohm, "r_off must exceed r_on",
-           _line_of(entries, "r_off_ohm"))
-    _check(dev.alpha_on > 0, "alpha_on must be positive",
-           _line_of(entries, "alpha_on"))
-    _check(dev.alpha_off > 0, "alpha_off must be positive",
-           _line_of(entries, "alpha_off"))
-    _check(dev.k_on_per_s > 0, "k_on must be positive",
-           _line_of(entries, "k_on_per_s"))
-    _check(dev.k_off_per_s < 0, "k_off must be negative",
-           _line_of(entries, "k_off_per_s"))
-    _check(dev.v_on_v > 0, "v_on must be positive", _line_of(entries, "v_on_v"))
-    _check(dev.v_off_v < 0, "v_off must be negative", _line_of(entries, "v_off_v"))
-    _check(dev.w_on < dev.w_off, "w_on must lie below w_off",
-           _line_of(entries, "w_on"))
-
-
-def _validate_stage(index: int, stage: StageSettings,
-                    entries: dict[str, tuple[str, int]]) -> None:
-    _check(stage.r_f_ohm > 0, "r_f must be positive", _line_of(entries, "r_f_ohm"))
-    _check(stage.gain > 0, "gain must be positive", _line_of(entries, "gain"))
-    _check(stage.v_learn_max_v > 0, "v_learn_max must be positive",
-           _line_of(entries, "v_learn_max_v"))
-    _check(stage.state_threshold_v > 0, "state_threshold must be positive",
-           _line_of(entries, "state_threshold_v"))
-    if index > 1:
-        _check("learning_v" not in entries,
-               f"learning_v is only valid in [stage.1]; stage {index} derives "
-               "its learning voltage from the previous stage's state signal",
-               _line_of(entries, "learning_v"))
-    elif stage.learning_v is not None:
-        _check(stage.learning_v > 0, "learning_v must be positive",
-               _line_of(entries, "learning_v"))
-    _check(stage.forgetting_v < 0, "forgetting_v must be negative",
-           _line_of(entries, "forgetting_v"))
-    _check(stage.natural_forgetting_v < 0,
-           "natural_forgetting_v must be negative",
-           _line_of(entries, "natural_forgetting_v"))
-
-
-def _parse_stages(sections: dict[str, dict[str, tuple[str, int]]]
-                  ) -> tuple[StageSettings, ...]:
-    indices = []
-    for name in sections:
+def _stage_count(sections: dict[str, _Section]) -> int:
+    lines = {}  # stage index -> header line
+    for name, section in sections.items():
         if name.startswith("stage."):
             suffix = name.split(".", 1)[1]
             if not suffix.isdigit() or int(suffix) < 1:
-                raise ConfigError(f"bad stage section [{name}]")
-            indices.append(int(suffix))
-    if not indices:
-        return (_default_stage(1),)
-    top = max(indices)
-    missing = sorted(set(range(1, top + 1)) - set(indices))
-    if missing:
+                raise ConfigError(f"line {section.line}: bad stage section [{name}]")
+            lines[int(suffix)] = section.line
+    top = max(lines, default=1)
+    missing = sorted(set(range(1, top + 1)) - set(lines))
+    if lines and missing:
+        raise ConfigError(f"line {lines[top]}: stage sections must be contiguous "
+                          f"from 1: missing stage {missing[0]}")
+    return top
+
+
+def _with_voltages(rules: RuleTable, voltages: Mapping[str, float]) -> RuleTable:
+    """The rule table with each named scheme's rules at the given voltage."""
+    return RuleTable(rules.n_bits, tuple(
+        replace(rule, voltage=voltages.get(rule.scheme, rule.voltage))
+        for rule in rules.rules))
+
+
+def _parse_stage(index: int, section: _Section, device: DeviceParams) -> StageConfig:
+    if index > 1 and "learning_v" in section.entries:
         raise ConfigError(
-            f"stage sections must be contiguous from 1: missing stage {missing[0]}")
-    stages = []
-    for k in range(1, top + 1):
-        entries = sections.get(f"stage.{k}", {})
-        stage = _apply_scalars(_default_stage(k), entries,
-                               _STAGE_CONVERTERS, f"stage.{k}")
-        _validate_stage(k, stage, entries)
-        stages.append(stage)
-    return tuple(stages)
+            f"line {section.entries['learning_v'][1]}: learning_v: only valid "
+            f"in [stage.1]; stage {index} derives its learning voltage from the "
+            "previous stage's state signal")
+    values = {_STAGE_KEYS[key]: value
+              for key, value in _values(section, _STAGE_KEYS).items()}
+    rules = first_order_rules() if index == 1 else higher_order_rules()
+    voltages = {name: v for name, v in values.items() if name not in _STAGE_FIELDS}
+    analog = {name: v for name, v in values.items() if name in _STAGE_FIELDS}
+    return _located(section, _STAGE_KEYS, lambda: StageConfig(
+        device=device, rules=_with_voltages(rules, voltages), **analog))
 
 
-def _parse_schedule(entries: dict[str, tuple[str, int]]) -> ScheduleSettings:
-    settings = ScheduleSettings()
-    scalars: dict[str, Any] = {}
-    segments: list[tuple[str, tuple[tuple[float, float, float], ...], int]] = []
-    for key, (raw, ln) in entries.items():
-        where = f"line {ln}"
-        if key == "preset":
-            _check(raw in _PRESETS,
-                   f"preset must be one of {', '.join(_PRESETS)}; got {raw!r}", ln)
-            scalars["preset"] = raw
-        elif key in ("high_level_v", "zigzag_amplitude_v", "zigzag_frequency_hz"):
-            scalars[key] = _parse_float(raw, where)
-        elif _ROLE_RE.match(key):
-            role = key[: -len("_segments")]
-            segments.append((role, _parse_segments(
-                raw, where, settings.high_level_v), ln))
-        else:
-            raise ConfigError(f"{where}: unknown key {key!r} in [schedule]")
-    settings = replace(settings, **scalars)
-    _check(settings.zigzag_amplitude_v >= 0, "zigzag_amplitude must be >= 0",
-           _line_of(entries, "zigzag_amplitude_v"))
-    _check(settings.zigzag_frequency_hz > 0, "zigzag_frequency must be positive",
-           _line_of(entries, "zigzag_frequency_hz"))
-    _check(settings.high_level_v > 0, "high_level must be positive",
-           _line_of(entries, "high_level_v"))
-    if segments and settings.preset != "custom":
+def _parse_schedule(section: _Section) -> ScheduleSettings:
+    scalars = _Section(section.name, section.line, {
+        key: entry for key, entry in section.entries.items()
+        if not _ROLE_RE.match(key)})
+    settings = ScheduleSettings(**_values(scalars, _SCHEDULE_KEYS, ScheduleSettings()))
+    if settings.preset not in _PRESETS:
         raise ConfigError(
-            f"line {segments[0][2]}: segment lists are only valid with "
-            "preset = custom")
-    seg_tuple = tuple(sorted((role, segs) for role, segs, _ in segments))
-    return replace(settings, segments=seg_tuple)
+            f"line {section.entries['preset'][1]}: preset must be one of "
+            f"{', '.join(_PRESETS)}; got {settings.preset!r}")
+    segments = []
+    for key, (raw, ln) in section.entries.items():
+        if key in scalars.entries:
+            continue
+        if settings.preset != "custom":
+            raise ConfigError(
+                f"line {ln}: segment lists are only valid with preset = custom")
+        segments.append((key[: -len("_segments")], _parse_segments(
+            raw, f"line {ln}", settings.high_level_v)))
+    return replace(settings, segments=tuple(sorted(segments)))
 
 
-def _parse_fit(entries: dict[str, tuple[str, int]]) -> FitSettings:
-    settings = FitSettings()
-    scalars: dict[str, Any] = {}
-    lower: dict[str, float] = {}
-    upper: dict[str, float] = {}
-    for key, (raw, ln) in entries.items():
-        where = f"line {ln}"
-        if key == "max_iters":
-            value = _parse_int(raw, where)
-            _check(value >= 1, "max_iters must be >= 1", ln)
-            scalars[key] = value
-        elif key in ("grad_step", "tol", "source_r_ohm"):
-            value = _parse_float(raw, where)
-            if key == "grad_step":
-                _check(value > 0, "grad_step must be positive", ln)
-            else:
-                _check(value >= 0, f"{key} must be >= 0", ln)
-            scalars[key] = value
-        elif key.endswith("_lo") and key[:-3] in _FIT_PARAM_KEYS:
-            lower[_FIT_PARAM_KEYS[key[:-3]]] = _parse_float(raw, where)
-        elif key.endswith("_hi") and key[:-3] in _FIT_PARAM_KEYS:
-            upper[_FIT_PARAM_KEYS[key[:-3]]] = _parse_float(raw, where)
-        else:
-            raise ConfigError(f"{where}: unknown key {key!r} in [fit]")
-    order = list(_FIT_PARAM_KEYS.values())
-    return replace(
-        settings, **scalars,
-        lower=tuple(sorted(lower.items(), key=lambda kv: order.index(kv[0]))),
-        upper=tuple(sorted(upper.items(), key=lambda kv: order.index(kv[0]))))
+def _stimulus(sched: ScheduleSettings) -> StimulusSchedule:
+    if sched.preset == "custom":
+        return stimulus_schedule(dict(sched.segments), sched.high_level_v,
+                                 sched.zigzag_amplitude_v, sched.zigzag_frequency_hz)
+    return pavlov_schedule(int(sched.preset[-1]), sched.high_level_v,
+                           sched.zigzag_amplitude_v, sched.zigzag_frequency_hz)
 
 
-def _validate_vision(vis: VisionSettings,
-                     entries: dict[str, tuple[str, int]]) -> None:
-    _check(0.0 < vis.binarize_threshold < 1.0,
-           "binarize_threshold must lie in (0,1)",
-           _line_of(entries, "binarize_threshold"))
-    _check(vis.match_predicate in ("equal-binary", "abs-diff"),
-           "match_predicate must be equal-binary or abs-diff",
-           _line_of(entries, "match_predicate"))
-    _check(vis.match_scope in ("all-vector", "corresponding"),
-           "match_scope must be all-vector or corresponding",
-           _line_of(entries, "match_scope"))
-    _check(vis.match_tau >= 0, "match_tau must be >= 0",
-           _line_of(entries, "match_tau"))
-    _check(vis.v_min_v < vis.v_max_v, "v_min must lie below v_max",
-           _line_of(entries, "v_max_v"))
-    _check(vis.pulse_dt_s > 0, "pulse_dt must be positive",
-           _line_of(entries, "pulse_dt_s"))
-    _check(vis.dt_s > 0, "dt must be positive", _line_of(entries, "dt_s"))
-    if vis.similarity_threshold is not None:
-        _check(0.0 < vis.similarity_threshold < 1.0,
-               "similarity_threshold must lie in (0,1)",
-               _line_of(entries, "similarity_threshold"))
-    _check(vis.label_pulse_s > 0, "label_pulse must be positive",
-           _line_of(entries, "label_pulse_s"))
+def _parse_fit(section: _Section) -> FitSettings:
+    values = _values(section, _FIT_KEYS, FitSettings())
+
+    def bounds(end: str) -> tuple[tuple[str, float], ...]:
+        given = {_FIT_KEYS[key]: v for key, v in values.items() if key.endswith(end)}
+        return tuple((name, given[name]) for name in PARAM_NAMES if name in given)
+
+    return FitSettings(
+        **{key: v for key, v in values.items() if not key.endswith(("_lo", "_hi"))},
+        lower=bounds("_lo"), upper=bounds("_hi"))
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    """Parse and validate a config document; defaults fill every gap."""
+    """Parse a config document; defaults fill every gap.
+
+    Each section is checked by constructing the domain objects it feeds.
+    A domain error becomes a `ConfigError` at the line of the key whose
+    field it names, or at the section header.
+    """
     sections = _split_sections(text)
-    known = {"device", "schedule", "sim", "fit", "vision"}
-    for name in sections:
-        if name not in known and not name.startswith("stage."):
-            raise ConfigError(f"unknown section [{name}]")
 
-    dev_entries = sections.get("device", {})
-    device = _apply_scalars(DeviceSettings(), dev_entries,
-                            _DEVICE_CONVERTERS, "device")
-    _validate_device(device, dev_entries)
+    def section(name: str) -> _Section:
+        return sections.get(name, _Section(name))
 
-    stages = _parse_stages(sections)
-    schedule = _parse_schedule(sections.get("schedule", {}))
+    dev = section("device")
+    device = _located(dev, _DEVICE_KEYS, DeviceParams, **{
+        _DEVICE_KEYS[key]: v for key, v in _values(dev, _DEVICE_KEYS).items()})
+    stages = tuple(_parse_stage(k, section(f"stage.{k}"), device)
+                   for k in range(1, _stage_count(sections) + 1))
 
-    sim_entries = sections.get("sim", {})
-    sim = _apply_scalars(SimSettings(), sim_entries, _SIM_CONVERTERS, "sim")
-    _check(sim.dt_s > 0, "dt must be positive", _line_of(sim_entries, "dt_s"))
-    if sim.duration_s is not None:
-        _check(sim.duration_s > 0, "duration must be positive",
-               _line_of(sim_entries, "duration_s"))
-    _check(sim.logic_threshold_v > 0, "logic_threshold must be positive",
-           _line_of(sim_entries, "logic_threshold_v"))
-    _check(sim.readout_v >= 0, "readout must be >= 0",
-           _line_of(sim_entries, "readout_v"))
+    sched_section = section("schedule")
+    schedule = _parse_schedule(sched_section)
+    _located(sched_section, {**_SCHEDULE_KEYS, **{
+        f"{role}_segments": role for role, _ in schedule.segments}},
+        _stimulus, schedule)
 
-    fit_settings = _parse_fit(sections.get("fit", {}))
+    sim_section = section("sim")
+    sim = SimSettings(**_values(sim_section, _SIM_KEYS, SimSettings()))
+    _located(sim_section, _SIM_KEYS, check_sim, **{
+        name: getattr(sim, key) for key, name in _SIM_KEYS.items()})
 
-    vis_entries = sections.get("vision", {})
-    vision = _apply_scalars(VisionSettings(), vis_entries,
-                            _VISION_CONVERTERS, "vision")
-    _validate_vision(vision, vis_entries)
+    vision_section = section("vision")
+    config = ExperimentConfig(
+        device=device, stages=stages, schedule=schedule, sim=sim,
+        fit=_parse_fit(section("fit")),
+        vision=VisionSettings(**_values(vision_section, _VISION_KEYS,
+                                        VisionSettings())))
+    _located(section("fit"), _FIT_KEYS, build_fit_config, config)
+    _located(vision_section, _VISION_KEYS, build_train_config, config)
+    if config.vision.similarity_threshold is not None:
+        _located(vision_section, _VISION_KEYS, build_infer_config, config)
+    return config
 
-    return ExperimentConfig(device=device, stages=stages, schedule=schedule,
-                            sim=sim, fit=fit_settings, vision=vision)
+
+def _block(section: str, pairs: list[tuple[str, Any]]) -> str:
+    """One section of `key = value` lines; None values are left out."""
+    lines = [f"[{section}]"]
+    for key, value in pairs:
+        if value is None:
+            continue
+        if isinstance(value, bool):
+            value = "true" if value else "false"
+        elif isinstance(value, float):
+            value = repr(value)
+        lines.append(f"{key} = {value}")
+    return "\n".join(lines) + "\n"
+
+
+def _device_block(device: DeviceParams) -> str:
+    return _block("device", [(key, getattr(device, name))
+                             for key, name in _DEVICE_KEYS.items()])
+
+
+def _stage_value(stage: StageConfig, name: str) -> float | None:
+    """A stage field, or the fixed voltage of a scheme's rules (None when
+    the rules take the adjusted learning voltage)."""
+    if name in _STAGE_FIELDS:
+        return getattr(stage, name)
+    return next((rule.voltage for rule in stage.rules.rules
+                 if rule.scheme == name), None)
 
 
 def serialize_config(config: ExperimentConfig) -> str:
     """Canonical text form; `parse_config` reads it back to equality."""
-    lines: list[str] = []
-
-    def emit(section: str, pairs: list[tuple[str, Any]]) -> None:
-        lines.append(f"[{section}]")
-        for key, value in pairs:
-            if isinstance(value, bool):
-                value = "true" if value else "false"
-            elif isinstance(value, float):
-                value = repr(value)
-            lines.append(f"{key} = {value}")
-        lines.append("")
-
-    emit("device", [(f.name, getattr(config.device, f.name))
-                    for f in fields(DeviceSettings)])
-    for k, stage in enumerate(config.stages, start=1):
-        pairs = [(f.name, getattr(stage, f.name)) for f in fields(StageSettings)
-                 if not (f.name == "learning_v" and stage.learning_v is None)]
-        emit(f"stage.{k}", pairs)
-    sched = config.schedule
-    sched_pairs: list[tuple[str, Any]] = [
-        ("preset", sched.preset), ("high_level_v", sched.high_level_v),
-        ("zigzag_amplitude_v", sched.zigzag_amplitude_v),
-        ("zigzag_frequency_hz", sched.zigzag_frequency_hz)]
-    for role, segs in sched.segments:
-        sched_pairs.append((f"{role}_segments", ", ".join(
-            f"{repr(a)}:{repr(b)}:{repr(level)}" for a, b, level in segs)))
-    emit("schedule", sched_pairs)
-    sim_pairs = [(f.name, getattr(config.sim, f.name)) for f in fields(SimSettings)
-                 if not (f.name == "duration_s" and config.sim.duration_s is None)]
-    emit("sim", sim_pairs)
-    inverse = {param: key for key, param in _FIT_PARAM_KEYS.items()}
-    fit_pairs: list[tuple[str, Any]] = [
-        ("grad_step", config.fit.grad_step), ("max_iters", config.fit.max_iters),
-        ("tol", config.fit.tol), ("source_r_ohm", config.fit.source_r_ohm)]
-    fit_pairs += [(f"{inverse[p]}_lo", v) for p, v in config.fit.lower]
-    fit_pairs += [(f"{inverse[p]}_hi", v) for p, v in config.fit.upper]
-    emit("fit", fit_pairs)
-    vis_pairs = [(f.name, getattr(config.vision, f.name))
-                 for f in fields(VisionSettings)
-                 if not (f.name == "similarity_threshold"
-                         and config.vision.similarity_threshold is None)]
-    emit("vision", vis_pairs)
-    return "\n".join(lines)
+    sched, fit_settings = config.schedule, config.fit
+    bounds = {"lo": dict(fit_settings.lower), "hi": dict(fit_settings.upper)}
+    blocks = [_device_block(config.device)]
+    blocks += [_block(f"stage.{k}", [(key, _stage_value(stage, name))
+                                     for key, name in _STAGE_KEYS.items()])
+               for k, stage in enumerate(config.stages, start=1)]
+    blocks.append(_block("schedule", [
+        (key, getattr(sched, key)) for key in _SCHEDULE_KEYS] + [
+        (f"{role}_segments", ", ".join(f"{a!r}:{b!r}:{level!r}"
+                                       for a, b, level in segs))
+        for role, segs in sched.segments]))
+    blocks.append(_block("sim", [(key, getattr(config.sim, key))
+                                 for key in _SIM_KEYS]))
+    blocks.append(_block("fit", [
+        (key, bounds[key[-2:]].get(name) if key[-3:] in ("_lo", "_hi")
+         else getattr(fit_settings, key)) for key, name in _FIT_KEYS.items()]))
+    blocks.append(_block("vision", [(key, getattr(config.vision, key))
+                                    for key in _VISION_KEYS]))
+    return "\n".join(blocks)
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -540,109 +481,62 @@ def load_config(path: str | Path) -> ExperimentConfig:
 # --- domain-object assembly -------------------------------------------------
 
 def build_device(config: ExperimentConfig) -> DeviceParams:
-    d = config.device
-    return DeviceParams(r_on=d.r_on_ohm, r_off=d.r_off_ohm,
-                        alpha_on=d.alpha_on, alpha_off=d.alpha_off,
-                        k_on=d.k_on_per_s, k_off=d.k_off_per_s,
-                        v_on=d.v_on_v, v_off=d.v_off_v,
-                        w_on=d.w_on, w_off=d.w_off)
+    return config.device
 
 
-def _build_schedule(config: ExperimentConfig, n_stages: int) -> StimulusSchedule:
-    sched = config.schedule
-    if sched.preset != "custom":
+def build_chain(config: ExperimentConfig,
+                dt_override: float | None = None) -> ChainConfig:
+    sched, n_stages = config.schedule, len(config.stages)
+    duration = config.sim.duration_s
+    if sched.preset == "custom":
+        if duration is None:
+            raise ConfigError("custom schedules require [sim] duration_s")
+        roles = {role for role, _ in sched.segments}
+        needed = {"food"} | {f"ring{k}" for k in range(1, n_stages + 1)}
+        if roles != needed:
+            raise ConfigError(
+                f"custom schedule defines roles {sorted(roles)}; "
+                f"need exactly {sorted(needed)}")
+    else:
         order = int(sched.preset[-1])
         if order != n_stages:
             raise ConfigError(
                 f"preset {sched.preset} drives {order} stage(s) but the config "
                 f"declares {n_stages}")
-        return pavlov_schedule(order, high_level=sched.high_level_v,
-                               zigzag_amplitude=sched.zigzag_amplitude_v,
-                               zigzag_frequency=sched.zigzag_frequency_hz)
-    roles = {role for role, _ in sched.segments}
-    needed = {"food"} | {f"ring{k}" for k in range(1, n_stages + 1)}
-    if roles != needed:
-        raise ConfigError(
-            f"custom schedule defines roles {sorted(roles)}; "
-            f"need exactly {sorted(needed)}")
-    signals = {}
-    for role, segs in sched.segments:
-        ripple = sched.zigzag_amplitude_v if role.startswith("ring") else 0.0
-        signals[role] = tuple(
-            Segment(a, b, level, ripple, sched.zigzag_frequency_hz)
-            for a, b, level in segs)
-    return StimulusSchedule(signals)
-
-
-def build_chain(config: ExperimentConfig,
-                dt_override: float | None = None) -> ChainConfig:
+        if duration is None:
+            duration = default_duration(order)
     device = build_device(config)
-    stage_configs = []
-    for k, s in enumerate(config.stages, start=1):
-        if k == 1:
-            rules = first_order_rules(
-                learning_v=s.learning_v if s.learning_v is not None else 0.35,
-                forgetting_v=s.forgetting_v, natural_v=s.natural_forgetting_v)
-        else:
-            rules = higher_order_rules(forgetting_v=s.forgetting_v,
-                                       natural_v=s.natural_forgetting_v)
-        stage_configs.append(StageConfig(
-            device=device, rules=rules, r_f=s.r_f_ohm, gain=s.gain,
-            v_learn_max=s.v_learn_max_v, state_threshold_v=s.state_threshold_v))
-    duration = config.sim.duration_s
-    if duration is None:
-        if config.schedule.preset == "custom":
-            raise ConfigError("custom schedules require [sim] duration_s")
-        duration = default_duration(int(config.schedule.preset[-1]))
-    try:
-        return ChainConfig(
-            stages=tuple(stage_configs),
-            schedule=_build_schedule(config, len(stage_configs)),
-            duration=duration,
-            dt=dt_override if dt_override is not None else config.sim.dt_s,
-            logic_threshold=config.sim.logic_threshold_v,
-            readout_amplitude=config.sim.readout_v)
-    except InvalidInputError as exc:
-        raise ConfigError(str(exc)) from exc
+    return ChainConfig(
+        stages=tuple(replace(stage, device=device) for stage in config.stages),
+        schedule=_stimulus(sched),
+        duration=duration,
+        dt=dt_override if dt_override is not None else config.sim.dt_s,
+        logic_threshold=config.sim.logic_threshold_v,
+        readout_amplitude=config.sim.readout_v)
+
+
+def _domain_args(record: Any, keys: Mapping[str, str], cls: type) -> dict[str, Any]:
+    """The record's values under the domain names that `cls` has fields for."""
+    names = {f.name for f in fields(cls)}
+    return {name: getattr(record, key) for key, name in keys.items() if name in names}
 
 
 def build_fit_config(config: ExperimentConfig) -> FitConfig:
-    try:
-        return FitConfig(initial=build_device(config),
-                         lower=dict(config.fit.lower),
-                         upper=dict(config.fit.upper),
-                         grad_step=config.fit.grad_step,
-                         max_iters=config.fit.max_iters,
-                         tol=config.fit.tol,
-                         source_r_ohm=config.fit.source_r_ohm)
-    except InvalidInputError as exc:
-        raise ConfigError(str(exc)) from exc
+    return FitConfig(initial=build_device(config), lower=dict(config.fit.lower),
+                     upper=dict(config.fit.upper),
+                     **_domain_args(config.fit, _FIT_KEYS, FitConfig))
 
 
 def build_train_config(config: ExperimentConfig) -> TrainConfig:
-    v = config.vision
-    try:
-        return TrainConfig(binarize_threshold=v.binarize_threshold,
-                           predicate=v.match_predicate, tau=v.match_tau,
-                           scope=v.match_scope, v_min=v.v_min_v,
-                           v_max=v.v_max_v, pulse_dt=v.pulse_dt_s, dt=v.dt_s)
-    except InvalidInputError as exc:
-        raise ConfigError(str(exc)) from exc
+    return TrainConfig(**_domain_args(config.vision, _VISION_KEYS, TrainConfig))
 
 
 def build_infer_config(config: ExperimentConfig) -> InferConfig:
-    v = config.vision
-    if v.similarity_threshold is None:
+    if config.vision.similarity_threshold is None:
         raise ConfigError("[vision] similarity_threshold is required for "
                           "classification")
-    try:
-        return InferConfig(similarity_threshold=v.similarity_threshold,
-                           label_device=build_device(config),
-                           label_learn_v=v.label_learn_v,
-                           label_forget_v=v.label_forget_v,
-                           label_pulse_s=v.label_pulse_s, dt=v.dt_s)
-    except InvalidInputError as exc:
-        raise ConfigError(str(exc)) from exc
+    return InferConfig(label_device=build_device(config),
+                       **_domain_args(config.vision, _VISION_KEYS, InferConfig))
 
 
 # --- outputs and manifests ---------------------------------------------------
@@ -736,18 +630,11 @@ def _write_manifest(out_dir: Path, command: str, config: ExperimentConfig,
 def cmd_fit(config: ExperimentConfig, trace_path: str | Path,
             out_dir: str | Path) -> int:
     """Fit the device to a trace; exit 0 only on convergence."""
+    fit_config = build_fit_config(config)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    trace = read_trace_csv(trace_path)
-    result = fit(trace, build_fit_config(config))
-    p = result.params
-    fragment = serialize_config(replace(
-        ExperimentConfig(), device=DeviceSettings(
-            r_on_ohm=p.r_on, r_off_ohm=p.r_off, alpha_on=p.alpha_on,
-            alpha_off=p.alpha_off, k_on_per_s=p.k_on, k_off_per_s=p.k_off,
-            v_on_v=p.v_on, v_off_v=p.v_off, w_on=p.w_on, w_off=p.w_off)))
-    device_block = fragment.split("\n\n", 1)[0] + "\n"
-    (out / "device_fit.conf").write_text(device_block)
+    result = fit(read_trace_csv(trace_path), fit_config)
+    (out / "device_fit.conf").write_text(_device_block(result.params))
     report = {"converged": result.converged, "iterations": result.iterations,
               "rmse": result.rmse}
     (out / "fit_report.json").write_text(
@@ -760,11 +647,12 @@ def cmd_fit(config: ExperimentConfig, trace_path: str | Path,
 def cmd_pavlov(config: ExperimentConfig, out_dir: str | Path,
                dt_override: float | None = None) -> int:
     """Run the chain and write trace, metrics, and the plot script."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     if dt_override is not None:
         config = replace(config, sim=replace(config.sim, dt_s=dt_override))
-    trace = run_chain(build_chain(config))
+    chain = build_chain(config)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    trace = run_chain(chain)
     write_sim_trace_csv(trace, out / "trace.csv")
     write_metrics_report(metrics(trace), out / "metrics.txt")
     (out / "plot_trace.py").write_text(_PLOT_SCRIPT)
@@ -785,6 +673,8 @@ def cmd_vision(config: ExperimentConfig, train_dir: str | Path,
     The teacher image is `teacher.csv`/`teacher.pgm` inside the training
     directory; every other image there is an input paired with it.
     """
+    train_config = build_train_config(config)
+    infer = None if test_dir is None else build_infer_config(config)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     train = Path(train_dir)
@@ -802,19 +692,18 @@ def cmd_vision(config: ExperimentConfig, train_dir: str | Path,
     if not inputs:
         raise DataError(f"no training inputs next to {teacher_path.name}")
     array = train_many(new_array(build_device(config)), inputs, teacher,
-                       build_train_config(config))
+                       train_config)
     state = state_grid(array)
     write_state_csv(state, out / "array_state.csv")
     outputs = ["array_state.csv"]
     args: dict[str, Any] = {"train_dir": str(train_dir)}
     command = "vision-train"
-    if test_dir is not None:
+    if infer is not None:
         command = "vision-classify"
         args["test_dir"] = str(test_dir)
         test = Path(test_dir)
         if not test.is_dir():
             raise DataError(f"test directory {test} does not exist")
-        infer = build_infer_config(config)
         lines = ["name,similarity,threshold,label"]
         for path in _image_files(test):
             img = load_image(path, allow_resize=allow)
@@ -934,13 +823,10 @@ def console_main(argv: Sequence[str] | None = None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return _dispatch(ns)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
     except (DataError, InvalidStartError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except InvalidInputError as exc:
+    except (ConfigError, InvalidInputError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -45,7 +45,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, require
 
 __all__ = [
     "DeviceParams",
@@ -76,28 +76,20 @@ class DeviceParams:
     w_off: float = 1.0        # state bound reached by sustained set
 
     def __post_init__(self) -> None:
-        for name in ("r_on", "r_off", "alpha_on", "alpha_off", "k_on",
-                     "k_off", "v_on", "v_off", "w_on", "w_off"):
-            if not math.isfinite(getattr(self, name)):
-                raise InvalidInputError(f"{name} must be finite")
-        if not 0.0 < self.r_on < self.r_off:
-            raise InvalidInputError(
-                f"resistance bounds need 0 < r_on < r_off, "
-                f"got r_on={self.r_on!r}, r_off={self.r_off!r}")
-        if not self.v_off < 0.0 < self.v_on:
-            raise InvalidInputError(
-                "v_on must be positive and v_off negative, "
-                f"got v_on={self.v_on!r}, v_off={self.v_off!r}")
-        if self.k_on <= 0.0:
-            raise InvalidInputError(f"k_on must be > 0, got {self.k_on!r}")
-        if self.k_off >= 0.0:
-            raise InvalidInputError(f"k_off must be < 0, got {self.k_off!r}")
-        if self.alpha_on <= 0.0 or self.alpha_off <= 0.0:
-            raise InvalidInputError("rate exponents must be > 0")
-        if not self.w_on < self.w_off:
-            raise InvalidInputError(
-                f"state bounds need w_on < w_off, "
-                f"got w_on={self.w_on!r}, w_off={self.w_off!r}")
+        inf = math.inf
+        require(self,
+                ("r_on", 0.0 < self.r_on < inf, "be positive and finite"),
+                ("r_off", self.r_on < self.r_off < inf,
+                 f"be finite and exceed r_on={self.r_on!r}"),
+                ("alpha_on", 0.0 < self.alpha_on < inf, "be > 0 and finite"),
+                ("alpha_off", 0.0 < self.alpha_off < inf, "be > 0 and finite"),
+                ("k_on", 0.0 < self.k_on < inf, "be > 0 and finite"),
+                ("k_off", -inf < self.k_off < 0.0, "be < 0 and finite"),
+                ("v_on", 0.0 < self.v_on < inf, "be positive and finite"),
+                ("v_off", -inf < self.v_off < 0.0, "be negative and finite"),
+                ("w_off", math.isfinite(self.w_off), "be finite"),
+                ("w_on", -inf < self.w_on < self.w_off,
+                 f"be finite and lie below w_off={self.w_off!r}"))
 
 
 @dataclass(frozen=True)

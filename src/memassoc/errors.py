@@ -19,3 +19,15 @@ class ConfigError(MemassocError, ValueError):
 
 class DataError(MemassocError, ValueError):
     """An external data file is missing, unreadable, or malformed."""
+
+
+def require(obj: object, *checks: tuple[str, bool, str]) -> None:
+    """Raise `InvalidInputError("<field> must <need>, got <value>")` for the
+    first (field, ok, need) check on `obj` that failed.
+
+    Messages name their field first: the config parser reports an error at
+    the line of the key whose field the message names.
+    """
+    for name, ok, need in checks:
+        if not ok:
+            raise InvalidInputError(f"{name} must {need}, got {getattr(obj, name)!r}")

@@ -31,7 +31,7 @@ from typing import Callable
 import numpy as np
 
 from .device import DeviceParams, trajectory
-from .errors import DataError, InvalidInputError, InvalidStartError
+from .errors import DataError, InvalidInputError, InvalidStartError, require
 
 __all__ = [
     "IVTrace",
@@ -171,12 +171,15 @@ class FitConfig:
     source_r_ohm: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.grad_step <= 0.0:
-            raise InvalidInputError(f"grad_step must be > 0, got {self.grad_step!r}")
-        if self.max_iters < 1:
-            raise InvalidInputError(f"max_iters must be >= 1, got {self.max_iters!r}")
-        if self.tol < 0.0:
-            raise InvalidInputError(f"tol must be >= 0, got {self.tol!r}")
+        require(self,
+                ("grad_step", 0.0 < self.grad_step < math.inf, "be positive and finite"),
+                ("max_iters", self.max_iters >= 1, "be >= 1"),
+                ("tol", 0.0 <= self.tol < math.inf, "be finite and >= 0"),
+                ("source_r_ohm", 0.0 <= self.source_r_ohm < math.inf,
+                 "be finite and >= 0"))
+        for name, bound in [*self.lower.items(), *self.upper.items()]:
+            if not math.isfinite(bound):
+                raise InvalidInputError(f"bounds for {name} must be finite, got {bound!r}")
         lower, upper = default_bounds(self.initial)
         lower.update(self.lower)
         upper.update(self.upper)

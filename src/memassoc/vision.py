@@ -37,7 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from .device import DeviceParams, drive_rate, trajectory
-from .errors import DataError, InvalidInputError
+from .errors import DataError, InvalidInputError, require
 
 __all__ = [
     "GRID_SIDE",
@@ -85,23 +85,18 @@ class TrainConfig:
     dt: float = 1e-4              # s, integration step
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.binarize_threshold < 1.0:
-            raise InvalidInputError(
-                f"binarize threshold must lie in (0,1), got {self.binarize_threshold!r}")
-        if self.predicate not in _PREDICATES:
-            raise InvalidInputError(
-                f"match predicate must be one of {_PREDICATES}, got {self.predicate!r}")
-        if self.scope not in _SCOPES:
-            raise InvalidInputError(
-                f"match scope must be one of {_SCOPES}, got {self.scope!r}")
-        if self.tau < 0.0 or not math.isfinite(self.tau):
-            raise InvalidInputError(f"tau must be >= 0, got {self.tau!r}")
-        if not self.v_min < self.v_max:
-            raise InvalidInputError(
-                f"need v_min < v_max, got {self.v_min!r} >= {self.v_max!r}")
-        if self.pulse_dt <= 0.0 or self.dt <= 0.0 or self.dt > self.pulse_dt:
-            raise InvalidInputError(
-                f"need 0 < dt <= pulse_dt, got dt={self.dt!r}, pulse_dt={self.pulse_dt!r}")
+        require(self,
+                ("binarize_threshold", 0.0 < self.binarize_threshold < 1.0,
+                 "lie in (0,1)"),
+                ("predicate", self.predicate in _PREDICATES, f"be one of {_PREDICATES}"),
+                ("scope", self.scope in _SCOPES, f"be one of {_SCOPES}"),
+                ("tau", 0.0 <= self.tau < math.inf, "be finite and >= 0"),
+                ("v_min", math.isfinite(self.v_min), "be finite"),
+                ("v_max", self.v_min < self.v_max < math.inf,
+                 f"be finite and exceed v_min={self.v_min!r}"),
+                ("pulse_dt", 0.0 < self.pulse_dt < math.inf, "be positive and finite"),
+                ("dt", 0.0 < self.dt <= self.pulse_dt,
+                 f"lie in (0, pulse_dt={self.pulse_dt!r}]"))
 
 
 @dataclass(frozen=True)
@@ -117,25 +112,19 @@ class InferConfig:
     dt: float = 1e-4
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.similarity_threshold < 1.0:
-            raise InvalidInputError(
-                "similarity threshold must lie in (0,1), "
-                f"got {self.similarity_threshold!r}")
-        if not (self.label_device.r_on < self.label_boundary_ohm
-                < self.label_device.r_off):
-            raise InvalidInputError(
-                "label boundary must lie strictly between r_on and r_off, "
-                f"got {self.label_boundary_ohm!r}")
-        if self.label_learn_v <= self.label_device.v_on:
-            raise InvalidInputError(
-                f"label_learn_v must exceed v_on={self.label_device.v_on}, "
-                f"got {self.label_learn_v!r}")
-        if self.label_forget_v >= self.label_device.v_off:
-            raise InvalidInputError(
-                f"label_forget_v must lie below v_off={self.label_device.v_off}, "
-                f"got {self.label_forget_v!r}")
-        if self.label_pulse_s <= 0.0 or self.dt <= 0.0:
-            raise InvalidInputError("label pulse and dt must be positive")
+        device = self.label_device
+        require(self,
+                ("similarity_threshold", 0.0 < self.similarity_threshold < 1.0,
+                 "lie in (0,1)"),
+                ("label_boundary_ohm", device.r_on < self.label_boundary_ohm < device.r_off,
+                 f"lie strictly between r_on={device.r_on!r} and r_off={device.r_off!r}"),
+                ("label_learn_v", device.v_on < self.label_learn_v < math.inf,
+                 f"be finite and exceed v_on={device.v_on!r}"),
+                ("label_forget_v", -math.inf < self.label_forget_v < device.v_off,
+                 f"be finite and lie below v_off={device.v_off!r}"),
+                ("label_pulse_s", 0.0 < self.label_pulse_s < math.inf,
+                 "be positive and finite"),
+                ("dt", 0.0 < self.dt < math.inf, "be positive and finite"))
 
 
 @dataclass(frozen=True)

@@ -40,8 +40,6 @@ from memassoc.circuit import (
     pavlov_schedule,
     run_chain,
     sample_signal,
-    select_modulation_first,
-    select_modulation_higher,
     state_signal,
     synaptic_output,
     write_metrics_report,
@@ -142,7 +140,7 @@ class TestLogicAndRules:
             (1, 0): (SCHEME_NATURAL, -0.165),
         }
         for bits, want in expected.items():
-            assert select_modulation_first(*bits) == want
+            assert first_order_rules().select(bits) == want
 
     def test_higher_order_table(self):
         expected = {
@@ -156,7 +154,7 @@ class TestLogicAndRules:
             (0, 0, 0): (SCHEME_NATURAL, -0.18),
         }
         for bits, want in expected.items():
-            got = select_modulation_higher(*bits, v_adjusted=0.42)
+            got = higher_order_rules().select(bits, 0.42)
             assert got == want, bits
 
     def test_adjusted_voltage_required_for_learning_row(self):

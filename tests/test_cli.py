@@ -6,11 +6,20 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import memassoc.cli
+import memassoc.fit
+import memassoc.vision
 from memassoc import __version__
+from memassoc.circuit import StageConfig, first_order_rules, higher_order_rules
 from memassoc.cli import (
-    DeviceSettings,
     ExperimentConfig,
+    FitSettings,
+    ScheduleSettings,
+    SimSettings,
+    VisionSettings,
     build_chain,
     build_infer_config,
     cmd_pavlov,
@@ -22,7 +31,7 @@ from memassoc.cli import (
 )
 from memassoc.device import DeviceParams
 from memassoc.errors import ConfigError
-from memassoc.fit import IVTrace, simulate_current, write_trace_csv
+from memassoc.fit import PARAM_NAMES, IVTrace, simulate_current, write_trace_csv
 
 REPO = Path(__file__).resolve().parents[1]
 CONFIGS = sorted((REPO / "configs").glob("*.conf"))
@@ -67,7 +76,7 @@ class TestParseConfig:
 
     def test_empty_device_section_gives_defaults(self):
         cfg = parse_config("[device]\n")
-        assert cfg.device == DeviceSettings()
+        assert cfg.device == DeviceParams()
 
     def test_v_on_sign_invariant_named(self):
         with pytest.raises(ConfigError, match="v_on must be positive"):
@@ -100,7 +109,7 @@ class TestParseConfig:
 
     def test_comments_and_blanks_ignored(self):
         text = "# top\n\n[device]\nr_on_ohm = 21e3  # trailing\n"
-        assert parse_config(text).device.r_on_ohm == 21e3
+        assert parse_config(text).device.r_on == 21e3
 
     def test_bad_number_reports_line(self):
         with pytest.raises(ConfigError, match="line 2: not a number"):
@@ -146,7 +155,159 @@ class TestParseConfig:
             parse_config("[vision]\nsimilarity_threshold = 1.5\n")
 
 
+    def test_segments_without_level_use_high_level(self):
+        text = ("[schedule]\npreset = custom\n"
+                "food_segments = 0:0.1, 0.2:0.3:0.8\nhigh_level_v = 2.5\n")
+        segs = dict(parse_config(text).schedule.segments)
+        assert segs["food"] == ((0.0, 0.1, 2.5), (0.2, 0.3, 0.8))
+
+
+DEVICE_KEYS = ["r_on_ohm", "r_off_ohm", "alpha_on", "alpha_off", "k_on_per_s",
+               "k_off_per_s", "v_on_v", "v_off_v", "w_on", "w_off"]
+STAGE_KEYS = ["r_f_ohm", "gain", "v_learn_max_v", "state_threshold_v",
+              "forgetting_v", "natural_forgetting_v"]
+# (section header and leading lines, key) for every numeric config key
+NUMERIC_KEYS = (
+    [("[device]", k) for k in DEVICE_KEYS]
+    + [("[stage.1]", k) for k in STAGE_KEYS + ["learning_v"]]
+    + [("[stage.1]\n[stage.2]", k) for k in STAGE_KEYS]
+    + [("[schedule]", k) for k in
+       ("high_level_v", "zigzag_amplitude_v", "zigzag_frequency_hz")]
+    + [("[sim]", k) for k in ("dt_s", "duration_s", "logic_threshold_v", "readout_v")]
+    + [("[fit]", k) for k in ("grad_step", "tol", "source_r_ohm")]
+    + [("[fit]", f"{k}_{end}") for end in ("lo", "hi") for k in DEVICE_KEYS[:8]]
+    + [("[vision]", k) for k in ("binarize_threshold", "match_tau", "v_min_v",
+                                 "v_max_v", "pulse_dt_s", "dt_s",
+                                 "similarity_threshold")]
+    + [("[vision]\nsimilarity_threshold = 0.3", k)
+       for k in ("label_learn_v", "label_forget_v", "label_pulse_s")])
+NON_FINITE = [(f"{head}\n{key} = {value}\n", key)
+              for head, key in NUMERIC_KEYS for value in ("inf", "-inf", "nan")]
+NON_FINITE += [(f"[schedule]\npreset = custom\n{key} = {value}\n", key)
+               for key, value in (("food_segments", "0:inf"),
+                                  ("ring1_segments", "nan:0.1"),
+                                  ("food_segments", "0:0.1:inf"))]
+OUT_OF_RANGE = [
+    ("[device]\nr_on_ohm = 200e3\n", "r_on_ohm"),
+    ("[device]\nr_on_ohm = 20e3\nr_off_ohm = 10e3\n", "r_off_ohm"),
+    ("[device]\nv_off_v = 0.1\n", "v_off_v"),
+    ("[device]\nw_on = 2\n", "w_on"),
+    ("[stage.1]\nlearning_v = -0.1\n", "learning_v"),
+    ("[stage.1]\n[stage.2]\nforgetting_v = 0.2\n", "forgetting_v"),
+    ("[stage.1]\nnatural_forgetting_v = 0\n", "natural_forgetting_v"),
+    ("[stage.1]\ngain = 0\n", "gain"),
+    ("[schedule]\nzigzag_amplitude_v = 0\nzigzag_frequency_hz = 0\n",
+     "zigzag_frequency_hz"),
+    ("[schedule]\npreset = custom\nfood_segments = 0:0.1, 0.05:0.2\n",
+     "food_segments"),
+    ("[schedule]\npreset = custom\nring1_segments = 0.2:0.1\n", "ring1_segments"),
+    ("[sim]\nlogic_threshold_v = 0\n", "logic_threshold_v"),
+    ("[sim]\nduration_s = 1e-6\n", "duration_s"),
+    ("[fit]\nr_on_ohm_lo = 30e3\n", "r_on_ohm_lo"),
+    ("[device]\nr_on_ohm = 5e3\n[fit]\nr_on_ohm_hi = 4e3\n", "r_on_ohm_hi"),
+    ("[fit]\nsource_r_ohm = -1\n", "source_r_ohm"),
+    ("[vision]\ndt_s = 0.1\n", "dt_s"),
+    ("[vision]\nv_min_v = 0.5\nv_max_v = 0.4\n", "v_max_v"),
+    ("[vision]\nsimilarity_threshold = 0.3\nlabel_learn_v = 0.1\n",
+     "label_learn_v"),
+]
+
+
+class TestErrorsAtKeyLine:
+    """Each bad value fails in `parse_config` at the line of its own key."""
+
+    @pytest.mark.parametrize("text,key", NON_FINITE + OUT_OF_RANGE)
+    def test_bad_value_names_its_line(self, text, key):
+        line = next(n for n, entry in enumerate(text.splitlines(), start=1)
+                    if entry.startswith(f"{key} ="))
+        with pytest.raises(ConfigError, match=rf"^line {line}: {key}: "):
+            parse_config(text)
+
+    def test_cross_section_error_names_section_header(self):
+        text = "[vision]\nsimilarity_threshold = 0.3\n\n[device]\nr_on_ohm = 60e3\n"
+        with pytest.raises(ConfigError, match=r"^line 1: \[vision\]: label_boundary"):
+            parse_config(text)
+
+    def test_integer_key_rejects_non_finite(self):
+        for value in ("inf", "nan"):
+            with pytest.raises(ConfigError, match="^line 2: not an integer"):
+                parse_config(f"[fit]\nmax_iters = {value}\n")
+
+
+floats = st.floats
+
+
+@st.composite
+def experiment_configs(draw):
+    """Valid configs: every section passes its domain checks."""
+    device = DeviceParams(
+        r_on=draw(floats(1e3, 40e3)), r_off=draw(floats(60e3, 1e6)),
+        alpha_on=draw(floats(0.1, 5.0)), alpha_off=draw(floats(0.1, 5.0)),
+        k_on=draw(floats(0.1, 100.0)), k_off=-draw(floats(0.1, 100.0)),
+        v_on=draw(floats(0.01, 0.3)), v_off=-draw(floats(0.01, 0.3)),
+        w_on=draw(floats(-1.0, 0.0)), w_off=draw(floats(0.5, 2.0)))
+    positive, negative = floats(0.01, 1.0), floats(-1.0, -0.01)
+    stages = tuple(
+        StageConfig(device=device,
+                    rules=(first_order_rules(draw(positive), draw(negative),
+                                             draw(negative)) if k == 0
+                           else higher_order_rules(draw(negative), draw(negative))),
+                    r_f=draw(floats(1e2, 1e5)), gain=draw(floats(0.1, 10.0)),
+                    v_learn_max=draw(floats(0.01, 2.0)),
+                    state_threshold_v=draw(floats(0.01, 1.0)))
+        for k in range(draw(st.integers(1, 3))))
+    preset = draw(st.sampled_from(["pavlov1", "pavlov2", "pavlov3", "custom"]))
+    segments = []
+    if preset == "custom":
+        for role in sorted(draw(st.sets(st.sampled_from(
+                ["food", "ring1", "ring2", "ring10"]), min_size=1))):
+            t, windows = 0.0, []
+            for _ in range(draw(st.integers(1, 3))):
+                start = t + draw(floats(0.0, 0.5))
+                t = start + draw(floats(1e-3, 0.5))
+                windows.append((start, t, draw(floats(-2.0, 5.0))))
+            segments.append((role, tuple(windows)))
+    fit_bounds = {}
+    for end, sign in (("lower", -1.0), ("upper", 1.0)):
+        names = draw(st.sets(st.sampled_from(PARAM_NAMES)))
+        fit_bounds[end] = tuple(
+            (name, getattr(device, name) + sign * draw(floats(0.0, 10.0)))
+            for name in PARAM_NAMES if name in names)
+    v_min, pulse_dt = draw(floats(-1.0, 0.5)), draw(floats(1e-3, 0.1))
+    return ExperimentConfig(
+        device=device, stages=stages,
+        schedule=ScheduleSettings(
+            preset=preset, high_level_v=draw(floats(0.01, 5.0)),
+            zigzag_amplitude_v=draw(floats(0.0, 0.5)),
+            zigzag_frequency_hz=draw(floats(1.0, 1e3)), segments=tuple(segments)),
+        sim=SimSettings(dt_s=draw(floats(1e-6, 1e-3)),
+                        duration_s=draw(st.none() | floats(1e-3, 10.0)),
+                        logic_threshold_v=draw(floats(0.01, 2.0)),
+                        readout_v=draw(floats(0.0, 1.0))),
+        fit=FitSettings(grad_step=draw(floats(1e-9, 1e-2)),
+                        max_iters=draw(st.integers(1, 1000)),
+                        tol=draw(floats(0.0, 1e-3)),
+                        source_r_ohm=draw(floats(0.0, 1e4)), **fit_bounds),
+        vision=VisionSettings(
+            binarize_threshold=draw(floats(0.01, 0.99)),
+            match_predicate=draw(st.sampled_from(["equal-binary", "abs-diff"])),
+            match_tau=draw(floats(0.0, 1.0)),
+            match_scope=draw(st.sampled_from(["all-vector", "corresponding"])),
+            v_min_v=v_min, v_max_v=v_min + draw(floats(0.01, 1.0)),
+            pulse_dt_s=pulse_dt, dt_s=pulse_dt * draw(floats(0.01, 1.0)),
+            similarity_threshold=draw(st.none() | floats(0.01, 0.99)),
+            label_learn_v=draw(floats(0.31, 2.0)),
+            label_forget_v=draw(floats(-2.0, -0.31)),
+            label_pulse_s=draw(floats(1e-3, 1.0)),
+            allow_resize=draw(st.booleans())))
+
+
 class TestRoundTrip:
+    @settings(max_examples=100, deadline=None)
+    @given(experiment_configs())
+    def test_parse_inverts_serialize(self, cfg):
+        assert parse_config(serialize_config(cfg)) == cfg
+
     def test_default_config_round_trips(self):
         cfg = ExperimentConfig()
         assert parse_config(serialize_config(cfg)) == cfg
@@ -216,7 +377,7 @@ class TestCmdFit:
         assert report["iterations"] <= 5
         assert report["rmse"] <= 1e-8
         refit = parse_config((out / "device_fit.conf").read_text())
-        assert refit.device.r_on_ohm == pytest.approx(20e3, rel=1e-3)
+        assert refit.device.r_on == pytest.approx(20e3, rel=1e-3)
 
     def test_fit_budget_exhaustion_exits_2(self, trace_path, tmp_path):
         cfg = tmp_path / "fit.conf"
@@ -398,6 +559,15 @@ class TestCmdVision:
         assert code == 1
 
 
+    def test_classify_config_error_leaves_no_output(self, vision_dirs, tmp_path):
+        train, test = vision_dirs
+        out = tmp_path / "o"
+        code = console_main(["vision-classify", str(train), str(test),
+                             "--out", str(out)])
+        assert code == 1
+        assert not out.exists() or not any(out.iterdir())
+
+
 class TestConsoleMain:
     def test_no_arguments_is_usage_error(self, capsys):
         assert console_main([]) == 1
@@ -454,3 +624,22 @@ class TestManifests:
                          + (out / "metrics.txt").read_bytes()
                          + (out / "manifest.json").read_bytes())
         assert blobs[0] == blobs[1]
+
+
+class TestBenchmarkSurface:
+    def test_traced_attributes_exist(self):
+        """The benchmark's traced run wraps these functions by module attribute."""
+        wrapped = {
+            memassoc.cli: ["load_config", "build_device", "build_chain",
+                           "build_fit_config", "build_train_config",
+                           "build_infer_config", "cmd_fit", "cmd_pavlov",
+                           "cmd_vision", "console_main", "run_chain", "metrics",
+                           "write_sim_trace_csv", "read_trace_csv", "fit",
+                           "load_image", "train_many", "classify",
+                           "write_state_csv"],
+            memassoc.fit: ["simulate_current", "central_difference_gradient", "rmse"],
+            memassoc.vision: ["train_pair"],
+        }
+        missing = [f"{module.__name__}.{name}" for module, names in wrapped.items()
+                   for name in names if not callable(getattr(module, name, None))]
+        assert missing == []
