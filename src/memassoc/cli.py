@@ -303,7 +303,7 @@ def _stage_count(sections: dict[str, _Section]) -> int:
     for name, section in sections.items():
         if name.startswith("stage."):
             suffix = name.split(".", 1)[1]
-            if not suffix.isdigit() or int(suffix) < 1:
+            if not re.fullmatch(r"[1-9][0-9]*", suffix):
                 raise ConfigError(f"line {section.line}: bad stage section [{name}]")
             lines[int(suffix)] = section.line
     top = max(lines, default=1)
@@ -675,22 +675,27 @@ def cmd_vision(config: ExperimentConfig, train_dir: str | Path,
     """
     train_config = build_train_config(config)
     infer = None if test_dir is None else build_infer_config(config)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     train = Path(train_dir)
     if not train.is_dir():
         raise DataError(f"training directory {train} does not exist")
-    allow = config.vision.allow_resize
     teacher_path = next(
         (train / name for name in ("teacher.csv", "teacher.pgm")
          if (train / name).exists()), None)
     if teacher_path is None:
         raise DataError(f"no teacher.csv or teacher.pgm in {train}")
+    test = None if test_dir is None else Path(test_dir)
+    if test is not None and not test.is_dir():
+        raise DataError(f"test directory {test} does not exist")
+    allow = config.vision.allow_resize
     teacher = load_image(teacher_path, allow_resize=allow)
     inputs = [load_image(p, allow_resize=allow)
               for p in _image_files(train) if p != teacher_path]
     if not inputs:
         raise DataError(f"no training inputs next to {teacher_path.name}")
+    probes = [] if test is None else [(p.name, load_image(p, allow_resize=allow))
+                                      for p in _image_files(test)]
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     array = train_many(new_array(build_device(config)), inputs, teacher,
                        train_config)
     state = state_grid(array)
@@ -698,17 +703,13 @@ def cmd_vision(config: ExperimentConfig, train_dir: str | Path,
     outputs = ["array_state.csv"]
     args: dict[str, Any] = {"train_dir": str(train_dir)}
     command = "vision-train"
-    if infer is not None:
+    if test is not None:
         command = "vision-classify"
         args["test_dir"] = str(test_dir)
-        test = Path(test_dir)
-        if not test.is_dir():
-            raise DataError(f"test directory {test} does not exist")
         lines = ["name,similarity,threshold,label"]
-        for path in _image_files(test):
-            img = load_image(path, allow_resize=allow)
+        for name, img in probes:
             res = classify(array, img, infer, config.vision.binarize_threshold)
-            lines.append(f"{path.name},{res.score:.10g},"
+            lines.append(f"{name},{res.score:.10g},"
                          f"{infer.similarity_threshold:.10g},{res.label}")
         (out / "report.csv").write_text("\n".join(lines) + "\n")
         outputs.append("report.csv")

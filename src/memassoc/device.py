@@ -22,14 +22,25 @@ Exact threshold equality (v == v_on or v == v_off) gives zero rate because
 the over-threshold factor vanishes; with the default unit exponents the
 rate is therefore continuous across the dead-zone edges.
 
-`trajectory` is the integrator every workload runs: it folds `step` over
-a voltage sequence with plain floats, checks its inputs once per call
-instead of once per step, and returns the resistance along the run.  It
-applies the rate window by clamping alone, which gives the same state as
-zeroing the rate at the bound (a zero state may differ in sign), so the
-resistance after each step is bit-identical to the `step` fold.
-`drive_rate` is the rate before the window; the vision array computes it
-once per distinct cell voltage and reuses it for a whole pulse.
+All Euler stepping lives in two integrators, each checking its inputs
+once per call instead of once per step.  `trajectory` folds `step` over a
+voltage sequence with plain floats and returns the resistance along the
+run; the chain and the fit replay use it.  It applies the rate window by
+clamping alone, which gives the same state as zeroing the rate at the
+bound (a zero state may differ in sign), so the resistance after each
+step is bit-identical to the `step` fold.
+
+`pulse` holds a constant voltage per cell for n steps, on one device (the
+vision label device) or on a grid (the vision array).  It computes one
+rate per distinct voltage with the scalar `drive_rate` (array `pow` can
+differ from scalar `pow` in the last bit), adds it n times and clamps
+once at the end.  Under the rectangular window that single clamp gives
+the per-step clamp's state: a cell's increment keeps one sign for the
+whole pulse, so a start state inside the bounds never crosses the
+opposite bound; and once the per-step clamp binds, the unclamped sum
+stays beyond that bound, because float addition is monotonic.  A cell
+that cannot move (zero rate, or driven into the bound it sits on) stops
+after its first step.
 
 Units: volts, ohms, seconds, watts; w is dimensionless.  All functions are
 pure and all types immutable, so values can be shared freely across
@@ -56,6 +67,7 @@ __all__ = [
     "normalized_state",
     "step",
     "trajectory",
+    "pulse",
     "power",
 ]
 
@@ -224,6 +236,57 @@ def trajectory(params: DeviceParams, v: Sequence[float] | np.ndarray,
         w = w_next
         append(r)
     return out
+
+
+def pulse(params: DeviceParams, w: float | np.ndarray, v: float | np.ndarray,
+          dt: float, n_steps: int) -> float | np.ndarray:
+    """State after `n_steps` Euler steps of dt at a constant voltage per cell.
+
+    `w` and `v` are one float each or two arrays of one shape; every cell
+    steps on its own.  The state equals folding `step` over the pulse
+    (up to the sign of a zero state).  Inputs are checked once: v finite,
+    w finite and within [w_on, w_off], dt finite and > 0, n_steps >= 0.
+    """
+    scalar = np.ndim(w) == 0 and np.ndim(v) == 0
+    ws, vs = np.asarray(w, dtype=float), np.asarray(v, dtype=float)
+    if ws.shape != vs.shape:
+        raise InvalidInputError(
+            f"state shape {ws.shape} and voltage shape {vs.shape} differ")
+    if not np.isfinite(vs).all():
+        raise InvalidInputError("voltages must be finite")
+    lo, hi = params.w_on, params.w_off
+    if not (np.isfinite(ws).all() and ((ws >= lo) & (ws <= hi)).all()):
+        raise InvalidInputError(f"states must lie within [{lo!r}, {hi!r}]")
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise InvalidInputError(f"need finite dt > 0, got dt={dt!r}")
+    if not isinstance(n_steps, (int, np.integer)) or n_steps < 0:
+        raise InvalidInputError(f"n_steps must be an integer >= 0, got {n_steps!r}")
+
+    # a cell that cannot move (zero rate, or driven into the bound it sits
+    # on) ends where its first step leaves it; only the others are folded
+    if scalar:
+        dw = drive_rate(params, float(vs)) * dt
+        u = float(ws)
+        if n_steps and not ((dw > 0.0 and u < hi) or (dw < 0.0 and u > lo)):
+            n_steps = 1
+        for _ in range(n_steps):
+            u += dw
+        return lo if u < lo else hi if u > hi else u
+    # one rate per distinct voltage, from the scalar `drive_rate`: array
+    # `pow` can differ from scalar `pow` in the last bit
+    levels, where = np.unique(vs, return_inverse=True)
+    rates = np.array([drive_rate(params, float(x)) for x in levels.tolist()])
+    dw = rates[where.reshape(vs.shape)] * dt
+    if n_steps == 0:
+        return ws.copy()
+    u = ws + dw
+    moving = ((dw > 0.0) & (ws < hi)) | ((dw < 0.0) & (ws > lo))
+    if n_steps > 1 and moving.any():
+        u_moving, dw_moving = u[moving], dw[moving]
+        for _ in range(n_steps - 1):
+            u_moving += dw_moving
+        u[moving] = u_moving
+    return np.clip(u, lo, hi, out=u)
 
 
 def power(v: float, r: float) -> float:

@@ -16,14 +16,14 @@ the threshold drive a set pulse (low resistance, label "cat"), others a
 reset pulse (high resistance, label "non-cat").
 
 Cell updates are independent and a cell's voltage is constant for the
-whole pulse, so training computes each distinct voltage's rate once with
-the scalar `device.drive_rate`, scatters it over the grid, and then only
-adds the step and clamps to the state bounds on every Euler step; the
-clamp gives the same state as the device's rate window.  Array `pow`
-can differ from scalar `pow` in the last bit, so no rate is computed on
-arrays: the grid reproduces `device.step` cell by cell, bit for bit, for
-every exponent (up to the sign of a zero state).  The label device runs
-on `device.trajectory`.
+whole pulse, so a training pair is one `device.pulse` over the grid and a
+label verdict is one `device.pulse` on the label device, read through
+`device.resistance`.  `pulse` adds each cell's increment once per Euler
+step and clamps to the state bounds once at the end, which under the
+device's rectangular window gives the per-step clamp's state: the grid
+reproduces `device.step` cell by cell, bit for bit, for every exponent
+(up to the sign of a zero state), and the label resistance equals the
+last resistance of `device.trajectory` over the same pulse.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .device import DeviceParams, drive_rate, trajectory
+from .device import DeviceParams, pulse, resistance
 from .errors import DataError, InvalidInputError, require
 
 __all__ = [
@@ -124,7 +124,8 @@ class InferConfig:
                  f"be finite and lie below v_off={device.v_off!r}"),
                 ("label_pulse_s", 0.0 < self.label_pulse_s < math.inf,
                  "be positive and finite"),
-                ("dt", 0.0 < self.dt < math.inf, "be positive and finite"))
+                ("dt", 0.0 < self.dt <= self.label_pulse_s,
+                 f"lie in (0, label_pulse_s={self.label_pulse_s!r}]"))
 
 
 @dataclass(frozen=True)
@@ -327,20 +328,6 @@ def modulation_voltages(counts: np.ndarray, scope_n: int,
     return v_min + (v_max - v_min) * counts / scope_n
 
 
-def _step_grid(params: DeviceParams, w: np.ndarray, v: np.ndarray,
-               dt: float, n_steps: int = 1) -> np.ndarray:
-    """`n_steps` Euler steps of dt over the grid at constant cell voltages;
-    scalar-step semantics cellwise."""
-    levels, where = np.unique(v, return_inverse=True)
-    rates = np.array([drive_rate(params, float(x)) for x in levels])
-    dw = rates[where.reshape(v.shape)] * dt
-    w = np.array(w, dtype=float)
-    for _ in range(n_steps):
-        w += dw
-        np.clip(w, params.w_on, params.w_off, out=w)
-    return w
-
-
 def train_pair(array: ArrayState, input_img: np.ndarray,
                teacher_img: np.ndarray, cfg: TrainConfig) -> ArrayState:
     """One modulation pulse derived from a single (input, teacher) pair."""
@@ -354,8 +341,8 @@ def train_pair(array: ArrayState, input_img: np.ndarray,
             f"array shape {array.w.shape}")
     counts, scope_n = match_counts(input_img, teacher_img, cfg)
     volts = modulation_voltages(counts, scope_n, cfg.v_min, cfg.v_max)
-    w = _step_grid(array.params, array.w, volts, cfg.dt,
-                   int(round(cfg.pulse_dt / cfg.dt)))
+    w = pulse(array.params, array.w, volts, cfg.dt,
+              int(round(cfg.pulse_dt / cfg.dt)))
     return replace(array, w=w)
 
 
@@ -415,9 +402,9 @@ def classify(array: ArrayState, img: np.ndarray, cfg: InferConfig,
     score = similarity(state_grid(array), img, binarize_threshold)
     drive = (cfg.label_learn_v if score < cfg.similarity_threshold
              else cfg.label_forget_v)
-    n_steps = int(round(cfg.label_pulse_s / cfg.dt))
-    r = trajectory(cfg.label_device, [drive] * n_steps, cfg.dt,
-                   cfg.label_device.w_on)[-1]
+    device = cfg.label_device
+    r = resistance(device, pulse(device, device.w_on, drive, cfg.dt,
+                                 int(round(cfg.label_pulse_s / cfg.dt))))
     label = LABEL_POSITIVE if r < cfg.label_boundary_ohm else LABEL_NEGATIVE
     return ClassifyResult(label=label, label_resistance=r, score=score)
 

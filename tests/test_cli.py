@@ -2,6 +2,8 @@
 behavior, exit codes, manifests, and byte determinism."""
 
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -86,6 +88,13 @@ class TestParseConfig:
         text = "[stage.1]\ngain = 1.0\n[stage.3]\ngain = 2.0\n"
         with pytest.raises(ConfigError, match="missing stage 2"):
             parse_config(text)
+
+    def test_stage_number_must_be_canonical(self):
+        # [stage.01] used to count as stage 1 while its keys were dropped
+        for name in ("01", "0", "x", "1.2"):
+            with pytest.raises(ConfigError,
+                               match=rf"^line 2: bad stage section \[stage\.{name}\]"):
+                parse_config(f"[stage.1]\n[stage.{name}]\ngain = 99\n")
 
     def test_unknown_key_reports_line(self):
         with pytest.raises(ConfigError, match="line 2: unknown key 'bogus'"):
@@ -210,6 +219,10 @@ OUT_OF_RANGE = [
     ("[vision]\nv_min_v = 0.5\nv_max_v = 0.4\n", "v_max_v"),
     ("[vision]\nsimilarity_threshold = 0.3\nlabel_learn_v = 0.1\n",
      "label_learn_v"),
+    ("[vision]\nsimilarity_threshold = 0.3\nlabel_pulse_s = 4e-5\n",
+     "label_pulse_s"),
+    ("[vision]\nsimilarity_threshold = 0.3\nlabel_pulse_s = 0.01\ndt_s = 0.02\n",
+     "dt_s"),
 ]
 
 
@@ -298,7 +311,7 @@ def experiment_configs(draw):
             similarity_threshold=draw(st.none() | floats(0.01, 0.99)),
             label_learn_v=draw(floats(0.31, 2.0)),
             label_forget_v=draw(floats(-2.0, -0.31)),
-            label_pulse_s=draw(floats(1e-3, 1.0)),
+            label_pulse_s=draw(floats(0.1, 1.0)),  # at least dt_s
             allow_resize=draw(st.booleans())))
 
 
@@ -559,6 +572,47 @@ class TestCmdVision:
         assert code == 1
 
 
+    def test_missing_test_dir_exits_2_before_writing(self, vision_dirs, tmp_path,
+                                                     capsys):
+        train, _ = vision_dirs
+        cfg = tmp_path / "v.conf"
+        cfg.write_text("[vision]\nsimilarity_threshold = 0.3\n")
+        out = tmp_path / "o"
+        code = console_main(["vision-classify", str(train), str(tmp_path / "nope"),
+                             "--config", str(cfg), "--out", str(out)])
+        assert code == 2
+        assert "test directory" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_malformed_test_image_exits_2_before_writing(self, vision_dirs, tmp_path,
+                                                         capsys):
+        train, test = vision_dirs
+        (test / "broken.csv").write_text("1,2\n3\n")
+        cfg = tmp_path / "v.conf"
+        cfg.write_text("[vision]\nsimilarity_threshold = 0.3\n")
+        out = tmp_path / "o"
+        code = console_main(["vision-classify", str(train), str(test),
+                             "--config", str(cfg), "--out", str(out)])
+        assert code == 2
+        assert "broken.csv" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_label_pulse_shorter_than_a_step_exits_1(self, tmp_path, capsys):
+        # 4e-5 s at dt 1e-4 s rounds to a zero-step pulse, which used to
+        # label every image non-cat and exit 0
+        text = (REPO / "configs" / "vision_demo.conf").read_text().replace(
+            "label_pulse_s = 0.25", "label_pulse_s = 4e-5")
+        cfg = tmp_path / "v.conf"
+        cfg.write_text(text)
+        line = text.splitlines().index("label_pulse_s = 4e-5") + 1
+        out = tmp_path / "o"
+        code = console_main(["vision-classify", str(REPO / "data/vision/train"),
+                             str(REPO / "data/vision/test"),
+                             "--config", str(cfg), "--out", str(out)])
+        assert code == 1
+        assert f"line {line}: label_pulse_s:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_classify_config_error_leaves_no_output(self, vision_dirs, tmp_path):
         train, test = vision_dirs
         out = tmp_path / "o"
@@ -643,3 +697,25 @@ class TestBenchmarkSurface:
         missing = [f"{module.__name__}.{name}" for module, names in wrapped.items()
                    for name in names if not callable(getattr(module, name, None))]
         assert missing == []
+
+    def test_traced_vision_run_counts_pulses(self, tmp_path):
+        """The traced run reads a pair's pulse from `train_pair`'s positional
+        (array, cfg) and a label pulse from `classify`'s positional cfg."""
+        train, test = REPO / "data/vision/train", REPO / "data/vision/test"
+        run = subprocess.run(
+            [sys.executable, str(REPO / "perfbench/child.py"), str(REPO / "src"),
+             "1", "vision-classify", str(train), str(test),
+             "--config", str(REPO / "configs/vision_demo.conf"),
+             "--out", str(tmp_path / "o")],
+            capture_output=True, text=True, cwd=tmp_path, timeout=120)
+        assert run.returncode == 0, run.stderr
+        result = json.loads(run.stdout.splitlines()[-1])
+        assert result["exit"] == 0
+        spans = result["spans"]
+        pairs = [work for name, *_, work in spans if name == "vision.train_pair"]
+        labels = [work for name, *_, work in spans if name == "vision.classify"]
+        n_inputs = len([p for p in train.glob("*.csv") if p.name != "teacher.csv"])
+        assert len(pairs) == n_inputs
+        assert all(work["grid_steps"] == 500 for work in pairs)
+        assert len(labels) == len(list(test.glob("*.csv")))
+        assert all(work == {"label_steps": 2500} for work in labels)

@@ -8,6 +8,7 @@ Invariants covered:
 - analytic switch-time oracle (w span / |rate|) vs the Euler integration;
 - Euler self-consistency under timestep halving;
 - pinched hysteresis and pulse-train monotonicity;
+- `pulse` input checks and its saturation at the bounds;
 - dissipation arithmetic.
 
 Expected numbers are recomputed here from closed forms rather than pasted,
@@ -27,6 +28,7 @@ from memassoc.device import (
     drift_rate,
     normalized_state,
     power,
+    pulse,
     resistance,
     step,
     trajectory,
@@ -140,6 +142,37 @@ class TestStep:
         for kwargs in bad:
             with pytest.raises(InvalidInputError):
                 trajectory(P, **kwargs)
+
+    def test_pulse_checks_inputs_once(self):
+        assert pulse(P, 0.5, 0.2, DT, 0) == 0.5
+        bad = [
+            dict(w=0.5, v=math.inf, dt=DT, n_steps=1),
+            dict(w=np.full(2, 0.5), v=np.array([0.2, math.nan]), dt=DT, n_steps=1),
+            dict(w=math.nan, v=0.2, dt=DT, n_steps=1),
+            dict(w=P.w_off + 0.1, v=0.2, dt=DT, n_steps=1),
+            dict(w=np.array([0.5, P.w_on - 0.1]), v=np.zeros(2), dt=DT, n_steps=1),
+            dict(w=np.full(2, 0.5), v=np.zeros(3), dt=DT, n_steps=1),
+            dict(w=0.5, v=0.2, dt=0.0, n_steps=1),
+            dict(w=0.5, v=0.2, dt=math.inf, n_steps=1),
+            dict(w=0.5, v=0.2, dt=DT, n_steps=-1),
+            dict(w=0.5, v=0.2, dt=DT, n_steps=1.0),
+        ]
+        for kwargs in bad:
+            with pytest.raises(InvalidInputError):
+                pulse(P, **kwargs)
+
+    def test_pulse_saturates_at_the_bounds(self):
+        # a set pulse four times as long as the switch time ends on w_off,
+        # a reset pulse on w_on; the grid form leaves its input untouched
+        v_set, v_reset = 0.35, -0.35
+        n_set = math.ceil(4.0 / (drift_rate(P, 0.5, v_set) * DT))
+        assert pulse(P, P.w_on, v_set, DT, n_set) == P.w_off
+        n_reset = math.ceil(4.0 / (-drift_rate(P, 0.5, v_reset) * DT))
+        assert pulse(P, P.w_off, v_reset, DT, n_reset) == P.w_on
+        w = np.full((2, 2), 0.5)
+        out = pulse(P, w, np.array([[v_set, v_reset], [0.0, 0.1]]), DT, n_set)
+        np.testing.assert_array_equal(out, [[P.w_off, P.w_on], [0.5, 0.5]])
+        np.testing.assert_array_equal(w, 0.5)
 
     def test_bounded_under_random_drive(self):
         rng = np.random.default_rng(42)

@@ -5,9 +5,14 @@ Covered invariants (hypothesis-generated inputs, exact comparisons):
     for rate exponents away from 1, start states at and between the
     bounds, voltages across both thresholds, per-step dt and a series
     source resistance;
-  * the grid stepper and `train_pair` equal `device.step` cell by cell
-    for rate exponents away from 1 (states compared as numbers, so a
-    signed-zero state bound may differ in the sign of a zero state);
+  * `device.pulse`, on one float or on a grid, and `train_pair` equal
+    `device.step` folded over the pulse cell by cell, for rate exponents
+    away from 1, start states at and between the bounds, voltages at and
+    across both thresholds and rates that saturate mid-pulse (states
+    compared as numbers, so a signed-zero state bound may differ in the
+    sign of a zero state);
+  * `classify` reads the label device's resistance after the same pulse
+    that `device.trajectory` steps through;
   * the stage-at-a-time `run_chain` equals the row-at-a-time engine it
     replaced (kept below as the oracle) on random custom schedules with
     one to four stages, column for column and bit for bit.
@@ -36,11 +41,19 @@ from memassoc.device import (
     DeviceParams,
     DeviceState,
     power,
+    pulse,
     resistance,
     step,
     trajectory,
 )
-from memassoc.vision import TrainConfig, _step_grid, new_array, train_pair
+from memassoc.vision import (
+    ArrayState,
+    InferConfig,
+    TrainConfig,
+    classify,
+    new_array,
+    train_pair,
+)
 
 finite = dict(allow_nan=False, allow_infinity=False)
 
@@ -106,7 +119,66 @@ def test_trajectory_matches_step_fold(case):
     assert np.array_equal(bits64(np.array(got)), bits64(np.array(want)))
 
 
-# --- vision grid --------------------------------------------------------------
+# --- constant-voltage pulse -------------------------------------------------------
+
+def pulse_voltage(params):
+    """Voltages at, just beyond and across both thresholds."""
+    return st.sampled_from([
+        params.v_on, params.v_off, 0.0,
+        np.nextafter(params.v_on, np.inf), np.nextafter(params.v_off, -np.inf),
+    ]) | st.floats(-1.0, 1.0, **finite)
+
+
+def step_fold(params, w0, v, dt, n_steps):
+    state = DeviceState(w0)
+    for _ in range(n_steps):
+        state = step(params, state, v, dt)
+    return state.w
+
+
+@st.composite
+def scalar_pulse_case(draw):
+    params = draw(device_params())
+    # dt up to 0.1 s with rates up to ~10^3 / s: many pulses saturate in
+    # their first steps, others only after thousands
+    return (params, draw(start_state(params)), draw(pulse_voltage(params)),
+            draw(st.floats(1e-6, 0.1)), draw(st.integers(0, 3000)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(scalar_pulse_case())
+def test_pulse_matches_step_fold(case):
+    params, w0, v, dt, n_steps = case
+    got = pulse(params, w0, v, dt, n_steps)
+    want = step_fold(params, w0, v, dt, n_steps)
+    assert isinstance(got, float)
+    assert got == want
+    assert resistance(params, got) == resistance(params, want)
+
+
+@st.composite
+def grid_pulse_case(draw):
+    params = draw(device_params())
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    w = draw(st.lists(start_state(params), min_size=rows * cols,
+                      max_size=rows * cols))
+    v = draw(st.lists(pulse_voltage(params), min_size=rows * cols,
+                      max_size=rows * cols))
+    return (params, np.reshape(w, (rows, cols)), np.reshape(v, (rows, cols)),
+            draw(st.floats(1e-5, 0.1)), draw(st.integers(0, 300)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(grid_pulse_case())
+def test_grid_pulse_matches_cellwise_step_fold(case):
+    params, w, v, dt, n_steps = case
+    w_before = w.copy()
+    got = pulse(params, w, v, dt, n_steps)
+    want = np.array([[step_fold(params, w[i, j], v[i, j], dt, n_steps)
+                      for j in range(w.shape[1])] for i in range(w.shape[0])])
+    assert np.array_equal(got, want)
+    assert np.array_equal(bits64(w), bits64(w_before))  # input left alone
+
 
 @st.composite
 def grid_case(draw):
@@ -123,7 +195,7 @@ def grid_case(draw):
 @given(grid_case())
 def test_grid_step_matches_scalar_step(case):
     params, w, v, dt = case
-    got = _step_grid(params, w, v, dt)
+    got = pulse(params, w, v, dt, 1)
     want = np.array([[step(params, DeviceState(w[i, j]), v[i, j], dt).w
                       for j in range(w.shape[1])] for i in range(w.shape[0])])
     # states compare as numbers: clamping to a bound of -0.0 can leave -0.0
@@ -152,6 +224,37 @@ def test_train_pair_matches_scalar_step(alpha, seed, pulses):
             state = step(params, state, float(v), cfg.dt)
         want[i, j] = state.w
     assert np.array_equal(got, want)
+
+
+@st.composite
+def classify_case(draw):
+    device = draw(device_params())
+    dt = draw(st.floats(1e-5, 1e-2))
+    cfg = InferConfig(
+        similarity_threshold=draw(st.floats(0.01, 0.99)),
+        label_device=device,
+        label_learn_v=device.v_on + draw(st.floats(1e-3, 1.0)),
+        label_forget_v=device.v_off - draw(st.floats(1e-3, 1.0)),
+        label_pulse_s=dt * draw(st.integers(1, 3000)),
+        label_boundary_ohm=(device.r_on * device.r_off) ** 0.5, dt=dt)
+    array = ArrayState(device, np.reshape(draw(st.lists(
+        start_state(device), min_size=9, max_size=9)), (3, 3)))
+    img = np.reshape(draw(st.lists(st.floats(0.0, 1.0), min_size=9,
+                                   max_size=9)), (3, 3))
+    return array, img, cfg
+
+
+@settings(max_examples=100, deadline=None)
+@given(classify_case())
+def test_classify_label_resistance_matches_trajectory(case):
+    array, img, cfg = case
+    got = classify(array, img, cfg)
+    drive = (cfg.label_learn_v if got.score < cfg.similarity_threshold
+             else cfg.label_forget_v)
+    n = int(round(cfg.label_pulse_s / cfg.dt))
+    want = trajectory(cfg.label_device, [drive] * n, cfg.dt,
+                      cfg.label_device.w_on)[-1]
+    assert got.label_resistance == want
 
 
 # --- chain engine ---------------------------------------------------------------

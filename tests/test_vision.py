@@ -16,13 +16,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from memassoc.device import DeviceParams, DeviceState, step
+from memassoc.device import DeviceParams, DeviceState, pulse, step
 from memassoc.errors import DataError, InvalidInputError
 from memassoc.vision import (
     ArrayState,
     InferConfig,
     TrainConfig,
-    _step_grid,
     binarize,
     classify,
     load_image,
@@ -211,7 +210,7 @@ class TestGridStepping:
         rng = np.random.default_rng(3)
         w = rng.random((5, 5))
         v = rng.uniform(-0.5, 0.5, (5, 5))
-        got = _step_grid(params, w, v, 1e-3)
+        got = pulse(params, w, v, 1e-3, 1)
         want = np.array([[step(params, DeviceState(w[i, j]), v[i, j], 1e-3).w
                           for j in range(5)] for i in range(5)])
         np.testing.assert_array_equal(got, want)
@@ -223,7 +222,7 @@ class TestGridStepping:
         rng = np.random.default_rng(0)
         w = np.full((20, 20), 0.5)
         v = rng.uniform(-0.6, 0.6, (20, 20))
-        got = _step_grid(params, w, v, 1e-3)
+        got = pulse(params, w, v, 1e-3, 1)
         want = np.array([[step(params, DeviceState(w[i, j]), v[i, j], 1e-3).w
                           for j in range(20)] for i in range(20)])
         np.testing.assert_array_equal(got, want)
@@ -232,7 +231,7 @@ class TestGridStepping:
         params = DeviceParams()
         w = np.array([[params.w_off, params.w_on]])
         v = np.array([[0.35, -0.35]])
-        out = _step_grid(params, w, v, 1.0)
+        out = pulse(params, w, v, 1.0, 1)
         np.testing.assert_array_equal(out, w)  # saturated cells stay put
 
 
