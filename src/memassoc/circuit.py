@@ -60,7 +60,6 @@ __all__ = [
     "Segment",
     "StimulusSchedule",
     "sample_signal",
-    "logic_level",
     "ModulationRule",
     "RuleTable",
     "first_order_rules",
@@ -69,7 +68,6 @@ __all__ = [
     "state_signal",
     "adjust_learning_voltage",
     "StageConfig",
-    "check_sim",
     "ChainConfig",
     "StageTrace",
     "SimTrace",
@@ -102,6 +100,7 @@ DEFAULT_READOUT_V = 0.1        # V, sub-threshold readout amplitude
 DEFAULT_ZIGZAG_AMPLITUDE = 0.1  # V, ripple on ring highs
 DEFAULT_ZIGZAG_FREQUENCY = 100.0  # Hz
 DEFAULT_HIGH_LEVEL = 1.0       # V, stimulus high level
+MAX_ROWS = 10_000_000          # trace rows per run, about 2 GB of trace CSV
 
 
 @dataclass(frozen=True)
@@ -193,13 +192,6 @@ def _sample_signal_array(schedule: StimulusSchedule, signal: str,
             level = level + seg.zigzag_amplitude * tri
         out[mask] = level
     return out
-
-
-def logic_level(v: float, threshold: float) -> int:
-    """1 when the level reaches the threshold, else 0."""
-    if not (math.isfinite(v) and math.isfinite(threshold)):
-        raise InvalidInputError(f"non-finite logic input: v={v!r}, threshold={threshold!r}")
-    return 1 if v >= threshold else 0
 
 
 @dataclass(frozen=True)
@@ -335,24 +327,6 @@ class StageConfig:
                         for name in ("r_f", "gain", "v_learn_max", "state_threshold_v")))
 
 
-def check_sim(dt: float, duration: float | None, logic_threshold: float,
-              readout_amplitude: float) -> None:
-    """`ChainConfig`'s time grid and readout checks; a None duration (a
-    preset's default, not yet resolved) is not checked."""
-    if not 0.0 < dt < math.inf:
-        raise InvalidInputError(f"dt must be positive and finite, got {dt!r}")
-    if duration is not None and not dt <= duration < math.inf:
-        raise InvalidInputError(
-            f"duration must be finite and cover at least one step of dt, "
-            f"got duration={duration!r}, dt={dt!r}")
-    if not 0.0 < logic_threshold < math.inf:
-        raise InvalidInputError(f"logic threshold must be positive and finite, "
-                                f"got logic_threshold={logic_threshold!r}")
-    if not 0.0 <= readout_amplitude < math.inf:
-        raise InvalidInputError(f"readout amplitude must be finite and >= 0, "
-                                f"got readout_amplitude={readout_amplitude!r}")
-
-
 @dataclass(frozen=True)
 class ChainConfig:
     """Full chain description; stage k (1-based) reads `ring(k)`."""
@@ -367,8 +341,26 @@ class ChainConfig:
     def __post_init__(self) -> None:
         if len(self.stages) < 1:
             raise InvalidInputError("chain needs at least one stage")
-        check_sim(self.dt, self.duration, self.logic_threshold,
-                  self.readout_amplitude)
+        if not 0.0 < self.dt < math.inf:
+            raise InvalidInputError(f"dt must be positive and finite, got {self.dt!r}")
+        if not isinstance(self.duration, (int, float)):
+            raise InvalidInputError(
+                f"duration must be a number of seconds, got {self.duration!r}")
+        if not self.dt <= self.duration < math.inf:
+            raise InvalidInputError(
+                f"duration must be finite and cover at least one step of dt, "
+                f"got duration={self.duration!r}, dt={self.dt!r}")
+        # run_chain records round(duration / dt) + 1 rows
+        if not self.duration / self.dt < MAX_ROWS - 0.5:
+            raise InvalidInputError(
+                f"dt must leave at most {MAX_ROWS} trace rows over "
+                f"duration={self.duration!r}, got dt={self.dt!r}")
+        if not 0.0 < self.logic_threshold < math.inf:
+            raise InvalidInputError(f"logic threshold must be positive and finite, "
+                                    f"got logic_threshold={self.logic_threshold!r}")
+        if not 0.0 <= self.readout_amplitude < math.inf:
+            raise InvalidInputError(f"readout amplitude must be finite and >= 0, "
+                                    f"got readout_amplitude={self.readout_amplitude!r}")
         needed = self.signal_names()
         roles = set(self.schedule.roles())
         if roles != set(needed):

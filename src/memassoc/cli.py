@@ -44,7 +44,6 @@ from .circuit import (
     RuleTable,
     StageConfig,
     StimulusSchedule,
-    check_sim,
     default_duration,
     first_order_rules,
     higher_order_rules,
@@ -278,22 +277,26 @@ def _values(section: _Section, keys: Mapping[str, str],
     return values
 
 
-def _located(section: _Section, keys: Mapping[str, str],
+def _located(located: Sequence[tuple[_Section, Mapping[str, str]]],
              make: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
-    """`make(*args, **kwargs)`, its error re-raised at the line of the key
-    whose domain field the message names first, else at the section header."""
+    """`make(*args, **kwargs)`, its error re-raised at the line of the key,
+    among the given (section, key table) pairs, whose domain field the
+    message names first; else at the header of the first section present."""
     try:
         return make(*args, **kwargs)
     except InvalidInputError as exc:
         message = str(exc)
-        named = [(m.start(), key) for key, name in keys.items()
-                 if key in section.entries
+        named = [(m.start(), section.entries[key][1], key)
+                 for section, keys in located
+                 for key, name in keys.items() if key in section.entries
                  for m in [re.search(rf"(?<!\w){re.escape(name)}(?!\w)", message)]
                  if m is not None]
         if named:
-            key = min(named)[1]
-            where = f"line {section.entries[key][1]}: {key}"
-        else:  # defaults are valid, so a failing section has a header
+            _, line, key = min(named)
+            where = f"line {line}: {key}"
+        else:  # defaults are valid, so a failing config has a header
+            section = next(section for section, _ in located
+                           if section.line is not None)
             where = f"line {section.line}: [{section.name}]"
         raise ConfigError(f"{where}: {message}") from exc
 
@@ -332,7 +335,7 @@ def _parse_stage(index: int, section: _Section, device: DeviceParams) -> StageCo
     rules = first_order_rules() if index == 1 else higher_order_rules()
     voltages = {name: v for name, v in values.items() if name not in _STAGE_FIELDS}
     analog = {name: v for name, v in values.items() if name in _STAGE_FIELDS}
-    return _located(section, _STAGE_KEYS, lambda: StageConfig(
+    return _located([(section, _STAGE_KEYS)], lambda: StageConfig(
         device=device, rules=_with_voltages(rules, voltages), **analog))
 
 
@@ -377,12 +380,16 @@ def _parse_fit(section: _Section) -> FitSettings:
         lower=bounds("_lo"), upper=bounds("_hi"))
 
 
-def parse_config(text: str) -> ExperimentConfig:
+def parse_config(text: str, *, vision: bool = False) -> ExperimentConfig:
     """Parse a config document; defaults fill every gap.
 
-    Each section is checked by constructing the domain objects it feeds.
-    A domain error becomes a `ConfigError` at the line of the key whose
-    field it names, or at the section header.
+    Each section is checked by constructing the domain objects it feeds;
+    the chain, the training rule and the fit span several sections.  A
+    domain error becomes a `ConfigError` at the line of the key whose field
+    it names, or at the header of the first of its sections present (for
+    the chain: [schedule], [sim], then the last [stage.K]).  With `vision`
+    the config drives a vision command, so its training rule must also
+    reach the [device] set threshold.
     """
     sections = _split_sections(text)
 
@@ -390,32 +397,34 @@ def parse_config(text: str) -> ExperimentConfig:
         return sections.get(name, _Section(name))
 
     dev = section("device")
-    device = _located(dev, _DEVICE_KEYS, DeviceParams, **{
+    device = _located([(dev, _DEVICE_KEYS)], DeviceParams, **{
         _DEVICE_KEYS[key]: v for key, v in _values(dev, _DEVICE_KEYS).items()})
     stages = tuple(_parse_stage(k, section(f"stage.{k}"), device)
                    for k in range(1, _stage_count(sections) + 1))
 
     sched_section = section("schedule")
     schedule = _parse_schedule(sched_section)
-    _located(sched_section, {**_SCHEDULE_KEYS, **{
-        f"{role}_segments": role for role, _ in schedule.segments}},
+    _located([(sched_section, {**_SCHEDULE_KEYS, **{
+        f"{role}_segments": role for role, _ in schedule.segments}})],
         _stimulus, schedule)
 
-    sim_section = section("sim")
-    sim = SimSettings(**_values(sim_section, _SIM_KEYS, SimSettings()))
-    _located(sim_section, _SIM_KEYS, check_sim, **{
-        name: getattr(sim, key) for key, name in _SIM_KEYS.items()})
-
-    vision_section = section("vision")
+    sim_section, fit_section, vision_section = (
+        section("sim"), section("fit"), section("vision"))
     config = ExperimentConfig(
-        device=device, stages=stages, schedule=schedule, sim=sim,
-        fit=_parse_fit(section("fit")),
+        device=device, stages=stages, schedule=schedule,
+        sim=SimSettings(**_values(sim_section, _SIM_KEYS, SimSettings())),
+        fit=_parse_fit(fit_section),
         vision=VisionSettings(**_values(vision_section, _VISION_KEYS,
                                         VisionSettings())))
-    _located(section("fit"), _FIT_KEYS, build_fit_config, config)
-    _located(vision_section, _VISION_KEYS, build_train_config, config)
+    _located([(sched_section, _SCHEDULE_KEYS), (sim_section, _SIM_KEYS),
+              (section(f"stage.{len(stages)}"), {})], build_chain, config)
+    _located([(fit_section, _FIT_KEYS)], build_fit_config, config)
+    train = _located([(vision_section, _VISION_KEYS)], build_train_config, config)
+    if vision:
+        _located([(vision_section, _VISION_KEYS), (dev, _DEVICE_KEYS)],
+                 train.check_reach, device)
     if config.vision.similarity_threshold is not None:
-        _located(vision_section, _VISION_KEYS, build_infer_config, config)
+        _located([(vision_section, _VISION_KEYS)], build_infer_config, config)
     return config
 
 
@@ -470,12 +479,12 @@ def serialize_config(config: ExperimentConfig) -> str:
     return "\n".join(blocks)
 
 
-def load_config(path: str | Path) -> ExperimentConfig:
+def load_config(path: str | Path, *, vision: bool = False) -> ExperimentConfig:
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return parse_config(text)
+    return parse_config(text, vision=vision)
 
 
 # --- domain-object assembly -------------------------------------------------
@@ -484,33 +493,18 @@ def build_device(config: ExperimentConfig) -> DeviceParams:
     return config.device
 
 
-def build_chain(config: ExperimentConfig,
-                dt_override: float | None = None) -> ChainConfig:
-    sched, n_stages = config.schedule, len(config.stages)
-    duration = config.sim.duration_s
-    if sched.preset == "custom":
-        if duration is None:
-            raise ConfigError("custom schedules require [sim] duration_s")
-        roles = {role for role, _ in sched.segments}
-        needed = {"food"} | {f"ring{k}" for k in range(1, n_stages + 1)}
-        if roles != needed:
-            raise ConfigError(
-                f"custom schedule defines roles {sorted(roles)}; "
-                f"need exactly {sorted(needed)}")
-    else:
-        order = int(sched.preset[-1])
-        if order != n_stages:
-            raise ConfigError(
-                f"preset {sched.preset} drives {order} stage(s) but the config "
-                f"declares {n_stages}")
-        if duration is None:
-            duration = default_duration(order)
+def build_chain(config: ExperimentConfig) -> ChainConfig:
+    """The chain; a preset without `duration_s` runs for its reference
+    length, and `ChainConfig` checks the rest."""
+    sched, duration = config.schedule, config.sim.duration_s
+    if duration is None and sched.preset != "custom":
+        duration = default_duration(int(sched.preset[-1]))
     device = build_device(config)
     return ChainConfig(
         stages=tuple(replace(stage, device=device) for stage in config.stages),
         schedule=_stimulus(sched),
         duration=duration,
-        dt=dt_override if dt_override is not None else config.sim.dt_s,
+        dt=config.sim.dt_s,
         logic_threshold=config.sim.logic_threshold_v,
         readout_amplitude=config.sim.readout_v)
 
@@ -644,11 +638,8 @@ def cmd_fit(config: ExperimentConfig, trace_path: str | Path,
     return 0 if result.converged else 2
 
 
-def cmd_pavlov(config: ExperimentConfig, out_dir: str | Path,
-               dt_override: float | None = None) -> int:
+def cmd_pavlov(config: ExperimentConfig, out_dir: str | Path) -> int:
     """Run the chain and write trace, metrics, and the plot script."""
-    if dt_override is not None:
-        config = replace(config, sim=replace(config.sim, dt_s=dt_override))
     chain = build_chain(config)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -724,8 +715,9 @@ def replay_manifest(manifest_path: str | Path,
     A faithful replay reproduces the recorded `outputs` hashes exactly.
     """
     manifest = json.loads(Path(manifest_path).read_text())
-    config = parse_config(manifest["config_text"])
     command, args = manifest["command"], manifest["args"]
+    config = parse_config(manifest["config_text"],
+                          vision=command.startswith("vision"))
     if command == "fit":
         cmd_fit(config, args["trace"], out_dir)
     elif command == "pavlov":
@@ -776,12 +768,20 @@ def _build_parser() -> argparse.ArgumentParser:
 def _single_config(ns: argparse.Namespace) -> ExperimentConfig:
     if len(ns.config) > 1:
         raise ConfigError(f"{ns.command} accepts a single --config")
-    return load_config(ns.config[0]) if ns.config else ExperimentConfig()
+    if not ns.config:
+        return ExperimentConfig()
+    return load_config(ns.config[0], vision=ns.command.startswith("vision"))
 
 
-def _pavlov_job(config_path: str, out_dir: str,
-                dt_override: float | None) -> int:
-    return cmd_pavlov(load_config(config_path), out_dir, dt_override)
+def _with_dt_override(config: ExperimentConfig,
+                      ns: argparse.Namespace) -> ExperimentConfig:
+    """The config with `--dt-override` as its [sim] dt_s for pavlov runs,
+    its [vision] dt_s otherwise."""
+    if ns.dt_override is None:
+        return config
+    if ns.command == "pavlov":
+        return replace(config, sim=replace(config.sim, dt_s=ns.dt_override))
+    return replace(config, vision=replace(config.vision, dt_s=ns.dt_override))
 
 
 def _dispatch(ns: argparse.Namespace) -> int:
@@ -790,27 +790,18 @@ def _dispatch(ns: argparse.Namespace) -> int:
         if ns.dt_override is not None:
             raise ConfigError("--dt-override only applies to simulation runs")
         return cmd_fit(config, ns.trace, ns.out)
+    if ns.command == "pavlov" and len(ns.config) > 1:
+        outs = [str(Path(ns.out) / Path(path).stem) for path in ns.config]
+        if len(set(outs)) != len(outs):
+            raise ConfigError("sweep configs must have distinct file stems")
+        configs = [_with_dt_override(load_config(path), ns) for path in ns.config]
+        if ns.jobs > 1:
+            with ProcessPoolExecutor(max_workers=ns.jobs) as pool:
+                return max(pool.map(cmd_pavlov, configs, outs))
+        return max(cmd_pavlov(config, out) for config, out in zip(configs, outs))
+    config = _with_dt_override(_single_config(ns), ns)
     if ns.command == "pavlov":
-        if len(ns.config) > 1:
-            jobs = []
-            for path in ns.config:
-                stem = Path(path).stem
-                jobs.append((path, str(Path(ns.out) / stem)))
-            if len({dst for _, dst in jobs}) != len(jobs):
-                raise ConfigError("sweep configs must have distinct file stems")
-            if ns.jobs > 1:
-                with ProcessPoolExecutor(max_workers=ns.jobs) as pool:
-                    codes = list(pool.map(_pavlov_job, *zip(*jobs),
-                                          [ns.dt_override] * len(jobs)))
-            else:
-                codes = [_pavlov_job(src, dst, ns.dt_override)
-                         for src, dst in jobs]
-            return max(codes)
-        return cmd_pavlov(_single_config(ns), ns.out, ns.dt_override)
-    config = _single_config(ns)
-    if ns.dt_override is not None:
-        config = replace(config, vision=replace(config.vision,
-                                                dt_s=ns.dt_override))
+        return cmd_pavlov(config, ns.out)
     if ns.command == "vision-train":
         return cmd_vision(config, ns.train_dir, None, ns.out)
     return cmd_vision(config, ns.train_dir, ns.test_dir, ns.out)

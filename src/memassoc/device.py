@@ -64,7 +64,6 @@ __all__ = [
     "drive_rate",
     "drift_rate",
     "resistance",
-    "normalized_state",
     "step",
     "trajectory",
     "pulse",
@@ -150,17 +149,6 @@ def resistance(params: DeviceParams, w: float) -> float:
         raise InvalidInputError(f"state w must be finite, got {w!r}")
     frac = (params.w_off - w) / (params.w_off - params.w_on)
     return params.r_on * (params.r_off / params.r_on) ** frac
-
-
-def normalized_state(params: DeviceParams, w: float) -> float:
-    """Normalized state n in [0, 1]: 0 fully set (r_on), 1 fully reset.
-
-    Equals (w_off - w) / (w_off - w_on), which coincides with
-    log(R / r_on) / log(r_off / r_on) under the resistance map.
-    """
-    if not math.isfinite(w):
-        raise InvalidInputError(f"state w must be finite, got {w!r}")
-    return (params.w_off - w) / (params.w_off - params.w_on)
 
 
 def step(params: DeviceParams, state: DeviceState, v: float,

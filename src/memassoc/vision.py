@@ -98,6 +98,12 @@ class TrainConfig:
                 ("dt", 0.0 < self.dt <= self.pulse_dt,
                  f"lie in (0, pulse_dt={self.pulse_dt!r}]"))
 
+    def check_reach(self, device: DeviceParams) -> None:
+        """Raise unless the full-count voltage clears the device's set
+        threshold; below it no pulse moves any cell."""
+        require(self, ("v_max", device.v_on < self.v_max,
+                       f"exceed the set threshold v_on={device.v_on!r}"))
+
 
 @dataclass(frozen=True)
 class InferConfig:
@@ -331,10 +337,7 @@ def modulation_voltages(counts: np.ndarray, scope_n: int,
 def train_pair(array: ArrayState, input_img: np.ndarray,
                teacher_img: np.ndarray, cfg: TrainConfig) -> ArrayState:
     """One modulation pulse derived from a single (input, teacher) pair."""
-    if cfg.v_max <= array.params.v_on:
-        raise InvalidInputError(
-            f"v_max={cfg.v_max!r} cannot reach the set threshold "
-            f"v_on={array.params.v_on!r}")
+    cfg.check_reach(array.params)
     if np.asarray(teacher_img).shape != array.w.shape:
         raise InvalidInputError(
             f"teacher shape {np.asarray(teacher_img).shape} does not match "
@@ -357,7 +360,11 @@ def train_many(array: ArrayState, inputs: Sequence[np.ndarray],
 # --- inference -------------------------------------------------------------
 
 def state_grid(array: ArrayState) -> np.ndarray:
-    """Normalized state per cell: 0 at low resistance, 1 at high."""
+    """Normalized state per cell: 0 at low resistance, 1 at high.
+
+    (w_off - w) / (w_off - w_on) equals log(R / r_on) / log(r_off / r_on)
+    under the device's resistance map.
+    """
     span = array.params.w_off - array.params.w_on
     return (array.params.w_off - array.w) / span
 

@@ -35,7 +35,6 @@ from memassoc.circuit import (
     default_duration,
     first_order_rules,
     higher_order_rules,
-    logic_level,
     metrics,
     pavlov_schedule,
     run_chain,
@@ -125,13 +124,6 @@ class TestSegmentsAndSampling:
 
 
 class TestLogicAndRules:
-    def test_logic_threshold(self):
-        assert logic_level(0.49, 0.5) == 0
-        assert logic_level(0.5, 0.5) == 1
-        assert logic_level(0.9, 0.5) == 1   # rippled low stays high
-        with pytest.raises(InvalidInputError):
-            logic_level(math.nan, 0.5)
-
     def test_first_order_table(self):
         expected = {
             (1, 1): (SCHEME_LEARNING, 0.35),

@@ -2,6 +2,7 @@
 behavior, exit codes, manifests, and byte determinism."""
 
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -136,7 +137,8 @@ class TestParseConfig:
 
     def test_segment_grammar(self):
         text = ("[schedule]\npreset = custom\n"
-                "food_segments = 0:0.05, 0.1:0.15:0.8\nring1_segments = 0:0.2\n")
+                "food_segments = 0:0.05, 0.1:0.15:0.8\nring1_segments = 0:0.2\n"
+                "[sim]\nduration_s = 0.25\n")
         cfg = parse_config(text)
         segs = dict(cfg.schedule.segments)
         assert segs["food"] == ((0.0, 0.05, 1.0), (0.1, 0.15, 0.8))
@@ -166,7 +168,8 @@ class TestParseConfig:
 
     def test_segments_without_level_use_high_level(self):
         text = ("[schedule]\npreset = custom\n"
-                "food_segments = 0:0.1, 0.2:0.3:0.8\nhigh_level_v = 2.5\n")
+                "food_segments = 0:0.1, 0.2:0.3:0.8\nhigh_level_v = 2.5\n"
+                "ring1_segments = 0:0.1\n[sim]\nduration_s = 0.3\n")
         segs = dict(parse_config(text).schedule.segments)
         assert segs["food"] == ((0.0, 0.1, 2.5), (0.2, 0.3, 0.8))
 
@@ -212,6 +215,10 @@ OUT_OF_RANGE = [
     ("[schedule]\npreset = custom\nring1_segments = 0.2:0.1\n", "ring1_segments"),
     ("[sim]\nlogic_threshold_v = 0\n", "logic_threshold_v"),
     ("[sim]\nduration_s = 1e-6\n", "duration_s"),
+    ("[sim]\ndt_s = 2.0\n", "dt_s"),  # longer than the preset's 1.5 s
+    # the row budget: round(duration / dt) + 1 <= 1e7
+    ("[sim]\ndt_s = 1e-12\n", "dt_s"),
+    ("[sim]\nduration_s = 0.1\ndt_s = 1e-8\n", "dt_s"),
     ("[fit]\nr_on_ohm_lo = 30e3\n", "r_on_ohm_lo"),
     ("[device]\nr_on_ohm = 5e3\n[fit]\nr_on_ohm_hi = 4e3\n", "r_on_ohm_hi"),
     ("[fit]\nsource_r_ohm = -1\n", "source_r_ohm"),
@@ -241,6 +248,39 @@ class TestErrorsAtKeyLine:
         with pytest.raises(ConfigError, match=r"^line 1: \[vision\]: label_boundary"):
             parse_config(text)
 
+    @pytest.mark.parametrize("text,header", [
+        ("[stage.1]\n[stage.2]\n", "[stage.2]"),
+        ("[stage.1]\n[sim]\nreadout_v = 0.2\n[stage.2]\n", "[sim]"),
+    ])
+    def test_chain_error_names_first_header(self, text, header):
+        """A chain error that names no key of its own goes to the first
+        header present among [schedule], [sim] and the last [stage.K]
+        (`TestBuilders` covers [schedule])."""
+        line = text.splitlines().index(header) + 1
+        with pytest.raises(ConfigError, match=rf"^line {line}: {re.escape(header)}: "):
+            parse_config(text)
+
+    def test_row_budget_boundary(self):
+        # 1e7 rows at dt 1e-4 s parse; one more does not (nothing is allocated)
+        assert parse_config("[sim]\nduration_s = 999.9999\n").sim.duration_s == 999.9999
+        with pytest.raises(ConfigError, match="^line 2: duration_s: dt must leave "
+                                              "at most 10000000 trace rows"):
+            parse_config("[sim]\nduration_s = 1000.0\n")
+
+    @pytest.mark.parametrize("text,key", [
+        ("[vision]\nv_max_v = 0.14\n", "v_max_v"),  # at the device's v_on
+        ("[device]\nv_on_v = 0.4\n", "v_on_v"),  # above the default v_max
+        ("[device]\nv_on_v = 0.4\n[vision]\nv_max_v = 0.3\n", "v_max_v"),
+    ])
+    def test_training_rule_must_reach_v_on_only_for_vision(self, text, key):
+        """The reach rule is the vision commands' own: whether [vision] is
+        written changes nothing, and other commands accept the config."""
+        assert parse_config(text) == parse_config(serialize_config(parse_config(text)))
+        line = next(n for n, entry in enumerate(text.splitlines(), start=1)
+                    if entry.startswith(f"{key} ="))
+        with pytest.raises(ConfigError, match=rf"^line {line}: {key}: v_max must exceed"):
+            parse_config(text, vision=True)
+
     def test_integer_key_rejects_non_finite(self):
         for value in ("inf", "nan"):
             with pytest.raises(ConfigError, match="^line 2: not an integer"):
@@ -260,6 +300,11 @@ def experiment_configs(draw):
         v_on=draw(floats(0.01, 0.3)), v_off=-draw(floats(0.01, 0.3)),
         w_on=draw(floats(-1.0, 0.0)), w_off=draw(floats(0.5, 2.0)))
     positive, negative = floats(0.01, 1.0), floats(-1.0, -0.01)
+    # a preset drives as many stages as its order; a custom schedule one
+    # ring per stage (ten stages give ring10, which sorts before ring2)
+    preset = draw(st.sampled_from(["pavlov1", "pavlov2", "pavlov3", "custom"]))
+    n_stages = (draw(st.sampled_from([1, 2, 3, 10])) if preset == "custom"
+                else int(preset[-1]))
     stages = tuple(
         StageConfig(device=device,
                     rules=(first_order_rules(draw(positive), draw(negative),
@@ -268,12 +313,10 @@ def experiment_configs(draw):
                     r_f=draw(floats(1e2, 1e5)), gain=draw(floats(0.1, 10.0)),
                     v_learn_max=draw(floats(0.01, 2.0)),
                     state_threshold_v=draw(floats(0.01, 1.0)))
-        for k in range(draw(st.integers(1, 3))))
-    preset = draw(st.sampled_from(["pavlov1", "pavlov2", "pavlov3", "custom"]))
+        for k in range(n_stages))
     segments = []
     if preset == "custom":
-        for role in sorted(draw(st.sets(st.sampled_from(
-                ["food", "ring1", "ring2", "ring10"]), min_size=1))):
+        for role in sorted(["food"] + [f"ring{k}" for k in range(1, n_stages + 1)]):
             t, windows = 0.0, []
             for _ in range(draw(st.integers(1, 3))):
                 start = t + draw(floats(0.0, 0.5))
@@ -293,8 +336,9 @@ def experiment_configs(draw):
             preset=preset, high_level_v=draw(floats(0.01, 5.0)),
             zigzag_amplitude_v=draw(floats(0.0, 0.5)),
             zigzag_frequency_hz=draw(floats(1.0, 1e3)), segments=tuple(segments)),
-        sim=SimSettings(dt_s=draw(floats(1e-6, 1e-3)),
-                        duration_s=draw(st.none() | floats(1e-3, 10.0)),
+        sim=SimSettings(dt_s=draw(floats(1e-5, 1e-3)),  # at most 1e6 rows
+                        duration_s=(draw(floats(1e-3, 10.0)) if preset == "custom"
+                                    else draw(st.none() | floats(1e-3, 10.0))),
                         logic_threshold_v=draw(floats(0.01, 2.0)),
                         readout_v=draw(floats(0.0, 1.0))),
         fit=FitSettings(grad_step=draw(floats(1e-9, 1e-2)),
@@ -345,25 +389,24 @@ class TestBuilders:
         assert len(chain.stages) == 2
         assert chain.duration == 1.7
         assert chain.dt == 1e-4
-        assert build_chain(cfg, dt_override=2e-4).dt == 2e-4
 
     def test_preset_stage_count_mismatch(self):
-        cfg = parse_config("[schedule]\npreset = pavlov3\n[stage.1]\n")
-        with pytest.raises(ConfigError, match="declares 1"):
-            build_chain(cfg)
+        with pytest.raises(ConfigError, match=r"^line 1: \[schedule\]: schedule roles "
+                                              r"\['food', 'ring1', 'ring2', 'ring3'\]"):
+            parse_config("[schedule]\npreset = pavlov3\n[stage.1]\n")
 
     def test_custom_schedule_needs_duration(self):
-        cfg = parse_config("[schedule]\npreset = custom\n"
-                           "food_segments = 0:0.1\nring1_segments = 0:0.1\n")
-        with pytest.raises(ConfigError, match="duration_s"):
-            build_chain(cfg)
+        with pytest.raises(ConfigError, match=r"^line 1: \[schedule\]: duration must "
+                                              "be a number"):
+            parse_config("[schedule]\npreset = custom\n"
+                         "food_segments = 0:0.1\nring1_segments = 0:0.1\n")
 
     def test_custom_schedule_role_mismatch(self):
-        cfg = parse_config("[schedule]\npreset = custom\n"
-                           "food_segments = 0:0.1\nring2_segments = 0:0.1\n"
-                           "[sim]\nduration_s = 0.2\n")
-        with pytest.raises(ConfigError, match="need exactly"):
-            build_chain(cfg)
+        with pytest.raises(ConfigError, match=r"^line 1: \[schedule\]: schedule roles "
+                                              r"\['food', 'ring2'\]"):
+            parse_config("[schedule]\npreset = custom\n"
+                         "food_segments = 0:0.1\nring2_segments = 0:0.1\n"
+                         "[sim]\nduration_s = 0.2\n")
 
     def test_classification_requires_threshold(self):
         with pytest.raises(ConfigError, match="similarity_threshold"):
@@ -458,6 +501,53 @@ class TestCmdPavlov:
                              "--out", str(out)]) == 1
         assert "readout" in capsys.readouterr().err
         assert not (out / "trace.csv").exists()
+
+    @pytest.mark.parametrize("text", [
+        "[schedule]\npreset = pavlov3\n[stage.1]\n",
+        "[stage.1]\n[stage.2]\n",
+        "[schedule]\npreset = custom\nfood_segments = 0:0.1\nring1_segments = 0:0.1\n",
+        "[schedule]\npreset = custom\nfood_segments = 0:0.1\nring2_segments = 0:0.1\n",
+        "[sim]\ndt_s = 2.0\n",
+        "[sim]\ndt_s = 1e-12\n",
+    ])
+    def test_invalid_chain_exits_1_at_a_line_before_writing(self, tmp_path, capsys,
+                                                            text):
+        cfg = tmp_path / "c.conf"
+        cfg.write_text(text)
+        out = tmp_path / "run"
+        assert console_main(["pavlov", "--config", str(cfg),
+                             "--out", str(out)]) == 1
+        assert re.match(r"config error: line \d+: ", capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_fit_rejects_invalid_chain_sections(self, tmp_path, capsys):
+        cfg = tmp_path / "c.conf"
+        cfg.write_text("[sim]\ndt_s = 2.0\n")
+        out = tmp_path / "run"
+        assert console_main(["fit", "trace.csv", "--config", str(cfg),
+                             "--out", str(out)]) == 1
+        assert "config error: line 2: dt_s: " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sweep_dt_override_edits_each_config(self, tmp_path):
+        c1, c2 = tmp_path / "one.conf", tmp_path / "two.conf"
+        c1.write_text(CUSTOM_CHAIN)
+        c2.write_text(CUSTOM_CHAIN.replace("0:0.06", "0:0.05"))
+        runs = {}
+        for jobs in ("1", "2"):  # two workers receive the parsed configs
+            out = tmp_path / f"sweep{jobs}"
+            assert console_main(["pavlov", "--config", str(c1), "--config", str(c2),
+                                 "--out", str(out), "--dt-override", "2e-4",
+                                 "--jobs", jobs]) == 0
+            runs[jobs] = {stem: (out / stem / name).read_bytes()
+                          for stem in ("one", "two")
+                          for name in ("trace.csv", "metrics.txt", "manifest.json")}
+        assert runs["1"] == runs["2"]
+        for stem in ("one", "two"):
+            out = tmp_path / "sweep1" / stem
+            assert len((out / "trace.csv").read_text().splitlines()) == 602
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert "dt_s = 0.0002" in manifest["config_text"]
 
     def test_plot_script_is_valid_python(self, tmp_path):
         out = tmp_path / "run"
@@ -613,6 +703,44 @@ class TestCmdVision:
         assert f"line {line}: label_pulse_s:" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_v_max_below_set_threshold_exits_1_before_reading(self, tmp_path,
+                                                              capsys):
+        # no pulse at 0.1 V moves a cell with v_on = 0.14 V; this used to load
+        # every image, then exit 1 with no line and an empty output directory
+        text = (REPO / "configs" / "vision_demo.conf").read_text().replace(
+            "v_max_v = 0.35", "v_max_v = 0.1")
+        cfg = tmp_path / "v.conf"
+        cfg.write_text(text)
+        line = text.splitlines().index("v_max_v = 0.1") + 1
+        out = tmp_path / "o"
+        code = console_main(["vision-train", str(REPO / "data/vision/train"),
+                             "--config", str(cfg), "--out", str(out)])
+        assert code == 1
+        assert f"line {line}: v_max_v: v_max must exceed" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_device_beyond_default_v_max_exits_1_before_reading(self, tmp_path,
+                                                                capsys):
+        cfg = tmp_path / "v.conf"
+        cfg.write_text("[device]\nv_on_v = 0.4\n")
+        out = tmp_path / "o"
+        code = console_main(["vision-train", str(REPO / "data/vision/train"),
+                             "--config", str(cfg), "--out", str(out)])
+        assert code == 1
+        assert ("config error: line 2: v_on_v: v_max must exceed the set "
+                "threshold v_on=0.4") in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_dt_override_sets_vision_dt(self, vision_dirs, tmp_path):
+        train, _ = vision_dirs
+        out = tmp_path / "o"
+        assert console_main(["vision-train", str(train), "--out", str(out),
+                             "--dt-override", "2e-4"]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        vision = manifest["config_text"].split("[vision]")[1]
+        assert "dt_s = 0.0002" in vision
+        assert "dt_s = 0.0001" in manifest["config_text"].split("[vision]")[0]
+
     def test_classify_config_error_leaves_no_output(self, vision_dirs, tmp_path):
         train, test = vision_dirs
         out = tmp_path / "o"
@@ -668,6 +796,19 @@ class TestManifests:
         fresh = replay_manifest(out / "manifest.json", tmp_path / "replayed")
         assert fresh == manifest["outputs"]
 
+    def test_pavlov_manifest_of_device_beyond_default_v_max_replays(self, tmp_path):
+        """A device whose v_on no default training voltage reaches still runs
+        the chain, and the manifest, which carries the default [vision],
+        replays."""
+        cfg = tmp_path / "c.conf"
+        cfg.write_text(CUSTOM_CHAIN + "[device]\nv_on_v = 0.4\n")
+        out = tmp_path / "run"
+        assert console_main(["pavlov", "--config", str(cfg), "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert "[vision]" in manifest["config_text"]
+        fresh = replay_manifest(out / "manifest.json", tmp_path / "replayed")
+        assert fresh == manifest["outputs"]
+
     def test_double_run_byte_identical(self, tmp_path):
         cfg = parse_config(CUSTOM_CHAIN)
         blobs = []
@@ -697,6 +838,21 @@ class TestBenchmarkSurface:
         missing = [f"{module.__name__}.{name}" for module, names in wrapped.items()
                    for name in names if not callable(getattr(module, name, None))]
         assert missing == []
+
+    def test_traced_chain_run_counts_rows(self, tmp_path):
+        """The traced run reads rows and stage steps from `run_chain`'s
+        returned trace, once per run, after the chain is checked at parse."""
+        run = subprocess.run(
+            [sys.executable, str(REPO / "perfbench/child.py"), str(REPO / "src"),
+             "1", "pavlov", "--config", str(REPO / "configs/pavlov3.conf"),
+             "--out", str(tmp_path / "o")],
+            capture_output=True, text=True, cwd=tmp_path, timeout=120)
+        assert run.returncode == 0, run.stderr
+        result = json.loads(run.stdout.splitlines()[-1])
+        assert result["exit"] == 0
+        chains = [work for name, *_, work in result["spans"]
+                  if name == "circuit.run_chain"]
+        assert chains == [{"rows": 18001, "stage_steps": 3 * 18001}]
 
     def test_traced_vision_run_counts_pulses(self, tmp_path):
         """The traced run reads a pair's pulse from `train_pair`'s positional

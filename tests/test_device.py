@@ -26,7 +26,6 @@ from memassoc.device import (
     DeviceParams,
     DeviceState,
     drift_rate,
-    normalized_state,
     power,
     pulse,
     resistance,
@@ -34,6 +33,7 @@ from memassoc.device import (
     trajectory,
 )
 from memassoc.errors import InvalidInputError
+from memassoc.vision import ArrayState, state_grid
 
 P = DeviceParams()  # reference parameter set
 
@@ -98,18 +98,20 @@ class TestResistanceMap:
         assert np.all((r >= P.r_on - 1e-9) & (r <= P.r_off + 1e-9))
 
     def test_normalized_state_identity(self):
-        for w in np.linspace(P.w_on, P.w_off, 11):
-            n_direct = normalized_state(P, w)
-            n_from_r = math.log(resistance(P, w) / P.r_on) / math.log(P.r_off / P.r_on)
-            assert n_direct == pytest.approx(n_from_r, abs=1e-12)
-        assert normalized_state(P, P.w_off) == 0.0
-        assert normalized_state(P, P.w_on) == 1.0
+        w = np.linspace(P.w_on, P.w_off, 11)
+        n_direct = state_grid(ArrayState(P, w.reshape(1, -1)))[0]
+        for wi, ni in zip(w, n_direct):
+            n_from_r = math.log(resistance(P, wi) / P.r_on) / math.log(P.r_off / P.r_on)
+            assert ni == pytest.approx(n_from_r, abs=1e-12)
+        assert n_direct[-1] == 0.0
+        assert n_direct[0] == 1.0
 
     def test_half_set_state_from_50k(self):
         # w such that R = 50 kohm, via the log identity
         w_50k = P.w_off - math.log(50e3 / P.r_on) / math.log(P.r_off / P.r_on)
         assert resistance(P, w_50k) == pytest.approx(50e3, rel=1e-12)
-        assert normalized_state(P, w_50k) == pytest.approx(0.4070, abs=5e-5)
+        n_50k = state_grid(ArrayState(P, np.array([[w_50k]])))[0, 0]
+        assert n_50k == pytest.approx(0.4070, abs=5e-5)
 
 
 class TestStep:
