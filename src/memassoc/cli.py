@@ -30,7 +30,6 @@ import hashlib
 import json
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
@@ -796,6 +795,8 @@ def _dispatch(ns: argparse.Namespace) -> int:
             raise ConfigError("sweep configs must have distinct file stems")
         configs = [_with_dt_override(load_config(path), ns) for path in ns.config]
         if ns.jobs > 1:
+            # imported here: only a parallel sweep pays for it
+            from concurrent.futures import ProcessPoolExecutor
             with ProcessPoolExecutor(max_workers=ns.jobs) as pool:
                 return max(pool.map(cmd_pavlov, configs, outs))
         return max(cmd_pavlov(config, out) for config, out in zip(configs, outs))

@@ -43,6 +43,7 @@ __all__ = [
     "GRID_SIDE",
     "LABEL_POSITIVE",
     "LABEL_NEGATIVE",
+    "MAX_PULSE_STEPS",
     "TrainConfig",
     "InferConfig",
     "ArrayState",
@@ -66,6 +67,7 @@ __all__ = [
 GRID_SIDE = 20
 LABEL_POSITIVE = "cat"      # label-device set  -> low resistance
 LABEL_NEGATIVE = "non-cat"  # label-device reset -> high resistance
+MAX_PULSE_STEPS = 10_000_000  # Euler steps per training or label pulse
 
 _PREDICATES = ("equal-binary", "abs-diff")
 _SCOPES = ("all-vector", "corresponding")
@@ -95,8 +97,11 @@ class TrainConfig:
                 ("v_max", self.v_min < self.v_max < math.inf,
                  f"be finite and exceed v_min={self.v_min!r}"),
                 ("pulse_dt", 0.0 < self.pulse_dt < math.inf, "be positive and finite"),
-                ("dt", 0.0 < self.dt <= self.pulse_dt,
-                 f"lie in (0, pulse_dt={self.pulse_dt!r}]"))
+                # a pulse runs round(pulse_dt / dt) steps
+                ("dt", 0.0 < self.dt <= self.pulse_dt
+                 and self.pulse_dt / self.dt < MAX_PULSE_STEPS + 0.5,
+                 f"lie in (0, pulse_dt={self.pulse_dt!r}] and leave at most "
+                 f"{MAX_PULSE_STEPS} steps per pulse"))
 
     def check_reach(self, device: DeviceParams) -> None:
         """Raise unless the full-count voltage clears the device's set
@@ -130,8 +135,10 @@ class InferConfig:
                  f"be finite and lie below v_off={device.v_off!r}"),
                 ("label_pulse_s", 0.0 < self.label_pulse_s < math.inf,
                  "be positive and finite"),
-                ("dt", 0.0 < self.dt <= self.label_pulse_s,
-                 f"lie in (0, label_pulse_s={self.label_pulse_s!r}]"))
+                ("dt", 0.0 < self.dt <= self.label_pulse_s
+                 and self.label_pulse_s / self.dt < MAX_PULSE_STEPS + 0.5,
+                 f"lie in (0, label_pulse_s={self.label_pulse_s!r}] and leave "
+                 f"at most {MAX_PULSE_STEPS} steps per pulse"))
 
 
 @dataclass(frozen=True)

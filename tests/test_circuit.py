@@ -6,7 +6,9 @@ Covered invariants:
   * analog helpers (inverting output, state signal, clamped adjustment);
   * single-stage chain reproduces the analytic switch time under a
     continuous pairing drive;
-  * the reference schedules reproduce frozen switch/reset/speedup values;
+  * the reference schedules reproduce frozen switch/reset/speedup values,
+    and the shipped pavlov configs' switch, reset and speedup metrics
+    converge as dt halves;
   * higher-stage learning only happens while the previous stage's state
     signal is asserted;
   * non-finite levels, rule voltages and initial states are rejected
@@ -17,6 +19,7 @@ Covered invariants:
 
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,9 +47,11 @@ from memassoc.circuit import (
     write_metrics_report,
     write_sim_trace_csv,
 )
+from memassoc.cli import build_chain, load_config
 from memassoc.device import DeviceParams
 from memassoc.errors import InvalidInputError
 
+REPO = Path(__file__).resolve().parents[1]
 PARAMS = DeviceParams()
 
 
@@ -318,6 +323,30 @@ class TestReferenceSchedules:
         high = ring1[ring1 > 0]
         assert high.min() >= 0.9 - 1e-12 and high.max() <= 1.1 + 1e-12
         assert not np.all(high == 1.0)
+
+    @pytest.mark.parametrize("name", ["pavlov2_lowpower", "pavlov2_highgain",
+                                      "pavlov3"])
+    def test_metrics_converge_as_dt_halves(self, name):
+        # Over dt 2e-4 .. 1.25e-5 s the largest move per halving measured
+        # 5.6e-4 relative (a reset time, 2e-4 -> 1e-4 s); Euler's error is
+        # first order, so finer halvings move the metrics less.  The bound,
+        # 0.1% per halving, is about twice the largest measured move.
+        config = load_config(REPO / "configs" / f"{name}.conf")
+        reports = []
+        for dt in (2e-4, 1e-4, 5e-5, 2.5e-5, 1.25e-5):
+            chain = build_chain(replace(config, sim=replace(config.sim, dt_s=dt)))
+            reports.append({key: value for key, value in metrics(run_chain(chain)).items()
+                            if key.endswith(("switch_time_s", "reset_time_s"))
+                            or key.startswith("chain.speedup_")})
+        n_stages = len(config.stages)
+        assert sorted(reports[0]) == sorted(
+            [f"stage{k}.switch_time_s" for k in range(1, n_stages + 1)]
+            + [f"stage{k}.reset_time_s" for k in range(2, n_stages + 1)]
+            + [f"chain.speedup_{k}_{k + 1}" for k in range(1, n_stages)])
+        for coarse, fine in zip(reports, reports[1:]):
+            assert fine.keys() == coarse.keys()
+            for key, value in coarse.items():
+                assert fine[key] == pytest.approx(value, rel=1e-3), key
 
     def test_unknown_preset_order(self):
         with pytest.raises(InvalidInputError):

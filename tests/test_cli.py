@@ -2,6 +2,7 @@
 behavior, exit codes, manifests, and byte determinism."""
 
 import json
+import os
 import re
 import subprocess
 import sys
@@ -266,6 +267,16 @@ class TestErrorsAtKeyLine:
         with pytest.raises(ConfigError, match="^line 2: duration_s: dt must leave "
                                               "at most 10000000 trace rows"):
             parse_config("[sim]\nduration_s = 1000.0\n")
+
+    @pytest.mark.parametrize("key", ["pulse_dt_s", "label_pulse_s"])
+    def test_pulse_step_budget_boundary(self, key):
+        # 10^7 steps per pulse at dt 1e-4 s parse; one more does not
+        # (parse only: no pulse runs)
+        text = "[vision]\nsimilarity_threshold = 0.3\ndt_s = 1e-4\n{} = {}\n"
+        assert parse_config(text.format(key, 1000.0)).vision.dt_s == 1e-4
+        with pytest.raises(ConfigError, match=r"^line 3: dt_s: dt must lie in .* "
+                                              r"and leave at most 10000000 steps"):
+            parse_config(text.format(key, 1000.0001))
 
     @pytest.mark.parametrize("text,key", [
         ("[vision]\nv_max_v = 0.14\n", "v_max_v"),  # at the device's v_on
@@ -549,6 +560,16 @@ class TestCmdPavlov:
             manifest = json.loads((out / "manifest.json").read_text())
             assert "dt_s = 0.0002" in manifest["config_text"]
 
+    def test_executor_is_imported_only_for_parallel_sweeps(self):
+        # a fresh interpreter: this process has run --jobs 2 sweeps already
+        run = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, memassoc.cli; print('concurrent.futures' in sys.modules)"],
+            env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+            capture_output=True, text=True, timeout=60)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.strip() == "False"
+
     def test_plot_script_is_valid_python(self, tmp_path):
         out = tmp_path / "run"
         cfg = tmp_path / "c.conf"
@@ -701,6 +722,26 @@ class TestCmdVision:
                              "--config", str(cfg), "--out", str(out)])
         assert code == 1
         assert f"line {line}: label_pulse_s:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("dt,pulse", [
+        ("1e-12", "pulse_dt=0.05"),        # 5e10 grid steps per training pulse
+        ("1e-8", "label_pulse_s=0.25"),    # grid 5e6 steps, label 2.5e7
+    ])
+    def test_pulse_step_budget_exits_1_before_reading(self, tmp_path, capsys,
+                                                      dt, pulse):
+        text = ((REPO / "configs" / "vision_demo.conf").read_text().rstrip("\n")
+                + f"\ndt_s = {dt}\n")
+        cfg = tmp_path / "v.conf"
+        cfg.write_text(text)
+        out = tmp_path / "o"
+        code = console_main(["vision-classify", str(REPO / "data/vision/train"),
+                             str(REPO / "data/vision/test"),
+                             "--config", str(cfg), "--out", str(out)])
+        assert code == 1
+        line = len(text.splitlines())
+        assert (f"line {line}: dt_s: dt must lie in (0, {pulse}] and leave at most "
+                f"10000000 steps per pulse, got {float(dt)!r}") in capsys.readouterr().err
         assert not out.exists()
 
     def test_v_max_below_set_threshold_exits_1_before_reading(self, tmp_path,

@@ -15,19 +15,30 @@ Covered invariants (hypothesis-generated inputs, exact comparisons):
     that `device.trajectory` steps through;
   * the stage-at-a-time `run_chain` equals the row-at-a-time engine it
     replaced (kept below as the oracle) on random custom schedules with
-    one to four stages, column for column and bit for bit.
+    one to four stages, column for column and bit for bit;
+  * `write_sim_trace_csv`, which formats each distinct value of a chunk
+    once, writes the same bytes as a row-by-row `f"{x:.10g}"` writer, on
+    traces one row short of, at and one row past a chunk, holding signed
+    zeros, subnormals, huge magnitudes, values at the `.10g` notation
+    switches, nan and inf, and long runs of one repeated value.
 """
 
 from __future__ import annotations
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from memassoc.circuit import (
+    _TRACE_CHUNK_ROWS,
     ChainConfig,
     Segment,
+    SimTrace,
     StageConfig,
+    StageTrace,
     StimulusSchedule,
     _sample_signal_array,
     adjust_learning_voltage,
@@ -36,6 +47,7 @@ from memassoc.circuit import (
     run_chain,
     state_signal,
     synaptic_output,
+    write_sim_trace_csv,
 )
 from memassoc.device import (
     DeviceParams,
@@ -355,3 +367,78 @@ def test_run_chain_matches_row_at_a_time_engine(case):
             assert np.array_equal(bits64(getattr(stage, name)),
                                   bits64(want[name][k])), (k, name)
         assert stage.scheme.tolist() == want["scheme"][k].tolist(), k
+
+
+# --- trace writer ---------------------------------------------------------------
+
+# -0.0 beside 0.0, the smallest subnormal, huge and tiny magnitudes, and
+# values on both sides of the `.10g` switches to exponent notation (below
+# 1e-4 and from 1e10, after rounding to ten digits)
+SPECIAL_VALUES = (0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e300, -1e300, 1e-4,
+                  np.nextafter(1e-4, 0.0), 9.99999999949e-05, 9.99999999951e-05,
+                  1e10, np.nextafter(1e10, 0.0), 9999999999.4, 9999999999.5,
+                  -1e10, 0.1, 1.0, float("nan"), float("inf"), float("-inf"))
+SCHEMES = ("learning", "natural-forgetting", "forgetting")
+
+
+@st.composite
+def trace_column(draw, n_rows):
+    """n_rows values built from runs of one repeated value, cycled; about
+    half the columns start with a run of 0.0 and a run of -0.0."""
+    runs = draw(st.lists(st.tuples(st.sampled_from(SPECIAL_VALUES) | st.floats(),
+                                   st.integers(1, n_rows)), min_size=1, max_size=8))
+    if draw(st.booleans()):
+        runs = [(0.0, draw(st.integers(1, 4))), (-0.0, draw(st.integers(1, 4)))] + runs
+    values, lengths = zip(*runs)
+    return np.resize(np.repeat(np.array(values, dtype=float), lengths), n_rows)
+
+
+@st.composite
+def writer_trace(draw):
+    n_rows = draw(st.sampled_from([_TRACE_CHUNK_ROWS - 1, _TRACE_CHUNK_ROWS,
+                                   _TRACE_CHUNK_ROWS + 1]))
+    n_stages = draw(st.integers(1, 2))
+    stages = tuple(StageTrace(
+        mod_v=draw(trace_column(n_rows)),
+        scheme_code=np.resize(np.array(draw(st.lists(
+            st.integers(0, len(SCHEMES) - 1), min_size=1, max_size=8)),
+            dtype=np.int8), n_rows),
+        schemes=SCHEMES, r_ohm=draw(trace_column(n_rows)),
+        s_v=draw(trace_column(n_rows)), resp_v=draw(trace_column(n_rows)),
+        p_w=draw(trace_column(n_rows)), r_on=20e3, reset_r_ohm=50e3)
+        for _ in range(n_stages))
+    names = ("food",) + tuple(f"ring{k}" for k in range(1, n_stages + 1))
+    return SimTrace(t=draw(trace_column(n_rows)), dt=1e-4, signal_names=names,
+                    signal_levels=np.vstack([draw(trace_column(n_rows))
+                                             for _ in names]),
+                    stages=stages)
+
+
+def row_by_row_csv(trace):
+    """The trace CSV written one row at a time, each number formatted on
+    its own with `f"{x:.10g}"`."""
+    header = ["t_s"] + [f"{name}_v" for name in trace.signal_names]
+    columns = [trace.t.tolist()] + trace.signal_levels.tolist()
+    for k, stage in enumerate(trace.stages, start=1):
+        header += [f"mod{k}_v", f"scheme{k}", f"r{k}_ohm",
+                   f"s{k}_v", f"resp{k}_v", f"p{k}_w"]
+        columns += [stage.mod_v.tolist(),
+                    [stage.schemes[c] for c in stage.scheme_code.tolist()],
+                    stage.r_ohm.tolist(), stage.s_v.tolist(),
+                    stage.resp_v.tolist(), stage.p_w.tolist()]
+    lines = [",".join(header)]
+    for row in zip(*columns):
+        lines.append(",".join(x if isinstance(x, str) else f"{x:.10g}" for x in row))
+    return ("\n".join(lines) + "\n").encode()
+
+
+# no shrink phase: shrinking reruns both 2k-row writers thousands of times
+# (minutes); the line-wise compare names the first line that differs
+@settings(max_examples=40, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(writer_trace())
+def test_trace_csv_matches_row_by_row_writer(trace):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.csv"
+        write_sim_trace_csv(trace, path)
+        assert path.read_bytes().split(b"\n") == row_by_row_csv(trace).split(b"\n")
