@@ -2,7 +2,7 @@
 
 Subpackages:
 
-- ``device``  threshold-drift memristor model (state, resistance, power)
+- ``device``  threshold-drift memristor model (drift rate, resistance, Euler stepping)
 - ``fit``     parameter extraction from measured I-V traces
 - ``circuit`` stimulus encoding, modulation tables, N-stage chain engine
 - ``vision``  20x20 memristor-array image association and classification

@@ -59,14 +59,10 @@ __all__ = [
     "SCHEME_NATURAL",
     "Segment",
     "StimulusSchedule",
-    "sample_signal",
     "ModulationRule",
     "RuleTable",
     "first_order_rules",
     "higher_order_rules",
-    "synaptic_output",
-    "state_signal",
-    "adjust_learning_voltage",
     "StageConfig",
     "ChainConfig",
     "StageTrace",
@@ -127,16 +123,6 @@ class Segment:
             raise InvalidInputError("zigzag ripple needs a positive frequency")
 
 
-def _triangle(phase: float) -> float:
-    """Unit triangle wave over phase in [0, 1): 0 -> +1 -> 0 -> -1 -> 0."""
-    p = phase - math.floor(phase)
-    if p < 0.25:
-        return 4.0 * p
-    if p < 0.75:
-        return 2.0 - 4.0 * p
-    return 4.0 * p - 4.0
-
-
 @dataclass(frozen=True)
 class StimulusSchedule:
     """Per-signal ordered, non-overlapping segments keyed by role name."""
@@ -159,25 +145,10 @@ class StimulusSchedule:
         return tuple(self.signals)
 
 
-def sample_signal(schedule: StimulusSchedule, signal: str, t: float) -> float:
-    """Signal level at time t: segment level plus ripple, 0 outside."""
-    if signal not in schedule.signals:
-        raise InvalidInputError(f"unknown signal role {signal!r}")
-    if not math.isfinite(t) or t < 0.0:
-        raise InvalidInputError(f"sample time must be finite and >= 0, got {t!r}")
-    for seg in schedule.signals[signal]:
-        if seg.start <= t < seg.end:
-            ripple = 0.0
-            if seg.zigzag_amplitude > 0.0:
-                ripple = seg.zigzag_amplitude * _triangle(
-                    (t - seg.start) * seg.zigzag_frequency)
-            return seg.level + ripple
-    return 0.0
-
-
 def _sample_signal_array(schedule: StimulusSchedule, signal: str,
                          t: np.ndarray) -> np.ndarray:
-    """Vectorized `sample_signal` over a time grid (same semantics)."""
+    """Level of `signal` at each time in t: segment level plus a triangle
+    ripple (0, +1, 0, -1 per period from the segment start), 0 outside."""
     out = np.zeros_like(t)
     for seg in schedule.signals[signal]:
         mask = (t >= seg.start) & (t < seg.end)
@@ -237,22 +208,6 @@ class RuleTable:
                     f"rule table must fire exactly once for {combo}, "
                     f"got {len(hits)} matches")
 
-    def select(self, bits: Sequence[int],
-               v_adjusted: float | None = None) -> tuple[str, float]:
-        """Resolve (scheme, modulation voltage) for a bit pattern."""
-        if len(bits) != self.n_bits:
-            raise InvalidInputError(
-                f"expected {self.n_bits} bits, got {len(bits)}")
-        for rule in self.rules:
-            if rule.matches(bits):
-                if rule.voltage is None:
-                    if v_adjusted is None:
-                        raise InvalidInputError(
-                            "rule needs an adjusted learning voltage")
-                    return rule.scheme, v_adjusted
-                return rule.scheme, rule.voltage
-        raise InvalidInputError(f"no rule fires for bits {tuple(bits)}")
-
 
 def first_order_rules(learning_v: float = LEARNING_V_FIRST,
                       forgetting_v: float = FORGETTING_V_FIRST,
@@ -285,29 +240,6 @@ def higher_order_rules(forgetting_v: float = FORGETTING_V_HIGHER,
         ModulationRule((None, 0, 0), SCHEME_NATURAL, natural_v),
         ModulationRule((None, 1, 0), SCHEME_NATURAL, natural_v),
     ))
-
-
-def synaptic_output(v_in: float, r_f: float, m: float) -> float:
-    """Inverting stage output -v_in * r_f / m (memristor at the input)."""
-    if not all(math.isfinite(x) for x in (v_in, r_f, m)) or r_f <= 0 or m <= 0:
-        raise InvalidInputError(
-            f"need finite v_in and positive r_f, m; got {v_in!r}, {r_f!r}, {m!r}")
-    return -v_in * r_f / m
-
-
-def state_signal(r_f: float, m: float) -> float:
-    """Learned-state signal S = r_f / m; grows as the stage sets."""
-    if not all(math.isfinite(x) for x in (r_f, m)) or r_f <= 0 or m <= 0:
-        raise InvalidInputError(f"need positive r_f and m, got {r_f!r}, {m!r}")
-    return r_f / m
-
-
-def adjust_learning_voltage(s: float, gain: float, v_max: float) -> float:
-    """Amplified state signal clamped to [0, v_max]."""
-    if not all(math.isfinite(x) for x in (s, gain, v_max)) or v_max <= 0:
-        raise InvalidInputError(
-            f"need finite s, gain and v_max > 0, got {s!r}, {gain!r}, {v_max!r}")
-    return min(max(gain * s, 0.0), v_max)
 
 
 @dataclass(frozen=True)
@@ -368,6 +300,9 @@ class ChainConfig:
                 f"schedule roles {sorted(roles)} must be exactly {list(needed)}")
         if self.stages[0].rules.n_bits != 2:
             raise InvalidInputError("stage 1 needs a 2-bit (food, ring) rule table")
+        if any(rule.voltage is None for rule in self.stages[0].rules.rules):
+            raise InvalidInputError("stage 1 rules need fixed voltages: it has "
+                                    "no previous stage to adjust a voltage from")
         for k, stage in enumerate(self.stages[1:], start=2):
             if stage.rules.n_bits != 3:
                 raise InvalidInputError(
@@ -393,11 +328,6 @@ class StageTrace:
     p_w: np.ndarray
     r_on: float
     reset_r_ohm: float
-
-    @property
-    def scheme(self) -> np.ndarray:
-        """Scheme name per row."""
-        return np.array(self.schemes)[self.scheme_code]
 
     def in_scheme(self, name: str) -> np.ndarray:
         """Boolean mask of the rows run under scheme `name`."""
@@ -467,19 +397,14 @@ def run_chain(config: ChainConfig,
         schemes, code_table, volt_table, adjusted_table = _rule_lookup(stage.rules)
         if k == 0:
             pattern = bits[0] * 2 + bits[1]
-            v_adj = None
+            mod_v = volt_table[pattern]
         else:
             s_prev = stage_traces[-1].s_v
             state_bit = s_prev >= stage.state_threshold_v
             pattern = state_bit * 4 + bits[k] * 2 + bits[k + 1]
             v_adj = np.minimum(np.maximum(stage.gain * s_prev, 0.0),
                                stage.v_learn_max)
-        mod_v = volt_table[pattern]
-        adjusted = adjusted_table[pattern]
-        if adjusted.any():
-            if v_adj is None:
-                raise InvalidInputError("rule needs an adjusted learning voltage")
-            mod_v = np.where(adjusted, v_adj, mod_v)
+            mod_v = np.where(adjusted_table[pattern], v_adj, volt_table[pattern])
         r = np.array(trajectory(stage.device, mod_v, config.dt,
                                 initial_states[k]))[1:]
         stage_traces.append(StageTrace(

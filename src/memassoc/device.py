@@ -15,20 +15,20 @@ low-resistance (fully set) end:
     R(w) = r_on * (r_off / r_on)^((w_off - w) / (w_off - w_on))
 
 Rate windows are rectangular: the rate is unmodified strictly inside the
-state bounds and zero at the bound the drive pushes toward; `step` clamps
-after each explicit-Euler update, so w can never leave its bounds.
+state bounds and zero at the bound the drive pushes toward.  Each
+explicit-Euler update is clamped to the bounds, so w never leaves them.
 
 Exact threshold equality (v == v_on or v == v_off) gives zero rate because
 the over-threshold factor vanishes; with the default unit exponents the
 rate is therefore continuous across the dead-zone edges.
 
 All Euler stepping lives in two integrators, each checking its inputs
-once per call instead of once per step.  `trajectory` folds `step` over a
-voltage sequence with plain floats and returns the resistance along the
-run; the chain and the fit replay use it.  It applies the rate window by
-clamping alone, which gives the same state as zeroing the rate at the
-bound (a zero state may differ in sign), so the resistance after each
-step is bit-identical to the `step` fold.
+once per call instead of once per step, and each bit-identical to the
+one-step-per-call oracle in `tests/oracle.py`.  `trajectory` steps
+through a voltage sequence with plain floats and returns the resistance
+along the run; the chain and the fit replay use it.  It applies the rate
+window by clamping alone, which gives the same state as zeroing the rate
+at the bound (a zero state may differ in sign).
 
 `pulse` holds a constant voltage per cell for n steps, on one device (the
 vision label device) or on a grid (the vision array).  It computes one
@@ -42,7 +42,7 @@ stays beyond that bound, because float addition is monotonic.  A cell
 that cannot move (zero rate, or driven into the bound it sits on) stops
 after its first step.
 
-Units: volts, ohms, seconds, watts; w is dimensionless.  All functions are
+Units: volts, ohms, seconds; w is dimensionless.  All functions are
 pure and all types immutable, so values can be shared freely across
 threads and processes.
 """
@@ -60,14 +60,10 @@ from .errors import InvalidInputError, require
 
 __all__ = [
     "DeviceParams",
-    "DeviceState",
     "drive_rate",
-    "drift_rate",
     "resistance",
-    "step",
     "trajectory",
     "pulse",
-    "power",
 ]
 
 
@@ -103,17 +99,6 @@ class DeviceParams:
                  f"be finite and lie below w_off={self.w_off!r}"))
 
 
-@dataclass(frozen=True)
-class DeviceState:
-    """Internal state snapshot; `step` keeps w inside [w_on, w_off]."""
-
-    w: float
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.w):
-            raise InvalidInputError(f"state w must be finite, got {self.w!r}")
-
-
 def drive_rate(params: DeviceParams, v: float) -> float:
     """Power-law state velocity in 1/s under voltage v, before the window.
 
@@ -124,20 +109,6 @@ def drive_rate(params: DeviceParams, v: float) -> float:
     if v <= params.v_off:
         return params.k_off * (v / params.v_off - 1.0) ** params.alpha_off
     return 0.0
-
-
-def drift_rate(params: DeviceParams, w: float, v: float) -> float:
-    """State velocity dw/dt in 1/s at state w under voltage v.
-
-    Zero in the dead zone and at the bound the drive pushes toward
-    (rectangular window).
-    """
-    if not (math.isfinite(w) and math.isfinite(v)):
-        raise InvalidInputError(f"non-finite drift input: w={w!r}, v={v!r}")
-    if (v >= params.v_on and w >= params.w_off) or (
-            v <= params.v_off and w <= params.w_on):
-        return 0.0
-    return drive_rate(params, v)
 
 
 def resistance(params: DeviceParams, w: float) -> float:
@@ -151,19 +122,6 @@ def resistance(params: DeviceParams, w: float) -> float:
     return params.r_on * (params.r_off / params.r_on) ** frac
 
 
-def step(params: DeviceParams, state: DeviceState, v: float,
-         dt: float) -> DeviceState:
-    """One explicit-Euler update over dt seconds, clamped to state bounds."""
-    if not (math.isfinite(v) and math.isfinite(dt)) or dt <= 0.0:
-        raise InvalidInputError(f"need finite v and dt > 0, got v={v!r}, dt={dt!r}")
-    w = state.w + dt * drift_rate(params, state.w, v)
-    if w < params.w_on:
-        w = params.w_on
-    elif w > params.w_off:
-        w = params.w_off
-    return DeviceState(w)
-
-
 def trajectory(params: DeviceParams, v: Sequence[float] | np.ndarray,
                dt: float | Sequence[float] | np.ndarray, w0: float,
                source_r_ohm: float = 0.0) -> list[float]:
@@ -173,7 +131,6 @@ def trajectory(params: DeviceParams, v: Sequence[float] | np.ndarray,
     per step) starting from state w0.  With a positive `source_r_ohm`, v is
     a source voltage behind that series resistance and step k drives the
     device with v[k] / (R + source_r_ohm) * R, R read before the step.
-    The resistances match folding `step` over the voltages bit for bit.
     Inputs are checked once: v and w0 finite, every dt finite and > 0.
     """
     vs = np.asarray(v, dtype=float)
@@ -231,9 +188,10 @@ def pulse(params: DeviceParams, w: float | np.ndarray, v: float | np.ndarray,
     """State after `n_steps` Euler steps of dt at a constant voltage per cell.
 
     `w` and `v` are one float each or two arrays of one shape; every cell
-    steps on its own.  The state equals folding `step` over the pulse
-    (up to the sign of a zero state).  Inputs are checked once: v finite,
-    w finite and within [w_on, w_off], dt finite and > 0, n_steps >= 0.
+    steps on its own.  The state equals taking the pulse's Euler steps
+    one at a time (up to the sign of a zero state).  Inputs are checked
+    once: v finite, w finite and within [w_on, w_off], dt finite and > 0,
+    n_steps >= 0.
     """
     scalar = np.ndim(w) == 0 and np.ndim(v) == 0
     ws, vs = np.asarray(w, dtype=float), np.asarray(v, dtype=float)
@@ -276,9 +234,3 @@ def pulse(params: DeviceParams, w: float | np.ndarray, v: float | np.ndarray,
         u[moving] = u_moving
     return np.clip(u, lo, hi, out=u)
 
-
-def power(v: float, r: float) -> float:
-    """Instantaneous dissipation v^2 / r in watts."""
-    if not (math.isfinite(v) and math.isfinite(r)) or r <= 0.0:
-        raise InvalidInputError(f"need finite v and r > 0, got v={v!r}, r={r!r}")
-    return v * v / r

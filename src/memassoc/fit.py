@@ -90,7 +90,11 @@ class IVTrace:
 
 
 def read_trace_csv(path: str | Path) -> IVTrace:
-    """Load a trace from CSV with header t_s,v_v,i_a."""
+    """Load a trace from CSV with header t_s,v_v,i_a.
+
+    Every non-empty row must hold three numbers, and neither the voltage
+    nor the current may be zero throughout: `rmse` normalizes by both.
+    """
     path = Path(path)
     try:
         with path.open(newline="") as fh:
@@ -99,7 +103,12 @@ def read_trace_csv(path: str | Path) -> IVTrace:
             if header is None or tuple(h.strip() for h in header) != TRACE_HEADER:
                 raise DataError(
                     f"{path}: expected header {','.join(TRACE_HEADER)}")
-            rows = [row for row in reader if row]
+            rows = []
+            for row in filter(None, reader):
+                if len(row) != len(TRACE_HEADER):
+                    raise DataError(f"{path}:{reader.line_num}: expected "
+                                    f"{len(TRACE_HEADER)} fields, got {len(row)}")
+                rows.append(row)
     except OSError as exc:
         raise DataError(f"{path}: {exc}") from exc
     try:
@@ -109,9 +118,14 @@ def read_trace_csv(path: str | Path) -> IVTrace:
     if data.size == 0:
         raise DataError(f"{path}: trace has no samples")
     try:
-        return IVTrace(data[:, 0], data[:, 1], data[:, 2])
-    except (InvalidInputError, IndexError) as exc:
+        trace = IVTrace(data[:, 0], data[:, 1], data[:, 2])
+    except InvalidInputError as exc:
         raise DataError(f"{path}: {exc}") from exc
+    for name, column in (("voltage", trace.v), ("current", trace.i)):
+        if not np.sum(column ** 2) > 0.0:
+            raise DataError(
+                f"{path}: trace {name} is zero throughout (sum of squares 0)")
+    return trace
 
 
 def write_trace_csv(trace: IVTrace, path: str | Path) -> None:

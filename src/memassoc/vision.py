@@ -21,9 +21,10 @@ label verdict is one `device.pulse` on the label device, read through
 `device.resistance`.  `pulse` adds each cell's increment once per Euler
 step and clamps to the state bounds once at the end, which under the
 device's rectangular window gives the per-step clamp's state: the grid
-reproduces `device.step` cell by cell, bit for bit, for every exponent
-(up to the sign of a zero state), and the label resistance equals the
-last resistance of `device.trajectory` over the same pulse.
+reproduces the one-step reference of `tests/oracle.py` cell by cell,
+bit for bit, for every exponent (up to the sign of a zero state), and the
+label resistance equals the last resistance of `device.trajectory` over
+the same pulse.
 """
 
 from __future__ import annotations

@@ -1,0 +1,107 @@
+"""Row-at-a-time reference model: the oracle for the shipped kernels.
+
+Each function is the plain-float, one-step-at-a-time form of the model in
+`memassoc.device` and `memassoc.circuit`, written from the formulas in
+their docstrings.  The property tests check `trajectory`, `pulse` and
+`run_chain` (its signal sampler included) against these bit for bit; the
+package never calls them.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from memassoc.device import resistance
+
+
+def drift_rate(params, w, v):
+    """dw/dt in 1/s at state w under voltage v: the power law beyond either
+    threshold, zero in the dead zone and at the bound the drive pushes
+    toward (rectangular window)."""
+    if v >= params.v_on and w < params.w_off:
+        return params.k_on * (v / params.v_on - 1.0) ** params.alpha_on
+    if v <= params.v_off and w > params.w_on:
+        return params.k_off * (v / params.v_off - 1.0) ** params.alpha_off
+    return 0.0
+
+
+def step(params, w, v, dt):
+    """State after one explicit-Euler step of dt seconds, clamped to
+    [w_on, w_off]."""
+    return min(max(w + dt * drift_rate(params, w, v), params.w_on), params.w_off)
+
+
+def fold(params, volts, dt, w0, source_r_ohm=0.0):
+    """States before the first and after each `step` over `volts`.
+
+    dt is one float for every step or a list with one per step.  With a
+    positive `source_r_ohm`, step k drives the device with
+    v[k] / (R + source_r_ohm) * R, R read before the step.
+    """
+    dts = dt if isinstance(dt, list) else [dt] * len(volts)
+    ws = [w0]
+    for v, h in zip(volts, dts):
+        if source_r_ohm > 0.0:
+            r = resistance(params, ws[-1])
+            v = v / (r + source_r_ohm) * r
+        ws.append(step(params, ws[-1], v, h))
+    return ws
+
+
+def sample_signal(schedule, signal, t):
+    """Level of `signal` at time t: its segment's level plus the triangle
+    ripple (0 -> +1 -> 0 -> -1 -> 0 per period, phase-locked to the
+    segment start), 0 outside every segment."""
+    for seg in schedule.signals[signal]:
+        if seg.start <= t < seg.end:
+            if seg.zigzag_amplitude == 0.0:
+                return seg.level
+            phase = (t - seg.start) * seg.zigzag_frequency
+            p = phase - math.floor(phase)
+            tri = 4.0 * p if p < 0.25 else 2.0 - 4.0 * p if p < 0.75 else 4.0 * p - 4.0
+            return seg.level + seg.zigzag_amplitude * tri
+    return 0.0
+
+
+def select(rules, bits, v_adjusted=None):
+    """(scheme, voltage) of the rule that fires for `bits`; a rule without
+    a voltage takes the adjusted learning voltage `v_adjusted`."""
+    rule = next(r for r in rules.rules if r.matches(bits))
+    return rule.scheme, v_adjusted if rule.voltage is None else rule.voltage
+
+
+def run_chain_rows(config, initial_states):
+    """The chain stepped one row at a time: per row, sample every signal,
+    then let every stage select its rule and take one `step`.
+
+    Returns the signal levels, shape (n_signals, n_rows), and per column
+    name of `StageTrace` one list per stage, with scheme names in place of
+    scheme codes.
+    """
+    n_rows = int(round(config.duration / config.dt)) + 1
+    names = config.signal_names()
+    levels = np.empty((len(names), n_rows))
+    cols = {name: [[] for _ in config.stages]
+            for name in ("mod_v", "scheme", "r_ohm", "s_v", "resp_v", "p_w")}
+    ws = list(initial_states)
+    for i in range(n_rows):
+        levels[:, i] = [sample_signal(config.schedule, name, i * config.dt)
+                        for name in names]
+        bits = [int(x >= config.logic_threshold) for x in levels[:, i]]
+        s_prev = 0.0
+        for k, stage in enumerate(config.stages):
+            if k == 0:
+                scheme, v = select(stage.rules, bits[:2])
+            else:
+                v_adj = min(max(stage.gain * s_prev, 0.0), stage.v_learn_max)
+                key = (int(s_prev >= stage.state_threshold_v), bits[k], bits[k + 1])
+                scheme, v = select(stage.rules, key, v_adj)
+            ws[k] = step(stage.device, ws[k], v, config.dt)
+            r = resistance(stage.device, ws[k])
+            s_prev = stage.r_f / r
+            resp = -config.readout_amplitude * stage.r_f / r if bits[k + 1] else 0.0
+            for name, x in zip(cols, (v, scheme, r, s_prev, resp, v * v / r)):
+                cols[name][k].append(x)
+    return levels, cols

@@ -19,9 +19,10 @@ from memassoc.circuit import (
     higher_order_rules,
 )
 from memassoc.cli import build_fit_config, console_main, load_config
-from memassoc.device import DeviceParams, DeviceState, resistance, step
+from memassoc.device import DeviceParams, pulse, trajectory
 from memassoc.fit import fit, read_trace_csv
 from memassoc.vision import binarize, load_image
+from oracle import select
 
 REPO = Path(__file__).resolve().parents[1]
 PARAMS = DeviceParams()
@@ -30,17 +31,6 @@ PARAMS = DeviceParams()
 def report(num: int, label: str, ok: bool, detail: str) -> None:
     print(f"acceptance {num} [{label}]: {'PASS' if ok else 'FAIL'} ({detail})")
     assert ok, f"acceptance {num} [{label}] failed: {detail}"
-
-
-def integrate(v: float, duration: float, dt: float, w0: float = 0.0):
-    """Constant drive; returns (final w, time w first reaches w_off or None)."""
-    state = DeviceState(w0)
-    switch_at = None
-    for k in range(int(round(duration / dt))):
-        state = step(PARAMS, state, v, dt)
-        if switch_at is None and state.w >= PARAMS.w_off:
-            switch_at = (k + 1) * dt
-    return state.w, switch_at
 
 
 @pytest.fixture(scope="module")
@@ -77,11 +67,14 @@ def read_metrics(run_dir: Path) -> dict[str, float]:
 
 def test_acceptance_1_device_switch_oracle():
     dt = 1e-4
-    _, switch = integrate(0.35, 0.3, dt)
+    # resistance reaches r_on when the state reaches w_off
+    r = np.array(trajectory(PARAMS, [0.35] * 3000, dt, PARAMS.w_on))
+    reached = np.nonzero(r == PARAMS.r_on)[0]
+    switch = reached[0] * dt if reached.size else None
     expected = 0.23641
     ok_time = switch is not None and abs(switch - expected) <= 0.01 * expected
-    w_coarse, _ = integrate(0.35, 0.15, dt)
-    w_fine, _ = integrate(0.35, 0.15, dt / 2)
+    w_coarse = pulse(PARAMS, PARAMS.w_on, 0.35, dt, 1500)  # 0.15 s
+    w_fine = pulse(PARAMS, PARAMS.w_on, 0.35, dt / 2, 3000)
     ok_refine = abs(w_coarse - w_fine) < 1e-3
     report(1, "device oracle", ok_time and ok_refine,
            f"switch {switch:.5f}s vs {expected}s, dt-halving delta "
@@ -92,22 +85,15 @@ def test_acceptance_2_hysteresis_and_pulses():
     dt = 1e-4
     t = np.arange(0.0, 0.2, dt)
     v = 0.5 * np.sin(2 * np.pi * 10.0 * t)
-    state = DeviceState(PARAMS.w_on)
-    r = np.empty_like(t)
-    for k, vk in enumerate(v):
-        state = step(PARAMS, state, float(vk), dt)
-        r[k] = resistance(PARAMS, state.w)
+    r = np.array(trajectory(PARAMS, v, dt, PARAMS.w_on)[1:])  # R after each step
     i = v / r
     near_zero = np.abs(v) < 1e-6
     pinched = near_zero.any() and np.all(np.abs(i[near_zero]) < 1e-9)
     confined = r.min() >= 20e3 - 1e-9 and r.max() <= 190e3 + 1e-9
 
-    state = DeviceState(PARAMS.w_on)
-    conductances = []
-    for _ in range(8):  # 20 ms set pulses with quiet gaps
-        for _ in range(200):
-            state = step(PARAMS, state, 0.35, dt)
-        conductances.append(1.0 / resistance(PARAMS, state.w))
+    # eight 20 ms set pulses; quiet gaps leave the state alone
+    conductances = (1.0 / np.array(
+        trajectory(PARAMS, [0.35] * 1600, dt, PARAMS.w_on)[200::200])).tolist()
     monotone = all(b > a for a, b in zip(conductances, conductances[1:]))
     report(2, "hysteresis/synapse", pinched and confined and monotone,
            f"pinched={pinched}, R in [{r.min():.0f}, {r.max():.0f}], "
@@ -131,7 +117,7 @@ def test_acceptance_4_truth_tables_and_gating(shipped_runs):
     want_first = {(1, 1): ("learning", 0.35), (0, 1): ("forgetting", -0.175),
                   (0, 0): ("natural_forgetting", -0.165),
                   (1, 0): ("natural_forgetting", -0.165)}
-    ok_first = all(first.select(bits) == want for bits, want in want_first.items())
+    ok_first = all(select(first, bits) == want for bits, want in want_first.items())
     higher = higher_order_rules()
     want_higher = {
         (1, 1, 1): ("learning", 0.42), (0, 1, 1): ("natural_forgetting", -0.18),
@@ -140,7 +126,7 @@ def test_acceptance_4_truth_tables_and_gating(shipped_runs):
         (0, 1, 0): ("natural_forgetting", -0.18),
         (1, 0, 0): ("natural_forgetting", -0.18),
         (0, 0, 0): ("natural_forgetting", -0.18)}
-    ok_higher = all(higher.select(bits, 0.42) == want
+    ok_higher = all(select(higher, bits, 0.42) == want
                     for bits, want in want_higher.items())
 
     # scheme and resistance columns from the shipped low-power trace

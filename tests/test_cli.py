@@ -1,6 +1,8 @@
 """Runner tests: config parsing, serialization round trips, subcommand
 behavior, exit codes, manifests, and byte determinism."""
 
+import ast
+import importlib
 import json
 import os
 import re
@@ -463,10 +465,28 @@ class TestCmdFit:
         assert code == 2
         assert "one.csv" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, message", [
+        ("t_s,v_v,i_a\n0,0.1,x\n1,0.2,1e-6\n", "non-numeric trace sample"),
+        ("t_s,v_v,i_a\n0,0.1,1e-6\n1,0.2,1e-6,7\n", "bad.csv:3: expected 3 fields, got 4"),
+        ("t_s,v_v,i_a\n0,0.1\n1,0.2,1e-6\n", "bad.csv:2: expected 3 fields, got 2"),
+        ("t_s,v_v,i_a\n0,0,1e-6\n1,0,2e-6\n", "trace voltage is zero throughout"),
+        ("t_s,v_v,i_a\n0,0.1,0\n1,0.2,0\n", "trace current is zero throughout"),
+    ], ids=["non_numeric", "four_fields", "two_fields",
+            "zero_voltage", "zero_current"])
+    def test_bad_trace_exits_2_before_writing(self, tmp_path, capsys, text, message):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text)
+        out = tmp_path / "out"
+        assert console_main(["fit", str(bad), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}") and message in err, err
+        assert not out.exists()
+
     def test_missing_trace_exits_2(self, tmp_path):
         code = console_main(["fit", str(tmp_path / "nope.csv"),
                              "--out", str(tmp_path / "out")])
         assert code == 2
+        assert not (tmp_path / "out").exists()
 
     def test_fit_report_deterministic(self, trace_path, tmp_path):
         outs = []
@@ -916,3 +936,22 @@ class TestBenchmarkSurface:
         assert all(work["grid_steps"] == 500 for work in pairs)
         assert len(labels) == len(list(test.glob("*.csv")))
         assert all(work == {"label_steps": 2500} for work in labels)
+
+
+def test_exported_names_are_used_outside_tests():
+    """Every name a layer exports is used by the package, the benchmark or
+    the scripts; code only tests call belongs in tests/oracle.py.  Uses are
+    names read and attributes, so definitions and `__all__` strings do
+    not count."""
+    used = set()
+    for folder in ("src/memassoc", "perfbench", "scripts"):
+        for path in sorted((REPO / folder).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+    unused = [f"{module}.{name}" for module in ("device", "circuit", "fit", "vision")
+              for name in importlib.import_module(f"memassoc.{module}").__all__
+              if name not in used]
+    assert unused == []

@@ -2,14 +2,14 @@
 
 Invariants covered:
 - drift rate branches: power-law beyond thresholds, dead zone between them,
-  zero rate at the bound the drive pushes toward, zero at exact threshold;
+  zero at exact threshold, and (in the row-at-a-time oracle) zero rate at
+  the bound the drive pushes toward;
 - state boundedness under arbitrary drive;
 - resistance map orientation and monotonicity, normalized-state identity;
-- analytic switch-time oracle (w span / |rate|) vs the Euler integration;
-- Euler self-consistency under timestep halving;
-- pinched hysteresis and pulse-train monotonicity;
-- `pulse` input checks and its saturation at the bounds;
-- dissipation arithmetic.
+- analytic switch-time oracle (w span / |rate|) vs `trajectory`;
+- Euler self-consistency of `trajectory` under timestep halving;
+- pinched hysteresis and pulse-train monotonicity, through `trajectory`;
+- `trajectory` and `pulse` input checks, `pulse` saturation at the bounds.
 
 Expected numbers are recomputed here from closed forms rather than pasted,
 so a regression in the model cannot hide behind a matching constant.
@@ -22,18 +22,10 @@ import math
 import numpy as np
 import pytest
 
-from memassoc.device import (
-    DeviceParams,
-    DeviceState,
-    drift_rate,
-    power,
-    pulse,
-    resistance,
-    step,
-    trajectory,
-)
+from memassoc.device import DeviceParams, drive_rate, pulse, resistance, trajectory
 from memassoc.errors import InvalidInputError
 from memassoc.vision import ArrayState, state_grid
+from oracle import drift_rate, fold
 
 P = DeviceParams()  # reference parameter set
 
@@ -42,27 +34,31 @@ DT = 1e-4  # s, default integration step used throughout
 
 def analytic_switch_time(params: DeviceParams, v: float) -> float:
     """Full-span traversal time under constant over-threshold drive."""
-    rate = drift_rate(params, 0.5 * (params.w_on + params.w_off), v)
-    return (params.w_off - params.w_on) / abs(rate)
+    return (params.w_off - params.w_on) / abs(drive_rate(params, v))
+
+
+def state_of(r: float) -> float:
+    """State w at resistance r, inverting the exponential resistance map."""
+    return P.w_off - (P.w_off - P.w_on) * math.log(r / P.r_on) / math.log(P.r_off / P.r_on)
 
 
 class TestDriftRate:
     def test_set_branch_reference_point(self):
         # k_on * (0.35/0.14 - 1) = 2.82 * 1.5
-        assert drift_rate(P, 0.5, 0.35) == pytest.approx(2.82 * 1.5, rel=1e-12)
-        assert drift_rate(P, 0.5, 0.35) == pytest.approx(4.23, rel=1e-9)
+        assert drive_rate(P, 0.35) == pytest.approx(2.82 * 1.5, rel=1e-12)
+        assert drive_rate(P, 0.35) == pytest.approx(4.23, rel=1e-9)
 
     def test_reset_branch_reference_point(self):
         # k_off * (-0.32/-0.16 - 1) = -18.33 * 1.0
-        assert drift_rate(P, 0.5, -0.32) == pytest.approx(-18.33, rel=1e-12)
+        assert drive_rate(P, -0.32) == pytest.approx(-18.33, rel=1e-12)
 
     def test_dead_zone(self):
         for v in (0.10, 0.0, -0.1, 0.1399, -0.1599):
-            assert drift_rate(P, 0.5, v) == 0.0
+            assert drive_rate(P, v) == 0.0
 
     def test_threshold_equality_is_zero_rate(self):
-        assert drift_rate(P, 0.5, P.v_on) == 0.0
-        assert drift_rate(P, 0.5, P.v_off) == 0.0
+        assert drive_rate(P, P.v_on) == 0.0
+        assert drive_rate(P, P.v_off) == 0.0
 
     def test_window_blocks_bound_being_pushed_toward(self):
         assert drift_rate(P, P.w_off, 0.35) == 0.0
@@ -72,14 +68,8 @@ class TestDriftRate:
         assert drift_rate(P, P.w_off, -0.35) < 0.0
 
     def test_natural_forgetting_rates(self):
-        assert drift_rate(P, 0.5, -0.18) == pytest.approx(-18.33 * 0.125, rel=1e-12)
-        assert drift_rate(P, 0.5, -0.165) == pytest.approx(-18.33 * 0.03125, rel=1e-12)
-
-    def test_non_finite_input_rejected(self):
-        with pytest.raises(InvalidInputError):
-            drift_rate(P, float("nan"), 0.2)
-        with pytest.raises(InvalidInputError):
-            drift_rate(P, 0.5, float("inf"))
+        assert drive_rate(P, -0.18) == pytest.approx(-18.33 * 0.125, rel=1e-12)
+        assert drive_rate(P, -0.165) == pytest.approx(-18.33 * 0.03125, rel=1e-12)
 
 
 class TestResistanceMap:
@@ -116,21 +106,13 @@ class TestResistanceMap:
 
 class TestStep:
     def test_single_euler_update(self):
-        s = step(P, DeviceState(0.0), 0.35, 1e-3)
-        assert s.w == pytest.approx(1e-3 * 4.23, rel=1e-9)
+        assert pulse(P, 0.0, 0.35, 1e-3, 1) == pytest.approx(1e-3 * 4.23, rel=1e-9)
 
     def test_clamps_at_bounds(self):
-        assert step(P, DeviceState(0.999999), 0.5, 1.0).w == P.w_off
-        assert step(P, DeviceState(1e-6), -0.5, 1.0).w == P.w_on
-
-    def test_rejects_bad_dt(self):
-        with pytest.raises(InvalidInputError):
-            step(P, DeviceState(0.5), 0.2, 0.0)
-        with pytest.raises(InvalidInputError):
-            step(P, DeviceState(0.5), 0.2, -1e-4)
+        assert pulse(P, 0.999999, 0.5, 1.0, 1) == P.w_off
+        assert pulse(P, 1e-6, -0.5, 1.0, 1) == P.w_on
 
     def test_trajectory_checks_inputs_once(self):
-        # the checks `step` makes on every call, made once per trajectory
         assert trajectory(P, [], DT, 0.0) == [P.r_off]
         bad = [
             dict(v=[0.2, math.inf], dt=DT, w0=0.5),
@@ -167,9 +149,9 @@ class TestStep:
         # a set pulse four times as long as the switch time ends on w_off,
         # a reset pulse on w_on; the grid form leaves its input untouched
         v_set, v_reset = 0.35, -0.35
-        n_set = math.ceil(4.0 / (drift_rate(P, 0.5, v_set) * DT))
+        n_set = math.ceil(4.0 / (drive_rate(P, v_set) * DT))
         assert pulse(P, P.w_on, v_set, DT, n_set) == P.w_off
-        n_reset = math.ceil(4.0 / (-drift_rate(P, 0.5, v_reset) * DT))
+        n_reset = math.ceil(4.0 / (-drive_rate(P, v_reset) * DT))
         assert pulse(P, P.w_off, v_reset, DT, n_reset) == P.w_on
         w = np.full((2, 2), 0.5)
         out = pulse(P, w, np.array([[v_set, v_reset], [0.0, 0.1]]), DT, n_set)
@@ -178,16 +160,20 @@ class TestStep:
 
     def test_bounded_under_random_drive(self):
         rng = np.random.default_rng(42)
-        state = DeviceState(0.3)
-        for v in rng.uniform(-2.0, 2.0, size=4000):
-            state = step(P, state, float(v), DT)
-            assert P.w_on <= state.w <= P.w_off
+        ws = fold(P, rng.uniform(-2.0, 2.0, size=4000).tolist(), DT, 0.3)
+        assert all(P.w_on <= w <= P.w_off for w in ws)
 
     def test_dead_zone_holds_state(self):
-        state = DeviceState(0.37)
-        for _ in range(1000):
-            state = step(P, state, 0.12, DT)
-        assert state.w == 0.37
+        assert fold(P, [0.12] * 1000, DT, 0.37)[-1] == 0.37
+
+
+def switch_time(v: float, w0: float, w_end: float, limit: float) -> float:
+    """Seconds of constant drive v, stepped by `trajectory`, until the
+    state first reaches w_end (within `limit` seconds)."""
+    r = np.array(trajectory(P, [v] * int(round(limit / DT)), DT, w0))
+    reached = np.nonzero(r == resistance(P, w_end))[0]
+    assert reached.size, f"no switch within {limit} s"
+    return reached[0] * DT
 
 
 class TestSwitchTimeOracle:
@@ -195,23 +181,13 @@ class TestSwitchTimeOracle:
 
     @pytest.mark.parametrize("v", [0.35, 0.5, 0.28])
     def test_set_direction(self, v):
-        expect = analytic_switch_time(P, v)
-        state, t = DeviceState(P.w_on), 0.0
-        while state.w < P.w_off:
-            state = step(P, state, v, DT)
-            t += DT
-            assert t < 2.0
-        assert t == pytest.approx(expect, rel=0.01)
+        t = switch_time(v, P.w_on, P.w_off, limit=2.0)
+        assert t == pytest.approx(analytic_switch_time(P, v), rel=0.01)
 
     @pytest.mark.parametrize("v", [-0.32, -0.18])
     def test_reset_direction(self, v):
-        expect = analytic_switch_time(P, v)
-        state, t = DeviceState(P.w_off), 0.0
-        while state.w > P.w_on:
-            state = step(P, state, v, DT)
-            t += DT
-            assert t < 10.0
-        assert t == pytest.approx(expect, rel=0.01)
+        t = switch_time(v, P.w_off, P.w_on, limit=10.0)
+        assert t == pytest.approx(analytic_switch_time(P, v), rel=0.01)
 
     def test_full_set_at_learning_voltage_reference(self):
         # 1 / 4.23 = 0.23641 s
@@ -219,12 +195,9 @@ class TestSwitchTimeOracle:
 
 
 def _integrate(drive, dt: float, w0: float = 0.0) -> float:
-    """Final w after stepping through drive(t) over [0, 1) s."""
-    n = int(round(1.0 / dt))
-    state = DeviceState(w0)
-    for k in range(n):
-        state = step(P, state, drive(k * dt), dt)
-    return state.w
+    """Final w after `trajectory` steps through drive(t) over [0, 1) s."""
+    volts = [drive(k * dt) for k in range(int(round(1.0 / dt)))]
+    return state_of(trajectory(P, volts, dt, w0)[-1])
 
 
 class TestEulerConvergence:
@@ -245,16 +218,9 @@ class TestHysteresisAndPulses:
     def test_pinched_loop_under_sinusoid(self):
         f, amp = 10.0, 0.5
         n = int(round(0.2 / DT))  # two periods
-        state = DeviceState(P.w_on)
-        vs, cur, rs = [], [], []
-        for k in range(n + 1):
-            v = amp * math.sin(2 * math.pi * f * k * DT)
-            r = resistance(P, state.w)
-            vs.append(v)
-            cur.append(v / r)
-            rs.append(r)
-            state = step(P, state, v, DT)
-        vs, cur, rs = np.array(vs), np.array(cur), np.array(rs)
+        vs = np.array([amp * math.sin(2 * math.pi * f * k * DT) for k in range(n + 1)])
+        rs = np.array(trajectory(P, vs, DT, P.w_on)[:-1])  # R before each step
+        cur = vs / rs
         # pinch: negligible current whenever voltage is negligible
         near_zero = np.abs(vs) < 1e-6
         assert near_zero.any()
@@ -265,42 +231,18 @@ class TestHysteresisAndPulses:
         assert np.ptp(rs) > 1e3
 
     def test_set_pulse_train_monotone_conductance(self):
-        state = DeviceState(P.w_on)
-        conductance = [1.0 / resistance(P, state.w)]
-        for _ in range(20):
-            for _ in range(100):   # 10 ms at +0.35 V
-                state = step(P, state, 0.35, DT)
-            for _ in range(100):   # 10 ms rest at 0 V (dead zone)
-                state = step(P, state, 0.0, DT)
-            conductance.append(1.0 / resistance(P, state.w))
-        diffs = np.diff(conductance)
+        # 20 cycles of 10 ms at +0.35 V, then 10 ms rest at 0 V (dead zone)
+        r = trajectory(P, ([0.35] * 100 + [0.0] * 100) * 20, DT, P.w_on)
+        diffs = np.diff(1.0 / np.array(r[::200]))
         assert np.all(diffs >= -1e-15)
         assert diffs[0] > 0.0  # strictly increasing until saturation
 
     def test_reset_pulse_train_monotone_resistance(self):
-        state = DeviceState(P.w_off)
-        res = [resistance(P, state.w)]
-        for _ in range(20):
-            for _ in range(100):   # 10 ms at -0.2 V
-                state = step(P, state, -0.2, DT)
-            for _ in range(100):
-                state = step(P, state, 0.0, DT)
-            res.append(resistance(P, state.w))
-        diffs = np.diff(res)
+        # 20 cycles of 10 ms at -0.2 V, then 10 ms rest at 0 V
+        r = trajectory(P, ([-0.2] * 100 + [0.0] * 100) * 20, DT, P.w_off)
+        diffs = np.diff(r[::200])
         assert np.all(diffs >= -1e-9)
         assert diffs[0] > 0.0
-
-
-class TestPower:
-    def test_reference_values(self):
-        assert power(0.35, 20e3) == pytest.approx(6.125e-6, rel=1e-12)
-        assert power(0.45, 20e3) == pytest.approx(1.0125e-5, rel=1e-12)
-
-    def test_rejects_nonpositive_resistance(self):
-        with pytest.raises(InvalidInputError):
-            power(0.1, 0.0)
-        with pytest.raises(InvalidInputError):
-            power(0.1, -5.0)
 
 
 class TestParamValidation:
@@ -323,7 +265,3 @@ class TestParamValidation:
     def test_state_bounds_order(self):
         with pytest.raises(InvalidInputError):
             DeviceParams(w_on=1.0, w_off=0.0)
-
-    def test_non_finite_state_rejected(self):
-        with pytest.raises(InvalidInputError):
-            DeviceState(float("nan"))

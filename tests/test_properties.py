@@ -1,21 +1,24 @@
-"""Property tests: the fast engines against their step-by-step references.
+"""Property tests: the fast engines against the row-at-a-time oracle.
 
-Covered invariants (hypothesis-generated inputs, exact comparisons):
-  * `device.trajectory` equals a fold of `device.step` and `resistance`
-    for rate exponents away from 1, start states at and between the
-    bounds, voltages across both thresholds, per-step dt and a series
-    source resistance;
-  * `device.pulse`, on one float or on a grid, and `train_pair` equal
-    `device.step` folded over the pulse cell by cell, for rate exponents
-    away from 1, start states at and between the bounds, voltages at and
+The oracle (`tests/oracle.py`) takes one Euler step per call with plain
+floats.  Covered invariants (hypothesis-generated inputs, exact
+comparisons):
+  * `device.trajectory` equals the oracle's `fold` read through
+    `resistance`, for rate exponents away from 1, start states at and
+    between the bounds, voltages across both thresholds, per-step dt and
+    a series source resistance;
+  * `device.pulse`, on one float or on a grid, and `train_pair` equal the
+    oracle's `fold` over the pulse cell by cell, for rate exponents away
+    from 1, start states at and between the bounds, voltages at and
     across both thresholds and rates that saturate mid-pulse (states
     compared as numbers, so a signed-zero state bound may differ in the
     sign of a zero state);
   * `classify` reads the label device's resistance after the same pulse
     that `device.trajectory` steps through;
-  * the stage-at-a-time `run_chain` equals the row-at-a-time engine it
-    replaced (kept below as the oracle) on random custom schedules with
-    one to four stages, column for column and bit for bit;
+  * the stage-at-a-time `run_chain` equals the oracle's row-at-a-time
+    chain, which samples every row with its own scalar sampler, on random
+    custom schedules with one to four stages: signal levels and every
+    stage column, bit for bit;
   * `write_sim_trace_csv`, which formats each distinct value of a chunk
     once, writes the same bytes as a row-by-row `f"{x:.10g}"` writer, on
     traces one row short of, at and one row past a chunk, holding signed
@@ -40,24 +43,12 @@ from memassoc.circuit import (
     StageConfig,
     StageTrace,
     StimulusSchedule,
-    _sample_signal_array,
-    adjust_learning_voltage,
     first_order_rules,
     higher_order_rules,
     run_chain,
-    state_signal,
-    synaptic_output,
     write_sim_trace_csv,
 )
-from memassoc.device import (
-    DeviceParams,
-    DeviceState,
-    power,
-    pulse,
-    resistance,
-    step,
-    trajectory,
-)
+from memassoc.device import DeviceParams, pulse, resistance, trajectory
 from memassoc.vision import (
     ArrayState,
     InferConfig,
@@ -66,6 +57,7 @@ from memassoc.vision import (
     new_array,
     train_pair,
 )
+from oracle import fold, run_chain_rows
 
 finite = dict(allow_nan=False, allow_infinity=False)
 
@@ -95,19 +87,6 @@ def bits64(a: np.ndarray) -> np.ndarray:
 
 # --- device kernel ------------------------------------------------------------
 
-def fold_step(params, v, dts, w0, source_r_ohm):
-    """Reference: one `step` per voltage, resistance read after each."""
-    state = DeviceState(w0)
-    out = [resistance(params, w0)]
-    for vk, h in zip(v, dts):
-        if source_r_ohm > 0.0:
-            r = out[-1]
-            vk = vk / (r + source_r_ohm) * r
-        state = step(params, state, vk, h)
-        out.append(resistance(params, state.w))
-    return out
-
-
 @st.composite
 def kernel_case(draw):
     params = draw(device_params())
@@ -125,9 +104,8 @@ def kernel_case(draw):
 @given(kernel_case())
 def test_trajectory_matches_step_fold(case):
     params, v, dt, w0, source = case
-    dts = dt if isinstance(dt, list) else [dt] * len(v)
     got = trajectory(params, v, dt, w0, source)
-    want = fold_step(params, v, dts, w0, source)
+    want = [resistance(params, w) for w in fold(params, v, dt, w0, source)]
     assert np.array_equal(bits64(np.array(got)), bits64(np.array(want)))
 
 
@@ -139,13 +117,6 @@ def pulse_voltage(params):
         params.v_on, params.v_off, 0.0,
         np.nextafter(params.v_on, np.inf), np.nextafter(params.v_off, -np.inf),
     ]) | st.floats(-1.0, 1.0, **finite)
-
-
-def step_fold(params, w0, v, dt, n_steps):
-    state = DeviceState(w0)
-    for _ in range(n_steps):
-        state = step(params, state, v, dt)
-    return state.w
 
 
 @st.composite
@@ -162,7 +133,7 @@ def scalar_pulse_case(draw):
 def test_pulse_matches_step_fold(case):
     params, w0, v, dt, n_steps = case
     got = pulse(params, w0, v, dt, n_steps)
-    want = step_fold(params, w0, v, dt, n_steps)
+    want = fold(params, [v] * n_steps, dt, w0)[-1]
     assert isinstance(got, float)
     assert got == want
     assert resistance(params, got) == resistance(params, want)
@@ -186,7 +157,7 @@ def test_grid_pulse_matches_cellwise_step_fold(case):
     params, w, v, dt, n_steps = case
     w_before = w.copy()
     got = pulse(params, w, v, dt, n_steps)
-    want = np.array([[step_fold(params, w[i, j], v[i, j], dt, n_steps)
+    want = np.array([[fold(params, [v[i, j]] * n_steps, dt, w[i, j])[-1]
                       for j in range(w.shape[1])] for i in range(w.shape[0])])
     assert np.array_equal(got, want)
     assert np.array_equal(bits64(w), bits64(w_before))  # input left alone
@@ -208,7 +179,7 @@ def grid_case(draw):
 def test_grid_step_matches_scalar_step(case):
     params, w, v, dt = case
     got = pulse(params, w, v, dt, 1)
-    want = np.array([[step(params, DeviceState(w[i, j]), v[i, j], dt).w
+    want = np.array([[fold(params, [v[i, j]], dt, w[i, j])[-1]
                       for j in range(w.shape[1])] for i in range(w.shape[0])])
     # states compare as numbers: clamping to a bound of -0.0 can leave -0.0
     # where the rate window leaves 0.0; every resistance is the same
@@ -231,10 +202,7 @@ def test_train_pair_matches_scalar_step(alpha, seed, pulses):
     volts = cfg.v_min + (cfg.v_max - cfg.v_min) * counts / inp.size
     want = np.empty_like(got)
     for (i, j), v in np.ndenumerate(volts):
-        state = DeviceState(params.w_on)
-        for _ in range(pulses):
-            state = step(params, state, float(v), cfg.dt)
-        want[i, j] = state.w
+        want[i, j] = fold(params, [float(v)] * pulses, cfg.dt, params.w_on)[-1]
     assert np.array_equal(got, want)
 
 
@@ -270,46 +238,6 @@ def test_classify_label_resistance_matches_trajectory(case):
 
 
 # --- chain engine ---------------------------------------------------------------
-
-def row_at_a_time_chain(config, initial_states):
-    """The row-at-a-time engine `run_chain` replaced: per row, every stage
-    selects its rule and advances its device by one `step`."""
-    n_stages = len(config.stages)
-    n_rows = int(round(config.duration / config.dt)) + 1
-    t = np.arange(n_rows) * config.dt
-    levels = np.vstack([_sample_signal_array(config.schedule, name, t)
-                        for name in config.signal_names()])
-    bits = (levels >= config.logic_threshold).astype(np.int8)
-
-    states = [DeviceState(w) for w in initial_states]
-    cols = {name: [np.empty(n_rows) for _ in range(n_stages)]
-            for name in ("mod_v", "r_ohm", "s_v", "resp_v", "p_w")}
-    cols["scheme"] = [np.empty(n_rows, dtype=object) for _ in range(n_stages)]
-    readout = config.readout_amplitude
-    for i in range(n_rows):
-        s_prev = 0.0
-        for k, stage in enumerate(config.stages):
-            if k == 0:
-                sch, v_mod = stage.rules.select((int(bits[0, i]), int(bits[1, i])))
-            else:
-                v_adj = adjust_learning_voltage(s_prev, stage.gain,
-                                                stage.v_learn_max)
-                state_bit = 1 if s_prev >= stage.state_threshold_v else 0
-                key = (state_bit, int(bits[k, i]), int(bits[k + 1, i]))
-                sch, v_mod = stage.rules.select(key, v_adj)
-            states[k] = step(stage.device, states[k], v_mod, config.dt)
-            r = resistance(stage.device, states[k].w)
-            s = state_signal(stage.r_f, r)
-            cols["mod_v"][k][i] = v_mod
-            cols["scheme"][k][i] = sch
-            cols["r_ohm"][k][i] = r
-            cols["s_v"][k][i] = s
-            cols["resp_v"][k][i] = (synaptic_output(readout, stage.r_f, r)
-                                    if bits[k + 1, i] else 0.0)
-            cols["p_w"][k][i] = power(v_mod, r)
-            s_prev = s
-    return cols
-
 
 @st.composite
 def segments(draw, duration, rippled):
@@ -361,12 +289,13 @@ def chain_case(draw):
 def test_run_chain_matches_row_at_a_time_engine(case):
     config, initial = case
     trace = run_chain(config, initial)
-    want = row_at_a_time_chain(config, initial)
+    levels, want = run_chain_rows(config, initial)
+    assert np.array_equal(bits64(trace.signal_levels), bits64(levels))
     for k, stage in enumerate(trace.stages):
         for name in ("mod_v", "r_ohm", "s_v", "resp_v", "p_w"):
             assert np.array_equal(bits64(getattr(stage, name)),
                                   bits64(want[name][k])), (k, name)
-        assert stage.scheme.tolist() == want["scheme"][k].tolist(), k
+        assert [stage.schemes[c] for c in stage.scheme_code] == want["scheme"][k], k
 
 
 # --- trace writer ---------------------------------------------------------------

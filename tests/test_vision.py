@@ -4,8 +4,8 @@ Covered invariants:
   * CSV/PGM ingestion, 8-bit auto-scaling, dimension/resize policing;
   * count semantics for both predicates and scopes, including the 2x2
     enumeration case and full/zero-match extremes;
-  * vectorized grid stepping is bitwise identical to the scalar device,
-    also for rate exponents other than 1;
+  * vectorized grid stepping is bitwise identical to the oracle's scalar
+    step, also for rate exponents other than 1;
   * training monotonicity and saturation;
   * similarity extremes and classification against the shipped demo data
     (clusters separate, 10/10 labels with the frozen threshold).
@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from memassoc.device import DeviceParams, DeviceState, pulse, step
+from memassoc.device import DeviceParams, pulse
 from memassoc.errors import DataError, InvalidInputError
 from memassoc.vision import (
     ArrayState,
@@ -36,6 +36,7 @@ from memassoc.vision import (
     train_pair,
     write_state_csv,
 )
+from oracle import step
 
 DATA = Path(__file__).resolve().parents[1] / "data" / "vision"
 THETA = 0.2911  # frozen from the shipped calibration split
@@ -211,7 +212,7 @@ class TestGridStepping:
         w = rng.random((5, 5))
         v = rng.uniform(-0.5, 0.5, (5, 5))
         got = pulse(params, w, v, 1e-3, 1)
-        want = np.array([[step(params, DeviceState(w[i, j]), v[i, j], 1e-3).w
+        want = np.array([[step(params, w[i, j], v[i, j], 1e-3)
                           for j in range(5)] for i in range(5)])
         np.testing.assert_array_equal(got, want)
 
@@ -223,7 +224,7 @@ class TestGridStepping:
         w = np.full((20, 20), 0.5)
         v = rng.uniform(-0.6, 0.6, (20, 20))
         got = pulse(params, w, v, 1e-3, 1)
-        want = np.array([[step(params, DeviceState(w[i, j]), v[i, j], 1e-3).w
+        want = np.array([[step(params, w[i, j], v[i, j], 1e-3)
                           for j in range(20)] for i in range(20)])
         np.testing.assert_array_equal(got, want)
 
