@@ -166,6 +166,52 @@ class TestLogicAndRules:
                           ModulationRule((1,), SCHEME_LEARNING, 0.3)))
 
 
+def learned_pair_chain(gain=1.8, v_learn_max=0.47, readout=0.1):
+    """Two stages, stage 1 held fully set (R = r_on = 20 kohm, r_f = 5 kohm)
+    by food + ring1 over [0, 5) ms while ring2 fires with them; food stays
+    on alone until 10 ms."""
+    sched = StimulusSchedule({
+        "food": (Segment(0.0, 0.01),),
+        "ring1": (Segment(0.0, 0.005),),
+        "ring2": (Segment(0.0, 0.005),),
+    })
+    cfg = ChainConfig(
+        stages=(StageConfig(rules=first_order_rules(), r_f=5e3),
+                StageConfig(rules=higher_order_rules(), gain=gain,
+                            v_learn_max=v_learn_max)),
+        schedule=sched, duration=0.01, readout_amplitude=readout)
+    trace = run_chain(cfg, initial_states=[PARAMS.w_off, PARAMS.w_on])
+    paired = trace.t < 0.005 - 1e-9
+    return trace, paired
+
+
+class TestAnalogHelpers:
+    """The analog formulas run_chain writes inline, on a stage held at r_on."""
+
+    def test_synaptic_output_inverts_and_scales(self):
+        trace, paired = learned_pair_chain(readout=0.1)
+        stage1 = trace.stages[0]
+        np.testing.assert_array_equal(stage1.r_ohm[paired], PARAMS.r_on)
+        # -readout * r_f / R while ring1 is on, 0 once it is off
+        assert stage1.resp_v[paired] == pytest.approx(-0.025)
+        np.testing.assert_array_equal(stage1.resp_v[~paired], 0.0)
+
+    def test_state_signal(self):
+        trace, paired = learned_pair_chain()
+        assert trace.stages[0].s_v[paired] == pytest.approx(0.25)
+
+    def test_adjust_learning_voltage_clamps(self):
+        # gain * S of the previous stage, clamped to v_learn_max; a zero
+        # clamp is refused when the stage is built
+        for gain, want in ((1.8, 0.45), (2.5, 0.47)):
+            trace, paired = learned_pair_chain(gain=gain)
+            stage2 = trace.stages[1]
+            assert stage2.in_scheme(SCHEME_LEARNING)[paired].all()
+            assert stage2.mod_v[paired] == pytest.approx(want)
+        with pytest.raises(InvalidInputError):
+            StageConfig(v_learn_max=0.0)
+
+
 class TestSingleStageChain:
     def test_continuous_pairing_matches_analytic_switch_time(self):
         # constant 0.35 V learning: time to come within 1% of r_on

@@ -71,6 +71,16 @@ class TestDriftRate:
         assert drive_rate(P, -0.18) == pytest.approx(-18.33 * 0.125, rel=1e-12)
         assert drive_rate(P, -0.165) == pytest.approx(-18.33 * 0.03125, rel=1e-12)
 
+    def test_non_finite_input_rejected(self):
+        with pytest.raises(InvalidInputError):
+            pulse(P, float("nan"), 0.2, DT, 1)
+        with pytest.raises(InvalidInputError):
+            pulse(P, 0.5, float("inf"), DT, 1)
+        with pytest.raises(InvalidInputError):
+            trajectory(P, [0.2], DT, float("nan"))
+        with pytest.raises(InvalidInputError):
+            trajectory(P, [float("inf")], DT, 0.5)
+
 
 class TestResistanceMap:
     def test_endpoints(self):
@@ -111,6 +121,13 @@ class TestStep:
     def test_clamps_at_bounds(self):
         assert pulse(P, 0.999999, 0.5, 1.0, 1) == P.w_off
         assert pulse(P, 1e-6, -0.5, 1.0, 1) == P.w_on
+
+    def test_rejects_bad_dt(self):
+        for dt in (0.0, -1e-4):
+            with pytest.raises(InvalidInputError):
+                pulse(P, 0.5, 0.2, dt, 1)
+            with pytest.raises(InvalidInputError):
+                trajectory(P, [0.2], dt, 0.5)
 
     def test_trajectory_checks_inputs_once(self):
         assert trajectory(P, [], DT, 0.0) == [P.r_off]
@@ -265,3 +282,12 @@ class TestParamValidation:
     def test_state_bounds_order(self):
         with pytest.raises(InvalidInputError):
             DeviceParams(w_on=1.0, w_off=0.0)
+
+    def test_non_finite_state_rejected(self):
+        # every entry point that takes a start state refuses a NaN one
+        with pytest.raises(InvalidInputError):
+            pulse(P, float("nan"), 0.0, DT, 1)
+        with pytest.raises(InvalidInputError):
+            trajectory(P, [], DT, float("nan"))
+        with pytest.raises(InvalidInputError):
+            ArrayState(P, np.array([[0.5, float("nan")]]))
