@@ -383,6 +383,11 @@ def run_chain(config: ChainConfig,
     if not all(math.isfinite(w) for w in initial_states):
         raise InvalidInputError(
             f"initial states must be finite, got {list(initial_states)!r}")
+    for k, (stage, w) in enumerate(zip(config.stages, initial_states), start=1):
+        lo, hi = stage.device.w_on, stage.device.w_off
+        if not lo <= w <= hi:
+            raise InvalidInputError(
+                f"stage {k}: initial state {w!r} must lie within [{lo!r}, {hi!r}]")
 
     n_rows = int(round(config.duration / config.dt)) + 1
     t = np.arange(n_rows) * config.dt

@@ -625,9 +625,9 @@ def cmd_fit(config: ExperimentConfig, trace_path: str | Path,
     """Fit the device to a trace; exit 0 only on convergence."""
     fit_config = build_fit_config(config)
     trace = read_trace_csv(trace_path)
+    result = fit(trace, fit_config)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    result = fit(trace, fit_config)
     (out / "device_fit.conf").write_text(_device_block(result.params))
     report = {"converged": result.converged, "iterations": result.iterations,
               "rmse": result.rmse}

@@ -24,11 +24,20 @@ rate is therefore continuous across the dead-zone edges.
 
 All Euler stepping lives in two integrators, each checking its inputs
 once per call instead of once per step, and each bit-identical to the
-one-step-per-call oracle in `tests/oracle.py`.  `trajectory` steps
-through a voltage sequence with plain floats and returns the resistance
-along the run; the chain and the fit replay use it.  It applies the rate
-window by clamping alone, which gives the same state as zeroing the rate
-at the bound (a zero state may differ in sign).
+one-step-per-call oracle in `tests/oracle.py`.  Both refuse a start state
+outside [w_on, w_off]: the held-row rules below rely on it.
+
+`trajectory` steps through a voltage sequence with plain floats and
+returns the resistance along the run; the chain and the fit replay use
+it.  A row holds when the state cannot move: its drive lies in the dead
+zone, or pushes toward the bound the state already sits on (the
+rectangular window).  A held row appends the previous resistance and
+computes neither the rate nor R(w); in a fit replay about half of the
+rows hold.  A row that moves adds its increment, which has the sign of
+its drive, so it clamps only at the bound that drive can cross.  A state
+at exactly w_on or w_off stays there until the drive turns, and R is
+recomputed only from the same w, so every row equals the oracle's
+(a zero state may differ in sign, which R does not see).
 
 `pulse` holds a constant voltage per cell for n steps, on one device (the
 vision label device) or on a grid (the vision array).  It computes one
@@ -131,13 +140,16 @@ def trajectory(params: DeviceParams, v: Sequence[float] | np.ndarray,
     per step) starting from state w0.  With a positive `source_r_ohm`, v is
     a source voltage behind that series resistance and step k drives the
     device with v[k] / (R + source_r_ohm) * R, R read before the step.
-    Inputs are checked once: v and w0 finite, every dt finite and > 0.
+    Inputs are checked once: v finite, w0 within [w_on, w_off], every dt
+    finite and > 0.
     """
     vs = np.asarray(v, dtype=float)
     if vs.ndim != 1 or not np.isfinite(vs).all():
         raise InvalidInputError("voltages must be a finite 1-D sequence")
-    if not math.isfinite(w0):
-        raise InvalidInputError(f"state w must be finite, got {w0!r}")
+    w_on, w_off = params.w_on, params.w_off
+    if not w_on <= w0 <= w_off:
+        raise InvalidInputError(
+            f"state w must be finite and lie within [{w_on!r}, {w_off!r}], got {w0!r}")
     dts = np.asarray(dt, dtype=float)
     if dts.ndim != 0 and dts.shape != vs.shape:
         raise InvalidInputError(
@@ -151,7 +163,6 @@ def trajectory(params: DeviceParams, v: Sequence[float] | np.ndarray,
     v_on, v_off = params.v_on, params.v_off
     k_on, k_off = params.k_on, params.k_off
     alpha_on, alpha_off = params.alpha_on, params.alpha_off
-    w_on, w_off = params.w_on, params.w_off
     r_on, r_ratio, span = params.r_on, params.r_off / params.r_on, w_off - w_on
     divided = source_r_ohm > 0.0
 
@@ -163,22 +174,23 @@ def trajectory(params: DeviceParams, v: Sequence[float] | np.ndarray,
     for vk, h in zip(vs.tolist(), dt_steps):
         if divided:
             vk = vk / (r + source_r_ohm) * r
-        # `drive_rate`, inlined: a call per step makes the fit replay about
-        # a fifth slower.  The window is left to the clamp: a step toward a
-        # bound the state already sits on clamps straight back to it
+        # `drive_rate` and the window, inlined: a call per step makes the
+        # fit replay about a fifth slower.  A row in the dead zone, or
+        # driven toward the bound w sits on, holds w and r as they are.
+        # Beyond v_on the increment is >= 0, beyond v_off <= 0, so a row
+        # that moves can cross only the bound it is driven toward
         if vk >= v_on:
-            w_next = w + h * (k_on * (vk / v_on - 1.0) ** alpha_on)
+            if w < w_off:
+                w += h * (k_on * (vk / v_on - 1.0) ** alpha_on)
+                if w > w_off:
+                    w = w_off
+                r = r_on * r_ratio ** ((w_off - w) / span)
         elif vk <= v_off:
-            w_next = w + h * (k_off * (vk / v_off - 1.0) ** alpha_off)
-        else:
-            w_next = w + h * 0.0
-        if w_next < w_on:
-            w_next = w_on
-        elif w_next > w_off:
-            w_next = w_off
-        if w_next != w:
-            r = r_on * r_ratio ** ((w_off - w_next) / span)
-        w = w_next
+            if w > w_on:
+                w += h * (k_off * (vk / v_off - 1.0) ** alpha_off)
+                if w < w_on:
+                    w = w_on
+                r = r_on * r_ratio ** ((w_off - w) / span)
         append(r)
     return out
 

@@ -18,6 +18,14 @@ The fitted vector covers (r_on, r_off, alpha_on, alpha_off, k_on, k_off,
 v_on, v_off); the structural state bounds w_on / w_off are taken from the
 initial guess and held fixed.  Each objective evaluation restarts the
 integration from the fully reset state w = w_on.
+
+The recorded trace is validated once, when it is built; the replay
+trusts its columns and builds the model trace without checking them
+again.  Without a source resistance the model's voltage column is the
+drive's own array, and `rmse` takes its error term as the exact 0.0 it
+is instead of summing it.  A parameter point whose replay overflows
+(a drift rate beyond the float range) scores as infeasible, so the
+search backs off; a start point that overflows raises InvalidStartError.
 """
 
 from __future__ import annotations
@@ -88,6 +96,16 @@ class IVTrace:
     def __len__(self) -> int:
         return len(self.t)
 
+    @classmethod
+    def _trusted(cls, t: np.ndarray, v: np.ndarray, i: np.ndarray) -> IVTrace:
+        """A trace of float columns known to pass `__post_init__`, built
+        without running its checks again."""
+        trace = object.__new__(cls)
+        object.__setattr__(trace, "t", t)
+        object.__setattr__(trace, "v", v)
+        object.__setattr__(trace, "i", i)
+        return trace
+
 
 def read_trace_csv(path: str | Path) -> IVTrace:
     """Load a trace from CSV with header t_s,v_v,i_a.
@@ -152,10 +170,12 @@ def simulate_current(params: DeviceParams, drive: IVTrace,
     """
     w = params.w_on if w0 is None else w0
     r = np.array(trajectory(params, drive.v[:-1], np.diff(drive.t), w,
-                            source_r_ohm))
+                            source_r_ohm), dtype=float)
     i_out = drive.v / (r + source_r_ohm)
     v_out = i_out * r if source_r_ohm > 0.0 else drive.v
-    return IVTrace(drive.t, v_out, i_out)
+    # the drive's columns passed `IVTrace`'s checks when it was built, and
+    # the model columns are finite
+    return IVTrace._trusted(drive.t, v_out, i_out)
 
 
 def rmse(model: IVTrace, real: IVTrace) -> float:
@@ -167,7 +187,9 @@ def rmse(model: IVTrace, real: IVTrace) -> float:
     i_norm = float(np.sum(real.i ** 2))
     if v_norm <= 0.0 or i_norm <= 0.0:
         raise InvalidInputError("reference trace has zero voltage or current energy")
-    dv = float(np.sum((model.v - real.v) ** 2))
+    # the replay without source resistance hands back the drive's own
+    # voltage array, whose error term is exactly 0.0
+    dv = 0.0 if model.v is real.v else float(np.sum((model.v - real.v) ** 2))
     di = float(np.sum((model.i - real.i) ** 2))
     return math.sqrt((dv / v_norm + di / i_norm) / len(real))
 
@@ -271,7 +293,7 @@ def fit(real: IVTrace, config: FitConfig) -> FitResult:
     returned history holds the accepted objective values, first entry the
     starting point, and is non-increasing.
     """
-    def objective(x: np.ndarray) -> float:
+    def objective(x: np.ndarray, start: bool = False) -> float:
         try:
             params = _from_vector(x, config)
         except (InvalidInputError, OverflowError):
@@ -279,12 +301,21 @@ def fit(real: IVTrace, config: FitConfig) -> FitResult:
             # (e.g. r_on >= r_off), or a log-space coordinate too large for
             # exp; a large finite value backs the search off
             return _INFEASIBLE
-        model = simulate_current(params, real,
-                                 source_r_ohm=config.source_r_ohm)
+        try:
+            model = simulate_current(params, real,
+                                     source_r_ohm=config.source_r_ohm)
+        except OverflowError as exc:
+            # a drift rate beyond the float range backs the search off the
+            # same way; a start there leaves it nowhere to begin
+            if start:
+                raise InvalidStartError(
+                    "the device replay overflows at the initial parameters: "
+                    "a drift rate exceeds the float range") from exc
+            return _INFEASIBLE
         return rmse(model, real)
 
     x = _to_vector(config.initial)
-    f_x = objective(x)
+    f_x = objective(x, start=True)
     if not math.isfinite(f_x):
         raise InvalidStartError(
             f"objective is non-finite at the initial parameters ({f_x!r})")

@@ -452,6 +452,20 @@ class TestConfigValidation:
             with pytest.raises(InvalidInputError, match="initial states"):
                 run_chain(cfg, initial_states=[0.0, bad])
 
+    def test_out_of_bounds_initial_state_names_its_stage(self):
+        sched = StimulusSchedule({"food": (), "ring1": (), "ring2": ()})
+        cfg = ChainConfig(stages=(StageConfig(rules=first_order_rules()),
+                                  StageConfig(rules=higher_order_rules())),
+                          schedule=sched, duration=0.01)
+        lo, hi = PARAMS.w_on, PARAMS.w_off
+        for bad in (5.0, np.nextafter(hi, math.inf), np.nextafter(lo, -math.inf)):
+            with pytest.raises(InvalidInputError, match=r"stage 2: initial state"):
+                run_chain(cfg, initial_states=[0.5, bad])
+            with pytest.raises(InvalidInputError, match=r"stage 1: initial state"):
+                run_chain(cfg, initial_states=[bad, 0.5])
+        # both bounds themselves are valid start states
+        run_chain(cfg, initial_states=[lo, hi])
+
     def test_stage_config_validation(self):
         with pytest.raises(InvalidInputError):
             StageConfig(r_f=0.0)

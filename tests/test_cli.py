@@ -482,6 +482,19 @@ class TestCmdFit:
         assert err.startswith(f"error: {bad}") and message in err, err
         assert not out.exists()
 
+    def test_start_whose_replay_overflows_exits_2(self, tmp_path, capsys):
+        # 0.0079 V, the sine's first sample above v_on, raised to the 400th
+        # power of (v / v_on - 1) = 6.9 exceeds the float range
+        cfg = tmp_path / "fit.conf"
+        cfg.write_text("[device]\nalpha_on = 400.0\nv_on_v = 0.001\n")
+        out = tmp_path / "out"
+        code = console_main(["fit", str(REPO / "data" / "iv" / "sine_10hz_0v5.csv"),
+                             "--config", str(cfg), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "overflows at the initial" in err, err
+        assert not out.exists()
+
     def test_missing_trace_exits_2(self, tmp_path):
         code = console_main(["fit", str(tmp_path / "nope.csv"),
                              "--out", str(tmp_path / "out")])

@@ -144,6 +144,18 @@ class TestStep:
             with pytest.raises(InvalidInputError):
                 trajectory(P, **kwargs)
 
+    def test_trajectory_rejects_start_state_outside_bounds(self):
+        # a start beyond a bound would read R off the map's range and then
+        # snap to the bound on its first held row
+        for w0 in (5.0, -1.0, np.nextafter(P.w_off, math.inf),
+                   np.nextafter(P.w_on, -math.inf)):
+            with pytest.raises(InvalidInputError, match="lie within"):
+                trajectory(P, [0.0, 0.0], DT, w0)
+            with pytest.raises(InvalidInputError, match="lie within"):
+                trajectory(P, [0.0], DT, w0, source_r_ohm=1e3)
+        assert trajectory(P, [0.0], DT, P.w_off) == [P.r_on, P.r_on]
+        assert trajectory(P, [0.0], DT, P.w_on) == [P.r_off, P.r_off]
+
     def test_pulse_checks_inputs_once(self):
         assert pulse(P, 0.5, 0.2, DT, 0) == 0.5
         bad = [

@@ -8,7 +8,8 @@ Covered here:
 - gradient vs an independently coded central-difference oracle;
 - fit determinism, monotone accepted objective, trivial start at truth,
   and full self-consistency recovery from a +-30% perturbed start;
-- a start whose line search overflows exp still returns a result.
+- a start whose line search overflows exp still returns a result, and so
+  does one whose gradient probe overflows the device replay.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import memassoc.fit
 from memassoc.device import DeviceParams
 from memassoc.errors import DataError, InvalidInputError, InvalidStartError
 from memassoc.fit import (
@@ -240,6 +242,44 @@ class TestFit:
         res = fit(real, FitConfig(initial=start))
         assert isinstance(res, FitResult)
         assert math.isfinite(res.rmse)
+
+    def test_replay_overflow_mid_search_backs_off(self, monkeypatch):
+        # the smallest alpha_on whose replay of the shipped sine overflows
+        # float pow at v_on = 1 mV, found by bisection; the start sits just
+        # below it, so the gradient's alpha_on probe (relative step ~6e-6)
+        # overflows and must score as infeasible
+        real = read_trace_csv(REPO / "data" / "iv" / "sine_10hz_0v5.csv")
+
+        def overflows(alpha_on):
+            try:
+                simulate_current(DeviceParams(alpha_on=alpha_on, v_on=1e-3), real)
+            except OverflowError:
+                return True
+            return False
+
+        lo, hi = 10.0, 1000.0
+        assert not overflows(lo) and overflows(hi)
+        while hi - lo > 1e-9 * hi:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (lo, mid) if overflows(mid) else (mid, hi)
+        start = DeviceParams(alpha_on=lo * (1.0 - 1e-6), v_on=1e-3)
+
+        raised = []
+        replay = memassoc.fit.simulate_current
+
+        def counting_replay(*args, **kwargs):
+            try:
+                return replay(*args, **kwargs)
+            except OverflowError:
+                raised.append(args[0])
+                raise
+
+        monkeypatch.setattr(memassoc.fit, "simulate_current", counting_replay)
+        res = fit(real, FitConfig(initial=start, max_iters=5))
+        assert raised, "no replay overflowed: the case no longer tests back-off"
+        assert math.isfinite(res.rmse)
+        assert list(res.objective_history) == sorted(res.objective_history,
+                                                     reverse=True)
 
     def test_structural_state_bounds_fixed(self, reference_trace):
         start = perturbed_start()

@@ -5,8 +5,12 @@ floats.  Covered invariants (hypothesis-generated inputs, exact
 comparisons):
   * `device.trajectory` equals the oracle's `fold` read through
     `resistance`, for rate exponents away from 1, start states at and
-    between the bounds, voltages across both thresholds, per-step dt and
-    a series source resistance;
+    between the bounds, voltages at, one ULP beyond and across both
+    thresholds, constant runs that drive the state onto a bound and hold
+    it there, per-step dt and a series source resistance;
+  * `fit.rmse` of `fit.simulate_current` equals the `fit` module's
+    formula computed from the oracle's states, with and without a source
+    resistance;
   * `device.pulse`, on one float or on a grid, and `train_pair` equal the
     oracle's `fold` over the pulse cell by cell, for rate exponents away
     from 1, start states at and between the bounds, voltages at and
@@ -28,11 +32,12 @@ comparisons):
 
 from __future__ import annotations
 
+import math
 import tempfile
 from pathlib import Path
 
 import numpy as np
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 from memassoc.circuit import (
@@ -49,6 +54,7 @@ from memassoc.circuit import (
     write_sim_trace_csv,
 )
 from memassoc.device import DeviceParams, pulse, resistance, trajectory
+from memassoc.fit import IVTrace, rmse, simulate_current
 from memassoc.vision import (
     ArrayState,
     InferConfig,
@@ -85,13 +91,27 @@ def bits64(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a, dtype=float).view(np.int64)
 
 
+def drive_voltage(params):
+    """Voltages at, just beyond and across both thresholds."""
+    return st.sampled_from([
+        params.v_on, params.v_off, 0.0,
+        np.nextafter(params.v_on, np.inf), np.nextafter(params.v_off, -np.inf),
+    ]) | st.floats(-1.0, 1.0, **finite)
+
+
 # --- device kernel ------------------------------------------------------------
 
 @st.composite
 def kernel_case(draw):
+    """A drive of constant runs: single rows, and runs long enough to drive
+    the state onto a bound and hold it there (dead zone, exact thresholds,
+    one ULP beyond them), from start states at and between the bounds,
+    plain or divided by a series source resistance."""
     params = draw(device_params())
-    n = draw(st.integers(0, 60))
-    v = draw(st.lists(st.floats(-1.0, 1.0, **finite), min_size=n, max_size=n))
+    v = []
+    for _ in range(draw(st.integers(0, 12))):
+        v += [draw(drive_voltage(params))] * draw(st.integers(1, 80))
+    n = len(v)
     dt_floats = st.floats(1e-5, 0.1)
     per_step = draw(st.booleans())
     dt = draw(st.lists(dt_floats, min_size=n, max_size=n)) if per_step \
@@ -109,22 +129,56 @@ def test_trajectory_matches_step_fold(case):
     assert np.array_equal(bits64(np.array(got)), bits64(np.array(want)))
 
 
+# --- fit objective ------------------------------------------------------------
+
+@st.composite
+def objective_case(draw):
+    """A recorded trace with uneven sample intervals, its drive in constant
+    runs as in `kernel_case`, replayed with and without a source
+    resistance."""
+    params = draw(device_params())
+    v = []
+    for _ in range(draw(st.integers(1, 6))):
+        v += [draw(drive_voltage(params))] * draw(st.integers(1, 40))
+    n = len(v)
+    steps = draw(st.lists(st.floats(1e-5, 0.1), min_size=n - 1, max_size=n - 1))
+    i = draw(st.lists(st.floats(-1e-3, 1e-3, **finite), min_size=n, max_size=n))
+    assume(n >= 2 and sum(x * x for x in v) > 0.0 and sum(x * x for x in i) > 0.0)
+    drive = IVTrace(np.concatenate([[0.0], np.cumsum(steps)]), np.array(v),
+                    np.array(i))
+    return params, drive, draw(st.just(0.0) | st.floats(1.0, 1e5))
+
+
+@settings(max_examples=100, deadline=None)
+@given(objective_case())
+def test_objective_matches_docstring_formula(case):
+    # rmse = sqrt((sum (dv)^2 / sum v_r^2 + sum (di)^2 / sum i_r^2) / N),
+    # the model read off the oracle's states from the fully reset w_on
+    params, drive, source = case
+    got = rmse(simulate_current(params, drive, source_r_ohm=source), drive)
+
+    volts, amps = drive.v.tolist(), drive.i.tolist()
+    ws = fold(params, volts[:-1], np.diff(drive.t).tolist(), params.w_on, source)
+    rs = [resistance(params, w) for w in ws]
+    i_model = [v / (r + source) for v, r in zip(volts, rs)]
+    v_model = [i * r for i, r in zip(i_model, rs)] if source > 0.0 else volts
+    dv = np.array([(a - b) * (a - b) for a, b in zip(v_model, volts)])
+    di = np.array([(a - b) * (a - b) for a, b in zip(i_model, amps)])
+    v_norm = np.array([x * x for x in volts])
+    i_norm = np.array([x * x for x in amps])
+    want = math.sqrt((float(np.sum(dv)) / float(np.sum(v_norm))
+                      + float(np.sum(di)) / float(np.sum(i_norm))) / len(volts))
+    assert got == want
+
+
 # --- constant-voltage pulse -------------------------------------------------------
-
-def pulse_voltage(params):
-    """Voltages at, just beyond and across both thresholds."""
-    return st.sampled_from([
-        params.v_on, params.v_off, 0.0,
-        np.nextafter(params.v_on, np.inf), np.nextafter(params.v_off, -np.inf),
-    ]) | st.floats(-1.0, 1.0, **finite)
-
 
 @st.composite
 def scalar_pulse_case(draw):
     params = draw(device_params())
     # dt up to 0.1 s with rates up to ~10^3 / s: many pulses saturate in
     # their first steps, others only after thousands
-    return (params, draw(start_state(params)), draw(pulse_voltage(params)),
+    return (params, draw(start_state(params)), draw(drive_voltage(params)),
             draw(st.floats(1e-6, 0.1)), draw(st.integers(0, 3000)))
 
 
@@ -145,7 +199,7 @@ def grid_pulse_case(draw):
     rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     w = draw(st.lists(start_state(params), min_size=rows * cols,
                       max_size=rows * cols))
-    v = draw(st.lists(pulse_voltage(params), min_size=rows * cols,
+    v = draw(st.lists(drive_voltage(params), min_size=rows * cols,
                       max_size=rows * cols))
     return (params, np.reshape(w, (rows, cols)), np.reshape(v, (rows, cols)),
             draw(st.floats(1e-5, 0.1)), draw(st.integers(0, 300)))
