@@ -370,9 +370,10 @@ def run_chain(config: ChainConfig,
               initial_states: Sequence[float] | None = None) -> SimTrace:
     """Integrate the whole chain on a uniform grid of `dt` steps.
 
-    `initial_states` optionally sets each stage's starting w; the default
-    is the fully reset state w_on.  Stages run one after another over the
-    whole grid (see the module docstring).
+    `initial_states` optionally sets each stage's starting w, within its
+    device's [w_on, w_off]; the default is the fully reset state w_on.
+    Stages run one after another over the whole grid (see the module
+    docstring).
     """
     n_stages = len(config.stages)
     if initial_states is None:
@@ -380,14 +381,12 @@ def run_chain(config: ChainConfig,
     if len(initial_states) != n_stages:
         raise InvalidInputError(
             f"need {n_stages} initial states, got {len(initial_states)}")
-    if not all(math.isfinite(w) for w in initial_states):
-        raise InvalidInputError(
-            f"initial states must be finite, got {list(initial_states)!r}")
     for k, (stage, w) in enumerate(zip(config.stages, initial_states), start=1):
         lo, hi = stage.device.w_on, stage.device.w_off
         if not lo <= w <= hi:
             raise InvalidInputError(
-                f"stage {k}: initial state {w!r} must lie within [{lo!r}, {hi!r}]")
+                f"initial states must lie within the device bounds: stage {k} "
+                f"starts at {w!r}, outside [{lo!r}, {hi!r}]")
 
     n_rows = int(round(config.duration / config.dt)) + 1
     t = np.arange(n_rows) * config.dt

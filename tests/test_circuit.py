@@ -459,9 +459,9 @@ class TestConfigValidation:
                           schedule=sched, duration=0.01)
         lo, hi = PARAMS.w_on, PARAMS.w_off
         for bad in (5.0, np.nextafter(hi, math.inf), np.nextafter(lo, -math.inf)):
-            with pytest.raises(InvalidInputError, match=r"stage 2: initial state"):
+            with pytest.raises(InvalidInputError, match=r"stage 2 starts at"):
                 run_chain(cfg, initial_states=[0.5, bad])
-            with pytest.raises(InvalidInputError, match=r"stage 1: initial state"):
+            with pytest.raises(InvalidInputError, match=r"stage 1 starts at"):
                 run_chain(cfg, initial_states=[bad, 0.5])
         # both bounds themselves are valid start states
         run_chain(cfg, initial_states=[lo, hi])

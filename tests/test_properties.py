@@ -99,6 +99,16 @@ def drive_voltage(params):
     ]) | st.floats(-1.0, 1.0, **finite)
 
 
+@st.composite
+def constant_runs(draw, params, max_runs, max_len):
+    """Voltages in up to `max_runs` constant runs of 1 to `max_len` rows,
+    each at a `drive_voltage` level."""
+    v = []
+    for _ in range(draw(st.integers(0, max_runs))):
+        v += [draw(drive_voltage(params))] * draw(st.integers(1, max_len))
+    return v
+
+
 # --- device kernel ------------------------------------------------------------
 
 @st.composite
@@ -108,9 +118,7 @@ def kernel_case(draw):
     one ULP beyond them), from start states at and between the bounds,
     plain or divided by a series source resistance."""
     params = draw(device_params())
-    v = []
-    for _ in range(draw(st.integers(0, 12))):
-        v += [draw(drive_voltage(params))] * draw(st.integers(1, 80))
+    v = draw(constant_runs(params, 12, 80))
     n = len(v)
     dt_floats = st.floats(1e-5, 0.1)
     per_step = draw(st.booleans())
@@ -137,13 +145,12 @@ def objective_case(draw):
     runs as in `kernel_case`, replayed with and without a source
     resistance."""
     params = draw(device_params())
-    v = []
-    for _ in range(draw(st.integers(1, 6))):
-        v += [draw(drive_voltage(params))] * draw(st.integers(1, 40))
+    v = draw(constant_runs(params, 6, 40))
     n = len(v)
+    assume(n >= 2)
     steps = draw(st.lists(st.floats(1e-5, 0.1), min_size=n - 1, max_size=n - 1))
     i = draw(st.lists(st.floats(-1e-3, 1e-3, **finite), min_size=n, max_size=n))
-    assume(n >= 2 and sum(x * x for x in v) > 0.0 and sum(x * x for x in i) > 0.0)
+    assume(sum(x * x for x in v) > 0.0 and sum(x * x for x in i) > 0.0)
     drive = IVTrace(np.concatenate([[0.0], np.cumsum(steps)]), np.array(v),
                     np.array(i))
     return params, drive, draw(st.just(0.0) | st.floats(1.0, 1e5))
