@@ -44,9 +44,12 @@ bit-identical traces.
 from __future__ import annotations
 
 import math
+import os
+import shutil
+import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import BinaryIO, Iterable, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -464,7 +467,20 @@ def metrics(trace: SimTrace) -> dict[str, float]:
     return report
 
 
-_TRACE_CHUNK_ROWS = 2048  # rows formatted per write; bounds the formatted text held
+# Rows formatted per write; bounds the formatted text each writer process
+# holds.  The chunks are shared among up to one process per usable CPU, and
+# the bytes written do not depend on how many.
+_TRACE_CHUNK_ROWS = 2048
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on; 1 where it cannot fork."""
+    if not hasattr(os, "fork"):
+        return 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 def _format_cells(values: np.ndarray) -> list[str]:
@@ -478,6 +494,44 @@ def _format_cells(values: np.ndarray) -> list[str]:
     return np.array(text, dtype=object)[inverse].tolist()
 
 
+def _write_chunks(fh: TextIO,
+                  columns: list[tuple[np.ndarray, tuple[str, ...] | None]],
+                  starts: range) -> None:
+    """Write the rows of the chunks that begin at `starts`."""
+    for start in starts:
+        chunk = slice(start, start + _TRACE_CHUNK_ROWS)
+        cells = [_format_cells(col[chunk]) if names is None
+                 else [names[c] for c in col[chunk].tolist()]
+                 for col, names in columns]
+        fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+
+
+def _fork_part_writer(columns: list[tuple[np.ndarray, tuple[str, ...] | None]],
+                      starts: range, part: BinaryIO) -> int:
+    """Fork a process that writes the chunks at `starts` into `part`; its pid.
+
+    A forked child shares the columns without copying or pickling them and
+    starts at once; a spawned one would first import numpy, which takes
+    about as long as the whole write.  The caller runs no other threads
+    (the CLI runs none), so the child holds no lock another thread took.
+    The child never returns: it leaves through `os._exit`, which skips the
+    parent's buffers and exit handlers, with status 0 once its part is
+    flushed and 1 on any error.
+    """
+    pid = os.fork()
+    if pid:
+        return pid
+    status = 1
+    try:
+        with open(part.fileno(), "w", newline="", closefd=False) as fh:
+            _write_chunks(fh, columns, starts)
+        status = 0
+    except BaseException as exc:  # reported here, re-raised as the exit status
+        os.write(2, f"trace writer process: {exc!r}\n".encode())
+    finally:
+        os._exit(status)
+
+
 def write_sim_trace_csv(trace: SimTrace, path: str | Path) -> None:
     """Emit the trace with one row per step.
 
@@ -485,8 +539,16 @@ def write_sim_trace_csv(trace: SimTrace, path: str | Path) -> None:
     modK_v, schemeK, rK_ohm, sK_v, respK_v, pK_w.  Numbers are written
     as `.10g`.  Rows are formatted column by column in chunks of
     `_TRACE_CHUNK_ROWS`, and within a chunk each distinct bit pattern of
-    a column is formatted once; the bytes are identical to formatting
-    every cell with `f"{x:.10g}"`.
+    a column is formatted once.
+
+    The chunks are split into up to one contiguous range per usable CPU.
+    This process writes the first range straight into `path`; a forked
+    process formats each other range into an anonymous temporary file in
+    the same directory, which is appended in order once that process has
+    exited.  The bytes do not depend on the number of processes, and are
+    identical to formatting every cell with `f"{x:.10g}"`.  A writer
+    process that fails raises `OSError`; no writer process outlives the
+    call.
     """
     header = ["t_s"] + [f"{name}_v" for name in trace.signal_names]
     # (column, scheme names when the column holds scheme codes)
@@ -498,14 +560,33 @@ def write_sim_trace_csv(trace: SimTrace, path: str | Path) -> None:
         columns += [(stage.mod_v, None), (stage.scheme_code, stage.schemes),
                     (stage.r_ohm, None), (stage.s_v, None),
                     (stage.resp_v, None), (stage.p_w, None)]
-    with Path(path).open("w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for start in range(0, len(trace.t), _TRACE_CHUNK_ROWS):
-            chunk = slice(start, start + _TRACE_CHUNK_ROWS)
-            cells = [_format_cells(col[chunk]) if names is None
-                     else [names[c] for c in col[chunk].tolist()]
-                     for col, names in columns]
-            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+    path = Path(path)
+    starts = range(0, len(trace.t), _TRACE_CHUNK_ROWS)
+    n_ranges = min(len(starts), _usable_cpus()) or 1
+    ranges = [starts[len(starts) * i // n_ranges:len(starts) * (i + 1) // n_ranges]
+              for i in range(n_ranges)]
+    parts: list[BinaryIO] = []
+    pids: list[int] = []  # writer processes not yet reaped, in range order
+    try:
+        for part_starts in ranges[1:]:
+            parts.append(tempfile.TemporaryFile(dir=path.parent))
+            pids.append(_fork_part_writer(columns, part_starts, parts[-1]))
+        with path.open("w", newline="") as fh:
+            fh.write(",".join(header) + "\n")
+            _write_chunks(fh, columns, ranges[0])
+            fh.flush()
+            for part in parts:
+                code = os.waitstatus_to_exitcode(os.waitpid(pids[0], 0)[1])
+                pids.pop(0)
+                if code != 0:
+                    raise OSError(f"trace writer process exited with status {code}")
+                part.seek(0)
+                shutil.copyfileobj(part, fh.buffer)  # in 64 KiB blocks
+    finally:
+        for pid in pids:  # left only when the write failed
+            os.waitpid(pid, 0)
+        for part in parts:
+            part.close()
 
 
 def write_metrics_report(report: dict[str, float], path: str | Path) -> None:

@@ -743,8 +743,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="output directory (default: ./out)")
     common.add_argument("--dt-override", type=float, default=None,
                         metavar="DT", help="override [sim] dt_s")
-    common.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="parallel workers for multi-config sweeps")
 
     parser = argparse.ArgumentParser(
         prog="memassoc",
@@ -753,8 +751,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fit = sub.add_parser("fit", parents=[common],
                            help="extract device parameters from an I-V trace")
     p_fit.add_argument("trace", help="CSV trace with t_s,v_v,i_a columns")
-    sub.add_parser("pavlov", parents=[common],
-                   help="simulate the associative chain")
+    p_pav = sub.add_parser("pavlov", parents=[common],
+                           help="simulate the associative chain")
+    p_pav.add_argument("--jobs", type=_positive_int, default=None, metavar="N",
+                       help="sweep workers, one config each, for two or more "
+                       "--config; separate from the processes that write "
+                       "each trace.csv (up to one per usable CPU)")
     p_tr = sub.add_parser("vision-train", parents=[common],
                           help="train the image array")
     p_tr.add_argument("train_dir", help="directory with teacher.* and inputs")
@@ -763,6 +765,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cl.add_argument("train_dir", help="directory with teacher.* and inputs")
     p_cl.add_argument("test_dir", help="directory of images to label")
     return parser
+
+
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a whole number >= 1, got {text!r}")
+    return int(text)
 
 
 def _single_config(ns: argparse.Namespace) -> ExperimentConfig:
@@ -795,7 +803,7 @@ def _dispatch(ns: argparse.Namespace) -> int:
         if len(set(outs)) != len(outs):
             raise ConfigError("sweep configs must have distinct file stems")
         configs = [_with_dt_override(load_config(path), ns) for path in ns.config]
-        if ns.jobs > 1:
+        if ns.jobs is not None and ns.jobs > 1:
             # imported here: only a parallel sweep pays for it
             from concurrent.futures import ProcessPoolExecutor
             with ProcessPoolExecutor(max_workers=ns.jobs) as pool:
@@ -813,6 +821,9 @@ def console_main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
         ns = parser.parse_args(argv)
+        if getattr(ns, "jobs", None) is not None and len(ns.config) < 2:
+            parser.error("--jobs applies only to pavlov sweeps of two or more "
+                         "--config files")
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:

@@ -16,17 +16,20 @@ Covered invariants:
   * non-finite levels, rule voltages and initial states are rejected
     before any integration;
   * CSV/metrics serialization is byte-deterministic, and the chunked
-    trace writer matches the row-by-row layout byte for byte.
+    trace writer matches the row-by-row layout byte for byte; pinned to
+    one CPU it forks no writer process and writes the same bytes.
 """
 
 import itertools
 import math
+import os
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from memassoc import circuit
 from memassoc.circuit import (
     ChainConfig,
     ModulationRule,
@@ -532,6 +535,32 @@ class TestSerialization:
                           f"{st.resp_v[i]:.10g}", f"{st.p_w[i]:.10g}"]
             lines.append(",".join(cells))
         assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                        reason="needs CPU affinity")
+    def test_trace_writer_pinned_to_one_cpu_forks_nothing(self, tmp_path,
+                                                         monkeypatch):
+        cfg = ChainConfig(
+            stages=(StageConfig(rules=first_order_rules()),
+                    StageConfig(rules=higher_order_rules())),
+            schedule=pavlov_schedule(2), duration=0.97)
+        trace = run_chain(cfg)  # 9701 rows: 5 chunks
+        with monkeypatch.context() as m:
+            m.setattr(circuit, "_usable_cpus", lambda: 3)
+            write_sim_trace_csv(trace, tmp_path / "forked.csv")
+
+        def no_fork():
+            raise AssertionError("the writer forked while pinned to one CPU")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        saved = os.sched_getaffinity(0)
+        os.sched_setaffinity(0, {min(saved)})
+        try:
+            write_sim_trace_csv(trace, tmp_path / "pinned.csv")
+        finally:
+            os.sched_setaffinity(0, saved)
+        assert ((tmp_path / "pinned.csv").read_bytes()
+                == (tmp_path / "forked.csv").read_bytes())
 
     def test_metrics_report_format(self, tmp_path):
         path = tmp_path / "metrics.txt"

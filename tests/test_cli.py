@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import memassoc.circuit
 import memassoc.cli
 import memassoc.fit
 import memassoc.vision
@@ -593,6 +594,23 @@ class TestCmdPavlov:
             manifest = json.loads((out / "manifest.json").read_text())
             assert "dt_s = 0.0002" in manifest["config_text"]
 
+    @pytest.mark.parametrize("argv, n_configs", [
+        (["pavlov", "--jobs", "-3"], 2),
+        (["pavlov", "--jobs", "0"], 2),
+        (["fit", "trace.csv", "--jobs", "8"], 1),
+        (["pavlov", "--jobs", "2"], 1),  # one config: nothing to spread
+    ])
+    def test_jobs_outside_a_sweep_is_usage_error(self, tmp_path, capsys, argv,
+                                                 n_configs):
+        configs = []
+        for stem in ("one", "two")[:n_configs]:
+            (tmp_path / f"{stem}.conf").write_text(CUSTOM_CHAIN)
+            configs += ["--config", str(tmp_path / f"{stem}.conf")]
+        out = tmp_path / "run"
+        assert console_main(argv + configs + ["--out", str(out)]) == 1
+        assert "usage:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_executor_is_imported_only_for_parallel_sweeps(self):
         # a fresh interpreter: this process has run --jobs 2 sweeps already
         run = subprocess.run(
@@ -858,6 +876,40 @@ class TestConsoleMain:
         capsys.readouterr()
 
 
+class TestTraceWriterProcesses:
+    def test_failed_writer_process_fails_the_run(self, tmp_path, monkeypatch,
+                                                 capsys):
+        """A writer process that fails raises OSError and the run exits 2;
+        every writer process is reaped, and only the partial trace.csv is
+        left in --out."""
+        parent = os.getpid()
+        format_cells = memassoc.circuit._format_cells
+
+        def fail_in_child(values):
+            if os.getpid() != parent:
+                raise RuntimeError("formatting failed")
+            return format_cells(values)
+
+        monkeypatch.setattr(memassoc.circuit, "_format_cells", fail_in_child)
+        monkeypatch.setattr(memassoc.circuit, "_TRACE_CHUNK_ROWS", 256)
+        monkeypatch.setattr(memassoc.circuit, "_usable_cpus", lambda: 3)
+        trace = memassoc.circuit.run_chain(build_chain(parse_config(CUSTOM_CHAIN)))
+        with pytest.raises(OSError, match="trace writer process exited"):
+            memassoc.circuit.write_sim_trace_csv(trace, tmp_path / "trace.csv")
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+        cfg = tmp_path / "c.conf"
+        cfg.write_text(CUSTOM_CHAIN)
+        out = tmp_path / "run"
+        assert console_main(["pavlov", "--config", str(cfg),
+                             "--out", str(out)]) == 2
+        assert "trace writer process" in capsys.readouterr().err
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert [p.name for p in out.iterdir()] == ["trace.csv"]
+
+
 class TestManifests:
     def test_manifest_replays_identically(self, tmp_path):
         cfg = parse_config(CUSTOM_CHAIN)
@@ -915,7 +967,8 @@ class TestBenchmarkSurface:
 
     def test_traced_chain_run_counts_rows(self, tmp_path):
         """The traced run reads rows and stage steps from `run_chain`'s
-        returned trace, once per run, after the chain is checked at parse."""
+        returned trace, once per run, after the chain is checked at parse,
+        and the trace's size from its one `write_sim_trace_csv` call."""
         run = subprocess.run(
             [sys.executable, str(REPO / "perfbench/child.py"), str(REPO / "src"),
              "1", "pavlov", "--config", str(REPO / "configs/pavlov3.conf"),
@@ -927,6 +980,11 @@ class TestBenchmarkSurface:
         chains = [work for name, *_, work in result["spans"]
                   if name == "circuit.run_chain"]
         assert chains == [{"rows": 18001, "stage_steps": 3 * 18001}]
+        # the writer's span stats the path it was given, after its worker
+        # processes' parts are appended
+        writes = [work for name, *_, work in result["spans"]
+                  if name == "circuit.write_trace"]
+        assert writes == [{"bytes": (tmp_path / "o/trace.csv").stat().st_size}]
 
     def test_traced_vision_run_counts_pulses(self, tmp_path):
         """The traced run reads a pair's pulse from `train_pair`'s positional

@@ -24,22 +24,28 @@ comparisons):
     custom schedules with one to four stages: signal levels and every
     stage column, bit for bit;
   * `write_sim_trace_csv`, which formats each distinct value of a chunk
-    once, writes the same bytes as a row-by-row `f"{x:.10g}"` writer, on
-    traces one row short of, at and one row past a chunk, holding signed
-    zeros, subnormals, huge magnitudes, values at the `.10g` notation
-    switches, nan and inf, and long runs of one repeated value.
+    once and splits the chunks among up to one process per usable CPU,
+    writes the same bytes as a row-by-row `f"{x:.10g}"` writer, on traces
+    one row short of, at and one row past one to three chunks (of 5 rows
+    and of the real size), written by one, two, three or more processes
+    than chunks, holding signed zeros, subnormals, huge magnitudes, values
+    at the `.10g` notation switches, nan and inf, and long runs of one
+    repeated value; the trace's directory holds no other file afterwards.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import tempfile
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
+from memassoc import circuit
 from memassoc.circuit import (
     _TRACE_CHUNK_ROWS,
     ChainConfig,
@@ -384,9 +390,14 @@ def trace_column(draw, n_rows):
 
 
 @st.composite
-def writer_trace(draw):
-    n_rows = draw(st.sampled_from([_TRACE_CHUNK_ROWS - 1, _TRACE_CHUNK_ROWS,
-                                   _TRACE_CHUNK_ROWS + 1]))
+def writer_case(draw):
+    """(trace, chunk rows, CPUs the writer sees): one row short of, at and
+    one row past one to three chunks, written by one, two, three or more
+    processes than there are chunks."""
+    chunk_rows = draw(st.sampled_from([5, _TRACE_CHUNK_ROWS]))
+    n_chunks = draw(st.integers(1, 3))
+    n_rows = n_chunks * chunk_rows + draw(st.sampled_from([-1, 0, 1]))
+    cpus = draw(st.sampled_from([1, 2, 3, n_chunks + 2]))
     n_stages = draw(st.integers(1, 2))
     stages = tuple(StageTrace(
         mod_v=draw(trace_column(n_rows)),
@@ -398,10 +409,11 @@ def writer_trace(draw):
         p_w=draw(trace_column(n_rows)), r_on=20e3, reset_r_ohm=50e3)
         for _ in range(n_stages))
     names = ("food",) + tuple(f"ring{k}" for k in range(1, n_stages + 1))
-    return SimTrace(t=draw(trace_column(n_rows)), dt=1e-4, signal_names=names,
-                    signal_levels=np.vstack([draw(trace_column(n_rows))
-                                             for _ in names]),
-                    stages=stages)
+    trace = SimTrace(t=draw(trace_column(n_rows)), dt=1e-4, signal_names=names,
+                     signal_levels=np.vstack([draw(trace_column(n_rows))
+                                              for _ in names]),
+                     stages=stages)
+    return trace, chunk_rows, cpus
 
 
 def row_by_row_csv(trace):
@@ -426,9 +438,24 @@ def row_by_row_csv(trace):
 # (minutes); the line-wise compare names the first line that differs
 @settings(max_examples=40, deadline=None,
           phases=(Phase.explicit, Phase.reuse, Phase.generate))
-@given(writer_trace())
-def test_trace_csv_matches_row_by_row_writer(trace):
-    with tempfile.TemporaryDirectory() as tmp:
+@given(writer_case())
+def test_trace_csv_matches_row_by_row_writer(case):
+    trace, chunk_rows, cpus = case
+    real_fork, forks = os.fork, []
+
+    def counted_fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    with tempfile.TemporaryDirectory() as tmp, \
+            patch.object(circuit, "_TRACE_CHUNK_ROWS", chunk_rows), \
+            patch.object(circuit, "_usable_cpus", lambda: cpus), \
+            patch.object(os, "fork", counted_fork):
         path = Path(tmp) / "trace.csv"
         write_sim_trace_csv(trace, path)
+        assert [p.name for p in Path(tmp).iterdir()] == ["trace.csv"]
         assert path.read_bytes().split(b"\n") == row_by_row_csv(trace).split(b"\n")
+    n_chunks = -(-len(trace.t) // chunk_rows)
+    assert len(forks) == min(n_chunks, cpus) - 1
