@@ -18,6 +18,7 @@ import numpy as np
 
 from memassoc.device import DeviceParams
 from memassoc.fit import IVTrace, simulate_current, write_trace_csv
+from memassoc.vision import write_state_csv
 
 ROOT = Path(__file__).resolve().parents[1]
 SIDE = 20
@@ -43,24 +44,19 @@ def flipped(img: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return flat.reshape(img.shape)
 
 
-def write_grid(img: np.ndarray, path: Path) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as fh:
-        for row in img:
-            fh.write(",".join(f"{x:.10g}" for x in row) + "\n")
-
-
 def write_vision(rng: np.random.Generator) -> None:
     base = ROOT / "data" / "vision"
+    for split in ("train", "calibration", "test"):
+        (base / split).mkdir(parents=True, exist_ok=True)
     proto, other = prototype(), other_class()
-    write_grid(proto, base / "train" / "teacher.csv")
+    write_state_csv(proto, base / "train" / "teacher.csv")
     for k in range(10):
-        write_grid(flipped(proto, rng), base / "train" / f"input_{k:02d}.csv")
+        write_state_csv(flipped(proto, rng), base / "train" / f"input_{k:02d}.csv")
     for split in ("calibration", "test"):
         for k in range(5):
-            write_grid(flipped(proto, rng), base / split / f"cat_{k:02d}.csv")
+            write_state_csv(flipped(proto, rng), base / split / f"cat_{k:02d}.csv")
         for k in range(5):
-            write_grid(flipped(other, rng), base / split / f"other_{k:02d}.csv")
+            write_state_csv(flipped(other, rng), base / split / f"other_{k:02d}.csv")
 
 
 def write_iv_trace() -> None:

@@ -54,7 +54,7 @@ from typing import BinaryIO, Iterable, Mapping, Sequence, TextIO
 import numpy as np
 
 from .device import DeviceParams, trajectory
-from .errors import InvalidInputError, require
+from .errors import DataError, InvalidInputError, require
 
 __all__ = [
     "SCHEME_LEARNING",
@@ -376,7 +376,9 @@ def run_chain(config: ChainConfig,
     `initial_states` optionally sets each stage's starting w, within its
     device's [w_on, w_off]; the default is the fully reset state w_on.
     Stages run one after another over the whole grid (see the module
-    docstring).
+    docstring).  A stage whose drift rate, resistance, state signal,
+    response or power leaves the float range raises `DataError` naming
+    the stage: whether it does depends on each row's voltage and state.
     """
     n_stages = len(config.stages)
     if initial_states is None:
@@ -412,14 +414,27 @@ def run_chain(config: ChainConfig,
             v_adj = np.minimum(np.maximum(stage.gain * s_prev, 0.0),
                                stage.v_learn_max)
             mod_v = np.where(adjusted_table[pattern], v_adj, volt_table[pattern])
-        r = np.array(trajectory(stage.device, mod_v, config.dt,
-                                initial_states[k]))[1:]
+        try:
+            r = np.array(trajectory(stage.device, mod_v, config.dt,
+                                    initial_states[k]))[1:]
+        except OverflowError as exc:
+            raise DataError(f"stage {k + 1}: the device's drift rate is beyond "
+                            "the float range") from exc
+        # a column beyond the float range fails the run below, not numpy
+        with np.errstate(over="ignore", divide="ignore"):
+            columns = {"r_ohm": r, "s_v": stage.r_f / r,
+                       "resp_v": np.where(bits[k + 1] != 0,
+                                          -readout * stage.r_f / r, 0.0),
+                       "p_w": mod_v * mod_v / r}
+        for name, column in columns.items():
+            finite = np.isfinite(column)
+            if not finite.all():
+                row = int(np.argmin(finite))
+                raise DataError(f"stage {k + 1}: {name} is {float(column[row])!r} "
+                                f"at t = {float(t[row])!r} s, beyond the float range")
         stage_traces.append(StageTrace(
             mod_v=mod_v, scheme_code=code_table[pattern], schemes=schemes,
-            r_ohm=r, s_v=stage.r_f / r,
-            resp_v=np.where(bits[k + 1] != 0, -readout * stage.r_f / r, 0.0),
-            p_w=mod_v * mod_v / r,
-            r_on=stage.device.r_on,
+            **columns, r_on=stage.device.r_on,
             reset_r_ohm=stage.r_f / stage.state_threshold_v))
     return SimTrace(t=t, dt=config.dt, signal_names=names,
                     signal_levels=levels, stages=tuple(stage_traces))

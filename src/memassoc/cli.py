@@ -36,6 +36,9 @@ from typing import Any, Callable, Mapping, Sequence
 
 from . import __version__
 from .circuit import (
+    DEFAULT_HIGH_LEVEL,
+    DEFAULT_ZIGZAG_AMPLITUDE,
+    DEFAULT_ZIGZAG_FREQUENCY,
     SCHEME_FORGETTING,
     SCHEME_LEARNING,
     SCHEME_NATURAL,
@@ -133,49 +136,52 @@ _VISION_KEYS = {
 # The sections below stay plain records: their domain types cannot be
 # written back (a preset's name, the fit's default bounds, a missing
 # similarity threshold).  `parse_config` checks them through those types.
+# Each default is the domain's own; only the record-only fields (the
+# preset, a preset's duration, custom segments, the fit's bound overrides,
+# the similarity threshold and `allow_resize`) set theirs here.
 
 @dataclass(frozen=True)
 class ScheduleSettings:
     preset: str = "pavlov1"
-    high_level_v: float = 1.0
-    zigzag_amplitude_v: float = 0.1
-    zigzag_frequency_hz: float = 100.0
+    high_level_v: float = DEFAULT_HIGH_LEVEL
+    zigzag_amplitude_v: float = DEFAULT_ZIGZAG_AMPLITUDE
+    zigzag_frequency_hz: float = DEFAULT_ZIGZAG_FREQUENCY
     # custom segments: (role, ((start, end, level), ...)) sorted by role
     segments: tuple[tuple[str, tuple[tuple[float, float, float], ...]], ...] = ()
 
 
 @dataclass(frozen=True)
 class SimSettings:
-    dt_s: float = 1e-4
+    dt_s: float = ChainConfig.dt
     duration_s: float | None = None     # None: preset default
-    logic_threshold_v: float = 0.5
-    readout_v: float = 0.1
+    logic_threshold_v: float = ChainConfig.logic_threshold
+    readout_v: float = ChainConfig.readout_amplitude
 
 
 @dataclass(frozen=True)
 class FitSettings:
-    grad_step: float = 1e-6
-    max_iters: int = 200
-    tol: float = 1e-12
-    source_r_ohm: float = 0.0
+    grad_step: float = FitConfig.grad_step
+    max_iters: int = FitConfig.max_iters
+    tol: float = FitConfig.tol
+    source_r_ohm: float = FitConfig.source_r_ohm
     lower: tuple[tuple[str, float], ...] = ()   # (fit param, bound)
     upper: tuple[tuple[str, float], ...] = ()
 
 
 @dataclass(frozen=True)
 class VisionSettings:
-    binarize_threshold: float = 0.5
-    match_predicate: str = "equal-binary"
-    match_tau: float = 0.1
-    match_scope: str = "all-vector"
-    v_min_v: float = 0.0
-    v_max_v: float = 0.35
-    pulse_dt_s: float = 0.05
-    dt_s: float = 1e-4
+    binarize_threshold: float = TrainConfig.binarize_threshold
+    match_predicate: str = TrainConfig.predicate
+    match_tau: float = TrainConfig.tau
+    match_scope: str = TrainConfig.scope
+    v_min_v: float = TrainConfig.v_min
+    v_max_v: float = TrainConfig.v_max
+    pulse_dt_s: float = TrainConfig.pulse_dt
+    dt_s: float = TrainConfig.dt
     similarity_threshold: float | None = None
-    label_learn_v: float = 0.35
-    label_forget_v: float = -0.2
-    label_pulse_s: float = 0.25
+    label_learn_v: float = InferConfig.label_learn_v
+    label_forget_v: float = InferConfig.label_forget_v
+    label_pulse_s: float = InferConfig.label_pulse_s
     allow_resize: bool = False
 
 
@@ -309,10 +315,11 @@ def _stage_count(sections: dict[str, _Section]) -> int:
                 raise ConfigError(f"line {section.line}: bad stage section [{name}]")
             lines[int(suffix)] = section.line
     top = max(lines, default=1)
-    missing = sorted(set(range(1, top + 1)) - set(lines))
-    if lines and missing:
+    # the first gap lies within 1..len(lines) + 1, whatever the indices
+    missing = next(k for k in range(1, len(lines) + 2) if k not in lines)
+    if missing < top:
         raise ConfigError(f"line {lines[top]}: stage sections must be contiguous "
-                          f"from 1: missing stage {missing[0]}")
+                          f"from 1: missing stage {missing}")
     return top
 
 
@@ -640,10 +647,9 @@ def cmd_fit(config: ExperimentConfig, trace_path: str | Path,
 
 def cmd_pavlov(config: ExperimentConfig, out_dir: str | Path) -> int:
     """Run the chain and write trace, metrics, and the plot script."""
-    chain = build_chain(config)
+    trace = run_chain(build_chain(config))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    trace = run_chain(chain)
     write_sim_trace_csv(trace, out / "trace.csv")
     write_metrics_report(metrics(trace), out / "metrics.txt")
     (out / "plot_trace.py").write_text(_PLOT_SCRIPT)

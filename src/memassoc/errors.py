@@ -18,7 +18,8 @@ class ConfigError(MemassocError, ValueError):
 
 
 class DataError(MemassocError, ValueError):
-    """An external data file is missing, unreadable, or malformed."""
+    """An external data file is missing, unreadable, or malformed, or a
+    run's values leave the float range."""
 
 
 def require(obj: object, *checks: tuple[str, bool, str]) -> None:

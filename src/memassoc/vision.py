@@ -121,7 +121,7 @@ class InferConfig:
     label_forget_v: float = -0.2
     label_pulse_s: float = 0.25
     label_boundary_ohm: float = 50e3   # resistance separating the two labels
-    dt: float = 1e-4
+    dt: float = TrainConfig.dt         # s, integration step
 
     def __post_init__(self) -> None:
         device = self.label_device
@@ -293,7 +293,8 @@ def load_image(path: str | Path, side: int = GRID_SIDE,
 
 # --- training --------------------------------------------------------------
 
-def binarize(img: np.ndarray, threshold: float = 0.5) -> np.ndarray:
+def binarize(img: np.ndarray,
+             threshold: float = TrainConfig.binarize_threshold) -> np.ndarray:
     """Intensities mapped to {0, 1} by >= threshold."""
     if not 0.0 < threshold < 1.0:
         raise InvalidInputError(f"threshold must lie in (0,1), got {threshold!r}")
@@ -378,7 +379,8 @@ def state_grid(array: ArrayState) -> np.ndarray:
 
 
 def similarity(state: np.ndarray, img: np.ndarray,
-               binarize_threshold: float = 0.5) -> float:
+               binarize_threshold: float = TrainConfig.binarize_threshold
+               ) -> float:
     """Mean squared difference between the state map and the inverted
     binary image; 0 means the array encodes exactly this pattern."""
     state = np.asarray(state, dtype=float)
@@ -406,7 +408,8 @@ class ClassifyResult:
 
 
 def classify(array: ArrayState, img: np.ndarray, cfg: InferConfig,
-             binarize_threshold: float = 0.5) -> ClassifyResult:
+             binarize_threshold: float = TrainConfig.binarize_threshold
+             ) -> ClassifyResult:
     """Score a probe image and commit the verdict to a label device.
 
     Scores below the threshold drive the label device with the learning

@@ -20,7 +20,12 @@ import memassoc.cli
 import memassoc.fit
 import memassoc.vision
 from memassoc import __version__
-from memassoc.circuit import StageConfig, first_order_rules, higher_order_rules
+from memassoc.circuit import (
+    ChainConfig,
+    StageConfig,
+    first_order_rules,
+    higher_order_rules,
+)
 from memassoc.cli import (
     ExperimentConfig,
     FitSettings,
@@ -28,7 +33,9 @@ from memassoc.cli import (
     SimSettings,
     VisionSettings,
     build_chain,
+    build_fit_config,
     build_infer_config,
+    build_train_config,
     cmd_pavlov,
     console_main,
     load_config,
@@ -38,7 +45,14 @@ from memassoc.cli import (
 )
 from memassoc.device import DeviceParams
 from memassoc.errors import ConfigError
-from memassoc.fit import PARAM_NAMES, IVTrace, simulate_current, write_trace_csv
+from memassoc.fit import (
+    PARAM_NAMES,
+    FitConfig,
+    IVTrace,
+    simulate_current,
+    write_trace_csv,
+)
+from memassoc.vision import InferConfig, TrainConfig
 
 REPO = Path(__file__).resolve().parents[1]
 CONFIGS = sorted((REPO / "configs").glob("*.conf"))
@@ -93,6 +107,25 @@ class TestParseConfig:
         text = "[stage.1]\ngain = 1.0\n[stage.3]\ngain = 2.0\n"
         with pytest.raises(ConfigError, match="missing stage 2"):
             parse_config(text)
+
+    def test_huge_stage_index_is_a_gap_not_an_allocation(self, tmp_path):
+        # the contiguity check must cost what the sections do, not the
+        # index; the child's address-space cap turns an allocation that
+        # grows with the index into a MemoryError, not a starved machine
+        cfg = tmp_path / "c.conf"
+        cfg.write_text("[stage.99999999999]\n")
+        capped = ("import resource, sys\n"
+                  "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+                  "from memassoc.cli import console_main\n"
+                  "sys.exit(console_main(sys.argv[1:]))\n")
+        run = subprocess.run(
+            [sys.executable, "-c", capped, "pavlov", "--config", str(cfg),
+             "--out", str(tmp_path / "o")],
+            env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+            capture_output=True, text=True, timeout=60)
+        assert run.returncode == 1
+        assert run.stderr == ("config error: line 1: stage sections must be "
+                              "contiguous from 1: missing stage 1\n")
 
     def test_stage_number_must_be_canonical(self):
         # [stage.01] used to count as stage 1 while its keys were dropped
@@ -426,6 +459,18 @@ class TestBuilders:
         with pytest.raises(ConfigError, match="similarity_threshold"):
             build_infer_config(ExperimentConfig())
 
+    def test_defaults_reach_domain_objects(self):
+        cfg = parse_config("")
+        chain = build_chain(cfg)
+        assert (chain.dt, chain.logic_threshold, chain.readout_amplitude) == (
+            ChainConfig.dt, ChainConfig.logic_threshold,
+            ChainConfig.readout_amplitude)
+        assert build_fit_config(cfg) == FitConfig(initial=DeviceParams())
+        assert build_train_config(cfg) == TrainConfig()
+        classify_cfg = parse_config("[vision]\nsimilarity_threshold = 0.6\n")
+        assert build_infer_config(classify_cfg) == InferConfig(
+            0.6, label_device=DeviceParams())
+
 
 class TestCmdFit:
     @pytest.fixture
@@ -523,6 +568,21 @@ class TestCmdPavlov:
                        (out / "metrics.txt").read_text().splitlines())
         assert float(metrics["stage1.switch_time_s"]) == pytest.approx(
             0.2693, abs=1e-6)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("device", [
+        "alpha_on = 1e308",   # the drift rate overflows in the integrator
+        "r_on_ohm = 1e-320",  # r_off / r_on is inf, and so is every r
+    ])
+    def test_chain_beyond_float_range_exits_2(self, tmp_path, capsys, device):
+        cfg = tmp_path / "c.conf"
+        cfg.write_text(f"[schedule]\npreset = pavlov1\n[device]\n{device}\n")
+        out = tmp_path / "run"
+        assert console_main(["pavlov", "--config", str(cfg),
+                             "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: stage 1: "), err
+        assert not out.exists()
 
     def test_dt_override_shrinks_trace(self, tmp_path):
         cfg = tmp_path / "c.conf"
@@ -1007,6 +1067,34 @@ class TestBenchmarkSurface:
         assert all(work["grid_steps"] == 500 for work in pairs)
         assert len(labels) == len(list(test.glob("*.csv")))
         assert all(work == {"label_steps": 2500} for work in labels)
+
+
+def test_readme_defaults_match_the_default_config():
+    """README's config reference is the one prose copy of the defaults:
+    each number it gives in parentheses, as `key` (x) or `a`/`b` (x), is
+    what the default config serializes under that section."""
+    serialized, section = {}, None
+    for line in serialize_config(ExperimentConfig()).splitlines():
+        if line.startswith("["):
+            section = line[1:-1]
+        elif line:
+            key, value = line.split(" = ")
+            serialized[section, key] = value
+    reference = (REPO / "README.md").read_text().split("## Config format")[1]
+    checked, wrong = 0, []
+    for item in reference.split("\n## ")[0].split("\n- ")[1:]:
+        item = item.split("\n\n")[0]
+        header = re.match(r"`\[(\w+)(\.K)?\]`", item)
+        section = "stage.1" if header[2] else header[1]
+        for m in re.finditer(r"`(\w+)`(?:/`(\w+)`)?\s+\(([−\d.e+-]+)\)", item):
+            documented = float(m[3].replace("−", "-"))
+            for key in filter(None, m.group(1, 2)):
+                checked += 1
+                value = serialized.get((section, key))
+                if value is None or float(value) != documented:
+                    wrong.append((section, key, m[3], value))
+    assert wrong == []
+    assert checked >= 30
 
 
 def test_exported_names_are_used_outside_tests():
