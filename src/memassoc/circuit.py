@@ -1,4 +1,4 @@
-"""Associative-learning chain: stimuli, modulation tables, stage engine.
+"""Associative-learning chain: stimuli, truth tables, stage engine.
 
 An N-order chain couples N memristive synaptic stages.  Stage 1 associates
 the unconditioned `food` signal with `ring1`; each higher stage k links
@@ -16,13 +16,15 @@ bits and the previous stage's post-step state signal S = r_f / M, and that
 stage has already run over the whole time grid.  So `run_chain`:
 
 1. samples all signal levels on the grid and derives the logic bits;
-2. for stage 1, reads (scheme, voltage) per row from a 2^2 lookup table
-   built once from its rule table, indexed by the (food, ring1) bits;
-3. for stage k >= 2, clamps the adjusted learning voltage g * S over the
-   whole previous-stage S column, derives the state bit S >= threshold,
-   and reads (scheme, voltage) from the 2^3 table indexed by (state bit,
-   ring(k-1) bit, ring(k) bit), taking the adjusted voltage on rows whose
-   rule asks for it;
+2. reads each row's scheme from a fixed truth table, indexed by the row's
+   logic pattern read as a binary number: stage 1 from the 4-row table
+   over the (food, ring1) bits, stage k >= 2 from the 8-row table over
+   (state bit, ring(k-1) bit, ring(k) bit), the state bit being the
+   previous stage's S >= threshold over its whole S column;
+3. gives each scheme the stage's voltage for it: `learning_v`,
+   `forgetting_v` or `natural_forgetting_v`.  A higher stage without a
+   fixed `learning_v` learns at the adjusted voltage, g * S clamped to
+   [0, v_learn_max];
 4. runs the stage's device over its voltage column with one
    `device.trajectory` call (the scalar kernel; `pow` stays scalar);
 5. derives the state signal, readout response and power columns from the
@@ -62,11 +64,8 @@ __all__ = [
     "SCHEME_NATURAL",
     "Segment",
     "StimulusSchedule",
-    "ModulationRule",
-    "RuleTable",
-    "first_order_rules",
-    "higher_order_rules",
     "StageConfig",
+    "FIRST_STAGE",
     "ChainConfig",
     "StageTrace",
     "SimTrace",
@@ -82,15 +81,6 @@ __all__ = [
 SCHEME_LEARNING = "learning"
 SCHEME_FORGETTING = "forgetting"
 SCHEME_NATURAL = "natural_forgetting"
-
-# First-order modulation levels (V): learning on food+ring coincidence,
-# active forgetting on ring alone, slow natural decay otherwise.
-LEARNING_V_FIRST = 0.35
-FORGETTING_V_FIRST = -0.175
-NATURAL_V_FIRST = -0.165
-# Higher-order levels (V); learning voltage is the adjusted state signal.
-FORGETTING_V_HIGHER = -0.19
-NATURAL_V_HIGHER = -0.18
 
 DEFAULT_R_F = 5e3             # ohm, feedback resistance of the inverting stage
 DEFAULT_STATE_THRESHOLD = 0.1  # V, state-signal level that asserts "learned"
@@ -168,98 +158,51 @@ def _sample_signal_array(schedule: StimulusSchedule, signal: str,
     return out
 
 
-@dataclass(frozen=True)
-class ModulationRule:
-    """One truth-table row: bit pattern (None = wildcard) -> scheme.
-
-    `voltage` None marks the adjusted-state-signal learning voltage of
-    higher-order stages, resolved per step by the engine.
-    """
-
-    bits: tuple[int | None, ...]
-    scheme: str
-    voltage: float | None
-
-    def __post_init__(self) -> None:
-        if self.voltage is None:
-            return
-        # learning sets the device; every other scheme resets it
-        if self.scheme == SCHEME_LEARNING:
-            ok, sign = 0.0 < self.voltage < math.inf, "positive"
-        else:
-            ok, sign = -math.inf < self.voltage < 0.0, "negative"
-        if not ok:
-            raise InvalidInputError(f"{self.scheme} rule voltage must be {sign} "
-                                    f"and finite, got {self.voltage!r}")
-
-    def matches(self, bits: Sequence[int]) -> bool:
-        return all(rb is None or rb == b for rb, b in zip(self.bits, bits))
-
-
-@dataclass(frozen=True)
-class RuleTable:
-    """Total, non-overlapping rule set over a fixed number of logic bits."""
-
-    n_bits: int
-    rules: tuple[ModulationRule, ...]
-
-    def __post_init__(self) -> None:
-        for combo in np.ndindex(*(2,) * self.n_bits):
-            hits = [r for r in self.rules if r.matches(combo)]
-            if len(hits) != 1:
-                raise InvalidInputError(
-                    f"rule table must fire exactly once for {combo}, "
-                    f"got {len(hits)} matches")
-
-
-def first_order_rules(learning_v: float = LEARNING_V_FIRST,
-                      forgetting_v: float = FORGETTING_V_FIRST,
-                      natural_v: float = NATURAL_V_FIRST) -> RuleTable:
-    """Stage-1 table over (food, ring1) bits.
-
-    Coincidence learns; the conditioned stimulus alone actively forgets;
-    everything else (including food alone) decays naturally.
-    """
-    return RuleTable(2, (
-        ModulationRule((1, 1), SCHEME_LEARNING, learning_v),
-        ModulationRule((0, 1), SCHEME_FORGETTING, forgetting_v),
-        ModulationRule((0, 0), SCHEME_NATURAL, natural_v),
-        ModulationRule((1, 0), SCHEME_NATURAL, natural_v),
-    ))
-
-
-def higher_order_rules(forgetting_v: float = FORGETTING_V_HIGHER,
-                       natural_v: float = NATURAL_V_HIGHER) -> RuleTable:
-    """Stage-k table over (previous state, ring(k-1), ring(k)) bits.
-
-    Learning requires the new stimulus, the previously learned stimulus,
-    and an asserted previous stage; the new stimulus without its
-    predecessor actively forgets; the remaining rows decay naturally.
-    """
-    return RuleTable(3, (
-        ModulationRule((1, 1, 1), SCHEME_LEARNING, None),
-        ModulationRule((0, 1, 1), SCHEME_NATURAL, natural_v),
-        ModulationRule((None, 0, 1), SCHEME_FORGETTING, forgetting_v),
-        ModulationRule((None, 0, 0), SCHEME_NATURAL, natural_v),
-        ModulationRule((None, 1, 0), SCHEME_NATURAL, natural_v),
-    ))
+# Modulation truth tables: the scheme code of each logic pattern, indexed by
+# the pattern read as a binary number, first bit most significant.  The
+# codes index `_SCHEMES`.
+_SCHEMES = (SCHEME_NATURAL, SCHEME_FORGETTING, SCHEME_LEARNING)
+_NATURAL, _FORGETTING, _LEARNING = range(len(_SCHEMES))
+# Stage 1 over (food, ring1): coincidence learns; the conditioned stimulus
+# alone actively forgets; everything else, food alone included, decays.
+_FIRST_ORDER = np.array([_NATURAL, _FORGETTING, _NATURAL, _LEARNING], dtype=np.int8)
+# Stage k over (previous state, ring(k-1), ring(k)): learning needs the new
+# stimulus, the previously learned one and an asserted previous stage; the
+# new stimulus without its predecessor actively forgets; the rest decays.
+_HIGHER_ORDER = np.array([_NATURAL, _FORGETTING, _NATURAL, _NATURAL,
+                          _NATURAL, _FORGETTING, _NATURAL, _LEARNING], dtype=np.int8)
 
 
 @dataclass(frozen=True)
 class StageConfig:
-    """One synaptic stage: device, rule table, and analog constants."""
+    """One synaptic stage: device, scheme voltages, and analog constants.
+
+    The defaults are a higher stage's; `FIRST_STAGE` holds stage 1's.
+    `learning_v` None takes the adjusted voltage clamp(gain * S, 0,
+    v_learn_max) from the previous stage's state signal S.
+    """
 
     device: DeviceParams = field(default_factory=DeviceParams)
-    rules: RuleTable = field(default_factory=higher_order_rules)
+    learning_v: float | None = None          # V, None: the adjusted voltage
+    forgetting_v: float = -0.19              # V, active forgetting
+    natural_forgetting_v: float = -0.18      # V, natural decay
     r_f: float = DEFAULT_R_F                 # ohm, feedback resistance
     gain: float = 1.8                        # adjusted-voltage gain
     v_learn_max: float = 0.47                # V, adjusted-voltage clamp
     state_threshold_v: float = DEFAULT_STATE_THRESHOLD  # V, on previous stage's S
 
     def __post_init__(self) -> None:
-        require(self, *((name, 0.0 < getattr(self, name) < math.inf,
-                         "be positive and finite")
-                        for name in ("r_f", "gain", "v_learn_max", "state_threshold_v")))
+        # learning sets the device; both forgetting schemes reset it
+        require(self, ("learning_v", self.learning_v is None
+                       or 0.0 < self.learning_v < math.inf, "be positive and finite"),
+                *((name, -math.inf < getattr(self, name) < 0.0, "be negative and finite")
+                  for name in ("forgetting_v", "natural_forgetting_v")),
+                *((name, 0.0 < getattr(self, name) < math.inf, "be positive and finite")
+                  for name in ("r_f", "gain", "v_learn_max", "state_threshold_v")))
+
+
+FIRST_STAGE = StageConfig(learning_v=0.35, forgetting_v=-0.175,
+                          natural_forgetting_v=-0.165)
 
 
 @dataclass(frozen=True)
@@ -301,15 +244,9 @@ class ChainConfig:
         if roles != set(needed):
             raise InvalidInputError(
                 f"schedule roles {sorted(roles)} must be exactly {list(needed)}")
-        if self.stages[0].rules.n_bits != 2:
-            raise InvalidInputError("stage 1 needs a 2-bit (food, ring) rule table")
-        if any(rule.voltage is None for rule in self.stages[0].rules.rules):
-            raise InvalidInputError("stage 1 rules need fixed voltages: it has "
-                                    "no previous stage to adjust a voltage from")
-        for k, stage in enumerate(self.stages[1:], start=2):
-            if stage.rules.n_bits != 3:
-                raise InvalidInputError(
-                    f"stage {k} needs a 3-bit (state, ring, ring) rule table")
+        if self.stages[0].learning_v is None:
+            raise InvalidInputError("stage 1 needs a fixed learning_v: it has no "
+                                    "previous stage to adjust a voltage from")
 
     def signal_names(self) -> tuple[str, ...]:
         return ("food",) + tuple(f"ring{k}" for k in range(1, len(self.stages) + 1))
@@ -350,25 +287,6 @@ class SimTrace:
     stages: tuple[StageTrace, ...]
 
 
-def _rule_lookup(rules: RuleTable
-                 ) -> tuple[tuple[str, ...], np.ndarray, np.ndarray, np.ndarray]:
-    """The rule table resolved for every bit pattern.
-
-    Pattern index reads the bits as a binary number, first bit most
-    significant.  Returns the scheme names, then per pattern the int8
-    scheme code, the fixed voltage (0 where unset) and whether the rule
-    takes the adjusted learning voltage instead.
-    """
-    fired = [next(r for r in rules.rules if r.matches(combo))
-             for combo in np.ndindex(*(2,) * rules.n_bits)]
-    schemes = tuple(dict.fromkeys(rule.scheme for rule in fired))
-    code = np.array([schemes.index(rule.scheme) for rule in fired], dtype=np.int8)
-    volt = np.array([0.0 if rule.voltage is None else rule.voltage
-                     for rule in fired], dtype=float)
-    adjusted = np.array([rule.voltage is None for rule in fired])
-    return schemes, code, volt, adjusted
-
-
 def run_chain(config: ChainConfig,
               initial_states: Sequence[float] | None = None) -> SimTrace:
     """Integrate the whole chain on a uniform grid of `dt` steps.
@@ -403,17 +321,20 @@ def run_chain(config: ChainConfig,
     readout = config.readout_amplitude
     stage_traces: list[StageTrace] = []
     for k, stage in enumerate(config.stages):
-        schemes, code_table, volt_table, adjusted_table = _rule_lookup(stage.rules)
         if k == 0:
-            pattern = bits[0] * 2 + bits[1]
-            mod_v = volt_table[pattern]
+            code = _FIRST_ORDER[bits[0] * 2 + bits[1]]
         else:
             s_prev = stage_traces[-1].s_v
             state_bit = s_prev >= stage.state_threshold_v
-            pattern = state_bit * 4 + bits[k] * 2 + bits[k + 1]
+            code = _HIGHER_ORDER[state_bit * 4 + bits[k] * 2 + bits[k + 1]]
+        # per scheme code; without a fixed learning_v the adjusted voltage
+        # fills the learning rows
+        mod_v = np.array([stage.natural_forgetting_v, stage.forgetting_v,
+                          stage.learning_v or 0.0])[code]
+        if stage.learning_v is None:
             v_adj = np.minimum(np.maximum(stage.gain * s_prev, 0.0),
                                stage.v_learn_max)
-            mod_v = np.where(adjusted_table[pattern], v_adj, volt_table[pattern])
+            mod_v = np.where(code == _LEARNING, v_adj, mod_v)
         try:
             r = np.array(trajectory(stage.device, mod_v, config.dt,
                                     initial_states[k]))[1:]
@@ -433,7 +354,7 @@ def run_chain(config: ChainConfig,
                 raise DataError(f"stage {k + 1}: {name} is {float(column[row])!r} "
                                 f"at t = {float(t[row])!r} s, beyond the float range")
         stage_traces.append(StageTrace(
-            mod_v=mod_v, scheme_code=code_table[pattern], schemes=schemes,
+            mod_v=mod_v, scheme_code=code, schemes=_SCHEMES,
             **columns, r_on=stage.device.r_on,
             reset_r_ohm=stage.r_f / stage.state_threshold_v))
     return SimTrace(t=t, dt=config.dt, signal_names=names,
@@ -627,15 +548,21 @@ _LATE_WINDOWS = [(0.7, 0.75), (0.8, 0.85), (0.9, 0.97)]
 _PAIR_SLOTS = [(0.995, 1.045), (1.07, 1.12), (1.145, 1.195), (1.22, 1.27)]
 _SECOND_ORDER_START = 0.92     # ring 2 joins inside the (0.9, 0.97) window
 
-_PRESET_DURATION = {1: 1.5, 2: 1.7, 3: 1.8}
+# Per reference order: run length (s) and how many pair slots every signal
+# joins.
+_REFERENCE_RUNS = {1: (1.5, 0), 2: (1.7, 3), 3: (1.8, 4)}
+
+
+def _reference_run(n_orders: int) -> tuple[float, int]:
+    if n_orders not in _REFERENCE_RUNS:
+        raise InvalidInputError(
+            f"no reference schedule for order {n_orders}; supply segments")
+    return _REFERENCE_RUNS[n_orders]
 
 
 def default_duration(n_orders: int) -> float:
     """Reference run length (s) for `pavlov_schedule(n_orders)`."""
-    if n_orders not in _PRESET_DURATION:
-        raise InvalidInputError(
-            f"no reference schedule for order {n_orders}; supply segments")
-    return _PRESET_DURATION[n_orders]
+    return _reference_run(n_orders)[0]
 
 
 def stimulus_schedule(windows: Mapping[str, Iterable[tuple[float, ...]]],
@@ -675,10 +602,7 @@ def pavlov_schedule(n_orders: int,
                     zigzag_frequency: float = DEFAULT_ZIGZAG_FREQUENCY,
                     ) -> StimulusSchedule:
     """Reference conditioning schedule for chains of order 1, 2 or 3."""
-    if n_orders not in _PRESET_DURATION:
-        raise InvalidInputError(
-            f"no reference schedule for order {n_orders}; supply segments")
-    n_slots = {1: 0, 2: 3, 3: 4}[n_orders]
+    n_slots = _reference_run(n_orders)[1]
     shared = _BASE_WINDOWS + [_FOOD_SOLO_GAP] + _LATE_WINDOWS \
         + _PAIR_SLOTS[:n_slots]
     ring1 = _BASE_WINDOWS + [_RING1_BRIDGE] + _LATE_WINDOWS \

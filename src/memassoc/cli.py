@@ -39,16 +39,11 @@ from .circuit import (
     DEFAULT_HIGH_LEVEL,
     DEFAULT_ZIGZAG_AMPLITUDE,
     DEFAULT_ZIGZAG_FREQUENCY,
-    SCHEME_FORGETTING,
-    SCHEME_LEARNING,
-    SCHEME_NATURAL,
+    FIRST_STAGE,
     ChainConfig,
-    RuleTable,
     StageConfig,
     StimulusSchedule,
     default_duration,
-    first_order_rules,
-    higher_order_rules,
     metrics,
     pavlov_schedule,
     run_chain,
@@ -99,13 +94,11 @@ _DEVICE_KEYS = {
     "k_on_per_s": "k_on", "k_off_per_s": "k_off",
     "v_on_v": "v_on", "v_off_v": "v_off", "w_on": "w_on", "w_off": "w_off",
 }
-# the voltage keys set the rules of one scheme in the stage's rule table
 _STAGE_KEYS = {
     "r_f_ohm": "r_f", "gain": "gain", "v_learn_max_v": "v_learn_max",
-    "state_threshold_v": "state_threshold_v", "learning_v": SCHEME_LEARNING,
-    "forgetting_v": SCHEME_FORGETTING, "natural_forgetting_v": SCHEME_NATURAL,
+    "state_threshold_v": "state_threshold_v", "learning_v": "learning_v",
+    "forgetting_v": "forgetting_v", "natural_forgetting_v": "natural_forgetting_v",
 }
-_STAGE_FIELDS = {f.name for f in fields(StageConfig)}
 # plus one `<role>_segments` key per custom signal
 _SCHEDULE_KEYS = {
     "preset": "preset", "high_level_v": "high_level",
@@ -190,7 +183,7 @@ class ExperimentConfig:
     """A parsed config.  Every stage runs on the `[device]` parameters."""
 
     device: DeviceParams = field(default_factory=DeviceParams)
-    stages: tuple[StageConfig, ...] = (StageConfig(rules=first_order_rules()),)
+    stages: tuple[StageConfig, ...] = (FIRST_STAGE,)
     schedule: ScheduleSettings = field(default_factory=ScheduleSettings)
     sim: SimSettings = field(default_factory=SimSettings)
     fit: FitSettings = field(default_factory=FitSettings)
@@ -279,6 +272,8 @@ def _values(section: _Section, keys: Mapping[str, str],
         if key not in keys:
             raise ConfigError(f"line {ln}: unknown key {key!r} in [{section.name}]")
         values[key] = _convert(raw, getattr(defaults, key, 0.0), f"line {ln}")
+        if values[key] != values[key]:  # nan fits no range and equals nothing
+            raise ConfigError(f"line {ln}: {key}: not a number: {raw!r}")
     return values
 
 
@@ -323,13 +318,6 @@ def _stage_count(sections: dict[str, _Section]) -> int:
     return top
 
 
-def _with_voltages(rules: RuleTable, voltages: Mapping[str, float]) -> RuleTable:
-    """The rule table with each named scheme's rules at the given voltage."""
-    return RuleTable(rules.n_bits, tuple(
-        replace(rule, voltage=voltages.get(rule.scheme, rule.voltage))
-        for rule in rules.rules))
-
-
 def _parse_stage(index: int, section: _Section, device: DeviceParams) -> StageConfig:
     if index > 1 and "learning_v" in section.entries:
         raise ConfigError(
@@ -338,11 +326,8 @@ def _parse_stage(index: int, section: _Section, device: DeviceParams) -> StageCo
             "previous stage's state signal")
     values = {_STAGE_KEYS[key]: value
               for key, value in _values(section, _STAGE_KEYS).items()}
-    rules = first_order_rules() if index == 1 else higher_order_rules()
-    voltages = {name: v for name, v in values.items() if name not in _STAGE_FIELDS}
-    analog = {name: v for name, v in values.items() if name in _STAGE_FIELDS}
-    return _located([(section, _STAGE_KEYS)], lambda: StageConfig(
-        device=device, rules=_with_voltages(rules, voltages), **analog))
+    return _located([(section, _STAGE_KEYS)], replace,
+                    FIRST_STAGE if index == 1 else StageConfig(), device=device, **values)
 
 
 def _parse_schedule(section: _Section) -> ScheduleSettings:
@@ -453,21 +438,12 @@ def _device_block(device: DeviceParams) -> str:
                              for key, name in _DEVICE_KEYS.items()])
 
 
-def _stage_value(stage: StageConfig, name: str) -> float | None:
-    """A stage field, or the fixed voltage of a scheme's rules (None when
-    the rules take the adjusted learning voltage)."""
-    if name in _STAGE_FIELDS:
-        return getattr(stage, name)
-    return next((rule.voltage for rule in stage.rules.rules
-                 if rule.scheme == name), None)
-
-
 def serialize_config(config: ExperimentConfig) -> str:
     """Canonical text form; `parse_config` reads it back to equality."""
     sched, fit_settings = config.schedule, config.fit
     bounds = {"lo": dict(fit_settings.lower), "hi": dict(fit_settings.upper)}
     blocks = [_device_block(config.device)]
-    blocks += [_block(f"stage.{k}", [(key, _stage_value(stage, name))
+    blocks += [_block(f"stage.{k}", [(key, getattr(stage, name))
                                      for key, name in _STAGE_KEYS.items()])
                for k, stage in enumerate(config.stages, start=1)]
     blocks.append(_block("schedule", [

@@ -26,6 +26,8 @@ drive's own array, and `rmse` takes its error term as the exact 0.0 it
 is instead of summing it.  A parameter point whose replay overflows
 (a drift rate beyond the float range) scores as infeasible, so the
 search backs off; a start point that overflows raises InvalidStartError.
+A gradient with an infeasible probe carries the surrogate in a central
+difference, so a failed line search along it does not count as converged.
 """
 
 from __future__ import annotations
@@ -293,13 +295,17 @@ def fit(real: IVTrace, config: FitConfig) -> FitResult:
     returned history holds the accepted objective values, first entry the
     starting point, and is non-increasing.
     """
+    infeasible = 0  # evaluations scored `_INFEASIBLE` so far
+
     def objective(x: np.ndarray, start: bool = False) -> float:
+        nonlocal infeasible
         try:
             params = _from_vector(x, config)
         except (InvalidInputError, OverflowError):
             # clamped box corner that violates a cross-parameter ordering
             # (e.g. r_on >= r_off), or a log-space coordinate too large for
             # exp; a large finite value backs the search off
+            infeasible += 1
             return _INFEASIBLE
         try:
             model = simulate_current(params, real,
@@ -311,8 +317,15 @@ def fit(real: IVTrace, config: FitConfig) -> FitResult:
                 raise InvalidStartError(
                     "the device replay overflows at the initial parameters: "
                     "a drift rate exceeds the float range") from exc
+            infeasible += 1
             return _INFEASIBLE
         return rmse(model, real)
+
+    def gradient(at: np.ndarray) -> tuple[np.ndarray, bool]:
+        """The gradient at `at`, and whether one of its probes was infeasible."""
+        seen = infeasible
+        g = central_difference_gradient(objective, at, config.grad_step)
+        return g, infeasible > seen
 
     x = _to_vector(config.initial)
     f_x = objective(x, start=True)
@@ -327,7 +340,7 @@ def fit(real: IVTrace, config: FitConfig) -> FitResult:
     iterations = 0
     converged = False
 
-    g = central_difference_gradient(objective, x, config.grad_step)
+    g, probe_infeasible = gradient(x)
     for _ in range(config.max_iters):
         if f_x <= 1e-15 or np.max(np.abs(g)) < grad_tol:
             converged = True
@@ -348,10 +361,11 @@ def fit(real: IVTrace, config: FitConfig) -> FitResult:
                 break
             alpha *= 0.5
         if not accepted:
-            # no acceptable step along d: stationary to line-search precision
-            converged = True
+            # no acceptable step along d: stationary to line-search precision,
+            # unless an infeasible probe's surrogate inflated the gradient
+            converged = not probe_infeasible
             break
-        g_new = central_difference_gradient(objective, x_new, config.grad_step)
+        g_new, probe_infeasible = gradient(x_new)
         s = x_new - x
         y = g_new - g
         sy = float(s @ y)

@@ -65,16 +65,32 @@ def sample_signal(schedule, signal, t):
     return 0.0
 
 
-def select(rules, bits, v_adjusted=None):
-    """(scheme, voltage) of the rule that fires for `bits`; a rule without
-    a voltage takes the adjusted learning voltage `v_adjusted`."""
-    rule = next(r for r in rules.rules if r.matches(bits))
-    return rule.scheme, v_adjusted if rule.voltage is None else rule.voltage
+# The modulation truth tables as (bits, scheme) rows, None a wildcard:
+# stage 1 over (food, ring1), stage k over (previous state, ring(k-1),
+# ring(k)).  Exactly one row matches each pattern.
+FIRST_ORDER_TABLE = (((1, 1), "learning"), ((0, 1), "forgetting"),
+                     ((None, 0), "natural_forgetting"))
+HIGHER_ORDER_TABLE = (((1, 1, 1), "learning"), ((0, 1, 1), "natural_forgetting"),
+                      ((None, 0, 1), "forgetting"),
+                      ((None, None, 0), "natural_forgetting"))
+
+
+def select(stage, bits, v_adjusted=None):
+    """(scheme, voltage) of the table row that matches `bits`: the
+    first-order table for two bits, the higher-order one for three.  The
+    voltage is the stage's for that scheme; a learning row of a stage
+    without a fixed `learning_v` takes `v_adjusted`."""
+    table = FIRST_ORDER_TABLE if len(bits) == 2 else HIGHER_ORDER_TABLE
+    (scheme,) = [scheme for pattern, scheme in table
+                 if all(p is None or p == b for p, b in zip(pattern, bits))]
+    voltage = {"learning": stage.learning_v, "forgetting": stage.forgetting_v,
+               "natural_forgetting": stage.natural_forgetting_v}[scheme]
+    return scheme, v_adjusted if voltage is None else voltage
 
 
 def run_chain_rows(config, initial_states):
     """The chain stepped one row at a time: per row, sample every signal,
-    then let every stage select its rule and take one `step`.
+    then let every stage select its table row and take one `step`.
 
     Returns the signal levels, shape (n_signals, n_rows), and per column
     name of `StageTrace` one list per stage, with scheme names in place of
@@ -93,11 +109,11 @@ def run_chain_rows(config, initial_states):
         s_prev = 0.0
         for k, stage in enumerate(config.stages):
             if k == 0:
-                scheme, v = select(stage.rules, bits[:2])
+                scheme, v = select(stage, bits[:2])
             else:
                 v_adj = min(max(stage.gain * s_prev, 0.0), stage.v_learn_max)
                 key = (int(s_prev >= stage.state_threshold_v), bits[k], bits[k + 1])
-                scheme, v = select(stage.rules, key, v_adj)
+                scheme, v = select(stage, key, v_adj)
             ws[k] = step(stage.device, ws[k], v, config.dt)
             r = resistance(stage.device, ws[k])
             s_prev = stage.r_f / r

@@ -13,10 +13,10 @@ import numpy as np
 import pytest
 
 from memassoc.circuit import (
+    FIRST_STAGE,
     SCHEME_FORGETTING,
     SCHEME_LEARNING,
-    first_order_rules,
-    higher_order_rules,
+    StageConfig,
 )
 from memassoc.cli import build_fit_config, console_main, load_config
 from memassoc.device import DeviceParams, pulse, trajectory
@@ -113,12 +113,12 @@ def test_acceptance_3_fit_self_consistency():
 
 
 def test_acceptance_4_truth_tables_and_gating(shipped_runs):
-    first = first_order_rules()
+    first = FIRST_STAGE
     want_first = {(1, 1): ("learning", 0.35), (0, 1): ("forgetting", -0.175),
                   (0, 0): ("natural_forgetting", -0.165),
                   (1, 0): ("natural_forgetting", -0.165)}
     ok_first = all(select(first, bits) == want for bits, want in want_first.items())
-    higher = higher_order_rules()
+    higher = StageConfig()
     want_higher = {
         (1, 1, 1): ("learning", 0.42), (0, 1, 1): ("natural_forgetting", -0.18),
         (1, 0, 1): ("forgetting", -0.19), (0, 0, 1): ("forgetting", -0.19),

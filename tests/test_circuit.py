@@ -4,8 +4,9 @@ Covered invariants:
   * segment/schedule validation, half-open sampling, triangle ripple
     bounds, and the engine's sampler equals the oracle's scalar one on
     every row of the reference schedules;
-  * modulation tables are total and match the documented rows, and stage 1
-    takes no adjusted-voltage rule;
+  * the package's two truth tables and the oracle's wildcard copy match
+    the documented rows; stage 1 needs a fixed learning voltage, and each
+    stage reads the table of its place in the chain at its own voltages;
   * single-stage chain reproduces the analytic switch time under a
     continuous pairing drive;
   * the reference schedules reproduce frozen switch/reset/speedup values,
@@ -13,7 +14,7 @@ Covered invariants:
     converge as dt halves;
   * higher-stage learning only happens while the previous stage's state
     signal is asserted;
-  * non-finite levels, rule voltages and initial states are rejected
+  * non-finite levels, stage voltages and initial states are rejected
     before any integration;
   * CSV/metrics serialization is byte-deterministic, and the chunked
     trace writer matches the row-by-row layout byte for byte; pinned to
@@ -31,9 +32,8 @@ import pytest
 
 from memassoc import circuit
 from memassoc.circuit import (
+    FIRST_STAGE,
     ChainConfig,
-    ModulationRule,
-    RuleTable,
     SCHEME_FORGETTING,
     SCHEME_LEARNING,
     SCHEME_NATURAL,
@@ -41,8 +41,6 @@ from memassoc.circuit import (
     StageConfig,
     StimulusSchedule,
     default_duration,
-    first_order_rules,
-    higher_order_rules,
     metrics,
     pavlov_schedule,
     run_chain,
@@ -66,7 +64,7 @@ def two_signal_schedule(windows_food, windows_ring, **seg_kwargs):
 
 
 def single_stage_chain(schedule, duration, dt=1e-4):
-    return ChainConfig(stages=(StageConfig(rules=first_order_rules()),),
+    return ChainConfig(stages=(FIRST_STAGE,),
                        schedule=schedule, duration=duration, dt=dt)
 
 
@@ -114,13 +112,17 @@ class TestSegmentsAndSampling:
         for n, dt in itertools.product((1, 2, 3), (1e-4, 3.7e-5)):
             sched = pavlov_schedule(n)
             cfg = ChainConfig(
-                stages=(StageConfig(rules=first_order_rules()),)
-                + (StageConfig(rules=higher_order_rules()),) * (n - 1),
+                stages=(FIRST_STAGE,) + (StageConfig(),) * (n - 1),
                 schedule=sched, duration=default_duration(n), dt=dt)
             trace = run_chain(cfg)
             want = [[sample_signal(sched, name, t) for t in trace.t.tolist()]
                     for name in trace.signal_names]
             assert trace.signal_levels.tolist() == want, (n, dt)
+
+
+def pattern_index(bits):
+    """A logic pattern read as a binary number, first bit most significant."""
+    return int("".join(map(str, bits)), 2)
 
 
 class TestLogicAndRules:
@@ -132,7 +134,10 @@ class TestLogicAndRules:
             (1, 0): (SCHEME_NATURAL, -0.165),
         }
         for bits, want in expected.items():
-            assert select(first_order_rules(), bits) == want
+            assert select(FIRST_STAGE, bits) == want
+            code = circuit._FIRST_ORDER[pattern_index(bits)]
+            assert circuit._SCHEMES[code] == want[0], bits
+        assert len(circuit._FIRST_ORDER) == len(expected)
 
     def test_higher_order_table(self):
         expected = {
@@ -146,27 +151,17 @@ class TestLogicAndRules:
             (0, 0, 0): (SCHEME_NATURAL, -0.18),
         }
         for bits, want in expected.items():
-            got = select(higher_order_rules(), bits, 0.42)
-            assert got == want, bits
+            assert select(StageConfig(), bits, 0.42) == want, bits
+            code = circuit._HIGHER_ORDER[pattern_index(bits)]
+            assert circuit._SCHEMES[code] == want[0], bits
+        assert len(circuit._HIGHER_ORDER) == len(expected)
 
     def test_stage_one_rejects_adjusted_voltage_rule(self):
         # the adjusted learning voltage reads the previous stage, which
         # stage 1 does not have: the chain is refused when it is built
-        rules = RuleTable(2, (ModulationRule((1, 1), SCHEME_LEARNING, None),
-                              ModulationRule((None, 0), SCHEME_NATURAL, -0.165),
-                              ModulationRule((0, 1), SCHEME_FORGETTING, -0.175)))
-        with pytest.raises(InvalidInputError, match="stage 1 rules need fixed"):
-            ChainConfig(stages=(StageConfig(rules=rules),),
+        with pytest.raises(InvalidInputError, match="stage 1 needs a fixed learning_v"):
+            ChainConfig(stages=(replace(FIRST_STAGE, learning_v=None),),
                         schedule=two_signal_schedule([], []), duration=0.1)
-
-    def test_table_must_be_total(self):
-        with pytest.raises(InvalidInputError, match="exactly once"):
-            RuleTable(2, (ModulationRule((1, 1), SCHEME_LEARNING, 0.3),))
-
-    def test_table_must_not_overlap(self):
-        with pytest.raises(InvalidInputError, match="exactly once"):
-            RuleTable(1, (ModulationRule((None,), SCHEME_NATURAL, -0.1),
-                          ModulationRule((1,), SCHEME_LEARNING, 0.3)))
 
 
 def learned_pair_chain(gain=1.8, v_learn_max=0.47, readout=0.1):
@@ -179,9 +174,8 @@ def learned_pair_chain(gain=1.8, v_learn_max=0.47, readout=0.1):
         "ring2": (Segment(0.0, 0.005),),
     })
     cfg = ChainConfig(
-        stages=(StageConfig(rules=first_order_rules(), r_f=5e3),
-                StageConfig(rules=higher_order_rules(), gain=gain,
-                            v_learn_max=v_learn_max)),
+        stages=(replace(FIRST_STAGE, r_f=5e3),
+                StageConfig(gain=gain, v_learn_max=v_learn_max)),
         schedule=sched, duration=0.01, readout_amplitude=readout)
     trace = run_chain(cfg, initial_states=[PARAMS.w_off, PARAMS.w_on])
     paired = trace.t < 0.005 - 1e-9
@@ -263,9 +257,8 @@ class TestSingleStageChain:
 @pytest.fixture(scope="module")
 def low_power():
     cfg = ChainConfig(
-        stages=(StageConfig(rules=first_order_rules()),
-                StageConfig(rules=higher_order_rules(),
-                            gain=1.8, v_learn_max=0.47)),
+        stages=(FIRST_STAGE,
+                StageConfig(gain=1.8, v_learn_max=0.47)),
         schedule=pavlov_schedule(2), duration=default_duration(2))
     trace = run_chain(cfg)
     return trace, metrics(trace)
@@ -274,9 +267,8 @@ def low_power():
 @pytest.fixture(scope="module")
 def high_gain():
     cfg = ChainConfig(
-        stages=(StageConfig(rules=first_order_rules()),
-                StageConfig(rules=higher_order_rules(),
-                            gain=2.5, v_learn_max=0.65)),
+        stages=(FIRST_STAGE,
+                StageConfig(gain=2.5, v_learn_max=0.65)),
         schedule=pavlov_schedule(2), duration=default_duration(2))
     trace = run_chain(cfg)
     return trace, metrics(trace)
@@ -325,11 +317,9 @@ class TestReferenceSchedules:
 
     def test_third_order_strictly_faster(self):
         cfg = ChainConfig(
-            stages=(StageConfig(rules=first_order_rules()),
-                    StageConfig(rules=higher_order_rules(),
-                                gain=2.5, v_learn_max=0.65),
-                    StageConfig(rules=higher_order_rules(),
-                                gain=3.0, v_learn_max=0.8)),
+            stages=(FIRST_STAGE,
+                    StageConfig(gain=2.5, v_learn_max=0.65),
+                    StageConfig(gain=3.0, v_learn_max=0.8)),
             schedule=pavlov_schedule(3), duration=default_duration(3))
         report = metrics(run_chain(cfg))
         times = [report[f"stage{k}.switch_time_s"] for k in (1, 2, 3)]
@@ -387,8 +377,7 @@ class TestGating:
             "ring2": (Segment(0.0, 0.2), Segment(0.3, 0.5)),
         })
         cfg = ChainConfig(
-            stages=(StageConfig(rules=first_order_rules()),
-                    StageConfig(rules=higher_order_rules())),
+            stages=(FIRST_STAGE, StageConfig()),
             schedule=sched, duration=0.6)
         trace = run_chain(cfg)
         assert not np.any(trace.stages[1].in_scheme(SCHEME_LEARNING))
@@ -400,8 +389,7 @@ class TestGating:
             "ring2": (Segment(0.0, 0.1),),
         })
         cfg = ChainConfig(
-            stages=(StageConfig(rules=first_order_rules()),
-                    StageConfig(rules=higher_order_rules())),
+            stages=(FIRST_STAGE, StageConfig()),
             schedule=sched, duration=0.2)
         trace = run_chain(cfg)
         assert np.all(trace.stages[1].in_scheme(SCHEME_FORGETTING)[:int(0.1 / cfg.dt)])
@@ -414,15 +402,32 @@ class TestConfigValidation:
             single_stage_chain(sched, duration=0.1)
 
     def test_stage_arity_enforced(self):
-        sched = StimulusSchedule({"food": (), "ring1": ()})
-        with pytest.raises(InvalidInputError, match="2-bit"):
-            ChainConfig(stages=(StageConfig(rules=higher_order_rules()),),
-                        schedule=sched, duration=0.1)
-        sched2 = StimulusSchedule({"food": (), "ring1": (), "ring2": ()})
-        with pytest.raises(InvalidInputError, match="3-bit"):
-            ChainConfig(stages=(StageConfig(rules=first_order_rules()),
-                                StageConfig(rules=first_order_rules())),
-                        schedule=sched2, duration=0.1)
+        # the table follows the stage's place in the chain, not its
+        # voltages: a stage with a fixed learning_v still learns only on
+        # the 3-bit pattern (state, ring1, ring2) = (1, 1, 1) at stage 2,
+        # and a higher stage's voltages run the 2-bit table at stage 1
+        sched = StimulusSchedule({"food": (Segment(0.0, 0.1),),
+                                  "ring1": (Segment(0.05, 0.3),),
+                                  "ring2": (Segment(0.0, 0.2),)})
+        fixed = StageConfig(learning_v=0.3)
+        cfg = ChainConfig(stages=(StageConfig(learning_v=0.35), fixed),
+                          schedule=sched, duration=0.3, dt=1e-3)
+        trace = run_chain(cfg, initial_states=[PARAMS.w_off, PARAMS.w_on])
+        stage1, stage2 = trace.stages
+        t = trace.t
+        np.testing.assert_array_equal(stage1.in_scheme(SCHEME_LEARNING),
+                                      (t >= 0.05 - 1e-9) & (t < 0.1 - 1e-9))
+        np.testing.assert_array_equal(stage1.mod_v[stage1.in_scheme(SCHEME_FORGETTING)],
+                                      -0.19)
+        learning = stage2.in_scheme(SCHEME_LEARNING)
+        want = ((stage1.s_v >= fixed.state_threshold_v)
+                & (t >= 0.05 - 1e-9) & (t < 0.2 - 1e-9))
+        assert learning.any()
+        np.testing.assert_array_equal(learning, want)
+        np.testing.assert_array_equal(stage2.mod_v[learning], 0.3)
+        # ring2 without ring1 actively forgets at stage 2, whatever stage 1's state
+        forgetting = stage2.in_scheme(SCHEME_FORGETTING)
+        np.testing.assert_array_equal(forgetting, t < 0.05 - 1e-9)
 
     def test_bad_timebase(self):
         sched = StimulusSchedule({"food": (), "ring1": ()})
@@ -433,7 +438,7 @@ class TestConfigValidation:
 
     def test_non_finite_levels_rejected_at_construction(self):
         sched = StimulusSchedule({"food": (), "ring1": ()})
-        stages = (StageConfig(rules=first_order_rules()),)
+        stages = (FIRST_STAGE,)
         for bad in (math.inf, math.nan):
             with pytest.raises(InvalidInputError, match="readout"):
                 ChainConfig(stages=stages, schedule=sched, duration=0.1,
@@ -441,15 +446,13 @@ class TestConfigValidation:
             with pytest.raises(InvalidInputError, match="logic threshold"):
                 ChainConfig(stages=stages, schedule=sched, duration=0.1,
                             logic_threshold=bad)
-            with pytest.raises(InvalidInputError, match="rule voltage"):
-                ModulationRule((1, 1), SCHEME_LEARNING, bad)
-            with pytest.raises(InvalidInputError, match="rule voltage"):
-                first_order_rules(forgetting_v=bad)
+            for name in ("learning_v", "forgetting_v", "natural_forgetting_v"):
+                with pytest.raises(InvalidInputError, match=f"^{name} must"):
+                    StageConfig(**{name: bad})
 
     def test_non_finite_initial_state_rejected(self):
         sched = StimulusSchedule({"food": (), "ring1": (), "ring2": ()})
-        cfg = ChainConfig(stages=(StageConfig(rules=first_order_rules()),
-                                  StageConfig(rules=higher_order_rules())),
+        cfg = ChainConfig(stages=(FIRST_STAGE, StageConfig()),
                           schedule=sched, duration=0.01)
         for bad in (math.inf, math.nan):
             with pytest.raises(InvalidInputError, match="initial states"):
@@ -457,8 +460,7 @@ class TestConfigValidation:
 
     def test_out_of_bounds_initial_state_names_its_stage(self):
         sched = StimulusSchedule({"food": (), "ring1": (), "ring2": ()})
-        cfg = ChainConfig(stages=(StageConfig(rules=first_order_rules()),
-                                  StageConfig(rules=higher_order_rules())),
+        cfg = ChainConfig(stages=(FIRST_STAGE, StageConfig()),
                           schedule=sched, duration=0.01)
         lo, hi = PARAMS.w_on, PARAMS.w_off
         for bad in (5.0, np.nextafter(hi, math.inf), np.nextafter(lo, -math.inf)):
@@ -481,8 +483,7 @@ class TestConfigValidation:
 class TestSerialization:
     def test_trace_csv_layout_and_determinism(self, tmp_path):
         cfg = ChainConfig(
-            stages=(StageConfig(rules=first_order_rules()),
-                    StageConfig(rules=higher_order_rules())),
+            stages=(FIRST_STAGE, StageConfig()),
             schedule=pavlov_schedule(2), duration=0.3)
         paths = []
         for name in ("a.csv", "b.csv"):
@@ -504,8 +505,7 @@ class TestSerialization:
         # the chunked column-wise writer against the row-by-row writer it
         # replaced, around the chunk boundary
         cfg = ChainConfig(
-            stages=(StageConfig(rules=first_order_rules()),
-                    StageConfig(rules=higher_order_rules())),
+            stages=(FIRST_STAGE, StageConfig()),
             schedule=pavlov_schedule(2), duration=0.97, dt=1e-3)
         full = run_chain(cfg, initial_states=[0.3, 0.9])
         # rows from around 0.6 s cover every scheme and a negative response
@@ -541,8 +541,7 @@ class TestSerialization:
     def test_trace_writer_pinned_to_one_cpu_forks_nothing(self, tmp_path,
                                                          monkeypatch):
         cfg = ChainConfig(
-            stages=(StageConfig(rules=first_order_rules()),
-                    StageConfig(rules=higher_order_rules())),
+            stages=(FIRST_STAGE, StageConfig()),
             schedule=pavlov_schedule(2), duration=0.97)
         trace = run_chain(cfg)  # 9701 rows: 5 chunks
         with monkeypatch.context() as m:

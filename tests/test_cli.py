@@ -20,12 +20,7 @@ import memassoc.cli
 import memassoc.fit
 import memassoc.vision
 from memassoc import __version__
-from memassoc.circuit import (
-    ChainConfig,
-    StageConfig,
-    first_order_rules,
-    higher_order_rules,
-)
+from memassoc.circuit import FIRST_STAGE, ChainConfig, StageConfig
 from memassoc.cli import (
     ExperimentConfig,
     FitSettings,
@@ -354,9 +349,8 @@ def experiment_configs(draw):
                 else int(preset[-1]))
     stages = tuple(
         StageConfig(device=device,
-                    rules=(first_order_rules(draw(positive), draw(negative),
-                                             draw(negative)) if k == 0
-                           else higher_order_rules(draw(negative), draw(negative))),
+                    learning_v=draw(positive) if k == 0 else None,
+                    forgetting_v=draw(negative), natural_forgetting_v=draw(negative),
                     r_f=draw(floats(1e2, 1e5)), gain=draw(floats(0.1, 10.0)),
                     v_learn_max=draw(floats(0.01, 2.0)),
                     state_threshold_v=draw(floats(0.01, 1.0)))
@@ -429,6 +423,73 @@ class TestRoundTrip:
         assert parse_config(serialize_config(cfg)) == cfg
 
 
+# Text-level fuzz: sections from the parser's own tables, keys mostly
+# valid for their section, values from edge strings.  Nothing drawn sets
+# a size: the row and pulse budgets refuse what would allocate.
+FUZZ_KEYS = {
+    "device": list(memassoc.cli._DEVICE_KEYS),
+    "schedule": [*memassoc.cli._SCHEDULE_KEYS,
+                 *(f"{role}_segments" for role in ("food", "ring1", "ring2"))],
+    "sim": list(memassoc.cli._SIM_KEYS),
+    "fit": list(memassoc.cli._FIT_KEYS),
+    "vision": list(memassoc.cli._VISION_KEYS),
+    **{f"stage.{k}": list(memassoc.cli._STAGE_KEYS) for k in (1, 2, 3)},
+}
+ALL_FUZZ_KEYS = sorted({key for keys in FUZZ_KEYS.values() for key in keys})
+EDGE_VALUES = [
+    "0", "-0", "1", "-1", "0.5", "-0.2", "5e-324", "-5e-324",
+    "2.2250738585072014e-308", "1e308", "-1e308", "1.8e308", "nan", "-nan",
+    "inf", "-inf", "9" * 400, "-" + "9" * 400, "0x10", "1_000", "", "garbage",
+    "true", "pavlov2", "pavlov3", "custom", "abs-diff", "corresponding",
+    "0:0.1", "0:0.1:0.8", "0.1:0", "0:inf", "nan:1", "0:1e308",
+    "0:0.1, 0.05:0.2", "0:0.1,", "1:2:3:4",
+]
+# a value each key accepts on its own: the default config's, else one given here
+VALID_VALUES = {
+    **{key: value for key, value in re.findall(
+        r"^(\w+) = (.*)$", serialize_config(ExperimentConfig()), re.M)},
+    "duration_s": "0.5", "similarity_threshold": "0.5",
+    **{f"{role}_segments": "0:0.1, 0.2:0.3" for role in ("food", "ring1", "ring2")},
+}
+
+
+@st.composite
+def config_texts(draw):
+    """Stage sections 1..N (N <= 3) and other sections in any order, each
+    with distinct keys of its own, and maybe one stray line of any key."""
+    names = draw(st.lists(st.sampled_from(memassoc.cli._SECTIONS), max_size=3,
+                          unique=True))
+    names += [f"stage.{k}" for k in range(1, draw(st.integers(0, 3)) + 1)]
+    lines = []
+    for name in draw(st.permutations(names)):
+        lines.append(f"[{name}]")
+        for key in draw(st.lists(st.sampled_from(FUZZ_KEYS[name]), max_size=4,
+                                 unique=True)):
+            values = st.sampled_from(EDGE_VALUES)
+            if key in VALID_VALUES:
+                values = st.just(VALID_VALUES[key]) | values
+            lines.append(f"{key} = {draw(values)}")
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))),
+                     f"{draw(st.sampled_from(ALL_FUZZ_KEYS))} = "
+                     f"{draw(st.sampled_from(EDGE_VALUES))}")
+    return "\n".join(lines) + "\n"
+
+
+class TestParseFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(config_texts(), st.booleans())
+    def test_fails_at_a_line_or_round_trips(self, text, vision):
+        """Any text either fails as a `ConfigError` at a line, or parses to
+        a config that serializes and parses back to itself."""
+        try:
+            config = parse_config(text, vision=vision)
+        except ConfigError as exc:
+            assert re.match(r"^line \d+: ", str(exc)), str(exc)
+            return
+        assert parse_config(serialize_config(config), vision=vision) == config
+
+
 class TestBuilders:
     def test_preset_chain_dimensions(self):
         cfg = load_config(REPO / "configs" / "pavlov2_lowpower.conf")
@@ -465,6 +526,10 @@ class TestBuilders:
         assert (chain.dt, chain.logic_threshold, chain.readout_amplitude) == (
             ChainConfig.dt, ChainConfig.logic_threshold,
             ChainConfig.readout_amplitude)
+        assert chain.stages == (FIRST_STAGE,)
+        three = parse_config("[schedule]\npreset = pavlov3\n"
+                             "[stage.1]\n[stage.2]\n[stage.3]\n")
+        assert build_chain(three).stages == (FIRST_STAGE, StageConfig(), StageConfig())
         assert build_fit_config(cfg) == FitConfig(initial=DeviceParams())
         assert build_train_config(cfg) == TrainConfig()
         classify_cfg = parse_config("[vision]\nsimilarity_threshold = 0.6\n")

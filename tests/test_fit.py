@@ -278,6 +278,9 @@ class TestFit:
         res = fit(real, FitConfig(initial=start, max_iters=5))
         assert raised, "no replay overflowed: the case no longer tests back-off"
         assert math.isfinite(res.rmse)
+        # the overflowing probe put the surrogate into the gradient, so the
+        # line search along it failed: that is not convergence
+        assert not res.converged
         assert list(res.objective_history) == sorted(res.objective_history,
                                                      reverse=True)
 

@@ -20,9 +20,11 @@ comparisons):
   * `classify` reads the label device's resistance after the same pulse
     that `device.trajectory` steps through;
   * the stage-at-a-time `run_chain` equals the oracle's row-at-a-time
-    chain, which samples every row with its own scalar sampler, on random
-    custom schedules with one to four stages: signal levels and every
-    stage column, bit for bit;
+    chain, which samples every row with its own scalar sampler and selects
+    from its own wildcard copy of the truth tables, on random custom
+    schedules with one to four stages, drawn stage voltages and higher
+    stages at the adjusted or a fixed learning voltage: signal levels and
+    every stage column, bit for bit;
   * `write_sim_trace_csv`, which formats each distinct value of a chunk
     once and splits the chunks among up to one process per usable CPU,
     writes the same bytes as a row-by-row `f"{x:.10g}"` writer, on traces
@@ -54,8 +56,6 @@ from memassoc.circuit import (
     StageConfig,
     StageTrace,
     StimulusSchedule,
-    first_order_rules,
-    higher_order_rules,
     run_chain,
     write_sim_trace_csv,
 )
@@ -329,10 +329,13 @@ def chain_case(draw):
         k_on=draw(st.floats(1.0, 60.0)), k_off=-draw(st.floats(1.0, 60.0)))
     stages = []
     for k in range(n_stages):
+        # stage 1 needs a fixed learning voltage; a higher stage may take one
+        learning = st.floats(0.15, 0.6)
         stages.append(StageConfig(
             device=device,
-            rules=(first_order_rules(learning_v=draw(st.floats(0.15, 0.6)))
-                   if k == 0 else higher_order_rules()),
+            learning_v=draw(learning if k == 0 else st.none() | learning),
+            forgetting_v=draw(st.floats(-0.3, -0.1)),
+            natural_forgetting_v=draw(st.floats(-0.3, -0.1)),
             gain=draw(st.floats(0.5, 5.0)),
             v_learn_max=draw(st.floats(0.2, 0.6)),
             state_threshold_v=draw(st.floats(0.03, 0.2))))
