@@ -328,6 +328,16 @@ class TestErrorsAtKeyLine:
             with pytest.raises(ConfigError, match="^line 2: not an integer"):
                 parse_config(f"[fit]\nmax_iters = {value}\n")
 
+    @pytest.mark.parametrize("key", ["label_learn_v", "label_forget_v",
+                                     "label_pulse_s"])
+    def test_label_key_rejects_nan_without_threshold(self, key):
+        """Without a similarity threshold the label keys go unchecked, but
+        nan is still refused at its line: a config holding it does not
+        compare equal to itself, so it could not round-trip."""
+        for vision in (False, True):
+            with pytest.raises(ConfigError, match=rf"^line 2: {key}: not a number"):
+                parse_config(f"[vision]\n{key} = nan\n", vision=vision)
+
 
 floats = st.floats
 
