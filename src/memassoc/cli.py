@@ -319,11 +319,6 @@ def _stage_count(sections: dict[str, _Section]) -> int:
 
 
 def _parse_stage(index: int, section: _Section, device: DeviceParams) -> StageConfig:
-    if index > 1 and "learning_v" in section.entries:
-        raise ConfigError(
-            f"line {section.entries['learning_v'][1]}: learning_v: only valid "
-            f"in [stage.1]; stage {index} derives its learning voltage from the "
-            "previous stage's state signal")
     values = {_STAGE_KEYS[key]: value
               for key, value in _values(section, _STAGE_KEYS).items()}
     return _located([(section, _STAGE_KEYS)], replace,
@@ -635,8 +630,11 @@ def cmd_pavlov(config: ExperimentConfig, out_dir: str | Path) -> int:
 
 
 def _image_files(directory: Path) -> list[Path]:
-    return sorted(p for p in directory.iterdir()
-                  if p.suffix.lower() in (".csv", ".pgm"))
+    # by name: every file shares the directory, and comparing names skips
+    # building each Path's parts
+    return sorted((p for p in directory.iterdir()
+                   if p.suffix.lower() in (".csv", ".pgm")),
+                  key=lambda p: p.name)
 
 
 def cmd_vision(config: ExperimentConfig, train_dir: str | Path,
@@ -667,23 +665,24 @@ def cmd_vision(config: ExperimentConfig, train_dir: str | Path,
         raise DataError(f"no training inputs next to {teacher_path.name}")
     probes = [] if test is None else [(p.name, load_image(p, allow_resize=allow))
                                       for p in _image_files(test)]
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    # train and classify before creating --out, so a run that fails there
+    # leaves no directory
     array = train_many(new_array(build_device(config)), inputs, teacher,
                        train_config)
-    state = state_grid(array)
-    write_state_csv(state, out / "array_state.csv")
+    lines = ["name,similarity,threshold,label"]
+    for name, img in probes:
+        res = classify(array, img, infer, config.vision.binarize_threshold)
+        lines.append(f"{name},{res.score:.10g},"
+                     f"{infer.similarity_threshold:.10g},{res.label}")
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    write_state_csv(state_grid(array), out / "array_state.csv")
     outputs = ["array_state.csv"]
     args: dict[str, Any] = {"train_dir": str(train_dir)}
     command = "vision-train"
     if test is not None:
         command = "vision-classify"
         args["test_dir"] = str(test_dir)
-        lines = ["name,similarity,threshold,label"]
-        for name, img in probes:
-            res = classify(array, img, infer, config.vision.binarize_threshold)
-            lines.append(f"{name},{res.score:.10g},"
-                         f"{infer.similarity_threshold:.10g},{res.label}")
         (out / "report.csv").write_text("\n".join(lines) + "\n")
         outputs.append("report.csv")
     _write_manifest(out, command, config, args, outputs)

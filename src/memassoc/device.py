@@ -49,7 +49,15 @@ whole pulse, so a start state inside the bounds never crosses the
 opposite bound; and once the per-step clamp binds, the unclamped sum
 stays beyond that bound, because float addition is monotonic.  A cell
 that cannot move (zero rate, or driven into the bound it sits on) stops
-after its first step.
+after its first step.  On one device the n adds run as `np.add.accumulate`
+over blocks [u, dw, dw, ...] of at most `_FOLD_BLOCK` steps, each block
+starting from the last sum of the one before, so memory stays bounded.
+The running sum adds in order and rounds once per add, as `u += dw`
+does, so the state is the same float.  A sum beyond the float range
+becomes inf, as a Python add does, and the clamp maps it to the bound;
+numpy's overflow warning is suppressed, on the grid too, so nothing
+reaches stderr.  The grid keeps its per-step array add, which is faster
+there than a 2-D running sum.
 
 Units: volts, ohms, seconds; w is dimensionless.  All functions are
 pure and all types immutable, so values can be shared freely across
@@ -74,6 +82,8 @@ __all__ = [
     "trajectory",
     "pulse",
 ]
+
+_FOLD_BLOCK = 4096  # Euler steps per running sum in a scalar `pulse`
 
 
 @dataclass(frozen=True)
@@ -227,8 +237,16 @@ def pulse(params: DeviceParams, w: float | np.ndarray, v: float | np.ndarray,
         u = float(ws)
         if n_steps and not ((dw > 0.0 and u < hi) or (dw < 0.0 and u > lo)):
             n_steps = 1
-        for _ in range(n_steps):
-            u += dw
+        if n_steps:
+            # [u, dw, dw, ...]: element k of its running sum is u after k
+            # steps; the block's last sum starts the next block
+            block = np.full(min(n_steps, _FOLD_BLOCK) + 1, dw)
+            with np.errstate(over="ignore"):  # a float add overflows silently
+                while n_steps:
+                    k = min(n_steps, _FOLD_BLOCK)
+                    block[0] = u
+                    u = float(np.add.accumulate(block[:k + 1])[-1])
+                    n_steps -= k
         return lo if u < lo else hi if u > hi else u
     # one rate per distinct voltage, from the scalar `drive_rate`: array
     # `pow` can differ from scalar `pow` in the last bit
@@ -241,8 +259,9 @@ def pulse(params: DeviceParams, w: float | np.ndarray, v: float | np.ndarray,
     moving = ((dw > 0.0) & (ws < hi)) | ((dw < 0.0) & (ws > lo))
     if n_steps > 1 and moving.any():
         u_moving, dw_moving = u[moving], dw[moving]
-        for _ in range(n_steps - 1):
-            u_moving += dw_moving
+        with np.errstate(over="ignore"):
+            for _ in range(n_steps - 1):
+                u_moving += dw_moving
         u[moving] = u_moving
     return np.clip(u, lo, hi, out=u)
 

@@ -24,7 +24,8 @@ device's rectangular window gives the per-step clamp's state: the grid
 reproduces the one-step reference of `tests/oracle.py` cell by cell,
 bit for bit, for every exponent (up to the sign of a zero state), and the
 label resistance equals the last resistance of `device.trajectory` over
-the same pulse.
+the same pulse.  A drift rate beyond the float range fails the training
+or label pulse with a `DataError` that names it.
 """
 
 from __future__ import annotations
@@ -172,12 +173,13 @@ def new_array(params: DeviceParams | None = None,
 def _normalize_intensities(raw: np.ndarray, origin: str) -> np.ndarray:
     if raw.size == 0 or not np.all(np.isfinite(raw)):
         raise DataError(f"{origin}: image entries must be finite and non-empty")
-    if raw.min() < 0.0:
-        raise DataError(f"{origin}: negative intensity {raw.min()!r}")
+    lo, hi = raw.min(), raw.max()
+    if lo < 0.0:
+        raise DataError(f"{origin}: negative intensity {lo!r}")
     # 8-bit ranges are detected by magnitude; unit-range data passes through
-    if raw.max() > 1.0:
-        if raw.max() > 255.0:
-            raise DataError(f"{origin}: intensity {raw.max()!r} exceeds 255")
+    if hi > 1.0:
+        if hi > 255.0:
+            raise DataError(f"{origin}: intensity {hi!r} exceeds 255")
         return raw / 255.0
     return raw
 
@@ -185,23 +187,30 @@ def _normalize_intensities(raw: np.ndarray, origin: str) -> np.ndarray:
 def read_image_csv(path: str | Path) -> np.ndarray:
     """Rectangular grid of comma-separated intensities, any size."""
     path = Path(path)
-    rows: list[list[float]] = []
     try:
-        for ln, line in enumerate(path.read_text().splitlines(), start=1):
-            if not line.strip():
-                continue
-            try:
-                rows.append([float(cell) for cell in line.split(",")])
-            except ValueError as exc:
-                raise DataError(f"{path.name}:{ln}: {exc}") from exc
+        lines = path.read_text().splitlines()
     except OSError as exc:
         raise DataError(f"cannot read image {path}: {exc}") from exc
+    rows = [line for line in lines if line.strip()]
     if not rows:
         raise DataError(f"{path.name}: empty image")
-    widths = {len(r) for r in rows}
+    # every cell through Python's float(), in one pass over the whole text
+    try:
+        cells = list(map(float, ",".join(rows).split(",")))
+    except ValueError:
+        # name the first bad line, counting blank lines
+        for ln, line in enumerate(lines, start=1):
+            if line.strip():
+                try:
+                    list(map(float, line.split(",")))
+                except ValueError as exc:
+                    raise DataError(f"{path.name}:{ln}: {exc}") from exc
+        raise
+    widths = {line.count(",") + 1 for line in rows}
     if len(widths) != 1:
         raise DataError(f"{path.name}: ragged rows (widths {sorted(widths)})")
-    return _normalize_intensities(np.array(rows, dtype=float), path.name)
+    raw = np.array(cells, dtype=float).reshape(len(rows), widths.pop())
+    return _normalize_intensities(raw, path.name)
 
 
 def read_image_pgm(path: str | Path) -> np.ndarray:
@@ -293,6 +302,17 @@ def load_image(path: str | Path, side: int = GRID_SIDE,
 
 # --- training --------------------------------------------------------------
 
+def _pulse(what: str, params: DeviceParams, w: float | np.ndarray,
+           v: float | np.ndarray, dt: float, n_steps: int) -> float | np.ndarray:
+    """`device.pulse`, with a drift rate beyond the float range as a
+    `DataError` that names the pulse."""
+    try:
+        return pulse(params, w, v, dt, n_steps)
+    except OverflowError as exc:
+        raise DataError(f"{what}: the device's drift rate is beyond the "
+                        "float range") from exc
+
+
 def binarize(img: np.ndarray,
              threshold: float = TrainConfig.binarize_threshold) -> np.ndarray:
     """Intensities mapped to {0, 1} by >= threshold."""
@@ -353,8 +373,8 @@ def train_pair(array: ArrayState, input_img: np.ndarray,
             f"array shape {array.w.shape}")
     counts, scope_n = match_counts(input_img, teacher_img, cfg)
     volts = modulation_voltages(counts, scope_n, cfg.v_min, cfg.v_max)
-    w = pulse(array.params, array.w, volts, cfg.dt,
-              int(round(cfg.pulse_dt / cfg.dt)))
+    w = _pulse("training pulse", array.params, array.w, volts, cfg.dt,
+               int(round(cfg.pulse_dt / cfg.dt)))
     return replace(array, w=w)
 
 
@@ -421,8 +441,8 @@ def classify(array: ArrayState, img: np.ndarray, cfg: InferConfig,
     drive = (cfg.label_learn_v if score < cfg.similarity_threshold
              else cfg.label_forget_v)
     device = cfg.label_device
-    r = resistance(device, pulse(device, device.w_on, drive, cfg.dt,
-                                 int(round(cfg.label_pulse_s / cfg.dt))))
+    r = resistance(device, _pulse("label pulse", device, device.w_on, drive,
+                                  cfg.dt, int(round(cfg.label_pulse_s / cfg.dt))))
     label = LABEL_POSITIVE if r < cfg.label_boundary_ohm else LABEL_NEGATIVE
     return ClassifyResult(label=label, label_resistance=r, score=score)
 

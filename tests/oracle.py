@@ -3,8 +3,9 @@
 Each function is the plain-float, one-step-at-a-time form of the model in
 `memassoc.device` and `memassoc.circuit`, written from the formulas in
 their docstrings.  The property tests check `trajectory`, `pulse` and
-`run_chain` (its signal sampler included) against these bit for bit; the
-package never calls them.
+`run_chain` (its signal sampler included) against these bit for bit, and
+`vision.read_image_csv` against the line-at-a-time reader at the end;
+the package never calls them.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import math
 import numpy as np
 
 from memassoc.device import resistance
+from memassoc.errors import DataError
 
 
 def drift_rate(params, w, v):
@@ -121,3 +123,32 @@ def run_chain_rows(config, initial_states):
             for name, x in zip(cols, (v, scheme, r, s_prev, resp, v * v / r)):
                 cols[name][k].append(x)
     return levels, cols
+
+
+def read_image_csv(path):
+    """A CSV image parsed one line and one cell at a time with float():
+    blank lines skipped but counted, the first bad cell's line named,
+    then the ragged-row check, then 8-bit intensities scaled to [0, 1]."""
+    rows = []
+    for ln, line in enumerate(path.read_text().splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            rows.append([float(cell) for cell in line.split(",")])
+        except ValueError as exc:
+            raise DataError(f"{path.name}:{ln}: {exc}") from exc
+    if not rows:
+        raise DataError(f"{path.name}: empty image")
+    widths = {len(r) for r in rows}
+    if len(widths) != 1:
+        raise DataError(f"{path.name}: ragged rows (widths {sorted(widths)})")
+    raw = np.array(rows, dtype=float)
+    if not np.all(np.isfinite(raw)):
+        raise DataError(f"{path.name}: image entries must be finite and non-empty")
+    if raw.min() < 0.0:
+        raise DataError(f"{path.name}: negative intensity {raw.min()!r}")
+    if raw.max() > 1.0:
+        if raw.max() > 255.0:
+            raise DataError(f"{path.name}: intensity {raw.max()!r} exceeds 255")
+        return raw / 255.0
+    return raw

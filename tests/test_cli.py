@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -157,10 +158,19 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="line 2: not a number"):
             parse_config("[device]\nr_on_ohm = fast\n")
 
-    def test_learning_v_only_in_first_stage(self):
-        text = "[stage.1]\n[stage.2]\nlearning_v = 0.3\n"
-        with pytest.raises(ConfigError, match=r"only valid in \[stage.1\]"):
-            parse_config(text)
+    def test_learning_v_above_first_stage_round_trips(self):
+        # a fixed learning voltage above stage 1 replaces the adjusted one
+        # (see test_circuit's stage-arity test), so a config carrying one
+        # serializes to text that parses back to it
+        cfg = load_config(REPO / "configs" / "pavlov2_lowpower.conf")
+        stages = (cfg.stages[0], replace(cfg.stages[1], learning_v=0.3))
+        cfg = replace(cfg, stages=stages)
+        text = serialize_config(cfg)
+        assert "[stage.2]" in text and text.count("learning_v = ") == 2
+        assert parse_config(text) == cfg
+        parsed = parse_config("[schedule]\npreset = pavlov2\n[stage.1]\n"
+                              "[stage.2]\nlearning_v = 0.3\n")
+        assert parsed.stages[1].learning_v == 0.3
 
     def test_segments_require_custom_preset(self):
         text = "[schedule]\npreset = pavlov1\nfood_segments = 0:0.1\n"
@@ -861,6 +871,31 @@ class TestCmdVision:
         assert code == 0
         report = (out / "report.csv").read_text()
         assert "big.csv" in report
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command, vision, pulse", [
+        # every probe scores below 0.99 and drives the label device at
+        # 0.35 V; v_max below 2 * v_on keeps the training rates finite
+        ("vision-classify", "similarity_threshold = 0.99\nv_max_v = 0.25\n",
+         "label pulse"),
+        # every cell is driven above 2 * v_on
+        ("vision-train", "v_min_v = 0.3\nv_max_v = 0.5\n", "training pulse"),
+    ], ids=["classify", "train"])
+    def test_pulse_beyond_float_range_exits_2(self, vision_dirs, tmp_path, capsys,
+                                              command, vision, pulse):
+        # (v / v_on - 1) ** 1e308 overflows once v exceeds 2 * v_on
+        train, test = vision_dirs
+        cfg = tmp_path / "v.conf"
+        cfg.write_text(f"[device]\nalpha_on = 1e308\n[vision]\n{vision}")
+        out = tmp_path / "o"
+        dirs = [str(train)] + ([str(test)] if command == "vision-classify" else [])
+        code = console_main([command, *dirs, "--config", str(cfg),
+                             "--out", str(out)])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert err == [f"error: {pulse}: the device's drift rate is beyond the "
+                       "float range"]
+        assert not out.exists()
 
     def test_classify_without_threshold_exits_1(self, vision_dirs, tmp_path):
         train, test = vision_dirs

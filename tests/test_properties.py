@@ -16,7 +16,12 @@ comparisons):
     from 1, start states at and between the bounds, voltages at and
     across both thresholds and rates that saturate mid-pulse (states
     compared as numbers, so a signed-zero state bound may differ in the
-    sign of a zero state);
+    sign of a zero state); on one float also one step short of, at and
+    one step past one to three blocks of its running sum, and with
+    increments whose unclamped sum overflows, without a numpy warning;
+  * `vision.read_image_csv` reads the same intensities, or fails with the
+    same message, as the oracle's line-at-a-time reader, on texts with
+    blank, ragged, out-of-range and unparsable lines;
   * `classify` reads the label device's resistance after the same pulse
     that `device.trajectory` steps through;
   * the stage-at-a-time `run_chain` equals the oracle's row-at-a-time
@@ -44,6 +49,7 @@ from pathlib import Path
 from unittest.mock import patch
 
 import numpy as np
+import pytest
 from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
@@ -59,7 +65,15 @@ from memassoc.circuit import (
     run_chain,
     write_sim_trace_csv,
 )
-from memassoc.device import DeviceParams, pulse, resistance, trajectory
+from memassoc.device import (
+    _FOLD_BLOCK,
+    DeviceParams,
+    drive_rate,
+    pulse,
+    resistance,
+    trajectory,
+)
+from memassoc.errors import DataError
 from memassoc.fit import IVTrace, rmse, simulate_current
 from memassoc.vision import (
     ArrayState,
@@ -67,9 +81,11 @@ from memassoc.vision import (
     TrainConfig,
     classify,
     new_array,
+    read_image_csv,
     train_pair,
 )
 from oracle import fold, run_chain_rows
+from oracle import read_image_csv as read_image_csv_by_line
 
 finite = dict(allow_nan=False, allow_infinity=False)
 
@@ -195,15 +211,60 @@ def scalar_pulse_case(draw):
             draw(st.floats(1e-6, 0.1)), draw(st.integers(0, 3000)))
 
 
-@settings(max_examples=100, deadline=None)
-@given(scalar_pulse_case())
-def test_pulse_matches_step_fold(case):
+@st.composite
+def block_pulse_case(draw, blocks):
+    """A pulse one step short of, at or one step past `blocks` blocks of
+    the running sum, driven beyond either threshold with a dt that covers
+    0.05 to 1.5 times the distance to the bound it drives toward, so that
+    most pulses still move at their last step."""
+    params = draw(device_params())
+    n_steps = blocks * _FOLD_BLOCK + draw(st.sampled_from([-1, 0, 1]))
+    w0 = draw(st.floats(params.w_on, params.w_off))
+    v = draw(st.sampled_from([params.v_on, params.v_off])) * draw(st.floats(1.01, 4.0))
+    room = params.w_off - w0 if v > 0.0 else w0 - params.w_on
+    dt = draw(st.floats(0.05, 1.5)) * (room or 1.0) / (abs(drive_rate(params, v)) * n_steps)
+    assume(dt > 0.0)
+    return params, w0, v, dt, n_steps
+
+
+def check_pulse_matches_step_fold(case):
     params, w0, v, dt, n_steps = case
     got = pulse(params, w0, v, dt, n_steps)
     want = fold(params, [v] * n_steps, dt, w0)[-1]
     assert isinstance(got, float)
     assert got == want
     assert resistance(params, got) == resistance(params, want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(scalar_pulse_case())
+def test_pulse_matches_step_fold(case):
+    check_pulse_matches_step_fold(case)
+
+
+@pytest.mark.parametrize("blocks", [1, 2, 3])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_pulse_matches_step_fold_across_blocks(blocks, data):
+    check_pulse_matches_step_fold(data.draw(block_pulse_case(blocks)))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("grid", [False, True], ids=["scalar", "grid"])
+@pytest.mark.parametrize("params, v", [
+    (DeviceParams(k_on=1e308), 0.35),     # dw = 1.5e307 per step
+    (DeviceParams(k_off=-1e308), -0.2),   # dw = -2.5e306 per step
+], ids=["set", "reset"])
+def test_pulse_sum_beyond_float_range_matches_step_fold(params, v, grid):
+    # the unclamped sum overflows to inf within the first block and
+    # carries it into the next; the clamp maps it to the bound, silently
+    n_steps = _FOLD_BLOCK + 1
+    want = fold(params, [v] * n_steps, 0.1, 0.5)[-1]
+    if grid:
+        got = pulse(params, np.full((2, 3), 0.5), np.full((2, 3), v), 0.1, n_steps)
+        assert np.array_equal(got, np.full((2, 3), want))
+    else:
+        assert pulse(params, 0.5, v, 0.1, n_steps) == want
 
 
 @st.composite
@@ -302,6 +363,55 @@ def test_classify_label_resistance_matches_trajectory(case):
     want = trajectory(cfg.label_device, [drive] * n, cfg.dt,
                       cfg.label_device.w_on)[-1]
     assert got.label_resistance == want
+
+
+# --- CSV images -----------------------------------------------------------------
+
+# cells Python's float() reads (padded, signed, with underscores, in
+# non-ASCII digits), cells out of the intensity range, cells it refuses
+CSV_CELLS = ["0", "1", "0.5", " 0.25 ", "\t1", "+1", "1e0", "-0", "\u0661",
+             "255", "1_0"]
+CSV_OUT_OF_RANGE = ["256", "-1", "nan", "inf", "1e999"]
+CSV_BAD = ["", " ", "oops", "0x1", "1__0", "1 0"]
+
+
+@st.composite
+def csv_image_text(draw):
+    """One to six lines of a common width, joined by LF or CRLF: some
+    blank, some of another width, some with a cell out of range or one
+    that float() refuses."""
+    width = draw(st.integers(1, 4))
+    lines = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.integers(0, 7))
+        if kind == 0:
+            lines.append(draw(st.sampled_from(["", "  ", "\t"])))
+            continue
+        n = draw(st.integers(1, 4)) if kind == 1 else width
+        cells = draw(st.lists(st.sampled_from(CSV_CELLS), min_size=n, max_size=n))
+        if kind in (2, 3):
+            cells[draw(st.integers(0, n - 1))] = draw(st.sampled_from(
+                CSV_BAD if kind == 2 else CSV_OUT_OF_RANGE))
+        lines.append(",".join(cells))
+    return draw(st.sampled_from(["\n", "\r\n"])).join(lines) + draw(
+        st.sampled_from(["", "\n"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(csv_image_text())
+def test_read_image_csv_matches_line_by_line_reader(text):
+    # the same intensities, or the same error: bad cell (first line
+    # named, blank lines counted), then ragged rows, then range
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "img.csv"
+        path.write_text(text, newline="")
+        outcomes = []
+        for read in (read_image_csv, read_image_csv_by_line):
+            try:
+                outcomes.append(bits64(read(path)).tolist())
+            except DataError as exc:
+                outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
 
 
 # --- chain engine ---------------------------------------------------------------

@@ -72,6 +72,12 @@ class TestImageIO:
         with pytest.raises(DataError, match="bad.csv:2"):
             load_image(path)
 
+    def test_csv_bad_cell_line_counts_blank_lines(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("0,1\n\n0,oops\n")
+        with pytest.raises(DataError, match=r"^bad.csv:3: could not convert .*'oops'"):
+            load_image(path)
+
     def test_dimension_error_names_sizes(self, tmp_path):
         path = write_csv(tmp_path / "small.csv", np.zeros((4, 4)))
         with pytest.raises(DataError, match="4x4.*expected 20x20"):
