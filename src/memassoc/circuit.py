@@ -175,14 +175,13 @@ _HIGHER_ORDER = np.array([_NATURAL, _FORGETTING, _NATURAL, _NATURAL,
 
 @dataclass(frozen=True)
 class StageConfig:
-    """One synaptic stage: device, scheme voltages, and analog constants.
+    """One synaptic stage: scheme voltages and analog constants.
 
     The defaults are a higher stage's; `FIRST_STAGE` holds stage 1's.
     `learning_v` None takes the adjusted voltage clamp(gain * S, 0,
     v_learn_max) from the previous stage's state signal S.
     """
 
-    device: DeviceParams = field(default_factory=DeviceParams)
     learning_v: float | None = None          # V, None: the adjusted voltage
     forgetting_v: float = -0.19              # V, active forgetting
     natural_forgetting_v: float = -0.18      # V, natural decay
@@ -207,11 +206,13 @@ FIRST_STAGE = StageConfig(learning_v=0.35, forgetting_v=-0.175,
 
 @dataclass(frozen=True)
 class ChainConfig:
-    """Full chain description; stage k (1-based) reads `ring(k)`."""
+    """Full chain description; stage k (1-based) reads `ring(k)`, and every
+    stage runs on `device`."""
 
     stages: tuple[StageConfig, ...]
     schedule: StimulusSchedule
     duration: float
+    device: DeviceParams = field(default_factory=DeviceParams)
     dt: float = 1e-4
     logic_threshold: float = DEFAULT_LOGIC_THRESHOLD
     readout_amplitude: float = DEFAULT_READOUT_V
@@ -291,21 +292,21 @@ def run_chain(config: ChainConfig,
               initial_states: Sequence[float] | None = None) -> SimTrace:
     """Integrate the whole chain on a uniform grid of `dt` steps.
 
-    `initial_states` optionally sets each stage's starting w, within its
+    `initial_states` optionally sets each stage's starting w, within the
     device's [w_on, w_off]; the default is the fully reset state w_on.
     Stages run one after another over the whole grid (see the module
     docstring).  A stage whose drift rate, resistance, state signal,
     response or power leaves the float range raises `DataError` naming
     the stage: whether it does depends on each row's voltage and state.
     """
-    n_stages = len(config.stages)
+    n_stages, device = len(config.stages), config.device
     if initial_states is None:
-        initial_states = [st.device.w_on for st in config.stages]
+        initial_states = [device.w_on] * n_stages
     if len(initial_states) != n_stages:
         raise InvalidInputError(
             f"need {n_stages} initial states, got {len(initial_states)}")
-    for k, (stage, w) in enumerate(zip(config.stages, initial_states), start=1):
-        lo, hi = stage.device.w_on, stage.device.w_off
+    lo, hi = device.w_on, device.w_off
+    for k, w in enumerate(initial_states, start=1):
         if not lo <= w <= hi:
             raise InvalidInputError(
                 f"initial states must lie within the device bounds: stage {k} "
@@ -336,7 +337,7 @@ def run_chain(config: ChainConfig,
                                stage.v_learn_max)
             mod_v = np.where(code == _LEARNING, v_adj, mod_v)
         try:
-            r = np.array(trajectory(stage.device, mod_v, config.dt,
+            r = np.array(trajectory(device, mod_v, config.dt,
                                     initial_states[k]))[1:]
         except OverflowError as exc:
             raise DataError(f"stage {k + 1}: the device's drift rate is beyond "
@@ -355,7 +356,7 @@ def run_chain(config: ChainConfig,
                                 f"at t = {float(t[row])!r} s, beyond the float range")
         stage_traces.append(StageTrace(
             mod_v=mod_v, scheme_code=code, schemes=_SCHEMES,
-            **columns, r_on=stage.device.r_on,
+            **columns, r_on=device.r_on,
             reset_r_ohm=stage.r_f / stage.state_threshold_v))
     return SimTrace(t=t, dt=config.dt, signal_names=names,
                     signal_levels=levels, stages=tuple(stage_traces))

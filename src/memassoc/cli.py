@@ -318,11 +318,11 @@ def _stage_count(sections: dict[str, _Section]) -> int:
     return top
 
 
-def _parse_stage(index: int, section: _Section, device: DeviceParams) -> StageConfig:
+def _parse_stage(index: int, section: _Section) -> StageConfig:
     values = {_STAGE_KEYS[key]: value
               for key, value in _values(section, _STAGE_KEYS).items()}
     return _located([(section, _STAGE_KEYS)], replace,
-                    FIRST_STAGE if index == 1 else StageConfig(), device=device, **values)
+                    FIRST_STAGE if index == 1 else StageConfig(), **values)
 
 
 def _parse_schedule(section: _Section) -> ScheduleSettings:
@@ -385,7 +385,7 @@ def parse_config(text: str, *, vision: bool = False) -> ExperimentConfig:
     dev = section("device")
     device = _located([(dev, _DEVICE_KEYS)], DeviceParams, **{
         _DEVICE_KEYS[key]: v for key, v in _values(dev, _DEVICE_KEYS).items()})
-    stages = tuple(_parse_stage(k, section(f"stage.{k}"), device)
+    stages = tuple(_parse_stage(k, section(f"stage.{k}"))
                    for k in range(1, _stage_count(sections) + 1))
 
     sched_section = section("schedule")
@@ -476,11 +476,11 @@ def build_chain(config: ExperimentConfig) -> ChainConfig:
     sched, duration = config.schedule, config.sim.duration_s
     if duration is None and sched.preset != "custom":
         duration = default_duration(int(sched.preset[-1]))
-    device = build_device(config)
     return ChainConfig(
-        stages=tuple(replace(stage, device=device) for stage in config.stages),
+        stages=config.stages,
         schedule=_stimulus(sched),
         duration=duration,
+        device=build_device(config),
         dt=config.sim.dt_s,
         logic_threshold=config.sim.logic_threshold_v,
         readout_amplitude=config.sim.readout_v)
@@ -732,12 +732,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fit = sub.add_parser("fit", parents=[common],
                            help="extract device parameters from an I-V trace")
     p_fit.add_argument("trace", help="CSV trace with t_s,v_v,i_a columns")
-    p_pav = sub.add_parser("pavlov", parents=[common],
-                           help="simulate the associative chain")
-    p_pav.add_argument("--jobs", type=_positive_int, default=None, metavar="N",
-                       help="sweep workers, one config each, for two or more "
-                       "--config; separate from the processes that write "
-                       "each trace.csv (up to one per usable CPU)")
+    sub.add_parser("pavlov", parents=[common],
+                   help="simulate the associative chain")
     p_tr = sub.add_parser("vision-train", parents=[common],
                           help="train the image array")
     p_tr.add_argument("train_dir", help="directory with teacher.* and inputs")
@@ -746,12 +742,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cl.add_argument("train_dir", help="directory with teacher.* and inputs")
     p_cl.add_argument("test_dir", help="directory of images to label")
     return parser
-
-
-def _positive_int(text: str) -> int:
-    if not text.isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"must be a whole number >= 1, got {text!r}")
-    return int(text)
 
 
 def _single_config(ns: argparse.Namespace) -> ExperimentConfig:
@@ -783,12 +773,8 @@ def _dispatch(ns: argparse.Namespace) -> int:
         outs = [str(Path(ns.out) / Path(path).stem) for path in ns.config]
         if len(set(outs)) != len(outs):
             raise ConfigError("sweep configs must have distinct file stems")
+        # every config is parsed before the first one runs, in order
         configs = [_with_dt_override(load_config(path), ns) for path in ns.config]
-        if ns.jobs is not None and ns.jobs > 1:
-            # imported here: only a parallel sweep pays for it
-            from concurrent.futures import ProcessPoolExecutor
-            with ProcessPoolExecutor(max_workers=ns.jobs) as pool:
-                return max(pool.map(cmd_pavlov, configs, outs))
         return max(cmd_pavlov(config, out) for config, out in zip(configs, outs))
     config = _with_dt_override(_single_config(ns), ns)
     if ns.command == "pavlov":
@@ -799,12 +785,8 @@ def _dispatch(ns: argparse.Namespace) -> int:
 
 
 def console_main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        ns = parser.parse_args(argv)
-        if getattr(ns, "jobs", None) is not None and len(ns.config) < 2:
-            parser.error("--jobs applies only to pavlov sweeps of two or more "
-                         "--config files")
+        ns = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:

@@ -116,8 +116,8 @@ def run_chain_rows(config, initial_states):
                 v_adj = min(max(stage.gain * s_prev, 0.0), stage.v_learn_max)
                 key = (int(s_prev >= stage.state_threshold_v), bits[k], bits[k + 1])
                 scheme, v = select(stage, key, v_adj)
-            ws[k] = step(stage.device, ws[k], v, config.dt)
-            r = resistance(stage.device, ws[k])
+            ws[k] = step(config.device, ws[k], v, config.dt)
+            r = resistance(config.device, ws[k])
             s_prev = stage.r_f / r
             resp = -config.readout_amplitude * stage.r_f / r if bits[k + 1] else 0.0
             for name, x in zip(cols, (v, scheme, r, s_prev, resp, v * v / r)):

@@ -368,8 +368,7 @@ def experiment_configs(draw):
     n_stages = (draw(st.sampled_from([1, 2, 3, 10])) if preset == "custom"
                 else int(preset[-1]))
     stages = tuple(
-        StageConfig(device=device,
-                    learning_v=draw(positive) if k == 0 else None,
+        StageConfig(learning_v=draw(positive) if k == 0 else None,
                     forgetting_v=draw(negative), natural_forgetting_v=draw(negative),
                     r_f=draw(floats(1e2, 1e5)), gain=draw(floats(0.1, 10.0)),
                     v_learn_max=draw(floats(0.01, 2.0)),
@@ -723,30 +722,38 @@ class TestCmdPavlov:
         c1, c2 = tmp_path / "one.conf", tmp_path / "two.conf"
         c1.write_text(CUSTOM_CHAIN)
         c2.write_text(CUSTOM_CHAIN.replace("0:0.06", "0:0.05"))
-        runs = {}
-        for jobs in ("1", "2"):  # two workers receive the parsed configs
-            out = tmp_path / f"sweep{jobs}"
-            assert console_main(["pavlov", "--config", str(c1), "--config", str(c2),
-                                 "--out", str(out), "--dt-override", "2e-4",
-                                 "--jobs", jobs]) == 0
-            runs[jobs] = {stem: (out / stem / name).read_bytes()
-                          for stem in ("one", "two")
-                          for name in ("trace.csv", "metrics.txt", "manifest.json")}
-        assert runs["1"] == runs["2"]
-        for stem in ("one", "two"):
-            out = tmp_path / "sweep1" / stem
-            assert len((out / "trace.csv").read_text().splitlines()) == 602
-            manifest = json.loads((out / "manifest.json").read_text())
+        sweep = tmp_path / "sweep"
+        assert console_main(["pavlov", "--config", str(c1), "--config", str(c2),
+                             "--out", str(sweep), "--dt-override", "2e-4"]) == 0
+        for cfg in (c1, c2):
+            alone = tmp_path / f"alone_{cfg.stem}"
+            assert console_main(["pavlov", "--config", str(cfg), "--out", str(alone),
+                                 "--dt-override", "2e-4"]) == 0
+            for name in ("trace.csv", "metrics.txt", "manifest.json"):
+                assert ((sweep / cfg.stem / name).read_bytes()
+                        == (alone / name).read_bytes()), (cfg.stem, name)
+            assert len((alone / "trace.csv").read_text().splitlines()) == 602
+            manifest = json.loads((alone / "manifest.json").read_text())
             assert "dt_s = 0.0002" in manifest["config_text"]
+
+    def test_sweep_parses_every_config_before_running_any(self, tmp_path, capsys):
+        good, bad = tmp_path / "good.conf", tmp_path / "bad.conf"
+        good.write_text(CUSTOM_CHAIN)
+        bad.write_text("[sim]\ndt_s = 2.0\n")
+        out = tmp_path / "sweep"
+        assert console_main(["pavlov", "--config", str(good), "--config", str(bad),
+                             "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("config error: line 2: dt_s: ")
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv, n_configs", [
         (["pavlov", "--jobs", "-3"], 2),
         (["pavlov", "--jobs", "0"], 2),
         (["fit", "trace.csv", "--jobs", "8"], 1),
-        (["pavlov", "--jobs", "2"], 1),  # one config: nothing to spread
+        (["pavlov", "--jobs", "2"], 1),
+        (["pavlov", "--jobs", "2"], 2),
     ])
-    def test_jobs_outside_a_sweep_is_usage_error(self, tmp_path, capsys, argv,
-                                                 n_configs):
+    def test_jobs_is_usage_error_everywhere(self, tmp_path, capsys, argv, n_configs):
         configs = []
         for stem in ("one", "two")[:n_configs]:
             (tmp_path / f"{stem}.conf").write_text(CUSTOM_CHAIN)
@@ -756,8 +763,8 @@ class TestCmdPavlov:
         assert "usage:" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_executor_is_imported_only_for_parallel_sweeps(self):
-        # a fresh interpreter: this process has run --jobs 2 sweeps already
+    def test_cli_never_imports_an_executor(self):
+        # a fresh interpreter: this process may have imported it for other reasons
         run = subprocess.run(
             [sys.executable, "-c",
              "import sys, memassoc.cli; print('concurrent.futures' in sys.modules)"],

@@ -442,7 +442,6 @@ def chain_case(draw):
         # stage 1 needs a fixed learning voltage; a higher stage may take one
         learning = st.floats(0.15, 0.6)
         stages.append(StageConfig(
-            device=device,
             learning_v=draw(learning if k == 0 else st.none() | learning),
             forgetting_v=draw(st.floats(-0.3, -0.1)),
             natural_forgetting_v=draw(st.floats(-0.3, -0.1)),
@@ -457,7 +456,7 @@ def chain_case(draw):
         signals[f"ring{k}"] = draw(st.just(shared) | segments(duration, True))
     config = ChainConfig(
         stages=tuple(stages), schedule=StimulusSchedule(signals),
-        duration=duration, dt=dt,
+        duration=duration, device=device, dt=dt,
         logic_threshold=draw(st.floats(0.1, 1.0)),
         readout_amplitude=draw(st.floats(0.0, 0.3)))
     initial = [draw(start_state(device)) for _ in range(n_stages)]
