@@ -18,21 +18,25 @@ reset pulse (high resistance, label "non-cat").
 Cell updates are independent and a cell's voltage is constant for the
 whole pulse, so a training pair is one `device.pulse` over the grid and a
 label verdict is one `device.pulse` on the label device, read through
-`device.resistance`.  `pulse` adds each cell's increment once per Euler
-step and clamps to the state bounds once at the end, which under the
-device's rectangular window gives the per-step clamp's state: the grid
-reproduces the one-step reference of `tests/oracle.py` cell by cell,
-bit for bit, for every exponent (up to the sign of a zero state), and the
-label resistance equals the last resistance of `device.trajectory` over
-the same pulse.  A drift rate beyond the float range fails the training
-or label pulse with a `DataError` that names it.
+`device.resistance`.  Every verdict restarts the label device at w_on, so
+its resistance depends only on the device, the drive and the pulse; it is
+computed once per drive and remembered for later probes.  `pulse` adds
+each cell's increment once per Euler step and clamps to the state bounds
+once at the end, which under the device's rectangular window gives the
+per-step clamp's state: the grid reproduces the one-step reference of
+`tests/oracle.py` cell by cell, bit for bit, for every exponent (up to
+the sign of a zero state), and the label resistance equals the last
+resistance of `device.trajectory` over the same pulse.  A drift rate
+beyond the float range fails the training or label pulse with a
+`DataError` that names it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -160,6 +164,15 @@ class ArrayState:
             raise InvalidInputError("cell states must lie within device bounds")
         object.__setattr__(self, "w", w)
 
+    @classmethod
+    def _trusted(cls, params: DeviceParams, w: np.ndarray) -> ArrayState:
+        """An array whose float grid is known to pass `__post_init__`,
+        built without running its checks again."""
+        array = object.__new__(cls)
+        object.__setattr__(array, "params", params)
+        object.__setattr__(array, "w", w)
+        return array
+
 
 def new_array(params: DeviceParams | None = None,
               side: int = GRID_SIDE) -> ArrayState:
@@ -186,7 +199,8 @@ def _normalize_intensities(raw: np.ndarray, origin: str) -> np.ndarray:
 
 def read_image_csv(path: str | Path) -> np.ndarray:
     """Rectangular grid of comma-separated intensities, any size."""
-    path = Path(path)
+    if not isinstance(path, Path):
+        path = Path(path)
     try:
         lines = path.read_text().splitlines()
     except OSError as exc:
@@ -194,9 +208,11 @@ def read_image_csv(path: str | Path) -> np.ndarray:
     rows = [line for line in lines if line.strip()]
     if not rows:
         raise DataError(f"{path.name}: empty image")
-    # every cell through Python's float(), in one pass over the whole text
+    # each distinct cell text through Python's float() once; most images
+    # hold a handful of texts, such as "0" and "1"
+    texts = ",".join(rows).split(",")
     try:
-        cells = list(map(float, ",".join(rows).split(",")))
+        value = {text: float(text) for text in set(texts)}
     except ValueError:
         # name the first bad line, counting blank lines
         for ln, line in enumerate(lines, start=1):
@@ -209,7 +225,8 @@ def read_image_csv(path: str | Path) -> np.ndarray:
     widths = {line.count(",") + 1 for line in rows}
     if len(widths) != 1:
         raise DataError(f"{path.name}: ragged rows (widths {sorted(widths)})")
-    raw = np.array(cells, dtype=float).reshape(len(rows), widths.pop())
+    raw = np.fromiter(map(value.__getitem__, texts), dtype=float,
+                      count=len(texts)).reshape(len(rows), widths.pop())
     return _normalize_intensities(raw, path.name)
 
 
@@ -282,7 +299,8 @@ def load_image(path: str | Path, side: int = GRID_SIDE,
     are center-cropped and box-filtered down only when `allow_resize` is
     set; any other shape mismatch is an error naming the dimensions.
     """
-    path = Path(path)
+    if not isinstance(path, Path):
+        path = Path(path)
     suffix = path.suffix.lower()
     if suffix == ".csv":
         img = read_image_csv(path)
@@ -375,7 +393,8 @@ def train_pair(array: ArrayState, input_img: np.ndarray,
     volts = modulation_voltages(counts, scope_n, cfg.v_min, cfg.v_max)
     w = _pulse("training pulse", array.params, array.w, volts, cfg.dt,
                int(round(cfg.pulse_dt / cfg.dt)))
-    return replace(array, w=w)
+    # `pulse` returns a float grid of the array's shape within the bounds
+    return ArrayState._trusted(array.params, w)
 
 
 def train_many(array: ArrayState, inputs: Sequence[np.ndarray],
@@ -420,6 +439,16 @@ def midpoint_threshold(scores_a: Sequence[float],
     return float((a.mean() + b.mean()) / 2.0)
 
 
+@functools.lru_cache(maxsize=32)
+def _label_resistance(device: DeviceParams, drive: float, dt: float,
+                      n_steps: int) -> float:
+    """Label device's resistance after a pulse of `n_steps` steps of dt at
+    `drive`, from w_on.  Every verdict restarts the device at w_on, so the
+    result depends on these arguments alone and is computed once for each."""
+    return resistance(device, _pulse("label pulse", device, device.w_on, drive,
+                                     dt, n_steps))
+
+
 @dataclass(frozen=True)
 class ClassifyResult:
     label: str
@@ -440,9 +469,8 @@ def classify(array: ArrayState, img: np.ndarray, cfg: InferConfig,
     score = similarity(state_grid(array), img, binarize_threshold)
     drive = (cfg.label_learn_v if score < cfg.similarity_threshold
              else cfg.label_forget_v)
-    device = cfg.label_device
-    r = resistance(device, _pulse("label pulse", device, device.w_on, drive,
-                                  cfg.dt, int(round(cfg.label_pulse_s / cfg.dt))))
+    r = _label_resistance(cfg.label_device, drive, cfg.dt,
+                          int(round(cfg.label_pulse_s / cfg.dt)))
     label = LABEL_POSITIVE if r < cfg.label_boundary_ohm else LABEL_NEGATIVE
     return ClassifyResult(label=label, label_resistance=r, score=score)
 

@@ -19,9 +19,13 @@ comparisons):
     sign of a zero state); on one float also one step short of, at and
     one step past one to three blocks of its running sum, and with
     increments whose unclamped sum overflows, without a numpy warning;
+    on grids whose cells repeat a few (state, voltage) pairs, or hold
+    more distinct moving pairs than `pulse` folds as a running sum, up to
+    300 steps and one step short of, at and one step past a block;
   * `vision.read_image_csv` reads the same intensities, or fails with the
     same message, as the oracle's line-at-a-time reader, on texts with
-    blank, ragged, out-of-range and unparsable lines;
+    blank, ragged, out-of-range and unparsable lines, and with several
+    texts of one value (-0 kept apart from 0);
   * `classify` reads the label device's resistance after the same pulse
     that `device.trajectory` steps through;
   * the stage-at-a-time `run_chain` equals the oracle's row-at-a-time
@@ -67,6 +71,7 @@ from memassoc.circuit import (
 )
 from memassoc.device import (
     _FOLD_BLOCK,
+    _FOLD_MAX_PAIRS,
     DeviceParams,
     drive_rate,
     pulse,
@@ -292,6 +297,75 @@ def test_grid_pulse_matches_cellwise_step_fold(case):
 
 
 @st.composite
+def shared_pair_grid_case(draw, many, offset):
+    """A grid whose cells repeat a pool of (state, voltage) pairs: a few
+    drawn pairs (states at the bounds, at either signed zero and between;
+    voltages at and across the thresholds), or more distinct moving pairs
+    than `pulse` folds as a running sum.  The pulse runs up to 300 steps
+    when `offset` is None, else `offset` steps past a block of the running
+    sum."""
+    params = draw(device_params())
+    lo, hi = params.w_on, params.w_off
+    if many:
+        # states strictly inside the bounds, each driven beyond a threshold
+        n_pairs = _FOLD_MAX_PAIRS + draw(st.integers(1, 8))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        states = lo + (hi - lo) * rng.uniform(0.01, 0.99, n_pairs)
+        volts = rng.choice([params.v_on, params.v_off], n_pairs) * rng.uniform(
+            1.01, 4.0, n_pairs)
+        pool = list(zip(states.tolist(), volts.tolist()))
+        assume(len(set(pool)) == n_pairs)
+    else:
+        state = (st.sampled_from([0.0, -0.0]).filter(lambda x: lo <= x <= hi)
+                 | start_state(params))
+        pool = draw(st.lists(st.tuples(state, drive_voltage(params)),
+                             min_size=1, max_size=4))
+    rows = draw(st.integers(1, 6))
+    cols = -(-max(len(pool), draw(st.integers(1, 84))) // rows)
+    # every pooled pair sits in at least one cell, in a drawn order
+    extra = rows * cols - len(pool)
+    picks = draw(st.permutations(list(range(len(pool))) + draw(st.lists(
+        st.integers(0, len(pool) - 1), min_size=extra, max_size=extra))))
+    n_steps = draw(st.integers(0, 300)) if offset is None else _FOLD_BLOCK + offset
+    # a dt that drives the first pair 0.05 to 1.5 times the state span
+    # over the pulse, so that many pairs still move at the last step
+    rate = abs(drive_rate(params, pool[0][1])) or 1.0
+    dt = draw(st.floats(0.05, 1.5)) * (hi - lo) / (rate * max(n_steps, 1))
+    assume(dt > 0.0)
+    return params, pool, np.reshape(picks, (rows, cols)), dt, n_steps
+
+
+def check_shared_pair_grid_pulse(case):
+    params, pool, picks, dt, n_steps = case
+    w = np.array([pool[k][0] for k in picks.flat]).reshape(picks.shape)
+    v = np.array([pool[k][1] for k in picks.flat]).reshape(picks.shape)
+    got = pulse(params, w, v, dt, n_steps)
+    # the oracle once per pooled pair: a cell's fold depends on its pair only
+    ends = [fold(params, [vk] * n_steps, dt, wk)[-1] for wk, vk in pool]
+    want = np.array([ends[k] for k in picks.flat]).reshape(picks.shape)
+    # equal numbers are equal bits, except that a zero state may differ
+    # in sign (see `test_grid_step_matches_scalar_step`)
+    assert np.array_equal(got, want)
+
+
+# one test per step count: hypothesis rarely draws the later entries of
+# one sampled list
+@pytest.mark.parametrize("offset", [None, -1, 0, 1],
+                         ids=["short", "block-1", "block", "block+1"])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_grid_pulse_with_shared_pairs_matches_step_fold(offset, data):
+    check_shared_pair_grid_pulse(data.draw(shared_pair_grid_case(False, offset)))
+
+
+@pytest.mark.parametrize("offset", [None, 1], ids=["short", "block+1"])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_grid_pulse_beyond_fold_pairs_matches_step_fold(offset, data):
+    check_shared_pair_grid_pulse(data.draw(shared_pair_grid_case(True, offset)))
+
+
+@st.composite
 def grid_case(draw):
     params = draw(device_params())
     side = draw(st.integers(1, 6))
@@ -368,9 +442,10 @@ def test_classify_label_resistance_matches_trajectory(case):
 # --- CSV images -----------------------------------------------------------------
 
 # cells Python's float() reads (padded, signed, with underscores, in
-# non-ASCII digits), cells out of the intensity range, cells it refuses
+# non-ASCII digits; several texts of one value, -0 apart from 0), cells
+# out of the intensity range, cells it refuses
 CSV_CELLS = ["0", "1", "0.5", " 0.25 ", "\t1", "+1", "1e0", "-0", "\u0661",
-             "255", "1_0"]
+             "255", "1_0", "0.0", "+0", "1.0"]
 CSV_OUT_OF_RANGE = ["256", "-1", "nan", "inf", "1e999"]
 CSV_BAD = ["", " ", "oops", "0x1", "1__0", "1 0"]
 

@@ -7,18 +7,22 @@ Covered invariants:
   * vectorized grid stepping is bitwise identical to the oracle's scalar
     step, also for rate exponents other than 1;
   * training monotonicity and saturation;
+  * the remembered label pulse: configs that differ in one field the
+    pulse reads each get their own resistance, and the memo stays bounded;
   * similarity extremes and classification against the shipped demo data
     (clusters separate, 10/10 labels with the frozen threshold).
 """
 
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from memassoc.device import DeviceParams, pulse
+from memassoc.device import DeviceParams, pulse, trajectory
 from memassoc.errors import DataError, InvalidInputError
 from memassoc.vision import (
+    _label_resistance,
     ArrayState,
     InferConfig,
     TrainConfig,
@@ -364,6 +368,38 @@ class TestClassify:
         arr = ArrayState(params, binarize(img) * 0.7)
         cfg = InferConfig(similarity_threshold=0.3)
         assert classify(arr, img, cfg) == classify(arr, img, cfg)
+
+    @pytest.mark.parametrize("change", [
+        {"label_device": DeviceParams(k_on=5.0)},
+        {"dt": 1.0001e-4},        # the same 100 steps, each a little longer
+        {"label_pulse_s": 0.02},
+    ], ids=["label_device", "dt", "label_pulse_s"])
+    def test_label_memo_keeps_configs_apart(self, change):
+        # the label pulse is remembered per drive; two configs that differ
+        # in one field it reads, called in turn, each read their own pulse
+        params = DeviceParams()
+        img = np.array([[1.0, 0.0], [0.0, 1.0]])
+        learned = ArrayState(params, binarize(img) * params.w_off)
+        # 0.01 s at the learning voltage leaves the label short of w_off
+        base = InferConfig(similarity_threshold=0.3, label_pulse_s=0.01)
+        other = replace(base, **change)
+        wants = []
+        for cfg in (base, other):
+            n = int(round(cfg.label_pulse_s / cfg.dt))
+            wants.append(trajectory(cfg.label_device, [cfg.label_learn_v] * n,
+                                    cfg.dt, cfg.label_device.w_on)[-1])
+        assert wants[0] != wants[1]
+        for cfg, want in [(base, wants[0]), (other, wants[1])] * 2:
+            assert classify(learned, img, cfg).label_resistance == want
+
+    def test_label_memo_is_bounded(self):
+        maxsize = _label_resistance.cache_info().maxsize
+        assert maxsize is not None
+        arr = ArrayState(DeviceParams(), np.zeros((2, 2)))
+        for k in range(maxsize + 5):
+            cfg = InferConfig(similarity_threshold=0.3, label_pulse_s=(k + 1) * 1e-4)
+            classify(arr, np.zeros((2, 2)), cfg)
+        assert _label_resistance.cache_info().currsize <= maxsize
 
 
 @pytest.fixture(scope="module")
