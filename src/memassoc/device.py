@@ -52,15 +52,15 @@ monotonic.  A cell that cannot move (zero rate, or driven into the bound
 it sits on) stops after its first step.  Cells that share an exact
 (state, increment) pair share every sum, so the moving cells are grouped
 by pair and each distinct pair is summed once (a zero state merges with
-its negative twin, which changes no sum).  Up to `_FOLD_MAX_PAIRS` pairs
-the n adds run as `np.add.accumulate` along the step axis over blocks of
-rows [u, dw, dw, ...] of at most `_FOLD_BLOCK` steps, each block starting
-from the last row of the one before, so memory stays bounded; above it,
-where the running sum is slower, the pairs take one array add per
-step.  Both add in order and round once per add, as `u += dw` does, so
-the state is the same float.  A sum beyond the float range becomes inf,
-as a Python add does, and the clamp maps it to the bound; numpy's
-overflow warning is suppressed, so nothing reaches stderr.
+its negative twin, which changes no sum).  The n adds run as
+`np.add.accumulate` along the step axis over blocks of rows
+[u, dw, dw, ...] holding at most `_FOLD_BLOCK` increments (at least one
+step), each block starting from the last row of the one before, so
+memory stays bounded.  The running sum adds in order and rounds once per
+add, as `u += dw` does, so the state is the same float.  An increment or
+a sum beyond the float range becomes inf, as a Python multiply or add
+does, and the clamp maps it to the bound; numpy's overflow warning is
+suppressed, so nothing reaches stderr.
 
 Units: volts, ohms, seconds; w is dimensionless.  All functions are
 pure and all types immutable, so values can be shared freely across
@@ -86,14 +86,7 @@ __all__ = [
     "pulse",
 ]
 
-_FOLD_BLOCK = 4096  # Euler steps per block of a `pulse` running sum
-# Distinct (state, increment) pairs up to which `pulse` folds a running sum
-# rather than adding one array per step.  Measured with `timeit` on a
-# shared 2-core x86-64 VM (Python 3.11.7, numpy 2.4.6), fold against loop:
-# at 499 steps 34 vs 186 us for 16 pairs, 115 vs 218 for 64, 170 vs 189
-# for 96 and 348 vs 289 for 192; at 50 steps 14 vs 18 us for 64 pairs and
-# 20 vs 18 for 96.
-_FOLD_MAX_PAIRS = 64
+_FOLD_BLOCK = 1 << 14  # increments per block of a `pulse` running sum
 
 
 @dataclass(frozen=True)
@@ -245,35 +238,34 @@ def pulse(params: DeviceParams, w: float | np.ndarray, v: float | np.ndarray,
     # `pow` can differ from scalar `pow` in the last bit
     levels, where = np.unique(vs, return_inverse=True)
     rates = np.array([drive_rate(params, float(x)) for x in levels.tolist()])
-    dw = rates[where] * dt
-    # a cell that cannot move (zero rate, or driven into the bound it sits
-    # on) ends where its first step leaves it; only the others are folded
-    u = ws + dw if n_steps else ws.copy()
-    moving = ((dw > 0.0) & (ws < hi)) | ((dw < 0.0) & (ws > lo))
-    if n_steps > 1 and moving.any():
-        # cells with one (state, increment) pair share every sum, so each
-        # distinct pair is folded once and scattered back
-        pair = np.empty(np.count_nonzero(moving), dtype=complex)
-        pair.real, pair.imag = ws[moving], dw[moving]
-        pairs, slot = np.unique(pair, return_inverse=True)
-        total, step = pairs.real.copy(), pairs.imag.copy()
-        with np.errstate(over="ignore"):  # a float add overflows silently
-            if step.size > _FOLD_MAX_PAIRS:
-                for _ in range(n_steps):
-                    total += step
-            else:
-                # rows [u, dw, dw, ...]: row k of their running sum is u
-                # after k steps; the block's last row starts the next block
-                rows = np.empty((min(n_steps, _FOLD_BLOCK) + 1, step.size))
-                while n_steps:
-                    k = min(n_steps, _FOLD_BLOCK)
-                    block = rows[:k + 1]
-                    block[0] = total
-                    block[1:] = step
-                    np.add.accumulate(block, axis=0, out=block)
-                    total = block[k]
-                    n_steps -= k
-        u[moving] = total[slot]
+    # a float multiply or add overflows silently
+    with np.errstate(over="ignore"):
+        dw = rates[where] * dt
+        # a cell that cannot move (zero rate, or driven into the bound it
+        # sits on) ends where its first step leaves it; only the others
+        # are folded
+        u = ws + dw if n_steps else ws.copy()
+        moving = ((dw > 0.0) & (ws < hi)) | ((dw < 0.0) & (ws > lo))
+        if n_steps > 1 and moving.any():
+            # cells with one (state, increment) pair share every sum, so
+            # each distinct pair is folded once and scattered back
+            pair = np.empty(np.count_nonzero(moving), dtype=complex)
+            pair.real, pair.imag = ws[moving], dw[moving]
+            pairs, slot = np.unique(pair, return_inverse=True)
+            total, step = pairs.real.copy(), pairs.imag.copy()
+            # rows [u, dw, dw, ...]: row k of their running sum is u after
+            # k steps; the block's last row starts the next block
+            per_block = max(1, _FOLD_BLOCK // step.size)
+            rows = np.empty((min(n_steps, per_block) + 1, step.size))
+            while n_steps:
+                k = min(n_steps, per_block)
+                block = rows[:k + 1]
+                block[0] = total
+                block[1:] = step
+                np.add.accumulate(block, axis=0, out=block)
+                total = block[k]
+                n_steps -= k
+            u[moving] = total[slot]
     np.clip(u, lo, hi, out=u)
     return float(u[0]) if not shape else u.reshape(shape)
 

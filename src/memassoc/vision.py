@@ -199,8 +199,7 @@ def _normalize_intensities(raw: np.ndarray, origin: str) -> np.ndarray:
 
 def read_image_csv(path: str | Path) -> np.ndarray:
     """Rectangular grid of comma-separated intensities, any size."""
-    if not isinstance(path, Path):
-        path = Path(path)
+    path = Path(path)
     try:
         lines = path.read_text().splitlines()
     except OSError as exc:
@@ -299,8 +298,7 @@ def load_image(path: str | Path, side: int = GRID_SIDE,
     are center-cropped and box-filtered down only when `allow_resize` is
     set; any other shape mismatch is an error naming the dimensions.
     """
-    if not isinstance(path, Path):
-        path = Path(path)
+    path = Path(path)
     suffix = path.suffix.lower()
     if suffix == ".csv":
         img = read_image_csv(path)

@@ -18,10 +18,12 @@ comparisons):
     compared as numbers, so a signed-zero state bound may differ in the
     sign of a zero state); on one float also one step short of, at and
     one step past one to three blocks of its running sum, and with
-    increments whose unclamped sum overflows, without a numpy warning;
-    on grids whose cells repeat a few (state, voltage) pairs, or hold
-    more distinct moving pairs than `pulse` folds as a running sum, up to
-    300 steps and one step short of, at and one step past a block;
+    increments, or unclamped sums, beyond the float range, without a
+    numpy warning; on grids whose cells repeat a few (state, voltage)
+    pairs, or hold so many distinct moving pairs that a block of the
+    running sum is shorter than the pulse (one step long when the pairs
+    outnumber `_FOLD_BLOCK`), up to 300 steps and one step short of, at
+    and one step past a block;
   * `vision.read_image_csv` reads the same intensities, or fails with the
     same message, as the oracle's line-at-a-time reader, on texts with
     blank, ragged, out-of-range and unparsable lines, and with several
@@ -71,7 +73,6 @@ from memassoc.circuit import (
 )
 from memassoc.device import (
     _FOLD_BLOCK,
-    _FOLD_MAX_PAIRS,
     DeviceParams,
     drive_rate,
     pulse,
@@ -256,20 +257,25 @@ def test_pulse_matches_step_fold_across_blocks(blocks, data):
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("grid", [False, True], ids=["scalar", "grid"])
-@pytest.mark.parametrize("params, v", [
-    (DeviceParams(k_on=1e308), 0.35),     # dw = 1.5e307 per step
-    (DeviceParams(k_off=-1e308), -0.2),   # dw = -2.5e306 per step
-], ids=["set", "reset"])
-def test_pulse_sum_beyond_float_range_matches_step_fold(params, v, grid):
-    # the unclamped sum overflows to inf within the first block and
-    # carries it into the next; the clamp maps it to the bound, silently
-    n_steps = _FOLD_BLOCK + 1
-    want = fold(params, [v] * n_steps, 0.1, 0.5)[-1]
+@pytest.mark.parametrize("params, v, dt, n_steps", [
+    # dw = 1.5e307 and -2.5e306 per step: the unclamped sum overflows
+    # within the first block and carries inf into the next
+    (DeviceParams(k_on=1e308), 0.35, 0.1, _FOLD_BLOCK + 1),
+    (DeviceParams(k_off=-1e308), -0.2, 0.1, _FOLD_BLOCK + 1),
+    # rate * dt is 3e308 and -2.5e308: the increment itself overflows
+    (DeviceParams(k_on=1e308), 0.35, 2.0, 1),
+    (DeviceParams(k_on=1e308), 0.35, 2.0, 3),
+    (DeviceParams(k_off=-1e308), -0.2, 10.0, 3),
+], ids=["set-sum", "reset-sum", "set-step-once", "set-step", "reset-step"])
+def test_pulse_sum_beyond_float_range_matches_step_fold(params, v, dt, n_steps,
+                                                        grid):
+    # the clamp maps an infinite state to the bound, silently
+    want = fold(params, [v] * n_steps, dt, 0.5)[-1]
     if grid:
-        got = pulse(params, np.full((2, 3), 0.5), np.full((2, 3), v), 0.1, n_steps)
+        got = pulse(params, np.full((2, 3), 0.5), np.full((2, 3), v), dt, n_steps)
         assert np.array_equal(got, np.full((2, 3), want))
     else:
-        assert pulse(params, 0.5, v, 0.1, n_steps) == want
+        assert pulse(params, 0.5, v, dt, n_steps) == want
 
 
 @st.composite
@@ -300,15 +306,15 @@ def test_grid_pulse_matches_cellwise_step_fold(case):
 def shared_pair_grid_case(draw, many, offset):
     """A grid whose cells repeat a pool of (state, voltage) pairs: a few
     drawn pairs (states at the bounds, at either signed zero and between;
-    voltages at and across the thresholds), or more distinct moving pairs
-    than `pulse` folds as a running sum.  The pulse runs up to 300 steps
-    when `offset` is None, else `offset` steps past a block of the running
-    sum."""
+    voltages at and across the thresholds), or so many distinct moving
+    pairs that a block of the running sum holds only 227 to 252 steps.
+    The pulse runs up to 300 steps when `offset` is None, else `offset`
+    steps past one block (one to three for the many pairs)."""
     params = draw(device_params())
     lo, hi = params.w_on, params.w_off
     if many:
         # states strictly inside the bounds, each driven beyond a threshold
-        n_pairs = _FOLD_MAX_PAIRS + draw(st.integers(1, 8))
+        n_pairs = 64 + draw(st.integers(1, 8))
         rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
         states = lo + (hi - lo) * rng.uniform(0.01, 0.99, n_pairs)
         volts = rng.choice([params.v_on, params.v_off], n_pairs) * rng.uniform(
@@ -326,7 +332,17 @@ def shared_pair_grid_case(draw, many, offset):
     extra = rows * cols - len(pool)
     picks = draw(st.permutations(list(range(len(pool))) + draw(st.lists(
         st.integers(0, len(pool) - 1), min_size=extra, max_size=extra))))
-    n_steps = draw(st.integers(0, 300)) if offset is None else _FOLD_BLOCK + offset
+    if offset is None:
+        n_steps = draw(st.integers(0, 300))
+    else:
+        # `pulse` folds each distinct (state, increment) pair of a moving
+        # cell once; a rate's sign tells whether a pair moves
+        rates = [(w, drive_rate(params, v)) for w, v in pool]
+        moving = {(w, r) for w, r in rates if (r > 0.0 and w < hi)
+                  or (r < 0.0 and w > lo)}
+        per_block = max(1, _FOLD_BLOCK // max(len(moving), 1))
+        blocks = draw(st.integers(1, 3)) if many else 1
+        n_steps = blocks * per_block + offset
     # a dt that drives the first pair 0.05 to 1.5 times the state span
     # over the pulse, so that many pairs still move at the last step
     rate = abs(drive_rate(params, pool[0][1])) or 1.0
@@ -358,11 +374,26 @@ def test_grid_pulse_with_shared_pairs_matches_step_fold(offset, data):
     check_shared_pair_grid_pulse(data.draw(shared_pair_grid_case(False, offset)))
 
 
-@pytest.mark.parametrize("offset", [None, 1], ids=["short", "block+1"])
+@pytest.mark.parametrize("offset", [None, -1, 1], ids=["short", "block-1", "block+1"])
 @settings(max_examples=10, deadline=None)
 @given(data=st.data())
-def test_grid_pulse_beyond_fold_pairs_matches_step_fold(offset, data):
+def test_grid_pulse_with_many_pairs_matches_step_fold(offset, data):
     check_shared_pair_grid_pulse(data.draw(shared_pair_grid_case(True, offset)))
+
+
+def test_grid_pulse_with_more_pairs_than_a_block_matches_step_fold():
+    # more distinct moving pairs than a block holds increments: every
+    # block is one step long
+    params = DeviceParams()
+    rng = np.random.default_rng(15)
+    n = _FOLD_BLOCK + 7
+    w = rng.uniform(0.01, 0.99, n)
+    v = rng.choice([0.3, -0.3], n) * rng.uniform(1.0, 2.0, n)
+    assert len(set(zip(w.tolist(), v.tolist()))) == n
+    got = pulse(params, w, v, 1e-3, 3)
+    want = [fold(params, [vk] * 3, 1e-3, wk)[-1]
+            for wk, vk in zip(w.tolist(), v.tolist())]
+    assert np.array_equal(got, want)
 
 
 @st.composite
