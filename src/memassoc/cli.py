@@ -613,7 +613,12 @@ def cmd_fit(config: ExperimentConfig, trace_path: str | Path,
         json.dumps(report, indent=2, sort_keys=True) + "\n")
     _write_manifest(out, "fit", config, {"trace": str(trace_path)},
                     ["device_fit.conf", "fit_report.json"])
-    return 0 if result.converged else 2
+    if result.converged:
+        return 0
+    print(f"error: fit did not converge in {result.iterations} iterations "
+          f"(rmse {result.rmse!r}); fit_report.json records converged: false",
+          file=sys.stderr)
+    return 2
 
 
 def cmd_pavlov(config: ExperimentConfig, out_dir: str | Path) -> int:

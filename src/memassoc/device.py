@@ -41,18 +41,25 @@ recomputed only from the same w, so every row equals the oracle's
 
 `pulse` holds a constant voltage per cell for n steps, on one device (the
 vision label device, stepped as a grid of one cell) or on a grid (the
-vision array).  It computes one rate per distinct voltage with the scalar
-`drive_rate` (array `pow` can differ from scalar `pow` in the last bit),
-adds it n times and clamps once at the end.  Under the rectangular window
-that single clamp gives the per-step clamp's state: a cell's increment
-keeps one sign for the whole pulse, so a start state inside the bounds
-never crosses the opposite bound; and once the per-step clamp binds, the
-unclamped sum stays beyond that bound, because float addition is
-monotonic.  A cell that cannot move (zero rate, or driven into the bound
-it sits on) stops after its first step.  Cells that share an exact
-(state, increment) pair share every sum, so the moving cells are grouped
-by pair and each distinct pair is summed once (a zero state merges with
-its negative twin, which changes no sum).  The n adds run as
+vision array).  Only the cells that can move are stepped: a cell is
+movable when v >= v_on and w < w_off, or v <= v_off and w > w_on.  Every
+other cell sits in the dead zone or is driven into the bound it already
+holds, so the rectangular window keeps its state, and `pulse` copies it
+without computing its rate.  The test over-approximates (a rate that
+rounds to zero still passes), and such a cell's sum stays at its state.
+One consequence is deliberate: a rate beyond the float range raises
+`OverflowError` only on a movable cell; on a cell that cannot move it is
+never evaluated.  For the movable cells `pulse` computes one rate per
+distinct voltage with the scalar `drive_rate` (array `pow` can differ
+from scalar `pow` in the last bit), adds it n times and clamps once at
+the end.  Under the rectangular window that single clamp gives the
+per-step clamp's state: a cell's increment keeps one sign for the whole
+pulse, so a start state inside the bounds never crosses the opposite
+bound; and once the per-step clamp binds, the unclamped sum stays beyond
+that bound, because float addition is monotonic.  Cells that share an
+exact (state, increment) pair share every sum, so the movable cells are
+grouped by pair and each distinct pair is summed once (a zero state
+merges with its negative twin, which changes no sum).  The n adds run as
 `np.add.accumulate` along the step axis over blocks of rows
 [u, dw, dw, ...] holding at most `_FOLD_BLOCK` increments (at least one
 step), each block starting from the last row of the one before, so
@@ -117,8 +124,11 @@ class DeviceParams:
                 ("v_on", 0.0 < self.v_on < inf, "be positive and finite"),
                 ("v_off", -inf < self.v_off < 0.0, "be negative and finite"),
                 ("w_off", math.isfinite(self.w_off), "be finite"),
-                ("w_on", -inf < self.w_on < self.w_off,
-                 f"be finite and lie below w_off={self.w_off!r}"))
+                # R(w) and the normalized state divide by w_off - w_on
+                ("w_on", -inf < self.w_on < self.w_off
+                 and self.w_off - self.w_on < inf,
+                 f"be finite and lie below w_off={self.w_off!r} by a "
+                 "finite span"))
 
 
 def drive_rate(params: DeviceParams, v: float) -> float:
@@ -215,8 +225,13 @@ def pulse(params: DeviceParams, w: float | np.ndarray, v: float | np.ndarray,
     `w` and `v` are one float each or two arrays of one shape; every cell
     steps on its own.  The state equals taking the pulse's Euler steps
     one at a time (up to the sign of a zero state).  Inputs are checked
-    once: v finite, w finite and within [w_on, w_off], dt finite and > 0,
-    n_steps >= 0.
+    once: v finite, w within [w_on, w_off], dt finite and > 0,
+    n_steps >= 0.  Only movable cells (v >= v_on below w_off, or
+    v <= v_off above w_on) are folded, and only their rates are computed:
+    every other cell keeps its state, so a rate beyond the float range
+    raises `OverflowError` on a movable cell and is never evaluated on
+    one that cannot move.  With no movable cell, or no step, the result
+    is a copy of `w`.
     """
     ws, vs = np.asarray(w, dtype=float), np.asarray(v, dtype=float)
     if ws.shape != vs.shape:
@@ -225,7 +240,8 @@ def pulse(params: DeviceParams, w: float | np.ndarray, v: float | np.ndarray,
     if not np.isfinite(vs).all():
         raise InvalidInputError("voltages must be finite")
     lo, hi = params.w_on, params.w_off
-    if not (np.isfinite(ws).all() and ((ws >= lo) & (ws <= hi)).all()):
+    # the bounds are finite, so nan and inf fail this test too
+    if not ((ws >= lo) & (ws <= hi)).all():
         raise InvalidInputError(f"states must lie within [{lo!r}, {hi!r}]")
     if not (math.isfinite(dt) and dt > 0.0):
         raise InvalidInputError(f"need finite dt > 0, got dt={dt!r}")
@@ -234,23 +250,21 @@ def pulse(params: DeviceParams, w: float | np.ndarray, v: float | np.ndarray,
 
     shape = ws.shape
     ws, vs = ws.ravel(), vs.ravel()
-    # one rate per distinct voltage, from the scalar `drive_rate`: array
-    # `pow` can differ from scalar `pow` in the last bit
-    levels, where = np.unique(vs, return_inverse=True)
-    rates = np.array([drive_rate(params, float(x)) for x in levels.tolist()])
-    # a float multiply or add overflows silently
-    with np.errstate(over="ignore"):
-        dw = rates[where] * dt
-        # a cell that cannot move (zero rate, or driven into the bound it
-        # sits on) ends where its first step leaves it; only the others
-        # are folded
-        u = ws + dw if n_steps else ws.copy()
-        moving = ((dw > 0.0) & (ws < hi)) | ((dw < 0.0) & (ws > lo))
-        if n_steps > 1 and moving.any():
+    u = ws.copy()
+    # only these cells can move: the rectangular window holds the rest
+    movable = (((vs >= params.v_on) & (ws < hi))
+               | ((vs <= params.v_off) & (ws > lo)))
+    if n_steps and movable.any():
+        # one rate per distinct voltage, from the scalar `drive_rate`:
+        # array `pow` can differ from scalar `pow` in the last bit
+        levels, where = np.unique(vs[movable], return_inverse=True)
+        rates = np.array([drive_rate(params, x) for x in levels.tolist()])
+        # a float multiply or add overflows silently
+        with np.errstate(over="ignore"):
             # cells with one (state, increment) pair share every sum, so
             # each distinct pair is folded once and scattered back
-            pair = np.empty(np.count_nonzero(moving), dtype=complex)
-            pair.real, pair.imag = ws[moving], dw[moving]
+            pair = np.empty(where.size, dtype=complex)
+            pair.real, pair.imag = ws[movable], rates[where] * dt
             pairs, slot = np.unique(pair, return_inverse=True)
             total, step = pairs.real.copy(), pairs.imag.copy()
             # rows [u, dw, dw, ...]: row k of their running sum is u after
@@ -265,7 +279,5 @@ def pulse(params: DeviceParams, w: float | np.ndarray, v: float | np.ndarray,
                 np.add.accumulate(block, axis=0, out=block)
                 total = block[k]
                 n_steps -= k
-            u[moving] = total[slot]
-    np.clip(u, lo, hi, out=u)
+        u[movable] = np.clip(total, lo, hi)[slot]
     return float(u[0]) if not shape else u.reshape(shape)
-

@@ -26,9 +26,12 @@ once at the end, which under the device's rectangular window gives the
 per-step clamp's state: the grid reproduces the one-step reference of
 `tests/oracle.py` cell by cell, bit for bit, for every exponent (up to
 the sign of a zero state), and the label resistance equals the last
-resistance of `device.trajectory` over the same pulse.  A drift rate
-beyond the float range fails the training or label pulse with a
-`DataError` that names it.
+resistance of `device.trajectory` over the same pulse.  `pulse` takes
+the rate only of cells that can move, so most pairs of a trained array
+cost the movability test alone.  A drift rate beyond the float range on
+a cell that can move fails the training or label pulse with a
+`DataError` that names it; on a cell that cannot move it is never
+evaluated.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Collection, Sequence
 
 import numpy as np
 
@@ -183,10 +186,13 @@ def new_array(params: DeviceParams | None = None,
 
 # --- image ingestion -------------------------------------------------------
 
-def _normalize_intensities(raw: np.ndarray, origin: str) -> np.ndarray:
-    if raw.size == 0 or not np.all(np.isfinite(raw)):
+def _normalize_intensities(raw: np.ndarray, values: Collection[float],
+                           origin: str) -> np.ndarray:
+    """`raw` scaled to [0, 1], checked on `values`, its distinct entries as
+    Python floats: a handful per image instead of a pass per check."""
+    if not all(map(math.isfinite, values)):
         raise DataError(f"{origin}: image entries must be finite and non-empty")
-    lo, hi = raw.min(), raw.max()
+    lo, hi = min(values), max(values)
     if lo < 0.0:
         raise DataError(f"{origin}: negative intensity {lo!r}")
     # 8-bit ranges are detected by magnitude; unit-range data passes through
@@ -226,7 +232,7 @@ def read_image_csv(path: str | Path) -> np.ndarray:
         raise DataError(f"{path.name}: ragged rows (widths {sorted(widths)})")
     raw = np.fromiter(map(value.__getitem__, texts), dtype=float,
                       count=len(texts)).reshape(len(rows), widths.pop())
-    return _normalize_intensities(raw, path.name)
+    return _normalize_intensities(raw, value.values(), path.name)
 
 
 def read_image_pgm(path: str | Path) -> np.ndarray:

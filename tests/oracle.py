@@ -146,9 +146,10 @@ def read_image_csv(path):
     if not np.all(np.isfinite(raw)):
         raise DataError(f"{path.name}: image entries must be finite and non-empty")
     if raw.min() < 0.0:
-        raise DataError(f"{path.name}: negative intensity {raw.min()!r}")
+        raise DataError(f"{path.name}: negative intensity {float(raw.min())!r}")
     if raw.max() > 1.0:
         if raw.max() > 255.0:
-            raise DataError(f"{path.name}: intensity {raw.max()!r} exceeds 255")
+            raise DataError(
+                f"{path.name}: intensity {float(raw.max())!r} exceeds 255")
         return raw / 255.0
     return raw

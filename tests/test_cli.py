@@ -2,12 +2,16 @@
 behavior, exit codes, manifests, and byte determinism."""
 
 import ast
+import contextlib
 import importlib
+import io
 import json
+import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
@@ -588,6 +592,21 @@ class TestCmdFit:
         report = json.loads((tmp_path / "out" / "fit_report.json").read_text())
         assert report["converged"] is False
 
+    def test_unconverged_fit_exits_2_with_one_error_line(self, tmp_path, capsys):
+        text = (REPO / "configs" / "fit_sinusoid.conf").read_text().replace(
+            "max_iters = 200", "max_iters = 3")
+        cfg = tmp_path / "fit.conf"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        code = console_main(["fit", str(REPO / "data" / "iv" / "sine_10hz_0v5.csv"),
+                             "--config", str(cfg), "--out", str(out)])
+        report = json.loads((out / "fit_report.json").read_text())
+        assert code == 2
+        assert report["converged"] is False and report["iterations"] == 3
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: fit did not converge in 3 iterations (rmse {report['rmse']!r}); "
+            "fit_report.json records converged: false"]
+
     def test_single_sample_trace_rejected(self, tmp_path, capsys):
         bad = tmp_path / "one.csv"
         bad.write_text("t_s,v_v,i_a\n0,0.1,1e-6\n")
@@ -1017,6 +1036,63 @@ class TestCmdVision:
                              "--out", str(out)])
         assert code == 1
         assert not out.exists() or not any(out.iterdir())
+
+
+EXTREME_DEVICE_VALUES = ("5e-324", "2.5e-310", "1e308", "1000")
+
+
+@pytest.fixture(scope="module")
+def tiny_vision_root(tmp_path_factory):
+    """train/ with a 20x20 teacher and two inputs, test/ with two probes."""
+    root = tmp_path_factory.mktemp("tiny_vision")
+    proto = (np.random.default_rng(9).random((20, 20)) < 0.5).astype(float)
+    for name, grids in (("train", {"teacher": proto, "input_0": proto,
+                                   "input_1": 1.0 - proto}),
+                        ("test", {"hit": proto, "miss": 1.0 - proto})):
+        (root / name).mkdir()
+        for stem, grid in grids.items():
+            write_grid(root / name / f"{stem}.csv", grid)
+    return root
+
+
+@st.composite
+def extreme_device_texts(draw):
+    """A vision-classify config with one to three [device] fields at a
+    subnormal, 1e308 or 1000, either sign."""
+    keys = draw(st.lists(st.sampled_from(sorted(memassoc.cli._DEVICE_KEYS)),
+                         min_size=1, max_size=3, unique=True))
+    lines = [f"{key} = {draw(st.sampled_from(['', '-']))}"
+             f"{draw(st.sampled_from(EXTREME_DEVICE_VALUES))}" for key in keys]
+    return ("[device]\n" + "\n".join(lines)
+            + "\n[vision]\nsimilarity_threshold = 0.5\n")
+
+
+class TestVisionExtremeDevice:
+    @pytest.mark.filterwarnings("error")
+    @settings(max_examples=60, deadline=None)
+    @given(text=extreme_device_texts())
+    def test_parsed_config_exits_0_with_finite_scores_or_2_with_one_line(
+            self, tiny_vision_root, text):
+        try:
+            parse_config(text, vision=True)
+        except ConfigError:
+            return
+        with tempfile.TemporaryDirectory(dir=tiny_vision_root) as scratch:
+            cfg, out = Path(scratch) / "v.conf", Path(scratch) / "o"
+            cfg.write_text(text)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = console_main(["vision-classify", str(tiny_vision_root / "train"),
+                                     str(tiny_vision_root / "test"),
+                                     "--config", str(cfg), "--out", str(out)])
+            lines = err.getvalue().splitlines()
+            if code == 0:
+                rows = (out / "report.csv").read_text().splitlines()[1:]
+                assert len(rows) == 2 and lines == []
+                assert all(math.isfinite(float(row.split(",")[1])) for row in rows)
+            else:
+                assert code == 2 and len(lines) == 1, (code, lines)
+                assert lines[0].startswith("error: ")
 
 
 class TestConsoleMain:

@@ -9,7 +9,9 @@ Invariants covered:
 - analytic switch-time oracle (w span / |rate|) vs `trajectory`;
 - Euler self-consistency of `trajectory` under timestep halving;
 - pinched hysteresis and pulse-train monotonicity, through `trajectory`;
-- `trajectory` and `pulse` input checks, `pulse` saturation at the bounds.
+- `trajectory` and `pulse` input checks, `pulse` saturation at the bounds;
+- `pulse` copies every cell that cannot move without evaluating its rate,
+  so an overflowing rate raises only on a movable cell.
 
 Expected numbers are recomputed here from closed forms rather than pasted,
 so a regression in the model cannot hide behind a matching constant.
@@ -187,6 +189,36 @@ class TestStep:
         np.testing.assert_array_equal(out, [[P.w_off, P.w_on], [0.5, 0.5]])
         np.testing.assert_array_equal(w, 0.5)
 
+    def test_pulse_without_a_movable_cell_copies_its_input(self):
+        # dead zone, exact thresholds at the bound each pushes toward, and
+        # drives into the bound a cell sits on: nothing can move
+        w = np.array([0.5, -0.0, P.w_off, P.w_on, P.w_off, P.w_on])
+        v = np.array([0.1, 0.0, P.v_on, P.v_off, 0.35, -0.35])
+        for n_steps in (0, 1, 500):
+            got = pulse(P, w, v, DT, n_steps)
+            assert got is not w
+            np.testing.assert_array_equal(got.view(np.int64), w.view(np.int64))
+        moving = np.full(6, 0.5)
+        got = pulse(P, moving, np.full(6, 0.35), DT, 0)
+        assert got is not moving and np.array_equal(got, moving)
+
+    def test_pulse_skips_the_rate_of_a_cell_that_cannot_move(self):
+        # (v / v_on - 1) ** 1e308 overflows once v exceeds 2 * v_on
+        params = DeviceParams(alpha_on=1e308)
+        v = 3.0 * params.v_on
+        with pytest.raises(OverflowError):
+            drive_rate(params, v)
+        # on w_off the drive pushes into the bound: the rate is never taken
+        w = np.full((2, 2), params.w_off)
+        np.testing.assert_array_equal(pulse(params, w, np.full((2, 2), v), DT, 10), w)
+        assert pulse(params, params.w_off, v, DT, 10) == params.w_off
+        # the same drive on one cell below w_off still raises
+        w[1, 0] = 0.5
+        with pytest.raises(OverflowError):
+            pulse(params, w, np.full((2, 2), v), DT, 10)
+        with pytest.raises(OverflowError):
+            pulse(params, 0.5, v, DT, 10)
+
     def test_bounded_under_random_drive(self):
         rng = np.random.default_rng(42)
         ws = fold(P, rng.uniform(-2.0, 2.0, size=4000).tolist(), DT, 0.3)
@@ -294,6 +326,13 @@ class TestParamValidation:
     def test_state_bounds_order(self):
         with pytest.raises(InvalidInputError):
             DeviceParams(w_on=1.0, w_off=0.0)
+
+    def test_state_span_beyond_float_range_rejected(self):
+        # w_off - w_on = 2e308 overflows; R(w) and the vision state map
+        # divide by it
+        with pytest.raises(InvalidInputError, match="^w_on must .* by a finite span"):
+            DeviceParams(w_on=-1e308, w_off=1e308)
+        assert DeviceParams(w_on=-1e308, w_off=1.0).w_on == -1e308
 
     def test_non_finite_state_rejected(self):
         # every entry point that takes a start state refuses a NaN one

@@ -14,7 +14,11 @@ comparisons):
   * `device.pulse`, on one float or on a grid, and `train_pair` equal the
     oracle's `fold` over the pulse cell by cell, for rate exponents away
     from 1, start states at and between the bounds, voltages at and
-    across both thresholds and rates that saturate mid-pulse (states
+    across both thresholds and rates that saturate mid-pulse, pulses of 0
+    and 1 steps drawn often, and grids that always mix cells on w_on, on
+    w_off and between under the exact thresholds, a dead-zone voltage and
+    drives beyond both thresholds, so that cells that cannot move sit
+    beside cells that do (states
     compared as numbers, so a signed-zero state bound may differ in the
     sign of a zero state); on one float also one step short of, at and
     one step past one to three blocks of its running sum, and with
@@ -208,13 +212,18 @@ def test_objective_matches_docstring_formula(case):
 
 # --- constant-voltage pulse -------------------------------------------------------
 
+def pulse_steps(max_steps):
+    """Step counts from 0, with 0 and 1 drawn often."""
+    return st.sampled_from([0, 1]) | st.integers(0, max_steps)
+
+
 @st.composite
 def scalar_pulse_case(draw):
     params = draw(device_params())
     # dt up to 0.1 s with rates up to ~10^3 / s: many pulses saturate in
     # their first steps, others only after thousands
     return (params, draw(start_state(params)), draw(drive_voltage(params)),
-            draw(st.floats(1e-6, 0.1)), draw(st.integers(0, 3000)))
+            draw(st.floats(1e-6, 0.1)), draw(pulse_steps(3000)))
 
 
 @st.composite
@@ -280,14 +289,24 @@ def test_pulse_sum_beyond_float_range_matches_step_fold(params, v, dt, n_steps,
 
 @st.composite
 def grid_pulse_case(draw):
+    """Drawn cells mixed, in a drawn order, with one cell of each corner:
+    states on w_on, on w_off and between, each under the exact v_on and
+    v_off thresholds, a dead-zone voltage and drives beyond both
+    thresholds.  Up to 300 steps, 0 and 1 often."""
     params = draw(device_params())
-    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
-    w = draw(st.lists(start_state(params), min_size=rows * cols,
-                      max_size=rows * cols))
-    v = draw(st.lists(drive_voltage(params), min_size=rows * cols,
-                      max_size=rows * cols))
+    lo, hi = params.w_on, params.w_off
+    corners = [(w, v) for w in (lo, hi, (lo + hi) / 2)
+               for v in (params.v_on, params.v_off, 0.0,
+                         2.0 * params.v_on, 2.0 * params.v_off)]
+    rows = draw(st.integers(1, 4))
+    cols = -(-(len(corners) + draw(st.integers(0, 9))) // rows)
+    n = rows * cols - len(corners)
+    cells = corners + list(zip(
+        draw(st.lists(start_state(params), min_size=n, max_size=n)),
+        draw(st.lists(drive_voltage(params), min_size=n, max_size=n))))
+    w, v = zip(*draw(st.permutations(cells)))
     return (params, np.reshape(w, (rows, cols)), np.reshape(v, (rows, cols)),
-            draw(st.floats(1e-5, 0.1)), draw(st.integers(0, 300)))
+            draw(st.floats(1e-5, 0.1)), draw(pulse_steps(300)))
 
 
 @settings(max_examples=100, deadline=None)
@@ -402,8 +421,8 @@ def grid_case(draw):
     side = draw(st.integers(1, 6))
     w = np.array(draw(st.lists(start_state(params), min_size=side * side,
                                max_size=side * side))).reshape(side, side)
-    v = np.array(draw(st.lists(st.floats(-1.0, 1.0, **finite),
-                               min_size=side * side, max_size=side * side)))
+    v = np.array(draw(st.lists(drive_voltage(params), min_size=side * side,
+                               max_size=side * side)))
     return params, w, v.reshape(side, side), draw(st.floats(1e-5, 0.1))
 
 

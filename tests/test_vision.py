@@ -1,12 +1,14 @@
 """Array-vision tests.
 
 Covered invariants:
-  * CSV/PGM ingestion, 8-bit auto-scaling, dimension/resize policing;
+  * CSV/PGM ingestion, 8-bit auto-scaling, range errors that print plain
+    floats, dimension/resize policing;
   * count semantics for both predicates and scopes, including the 2x2
     enumeration case and full/zero-match extremes;
   * vectorized grid stepping is bitwise identical to the oracle's scalar
     step, also for rate exponents other than 1;
-  * training monotonicity and saturation;
+  * training monotonicity and saturation; a rate beyond the float range
+    fails a training pulse only where a cell can move;
   * the remembered label pulse: configs that differ in one field the
     pulse reads each get their own resistance, and the memo stays bounded;
   * similarity extremes and classification against the shipped demo data
@@ -81,6 +83,17 @@ class TestImageIO:
         path.write_text("0,1\n\n0,oops\n")
         with pytest.raises(DataError, match=r"^bad.csv:3: could not convert .*'oops'"):
             load_image(path)
+
+    @pytest.mark.parametrize("name, text, message", [
+        ("neg.csv", "0,1\n-0.5,1\n", "neg.csv: negative intensity -0.5"),
+        ("big.csv", "0,1\n300,1\n", "big.csv: intensity 300.0 exceeds 255"),
+    ], ids=["negative", "beyond-255"])
+    def test_csv_range_error_prints_plain_float(self, tmp_path, name, text, message):
+        path = tmp_path / name
+        path.write_text(text)
+        with pytest.raises(DataError) as info:
+            load_image(path)
+        assert str(info.value) == message
 
     def test_dimension_error_names_sizes(self, tmp_path):
         path = write_csv(tmp_path / "small.csv", np.zeros((4, 4)))
@@ -284,6 +297,17 @@ class TestTraining:
         for img in inputs:
             manual = train_pair(manual, img, teacher, cfg)
         np.testing.assert_array_equal(folded.w, manual.w)
+
+    def test_overflowing_rate_fails_only_on_a_cell_that_can_move(self):
+        # every cell is driven at 0.5 V > 2 * v_on, where the rate
+        # (v / v_on - 1) ** 1e308 overflows
+        params = DeviceParams(alpha_on=1e308)
+        cfg = TrainConfig(v_min=0.5, v_max=0.6)
+        img = np.ones((2, 2))
+        full = ArrayState(params, np.full((2, 2), params.w_off))
+        np.testing.assert_array_equal(train_pair(full, img, img, cfg).w, full.w)
+        with pytest.raises(DataError, match="^training pulse: .*beyond the float"):
+            train_pair(new_array(params, side=2), img, img, cfg)
 
     def test_unreachable_threshold_rejected(self):
         cfg = TrainConfig(v_max=0.1)
