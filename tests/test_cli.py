@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import memassoc.circuit
@@ -74,21 +74,25 @@ def write_grid(path, grid):
             fh.write(",".join(f"{x:g}" for x in row) + "\n")
 
 
-@pytest.fixture
-def vision_dirs(tmp_path):
+def write_vision_dirs(root):
     """Minimal 20x20 training/test layout: teacher plus ten clean inputs."""
     rng = np.random.default_rng(5)
     proto = (rng.random((20, 20)) < 0.7).astype(float)
-    train = tmp_path / "train"
+    train = root / "train"
     train.mkdir()
     write_grid(train / "teacher.csv", proto)
     for k in range(10):
         write_grid(train / f"input_{k:02d}.csv", proto)
-    test = tmp_path / "test"
+    test = root / "test"
     test.mkdir()
     write_grid(test / "hit.csv", proto)
     write_grid(test / "miss.csv", 1.0 - proto)
     return train, test
+
+
+@pytest.fixture
+def vision_dirs(tmp_path):
+    return write_vision_dirs(tmp_path)
 
 
 class TestParseConfig:
@@ -1042,26 +1046,24 @@ EXTREME_DEVICE_VALUES = ("5e-324", "2.5e-310", "1e308", "1000")
 
 
 @pytest.fixture(scope="module")
-def tiny_vision_root(tmp_path_factory):
-    """train/ with a 20x20 teacher and two inputs, test/ with two probes."""
-    root = tmp_path_factory.mktemp("tiny_vision")
-    proto = (np.random.default_rng(9).random((20, 20)) < 0.5).astype(float)
-    for name, grids in (("train", {"teacher": proto, "input_0": proto,
-                                   "input_1": 1.0 - proto}),
-                        ("test", {"hit": proto, "miss": 1.0 - proto})):
-        (root / name).mkdir()
-        for stem, grid in grids.items():
-            write_grid(root / name / f"{stem}.csv", grid)
-    return root
+def shared_vision_dirs(tmp_path_factory):
+    """`vision_dirs`, written once for every example of a property."""
+    return write_vision_dirs(tmp_path_factory.mktemp("vision"))
+
+
+# the sign each [device] field takes in its valid range; the state bounds
+# take either
+DEVICE_KEY_SIGNS = {"k_off_per_s": ["-"], "v_off_v": ["-"], "w_on": ["", "-"],
+                    "w_off": ["", "-"]}
 
 
 @st.composite
 def extreme_device_texts(draw):
     """A vision-classify config with one to three [device] fields at a
-    subnormal, 1e308 or 1000, either sign."""
+    subnormal, 1e308 or 1000 of the field's sign."""
     keys = draw(st.lists(st.sampled_from(sorted(memassoc.cli._DEVICE_KEYS)),
                          min_size=1, max_size=3, unique=True))
-    lines = [f"{key} = {draw(st.sampled_from(['', '-']))}"
+    lines = [f"{key} = {draw(st.sampled_from(DEVICE_KEY_SIGNS.get(key, [''])))}"
              f"{draw(st.sampled_from(EXTREME_DEVICE_VALUES))}" for key in keys]
     return ("[device]\n" + "\n".join(lines)
             + "\n[vision]\nsimilarity_threshold = 0.5\n")
@@ -1069,21 +1071,24 @@ def extreme_device_texts(draw):
 
 class TestVisionExtremeDevice:
     @pytest.mark.filterwarnings("error")
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(text=extreme_device_texts())
+    # a span w_off - w_on beyond the float range: it parsed, then overflowed
+    @example(text="[device]\nw_on = -1e308\nw_off = 1e308\n"
+                  "[vision]\nsimilarity_threshold = 0.5\n")
     def test_parsed_config_exits_0_with_finite_scores_or_2_with_one_line(
-            self, tiny_vision_root, text):
+            self, shared_vision_dirs, text):
         try:
             parse_config(text, vision=True)
         except ConfigError:
             return
-        with tempfile.TemporaryDirectory(dir=tiny_vision_root) as scratch:
+        train, test = shared_vision_dirs
+        with tempfile.TemporaryDirectory(dir=train.parent) as scratch:
             cfg, out = Path(scratch) / "v.conf", Path(scratch) / "o"
             cfg.write_text(text)
             err = io.StringIO()
             with contextlib.redirect_stderr(err):
-                code = console_main(["vision-classify", str(tiny_vision_root / "train"),
-                                     str(tiny_vision_root / "test"),
+                code = console_main(["vision-classify", str(train), str(test),
                                      "--config", str(cfg), "--out", str(out)])
             lines = err.getvalue().splitlines()
             if code == 0:
