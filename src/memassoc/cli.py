@@ -615,9 +615,9 @@ def cmd_fit(config: ExperimentConfig, trace_path: str | Path,
                     ["device_fit.conf", "fit_report.json"])
     if result.converged:
         return 0
-    print(f"error: fit did not converge in {result.iterations} iterations "
-          f"(rmse {result.rmse!r}); fit_report.json records converged: false",
-          file=sys.stderr)
+    print(f"error: fit did not converge: stopped on {result.stop_reason} after "
+          f"{result.iterations} iterations (rmse {result.rmse!r}); "
+          "fit_report.json records converged: false", file=sys.stderr)
     return 2
 
 

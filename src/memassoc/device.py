@@ -29,9 +29,13 @@ outside [w_on, w_off]: the held-row rules below rely on it.
 
 `trajectory` steps through a voltage sequence with plain floats and
 returns the resistance along the run; the chain and the fit replay use
-it.  A row holds when the state cannot move: its drive lies in the dead
-zone, or pushes toward the bound the state already sits on (the
-rectangular window).  A held row appends the previous resistance and
+it.  It is its input checks followed by a private stepping loop on Python
+float sequences.  The fit replay, whose drive was checked once when its
+trace was built, checks only its start state and source resistance
+(through the same helper, with the same messages) and runs that same
+loop, so each model formula still lives in one place.  A row holds when
+the state cannot move: its drive lies in the dead zone, or pushes toward
+the bound the state already sits on (the rectangular window).  A held row appends the previous resistance and
 computes neither the rate nor R(w); in a fit replay about half of the
 rows hold.  A row that moves adds its increment, which has the sign of
 its drive, so it clamps only at the bound that drive can cross.  A state
@@ -79,7 +83,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -115,8 +119,12 @@ class DeviceParams:
         inf = math.inf
         require(self,
                 ("r_on", 0.0 < self.r_on < inf, "be positive and finite"),
-                ("r_off", self.r_on < self.r_off < inf,
-                 f"be finite and exceed r_on={self.r_on!r}"),
+                # R(w) raises r_off / r_on to a power; every check is
+                # evaluated, so a zero r_on must not reach the division
+                ("r_off", 0.0 < self.r_on < self.r_off < inf
+                 and self.r_off / self.r_on < inf,
+                 f"be finite and exceed r_on={self.r_on!r} by a finite "
+                 "ratio"),
                 ("alpha_on", 0.0 < self.alpha_on < inf, "be > 0 and finite"),
                 ("alpha_off", 0.0 < self.alpha_off < inf, "be > 0 and finite"),
                 ("k_on", 0.0 < self.k_on < inf, "be > 0 and finite"),
@@ -154,6 +162,17 @@ def resistance(params: DeviceParams, w: float) -> float:
     return params.r_on * (params.r_off / params.r_on) ** frac
 
 
+def _check_start(params: DeviceParams, w0: float, source_r_ohm: float) -> None:
+    """Refuse a start state outside [w_on, w_off] or a source resistance
+    that is negative or not finite: the scalar inputs of a replay."""
+    w_on, w_off = params.w_on, params.w_off
+    if not w_on <= w0 <= w_off:
+        raise InvalidInputError(
+            f"state w must be finite and lie within [{w_on!r}, {w_off!r}], got {w0!r}")
+    if source_r_ohm < 0.0 or not math.isfinite(source_r_ohm):
+        raise InvalidInputError(f"source_r_ohm must be >= 0, got {source_r_ohm!r}")
+
+
 def trajectory(params: DeviceParams, v: Sequence[float] | np.ndarray,
                dt: float | Sequence[float] | np.ndarray, w0: float,
                source_r_ohm: float = 0.0) -> list[float]:
@@ -169,10 +188,7 @@ def trajectory(params: DeviceParams, v: Sequence[float] | np.ndarray,
     vs = np.asarray(v, dtype=float)
     if vs.ndim != 1 or not np.isfinite(vs).all():
         raise InvalidInputError("voltages must be a finite 1-D sequence")
-    w_on, w_off = params.w_on, params.w_off
-    if not w_on <= w0 <= w_off:
-        raise InvalidInputError(
-            f"state w must be finite and lie within [{w_on!r}, {w_off!r}], got {w0!r}")
+    _check_start(params, w0, source_r_ohm)
     dts = np.asarray(dt, dtype=float)
     if dts.ndim != 0 and dts.shape != vs.shape:
         raise InvalidInputError(
@@ -180,9 +196,16 @@ def trajectory(params: DeviceParams, v: Sequence[float] | np.ndarray,
     bad_dt = dts[~(np.isfinite(dts) & (dts > 0.0))]
     if bad_dt.size:
         raise InvalidInputError(f"need finite dt > 0, got dt={float(bad_dt[0])!r}")
-    if source_r_ohm < 0.0 or not math.isfinite(source_r_ohm):
-        raise InvalidInputError(f"source_r_ohm must be >= 0, got {source_r_ohm!r}")
+    steps = dts.tolist() if dts.ndim else itertools.repeat(float(dts))
+    return _step_loop(params, vs.tolist(), steps, w0, source_r_ohm)
 
+
+def _step_loop(params: DeviceParams, volts: Iterable[float],
+               steps: Iterable[float], w0: float,
+               source_r_ohm: float) -> list[float]:
+    """`trajectory` on Python floats whose checks have passed: one Euler
+    step per (voltage, dt) pair, no input checked again."""
+    w_on, w_off = params.w_on, params.w_off
     v_on, v_off = params.v_on, params.v_off
     k_on, k_off = params.k_on, params.k_off
     alpha_on, alpha_off = params.alpha_on, params.alpha_off
@@ -193,8 +216,7 @@ def trajectory(params: DeviceParams, v: Sequence[float] | np.ndarray,
     r = r_on * r_ratio ** ((w_off - w) / span)
     out = [r]
     append = out.append
-    dt_steps = dts.tolist() if dts.ndim else itertools.repeat(float(dts))
-    for vk, h in zip(vs.tolist(), dt_steps):
+    for vk, h in zip(volts, steps):
         if divided:
             vk = vk / (r + source_r_ohm) * r
         # `drive_rate` and the window, inlined: a call per step makes the

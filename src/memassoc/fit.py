@@ -19,15 +19,22 @@ v_on, v_off); the structural state bounds w_on / w_off are taken from the
 initial guess and held fixed.  Each objective evaluation restarts the
 integration from the fully reset state w = w_on.
 
-The recorded trace is validated once, when it is built; the replay
-trusts its columns and builds the model trace without checking them
-again.  Without a source resistance the model's voltage column is the
-drive's own array, and `rmse` takes its error term as the exact 0.0 it
-is instead of summing it.  A parameter point whose replay overflows
-(a drift rate beyond the float range) scores as infeasible, so the
-search backs off; a start point that overflows raises InvalidStartError.
-A gradient with an infeasible probe carries the surrogate in a central
-difference, so a failed line search along it does not count as converged.
+The recorded trace is validated once, when it is built, and its columns
+are read-only float64 copies.  What the replay and the score derive from
+the trace alone is computed on first use and kept on the trace: the step
+voltages v[:-1] and step lengths diff(t) as Python float lists, and the
+reference energies sum v^2 and sum i^2.  The columns cannot change, so
+these cannot go stale, and a fit eval pays only for the model at its
+parameter point: `simulate_current` checks its scalar arguments and runs
+`device.trajectory`'s stepping loop on the cached lists, without checking
+the columns again.  Without a source resistance the model's voltage
+column is the drive's own array, and `rmse` takes its error term as the
+exact 0.0 it is instead of summing it.  A parameter point whose replay
+overflows (a drift rate beyond the float range) scores as infeasible, so
+the search backs off; a start point that overflows raises
+InvalidStartError.  A gradient with an infeasible probe carries the
+surrogate in a central difference, so a failed line search along it does
+not count as converged.
 """
 
 from __future__ import annotations
@@ -35,12 +42,13 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
-from .device import DeviceParams, trajectory
+from .device import DeviceParams, _check_start, _step_loop
 from .errors import DataError, InvalidInputError, InvalidStartError, require
 
 __all__ = [
@@ -70,16 +78,19 @@ _INFEASIBLE = 1e6  # objective surrogate outside the feasible parameter set
 
 @dataclass(frozen=True)
 class IVTrace:
-    """Sampled drive/response trace: time (s), voltage (V), current (A)."""
+    """Sampled drive/response trace: time (s), voltage (V), current (A).
+
+    The columns are read-only float64 copies, so the values derived from
+    them below, each computed on first use, cannot go stale.
+    """
 
     t: np.ndarray
     v: np.ndarray
     i: np.ndarray
 
     def __post_init__(self) -> None:
-        t = np.asarray(self.t, dtype=float)
-        v = np.asarray(self.v, dtype=float)
-        i = np.asarray(self.i, dtype=float)
+        t, v, i = (_frozen_copy(self.t), _frozen_copy(self.v),
+                   _frozen_copy(self.i))
         if not (t.ndim == v.ndim == i.ndim == 1):
             raise InvalidInputError("trace columns must be 1-D")
         if not (len(t) == len(v) == len(i)):
@@ -89,8 +100,13 @@ class IVTrace:
             raise InvalidInputError(f"trace needs at least 2 samples, got {len(t)}")
         if not (np.isfinite(t).all() and np.isfinite(v).all() and np.isfinite(i).all()):
             raise InvalidInputError("trace contains non-finite samples")
-        if not np.all(np.diff(t) > 0.0):
+        # two finite timestamps can lie further apart than the float range
+        with np.errstate(over="ignore"):
+            intervals = np.diff(t)
+        if not np.all(intervals > 0.0):
             raise InvalidInputError("trace timestamps must increase strictly")
+        if not np.isfinite(intervals).all():
+            raise InvalidInputError("trace sample intervals must be finite")
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "i", i)
@@ -100,13 +116,40 @@ class IVTrace:
 
     @classmethod
     def _trusted(cls, t: np.ndarray, v: np.ndarray, i: np.ndarray) -> IVTrace:
-        """A trace of float columns known to pass `__post_init__`, built
-        without running its checks again."""
+        """A trace of read-only float columns known to pass `__post_init__`,
+        built without running its checks again."""
         trace = object.__new__(cls)
         object.__setattr__(trace, "t", t)
         object.__setattr__(trace, "v", v)
         object.__setattr__(trace, "i", i)
         return trace
+
+    @cached_property
+    def step_v(self) -> list[float]:
+        """The drive voltage of each replay step: every sample but the last."""
+        return self.v[:-1].tolist()
+
+    @cached_property
+    def step_dt(self) -> list[float]:
+        """The length of each replay step: the sample intervals."""
+        return np.diff(self.t).tolist()
+
+    @cached_property
+    def v_energy(self) -> float:
+        """sum v^2, the voltage term's normalizer in `rmse`."""
+        return float(np.sum(self.v ** 2))
+
+    @cached_property
+    def i_energy(self) -> float:
+        """sum i^2, the current term's normalizer in `rmse`."""
+        return float(np.sum(self.i ** 2))
+
+
+def _frozen_copy(column: np.ndarray) -> np.ndarray:
+    """A read-only float64 copy; the caller's array keeps its flags."""
+    out = np.array(column, dtype=float)
+    out.flags.writeable = False
+    return out
 
 
 def read_trace_csv(path: str | Path) -> IVTrace:
@@ -141,8 +184,8 @@ def read_trace_csv(path: str | Path) -> IVTrace:
         trace = IVTrace(data[:, 0], data[:, 1], data[:, 2])
     except InvalidInputError as exc:
         raise DataError(f"{path}: {exc}") from exc
-    for name, column in (("voltage", trace.v), ("current", trace.i)):
-        if not np.sum(column ** 2) > 0.0:
+    for name, energy in (("voltage", trace.v_energy), ("current", trace.i_energy)):
+        if not energy > 0.0:
             raise DataError(
                 f"{path}: trace {name} is zero throughout (sum of squares 0)")
     return trace
@@ -169,24 +212,34 @@ def simulate_current(params: DeviceParams, drive: IVTrace,
     v / R(w).  A positive `source_r_ohm` models a series source resistance:
     the device then sees the divided voltage, which also feeds the voltage
     error term of `rmse`.
+
+    Only `w0` (within [w_on, w_off]) and `source_r_ohm` (finite, >= 0) are
+    checked, with `trajectory`'s messages: the drive's columns passed
+    `IVTrace`'s checks when it was built, and its step lists are computed
+    once per trace.  The returned columns are read-only.
     """
     w = params.w_on if w0 is None else w0
-    r = np.array(trajectory(params, drive.v[:-1], np.diff(drive.t), w,
+    _check_start(params, w, source_r_ohm)
+    r = np.array(_step_loop(params, drive.step_v, drive.step_dt, w,
                             source_r_ohm), dtype=float)
     i_out = drive.v / (r + source_r_ohm)
     v_out = i_out * r if source_r_ohm > 0.0 else drive.v
-    # the drive's columns passed `IVTrace`'s checks when it was built, and
-    # the model columns are finite
+    # finite, and read-only as every trace's columns are: a model trace can
+    # serve as the recorded one, whose energies it then keeps
+    i_out.flags.writeable = v_out.flags.writeable = False
     return IVTrace._trusted(drive.t, v_out, i_out)
 
 
 def rmse(model: IVTrace, real: IVTrace) -> float:
-    """Energy-normalized RMS error between model and recorded traces."""
+    """Energy-normalized RMS error between model and recorded traces.
+
+    The normalizers are `real`'s reference energies, summed once per trace
+    with the same expressions, so they are the same floats on every call.
+    """
     if len(model) != len(real):
         raise InvalidInputError(
             f"trace length mismatch: model {len(model)}, real {len(real)}")
-    v_norm = float(np.sum(real.v ** 2))
-    i_norm = float(np.sum(real.i ** 2))
+    v_norm, i_norm = real.v_energy, real.i_energy
     if v_norm <= 0.0 or i_norm <= 0.0:
         raise InvalidInputError("reference trace has zero voltage or current energy")
     # the replay without source resistance hands back the drive's own
@@ -233,11 +286,20 @@ class FitConfig:
 
 @dataclass(frozen=True)
 class FitResult:
+    """The fitted device and how the search ended.
+
+    `stop_reason` names the test that ended it: `objective_floor` (the
+    objective reached 1e-15), `gradient` (a stationary point), `tol` (an
+    accepted step improved by at most `FitConfig.tol`), `line_search`
+    (no step along the search direction was accepted) or `max_iters`.
+    """
+
     params: DeviceParams
     rmse: float
     iterations: int
     converged: bool
     objective_history: tuple[float, ...]
+    stop_reason: str
 
 
 def default_bounds(initial: DeviceParams) -> tuple[dict[str, float], dict[str, float]]:
@@ -338,12 +400,15 @@ def fit(real: IVTrace, config: FitConfig) -> FitResult:
     h_inv = np.eye(n)          # inverse Hessian estimate
     grad_tol = 1e-9            # sup-norm stationarity cutoff
     iterations = 0
-    converged = False
+    converged, stop_reason = False, "max_iters"
 
     g, probe_infeasible = gradient(x)
     for _ in range(config.max_iters):
-        if f_x <= 1e-15 or np.max(np.abs(g)) < grad_tol:
-            converged = True
+        if f_x <= 1e-15:
+            converged, stop_reason = True, "objective_floor"
+            break
+        if np.max(np.abs(g)) < grad_tol:
+            converged, stop_reason = True, "gradient"
             break
         d = -h_inv @ g
         slope = float(g @ d)
@@ -363,7 +428,7 @@ def fit(real: IVTrace, config: FitConfig) -> FitResult:
         if not accepted:
             # no acceptable step along d: stationary to line-search precision,
             # unless an infeasible probe's surrogate inflated the gradient
-            converged = not probe_infeasible
+            converged, stop_reason = not probe_infeasible, "line_search"
             break
         g_new, probe_infeasible = gradient(x_new)
         s = x_new - x
@@ -379,9 +444,10 @@ def fit(real: IVTrace, config: FitConfig) -> FitResult:
         history.append(f_x)
         iterations += 1
         if improvement <= config.tol:
-            converged = True
+            converged, stop_reason = True, "tol"
             break
 
     params = _from_vector(x, config)
     return FitResult(params=params, rmse=f_x, iterations=iterations,
-                     converged=converged, objective_history=tuple(history))
+                     converged=converged, objective_history=tuple(history),
+                     stop_reason=stop_reason)

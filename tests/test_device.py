@@ -334,6 +334,16 @@ class TestParamValidation:
             DeviceParams(w_on=-1e308, w_off=1e308)
         assert DeviceParams(w_on=-1e308, w_off=1.0).w_on == -1e308
 
+    def test_resistance_ratio_beyond_float_range_rejected(self):
+        # r_off / r_on overflows to inf, and R(w) = r_on * inf ** frac is
+        # inf at every state short of w_off
+        for r_on, r_off in ((1e-300, 1e300), (5e-324, 1000.0)):
+            with pytest.raises(InvalidInputError,
+                               match="^r_off must .* by a finite ratio"):
+                DeviceParams(r_on=r_on, r_off=r_off)
+        wide = DeviceParams(r_on=1e-300, r_off=1e7)  # a ratio of 1e307
+        assert resistance(wide, wide.w_on) == pytest.approx(1e7, rel=1e-9)
+
     def test_non_finite_state_rejected(self):
         # every entry point that takes a start state refuses a NaN one
         with pytest.raises(InvalidInputError):

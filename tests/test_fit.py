@@ -9,7 +9,10 @@ Covered here:
 - fit determinism, monotone accepted objective, trivial start at truth,
   and full self-consistency recovery from a +-30% perturbed start;
 - a start whose line search overflows exp still returns a result, and so
-  does one whose gradient probe overflows the device replay.
+  does one whose gradient probe overflows the device replay;
+- trace columns are read-only copies, and the shipped `fit_sinusoid.conf`
+  fit is pinned: iterations, replay count, the rmse's float and the
+  stop reason.
 """
 
 from __future__ import annotations
@@ -70,6 +73,30 @@ class TestIVTrace:
     def test_rejects_length_mismatch(self):
         with pytest.raises(InvalidInputError):
             IVTrace(np.array([0.0, 1.0]), np.zeros(2), np.zeros(3))
+
+    def test_rejects_interval_beyond_float_range(self):
+        # both timestamps are finite, but 1e308 - (-1e308) is not
+        with pytest.raises(InvalidInputError, match="intervals must be finite"):
+            IVTrace(np.array([-1e308, 1e308]), np.ones(2), np.ones(2))
+
+    def test_columns_are_read_only_copies(self):
+        t, v, i = np.arange(3.0), np.ones(3), np.ones(3)
+        trace = IVTrace(t, v, i)
+        for column in (trace.t, trace.v, trace.i):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 5.0
+        # the caller's arrays stay writeable, and writing them leaves the
+        # trace as it was built
+        assert t.flags.writeable and v.flags.writeable and i.flags.writeable
+        t[0], v[0] = -1.0, 7.0
+        assert trace.t[0] == 0.0 and trace.v[0] == 1.0
+        assert trace.step_v == [1.0, 1.0] and trace.step_dt == [1.0, 1.0]
+
+    def test_replay_columns_are_read_only(self, reference_trace):
+        for source in (0.0, 1e3):
+            model = simulate_current(TRUE, reference_trace, source_r_ohm=source)
+            assert not (model.t.flags.writeable or model.v.flags.writeable
+                        or model.i.flags.writeable)
 
     def test_csv_round_trip(self, tmp_path, reference_trace):
         path = tmp_path / "trace.csv"
@@ -186,6 +213,7 @@ class TestFit:
     def test_start_at_truth_is_immediate(self, reference_trace):
         res = fit(reference_trace, FitConfig(initial=TRUE))
         assert res.converged
+        assert res.stop_reason == "objective_floor"
         assert res.iterations == 0
         assert res.rmse <= 1e-12
 
@@ -208,6 +236,7 @@ class TestFit:
         res = fit(reference_trace, FitConfig(initial=perturbed_start(), max_iters=2))
         assert res.iterations == 2
         assert not res.converged
+        assert res.stop_reason == "max_iters"
 
     def test_bounds_clamp_is_respected(self, reference_trace):
         lower, upper = default_bounds(perturbed_start())
@@ -281,8 +310,30 @@ class TestFit:
         # the overflowing probe put the surrogate into the gradient, so the
         # line search along it failed: that is not convergence
         assert not res.converged
+        assert res.stop_reason == "line_search"
         assert list(res.objective_history) == sorted(res.objective_history,
                                                      reverse=True)
+
+    def test_shipped_config_fit_is_pinned(self, monkeypatch):
+        # the shipped fit, replay for replay: a change that moves one float
+        # of any objective eval, or adds or drops an eval, shows here
+        from memassoc.cli import build_fit_config, load_config
+
+        config = build_fit_config(load_config(REPO / "configs" / "fit_sinusoid.conf"))
+        real = read_trace_csv(REPO / "data" / "iv" / "sine_10hz_0v5.csv")
+        calls = []
+        replay = memassoc.fit.simulate_current
+
+        def counting_replay(*args, **kwargs):
+            calls.append(args[0])
+            return replay(*args, **kwargs)
+
+        monkeypatch.setattr(memassoc.fit, "simulate_current", counting_replay)
+        res = fit(real, config)
+        assert (res.iterations, len(calls)) == (78, 1429)
+        assert repr(res.rmse) == "2.1612733124098566e-07"
+        assert res.converged and res.stop_reason == "tol"
+        assert res.objective_history[-1] == res.rmse
 
     def test_structural_state_bounds_fixed(self, reference_trace):
         start = perturbed_start()

@@ -8,9 +8,11 @@ comparisons):
     between the bounds, voltages at, one ULP beyond and across both
     thresholds, constant runs that drive the state onto a bound and hold
     it there, per-step dt and a series source resistance;
-  * `fit.rmse` of `fit.simulate_current` equals the `fit` module's
-    formula computed from the oracle's states, with and without a source
-    resistance;
+  * `fit.rmse` of `fit.simulate_current`, and the model trace it scores,
+    equal the `fit` module's formula computed from the oracle's states,
+    with and without a source resistance, for one trace replayed in turn
+    at up to four parameter points (what the trace caches cannot leak
+    from one point into the next);
   * `device.pulse`, on one float or on a grid, and `train_pair` equal the
     oracle's `fold` over the pulse cell by cell, for rate exponents away
     from 1, start states at and between the bounds, voltages at and
@@ -174,10 +176,12 @@ def test_trajectory_matches_step_fold(case):
 @st.composite
 def objective_case(draw):
     """A recorded trace with uneven sample intervals, its drive in constant
-    runs as in `kernel_case`, replayed with and without a source
-    resistance."""
-    params = draw(device_params())
-    v = draw(constant_runs(params, 6, 40))
+    runs as in `kernel_case`, and one to four parameter points to replay
+    it at in turn, each with or without a source resistance."""
+    points = draw(st.lists(st.tuples(device_params(),
+                                     st.just(0.0) | st.floats(1.0, 1e5)),
+                           min_size=1, max_size=4))
+    v = draw(constant_runs(points[0][0], 6, 40))
     n = len(v)
     assume(n >= 2)
     steps = draw(st.lists(st.floats(1e-5, 0.1), min_size=n - 1, max_size=n - 1))
@@ -185,29 +189,37 @@ def objective_case(draw):
     assume(sum(x * x for x in v) > 0.0 and sum(x * x for x in i) > 0.0)
     drive = IVTrace(np.concatenate([[0.0], np.cumsum(steps)]), np.array(v),
                     np.array(i))
-    return params, drive, draw(st.just(0.0) | st.floats(1.0, 1e5))
+    return drive, points
 
 
 @settings(max_examples=100, deadline=None)
 @given(objective_case())
 def test_objective_matches_docstring_formula(case):
     # rmse = sqrt((sum (dv)^2 / sum v_r^2 + sum (di)^2 / sum i_r^2) / N),
-    # the model read off the oracle's states from the fully reset w_on
-    params, drive, source = case
-    got = rmse(simulate_current(params, drive, source_r_ohm=source), drive)
-
+    # the model read off the oracle's states from the fully reset w_on.
+    # One trace serves every parameter point, as in a fit: what it caches
+    # on the first replay must not leak into the next
+    drive, points = case
     volts, amps = drive.v.tolist(), drive.i.tolist()
-    ws = fold(params, volts[:-1], np.diff(drive.t).tolist(), params.w_on, source)
-    rs = [resistance(params, w) for w in ws]
-    i_model = [v / (r + source) for v, r in zip(volts, rs)]
-    v_model = [i * r for i, r in zip(i_model, rs)] if source > 0.0 else volts
-    dv = np.array([(a - b) * (a - b) for a, b in zip(v_model, volts)])
-    di = np.array([(a - b) * (a - b) for a, b in zip(i_model, amps)])
-    v_norm = np.array([x * x for x in volts])
-    i_norm = np.array([x * x for x in amps])
-    want = math.sqrt((float(np.sum(dv)) / float(np.sum(v_norm))
-                      + float(np.sum(di)) / float(np.sum(i_norm))) / len(volts))
-    assert got == want
+    for params, source in points:
+        model = simulate_current(params, drive, source_r_ohm=source)
+        got = rmse(model, drive)
+
+        ws = fold(params, volts[:-1], np.diff(drive.t).tolist(), params.w_on,
+                  source)
+        rs = [resistance(params, w) for w in ws]
+        i_model = [v / (r + source) for v, r in zip(volts, rs)]
+        v_model = [i * r for i, r in zip(i_model, rs)] if source > 0.0 else volts
+        assert np.array_equal(bits64(model.i), bits64(np.array(i_model)))
+        assert np.array_equal(bits64(model.v), bits64(np.array(v_model)))
+        dv = np.array([(a - b) * (a - b) for a, b in zip(v_model, volts)])
+        di = np.array([(a - b) * (a - b) for a, b in zip(i_model, amps)])
+        v_norm = np.array([x * x for x in volts])
+        i_norm = np.array([x * x for x in amps])
+        want = math.sqrt((float(np.sum(dv)) / float(np.sum(v_norm))
+                          + float(np.sum(di)) / float(np.sum(i_norm)))
+                         / len(volts))
+        assert got == want
 
 
 # --- constant-voltage pulse -------------------------------------------------------
