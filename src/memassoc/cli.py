@@ -701,21 +701,26 @@ def replay_manifest(manifest_path: str | Path,
     A faithful replay reproduces the recorded `outputs` hashes exactly.
     """
     manifest = json.loads(Path(manifest_path).read_text())
-    command, args = manifest["command"], manifest["args"]
+    command = manifest["command"]
     config = parse_config(manifest["config_text"],
                           vision=command.startswith("vision"))
-    if command == "fit":
-        cmd_fit(config, args["trace"], out_dir)
-    elif command == "pavlov":
-        cmd_pavlov(config, out_dir)
-    elif command == "vision-train":
-        cmd_vision(config, args["train_dir"], None, out_dir)
-    elif command == "vision-classify":
-        cmd_vision(config, args["train_dir"], args["test_dir"], out_dir)
-    else:
-        raise DataError(f"manifest names unknown command {command!r}")
+    _run(command, config, manifest["args"], out_dir)
     out = Path(out_dir)
     return {name: _sha256(out / name) for name in manifest["outputs"]}
+
+
+def _run(command: str, config: ExperimentConfig, args: Mapping[str, Any],
+         out_dir: str | Path) -> int:
+    """Run one command on a parsed config.  `args` holds its inputs under
+    argparse's names, which a manifest's `args` record; each `cmd_*` is
+    looked up when the command runs."""
+    if command == "fit":
+        return cmd_fit(config, args["trace"], out_dir)
+    if command == "pavlov":
+        return cmd_pavlov(config, out_dir)
+    if command in ("vision-train", "vision-classify"):
+        return cmd_vision(config, args["train_dir"], args.get("test_dir"), out_dir)
+    raise DataError(f"manifest names unknown command {command!r}")
 
 
 # --- entry point -------------------------------------------------------------
@@ -749,44 +754,39 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _single_config(ns: argparse.Namespace) -> ExperimentConfig:
-    if len(ns.config) > 1:
-        raise ConfigError(f"{ns.command} accepts a single --config")
-    if not ns.config:
-        return ExperimentConfig()
-    return load_config(ns.config[0], vision=ns.command.startswith("vision"))
-
-
 def _with_dt_override(config: ExperimentConfig,
                       ns: argparse.Namespace) -> ExperimentConfig:
     """The config with `--dt-override` as its [sim] dt_s for pavlov runs,
-    its [vision] dt_s otherwise."""
+    its [vision] dt_s otherwise, checked by building what the run builds."""
     if ns.dt_override is None:
         return config
+    if ns.command == "fit":
+        raise ConfigError("--dt-override only applies to simulation runs")
     if ns.command == "pavlov":
-        return replace(config, sim=replace(config.sim, dt_s=ns.dt_override))
-    return replace(config, vision=replace(config.vision, dt_s=ns.dt_override))
+        config = replace(config, sim=replace(config.sim, dt_s=ns.dt_override))
+        build_chain(config)
+    else:
+        config = replace(config, vision=replace(config.vision, dt_s=ns.dt_override))
+        build_train_config(config)
+    return config
 
 
 def _dispatch(ns: argparse.Namespace) -> int:
-    if ns.command == "fit":
-        config = _single_config(ns)
-        if ns.dt_override is not None:
-            raise ConfigError("--dt-override only applies to simulation runs")
-        return cmd_fit(config, ns.trace, ns.out)
-    if ns.command == "pavlov" and len(ns.config) > 1:
-        outs = [str(Path(ns.out) / Path(path).stem) for path in ns.config]
-        if len(set(outs)) != len(outs):
-            raise ConfigError("sweep configs must have distinct file stems")
-        # every config is parsed before the first one runs, in order
-        configs = [_with_dt_override(load_config(path), ns) for path in ns.config]
-        return max(cmd_pavlov(config, out) for config, out in zip(configs, outs))
-    config = _with_dt_override(_single_config(ns), ns)
-    if ns.command == "pavlov":
-        return cmd_pavlov(config, ns.out)
-    if ns.command == "vision-train":
-        return cmd_vision(config, ns.train_dir, None, ns.out)
-    return cmd_vision(config, ns.train_dir, ns.test_dir, ns.out)
+    """Parse every config and check it under `--dt-override` before the
+    first one runs, then run them in order; a pavlov sweep writes each run
+    under its config's file stem."""
+    if len(ns.config) > 1 and ns.command != "pavlov":
+        raise ConfigError(f"{ns.command} accepts a single --config")
+    outs = ([str(Path(ns.out) / Path(path).stem) for path in ns.config]
+            if len(ns.config) > 1 else [ns.out])
+    if len(set(outs)) != len(outs):
+        raise ConfigError("sweep configs must have distinct file stems")
+    vision = ns.command.startswith("vision")
+    configs = [load_config(path, vision=vision)
+               for path in ns.config] or [ExperimentConfig()]
+    configs = [_with_dt_override(config, ns) for config in configs]
+    return max(_run(ns.command, config, vars(ns), out)
+               for config, out in zip(configs, outs))
 
 
 def console_main(argv: Sequence[str] | None = None) -> int:

@@ -27,15 +27,15 @@ once per call instead of once per step, and each bit-identical to the
 one-step-per-call oracle in `tests/oracle.py`.  Both refuse a start state
 outside [w_on, w_off]: the held-row rules below rely on it.
 
-`trajectory` steps through a voltage sequence with plain floats and
-returns the resistance along the run; the chain and the fit replay use
-it.  It is its input checks followed by a private stepping loop on Python
-float sequences.  The fit replay, whose drive was checked once when its
-trace was built, checks only its start state and source resistance
-(through the same helper, with the same messages) and runs that same
-loop, so each model formula still lives in one place.  A row holds when
-the state cannot move: its drive lies in the dead zone, or pushes toward
-the bound the state already sits on (the rectangular window).  A held row appends the previous resistance and
+`trajectory` steps the chain through a voltage sequence at one dt with
+plain floats and returns the resistance along the run.  It is its input
+checks followed by a private stepping loop on Python float sequences.
+The fit replay, whose drive was checked once when its trace was built
+and which always starts at w_on, runs that same loop with its own step
+lengths and source resistance, so each model formula still lives in one
+place.  A row holds when the state cannot move: its drive lies in the
+dead zone, or pushes toward the bound the state already sits on (the
+rectangular window).  A held row appends the previous resistance and
 computes neither the rate nor R(w); in a fit replay about half of the
 rows hold.  A row that moves adds its increment, which has the sign of
 its drive, so it clamps only at the bound that drive can cross.  A state
@@ -53,25 +53,25 @@ without computing its rate.  The test over-approximates (a rate that
 rounds to zero still passes), and such a cell's sum stays at its state.
 One consequence is deliberate: a rate beyond the float range raises
 `OverflowError` only on a movable cell; on a cell that cannot move it is
-never evaluated.  For the movable cells `pulse` computes one rate per
-distinct voltage with the scalar `drive_rate` (array `pow` can differ
-from scalar `pow` in the last bit), adds it n times and clamps once at
-the end.  Under the rectangular window that single clamp gives the
-per-step clamp's state: a cell's increment keeps one sign for the whole
-pulse, so a start state inside the bounds never crosses the opposite
-bound; and once the per-step clamp binds, the unclamped sum stays beyond
-that bound, because float addition is monotonic.  Cells that share an
-exact (state, increment) pair share every sum, so the movable cells are
-grouped by pair and each distinct pair is summed once (a zero state
-merges with its negative twin, which changes no sum).  The n adds run as
-`np.add.accumulate` along the step axis over blocks of rows
-[u, dw, dw, ...] holding at most `_FOLD_BLOCK` increments (at least one
-step), each block starting from the last row of the one before, so
-memory stays bounded.  The running sum adds in order and rounds once per
-add, as `u += dw` does, so the state is the same float.  An increment or
-a sum beyond the float range becomes inf, as a Python multiply or add
-does, and the clamp maps it to the bound; numpy's overflow warning is
-suppressed, so nothing reaches stderr.
+never evaluated.  Cells that share an exact (state, voltage) pair share
+the increment and so every sum, so the movable cells are grouped by pair
+once (a zero state merges with its negative twin, which changes no sum).
+For each distinct pair `pulse` computes the rate with the scalar
+`drive_rate` (array `pow` can differ from scalar `pow` in the last bit),
+adds its increment n times and clamps once at the end.  Under the
+rectangular window that single clamp gives the per-step clamp's state: a
+cell's increment keeps one sign for the whole pulse, so a start state
+inside the bounds never crosses the opposite bound; and once the
+per-step clamp binds, the unclamped sum stays beyond that bound, because
+float addition is monotonic.  The n adds run as `np.add.accumulate`
+along the step axis over blocks of rows [u, dw, dw, ...] holding at most
+`_FOLD_BLOCK` increments (at least one step), each block starting from
+the last row of the one before, so memory stays bounded.  The running
+sum adds in order and rounds once per add, as `u += dw` does, so the
+state is the same float.  An increment or a sum beyond the float range
+becomes inf, as a Python multiply or add does, and the clamp maps it to
+the bound; numpy's overflow warning is suppressed, so nothing reaches
+stderr.
 
 Units: volts, ohms, seconds; w is dimensionless.  All functions are
 pure and all types immutable, so values can be shared freely across
@@ -162,49 +162,33 @@ def resistance(params: DeviceParams, w: float) -> float:
     return params.r_on * (params.r_off / params.r_on) ** frac
 
 
-def _check_start(params: DeviceParams, w0: float, source_r_ohm: float) -> None:
-    """Refuse a start state outside [w_on, w_off] or a source resistance
-    that is negative or not finite: the scalar inputs of a replay."""
-    w_on, w_off = params.w_on, params.w_off
-    if not w_on <= w0 <= w_off:
-        raise InvalidInputError(
-            f"state w must be finite and lie within [{w_on!r}, {w_off!r}], got {w0!r}")
-    if source_r_ohm < 0.0 or not math.isfinite(source_r_ohm):
-        raise InvalidInputError(f"source_r_ohm must be >= 0, got {source_r_ohm!r}")
-
-
 def trajectory(params: DeviceParams, v: Sequence[float] | np.ndarray,
-               dt: float | Sequence[float] | np.ndarray, w0: float,
-               source_r_ohm: float = 0.0) -> list[float]:
+               dt: float, w0: float) -> list[float]:
     """Resistance before the first Euler step and after each of len(v) steps.
 
-    Step k applies voltage v[k] for dt (one float for every step, or one
-    per step) starting from state w0.  With a positive `source_r_ohm`, v is
-    a source voltage behind that series resistance and step k drives the
-    device with v[k] / (R + source_r_ohm) * R, R read before the step.
-    Inputs are checked once: v finite, w0 within [w_on, w_off], every dt
-    finite and > 0.
+    Step k applies voltage v[k] for dt, starting from state w0.  Inputs
+    are checked once: v finite, w0 within [w_on, w_off], dt finite and > 0.
     """
     vs = np.asarray(v, dtype=float)
     if vs.ndim != 1 or not np.isfinite(vs).all():
         raise InvalidInputError("voltages must be a finite 1-D sequence")
-    _check_start(params, w0, source_r_ohm)
-    dts = np.asarray(dt, dtype=float)
-    if dts.ndim != 0 and dts.shape != vs.shape:
+    w_on, w_off = params.w_on, params.w_off
+    if not w_on <= w0 <= w_off:
         raise InvalidInputError(
-            f"need one dt or one per step: {dts.size} dt values for {vs.size} steps")
-    bad_dt = dts[~(np.isfinite(dts) & (dts > 0.0))]
-    if bad_dt.size:
-        raise InvalidInputError(f"need finite dt > 0, got dt={float(bad_dt[0])!r}")
-    steps = dts.tolist() if dts.ndim else itertools.repeat(float(dts))
-    return _step_loop(params, vs.tolist(), steps, w0, source_r_ohm)
+            f"state w must be finite and lie within [{w_on!r}, {w_off!r}], got {w0!r}")
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise InvalidInputError(f"need finite dt > 0, got dt={dt!r}")
+    return _step_loop(params, vs.tolist(), itertools.repeat(dt), w0, 0.0)
 
 
 def _step_loop(params: DeviceParams, volts: Iterable[float],
                steps: Iterable[float], w0: float,
                source_r_ohm: float) -> list[float]:
-    """`trajectory` on Python floats whose checks have passed: one Euler
-    step per (voltage, dt) pair, no input checked again."""
+    """The stepping loop of `trajectory` and the fit replay, on Python
+    floats whose checks have passed: one Euler step per (voltage, dt)
+    pair, no input checked again.  With a positive `source_r_ohm`, v is a
+    source voltage behind that series resistance and step k drives the
+    device with v[k] / (R + source_r_ohm) * R, R read before the step."""
     w_on, w_off = params.w_on, params.w_off
     v_on, v_off = params.v_on, params.v_off
     k_on, k_off = params.k_on, params.k_off
@@ -277,18 +261,17 @@ def pulse(params: DeviceParams, w: float | np.ndarray, v: float | np.ndarray,
     movable = (((vs >= params.v_on) & (ws < hi))
                | ((vs <= params.v_off) & (ws > lo)))
     if n_steps and movable.any():
-        # one rate per distinct voltage, from the scalar `drive_rate`:
-        # array `pow` can differ from scalar `pow` in the last bit
-        levels, where = np.unique(vs[movable], return_inverse=True)
-        rates = np.array([drive_rate(params, x) for x in levels.tolist()])
+        # cells with one (state, voltage) pair share the increment and so
+        # every sum: each distinct pair is folded once and scattered back
+        pair = np.empty(np.count_nonzero(movable), dtype=complex)
+        pair.real, pair.imag = ws[movable], vs[movable]
+        pairs, slot = np.unique(pair, return_inverse=True)
+        # one rate per pair, from the scalar `drive_rate`: array `pow` can
+        # differ from scalar `pow` in the last bit
+        rates = np.array([drive_rate(params, x) for x in pairs.imag.tolist()])
         # a float multiply or add overflows silently
         with np.errstate(over="ignore"):
-            # cells with one (state, increment) pair share every sum, so
-            # each distinct pair is folded once and scattered back
-            pair = np.empty(where.size, dtype=complex)
-            pair.real, pair.imag = ws[movable], rates[where] * dt
-            pairs, slot = np.unique(pair, return_inverse=True)
-            total, step = pairs.real.copy(), pairs.imag.copy()
+            total, step = pairs.real, rates * dt
             # rows [u, dw, dw, ...]: row k of their running sum is u after
             # k steps; the block's last row starts the next block
             per_block = max(1, _FOLD_BLOCK // step.size)

@@ -25,16 +25,20 @@ the trace alone is computed on first use and kept on the trace: the step
 voltages v[:-1] and step lengths diff(t) as Python float lists, and the
 reference energies sum v^2 and sum i^2.  The columns cannot change, so
 these cannot go stale, and a fit eval pays only for the model at its
-parameter point: `simulate_current` checks its scalar arguments and runs
-`device.trajectory`'s stepping loop on the cached lists, without checking
-the columns again.  Without a source resistance the model's voltage
-column is the drive's own array, and `rmse` takes its error term as the
-exact 0.0 it is instead of summing it.  A parameter point whose replay
+parameter point: `simulate_current` checks its source resistance and
+runs the device's stepping loop (the one `device.trajectory` runs) from
+w_on on the cached lists, without checking the columns again.  Without a
+source resistance the model's voltage column is the drive's own array,
+and `rmse` takes its error term as the exact 0.0 it is instead of
+summing it.  A parameter point whose replay
 overflows (a drift rate beyond the float range) scores as infeasible, so
 the search backs off; a start point that overflows raises
 InvalidStartError.  A gradient with an infeasible probe carries the
 surrogate in a central difference, so a failed line search along it does
-not count as converged.
+not count as converged; nor does one whose every probe was infeasible.
+A replay or score beyond the float range becomes inf without numpy's
+overflow warning: the search runs with overflow ignored, entered once
+per fit.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ from typing import Callable
 
 import numpy as np
 
-from .device import DeviceParams, _check_start, _step_loop
+from .device import DeviceParams, _step_loop
 from .errors import DataError, InvalidInputError, InvalidStartError, require
 
 __all__ = [
@@ -74,6 +78,7 @@ PARAM_NAMES = ("r_on", "r_off", "alpha_on", "alpha_off",
 _LOG_SPACE = ("r_on", "r_off", "alpha_on", "alpha_off", "k_on", "k_off")
 _PARAM_SIGN = {"k_off": -1.0, "v_off": -1.0}
 _INFEASIBLE = 1e6  # objective surrogate outside the feasible parameter set
+_PROBES = 50  # Armijo halvings per line search
 
 
 @dataclass(frozen=True)
@@ -202,9 +207,8 @@ def write_trace_csv(trace: IVTrace, path: str | Path) -> None:
 
 
 def simulate_current(params: DeviceParams, drive: IVTrace,
-                     w0: float | None = None,
                      source_r_ohm: float = 0.0) -> IVTrace:
-    """Replay the drive voltage through the model.
+    """Replay the drive voltage through the model from the state w_on.
 
     Returns a trace with identical timestamps; the state advances by one
     explicit-Euler step per sample interval.  With the default zero source
@@ -213,14 +217,13 @@ def simulate_current(params: DeviceParams, drive: IVTrace,
     the device then sees the divided voltage, which also feeds the voltage
     error term of `rmse`.
 
-    Only `w0` (within [w_on, w_off]) and `source_r_ohm` (finite, >= 0) are
-    checked, with `trajectory`'s messages: the drive's columns passed
-    `IVTrace`'s checks when it was built, and its step lists are computed
-    once per trace.  The returned columns are read-only.
+    Only `source_r_ohm` (finite, >= 0) is checked: the drive's columns
+    passed `IVTrace`'s checks when it was built, and its step lists are
+    computed once per trace.  The returned columns are read-only.
     """
-    w = params.w_on if w0 is None else w0
-    _check_start(params, w, source_r_ohm)
-    r = np.array(_step_loop(params, drive.step_v, drive.step_dt, w,
+    if not 0.0 <= source_r_ohm < math.inf:
+        raise InvalidInputError(f"source_r_ohm must be >= 0, got {source_r_ohm!r}")
+    r = np.array(_step_loop(params, drive.step_v, drive.step_dt, params.w_on,
                             source_r_ohm), dtype=float)
     i_out = drive.v / (r + source_r_ohm)
     v_out = i_out * r if source_r_ohm > 0.0 else drive.v
@@ -350,6 +353,7 @@ def central_difference_gradient(f: Callable[[np.ndarray], float],
     return g
 
 
+@np.errstate(over="ignore")
 def fit(real: IVTrace, config: FitConfig) -> FitResult:
     """Minimize `rmse` of the replayed model against the recorded trace.
 
@@ -417,8 +421,8 @@ def fit(real: IVTrace, config: FitConfig) -> FitResult:
             d = -g
             slope = float(g @ d)
         # Armijo backtracking: halve until sufficient decrease
-        alpha, accepted = 1.0, False
-        for _ in range(50):
+        alpha, accepted, seen = 1.0, False, infeasible
+        for _ in range(_PROBES):
             x_new = x + alpha * d
             f_new = objective(x_new)
             if math.isfinite(f_new) and f_new <= f_x + 1e-4 * alpha * slope:
@@ -427,8 +431,10 @@ def fit(real: IVTrace, config: FitConfig) -> FitResult:
             alpha *= 0.5
         if not accepted:
             # no acceptable step along d: stationary to line-search precision,
-            # unless an infeasible probe's surrogate inflated the gradient
-            converged, stop_reason = not probe_infeasible, "line_search"
+            # unless an infeasible probe's surrogate inflated the gradient,
+            # or no probe along d was scored at all
+            converged = not probe_infeasible and infeasible - seen < _PROBES
+            stop_reason = "line_search"
             break
         g_new, probe_infeasible = gradient(x_new)
         s = x_new - x

@@ -655,6 +655,42 @@ class TestCmdFit:
         assert err.startswith("error: ") and "overflows at the initial" in err, err
         assert not out.exists()
 
+    def test_line_search_without_a_feasible_probe_exits_2(self, tmp_path, capsys):
+        # the start and its gradient replay finitely, but every Armijo probe
+        # overflows in `_from_vector` and scores as infeasible: a search
+        # that scored no probe has not converged
+        cfg = tmp_path / "fit.conf"
+        cfg.write_text("[device]\nr_on_ohm = 1e-30\nr_off_ohm = 1e-29\n")
+        out = tmp_path / "out"
+        code = console_main(["fit", SINE_TRACE, "--config", str(cfg),
+                             "--out", str(out)])
+        report = json.loads((out / "fit_report.json").read_text())
+        assert code == 2
+        assert report["converged"] is False and report["iterations"] == 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(
+            "error: fit did not converge: stopped on line_search after 0 "
+            "iterations"), err
+
+    @pytest.mark.parametrize("device", [
+        "r_on_ohm = 1e-156\nr_off_ohm = 1e-155",
+        "r_on_ohm = 5e-324\nv_off_v = -5e-324\nr_off_ohm = 2.5e-310",
+    ])
+    def test_replay_beyond_float_range_exits_2_without_a_warning(
+            self, tmp_path, capsys, device):
+        # the model current, or its squared error, overflows to inf: the
+        # start scores non-finite, and numpy's overflow warning, an error
+        # in this suite, must not reach the caller
+        cfg = tmp_path / "fit.conf"
+        cfg.write_text(f"[device]\n{device}\n{FIT_TAIL}")
+        out = tmp_path / "out"
+        code = console_main(["fit", SINE_TRACE, "--config", str(cfg),
+                             "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: objective is non-finite at the initial parameters (inf)"]
+        assert not out.exists()
+
     def test_missing_trace_exits_2(self, tmp_path):
         code = console_main(["fit", str(tmp_path / "nope.csv"),
                              "--out", str(tmp_path / "out")])
@@ -775,6 +811,21 @@ class TestCmdPavlov:
         assert console_main(["pavlov", "--config", str(good), "--config", str(bad),
                              "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("config error: line 2: dt_s: ")
+        assert not out.exists()
+
+    def test_sweep_checks_dt_override_on_every_config_before_running_any(
+            self, tmp_path, capsys):
+        # a 2 s step fits the 5 s custom chain but not the 1.5 s pavlov1
+        # preset that an empty config runs
+        long, empty = tmp_path / "long.conf", tmp_path / "empty.conf"
+        long.write_text("[schedule]\npreset = custom\nfood_segments = 0:1\n"
+                        "ring1_segments = 0:1\n[sim]\nduration_s = 5.0\n")
+        empty.write_text("")
+        out = tmp_path / "sweep"
+        assert console_main(["pavlov", "--config", str(long), "--config",
+                             str(empty), "--out", str(out),
+                             "--dt-override", "2.0"]) == 1
+        assert capsys.readouterr().err.startswith("config error: duration ")
         assert not out.exists()
 
     @pytest.mark.parametrize("argv, n_configs", [
@@ -1160,6 +1211,9 @@ class TestChainExtremeDevice:
 class TestFitExtremeDevice:
     @settings(max_examples=50, deadline=None)
     @given(text=extreme_device_texts(FIT_TAIL))
+    # the model current overflowed to inf with numpy's overflow warning
+    @example(text="[device]\nr_on_ohm = 5e-324\nv_off_v = -5e-324\n"
+                  "r_off_ohm = 2.5e-310\n" + FIT_TAIL)
     def test_parsed_config_exits_0_or_2_with_one_line(self, tmp_path_factory,
                                                       text):
         try:
@@ -1268,6 +1322,35 @@ class TestManifests:
         assert "[vision]" in manifest["config_text"]
         fresh = replay_manifest(out / "manifest.json", tmp_path / "replayed")
         assert fresh == manifest["outputs"]
+
+    def test_console_and_replay_call_the_module_commands(self, tmp_path,
+                                                         monkeypatch):
+        # both look each command up on the module when they run it, so a
+        # wrapper set on `memassoc.cli` (as the benchmark's tracer sets one)
+        # sees every run
+        cfg = tmp_path / "c.conf"
+        cfg.write_text(CUSTOM_CHAIN)
+        calls = []
+
+        def spy(name):
+            inner = getattr(memassoc.cli, name)
+
+            def wrapper(*args):
+                calls.append(name)
+                return inner(*args)
+            monkeypatch.setattr(memassoc.cli, name, wrapper)
+
+        spy("cmd_pavlov")
+        spy("cmd_fit")
+        runs = {"pavlov": ["pavlov", "--config", str(cfg)],
+                "fit": ["fit", SINE_TRACE, "--config",
+                        str(REPO / "configs" / "fit_sinusoid.conf")]}
+        for command, argv in runs.items():
+            out = tmp_path / command
+            calls.clear()
+            console_main([*argv, "--out", str(out)])
+            replay_manifest(out / "manifest.json", tmp_path / f"{command}_again")
+            assert calls == [f"cmd_{command}"] * 2
 
     def test_double_run_byte_identical(self, tmp_path):
         cfg = parse_config(CUSTOM_CHAIN)

@@ -140,6 +140,12 @@ class TestSimulateCurrent:
         assert out.v[0] == pytest.approx(0.05, rel=1e-12)
         assert out.i[0] == pytest.approx(0.10 / (2 * TRUE.r_off), rel=1e-12)
 
+    @pytest.mark.parametrize("source", [-1.0, math.inf, math.nan])
+    def test_rejects_bad_source_resistance(self, source):
+        drive = IVTrace(np.arange(2.0), np.ones(2), np.ones(2))
+        with pytest.raises(InvalidInputError, match="source_r_ohm must be >= 0"):
+            simulate_current(TRUE, drive, source_r_ohm=source)
+
 
 class TestRmse:
     def test_identical_traces(self, reference_trace):

@@ -3,11 +3,12 @@
 The oracle (`tests/oracle.py`) takes one Euler step per call with plain
 floats.  Covered invariants (hypothesis-generated inputs, exact
 comparisons):
-  * `device.trajectory` equals the oracle's `fold` read through
-    `resistance`, for rate exponents away from 1, start states at and
-    between the bounds, voltages at, one ULP beyond and across both
-    thresholds, constant runs that drive the state onto a bound and hold
-    it there, per-step dt and a series source resistance;
+  * `device.trajectory` at one dt, and the stepping loop it shares with
+    the fit replay at per-step dt and behind a series source resistance,
+    equal the oracle's `fold` read through `resistance`, for rate
+    exponents away from 1, start states at and between the bounds,
+    voltages at, one ULP beyond and across both thresholds, and constant
+    runs that drive the state onto a bound and hold it there;
   * `fit.rmse` of `fit.simulate_current`, and the model trace it scores,
     equal the `fit` module's formula computed from the oracle's states,
     with and without a source resistance, for one trace replayed in turn
@@ -29,7 +30,10 @@ comparisons):
     pairs, or hold so many distinct moving pairs that a block of the
     running sum is shorter than the pulse (one step long when the pairs
     outnumber `_FOLD_BLOCK`), up to 300 steps and one step short of, at
-    and one step past a block;
+    and one step past a block; and on grids that draw each cell's state
+    and voltage apart from small pools (both bounds and both signed
+    zeros among the states), so that one state meets several voltages
+    and one voltage several states, for up to 300 steps;
   * `vision.read_image_csv` reads the same intensities, or fails with the
     same message, as the oracle's line-at-a-time reader, on texts with
     blank, ragged, out-of-range and unparsable lines, and with several
@@ -80,6 +84,7 @@ from memassoc.circuit import (
 from memassoc.device import (
     _FOLD_BLOCK,
     DeviceParams,
+    _step_loop,
     drive_rate,
     pulse,
     resistance,
@@ -165,8 +170,14 @@ def kernel_case(draw):
 @settings(max_examples=200, deadline=None)
 @given(kernel_case())
 def test_trajectory_matches_step_fold(case):
+    # one dt without a source resistance is `trajectory`'s own call; per-step
+    # dt and a divided drive reach the loop it runs through the fit replay
     params, v, dt, w0, source = case
-    got = trajectory(params, v, dt, w0, source)
+    if isinstance(dt, list) or source > 0.0:
+        steps = dt if isinstance(dt, list) else [dt] * len(v)
+        got = _step_loop(params, [float(x) for x in v], steps, w0, source)
+    else:
+        got = trajectory(params, v, dt, w0)
     want = [resistance(params, w) for w in fold(params, v, dt, w0, source)]
     assert np.array_equal(bits64(np.array(got)), bits64(np.array(want)))
 
@@ -366,11 +377,10 @@ def shared_pair_grid_case(draw, many, offset):
     if offset is None:
         n_steps = draw(st.integers(0, 300))
     else:
-        # `pulse` folds each distinct (state, increment) pair of a moving
-        # cell once; a rate's sign tells whether a pair moves
-        rates = [(w, drive_rate(params, v)) for w, v in pool]
-        moving = {(w, r) for w, r in rates if (r > 0.0 and w < hi)
-                  or (r < 0.0 and w > lo)}
+        # `pulse` folds each distinct (state, voltage) pair of a movable
+        # cell once
+        moving = {(w, v) for w, v in pool if (v >= params.v_on and w < hi)
+                  or (v <= params.v_off and w > lo)}
         per_block = max(1, _FOLD_BLOCK // max(len(moving), 1))
         blocks = draw(st.integers(1, 3)) if many else 1
         n_steps = blocks * per_block + offset
@@ -429,21 +439,29 @@ def test_grid_pulse_with_more_pairs_than_a_block_matches_step_fold():
 
 @st.composite
 def grid_case(draw):
+    """A grid whose cells draw their state and their voltage apart, from a
+    pool of states (both bounds, both signed zeros when they lie within
+    them, and drawn states) and a small pool of voltages, so that one
+    state meets several voltages and one voltage several states."""
     params = draw(device_params())
+    lo, hi = params.w_on, params.w_off
+    states = [lo, hi] + [z for z in (0.0, -0.0) if lo <= z <= hi] + draw(
+        st.lists(st.floats(lo, hi), max_size=3))
+    volts = draw(st.lists(drive_voltage(params), min_size=1, max_size=4))
     side = draw(st.integers(1, 6))
-    w = np.array(draw(st.lists(start_state(params), min_size=side * side,
-                               max_size=side * side))).reshape(side, side)
-    v = np.array(draw(st.lists(drive_voltage(params), min_size=side * side,
-                               max_size=side * side)))
-    return params, w, v.reshape(side, side), draw(st.floats(1e-5, 0.1))
+    cells = side * side
+    w = draw(st.lists(st.sampled_from(states), min_size=cells, max_size=cells))
+    v = draw(st.lists(st.sampled_from(volts), min_size=cells, max_size=cells))
+    return (params, np.reshape(w, (side, side)), np.reshape(v, (side, side)),
+            draw(st.floats(1e-5, 0.1)), draw(pulse_steps(300)))
 
 
 @settings(max_examples=200, deadline=None)
 @given(grid_case())
 def test_grid_step_matches_scalar_step(case):
-    params, w, v, dt = case
-    got = pulse(params, w, v, dt, 1)
-    want = np.array([[fold(params, [v[i, j]], dt, w[i, j])[-1]
+    params, w, v, dt, n_steps = case
+    got = pulse(params, w, v, dt, n_steps)
+    want = np.array([[fold(params, [v[i, j]] * n_steps, dt, w[i, j])[-1]
                       for j in range(w.shape[1])] for i in range(w.shape[0])])
     # states compare as numbers: clamping to a bound of -0.0 can leave -0.0
     # where the rate window leaves 0.0; every resistance is the same
