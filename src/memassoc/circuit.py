@@ -62,6 +62,7 @@ __all__ = [
     "SCHEME_LEARNING",
     "SCHEME_FORGETTING",
     "SCHEME_NATURAL",
+    "SCHEMES",
     "Segment",
     "StimulusSchedule",
     "StageConfig",
@@ -160,9 +161,9 @@ def _sample_signal_array(schedule: StimulusSchedule, signal: str,
 
 # Modulation truth tables: the scheme code of each logic pattern, indexed by
 # the pattern read as a binary number, first bit most significant.  The
-# codes index `_SCHEMES`.
-_SCHEMES = (SCHEME_NATURAL, SCHEME_FORGETTING, SCHEME_LEARNING)
-_NATURAL, _FORGETTING, _LEARNING = range(len(_SCHEMES))
+# codes index `SCHEMES`.
+SCHEMES = (SCHEME_NATURAL, SCHEME_FORGETTING, SCHEME_LEARNING)
+_NATURAL, _FORGETTING, _LEARNING = range(len(SCHEMES))
 # Stage 1 over (food, ring1): coincidence learns; the conditioned stimulus
 # alone actively forgets; everything else, food alone included, decays.
 _FIRST_ORDER = np.array([_NATURAL, _FORGETTING, _NATURAL, _LEARNING], dtype=np.int8)
@@ -257,12 +258,11 @@ class ChainConfig:
 class StageTrace:
     """Per-stage recorded columns plus the constants metrics needs.
 
-    The scheme column is stored as int8 codes into `schemes`.
+    The scheme column is stored as int8 codes into `SCHEMES`.
     """
 
     mod_v: np.ndarray
     scheme_code: np.ndarray
-    schemes: tuple[str, ...]
     r_ohm: np.ndarray
     s_v: np.ndarray
     resp_v: np.ndarray
@@ -272,9 +272,7 @@ class StageTrace:
 
     def in_scheme(self, name: str) -> np.ndarray:
         """Boolean mask of the rows run under scheme `name`."""
-        if name not in self.schemes:
-            return np.zeros(self.scheme_code.shape, dtype=bool)
-        return self.scheme_code == self.schemes.index(name)
+        return self.scheme_code == SCHEMES.index(name)
 
 
 @dataclass(frozen=True)
@@ -355,8 +353,7 @@ def run_chain(config: ChainConfig,
                 raise DataError(f"stage {k + 1}: {name} is {float(column[row])!r} "
                                 f"at t = {float(t[row])!r} s, beyond the float range")
         stage_traces.append(StageTrace(
-            mod_v=mod_v, scheme_code=code, schemes=_SCHEMES,
-            **columns, r_on=device.r_on,
+            mod_v=mod_v, scheme_code=code, **columns, r_on=device.r_on,
             reset_r_ohm=stage.r_f / stage.state_threshold_v))
     return SimTrace(t=t, dt=config.dt, signal_names=names,
                     signal_levels=levels, stages=tuple(stage_traces))
@@ -384,11 +381,10 @@ def metrics(trace: SimTrace) -> dict[str, float]:
     switch_times: dict[int, float] = {}
     for k, stage in enumerate(trace.stages, start=1):
         threshold = stage.r_on * 1.01
-        learning = stage.in_scheme(SCHEME_LEARNING)
-        accumulated = np.cumsum(learning.astype(float)) * trace.dt
         crossed = np.nonzero(stage.r_ohm <= threshold)[0]
         if crossed.size:
-            st = float(accumulated[crossed[0]])
+            learning = stage.in_scheme(SCHEME_LEARNING)[:crossed[0] + 1]
+            st = float(np.count_nonzero(learning) * trace.dt)
             switch_times[k] = st
             report[f"stage{k}.switch_time_s"] = st
         report[f"stage{k}.peak_power_w"] = float(stage.p_w.max())
@@ -494,7 +490,7 @@ def write_sim_trace_csv(trace: SimTrace, path: str | Path) -> None:
     for k, stage in enumerate(trace.stages, start=1):
         header += [f"mod{k}_v", f"scheme{k}", f"r{k}_ohm",
                    f"s{k}_v", f"resp{k}_v", f"p{k}_w"]
-        columns += [(stage.mod_v, None), (stage.scheme_code, stage.schemes),
+        columns += [(stage.mod_v, None), (stage.scheme_code, SCHEMES),
                     (stage.r_ohm, None), (stage.s_v, None),
                     (stage.resp_v, None), (stage.p_w, None)]
     path = Path(path)

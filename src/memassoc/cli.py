@@ -30,7 +30,7 @@ import hashlib
 import json
 import re
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
 
@@ -55,8 +55,7 @@ from .device import DeviceParams
 from .errors import ConfigError, DataError, InvalidInputError, InvalidStartError
 from .fit import PARAM_NAMES, FitConfig, fit, read_trace_csv
 from .vision import (
-    InferConfig,
-    TrainConfig,
+    VisionConfig,
     classify,
     load_image,
     new_array,
@@ -69,7 +68,6 @@ __all__ = [
     "ScheduleSettings",
     "SimSettings",
     "FitSettings",
-    "VisionSettings",
     "ExperimentConfig",
     "parse_config",
     "serialize_config",
@@ -126,12 +124,12 @@ _VISION_KEYS = {
 }
 
 
-# The sections below stay plain records: their domain types cannot be
-# written back (a preset's name, the fit's default bounds, a missing
-# similarity threshold).  `parse_config` checks them through those types.
-# Each default is the domain's own; only the record-only fields (the
-# preset, a preset's duration, custom segments, the fit's bound overrides,
-# the similarity threshold and `allow_resize`) set theirs here.
+# [device], [stage.K] and [vision] are held as their domain objects.  The
+# sections below stay plain records: their domain types cannot be written
+# back (a preset's name, a preset's default duration, the fit's default
+# bounds).  `parse_config` checks them through those types.  Each default
+# is the domain's own; only the record-only fields (the preset, a preset's
+# duration, custom segments and the fit's bound overrides) set theirs here.
 
 @dataclass(frozen=True)
 class ScheduleSettings:
@@ -162,32 +160,16 @@ class FitSettings:
 
 
 @dataclass(frozen=True)
-class VisionSettings:
-    binarize_threshold: float = TrainConfig.binarize_threshold
-    match_predicate: str = TrainConfig.predicate
-    match_tau: float = TrainConfig.tau
-    match_scope: str = TrainConfig.scope
-    v_min_v: float = TrainConfig.v_min
-    v_max_v: float = TrainConfig.v_max
-    pulse_dt_s: float = TrainConfig.pulse_dt
-    dt_s: float = TrainConfig.dt
-    similarity_threshold: float | None = None
-    label_learn_v: float = InferConfig.label_learn_v
-    label_forget_v: float = InferConfig.label_forget_v
-    label_pulse_s: float = InferConfig.label_pulse_s
-    allow_resize: bool = False
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
-    """A parsed config.  Every stage runs on the `[device]` parameters."""
+    """A parsed config.  Every stage and the vision array run on the
+    `[device]` parameters."""
 
     device: DeviceParams = field(default_factory=DeviceParams)
     stages: tuple[StageConfig, ...] = (FIRST_STAGE,)
     schedule: ScheduleSettings = field(default_factory=ScheduleSettings)
     sim: SimSettings = field(default_factory=SimSettings)
     fit: FitSettings = field(default_factory=FitSettings)
-    vision: VisionSettings = field(default_factory=VisionSettings)
+    vision: VisionConfig = field(default_factory=VisionConfig)
 
 
 # --- parsing ---------------------------------------------------------------
@@ -264,14 +246,14 @@ def _split_sections(text: str) -> dict[str, _Section]:
 
 
 def _values(section: _Section, keys: Mapping[str, str],
-            defaults: Any = None) -> dict[str, Any]:
+            domain: type) -> dict[str, Any]:
     """The section's entries by config key, each read as the type of the
-    same-named field of `defaults` (a float where there is none)."""
+    default of the `domain` field it sets (a float where there is none)."""
     values = {}
     for key, (raw, ln) in section.entries.items():
         if key not in keys:
             raise ConfigError(f"line {ln}: unknown key {key!r} in [{section.name}]")
-        values[key] = _convert(raw, getattr(defaults, key, 0.0), f"line {ln}")
+        values[key] = _convert(raw, getattr(domain, keys[key], 0.0), f"line {ln}")
         if values[key] != values[key]:  # nan fits no range and equals nothing
             raise ConfigError(f"line {ln}: {key}: not a number: {raw!r}")
     return values
@@ -320,7 +302,7 @@ def _stage_count(sections: dict[str, _Section]) -> int:
 
 def _parse_stage(index: int, section: _Section) -> StageConfig:
     values = {_STAGE_KEYS[key]: value
-              for key, value in _values(section, _STAGE_KEYS).items()}
+              for key, value in _values(section, _STAGE_KEYS, StageConfig).items()}
     return _located([(section, _STAGE_KEYS)], replace,
                     FIRST_STAGE if index == 1 else StageConfig(), **values)
 
@@ -329,7 +311,7 @@ def _parse_schedule(section: _Section) -> ScheduleSettings:
     scalars = _Section(section.name, section.line, {
         key: entry for key, entry in section.entries.items()
         if not _ROLE_RE.match(key)})
-    settings = ScheduleSettings(**_values(scalars, _SCHEDULE_KEYS, ScheduleSettings()))
+    settings = ScheduleSettings(**_values(scalars, _SCHEDULE_KEYS, ScheduleSettings))
     if settings.preset not in _PRESETS:
         raise ConfigError(
             f"line {section.entries['preset'][1]}: preset must be one of "
@@ -355,7 +337,7 @@ def _stimulus(sched: ScheduleSettings) -> StimulusSchedule:
 
 
 def _parse_fit(section: _Section) -> FitSettings:
-    values = _values(section, _FIT_KEYS, FitSettings())
+    values = _values(section, _FIT_KEYS, FitConfig)
 
     def bounds(end: str) -> tuple[tuple[str, float], ...]:
         given = {_FIT_KEYS[key]: v for key, v in values.items() if key.endswith(end)}
@@ -375,7 +357,8 @@ def parse_config(text: str, *, vision: bool = False) -> ExperimentConfig:
     it names, or at the header of the first of its sections present (for
     the chain: [schedule], [sim], then the last [stage.K]).  With `vision`
     the config drives a vision command, so its training rule must also
-    reach the [device] set threshold.
+    reach the [device] set threshold; with a similarity threshold, the
+    label drive and boundary must suit the [device] too.
     """
     sections = _split_sections(text)
 
@@ -384,7 +367,8 @@ def parse_config(text: str, *, vision: bool = False) -> ExperimentConfig:
 
     dev = section("device")
     device = _located([(dev, _DEVICE_KEYS)], DeviceParams, **{
-        _DEVICE_KEYS[key]: v for key, v in _values(dev, _DEVICE_KEYS).items()})
+        _DEVICE_KEYS[key]: v
+        for key, v in _values(dev, _DEVICE_KEYS, DeviceParams).items()})
     stages = tuple(_parse_stage(k, section(f"stage.{k}"))
                    for k in range(1, _stage_count(sections) + 1))
 
@@ -398,20 +382,20 @@ def parse_config(text: str, *, vision: bool = False) -> ExperimentConfig:
         section("sim"), section("fit"), section("vision"))
     config = ExperimentConfig(
         device=device, stages=stages, schedule=schedule,
-        sim=SimSettings(**_values(sim_section, _SIM_KEYS, SimSettings())),
-        fit=_parse_fit(fit_section),
-        vision=VisionSettings(**_values(vision_section, _VISION_KEYS,
-                                        VisionSettings())))
+        sim=SimSettings(**_values(sim_section, _SIM_KEYS, ChainConfig)),
+        fit=_parse_fit(fit_section))
+    vision_values = {_VISION_KEYS[key]: v for key, v in
+                     _values(vision_section, _VISION_KEYS, VisionConfig).items()}
     _located([(sched_section, _SCHEDULE_KEYS), (sim_section, _SIM_KEYS),
               (section(f"stage.{len(stages)}"), {})], build_chain, config)
     _located([(fit_section, _FIT_KEYS)], build_fit_config, config)
-    train = _located([(vision_section, _VISION_KEYS)], build_train_config, config)
+    at_vision = [(vision_section, _VISION_KEYS)]
+    vision_config = _located(at_vision, VisionConfig, **vision_values)
     if vision:
-        _located([(vision_section, _VISION_KEYS), (dev, _DEVICE_KEYS)],
-                 train.check_reach, device)
-    if config.vision.similarity_threshold is not None:
-        _located([(vision_section, _VISION_KEYS)], build_infer_config, config)
-    return config
+        _located(at_vision + [(dev, _DEVICE_KEYS)], vision_config.check_reach, device)
+    if vision_config.similarity_threshold is not None:
+        _located(at_vision, vision_config.check_classify, device)
+    return replace(config, vision=vision_config)
 
 
 def _block(section: str, pairs: list[tuple[str, Any]]) -> str:
@@ -451,8 +435,8 @@ def serialize_config(config: ExperimentConfig) -> str:
     blocks.append(_block("fit", [
         (key, bounds[key[-2:]].get(name) if key[-3:] in ("_lo", "_hi")
          else getattr(fit_settings, key)) for key, name in _FIT_KEYS.items()]))
-    blocks.append(_block("vision", [(key, getattr(config.vision, key))
-                                    for key in _VISION_KEYS]))
+    blocks.append(_block("vision", [(key, getattr(config.vision, name))
+                                    for key, name in _VISION_KEYS.items()]))
     return "\n".join(blocks)
 
 
@@ -461,7 +445,10 @@ def load_config(path: str | Path, *, vision: bool = False) -> ExperimentConfig:
         text = Path(path).read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return parse_config(text, vision=vision)
+    try:
+        return parse_config(text, vision=vision)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 # --- domain-object assembly -------------------------------------------------
@@ -486,28 +473,23 @@ def build_chain(config: ExperimentConfig) -> ChainConfig:
         readout_amplitude=config.sim.readout_v)
 
 
-def _domain_args(record: Any, keys: Mapping[str, str], cls: type) -> dict[str, Any]:
-    """The record's values under the domain names that `cls` has fields for."""
-    names = {f.name for f in fields(cls)}
-    return {name: getattr(record, key) for key, name in keys.items() if name in names}
-
-
 def build_fit_config(config: ExperimentConfig) -> FitConfig:
-    return FitConfig(initial=build_device(config), lower=dict(config.fit.lower),
-                     upper=dict(config.fit.upper),
-                     **_domain_args(config.fit, _FIT_KEYS, FitConfig))
+    settings = config.fit
+    return FitConfig(initial=build_device(config), lower=dict(settings.lower),
+                     upper=dict(settings.upper), grad_step=settings.grad_step,
+                     max_iters=settings.max_iters, tol=settings.tol,
+                     source_r_ohm=settings.source_r_ohm)
 
 
-def build_train_config(config: ExperimentConfig) -> TrainConfig:
-    return TrainConfig(**_domain_args(config.vision, _VISION_KEYS, TrainConfig))
+def build_train_config(config: ExperimentConfig) -> VisionConfig:
+    return config.vision
 
 
-def build_infer_config(config: ExperimentConfig) -> InferConfig:
+def build_infer_config(config: ExperimentConfig) -> VisionConfig:
     if config.vision.similarity_threshold is None:
         raise ConfigError("[vision] similarity_threshold is required for "
                           "classification")
-    return InferConfig(label_device=build_device(config),
-                       **_domain_args(config.vision, _VISION_KEYS, InferConfig))
+    return config.vision
 
 
 # --- outputs and manifests ---------------------------------------------------
@@ -676,7 +658,7 @@ def cmd_vision(config: ExperimentConfig, train_dir: str | Path,
                        train_config)
     lines = ["name,similarity,threshold,label"]
     for name, img in probes:
-        res = classify(array, img, infer, config.vision.binarize_threshold)
+        res = classify(array, img, infer)
         lines.append(f"{name},{res.score:.10g},"
                      f"{infer.similarity_threshold:.10g},{res.label}")
     out = Path(out_dir)
@@ -754,20 +736,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _with_dt_override(config: ExperimentConfig,
-                      ns: argparse.Namespace) -> ExperimentConfig:
+def _with_dt_override(config: ExperimentConfig, ns: argparse.Namespace,
+                      path: str | None) -> ExperimentConfig:
     """The config with `--dt-override` as its [sim] dt_s for pavlov runs,
-    its [vision] dt_s otherwise, checked by building what the run builds."""
+    its [vision] dt_s otherwise, checked by building what the run builds;
+    an error names the config's `path` (None: the defaults) and the flag."""
     if ns.dt_override is None:
         return config
     if ns.command == "fit":
         raise ConfigError("--dt-override only applies to simulation runs")
-    if ns.command == "pavlov":
-        config = replace(config, sim=replace(config.sim, dt_s=ns.dt_override))
-        build_chain(config)
-    else:
-        config = replace(config, vision=replace(config.vision, dt_s=ns.dt_override))
-        build_train_config(config)
+    try:
+        if ns.command == "pavlov":
+            config = replace(config, sim=replace(config.sim, dt_s=ns.dt_override))
+            build_chain(config)
+        else:
+            config = replace(config, vision=replace(config.vision, dt=ns.dt_override))
+    except InvalidInputError as exc:
+        where = "" if path is None else f"{path}: "
+        raise ConfigError(f"{where}--dt-override {ns.dt_override!r}: {exc}") from exc
     return config
 
 
@@ -782,9 +768,9 @@ def _dispatch(ns: argparse.Namespace) -> int:
     if len(set(outs)) != len(outs):
         raise ConfigError("sweep configs must have distinct file stems")
     vision = ns.command.startswith("vision")
-    configs = [load_config(path, vision=vision)
-               for path in ns.config] or [ExperimentConfig()]
-    configs = [_with_dt_override(config, ns) for config in configs]
+    parsed = ([(path, load_config(path, vision=vision)) for path in ns.config]
+              or [(None, ExperimentConfig())])
+    configs = [_with_dt_override(config, ns, path) for path, config in parsed]
     return max(_run(ns.command, config, vars(ns), out)
                for config, out in zip(configs, outs))
 

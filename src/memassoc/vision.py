@@ -11,9 +11,9 @@ state map approaches the inverse of the teacher's binary pattern
 
 Inference reads the state map, scores a probe image by the mean squared
 difference between the map and the inverted binary probe (0 = perfect
-match), and commits the verdict to a separate label device: scores below
-the threshold drive a set pulse (low resistance, label "cat"), others a
-reset pulse (high resistance, label "non-cat").
+match), and commits the verdict to a label device with the array's
+parameters: scores below the threshold drive a set pulse (low resistance,
+label "cat"), others a reset pulse (high resistance, label "non-cat").
 
 Cell updates are independent and a cell's voltage is constant for the
 whole pulse, so a training pair is one `device.pulse` over the grid and a
@@ -39,7 +39,7 @@ from __future__ import annotations
 import functools
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Collection, Sequence
 
@@ -53,8 +53,7 @@ __all__ = [
     "LABEL_POSITIVE",
     "LABEL_NEGATIVE",
     "MAX_PULSE_STEPS",
-    "TrainConfig",
-    "InferConfig",
+    "VisionConfig",
     "ArrayState",
     "ClassifyResult",
     "new_array",
@@ -83,8 +82,11 @@ _SCOPES = ("all-vector", "corresponding")
 
 
 @dataclass(frozen=True)
-class TrainConfig:
-    """Count-to-voltage training rule for one pulse per (input, teacher) pair."""
+class VisionConfig:
+    """The count-to-voltage training rule, one pulse per (input, teacher)
+    pair, and the label device's drive.  Without a similarity threshold
+    nothing is classified and the label settings go unchecked; the checks
+    that need the array's device are `check_reach` and `check_classify`."""
 
     binarize_threshold: float = 0.5
     predicate: str = "equal-binary"
@@ -93,7 +95,13 @@ class TrainConfig:
     v_min: float = 0.0            # V at count 0
     v_max: float = 0.35           # V at full count
     pulse_dt: float = 0.05        # s, pulse length per pair
-    dt: float = 1e-4              # s, integration step
+    dt: float = 1e-4              # s, integration step of both pulses
+    similarity_threshold: float | None = None
+    label_learn_v: float = 0.35
+    label_forget_v: float = -0.2
+    label_pulse_s: float = 0.25
+    label_boundary_ohm: float = 50e3   # resistance separating the two labels
+    allow_resize: bool = False
 
     def __post_init__(self) -> None:
         require(self,
@@ -106,11 +114,23 @@ class TrainConfig:
                 ("v_max", self.v_min < self.v_max < math.inf,
                  f"be finite and exceed v_min={self.v_min!r}"),
                 ("pulse_dt", 0.0 < self.pulse_dt < math.inf, "be positive and finite"),
-                # a pulse runs round(pulse_dt / dt) steps
-                ("dt", 0.0 < self.dt <= self.pulse_dt
-                 and self.pulse_dt / self.dt < MAX_PULSE_STEPS + 0.5,
-                 f"lie in (0, pulse_dt={self.pulse_dt!r}] and leave at most "
-                 f"{MAX_PULSE_STEPS} steps per pulse"))
+                self._dt_fits("pulse_dt"))
+        if self.similarity_threshold is not None:
+            require(self,
+                    ("similarity_threshold", 0.0 < self.similarity_threshold < 1.0,
+                     "lie in (0,1)"),
+                    ("label_pulse_s", 0.0 < self.label_pulse_s < math.inf,
+                     "be positive and finite"),
+                    self._dt_fits("label_pulse_s"))
+
+    def _dt_fits(self, pulse: str) -> tuple[str, bool, str]:
+        """The check that dt splits the pulse whose length is the field
+        `pulse` into at most `MAX_PULSE_STEPS` steps, round(length / dt)."""
+        length = getattr(self, pulse)
+        return ("dt", 0.0 < self.dt <= length
+                and length / self.dt < MAX_PULSE_STEPS + 0.5,
+                f"lie in (0, {pulse}={length!r}] and leave at most "
+                f"{MAX_PULSE_STEPS} steps per pulse")
 
     def check_reach(self, device: DeviceParams) -> None:
         """Raise unless the full-count voltage clears the device's set
@@ -118,36 +138,18 @@ class TrainConfig:
         require(self, ("v_max", device.v_on < self.v_max,
                        f"exceed the set threshold v_on={device.v_on!r}"))
 
-
-@dataclass(frozen=True)
-class InferConfig:
-    """Similarity threshold and label-device drive for classification."""
-
-    similarity_threshold: float
-    label_device: DeviceParams = field(default_factory=DeviceParams)
-    label_learn_v: float = 0.35
-    label_forget_v: float = -0.2
-    label_pulse_s: float = 0.25
-    label_boundary_ohm: float = 50e3   # resistance separating the two labels
-    dt: float = TrainConfig.dt         # s, integration step
-
-    def __post_init__(self) -> None:
-        device = self.label_device
+    def check_classify(self, device: DeviceParams) -> None:
+        """Raise unless a threshold is set and the label drive and boundary
+        tell the two labels apart on `device`."""
         require(self,
-                ("similarity_threshold", 0.0 < self.similarity_threshold < 1.0,
-                 "lie in (0,1)"),
+                ("similarity_threshold", self.similarity_threshold is not None,
+                 "be set to classify"),
                 ("label_boundary_ohm", device.r_on < self.label_boundary_ohm < device.r_off,
                  f"lie strictly between r_on={device.r_on!r} and r_off={device.r_off!r}"),
                 ("label_learn_v", device.v_on < self.label_learn_v < math.inf,
                  f"be finite and exceed v_on={device.v_on!r}"),
                 ("label_forget_v", -math.inf < self.label_forget_v < device.v_off,
-                 f"be finite and lie below v_off={device.v_off!r}"),
-                ("label_pulse_s", 0.0 < self.label_pulse_s < math.inf,
-                 "be positive and finite"),
-                ("dt", 0.0 < self.dt <= self.label_pulse_s
-                 and self.label_pulse_s / self.dt < MAX_PULSE_STEPS + 0.5,
-                 f"lie in (0, label_pulse_s={self.label_pulse_s!r}] and leave "
-                 f"at most {MAX_PULSE_STEPS} steps per pulse"))
+                 f"be finite and lie below v_off={device.v_off!r}"))
 
 
 @dataclass(frozen=True)
@@ -336,7 +338,7 @@ def _pulse(what: str, params: DeviceParams, w: float | np.ndarray,
 
 
 def binarize(img: np.ndarray,
-             threshold: float = TrainConfig.binarize_threshold) -> np.ndarray:
+             threshold: float = VisionConfig.binarize_threshold) -> np.ndarray:
     """Intensities mapped to {0, 1} by >= threshold."""
     if not 0.0 < threshold < 1.0:
         raise InvalidInputError(f"threshold must lie in (0,1), got {threshold!r}")
@@ -344,7 +346,7 @@ def binarize(img: np.ndarray,
 
 
 def match_counts(input_img: np.ndarray, teacher_img: np.ndarray,
-                 cfg: TrainConfig) -> tuple[np.ndarray, int]:
+                 cfg: VisionConfig) -> tuple[np.ndarray, int]:
     """Per-teacher-pixel match counts and the scope size normalizing them.
 
     all-vector scope compares each teacher pixel against every input
@@ -386,7 +388,7 @@ def modulation_voltages(counts: np.ndarray, scope_n: int,
 
 
 def train_pair(array: ArrayState, input_img: np.ndarray,
-               teacher_img: np.ndarray, cfg: TrainConfig) -> ArrayState:
+               teacher_img: np.ndarray, cfg: VisionConfig) -> ArrayState:
     """One modulation pulse derived from a single (input, teacher) pair."""
     cfg.check_reach(array.params)
     if np.asarray(teacher_img).shape != array.w.shape:
@@ -402,7 +404,7 @@ def train_pair(array: ArrayState, input_img: np.ndarray,
 
 
 def train_many(array: ArrayState, inputs: Sequence[np.ndarray],
-               teacher_img: np.ndarray, cfg: TrainConfig) -> ArrayState:
+               teacher_img: np.ndarray, cfg: VisionConfig) -> ArrayState:
     """Fold `train_pair` over the inputs in order."""
     for img in inputs:
         array = train_pair(array, img, teacher_img, cfg)
@@ -422,7 +424,7 @@ def state_grid(array: ArrayState) -> np.ndarray:
 
 
 def similarity(state: np.ndarray, img: np.ndarray,
-               binarize_threshold: float = TrainConfig.binarize_threshold
+               binarize_threshold: float = VisionConfig.binarize_threshold
                ) -> float:
     """Mean squared difference between the state map and the inverted
     binary image; 0 means the array encodes exactly this pattern."""
@@ -460,20 +462,21 @@ class ClassifyResult:
     score: float
 
 
-def classify(array: ArrayState, img: np.ndarray, cfg: InferConfig,
-             binarize_threshold: float = TrainConfig.binarize_threshold
-             ) -> ClassifyResult:
-    """Score a probe image and commit the verdict to a label device.
+def classify(array: ArrayState, img: np.ndarray,
+             cfg: VisionConfig) -> ClassifyResult:
+    """Score a probe image and commit the verdict to a label device, a
+    fresh device with the array's parameters.
 
     Scores below the threshold drive the label device with the learning
     voltage (sets to low resistance); others get the forgetting voltage.
     The returned label reads the final resistance against the configured
     boundary (50 kOhm by default).
     """
-    score = similarity(state_grid(array), img, binarize_threshold)
+    cfg.check_classify(array.params)
+    score = similarity(state_grid(array), img, cfg.binarize_threshold)
     drive = (cfg.label_learn_v if score < cfg.similarity_threshold
              else cfg.label_forget_v)
-    r = _label_resistance(cfg.label_device, drive, cfg.dt,
+    r = _label_resistance(array.params, drive, cfg.dt,
                           int(round(cfg.label_pulse_s / cfg.dt)))
     label = LABEL_POSITIVE if r < cfg.label_boundary_ohm else LABEL_NEGATIVE
     return ClassifyResult(label=label, label_resistance=r, score=score)

@@ -37,6 +37,7 @@ from memassoc.circuit import (
     SCHEME_FORGETTING,
     SCHEME_LEARNING,
     SCHEME_NATURAL,
+    SCHEMES,
     Segment,
     StageConfig,
     StimulusSchedule,
@@ -136,7 +137,7 @@ class TestLogicAndRules:
         for bits, want in expected.items():
             assert select(FIRST_STAGE, bits) == want
             code = circuit._FIRST_ORDER[pattern_index(bits)]
-            assert circuit._SCHEMES[code] == want[0], bits
+            assert SCHEMES[code] == want[0], bits
         assert len(circuit._FIRST_ORDER) == len(expected)
 
     def test_higher_order_table(self):
@@ -153,7 +154,7 @@ class TestLogicAndRules:
         for bits, want in expected.items():
             assert select(StageConfig(), bits, 0.42) == want, bits
             code = circuit._HIGHER_ORDER[pattern_index(bits)]
-            assert circuit._SCHEMES[code] == want[0], bits
+            assert SCHEMES[code] == want[0], bits
         assert len(circuit._HIGHER_ORDER) == len(expected)
 
     def test_stage_one_rejects_adjusted_voltage_rule(self):
@@ -530,7 +531,7 @@ class TestSerialization:
             cells += [f"{trace.signal_levels[j, i]:.10g}"
                       for j in range(len(trace.signal_names))]
             for st in trace.stages:
-                cells += [f"{st.mod_v[i]:.10g}", st.schemes[st.scheme_code[i]],
+                cells += [f"{st.mod_v[i]:.10g}", SCHEMES[st.scheme_code[i]],
                           f"{st.r_ohm[i]:.10g}", f"{st.s_v[i]:.10g}",
                           f"{st.resp_v[i]:.10g}", f"{st.p_w[i]:.10g}"]
             lines.append(",".join(cells))

@@ -5,6 +5,7 @@ import ast
 import contextlib
 import csv
 import importlib
+import inspect
 import io
 import json
 import math
@@ -13,7 +14,7 @@ import re
 import subprocess
 import sys
 import tempfile
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -26,13 +27,12 @@ import memassoc.cli
 import memassoc.fit
 import memassoc.vision
 from memassoc import __version__
-from memassoc.circuit import FIRST_STAGE, ChainConfig, StageConfig
+from memassoc.circuit import FIRST_STAGE, ChainConfig, StageConfig, stimulus_schedule
 from memassoc.cli import (
     ExperimentConfig,
     FitSettings,
     ScheduleSettings,
     SimSettings,
-    VisionSettings,
     build_chain,
     build_fit_config,
     build_infer_config,
@@ -53,7 +53,7 @@ from memassoc.fit import (
     simulate_current,
     write_trace_csv,
 )
-from memassoc.vision import InferConfig, TrainConfig
+from memassoc.vision import VisionConfig
 
 REPO = Path(__file__).resolve().parents[1]
 CONFIGS = sorted((REPO / "configs").glob("*.conf"))
@@ -129,7 +129,7 @@ class TestParseConfig:
             env={**os.environ, "PYTHONPATH": str(REPO / "src")},
             capture_output=True, text=True, timeout=60)
         assert run.returncode == 1
-        assert run.stderr == ("config error: line 1: stage sections must be "
+        assert run.stderr == (f"config error: {cfg}: line 1: stage sections must be "
                               "contiguous from 1: missing stage 1\n")
 
     def test_stage_number_must_be_canonical(self):
@@ -326,7 +326,7 @@ class TestErrorsAtKeyLine:
         # 10^7 steps per pulse at dt 1e-4 s parse; one more does not
         # (parse only: no pulse runs)
         text = "[vision]\nsimilarity_threshold = 0.3\ndt_s = 1e-4\n{} = {}\n"
-        assert parse_config(text.format(key, 1000.0)).vision.dt_s == 1e-4
+        assert parse_config(text.format(key, 1000.0)).vision.dt == 1e-4
         with pytest.raises(ConfigError, match=r"^line 3: dt_s: dt must lie in .* "
                                               r"and leave at most 10000000 steps"):
             parse_config(text.format(key, 1000.0001))
@@ -417,17 +417,17 @@ def experiment_configs(draw):
                         max_iters=draw(st.integers(1, 1000)),
                         tol=draw(floats(0.0, 1e-3)),
                         source_r_ohm=draw(floats(0.0, 1e4)), **fit_bounds),
-        vision=VisionSettings(
+        vision=VisionConfig(
             binarize_threshold=draw(floats(0.01, 0.99)),
-            match_predicate=draw(st.sampled_from(["equal-binary", "abs-diff"])),
-            match_tau=draw(floats(0.0, 1.0)),
-            match_scope=draw(st.sampled_from(["all-vector", "corresponding"])),
-            v_min_v=v_min, v_max_v=v_min + draw(floats(0.01, 1.0)),
-            pulse_dt_s=pulse_dt, dt_s=pulse_dt * draw(floats(0.01, 1.0)),
+            predicate=draw(st.sampled_from(["equal-binary", "abs-diff"])),
+            tau=draw(floats(0.0, 1.0)),
+            scope=draw(st.sampled_from(["all-vector", "corresponding"])),
+            v_min=v_min, v_max=v_min + draw(floats(0.01, 1.0)),
+            pulse_dt=pulse_dt, dt=pulse_dt * draw(floats(0.01, 1.0)),
             similarity_threshold=draw(st.none() | floats(0.01, 0.99)),
             label_learn_v=draw(floats(0.31, 2.0)),
             label_forget_v=draw(floats(-2.0, -0.31)),
-            label_pulse_s=draw(floats(0.1, 1.0)),  # at least dt_s
+            label_pulse_s=draw(floats(0.1, 1.0)),  # at least dt
             allow_resize=draw(st.booleans())))
 
 
@@ -521,6 +521,23 @@ class TestParseFuzz:
         assert parse_config(serialize_config(config), vision=vision) == config
 
 
+def test_key_tables_name_domain_fields():
+    """Each key is read as the type of the domain field its table names and
+    located by that name, so a misspelled name would parse as a float and
+    never be located."""
+    def names(cls):
+        return {f.name for f in fields(cls)}
+
+    schedule = {"preset", *inspect.signature(stimulus_schedule).parameters}
+    for table, known in [(memassoc.cli._DEVICE_KEYS, names(DeviceParams)),
+                         (memassoc.cli._STAGE_KEYS, names(StageConfig)),
+                         (memassoc.cli._SIM_KEYS, names(ChainConfig)),
+                         (memassoc.cli._VISION_KEYS, names(VisionConfig)),
+                         (memassoc.cli._FIT_KEYS, names(FitConfig) | set(PARAM_NAMES)),
+                         (memassoc.cli._SCHEDULE_KEYS, schedule)]:
+        assert set(table.values()) <= known, set(table.values()) - known
+
+
 class TestBuilders:
     def test_preset_chain_dimensions(self):
         cfg = load_config(REPO / "configs" / "pavlov2_lowpower.conf")
@@ -562,10 +579,10 @@ class TestBuilders:
                              "[stage.1]\n[stage.2]\n[stage.3]\n")
         assert build_chain(three).stages == (FIRST_STAGE, StageConfig(), StageConfig())
         assert build_fit_config(cfg) == FitConfig(initial=DeviceParams())
-        assert build_train_config(cfg) == TrainConfig()
+        assert build_train_config(cfg) == VisionConfig()
         classify_cfg = parse_config("[vision]\nsimilarity_threshold = 0.6\n")
-        assert build_infer_config(classify_cfg) == InferConfig(
-            0.6, label_device=DeviceParams())
+        assert build_infer_config(classify_cfg) == VisionConfig(
+            similarity_threshold=0.6)
 
 
 class TestCmdFit:
@@ -773,7 +790,8 @@ class TestCmdPavlov:
         out = tmp_path / "run"
         assert console_main(["pavlov", "--config", str(cfg),
                              "--out", str(out)]) == 1
-        assert re.match(r"config error: line \d+: ", capsys.readouterr().err)
+        assert re.match(rf"config error: {re.escape(str(cfg))}: line \d+: ",
+                        capsys.readouterr().err)
         assert not out.exists()
 
     def test_fit_rejects_invalid_chain_sections(self, tmp_path, capsys):
@@ -782,7 +800,7 @@ class TestCmdPavlov:
         out = tmp_path / "run"
         assert console_main(["fit", "trace.csv", "--config", str(cfg),
                              "--out", str(out)]) == 1
-        assert "config error: line 2: dt_s: " in capsys.readouterr().err
+        assert f"config error: {cfg}: line 2: dt_s: " in capsys.readouterr().err
         assert not out.exists()
 
     def test_sweep_dt_override_edits_each_config(self, tmp_path):
@@ -810,7 +828,8 @@ class TestCmdPavlov:
         out = tmp_path / "sweep"
         assert console_main(["pavlov", "--config", str(good), "--config", str(bad),
                              "--out", str(out)]) == 1
-        assert capsys.readouterr().err.startswith("config error: line 2: dt_s: ")
+        assert capsys.readouterr().err.startswith(
+            f"config error: {bad}: line 2: dt_s: ")
         assert not out.exists()
 
     def test_sweep_checks_dt_override_on_every_config_before_running_any(
@@ -825,7 +844,28 @@ class TestCmdPavlov:
         assert console_main(["pavlov", "--config", str(long), "--config",
                              str(empty), "--out", str(out),
                              "--dt-override", "2.0"]) == 1
-        assert capsys.readouterr().err.startswith("config error: duration ")
+        assert capsys.readouterr().err.startswith(
+            f"config error: {empty}: --dt-override 2.0: duration ")
+        assert not out.exists()
+
+    def test_sweep_parse_error_names_its_config(self, tmp_path, capsys):
+        empty, bad = tmp_path / "empty.conf", tmp_path / "bad.conf"
+        empty.write_text("")
+        bad.write_text("[sim]\nbogus = 1\n")
+        out = tmp_path / "sweep"
+        assert console_main(["pavlov", "--config", str(empty), "--config", str(bad),
+                             "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: {bad}: line 2: unknown key 'bogus' in [sim]\n")
+        assert not out.exists()
+
+    def test_dt_override_error_on_the_default_config_names_the_flag(
+            self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert console_main(["pavlov", "--out", str(out),
+                             "--dt-override", "2.0"]) == 1
+        assert capsys.readouterr().err.startswith(
+            "config error: --dt-override 2.0: duration must be finite")
         assert not out.exists()
 
     @pytest.mark.parametrize("argv, n_configs", [
@@ -1078,7 +1118,7 @@ class TestCmdVision:
         code = console_main(["vision-train", str(REPO / "data/vision/train"),
                              "--config", str(cfg), "--out", str(out)])
         assert code == 1
-        assert ("config error: line 2: v_on_v: v_max must exceed the set "
+        assert (f"config error: {cfg}: line 2: v_on_v: v_max must exceed the set "
                 "threshold v_on=0.4") in capsys.readouterr().err
         assert not out.exists()
 
@@ -1091,6 +1131,41 @@ class TestCmdVision:
         vision = manifest["config_text"].split("[vision]")[1]
         assert "dt_s = 0.0002" in vision
         assert "dt_s = 0.0001" in manifest["config_text"].split("[vision]")[0]
+
+    def test_dt_override_error_names_config_and_flag(self, tmp_path, capsys):
+        cfg = REPO / "configs" / "vision_demo.conf"
+        out = tmp_path / "o"
+        assert console_main(["vision-train", str(REPO / "data/vision/train"),
+                             "--config", str(cfg), "--out", str(out),
+                             "--dt-override", "1.0"]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: {cfg}: --dt-override 1.0: dt must lie in "
+            "(0, pulse_dt=0.05] and leave at most 10000000 steps per pulse, "
+            "got 1.0\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("dirs", [["train"], ["train", "test"]],
+                             ids=["train", "classify"])
+    def test_dt_override_beyond_label_budget_exits_1_before_reading(
+            self, tmp_path, capsys, monkeypatch, dirs):
+        # 2e-8 s leaves the training pulse 2.5e6 steps, the label pulse
+        # 1.25e7; a config with a similarity threshold is checked whole, so
+        # vision-train refuses it too (its manifest could not be replayed)
+        read = []
+        monkeypatch.setattr(memassoc.cli, "load_image",
+                            lambda path, **kw: read.append(path))
+        cfg = REPO / "configs" / "vision_demo.conf"
+        out = tmp_path / "o"
+        command = "vision-classify" if len(dirs) == 2 else "vision-train"
+        assert console_main([command, *(str(REPO / "data/vision" / d) for d in dirs),
+                             "--config", str(cfg), "--out", str(out),
+                             "--dt-override", "2e-8"]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: {cfg}: --dt-override 2e-08: dt must lie in "
+            "(0, label_pulse_s=0.25] and leave at most 10000000 steps per "
+            "pulse, got 2e-08\n")
+        assert read == []
+        assert not out.exists()
 
     def test_classify_config_error_leaves_no_output(self, vision_dirs, tmp_path):
         train, test = vision_dirs

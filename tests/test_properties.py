@@ -72,6 +72,7 @@ from hypothesis import strategies as st
 from memassoc import circuit
 from memassoc.circuit import (
     _TRACE_CHUNK_ROWS,
+    SCHEMES,
     ChainConfig,
     Segment,
     SimTrace,
@@ -94,8 +95,7 @@ from memassoc.errors import DataError
 from memassoc.fit import IVTrace, rmse, simulate_current
 from memassoc.vision import (
     ArrayState,
-    InferConfig,
-    TrainConfig,
+    VisionConfig,
     classify,
     new_array,
     read_image_csv,
@@ -475,8 +475,8 @@ def test_train_pair_matches_scalar_step(alpha, seed, pulses):
     params = DeviceParams(alpha_on=alpha, alpha_off=alpha, k_on=40.0)
     rng = np.random.default_rng(seed)
     inp, teacher = rng.random((6, 6)), rng.random((6, 6))
-    cfg = TrainConfig(predicate="abs-diff", tau=0.3, v_max=0.5,
-                      pulse_dt=pulses * 1e-3, dt=1e-3)
+    cfg = VisionConfig(predicate="abs-diff", tau=0.3, v_max=0.5,
+                       pulse_dt=pulses * 1e-3, dt=1e-3)
     got = train_pair(new_array(params, side=6), inp, teacher, cfg).w
     # the voltages train_pair derives, rebuilt from the documented formula
     counts = np.array([[np.sum(np.abs(inp - t) <= cfg.tau) for t in row]
@@ -492,9 +492,8 @@ def test_train_pair_matches_scalar_step(alpha, seed, pulses):
 def classify_case(draw):
     device = draw(device_params())
     dt = draw(st.floats(1e-5, 1e-2))
-    cfg = InferConfig(
+    cfg = VisionConfig(
         similarity_threshold=draw(st.floats(0.01, 0.99)),
-        label_device=device,
         label_learn_v=device.v_on + draw(st.floats(1e-3, 1.0)),
         label_forget_v=device.v_off - draw(st.floats(1e-3, 1.0)),
         label_pulse_s=dt * draw(st.integers(1, 3000)),
@@ -514,8 +513,7 @@ def test_classify_label_resistance_matches_trajectory(case):
     drive = (cfg.label_learn_v if got.score < cfg.similarity_threshold
              else cfg.label_forget_v)
     n = int(round(cfg.label_pulse_s / cfg.dt))
-    want = trajectory(cfg.label_device, [drive] * n, cfg.dt,
-                      cfg.label_device.w_on)[-1]
+    want = trajectory(array.params, [drive] * n, cfg.dt, array.params.w_on)[-1]
     assert got.label_resistance == want
 
 
@@ -629,7 +627,7 @@ def test_run_chain_matches_row_at_a_time_engine(case):
         for name in ("mod_v", "r_ohm", "s_v", "resp_v", "p_w"):
             assert np.array_equal(bits64(getattr(stage, name)),
                                   bits64(want[name][k])), (k, name)
-        assert [stage.schemes[c] for c in stage.scheme_code] == want["scheme"][k], k
+        assert [SCHEMES[c] for c in stage.scheme_code] == want["scheme"][k], k
 
 
 # --- trace writer ---------------------------------------------------------------
@@ -641,7 +639,6 @@ SPECIAL_VALUES = (0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e300, -1e300, 1e-4,
                   np.nextafter(1e-4, 0.0), 9.99999999949e-05, 9.99999999951e-05,
                   1e10, np.nextafter(1e10, 0.0), 9999999999.4, 9999999999.5,
                   -1e10, 0.1, 1.0, float("nan"), float("inf"), float("-inf"))
-SCHEMES = ("learning", "natural-forgetting", "forgetting")
 
 
 @st.composite
@@ -671,7 +668,7 @@ def writer_case(draw):
         scheme_code=np.resize(np.array(draw(st.lists(
             st.integers(0, len(SCHEMES) - 1), min_size=1, max_size=8)),
             dtype=np.int8), n_rows),
-        schemes=SCHEMES, r_ohm=draw(trace_column(n_rows)),
+        r_ohm=draw(trace_column(n_rows)),
         s_v=draw(trace_column(n_rows)), resp_v=draw(trace_column(n_rows)),
         p_w=draw(trace_column(n_rows)), r_on=20e3, reset_r_ohm=50e3)
         for _ in range(n_stages))
@@ -692,7 +689,7 @@ def row_by_row_csv(trace):
         header += [f"mod{k}_v", f"scheme{k}", f"r{k}_ohm",
                    f"s{k}_v", f"resp{k}_v", f"p{k}_w"]
         columns += [stage.mod_v.tolist(),
-                    [stage.schemes[c] for c in stage.scheme_code.tolist()],
+                    [SCHEMES[c] for c in stage.scheme_code.tolist()],
                     stage.r_ohm.tolist(), stage.s_v.tolist(),
                     stage.resp_v.tolist(), stage.p_w.tolist()]
     lines = [",".join(header)]

@@ -26,8 +26,7 @@ from memassoc.errors import DataError, InvalidInputError
 from memassoc.vision import (
     _label_resistance,
     ArrayState,
-    InferConfig,
-    TrainConfig,
+    VisionConfig,
     binarize,
     classify,
     load_image,
@@ -169,7 +168,7 @@ class TestBinarizeAndCounts:
             binarize(np.zeros((2, 2)), 0.0)
 
     def test_all_vector_extremes(self):
-        cfg = TrainConfig()
+        cfg = VisionConfig()
         teacher = np.ones((20, 20))
         counts, n = match_counts(np.ones((20, 20)), teacher, cfg)
         assert n == 400 and np.all(counts == 400)
@@ -178,7 +177,7 @@ class TestBinarizeAndCounts:
 
     def test_two_by_two_enumeration(self):
         # each teacher pixel matches exactly 2 of the 4 input entries
-        cfg = TrainConfig()
+        cfg = VisionConfig()
         teacher = np.array([[1.0, 0.0], [0.0, 1.0]])
         inp = np.array([[1.0, 1.0], [0.0, 0.0]])
         counts, n = match_counts(inp, teacher, cfg)
@@ -188,7 +187,7 @@ class TestBinarizeAndCounts:
         assert volts == pytest.approx(np.full((2, 2), 0.175))
 
     def test_corresponding_scope(self):
-        cfg = TrainConfig(scope="corresponding")
+        cfg = VisionConfig(scope="corresponding")
         teacher = np.array([[1.0, 0.0], [0.0, 1.0]])
         inp = np.array([[1.0, 1.0], [0.0, 0.0]])
         counts, n = match_counts(inp, teacher, cfg)
@@ -196,20 +195,20 @@ class TestBinarizeAndCounts:
         assert np.array_equal(counts, np.array([[1.0, 0.0], [1.0, 0.0]]))
 
     def test_abs_diff_predicate(self):
-        cfg = TrainConfig(predicate="abs-diff", tau=0.1)
+        cfg = VisionConfig(predicate="abs-diff", tau=0.1)
         teacher = np.array([[0.5, 0.0]])
         inp = np.array([[0.45, 0.8]])
         counts, n = match_counts(inp, teacher, cfg)
         assert n == 2
         assert np.array_equal(counts, np.array([[1.0, 0.0]]))
-        cfg2 = TrainConfig(predicate="abs-diff", tau=0.1, scope="corresponding")
+        cfg2 = VisionConfig(predicate="abs-diff", tau=0.1, scope="corresponding")
         counts2, n2 = match_counts(inp, teacher, cfg2)
         assert n2 == 1
         assert np.array_equal(counts2, np.array([[1.0, 0.0]]))
 
     def test_shape_mismatch(self):
         with pytest.raises(InvalidInputError, match="shapes differ"):
-            match_counts(np.zeros((2, 2)), np.zeros((3, 3)), TrainConfig())
+            match_counts(np.zeros((2, 2)), np.zeros((3, 3)), VisionConfig())
 
     def test_voltage_map_validation(self):
         with pytest.raises(InvalidInputError):
@@ -219,13 +218,13 @@ class TestBinarizeAndCounts:
 
     def test_config_validation(self):
         with pytest.raises(InvalidInputError):
-            TrainConfig(predicate="fuzzy")
+            VisionConfig(predicate="fuzzy")
         with pytest.raises(InvalidInputError):
-            TrainConfig(scope="rows")
+            VisionConfig(scope="rows")
         with pytest.raises(InvalidInputError):
-            TrainConfig(v_min=0.4, v_max=0.3)
+            VisionConfig(v_min=0.4, v_max=0.3)
         with pytest.raises(InvalidInputError):
-            TrainConfig(dt=0.1, pulse_dt=0.05)
+            VisionConfig(dt=0.1, pulse_dt=0.05)
 
 
 class TestGridStepping:
@@ -264,7 +263,7 @@ class TestTraining:
         # one pulse; the matching cell must move further toward r_on
         teacher = np.array([[1.0, 0.0], [0.0, 1.0]])
         inp = np.array([[1.0, 1.0], [1.0, 0.0]])  # three 1s: count 3 vs 1
-        cfg = TrainConfig(v_max=0.6)
+        cfg = VisionConfig(v_max=0.6)
         arr = train_pair(new_array(side=2), inp, teacher, cfg)
         n = state_grid(arr)
         assert n[0, 0] < n[0, 1]  # count 3 beats count 1
@@ -272,7 +271,7 @@ class TestTraining:
     def test_zero_count_cells_never_move(self):
         teacher = np.ones((2, 2))
         inp = np.zeros((2, 2))
-        arr = train_pair(new_array(side=2), inp, teacher, TrainConfig())
+        arr = train_pair(new_array(side=2), inp, teacher, VisionConfig())
         assert np.all(arr.w == arr.params.w_on)
 
     def test_repeated_training_saturates(self):
@@ -281,7 +280,7 @@ class TestTraining:
         arr = new_array(side=2)
         previous = state_grid(arr).copy()
         for _ in range(12):
-            arr = train_pair(arr, inp, teacher, TrainConfig())
+            arr = train_pair(arr, inp, teacher, VisionConfig())
             current = state_grid(arr)
             assert np.all(current <= previous + 1e-15)
             previous = current
@@ -291,7 +290,7 @@ class TestTraining:
         rng = np.random.default_rng(9)
         teacher = binarize(rng.random((4, 4)))
         inputs = [binarize(rng.random((4, 4))) for _ in range(3)]
-        cfg = TrainConfig()
+        cfg = VisionConfig()
         folded = train_many(new_array(side=4), inputs, teacher, cfg)
         manual = new_array(side=4)
         for img in inputs:
@@ -302,7 +301,7 @@ class TestTraining:
         # every cell is driven at 0.5 V > 2 * v_on, where the rate
         # (v / v_on - 1) ** 1e308 overflows
         params = DeviceParams(alpha_on=1e308)
-        cfg = TrainConfig(v_min=0.5, v_max=0.6)
+        cfg = VisionConfig(v_min=0.5, v_max=0.6)
         img = np.ones((2, 2))
         full = ArrayState(params, np.full((2, 2), params.w_off))
         np.testing.assert_array_equal(train_pair(full, img, img, cfg).w, full.w)
@@ -310,7 +309,7 @@ class TestTraining:
             train_pair(new_array(params, side=2), img, img, cfg)
 
     def test_unreachable_threshold_rejected(self):
-        cfg = TrainConfig(v_max=0.1)
+        cfg = VisionConfig(v_max=0.1)
         with pytest.raises(InvalidInputError, match="v_on"):
             train_pair(new_array(side=2), np.ones((2, 2)), np.ones((2, 2)), cfg)
 
@@ -365,19 +364,28 @@ class TestStateAndSimilarity:
 class TestClassify:
     def test_infer_config_validation(self):
         with pytest.raises(InvalidInputError):
-            InferConfig(similarity_threshold=0.0)
+            VisionConfig(similarity_threshold=0.0)
+        # the label drive and boundary are checked against the device
+        for name, value in [("label_learn_v", 0.1), ("label_forget_v", -0.1),
+                            ("label_boundary_ohm", 10e3)]:
+            cfg = VisionConfig(similarity_threshold=0.3, **{name: value})
+            with pytest.raises(InvalidInputError, match=f"^{name} must"):
+                cfg.check_classify(DeviceParams())
+
+    @pytest.mark.parametrize("cfg", [
+        VisionConfig(),
+        VisionConfig(similarity_threshold=0.3, label_learn_v=0.1),
+    ], ids=["no_threshold", "label_learn_v"])
+    def test_classify_checks_config_against_array_device(self, cfg):
+        arr = ArrayState(DeviceParams(), np.zeros((2, 2)))
         with pytest.raises(InvalidInputError):
-            InferConfig(similarity_threshold=0.3, label_learn_v=0.1)
-        with pytest.raises(InvalidInputError):
-            InferConfig(similarity_threshold=0.3, label_forget_v=-0.1)
-        with pytest.raises(InvalidInputError):
-            InferConfig(similarity_threshold=0.3, label_boundary_ohm=10e3)
+            classify(arr, np.zeros((2, 2)), cfg)
 
     def test_labels_follow_score(self):
         params = DeviceParams()
         img = np.array([[1.0, 0.0], [0.0, 1.0]])
         learned = ArrayState(params, binarize(img) * params.w_off)
-        cfg = InferConfig(similarity_threshold=0.3)
+        cfg = VisionConfig(similarity_threshold=0.3)
         hit = classify(learned, img, cfg)
         assert hit.label == "cat"
         assert hit.score == 0.0
@@ -390,30 +398,29 @@ class TestClassify:
         params = DeviceParams()
         img = np.array([[1.0, 0.0], [0.0, 1.0]])
         arr = ArrayState(params, binarize(img) * 0.7)
-        cfg = InferConfig(similarity_threshold=0.3)
+        cfg = VisionConfig(similarity_threshold=0.3)
         assert classify(arr, img, cfg) == classify(arr, img, cfg)
 
-    @pytest.mark.parametrize("change", [
-        {"label_device": DeviceParams(k_on=5.0)},
-        {"dt": 1.0001e-4},        # the same 100 steps, each a little longer
-        {"label_pulse_s": 0.02},
+    @pytest.mark.parametrize("device,change", [
+        (DeviceParams(k_on=5.0), {}),  # the array's, so the label device's
+        (DeviceParams(), {"dt": 1.0001e-4}),  # the same 100 steps, each longer
+        (DeviceParams(), {"label_pulse_s": 0.02}),
     ], ids=["label_device", "dt", "label_pulse_s"])
-    def test_label_memo_keeps_configs_apart(self, change):
-        # the label pulse is remembered per drive; two configs that differ
-        # in one field it reads, called in turn, each read their own pulse
-        params = DeviceParams()
+    def test_label_memo_keeps_configs_apart(self, device, change):
+        # the label pulse is remembered per drive; two runs that differ in
+        # one value it reads, called in turn, each read their own pulse
         img = np.array([[1.0, 0.0], [0.0, 1.0]])
-        learned = ArrayState(params, binarize(img) * params.w_off)
         # 0.01 s at the learning voltage leaves the label short of w_off
-        base = InferConfig(similarity_threshold=0.3, label_pulse_s=0.01)
-        other = replace(base, **change)
+        base_cfg = VisionConfig(similarity_threshold=0.3, label_pulse_s=0.01)
+        runs = [(DeviceParams(), base_cfg), (device, replace(base_cfg, **change))]
         wants = []
-        for cfg in (base, other):
+        for params, cfg in runs:
             n = int(round(cfg.label_pulse_s / cfg.dt))
-            wants.append(trajectory(cfg.label_device, [cfg.label_learn_v] * n,
-                                    cfg.dt, cfg.label_device.w_on)[-1])
+            wants.append(trajectory(params, [cfg.label_learn_v] * n,
+                                    cfg.dt, params.w_on)[-1])
         assert wants[0] != wants[1]
-        for cfg, want in [(base, wants[0]), (other, wants[1])] * 2:
+        for (params, cfg), want in list(zip(runs, wants)) * 2:
+            learned = ArrayState(params, binarize(img) * params.w_off)
             assert classify(learned, img, cfg).label_resistance == want
 
     def test_label_memo_is_bounded(self):
@@ -421,7 +428,7 @@ class TestClassify:
         assert maxsize is not None
         arr = ArrayState(DeviceParams(), np.zeros((2, 2)))
         for k in range(maxsize + 5):
-            cfg = InferConfig(similarity_threshold=0.3, label_pulse_s=(k + 1) * 1e-4)
+            cfg = VisionConfig(similarity_threshold=0.3, label_pulse_s=(k + 1) * 1e-4)
             classify(arr, np.zeros((2, 2)), cfg)
         assert _label_resistance.cache_info().currsize <= maxsize
 
@@ -431,7 +438,7 @@ def demo_array():
     teacher = load_image(DATA / "train" / "teacher.csv")
     inputs = [load_image(p)
               for p in sorted((DATA / "train").glob("input_*.csv"))]
-    return train_many(new_array(), inputs, teacher, TrainConfig()), teacher
+    return train_many(new_array(), inputs, teacher, VisionConfig()), teacher
 
 
 class TestDemoSuite:
@@ -454,7 +461,7 @@ class TestDemoSuite:
 
     def test_ten_of_ten_labels(self, demo_array):
         arr, _ = demo_array
-        cfg = InferConfig(similarity_threshold=THETA)
+        cfg = VisionConfig(similarity_threshold=THETA)
         for path in sorted((DATA / "test").glob("*.csv")):
             want = "cat" if path.name.startswith("cat") else "non-cat"
             assert classify(arr, load_image(path), cfg).label == want, path.name
