@@ -49,6 +49,7 @@ import math
 import os
 import shutil
 import tempfile
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import BinaryIO, Iterable, Mapping, Sequence, TextIO
@@ -445,13 +446,21 @@ def _fork_part_writer(columns: list[tuple[np.ndarray, tuple[str, ...] | None]],
 
     A forked child shares the columns without copying or pickling them and
     starts at once; a spawned one would first import numpy, which takes
-    about as long as the whole write.  The caller runs no other threads
-    (the CLI runs none), so the child holds no lock another thread took.
-    The child never returns: it leaves through `os._exit`, which skips the
-    parent's buffers and exit handlers, with status 0 once its part is
-    flushed and 1 on any error.
+    about as long as the whole write.  The child never returns: it leaves
+    through `os._exit`, which skips the parent's buffers and exit handlers,
+    with status 0 once its part is flushed and 1 on any error.
     """
-    pid = os.fork()
+    # Python 3.12+ warns that forking a process with several threads may
+    # deadlock the child.  Importing numpy starts an OpenBLAS worker thread,
+    # so the warning would fire on every write.  The child runs only Python
+    # formatting and file writes, no BLAS, and the package starts no thread
+    # of its own, so the child needs no lock another thread could hold.
+    # That one warning is ignored here, and nothing else.
+    with warnings.catch_warnings():
+        warnings.filterwarnings(
+            "ignore", r"This process \(pid=\d+\) is multi-threaded, use of "
+            r"fork\(\) may lead to deadlocks", DeprecationWarning)
+        pid = os.fork()
     if pid:
         return pid
     status = 1

@@ -52,9 +52,10 @@ from .circuit import (
     write_sim_trace_csv,
 )
 from .device import DeviceParams
-from .errors import ConfigError, DataError, InvalidInputError, InvalidStartError
+from .errors import ConfigError, DataError, InvalidInputError, InvalidStartError, read_input
 from .fit import PARAM_NAMES, FitConfig, fit, read_trace_csv
 from .vision import (
+    IMAGE_READERS,
     VisionConfig,
     classify,
     load_image,
@@ -441,10 +442,7 @@ def serialize_config(config: ExperimentConfig) -> str:
 
 
 def load_config(path: str | Path, *, vision: bool = False) -> ExperimentConfig:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    text = read_input(Path(path), ConfigError)
     try:
         return parse_config(text, vision=vision)
     except ConfigError as exc:
@@ -616,11 +614,13 @@ def cmd_pavlov(config: ExperimentConfig, out_dir: str | Path) -> int:
     return 0
 
 
-def _image_files(directory: Path) -> list[Path]:
-    # by name: every file shares the directory, and comparing names skips
-    # building each Path's parts
+def _image_files(directory: Path, role: str) -> list[Path]:
+    """The images in the `role` directory, sorted by name: every file shares
+    the directory, and comparing names skips building each Path's parts."""
+    if not directory.is_dir():
+        raise DataError(f"{role} directory {directory} does not exist")
     return sorted((p for p in directory.iterdir()
-                   if p.suffix.lower() in (".csv", ".pgm")),
+                   if p.suffix.lower() in IMAGE_READERS),
                   key=lambda p: p.name)
 
 
@@ -628,30 +628,29 @@ def cmd_vision(config: ExperimentConfig, train_dir: str | Path,
                test_dir: str | Path | None, out_dir: str | Path) -> int:
     """Train the array; when a test directory is given, also classify it.
 
-    The teacher image is `teacher.csv`/`teacher.pgm` inside the training
-    directory; every other image there is an input paired with it.
+    An image is a file whose suffix `vision.IMAGE_READERS` reads.  The
+    training directory holds exactly one image with the stem `teacher`;
+    every other image there is an input paired with it.
     """
     train_config = build_train_config(config)
     infer = None if test_dir is None else build_infer_config(config)
     train = Path(train_dir)
-    if not train.is_dir():
-        raise DataError(f"training directory {train} does not exist")
-    teacher_path = next(
-        (train / name for name in ("teacher.csv", "teacher.pgm")
-         if (train / name).exists()), None)
-    if teacher_path is None:
-        raise DataError(f"no teacher.csv or teacher.pgm in {train}")
-    test = None if test_dir is None else Path(test_dir)
-    if test is not None and not test.is_dir():
-        raise DataError(f"test directory {test} does not exist")
+    images = _image_files(train, "training")
+    teachers = [p for p in images if p.stem == "teacher"]
+    if len(teachers) != 1:
+        names = " or ".join(f"teacher{suffix}" for suffix in IMAGE_READERS)
+        found = ", ".join(p.name for p in teachers) or "none"
+        raise DataError(f"{train}: expected one teacher image ({names}), "
+                        f"found {found}")
+    [teacher_path] = teachers
+    probe_paths = [] if test_dir is None else _image_files(Path(test_dir), "test")
     allow = config.vision.allow_resize
     teacher = load_image(teacher_path, allow_resize=allow)
     inputs = [load_image(p, allow_resize=allow)
-              for p in _image_files(train) if p != teacher_path]
+              for p in images if p is not teacher_path]
     if not inputs:
         raise DataError(f"no training inputs next to {teacher_path.name}")
-    probes = [] if test is None else [(p.name, load_image(p, allow_resize=allow))
-                                      for p in _image_files(test)]
+    probes = [(p.name, load_image(p, allow_resize=allow)) for p in probe_paths]
     # train and classify before creating --out, so a run that fails there
     # leaves no directory
     array = train_many(new_array(build_device(config)), inputs, teacher,
@@ -667,7 +666,7 @@ def cmd_vision(config: ExperimentConfig, train_dir: str | Path,
     outputs = ["array_state.csv"]
     args: dict[str, Any] = {"train_dir": str(train_dir)}
     command = "vision-train"
-    if test is not None:
+    if test_dir is not None:
         command = "vision-classify"
         args["test_dir"] = str(test_dir)
         (out / "report.csv").write_text("\n".join(lines) + "\n")

@@ -1,4 +1,6 @@
-"""Shared exception types for the simulator."""
+"""Shared exception types, `require` and `read_input`, the input files' reader."""
+
+from pathlib import Path
 
 
 class MemassocError(Exception):
@@ -32,3 +34,18 @@ def require(obj: object, *checks: tuple[str, bool, str]) -> None:
     for name, ok, need in checks:
         if not ok:
             raise InvalidInputError(f"{name} must {need}, got {getattr(obj, name)!r}")
+
+
+def read_input(path: Path, error: type[MemassocError], *,
+               text: bool = True) -> str | bytes:
+    """The file at `path` as UTF-8 text (newlines kept as they are), or its
+    bytes when not `text`.  An `OSError`, or bytes that are not UTF-8,
+    raise `error` naming the path, and the first bad byte's offset."""
+    try:
+        blob = path.read_bytes()
+        return blob.decode() if text else blob
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text: byte 0x{exc.object[exc.start]:02x} "
+                    f"at offset {exc.start}") from exc
+    except OSError as exc:
+        raise error(f"{path}: {exc.strerror or exc}") from exc

@@ -44,6 +44,7 @@ per fit.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -53,7 +54,7 @@ from typing import Callable
 import numpy as np
 
 from .device import DeviceParams, _step_loop
-from .errors import DataError, InvalidInputError, InvalidStartError, require
+from .errors import DataError, InvalidInputError, InvalidStartError, read_input, require
 
 __all__ = [
     "IVTrace",
@@ -142,12 +143,18 @@ class IVTrace:
     @cached_property
     def v_energy(self) -> float:
         """sum v^2, the voltage term's normalizer in `rmse`."""
-        return float(np.sum(self.v ** 2))
+        return _energy(self.v)
 
     @cached_property
     def i_energy(self) -> float:
         """sum i^2, the current term's normalizer in `rmse`."""
-        return float(np.sum(self.i ** 2))
+        return _energy(self.i)
+
+
+def _energy(column: np.ndarray) -> float:
+    """sum x^2; inf, without numpy's overflow warning, beyond the float range."""
+    with np.errstate(over="ignore"):
+        return float(np.sum(column ** 2))
 
 
 def _frozen_copy(column: np.ndarray) -> np.ndarray:
@@ -161,24 +168,23 @@ def read_trace_csv(path: str | Path) -> IVTrace:
     """Load a trace from CSV with header t_s,v_v,i_a.
 
     Every non-empty row must hold three numbers, and neither the voltage
-    nor the current may be zero throughout: `rmse` normalizes by both.
+    nor the current may be zero throughout or have a sum of squares beyond
+    the float range: `rmse` normalizes by both.
     """
     path = Path(path)
+    reader = csv.reader(io.StringIO(read_input(path, DataError), newline=""))
     try:
-        with path.open(newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or tuple(h.strip() for h in header) != TRACE_HEADER:
-                raise DataError(
-                    f"{path}: expected header {','.join(TRACE_HEADER)}")
-            rows = []
-            for row in filter(None, reader):
-                if len(row) != len(TRACE_HEADER):
-                    raise DataError(f"{path}:{reader.line_num}: expected "
-                                    f"{len(TRACE_HEADER)} fields, got {len(row)}")
-                rows.append(row)
-    except OSError as exc:
-        raise DataError(f"{path}: {exc}") from exc
+        header = next(reader, None)
+        if header is None or tuple(h.strip() for h in header) != TRACE_HEADER:
+            raise DataError(f"{path}: expected header {','.join(TRACE_HEADER)}")
+        rows = []
+        for row in filter(None, reader):
+            if len(row) != len(TRACE_HEADER):
+                raise DataError(f"{path}:{reader.line_num}: expected "
+                                f"{len(TRACE_HEADER)} fields, got {len(row)}")
+            rows.append(row)
+    except csv.Error as exc:
+        raise DataError(f"{path}:{reader.line_num}: {exc}") from exc
     try:
         data = np.array([[float(x) for x in row] for row in rows])
     except ValueError as exc:
@@ -193,6 +199,9 @@ def read_trace_csv(path: str | Path) -> IVTrace:
         if not energy > 0.0:
             raise DataError(
                 f"{path}: trace {name} is zero throughout (sum of squares 0)")
+        if energy == math.inf:
+            raise DataError(f"{path}: trace {name}'s sum of squares is beyond "
+                            "the float range")
     return trace
 
 

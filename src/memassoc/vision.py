@@ -37,6 +37,7 @@ evaluated.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -46,7 +47,7 @@ from typing import Collection, Sequence
 import numpy as np
 
 from .device import DeviceParams, pulse, resistance
-from .errors import DataError, InvalidInputError, require
+from .errors import DataError, InvalidInputError, read_input, require
 
 __all__ = [
     "GRID_SIDE",
@@ -57,6 +58,7 @@ __all__ = [
     "ArrayState",
     "ClassifyResult",
     "new_array",
+    "IMAGE_READERS",
     "load_image",
     "read_image_csv",
     "read_image_pgm",
@@ -189,29 +191,24 @@ def new_array(params: DeviceParams | None = None,
 # --- image ingestion -------------------------------------------------------
 
 def _normalize_intensities(raw: np.ndarray, values: Collection[float],
-                           origin: str) -> np.ndarray:
-    """`raw` scaled to [0, 1], checked on `values`, its distinct entries as
-    Python floats: a handful per image instead of a pass per check."""
+                           origin: str, full_scale: float | None) -> np.ndarray:
+    """`raw` over its full scale once `values`, its (distinct) entries, are
+    finite, >= 0 and at most it: a PGM's maxval, a CSV's (None) 255 or 1."""
     if not all(map(math.isfinite, values)):
         raise DataError(f"{origin}: image entries must be finite and non-empty")
     lo, hi = min(values), max(values)
     if lo < 0.0:
         raise DataError(f"{origin}: negative intensity {lo!r}")
-    # 8-bit ranges are detected by magnitude; unit-range data passes through
-    if hi > 1.0:
-        if hi > 255.0:
-            raise DataError(f"{origin}: intensity {hi!r} exceeds 255")
-        return raw / 255.0
-    return raw
+    if full_scale is None:
+        full_scale = 255.0 if hi > 1.0 else 1.0
+    if hi > full_scale:
+        raise DataError(f"{origin}: intensity {hi!r} exceeds {full_scale:g}")
+    return raw / full_scale
 
 
-def read_image_csv(path: str | Path) -> np.ndarray:
+def read_image_csv(path: Path) -> np.ndarray:
     """Rectangular grid of comma-separated intensities, any size."""
-    path = Path(path)
-    try:
-        lines = path.read_text().splitlines()
-    except OSError as exc:
-        raise DataError(f"cannot read image {path}: {exc}") from exc
+    lines = read_input(path, DataError).splitlines()
     rows = [line for line in lines if line.strip()]
     if not rows:
         raise DataError(f"{path.name}: empty image")
@@ -234,26 +231,19 @@ def read_image_csv(path: str | Path) -> np.ndarray:
         raise DataError(f"{path.name}: ragged rows (widths {sorted(widths)})")
     raw = np.fromiter(map(value.__getitem__, texts), dtype=float,
                       count=len(texts)).reshape(len(rows), widths.pop())
-    return _normalize_intensities(raw, value.values(), path.name)
+    return _normalize_intensities(raw, value.values(), path.name, None)
 
 
-def read_image_pgm(path: str | Path) -> np.ndarray:
-    """Grayscale PGM, ASCII (P2) or binary (P5) with maxval <= 255."""
-    path = Path(path)
-    try:
-        blob = path.read_bytes()
-    except OSError as exc:
-        raise DataError(f"cannot read image {path}: {exc}") from exc
-    # header: magic, width, height, maxval as whitespace-separated tokens,
-    # with '#' comments running to end of line
-    tokens: list[bytes] = []
-    pos = 0
-    while len(tokens) < 4 and pos < len(blob):
-        m = re.compile(rb"\s*(?:#[^\n]*\n\s*)*(\S+)").match(blob, pos)
-        if m is None:
-            break
-        tokens.append(m.group(1))
-        pos = m.end()
+# a PGM header token: magic, width, height or maxval, each after whitespace
+# and '#' comments running to end of line
+_PGM_TOKEN = re.compile(rb"\s*(?:#[^\n]*\n\s*)*(\S+)")
+
+
+def read_image_pgm(path: Path) -> np.ndarray:
+    """Grayscale PGM, ASCII (P2) or binary (P5), of integers to maxval <= 255."""
+    blob = read_input(path, DataError, text=False)
+    header = list(itertools.islice(_PGM_TOKEN.finditer(blob), 4))
+    tokens = [m[1] for m in header]
     if len(tokens) < 4 or tokens[0] not in (b"P2", b"P5"):
         raise DataError(f"{path.name}: not a P2/P5 PGM")
     try:
@@ -263,22 +253,26 @@ def read_image_pgm(path: str | Path) -> np.ndarray:
     if width <= 0 or height <= 0 or not 0 < maxval <= 255:
         raise DataError(f"{path.name}: unsupported PGM geometry "
                         f"{width}x{height} maxval {maxval}")
-    n = width * height
+    n, pos = width * height, header[-1].end()
     if tokens[0] == b"P5":
         data = blob[pos + 1: pos + 1 + n]  # single whitespace after maxval
         if len(data) != n:
             raise DataError(f"{path.name}: truncated PGM payload")
-        flat = np.frombuffer(data, dtype=np.uint8).astype(float)
+        raw, values = np.frombuffer(data, dtype=np.uint8), set(data)
     else:
         try:
-            flat = np.array([float(t) for t in blob[pos:].split()], dtype=float)
-        except ValueError as exc:
+            values = [int(t) for t in blob[pos:].split()]
+            raw = np.array(values, dtype=float)
+        except (ValueError, OverflowError) as exc:
             raise DataError(f"{path.name}: bad PGM sample") from exc
-        if flat.size != n:
-            raise DataError(f"{path.name}: expected {n} samples, got {flat.size}")
-    if flat.size and flat.max() > maxval:
-        raise DataError(f"{path.name}: sample exceeds maxval {maxval}")
-    return flat.reshape(height, width) / float(maxval)
+        if raw.size != n:
+            raise DataError(f"{path.name}: expected {n} samples, got {raw.size}")
+    return _normalize_intensities(raw.reshape(height, width), values, path.name,
+                                  float(maxval))
+
+
+# suffix -> reader: the image formats of `load_image` and the CLI's listings
+IMAGE_READERS = {".csv": read_image_csv, ".pgm": read_image_pgm}
 
 
 def _box_resize(img: np.ndarray, side: int) -> np.ndarray:
@@ -298,22 +292,18 @@ def _box_resize(img: np.ndarray, side: int) -> np.ndarray:
     return out
 
 
-def load_image(path: str | Path, side: int = GRID_SIDE,
+def load_image(path: Path, side: int = GRID_SIDE,
                allow_resize: bool = False) -> np.ndarray:
     """Image as a side x side grid of intensities in [0, 1].
 
-    CSV and PGM inputs are dispatched on the file suffix.  Larger images
+    `IMAGE_READERS` picks the reader by lower-cased suffix.  Larger images
     are center-cropped and box-filtered down only when `allow_resize` is
     set; any other shape mismatch is an error naming the dimensions.
     """
-    path = Path(path)
     suffix = path.suffix.lower()
-    if suffix == ".csv":
-        img = read_image_csv(path)
-    elif suffix == ".pgm":
-        img = read_image_pgm(path)
-    else:
+    if suffix not in IMAGE_READERS:
         raise DataError(f"{path.name}: unsupported image format {suffix!r}")
+    img = IMAGE_READERS[suffix](path)
     if img.shape == (side, side):
         return img
     if allow_resize and img.shape[0] >= side and img.shape[1] >= side:

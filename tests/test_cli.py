@@ -14,6 +14,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import warnings
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -1305,6 +1306,245 @@ class TestFitExtremeDevice:
                 assert_one_error_line(code, lines)
 
 
+# --- input files that are not what their reader expects ----------------------
+
+NOT_UTF8 = bytes(range(256))  # 0x80 at offset 128 is the first byte UTF-8 refuses
+
+
+def run_quietly(argv):
+    """`console_main(argv)` in this process; its exit code, stderr lines and
+    the messages of the warnings it issued, each recorded, not raised."""
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = console_main(argv)
+    return code, err.getvalue().splitlines(), [str(w.message) for w in caught]
+
+
+class TestHostileInputFiles:
+    def test_config_that_is_not_utf8_exits_1_naming_path_and_offset(
+            self, tmp_path):
+        cfg = tmp_path / "bad.conf"
+        cfg.write_bytes(b"[sim]\n\xff\n")
+        out = tmp_path / "o"
+        assert run_quietly(["pavlov", "--config", str(cfg), "--out", str(out)]) == (
+            1, [f"config error: {cfg}: not UTF-8 text: byte 0xff at offset 6"], [])
+        assert not out.exists()
+
+    def test_unreadable_config_names_its_path_once(self, tmp_path):
+        cfg = tmp_path / "nope.conf"
+        assert run_quietly(["pavlov", "--config", str(cfg), "--out",
+                            str(tmp_path / "o")]) == (
+            1, [f"config error: {cfg}: No such file or directory"], [])
+
+    def test_trace_that_is_not_utf8_exits_2_naming_path_and_offset(self, tmp_path):
+        trace = tmp_path / "bin.csv"
+        trace.write_bytes(NOT_UTF8)
+        out = tmp_path / "o"
+        assert run_quietly(["fit", str(trace), "--out", str(out)]) == (
+            2, [f"error: {trace}: not UTF-8 text: byte 0x80 at offset 128"], [])
+        assert not out.exists()
+
+    def test_trace_whose_energy_overflows_exits_2_at_read(self, tmp_path):
+        trace = tmp_path / "big.csv"
+        trace.write_text("t_s,v_v,i_a\n0,1e308,1e-6\n1,1e308,1e-6\n2,1e308,1e-6\n")
+        assert run_quietly(["fit", str(trace), "--out", str(tmp_path / "o")]) == (
+            2, [f"error: {trace}: trace voltage's sum of squares is beyond the "
+                "float range"], [])
+
+    @pytest.mark.parametrize("role", ["teacher", "probe"])
+    def test_csv_image_that_is_not_utf8_exits_2_naming_path(self, tmp_path, role):
+        train, test = write_vision_dirs(tmp_path)
+        image = (train / "teacher.csv") if role == "teacher" else (test / "bin.csv")
+        image.write_bytes(NOT_UTF8)
+        cfg = tmp_path / "v.conf"
+        cfg.write_text(VISION_TAIL)
+        out = tmp_path / "o"
+        assert run_quietly(["vision-classify", str(train), str(test), "--config",
+                            str(cfg), "--out", str(out)]) == (
+            2, [f"error: {image}: not UTF-8 text: byte 0x80 at offset 128"], [])
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sample, message", [
+        ("-1", "negative intensity -1"), ("nan", "bad PGM sample"),
+        ("1.5", "bad PGM sample")], ids=["negative", "nan", "fraction"])
+    def test_pgm_probe_outside_the_intensity_rule_exits_2(self, tmp_path, sample,
+                                                          message):
+        train, test = write_vision_dirs(tmp_path)
+        (test / "odd.pgm").write_text(
+            "P2\n20 20\n255\n" + " ".join([sample] * 400) + "\n")
+        cfg = tmp_path / "v.conf"
+        cfg.write_text(VISION_TAIL)
+        out = tmp_path / "o"
+        assert run_quietly(["vision-classify", str(train), str(test), "--config",
+                            str(cfg), "--out", str(out)]) == (
+            2, [f"error: odd.pgm: {message}"], [])
+        assert not out.exists()
+
+    def test_two_teachers_exit_2(self, tmp_path):
+        train, _ = write_vision_dirs(tmp_path)
+        (train / "teacher.pgm").write_text(
+            "P2\n20 20\n1\n" + " ".join(["1"] * 400) + "\n")
+        out = tmp_path / "o"
+        assert run_quietly(["vision-train", str(train), "--out", str(out)]) == (
+            2, [f"error: {train}: expected one teacher image (teacher.csv or "
+                "teacher.pgm), found teacher.csv, teacher.pgm"], [])
+        assert not out.exists()
+
+    def test_teacher_suffix_case_is_ignored_as_for_any_image(self, tmp_path):
+        train, _ = write_vision_dirs(tmp_path)
+        (train / "teacher.csv").rename(train / "teacher.CSV")
+        out = tmp_path / "o"
+        assert run_quietly(["vision-train", str(train), "--out", str(out)]) == (
+            0, [], [])
+        (train / "teacher.csv").write_text((train / "teacher.CSV").read_text())
+        assert run_quietly(["vision-train", str(train), "--out", str(out)])[0] == 2
+
+
+def assert_one_line_unless_exit_0(result):
+    code, lines, warned = result
+    assert code in (0, 1, 2) and warned == [], result
+    assert len(lines) == (code != 0), result
+    if lines:
+        assert lines[0].startswith("error: " if code == 2 else "config error: ")
+
+
+@st.composite
+def hostile_bytes(draw, blobs):
+    """Bytes of at most about 2 KB: bytes drawn from `blobs` with up to three
+    of them overwritten by any byte, or any bytes at all."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(st.binary(max_size=2048))
+    blob = bytearray(draw(blobs))
+    for _ in range(draw(st.integers(0, 3)) if blob else 0):
+        blob[draw(st.integers(0, len(blob) - 1))] = draw(st.integers(0, 255))
+    return bytes(blob)
+
+
+TRACE_ODD_CELLS = ["0", "5e-324", "1e200", "1e308", "-1e308", "nan", "inf", "",
+                   "x", " 0.2", '"0.1"', '"1\n2"', "1_0", "0,1"]
+
+
+@st.composite
+def trace_texts(draw):
+    """A header and up to 12 rows of increasing time and small samples,
+    maybe with one cell replaced by an odd one."""
+    header = draw(st.sampled_from(["t_s,v_v,i_a", " t_s , v_v , i_a", "t_s,v_v"]))
+    samples = st.sampled_from(["0.1", "-0.2", "0.5", "1e-6", "-2e-6"])
+    rows = [[f"{k * 1e-3:g}", v, i] for k, (v, i) in enumerate(
+        draw(st.lists(st.tuples(samples, samples), max_size=12)))]
+    if rows and draw(st.booleans()):
+        rows[draw(st.integers(0, len(rows) - 1))][draw(st.integers(0, 2))] = draw(
+            st.sampled_from(TRACE_ODD_CELLS))
+    return draw(st.sampled_from(["\n", "\r\n", "\r"])).join(
+        [header, *map(",".join, rows)]) + "\n"
+
+
+IMAGE_CELLS = ["0", "1", "0.5", "128", "255", "256", "-1", "-0", "1e308", "nan",
+               "inf", "", "x", " 1", "1,0"]
+
+
+@st.composite
+def csv_image_texts(draw):
+    """A 20x20 grid of one cell text with up to three cells replaced, maybe
+    a line dropped or a blank line added."""
+    fill = draw(st.sampled_from(["0", "1", "0.5", "128"]))
+    grid = [[fill] * 20 for _ in range(20)]
+    for _ in range(draw(st.integers(0, 3))):
+        grid[draw(st.integers(0, 19))][draw(st.integers(0, 19))] = draw(
+            st.sampled_from(IMAGE_CELLS))
+    lines = [",".join(row) for row in grid]
+    edit = draw(st.sampled_from(["", "drop", "blank"]))
+    if edit == "drop":
+        lines.pop()
+    elif edit == "blank":
+        lines.insert(draw(st.integers(0, 19)), "")
+    return draw(st.sampled_from(["\n", "\r\n", "\r"])).join(lines) + "\n"
+
+
+@st.composite
+def pgm_blobs(draw):
+    """A P2 or P5 header of a few fixed shapes and maxvals, then its samples
+    of one value with up to three replaced, maybe one short or one over."""
+    magic = draw(st.sampled_from(["P2", "P5", "P2", "P5", "P6"]))
+    width, height = draw(st.sampled_from([(20, 20), (20, 20), (2, 2), (20, 19),
+                                          (0, 20)]))
+    maxval = draw(st.sampled_from([255, 1, 15, 255, 1, 15, 0, 256]))
+    sep = draw(st.sampled_from([" ", "\n", "\n# comment\n"]))
+    samples = [draw(st.sampled_from(["0", "1", "15", "255"]))] * (width * height)
+    for _ in range(draw(st.integers(0, 3)) if samples else 0):
+        samples[draw(st.integers(0, len(samples) - 1))] = draw(st.sampled_from(
+            ["0", "16", "256", "-1", "nan", "1.5", "+1", "9" * 400]))
+    samples = samples[:draw(st.sampled_from([None, -1]))]
+    samples += draw(st.sampled_from([[], ["0"]]))
+    header = sep.join([magic, str(width), str(height), str(maxval)]).encode()
+    if magic == "P5":
+        return header + b"\n" + bytes(int(x) for x in samples
+                                      if x.isdigit() and int(x) < 256)
+    return header + f"{sep}{' '.join(samples)}\n".encode()
+
+
+@pytest.fixture(scope="module")
+def one_pair_train_dir(tmp_path_factory):
+    """A training directory of a teacher and one input."""
+    train = tmp_path_factory.mktemp("one_pair")
+    proto = (np.random.default_rng(5).random((20, 20)) < 0.7).astype(float)
+    write_grid(train / "teacher.csv", proto)
+    write_grid(train / "input.csv", proto)
+    return train
+
+
+# The reader properties draw the bytes of one input file, run the CLI on it
+# in this process and expect no warning and exit 0 with no stderr line, or
+# exit 1 or 2 with one; an exception escaping `console_main` fails them.
+
+class TestHostileInputProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(blob=hostile_bytes(trace_texts().map(str.encode)))
+    def test_trace_csv(self, tmp_path_factory, blob):
+        with tempfile.TemporaryDirectory(dir=tmp_path_factory.getbasetemp()) as tmp:
+            trace, cfg = Path(tmp) / "trace.csv", Path(tmp) / "c.conf"
+            trace.write_bytes(blob)
+            cfg.write_text(FIT_TAIL)
+            assert_one_line_unless_exit_0(run_quietly(
+                ["fit", str(trace), "--config", str(cfg), "--out", f"{tmp}/o"]))
+
+    @settings(max_examples=100, deadline=None)
+    @given(blob=hostile_bytes(csv_image_texts().map(str.encode)))
+    def test_csv_image(self, one_pair_train_dir, blob):
+        self.classify_one_probe(one_pair_train_dir, "probe.csv", blob)
+
+    @settings(max_examples=100, deadline=None)
+    @given(blob=hostile_bytes(pgm_blobs()))
+    def test_pgm(self, one_pair_train_dir, blob):
+        self.classify_one_probe(one_pair_train_dir, "probe.pgm", blob)
+
+    @staticmethod
+    def classify_one_probe(train, name, blob):
+        with tempfile.TemporaryDirectory(dir=train.parent) as tmp:
+            test, cfg = Path(tmp) / "test", Path(tmp) / "c.conf"
+            test.mkdir()
+            (test / name).write_bytes(blob)
+            cfg.write_text(VISION_TAIL)
+            assert_one_line_unless_exit_0(run_quietly(
+                ["vision-classify", str(train), str(test), "--config", str(cfg),
+                 "--out", f"{tmp}/o"]))
+
+    @settings(max_examples=100, deadline=None)
+    @given(blob=hostile_bytes(config_texts().map(str.encode)),
+           argv=st.sampled_from([["fit", "missing.csv"], ["vision-train", "missing"]]))
+    def test_config(self, tmp_path_factory, blob, argv):
+        # the run stops at its missing input once the config is read
+        with tempfile.TemporaryDirectory(dir=tmp_path_factory.getbasetemp()) as tmp:
+            cfg = Path(tmp) / "c.conf"
+            cfg.write_bytes(blob)
+            result = run_quietly([argv[0], f"{tmp}/{argv[1]}", "--config",
+                                  str(cfg), "--out", f"{tmp}/o"])
+            assert result[0] != 0
+            assert_one_line_unless_exit_0(result)
+
+
 class TestConsoleMain:
     def test_no_arguments_is_usage_error(self, capsys):
         assert console_main([]) == 1
@@ -1371,6 +1611,49 @@ class TestTraceWriterProcesses:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
         assert [p.name for p in out.iterdir()] == ["trace.csv"]
+
+    def test_fork_warning_of_python_3_12_is_ignored(self, tmp_path, monkeypatch):
+        """From Python 3.12, `os.fork` in a process with several threads
+        (numpy's OpenBLAS worker is one) warns in the parent.  The writer
+        ignores that one warning, so under warnings as errors the forked
+        write passes with the bytes of a write in one process; any other
+        warning from the fork still raises."""
+        monkeypatch.setattr(memassoc.circuit, "_TRACE_CHUNK_ROWS", 256)
+        trace = memassoc.circuit.run_chain(build_chain(parse_config(CUSTOM_CHAIN)))
+        monkeypatch.setattr(memassoc.circuit, "_usable_cpus", lambda: 1)
+        memassoc.circuit.write_sim_trace_csv(trace, tmp_path / "alone.csv")
+
+        fork, forked = os.fork, []
+
+        def fork_that_warns(message):
+            def warning_fork():
+                pid = fork()
+                if pid:  # as CPython does, in the parent once the child runs
+                    forked.append(pid)
+                    warnings.warn(message.format(pid=os.getpid()),
+                                  DeprecationWarning, stacklevel=2)
+                return pid
+            return warning_fork
+
+        monkeypatch.setattr(memassoc.circuit, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(os, "fork", fork_that_warns(
+            "This process (pid={pid}) is multi-threaded, use of fork() may "
+            "lead to deadlocks in the child."))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            memassoc.circuit.write_sim_trace_csv(trace, tmp_path / "forked.csv")
+        assert len(forked) == 2
+        assert ((tmp_path / "forked.csv").read_bytes()
+                == (tmp_path / "alone.csv").read_bytes())
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+        monkeypatch.setattr(os, "fork", fork_that_warns("pid {pid} forked"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DeprecationWarning, match="forked"):
+                memassoc.circuit.write_sim_trace_csv(trace, tmp_path / "other.csv")
+        os.waitpid(forked[-1], 0)  # the writer never learned its pid
 
 
 class TestManifests:

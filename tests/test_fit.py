@@ -18,6 +18,7 @@ Covered here:
 from __future__ import annotations
 
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -111,6 +112,35 @@ class TestIVTrace:
         path.write_text("time,volt,amp\n0,0,0\n1,0,0\n")
         with pytest.raises(DataError):
             read_trace_csv(path)
+
+    def test_energy_beyond_float_range_is_inf_without_a_warning(self):
+        # 1e308 squared overflows; the suite turns numpy's warning into an error
+        trace = IVTrace(np.arange(3.0), np.full(3, 1e308), np.full(3, 1e-6))
+        assert trace.v_energy == math.inf
+        assert trace.i_energy == pytest.approx(3e-12)
+
+    @pytest.mark.parametrize("column", ["voltage", "current"])
+    def test_csv_energy_beyond_float_range_refused(self, tmp_path, column):
+        big = "1e308,1e-6" if column == "voltage" else "0.1,1e200"
+        path = tmp_path / "big.csv"
+        path.write_text("t_s,v_v,i_a\n" + "".join(f"{k},{big}\n" for k in range(3)))
+        with pytest.raises(DataError, match=rf"^{re.escape(str(path))}: trace "
+                           rf"{column}'s sum of squares is beyond the float range$"):
+            read_trace_csv(path)
+
+    def test_csv_keeps_line_numbers_across_line_ends(self, tmp_path):
+        # CR, LF and CRLF each end one line; a quoted field may span two
+        path = tmp_path / "ends.csv"
+        path.write_bytes(b't_s,v_v,i_a\r\n0,0.1,1e-6\r1,"0.2\n",1e-6\n2,0.3\n')
+        with pytest.raises(DataError, match=r"ends.csv:5: expected 3 fields, got 2"):
+            read_trace_csv(path)
+
+    def test_csv_that_is_not_utf8_names_path_and_offset(self, tmp_path):
+        path = tmp_path / "bin.csv"
+        path.write_bytes(b"t_s,v_v,i_a\n0,\xe9,1\n")
+        with pytest.raises(DataError) as info:
+            read_trace_csv(path)
+        assert str(info.value) == f"{path}: not UTF-8 text: byte 0xe9 at offset 14"
 
 
 class TestSimulateCurrent:

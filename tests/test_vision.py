@@ -1,8 +1,10 @@
 """Array-vision tests.
 
 Covered invariants:
-  * CSV/PGM ingestion, 8-bit auto-scaling, range errors that print plain
-    floats, dimension/resize policing;
+  * CSV/PGM ingestion under one intensity rule (finite, >= 0, at most
+    the full scale), integer PGM samples, 8-bit auto-scaling, range
+    errors that print plain numbers, undecodable or unreadable files
+    named by path, dimension/resize policing;
   * count semantics for both predicates and scopes, including the 2x2
     enumeration case and full/zero-match extremes;
   * vectorized grid stepping is bitwise identical to the oracle's scalar
@@ -15,6 +17,7 @@ Covered invariants:
     (clusters separate, 10/10 labels with the frozen threshold).
 """
 
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -153,6 +156,54 @@ class TestImageIO:
         path.write_bytes(b"P6\n2 2\n255\n" + bytes(12))
         with pytest.raises(DataError, match="P2/P5"):
             read_image_pgm(path)
+
+    @pytest.mark.parametrize("sample, message", [
+        ("-1", "img.pgm: negative intensity -1"),
+        ("nan", "img.pgm: bad PGM sample"),
+        ("1.5", "img.pgm: bad PGM sample"),
+        ("9" * 400, "img.pgm: bad PGM sample"),
+        ("16", "img.pgm: intensity 16 exceeds 15"),
+    ], ids=["negative", "nan", "fraction", "beyond-float", "beyond-maxval"])
+    def test_pgm_ascii_samples_are_integers_in_range(self, tmp_path, sample,
+                                                     message):
+        path = tmp_path / "img.pgm"
+        path.write_text(f"P2\n2 1\n15\n0 {sample}\n")
+        with pytest.raises(DataError) as info:
+            read_image_pgm(path)
+        assert str(info.value) == message
+
+    def test_pgm_binary_sample_beyond_maxval(self, tmp_path):
+        path = tmp_path / "img.pgm"
+        path.write_bytes(b"P5\n2 1\n15\n" + bytes([0, 200]))
+        with pytest.raises(DataError, match="^img.pgm: intensity 200 exceeds 15$"):
+            read_image_pgm(path)
+
+    def test_csv_and_pgm_share_the_intensity_rule(self, tmp_path):
+        # the same 8-bit image through either reader: the same floats
+        grid = np.array([[0, 1, 2], [128, 254, 255]])
+        csv = write_csv(tmp_path / "a.csv", grid)
+        pgm = tmp_path / "a.pgm"
+        pgm.write_text("P2 3 2 255\n" + " ".join(map(str, grid.ravel())) + "\n")
+        assert np.array_equal(load_image(csv, side=2, allow_resize=True),
+                              load_image(pgm, side=2, allow_resize=True))
+        assert np.array_equal(read_image_pgm(pgm), grid / 255.0)
+
+    def test_suffix_case_is_ignored(self, tmp_path):
+        path = write_csv(tmp_path / "a.CSV", np.ones((20, 20)))
+        assert np.array_equal(load_image(path), np.ones((20, 20)))
+
+    def test_csv_that_is_not_utf8_names_path_and_offset(self, tmp_path):
+        path = tmp_path / "bin.csv"
+        path.write_bytes(bytes(range(256)))
+        with pytest.raises(DataError) as info:
+            load_image(path)
+        assert str(info.value) == f"{path}: not UTF-8 text: byte 0x80 at offset 128"
+
+    def test_unreadable_image_names_path(self, tmp_path):
+        for name in ("gone.csv", "gone.pgm"):
+            with pytest.raises(DataError, match=rf"^{re.escape(str(tmp_path / name))}: "
+                               "No such file or directory$"):
+                load_image(tmp_path / name)
 
 
 class TestBinarizeAndCounts:
