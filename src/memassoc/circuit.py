@@ -5,10 +5,13 @@ the unconditioned `food` signal with `ring1`; each higher stage k links
 `ring(k)` to the already-learned `ring(k-1)`, gated by the previous stage's
 state signal.
 
-Signals are square pulses described by half-open segments [start, end).
-Ring signals carry a triangular ripple on their high level; the ripple
-amplitude stays well below the logic threshold margin, so detection is
-unaffected.
+A `StimulusSchedule` is the config's [schedule] section as written: a
+reference preset (`pavlov1` to `pavlov3`: food and ring pulses pair, part
+and join again for first- to third-order conditioning, over a reference
+run length) or `custom` windows per role.  Each signal is a train of
+square pulses over half-open windows [start, end).  Ring signals carry a
+triangular ripple on their level; the ripple amplitude stays well below
+the logic threshold margin, so detection is unaffected.
 
 Engine, one stage at a time.  The key observation: a stage's modulation
 voltage never depends on its own state.  It is a function of the logic
@@ -51,8 +54,9 @@ import shutil
 import tempfile
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
-from typing import BinaryIO, Iterable, Mapping, Sequence, TextIO
+from typing import BinaryIO, Sequence, TextIO
 
 import numpy as np
 
@@ -64,7 +68,6 @@ __all__ = [
     "SCHEME_FORGETTING",
     "SCHEME_NATURAL",
     "SCHEMES",
-    "Segment",
     "StimulusSchedule",
     "StageConfig",
     "FIRST_STAGE",
@@ -75,9 +78,6 @@ __all__ = [
     "metrics",
     "write_sim_trace_csv",
     "write_metrics_report",
-    "stimulus_schedule",
-    "pavlov_schedule",
-    "default_duration",
 ]
 
 SCHEME_LEARNING = "learning"
@@ -94,69 +94,120 @@ DEFAULT_HIGH_LEVEL = 1.0       # V, stimulus high level
 MAX_ROWS = 10_000_000          # trace rows per run, about 2 GB of trace CSV
 
 
-@dataclass(frozen=True)
-class Segment:
-    """Half-open active window [start, end) of one signal."""
+# --- stimulus schedules ------------------------------------------------------
 
-    start: float
-    end: float
-    level: float = DEFAULT_HIGH_LEVEL
-    zigzag_amplitude: float = 0.0
-    zigzag_frequency: float = 0.0
+# Reference training cadence: 50 ms pulses with 50 ms gaps from t = 0; the
+# window [0.62, 0.67) s presents ring 1 alone (active forgetting probe);
+# pairing resumes and runs through 0.97 s.  Higher-order pairing windows
+# then follow on a 75 ms cadence (50 ms on / 25 ms off), each phase joining
+# the next ring while keeping every earlier signal co-pulsed so that no
+# earlier stage is pushed into active forgetting while a later stage learns.
+_BASE_WINDOWS = [(0.0, 0.05), (0.1, 0.15), (0.2, 0.25), (0.3, 0.35),
+                 (0.4, 0.45), (0.5, 0.55)]
+_FOOD_SOLO_GAP = (0.6, 0.62)   # food drops out here: ring 1 continues alone
+_RING1_BRIDGE = (0.6, 0.67)
+_LATE_WINDOWS = [(0.7, 0.75), (0.8, 0.85), (0.9, 0.97)]
+_PAIR_SLOTS = [(0.995, 1.045), (1.07, 1.12), (1.145, 1.195), (1.22, 1.27)]
+_SECOND_ORDER_START = 0.92     # ring 2 joins inside the (0.9, 0.97) window
 
-    def __post_init__(self) -> None:
-        vals = (self.start, self.end, self.level,
-                self.zigzag_amplitude, self.zigzag_frequency)
-        if not all(math.isfinite(x) for x in vals):
-            raise InvalidInputError(f"segment fields must be finite: {self!r}")
-        if self.start < 0.0 or self.end <= self.start:
-            raise InvalidInputError(
-                f"segment needs 0 <= start < end, got [{self.start!r}, {self.end!r})")
-        if self.zigzag_amplitude < 0.0:
-            raise InvalidInputError("zigzag amplitude must be >= 0")
-        if self.zigzag_amplitude > 0.0 and self.zigzag_frequency <= 0.0:
-            raise InvalidInputError("zigzag ripple needs a positive frequency")
+# Reference preset -> (conditioning order, run length in s, pair slots every
+# signal joins); `custom` takes its windows from the schedule's segments.
+_REFERENCE_RUNS = {"pavlov1": (1, 1.5, 0), "pavlov2": (2, 1.7, 3),
+                   "pavlov3": (3, 1.8, 4)}
+_PRESETS = (*_REFERENCE_RUNS, "custom")
+
+Window = tuple[float, float, float]  # (start, end, level) over [start, end)
 
 
 @dataclass(frozen=True)
 class StimulusSchedule:
-    """Per-signal ordered, non-overlapping segments keyed by role name."""
+    """The stimulus signals by role: a reference preset's windows at
+    `high_level`, or with `preset = "custom"` the windows `segments` lists.
 
-    signals: dict[str, tuple[Segment, ...]]
+    `segments` holds (role, windows) pairs, kept sorted by role.  A window
+    (start, end, level) holds its signal at `level` over the half-open
+    [start, end).  `ring*` roles carry the triangle ripple on their level;
+    `food` carries none.  A role's windows may not overlap.
+    """
+
+    preset: str = "pavlov1"
+    high_level: float = DEFAULT_HIGH_LEVEL
+    zigzag_amplitude: float = DEFAULT_ZIGZAG_AMPLITUDE
+    zigzag_frequency: float = DEFAULT_ZIGZAG_FREQUENCY
+    segments: tuple[tuple[str, tuple[Window, ...]], ...] = ()
 
     def __post_init__(self) -> None:
-        normalized: dict[str, tuple[Segment, ...]] = {}
-        for name, segments in self.signals.items():
-            segs = tuple(sorted(segments, key=lambda s: s.start))
-            for a, b in zip(segs, segs[1:]):
-                if b.start < a.end:
+        if self.preset not in _PRESETS:
+            raise InvalidInputError(f"preset must be one of {', '.join(_PRESETS)}; "
+                                    f"got {self.preset!r}")
+        if self.segments and self.preset != "custom":
+            raise InvalidInputError(f"signal {self.segments[0][0]!r}: segment lists "
+                                    "are only valid with preset = custom")
+        require(self, ("high_level", 0.0 < self.high_level < math.inf,
+                       "be positive and finite"),
+                ("zigzag_amplitude", 0.0 <= self.zigzag_amplitude < math.inf,
+                 "be finite and >= 0"),
+                ("zigzag_frequency", 0.0 < self.zigzag_frequency < math.inf,
+                 "be positive and finite"))
+        object.__setattr__(self, "segments", tuple(sorted(self.segments)))
+        roles = [role for role, _ in self.segments]
+        if len(set(roles)) < len(roles):
+            raise InvalidInputError(f"segments list a role twice: {roles}")
+        for role, windows in self.segments:
+            for window in windows:
+                if not all(map(math.isfinite, window)):
+                    raise InvalidInputError(f"signal {role!r}: segment (start, end, "
+                                            f"level) must be finite, got {window!r}")
+                if not 0.0 <= window[0] < window[1]:
                     raise InvalidInputError(
-                        f"signal {name!r}: segments [{a.start}, {a.end}) and "
-                        f"[{b.start}, {b.end}) overlap")
-            normalized[name] = segs
-        object.__setattr__(self, "signals", normalized)
+                        f"signal {role!r}: segment needs 0 <= start < end, "
+                        f"got [{window[0]!r}, {window[1]!r})")
+        for role, windows in self.windows.items():
+            for (a, a_end, _), (b, b_end, _) in zip(windows, windows[1:]):
+                if b < a_end:
+                    raise InvalidInputError(f"signal {role!r}: segments [{a}, {a_end}) "
+                                            f"and [{b}, {b_end}) overlap")
 
-    def roles(self) -> tuple[str, ...]:
-        return tuple(self.signals)
+    @cached_property
+    def windows(self) -> dict[str, tuple[Window, ...]]:
+        """Each role's windows in start order."""
+        if self.preset == "custom":
+            return {role: tuple(sorted(windows, key=lambda w: w[0]))
+                    for role, windows in self.segments}
+        order, _, n_slots = _REFERENCE_RUNS[self.preset]
+        slots = _PAIR_SLOTS[:n_slots]
+        spans = {"food": _BASE_WINDOWS + [_FOOD_SOLO_GAP] + _LATE_WINDOWS + slots,
+                 "ring1": _BASE_WINDOWS + [_RING1_BRIDGE] + _LATE_WINDOWS + slots,
+                 "ring2": [(_SECOND_ORDER_START, _LATE_WINDOWS[-1][1])] + slots,
+                 "ring3": _PAIR_SLOTS[2:4]}
+        return {role: tuple((a, b, self.high_level) for a, b in spans[role])
+                for role in list(spans)[:order + 1]}
+
+    @property
+    def default_duration(self) -> float | None:
+        """The preset's reference run length in s; None for `custom`."""
+        return None if self.preset == "custom" else _REFERENCE_RUNS[self.preset][1]
 
 
-def _sample_signal_array(schedule: StimulusSchedule, signal: str,
+def _sample_signal_array(schedule: StimulusSchedule, role: str,
                          t: np.ndarray) -> np.ndarray:
-    """Level of `signal` at each time in t: segment level plus a triangle
-    ripple (0, +1, 0, -1 per period from the segment start), 0 outside."""
+    """Level of `role`'s signal at each time in t: its window's level, on a
+    `ring*` role plus a triangle ripple (0, +1, 0, -1 per period from the
+    window start), 0 outside every window."""
     out = np.zeros_like(t)
-    for seg in schedule.signals[signal]:
-        mask = (t >= seg.start) & (t < seg.end)
+    ripple = role.startswith("ring") and schedule.zigzag_amplitude > 0.0
+    for start, end, level in schedule.windows[role]:
+        mask = (t >= start) & (t < end)
         if not mask.any():
             continue
-        level = np.full(int(mask.sum()), seg.level)
-        if seg.zigzag_amplitude > 0.0:
-            phase = (t[mask] - seg.start) * seg.zigzag_frequency
+        levels = np.full(int(mask.sum()), level)
+        if ripple:
+            phase = (t[mask] - start) * schedule.zigzag_frequency
             p = phase - np.floor(phase)
             tri = np.where(p < 0.25, 4.0 * p,
                            np.where(p < 0.75, 2.0 - 4.0 * p, 4.0 * p - 4.0))
-            level = level + seg.zigzag_amplitude * tri
-        out[mask] = level
+            levels = levels + schedule.zigzag_amplitude * tri
+        out[mask] = levels
     return out
 
 
@@ -209,11 +260,12 @@ FIRST_STAGE = StageConfig(learning_v=0.35, forgetting_v=-0.175,
 @dataclass(frozen=True)
 class ChainConfig:
     """Full chain description; stage k (1-based) reads `ring(k)`, and every
-    stage runs on `device`."""
+    stage runs on `device`.  `duration` None runs for the schedule's
+    reference length (`run_length`)."""
 
-    stages: tuple[StageConfig, ...]
-    schedule: StimulusSchedule
-    duration: float
+    stages: tuple[StageConfig, ...] = (FIRST_STAGE,)
+    schedule: StimulusSchedule = field(default_factory=StimulusSchedule)
+    duration: float | None = None
     device: DeviceParams = field(default_factory=DeviceParams)
     dt: float = 1e-4
     logic_threshold: float = DEFAULT_LOGIC_THRESHOLD
@@ -224,18 +276,19 @@ class ChainConfig:
             raise InvalidInputError("chain needs at least one stage")
         if not 0.0 < self.dt < math.inf:
             raise InvalidInputError(f"dt must be positive and finite, got {self.dt!r}")
-        if not isinstance(self.duration, (int, float)):
+        duration = self.run_length
+        if not isinstance(duration, (int, float)):
             raise InvalidInputError(
-                f"duration must be a number of seconds, got {self.duration!r}")
-        if not self.dt <= self.duration < math.inf:
+                f"duration must be a number of seconds, got {duration!r}")
+        if not self.dt <= duration < math.inf:
             raise InvalidInputError(
                 f"duration must be finite and cover at least one step of dt, "
-                f"got duration={self.duration!r}, dt={self.dt!r}")
+                f"got duration={duration!r}, dt={self.dt!r}")
         # run_chain records round(duration / dt) + 1 rows
-        if not self.duration / self.dt < MAX_ROWS - 0.5:
+        if not duration / self.dt < MAX_ROWS - 0.5:
             raise InvalidInputError(
                 f"dt must leave at most {MAX_ROWS} trace rows over "
-                f"duration={self.duration!r}, got dt={self.dt!r}")
+                f"duration={duration!r}, got dt={self.dt!r}")
         if not 0.0 < self.logic_threshold < math.inf:
             raise InvalidInputError(f"logic threshold must be positive and finite, "
                                     f"got logic_threshold={self.logic_threshold!r}")
@@ -243,13 +296,18 @@ class ChainConfig:
             raise InvalidInputError(f"readout amplitude must be finite and >= 0, "
                                     f"got readout_amplitude={self.readout_amplitude!r}")
         needed = self.signal_names()
-        roles = set(self.schedule.roles())
+        roles = set(self.schedule.windows)
         if roles != set(needed):
             raise InvalidInputError(
                 f"schedule roles {sorted(roles)} must be exactly {list(needed)}")
         if self.stages[0].learning_v is None:
             raise InvalidInputError("stage 1 needs a fixed learning_v: it has no "
                                     "previous stage to adjust a voltage from")
+
+    @property
+    def run_length(self) -> float | None:
+        """Run length in s: `duration`, else the schedule's reference length."""
+        return self.schedule.default_duration if self.duration is None else self.duration
 
     def signal_names(self) -> tuple[str, ...]:
         return ("food",) + tuple(f"ring{k}" for k in range(1, len(self.stages) + 1))
@@ -311,7 +369,7 @@ def run_chain(config: ChainConfig,
                 f"initial states must lie within the device bounds: stage {k} "
                 f"starts at {w!r}, outside [{lo!r}, {hi!r}]")
 
-    n_rows = int(round(config.duration / config.dt)) + 1
+    n_rows = int(round(config.run_length / config.dt)) + 1
     t = np.arange(n_rows) * config.dt
     names = config.signal_names()
     levels = np.vstack([_sample_signal_array(config.schedule, name, t)
@@ -536,88 +594,3 @@ def write_metrics_report(report: dict[str, float], path: str | Path) -> None:
     with Path(path).open("w") as fh:
         for key in report:
             fh.write(f"{key}={report[key]:.10g}\n")
-
-
-# --- reference stimulus schedules -----------------------------------------
-
-# Training cadence: 50 ms pulses with 50 ms gaps from t = 0; the window
-# [0.62, 0.67) s presents ring 1 alone (active forgetting probe); pairing
-# resumes and runs through 0.97 s.  Higher-order pairing windows then
-# follow on a 75 ms cadence (50 ms on / 25 ms off), each phase joining the
-# next ring while keeping every earlier signal co-pulsed so that no earlier
-# stage is pushed into active forgetting while a later stage learns.
-_BASE_WINDOWS = [(0.0, 0.05), (0.1, 0.15), (0.2, 0.25), (0.3, 0.35),
-                 (0.4, 0.45), (0.5, 0.55)]
-_FOOD_SOLO_GAP = (0.6, 0.62)   # food drops out here: ring 1 continues alone
-_RING1_BRIDGE = (0.6, 0.67)
-_LATE_WINDOWS = [(0.7, 0.75), (0.8, 0.85), (0.9, 0.97)]
-_PAIR_SLOTS = [(0.995, 1.045), (1.07, 1.12), (1.145, 1.195), (1.22, 1.27)]
-_SECOND_ORDER_START = 0.92     # ring 2 joins inside the (0.9, 0.97) window
-
-# Per reference order: run length (s) and how many pair slots every signal
-# joins.
-_REFERENCE_RUNS = {1: (1.5, 0), 2: (1.7, 3), 3: (1.8, 4)}
-
-
-def _reference_run(n_orders: int) -> tuple[float, int]:
-    if n_orders not in _REFERENCE_RUNS:
-        raise InvalidInputError(
-            f"no reference schedule for order {n_orders}; supply segments")
-    return _REFERENCE_RUNS[n_orders]
-
-
-def default_duration(n_orders: int) -> float:
-    """Reference run length (s) for `pavlov_schedule(n_orders)`."""
-    return _reference_run(n_orders)[0]
-
-
-def stimulus_schedule(windows: Mapping[str, Iterable[tuple[float, ...]]],
-                      high_level: float = DEFAULT_HIGH_LEVEL,
-                      zigzag_amplitude: float = DEFAULT_ZIGZAG_AMPLITUDE,
-                      zigzag_frequency: float = DEFAULT_ZIGZAG_FREQUENCY,
-                      ) -> StimulusSchedule:
-    """Schedule from per-role (start, end[, level]) windows.
-
-    A window without a level runs at `high_level`.  `ring*` roles carry the
-    zigzag ripple on their level; `food` carries none.
-    """
-    if not 0.0 < high_level < math.inf:
-        raise InvalidInputError(
-            f"high_level must be positive and finite, got {high_level!r}")
-    if not 0.0 <= zigzag_amplitude < math.inf:
-        raise InvalidInputError(
-            f"zigzag_amplitude must be finite and >= 0, got {zigzag_amplitude!r}")
-    if not 0.0 < zigzag_frequency < math.inf:
-        raise InvalidInputError(
-            f"zigzag_frequency must be positive and finite, got {zigzag_frequency!r}")
-    signals: dict[str, tuple[Segment, ...]] = {}
-    for role, role_windows in windows.items():
-        ripple = (zigzag_amplitude, zigzag_frequency) if role.startswith("ring") else ()
-        try:
-            signals[role] = tuple(
-                Segment(start, end, level[0] if level else high_level, *ripple)
-                for start, end, *level in role_windows)
-        except InvalidInputError as exc:
-            raise InvalidInputError(f"signal {role!r}: {exc}") from exc
-    return StimulusSchedule(signals)
-
-
-def pavlov_schedule(n_orders: int,
-                    high_level: float = DEFAULT_HIGH_LEVEL,
-                    zigzag_amplitude: float = DEFAULT_ZIGZAG_AMPLITUDE,
-                    zigzag_frequency: float = DEFAULT_ZIGZAG_FREQUENCY,
-                    ) -> StimulusSchedule:
-    """Reference conditioning schedule for chains of order 1, 2 or 3."""
-    n_slots = _reference_run(n_orders)[1]
-    shared = _BASE_WINDOWS + [_FOOD_SOLO_GAP] + _LATE_WINDOWS \
-        + _PAIR_SLOTS[:n_slots]
-    ring1 = _BASE_WINDOWS + [_RING1_BRIDGE] + _LATE_WINDOWS \
-        + _PAIR_SLOTS[:n_slots]
-    windows = {"food": shared, "ring1": ring1}
-    if n_orders >= 2:
-        windows["ring2"] = [(_SECOND_ORDER_START, _LATE_WINDOWS[-1][1])] \
-            + _PAIR_SLOTS[:n_slots]
-    if n_orders >= 3:
-        windows["ring3"] = _PAIR_SLOTS[2:4]
-    return stimulus_schedule(windows, high_level, zigzag_amplitude,
-                             zigzag_frequency)

@@ -36,23 +36,24 @@ from typing import Any, Callable, Mapping, Sequence
 
 from . import __version__
 from .circuit import (
-    DEFAULT_HIGH_LEVEL,
-    DEFAULT_ZIGZAG_AMPLITUDE,
-    DEFAULT_ZIGZAG_FREQUENCY,
     FIRST_STAGE,
     ChainConfig,
     StageConfig,
     StimulusSchedule,
-    default_duration,
     metrics,
-    pavlov_schedule,
     run_chain,
-    stimulus_schedule,
     write_metrics_report,
     write_sim_trace_csv,
 )
 from .device import DeviceParams
-from .errors import ConfigError, DataError, InvalidInputError, InvalidStartError, read_input
+from .errors import (
+    ConfigError,
+    DataError,
+    InvalidInputError,
+    InvalidStartError,
+    read_input,
+    split_lines,
+)
 from .fit import PARAM_NAMES, FitConfig, fit, read_trace_csv
 from .vision import (
     IMAGE_READERS,
@@ -66,8 +67,6 @@ from .vision import (
 )
 
 __all__ = [
-    "ScheduleSettings",
-    "SimSettings",
     "FitSettings",
     "ExperimentConfig",
     "parse_config",
@@ -81,7 +80,6 @@ __all__ = [
 ]
 
 _SECTIONS = ("device", "schedule", "sim", "fit", "vision")  # and stage.K
-_PRESETS = ("pavlov1", "pavlov2", "pavlov3", "custom")
 _ROLE_RE = re.compile(r"^(food|ring[1-9][0-9]*)_segments$")
 
 # Key tables, one per section: config key -> the domain field it sets, in
@@ -125,30 +123,13 @@ _VISION_KEYS = {
 }
 
 
-# [device], [stage.K] and [vision] are held as their domain objects.  The
-# sections below stay plain records: their domain types cannot be written
-# back (a preset's name, a preset's default duration, the fit's default
-# bounds).  `parse_config` checks them through those types.  Each default
-# is the domain's own; only the record-only fields (the preset, a preset's
-# duration, custom segments and the fit's bound overrides) set theirs here.
-
-@dataclass(frozen=True)
-class ScheduleSettings:
-    preset: str = "pavlov1"
-    high_level_v: float = DEFAULT_HIGH_LEVEL
-    zigzag_amplitude_v: float = DEFAULT_ZIGZAG_AMPLITUDE
-    zigzag_frequency_hz: float = DEFAULT_ZIGZAG_FREQUENCY
-    # custom segments: (role, ((start, end, level), ...)) sorted by role
-    segments: tuple[tuple[str, tuple[tuple[float, float, float], ...]], ...] = ()
-
-
-@dataclass(frozen=True)
-class SimSettings:
-    dt_s: float = ChainConfig.dt
-    duration_s: float | None = None     # None: preset default
-    logic_threshold_v: float = ChainConfig.logic_threshold
-    readout_v: float = ChainConfig.readout_amplitude
-
+# Each section is held as its domain object: [device], [stage.K],
+# [schedule] and [sim] together as the chain (`ChainConfig`, with its
+# `DeviceParams` and `StimulusSchedule`), [vision] as `VisionConfig`.  Only
+# [fit] stays a plain record: `FitConfig` merges its default bounds into the
+# overrides, so it cannot be written back.  `parse_config` checks the record
+# through `FitConfig`; its defaults are the domain's own, and only the bound
+# overrides set theirs here.
 
 @dataclass(frozen=True)
 class FitSettings:
@@ -163,12 +144,9 @@ class FitSettings:
 @dataclass(frozen=True)
 class ExperimentConfig:
     """A parsed config.  Every stage and the vision array run on the
-    `[device]` parameters."""
+    `[device]` parameters, `chain.device`."""
 
-    device: DeviceParams = field(default_factory=DeviceParams)
-    stages: tuple[StageConfig, ...] = (FIRST_STAGE,)
-    schedule: ScheduleSettings = field(default_factory=ScheduleSettings)
-    sim: SimSettings = field(default_factory=SimSettings)
+    chain: ChainConfig = field(default_factory=ChainConfig)
     fit: FitSettings = field(default_factory=FitSettings)
     vision: VisionConfig = field(default_factory=VisionConfig)
 
@@ -199,10 +177,10 @@ def _convert(raw: str, like: Any, where: str) -> Any:
         raise ConfigError(f"{where}: not {kind}: {raw!r}") from None
 
 
-def _parse_segments(raw: str, where: str,
+def _parse_segments(raw: str, ln: int,
                     default_level: float) -> tuple[tuple[float, float, float], ...]:
-    """Comma-separated `start:end[:level]` entries."""
-    out = []
+    """Comma-separated `start:end[:level]` entries, given at line `ln`."""
+    where, out = f"line {ln}", []
     for chunk in raw.split(","):
         parts = chunk.strip().split(":")
         if len(parts) not in (2, 3):
@@ -218,7 +196,7 @@ def _split_sections(text: str) -> dict[str, _Section]:
     """Raw sections with each entry's value and line number."""
     sections: dict[str, _Section] = {}
     current: _Section | None = None
-    for ln, raw_line in enumerate(text.splitlines(), start=1):
+    for ln, raw_line in enumerate(split_lines(text), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -308,33 +286,22 @@ def _parse_stage(index: int, section: _Section) -> StageConfig:
                     FIRST_STAGE if index == 1 else StageConfig(), **values)
 
 
-def _parse_schedule(section: _Section) -> ScheduleSettings:
+def _parse_schedule(section: _Section) -> StimulusSchedule:
+    """The schedule; each `<role>_segments` key lists that role's windows,
+    a window without a level at the section's `high_level_v`."""
+    roles = {key: key[: -len("_segments")] for key in section.entries
+             if _ROLE_RE.match(key)}
     scalars = _Section(section.name, section.line, {
-        key: entry for key, entry in section.entries.items()
-        if not _ROLE_RE.match(key)})
-    settings = ScheduleSettings(**_values(scalars, _SCHEDULE_KEYS, ScheduleSettings))
-    if settings.preset not in _PRESETS:
-        raise ConfigError(
-            f"line {section.entries['preset'][1]}: preset must be one of "
-            f"{', '.join(_PRESETS)}; got {settings.preset!r}")
-    segments = []
-    for key, (raw, ln) in section.entries.items():
-        if key in scalars.entries:
-            continue
-        if settings.preset != "custom":
-            raise ConfigError(
-                f"line {ln}: segment lists are only valid with preset = custom")
-        segments.append((key[: -len("_segments")], _parse_segments(
-            raw, f"line {ln}", settings.high_level_v)))
-    return replace(settings, segments=tuple(sorted(segments)))
-
-
-def _stimulus(sched: ScheduleSettings) -> StimulusSchedule:
-    if sched.preset == "custom":
-        return stimulus_schedule(dict(sched.segments), sched.high_level_v,
-                                 sched.zigzag_amplitude_v, sched.zigzag_frequency_hz)
-    return pavlov_schedule(int(sched.preset[-1]), sched.high_level_v,
-                           sched.zigzag_amplitude_v, sched.zigzag_frequency_hz)
+        key: entry for key, entry in section.entries.items() if key not in roles})
+    values = {_SCHEDULE_KEYS[key]: v for key, v in
+              _values(scalars, _SCHEDULE_KEYS, StimulusSchedule).items()}
+    level = values.get("high_level", StimulusSchedule.high_level)
+    # only a custom schedule reads its lists: a preset refuses them unread
+    custom = values.get("preset") == "custom"
+    segments = tuple((role, _parse_segments(*section.entries[key], level)
+                      if custom else ()) for key, role in roles.items())
+    return _located([(section, {**_SCHEDULE_KEYS, **roles})], StimulusSchedule,
+                    **values, segments=segments)
 
 
 def _parse_fit(section: _Section) -> FitSettings:
@@ -372,23 +339,18 @@ def parse_config(text: str, *, vision: bool = False) -> ExperimentConfig:
         for key, v in _values(dev, _DEVICE_KEYS, DeviceParams).items()})
     stages = tuple(_parse_stage(k, section(f"stage.{k}"))
                    for k in range(1, _stage_count(sections) + 1))
-
-    sched_section = section("schedule")
+    sched_section, sim_section, fit_section, vision_section = map(
+        section, ("schedule", "sim", "fit", "vision"))
     schedule = _parse_schedule(sched_section)
-    _located([(sched_section, {**_SCHEDULE_KEYS, **{
-        f"{role}_segments": role for role, _ in schedule.segments}})],
-        _stimulus, schedule)
-
-    sim_section, fit_section, vision_section = (
-        section("sim"), section("fit"), section("vision"))
-    config = ExperimentConfig(
-        device=device, stages=stages, schedule=schedule,
-        sim=SimSettings(**_values(sim_section, _SIM_KEYS, ChainConfig)),
-        fit=_parse_fit(fit_section))
+    sim_values = {_SIM_KEYS[key]: v for key, v in
+                  _values(sim_section, _SIM_KEYS, ChainConfig).items()}
+    fit_settings = _parse_fit(fit_section)
     vision_values = {_VISION_KEYS[key]: v for key, v in
                      _values(vision_section, _VISION_KEYS, VisionConfig).items()}
-    _located([(sched_section, _SCHEDULE_KEYS), (sim_section, _SIM_KEYS),
-              (section(f"stage.{len(stages)}"), {})], build_chain, config)
+    chain = _located([(sched_section, _SCHEDULE_KEYS), (sim_section, _SIM_KEYS),
+                      (section(f"stage.{len(stages)}"), {})], ChainConfig,
+                     stages=stages, schedule=schedule, device=device, **sim_values)
+    config = ExperimentConfig(chain=chain, fit=fit_settings)
     _located([(fit_section, _FIT_KEYS)], build_fit_config, config)
     at_vision = [(vision_section, _VISION_KEYS)]
     vision_config = _located(at_vision, VisionConfig, **vision_values)
@@ -420,19 +382,20 @@ def _device_block(device: DeviceParams) -> str:
 
 def serialize_config(config: ExperimentConfig) -> str:
     """Canonical text form; `parse_config` reads it back to equality."""
-    sched, fit_settings = config.schedule, config.fit
+    chain, fit_settings = config.chain, config.fit
     bounds = {"lo": dict(fit_settings.lower), "hi": dict(fit_settings.upper)}
-    blocks = [_device_block(config.device)]
+    blocks = [_device_block(chain.device)]
     blocks += [_block(f"stage.{k}", [(key, getattr(stage, name))
                                      for key, name in _STAGE_KEYS.items()])
-               for k, stage in enumerate(config.stages, start=1)]
+               for k, stage in enumerate(chain.stages, start=1)]
     blocks.append(_block("schedule", [
-        (key, getattr(sched, key)) for key in _SCHEDULE_KEYS] + [
+        (key, getattr(chain.schedule, name))
+        for key, name in _SCHEDULE_KEYS.items()] + [
         (f"{role}_segments", ", ".join(f"{a!r}:{b!r}:{level!r}"
-                                       for a, b, level in segs))
-        for role, segs in sched.segments]))
-    blocks.append(_block("sim", [(key, getattr(config.sim, key))
-                                 for key in _SIM_KEYS]))
+                                       for a, b, level in windows))
+        for role, windows in chain.schedule.segments]))
+    blocks.append(_block("sim", [(key, getattr(chain, name))
+                                 for key, name in _SIM_KEYS.items()]))
     blocks.append(_block("fit", [
         (key, bounds[key[-2:]].get(name) if key[-3:] in ("_lo", "_hi")
          else getattr(fit_settings, key)) for key, name in _FIT_KEYS.items()]))
@@ -452,23 +415,11 @@ def load_config(path: str | Path, *, vision: bool = False) -> ExperimentConfig:
 # --- domain-object assembly -------------------------------------------------
 
 def build_device(config: ExperimentConfig) -> DeviceParams:
-    return config.device
+    return config.chain.device
 
 
 def build_chain(config: ExperimentConfig) -> ChainConfig:
-    """The chain; a preset without `duration_s` runs for its reference
-    length, and `ChainConfig` checks the rest."""
-    sched, duration = config.schedule, config.sim.duration_s
-    if duration is None and sched.preset != "custom":
-        duration = default_duration(int(sched.preset[-1]))
-    return ChainConfig(
-        stages=config.stages,
-        schedule=_stimulus(sched),
-        duration=duration,
-        device=build_device(config),
-        dt=config.sim.dt_s,
-        logic_threshold=config.sim.logic_threshold_v,
-        readout_amplitude=config.sim.readout_v)
+    return config.chain
 
 
 def build_fit_config(config: ExperimentConfig) -> FitConfig:
@@ -681,7 +632,7 @@ def replay_manifest(manifest_path: str | Path,
 
     A faithful replay reproduces the recorded `outputs` hashes exactly.
     """
-    manifest = json.loads(Path(manifest_path).read_text())
+    manifest = json.loads(read_input(Path(manifest_path), DataError))
     command = manifest["command"]
     config = parse_config(manifest["config_text"],
                           vision=command.startswith("vision"))
@@ -746,8 +697,7 @@ def _with_dt_override(config: ExperimentConfig, ns: argparse.Namespace,
         raise ConfigError("--dt-override only applies to simulation runs")
     try:
         if ns.command == "pavlov":
-            config = replace(config, sim=replace(config.sim, dt_s=ns.dt_override))
-            build_chain(config)
+            config = replace(config, chain=replace(config.chain, dt=ns.dt_override))
         else:
             config = replace(config, vision=replace(config.vision, dt=ns.dt_override))
     except InvalidInputError as exc:

@@ -1,5 +1,7 @@
-"""Shared exception types, `require` and `read_input`, the input files' reader."""
+"""Shared exception types, `require`, and `read_input` and `split_lines`,
+the input files' reader and their one line rule."""
 
+import re
 from pathlib import Path
 
 
@@ -49,3 +51,14 @@ def read_input(path: Path, error: type[MemassocError], *,
                     f"at offset {exc.start}") from exc
     except OSError as exc:
         raise error(f"{path}: {exc.strerror or exc}") from exc
+
+
+_LINE_BREAK = re.compile(r"\r\n|\r|\n")
+
+
+def split_lines(text: str) -> list[str]:
+    """`text`'s lines, broken at CR, LF and CRLF only: the breaks the csv
+    module counts in a trace, so every reader numbers lines alike
+    (`str.splitlines` also breaks at \\v, \\f, \\x1c-\\x1e, \\x85, U+2028
+    and U+2029)."""
+    return _LINE_BREAK.split(text)

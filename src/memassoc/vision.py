@@ -47,7 +47,7 @@ from typing import Collection, Sequence
 import numpy as np
 
 from .device import DeviceParams, pulse, resistance
-from .errors import DataError, InvalidInputError, read_input, require
+from .errors import DataError, InvalidInputError, read_input, require, split_lines
 
 __all__ = [
     "GRID_SIDE",
@@ -208,7 +208,7 @@ def _normalize_intensities(raw: np.ndarray, values: Collection[float],
 
 def read_image_csv(path: Path) -> np.ndarray:
     """Rectangular grid of comma-separated intensities, any size."""
-    lines = read_input(path, DataError).splitlines()
+    lines = split_lines(read_input(path, DataError))
     rows = [line for line in lines if line.strip()]
     if not rows:
         raise DataError(f"{path.name}: empty image")

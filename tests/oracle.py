@@ -53,17 +53,18 @@ def fold(params, volts, dt, w0, source_r_ohm=0.0):
 
 
 def sample_signal(schedule, signal, t):
-    """Level of `signal` at time t: its segment's level plus the triangle
-    ripple (0 -> +1 -> 0 -> -1 -> 0 per period, phase-locked to the
-    segment start), 0 outside every segment."""
-    for seg in schedule.signals[signal]:
-        if seg.start <= t < seg.end:
-            if seg.zigzag_amplitude == 0.0:
-                return seg.level
-            phase = (t - seg.start) * seg.zigzag_frequency
+    """Level of `signal` at time t: its window's level, on a `ring*` signal
+    plus the schedule's triangle ripple (0 -> +1 -> 0 -> -1 -> 0 per period,
+    phase-locked to the window start), 0 outside every window."""
+    amplitude = schedule.zigzag_amplitude if signal.startswith("ring") else 0.0
+    for start, end, level in schedule.windows[signal]:
+        if start <= t < end:
+            if amplitude == 0.0:
+                return level
+            phase = (t - start) * schedule.zigzag_frequency
             p = phase - math.floor(phase)
             tri = 4.0 * p if p < 0.25 else 2.0 - 4.0 * p if p < 0.75 else 4.0 * p - 4.0
-            return seg.level + seg.zigzag_amplitude * tri
+            return level + amplitude * tri
     return 0.0
 
 
@@ -98,7 +99,7 @@ def run_chain_rows(config, initial_states):
     name of `StageTrace` one list per stage, with scheme names in place of
     scheme codes.
     """
-    n_rows = int(round(config.duration / config.dt)) + 1
+    n_rows = int(round(config.run_length / config.dt)) + 1
     names = config.signal_names()
     levels = np.empty((len(names), n_rows))
     cols = {name: [[] for _ in config.stages]
@@ -127,10 +128,11 @@ def run_chain_rows(config, initial_states):
 
 def read_image_csv(path):
     """A CSV image parsed one line and one cell at a time with float():
-    blank lines skipped but counted, the first bad cell's line named,
-    then the ragged-row check, then 8-bit intensities scaled to [0, 1]."""
+    lines broken at CR, LF and CRLF (universal newlines), blank lines
+    skipped but counted, the first bad cell's line named, then the
+    ragged-row check, then 8-bit intensities scaled to [0, 1]."""
     rows = []
-    for ln, line in enumerate(path.read_text().splitlines(), start=1):
+    for ln, line in enumerate(path.read_text().split("\n"), start=1):
         if not line.strip():
             continue
         try:

@@ -38,12 +38,9 @@ from memassoc.circuit import (
     SCHEME_LEARNING,
     SCHEME_NATURAL,
     SCHEMES,
-    Segment,
     StageConfig,
     StimulusSchedule,
-    default_duration,
     metrics,
-    pavlov_schedule,
     run_chain,
     write_metrics_report,
     write_sim_trace_csv,
@@ -57,11 +54,13 @@ REPO = Path(__file__).resolve().parents[1]
 PARAMS = DeviceParams()
 
 
-def two_signal_schedule(windows_food, windows_ring, **seg_kwargs):
-    return StimulusSchedule({
-        "food": tuple(Segment(a, b) for a, b in windows_food),
-        "ring1": tuple(Segment(a, b, **seg_kwargs) for a, b in windows_ring),
-    })
+def custom_schedule(zigzag_amplitude=0.0, **windows):
+    """A custom schedule of per-role (start, end) windows at level 1 V,
+    without ripple unless given one."""
+    return StimulusSchedule(
+        preset="custom", zigzag_amplitude=zigzag_amplitude,
+        segments=tuple((role, tuple((a, b, 1.0) for a, b in role_windows))
+                       for role, role_windows in windows.items()))
 
 
 def single_stage_chain(schedule, duration, dt=1e-4):
@@ -71,34 +70,48 @@ def single_stage_chain(schedule, duration, dt=1e-4):
 
 class TestSegmentsAndSampling:
     def test_segment_validation(self):
-        with pytest.raises(InvalidInputError):
-            Segment(-0.1, 0.2)
-        with pytest.raises(InvalidInputError):
-            Segment(0.2, 0.2)
-        with pytest.raises(InvalidInputError):
-            Segment(0.0, 0.1, 1.0, zigzag_amplitude=0.1)  # ripple, no frequency
-        with pytest.raises(InvalidInputError):
-            Segment(0.0, math.inf)
+        for bad in ([(-0.1, 0.2)], [(0.2, 0.2)], [(0.0, math.inf)]):
+            with pytest.raises(InvalidInputError, match="^signal 'food': segment"):
+                custom_schedule(food=bad)
+        with pytest.raises(InvalidInputError, match="^zigzag_frequency must"):
+            StimulusSchedule(zigzag_frequency=0.0)  # ripple, no frequency
+        with pytest.raises(InvalidInputError, match="^preset must be one of"):
+            StimulusSchedule(preset="pavlov4")
+        with pytest.raises(InvalidInputError, match="^signal 'food': segment lists"):
+            StimulusSchedule(segments=(("food", ((0.0, 0.1, 1.0),)),))
+        with pytest.raises(InvalidInputError, match="role twice"):
+            StimulusSchedule(preset="custom", segments=(("food", ()), ("food", ())))
 
     def test_overlap_rejected(self):
         with pytest.raises(InvalidInputError, match="overlap"):
-            StimulusSchedule({"food": (Segment(0.0, 0.2), Segment(0.1, 0.3))})
+            custom_schedule(food=[(0.0, 0.2), (0.1, 0.3)])
 
     def test_touching_segments_allowed(self):
-        sched = StimulusSchedule({"food": (Segment(0.1, 0.2), Segment(0.0, 0.1))})
-        # normalised into start order
-        assert [s.start for s in sched.signals["food"]] == [0.0, 0.1]
+        sched = custom_schedule(food=[(0.1, 0.2), (0.0, 0.1)], ring1=[])
+        # windows in start order; segments as given, roles sorted
+        assert [w[0] for w in sched.windows["food"]] == [0.0, 0.1]
+        assert sched == custom_schedule(ring1=[], food=[(0.1, 0.2), (0.0, 0.1)])
+
+    def test_preset_windows_and_reference_lengths(self):
+        for n, length in ((1, 1.5), (2, 1.7), (3, 1.8)):
+            sched = StimulusSchedule(preset=f"pavlov{n}", high_level=2.0)
+            assert list(sched.windows) == ["food"] + [f"ring{k}" for k in range(1, n + 1)]
+            assert {w[2] for ws in sched.windows.values() for w in ws} == {2.0}
+            assert sched.default_duration == length
+            assert ChainConfig(schedule=sched,
+                               stages=(FIRST_STAGE,) + (StageConfig(),) * (n - 1)
+                               ).run_length == length
+        assert custom_schedule().default_duration is None
 
     def test_half_open_window(self):
-        sched = two_signal_schedule([(0.1, 0.2)], [(0.1, 0.2)])
+        sched = custom_schedule(food=[(0.1, 0.2)], ring1=[(0.1, 0.2)])
         assert sample_signal(sched, "food", 0.1) == 1.0
         assert sample_signal(sched, "food", 0.2 - 1e-12) == 1.0
         assert sample_signal(sched, "food", 0.2) == 0.0
         assert sample_signal(sched, "food", 0.05) == 0.0
 
     def test_zigzag_bounds_and_phase(self):
-        seg = Segment(0.2, 0.5, 1.0, zigzag_amplitude=0.1, zigzag_frequency=100.0)
-        sched = StimulusSchedule({"ring1": (seg,), "food": (Segment(0.2, 0.5),)})
+        sched = custom_schedule(0.1, ring1=[(0.2, 0.5)], food=[(0.2, 0.5)])
         ts = 0.2 + np.linspace(0.0, 0.3, 4001, endpoint=False)
         levels = np.array([sample_signal(sched, "ring1", float(t)) for t in ts])
         assert levels.min() >= 0.9 - 1e-12
@@ -111,10 +124,10 @@ class TestSegmentsAndSampling:
     def test_engine_grid_matches_scalar_sampling(self):
         # every row of the reference schedules of order 1 to 3, bit for bit
         for n, dt in itertools.product((1, 2, 3), (1e-4, 3.7e-5)):
-            sched = pavlov_schedule(n)
+            sched = StimulusSchedule(preset=f"pavlov{n}")
             cfg = ChainConfig(
                 stages=(FIRST_STAGE,) + (StageConfig(),) * (n - 1),
-                schedule=sched, duration=default_duration(n), dt=dt)
+                schedule=sched, dt=dt)
             trace = run_chain(cfg)
             want = [[sample_signal(sched, name, t) for t in trace.t.tolist()]
                     for name in trace.signal_names]
@@ -162,18 +175,15 @@ class TestLogicAndRules:
         # stage 1 does not have: the chain is refused when it is built
         with pytest.raises(InvalidInputError, match="stage 1 needs a fixed learning_v"):
             ChainConfig(stages=(replace(FIRST_STAGE, learning_v=None),),
-                        schedule=two_signal_schedule([], []), duration=0.1)
+                        schedule=custom_schedule(food=[], ring1=[]), duration=0.1)
 
 
 def learned_pair_chain(gain=1.8, v_learn_max=0.47, readout=0.1):
     """Two stages, stage 1 held fully set (R = r_on = 20 kohm, r_f = 5 kohm)
     by food + ring1 over [0, 5) ms while ring2 fires with them; food stays
     on alone until 10 ms."""
-    sched = StimulusSchedule({
-        "food": (Segment(0.0, 0.01),),
-        "ring1": (Segment(0.0, 0.005),),
-        "ring2": (Segment(0.0, 0.005),),
-    })
+    sched = custom_schedule(food=[(0.0, 0.01)], ring1=[(0.0, 0.005)],
+                            ring2=[(0.0, 0.005)])
     cfg = ChainConfig(
         stages=(replace(FIRST_STAGE, r_f=5e3),
                 StageConfig(gain=gain, v_learn_max=v_learn_max)),
@@ -213,7 +223,7 @@ class TestAnalogHelpers:
 class TestSingleStageChain:
     def test_continuous_pairing_matches_analytic_switch_time(self):
         # constant 0.35 V learning: time to come within 1% of r_on
-        sched = two_signal_schedule([(0.0, 0.3)], [(0.0, 0.3)])
+        sched = custom_schedule(food=[(0.0, 0.3)], ring1=[(0.0, 0.3)])
         trace = run_chain(single_stage_chain(sched, duration=0.3))
         got = metrics(trace)["stage1.switch_time_s"]
         rate = PARAMS.k_on * (0.35 / PARAMS.v_on - 1.0) ** PARAMS.alpha_on
@@ -221,7 +231,7 @@ class TestSingleStageChain:
         assert got == pytest.approx(w_cross / rate, abs=2e-4)
 
     def test_quiet_chain_never_switches(self):
-        sched = StimulusSchedule({"food": (), "ring1": ()})
+        sched = custom_schedule(food=[], ring1=[])
         trace = run_chain(single_stage_chain(sched, duration=0.05))
         report = metrics(trace)
         assert set(report) == {"stage1.peak_power_w"}
@@ -229,7 +239,7 @@ class TestSingleStageChain:
 
     def test_reset_after_training(self):
         # quiet tail: natural forgetting at -0.165 V back past 50 kohm
-        sched = two_signal_schedule([(0.0, 0.3)], [(0.0, 0.3)])
+        sched = custom_schedule(food=[(0.0, 0.3)], ring1=[(0.0, 0.3)])
         trace = run_chain(single_stage_chain(sched, duration=1.1))
         report = metrics(trace)
         rate = abs(PARAMS.k_off) * (0.165 / abs(PARAMS.v_off) - 1.0)
@@ -237,7 +247,7 @@ class TestSingleStageChain:
         assert report["stage1.reset_time_s"] == pytest.approx(dw / rate, rel=2e-3)
 
     def test_response_tracks_learning(self):
-        trace = run_chain(single_stage_chain(pavlov_schedule(1), 1.5))
+        trace = run_chain(single_stage_chain(StimulusSchedule(preset="pavlov1"), 1.5))
         i_early = int(round(0.125 / trace.dt))   # inside second pairing window
         i_late = int(round(0.93 / trace.dt))     # after switching completes
         assert abs(trace.stages[0].resp_v[i_late]) > 4 * abs(
@@ -247,7 +257,7 @@ class TestSingleStageChain:
         assert trace.stages[0].resp_v[i_gap] == 0.0
 
     def test_initial_state_override(self):
-        sched = StimulusSchedule({"food": (), "ring1": ()})
+        sched = custom_schedule(food=[], ring1=[])
         cfg = single_stage_chain(sched, duration=0.01)
         trace = run_chain(cfg, initial_states=[PARAMS.w_off])
         assert trace.stages[0].r_ohm[0] < 20.5e3
@@ -260,7 +270,7 @@ def low_power():
     cfg = ChainConfig(
         stages=(FIRST_STAGE,
                 StageConfig(gain=1.8, v_learn_max=0.47)),
-        schedule=pavlov_schedule(2), duration=default_duration(2))
+        schedule=StimulusSchedule(preset="pavlov2"))
     trace = run_chain(cfg)
     return trace, metrics(trace)
 
@@ -270,7 +280,7 @@ def high_gain():
     cfg = ChainConfig(
         stages=(FIRST_STAGE,
                 StageConfig(gain=2.5, v_learn_max=0.65)),
-        schedule=pavlov_schedule(2), duration=default_duration(2))
+        schedule=StimulusSchedule(preset="pavlov2"))
     trace = run_chain(cfg)
     return trace, metrics(trace)
 
@@ -321,7 +331,7 @@ class TestReferenceSchedules:
             stages=(FIRST_STAGE,
                     StageConfig(gain=2.5, v_learn_max=0.65),
                     StageConfig(gain=3.0, v_learn_max=0.8)),
-            schedule=pavlov_schedule(3), duration=default_duration(3))
+            schedule=StimulusSchedule(preset="pavlov3"))
         report = metrics(run_chain(cfg))
         times = [report[f"stage{k}.switch_time_s"] for k in (1, 2, 3)]
         assert times[0] > times[1] > times[2]
@@ -347,11 +357,11 @@ class TestReferenceSchedules:
         config = load_config(REPO / "configs" / f"{name}.conf")
         reports = []
         for dt in (2e-4, 1e-4, 5e-5, 2.5e-5, 1.25e-5):
-            chain = build_chain(replace(config, sim=replace(config.sim, dt_s=dt)))
+            chain = replace(build_chain(config), dt=dt)
             reports.append({key: value for key, value in metrics(run_chain(chain)).items()
                             if key.endswith(("switch_time_s", "reset_time_s"))
                             or key.startswith("chain.speedup_")})
-        n_stages = len(config.stages)
+        n_stages = len(config.chain.stages)
         assert sorted(reports[0]) == sorted(
             [f"stage{k}.switch_time_s" for k in range(1, n_stages + 1)]
             + [f"stage{k}.reset_time_s" for k in range(2, n_stages + 1)]
@@ -362,21 +372,17 @@ class TestReferenceSchedules:
                 assert fine[key] == pytest.approx(value, rel=1e-3), key
 
     def test_unknown_preset_order(self):
-        with pytest.raises(InvalidInputError):
-            pavlov_schedule(4)
-        with pytest.raises(InvalidInputError):
-            default_duration(0)
+        for preset in ("pavlov4", "pavlov0"):
+            with pytest.raises(InvalidInputError):
+                StimulusSchedule(preset=preset)
 
 
 class TestGating:
     def test_no_learning_without_prior_association(self):
         # rings pulse together but food never arrives: stage 1 decays or
         # actively forgets, so stage 2 must never enter the learning scheme
-        sched = StimulusSchedule({
-            "food": (),
-            "ring1": (Segment(0.0, 0.2), Segment(0.3, 0.5)),
-            "ring2": (Segment(0.0, 0.2), Segment(0.3, 0.5)),
-        })
+        sched = custom_schedule(food=[], ring1=[(0.0, 0.2), (0.3, 0.5)],
+                                ring2=[(0.0, 0.2), (0.3, 0.5)])
         cfg = ChainConfig(
             stages=(FIRST_STAGE, StageConfig()),
             schedule=sched, duration=0.6)
@@ -385,10 +391,7 @@ class TestGating:
         assert np.all(trace.stages[1].in_scheme(SCHEME_NATURAL))
 
     def test_new_ring_alone_actively_forgets(self):
-        sched = StimulusSchedule({
-            "food": (), "ring1": (),
-            "ring2": (Segment(0.0, 0.1),),
-        })
+        sched = custom_schedule(food=[], ring1=[], ring2=[(0.0, 0.1)])
         cfg = ChainConfig(
             stages=(FIRST_STAGE, StageConfig()),
             schedule=sched, duration=0.2)
@@ -398,7 +401,7 @@ class TestGating:
 
 class TestConfigValidation:
     def test_roles_must_match_stage_count(self):
-        sched = StimulusSchedule({"food": (), "ring1": (), "ring2": ()})
+        sched = custom_schedule(food=[], ring1=[], ring2=[])
         with pytest.raises(InvalidInputError, match="roles"):
             single_stage_chain(sched, duration=0.1)
 
@@ -407,9 +410,8 @@ class TestConfigValidation:
         # voltages: a stage with a fixed learning_v still learns only on
         # the 3-bit pattern (state, ring1, ring2) = (1, 1, 1) at stage 2,
         # and a higher stage's voltages run the 2-bit table at stage 1
-        sched = StimulusSchedule({"food": (Segment(0.0, 0.1),),
-                                  "ring1": (Segment(0.05, 0.3),),
-                                  "ring2": (Segment(0.0, 0.2),)})
+        sched = custom_schedule(food=[(0.0, 0.1)], ring1=[(0.05, 0.3)],
+                                ring2=[(0.0, 0.2)])
         fixed = StageConfig(learning_v=0.3)
         cfg = ChainConfig(stages=(StageConfig(learning_v=0.35), fixed),
                           schedule=sched, duration=0.3, dt=1e-3)
@@ -431,14 +433,14 @@ class TestConfigValidation:
         np.testing.assert_array_equal(forgetting, t < 0.05 - 1e-9)
 
     def test_bad_timebase(self):
-        sched = StimulusSchedule({"food": (), "ring1": ()})
+        sched = custom_schedule(food=[], ring1=[])
         with pytest.raises(InvalidInputError):
             single_stage_chain(sched, duration=0.1, dt=0.0)
         with pytest.raises(InvalidInputError):
             single_stage_chain(sched, duration=0.0)
 
     def test_non_finite_levels_rejected_at_construction(self):
-        sched = StimulusSchedule({"food": (), "ring1": ()})
+        sched = custom_schedule(food=[], ring1=[])
         stages = (FIRST_STAGE,)
         for bad in (math.inf, math.nan):
             with pytest.raises(InvalidInputError, match="readout"):
@@ -452,7 +454,7 @@ class TestConfigValidation:
                     StageConfig(**{name: bad})
 
     def test_non_finite_initial_state_rejected(self):
-        sched = StimulusSchedule({"food": (), "ring1": (), "ring2": ()})
+        sched = custom_schedule(food=[], ring1=[], ring2=[])
         cfg = ChainConfig(stages=(FIRST_STAGE, StageConfig()),
                           schedule=sched, duration=0.01)
         for bad in (math.inf, math.nan):
@@ -460,7 +462,7 @@ class TestConfigValidation:
                 run_chain(cfg, initial_states=[0.0, bad])
 
     def test_out_of_bounds_initial_state_names_its_stage(self):
-        sched = StimulusSchedule({"food": (), "ring1": (), "ring2": ()})
+        sched = custom_schedule(food=[], ring1=[], ring2=[])
         cfg = ChainConfig(stages=(FIRST_STAGE, StageConfig()),
                           schedule=sched, duration=0.01)
         lo, hi = PARAMS.w_on, PARAMS.w_off
@@ -485,7 +487,7 @@ class TestSerialization:
     def test_trace_csv_layout_and_determinism(self, tmp_path):
         cfg = ChainConfig(
             stages=(FIRST_STAGE, StageConfig()),
-            schedule=pavlov_schedule(2), duration=0.3)
+            schedule=StimulusSchedule(preset="pavlov2"), duration=0.3)
         paths = []
         for name in ("a.csv", "b.csv"):
             p = tmp_path / name
@@ -507,7 +509,7 @@ class TestSerialization:
         # replaced, around the chunk boundary
         cfg = ChainConfig(
             stages=(FIRST_STAGE, StageConfig()),
-            schedule=pavlov_schedule(2), duration=0.97, dt=1e-3)
+            schedule=StimulusSchedule(preset="pavlov2"), duration=0.97, dt=1e-3)
         full = run_chain(cfg, initial_states=[0.3, 0.9])
         # rows from around 0.6 s cover every scheme and a negative response
         rows = slice(600 - n_rows // 2, 600 - n_rows // 2 + n_rows)
@@ -543,7 +545,7 @@ class TestSerialization:
                                                          monkeypatch):
         cfg = ChainConfig(
             stages=(FIRST_STAGE, StageConfig()),
-            schedule=pavlov_schedule(2), duration=0.97)
+            schedule=StimulusSchedule(preset="pavlov2"), duration=0.97)
         trace = run_chain(cfg)  # 9701 rows: 5 chunks
         with monkeypatch.context() as m:
             m.setattr(circuit, "_usable_cpus", lambda: 3)

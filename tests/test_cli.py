@@ -4,8 +4,8 @@ behavior, exit codes, manifests, and byte determinism."""
 import ast
 import contextlib
 import csv
+import hashlib
 import importlib
-import inspect
 import io
 import json
 import math
@@ -28,12 +28,10 @@ import memassoc.cli
 import memassoc.fit
 import memassoc.vision
 from memassoc import __version__
-from memassoc.circuit import FIRST_STAGE, ChainConfig, StageConfig, stimulus_schedule
+from memassoc.circuit import FIRST_STAGE, ChainConfig, StageConfig, StimulusSchedule
 from memassoc.cli import (
     ExperimentConfig,
     FitSettings,
-    ScheduleSettings,
-    SimSettings,
     build_chain,
     build_fit_config,
     build_infer_config,
@@ -46,7 +44,7 @@ from memassoc.cli import (
     serialize_config,
 )
 from memassoc.device import DeviceParams
-from memassoc.errors import ConfigError
+from memassoc.errors import ConfigError, DataError
 from memassoc.fit import (
     PARAM_NAMES,
     FitConfig,
@@ -54,7 +52,7 @@ from memassoc.fit import (
     simulate_current,
     write_trace_csv,
 )
-from memassoc.vision import VisionConfig
+from memassoc.vision import VisionConfig, read_image_csv
 
 REPO = Path(__file__).resolve().parents[1]
 CONFIGS = sorted((REPO / "configs").glob("*.conf"))
@@ -103,7 +101,7 @@ class TestParseConfig:
 
     def test_empty_device_section_gives_defaults(self):
         cfg = parse_config("[device]\n")
-        assert cfg.device == DeviceParams()
+        assert cfg.chain.device == DeviceParams()
 
     def test_v_on_sign_invariant_named(self):
         with pytest.raises(ConfigError, match="v_on must be positive"):
@@ -162,7 +160,7 @@ class TestParseConfig:
 
     def test_comments_and_blanks_ignored(self):
         text = "# top\n\n[device]\nr_on_ohm = 21e3  # trailing\n"
-        assert parse_config(text).device.r_on == 21e3
+        assert parse_config(text).chain.device.r_on == 21e3
 
     def test_bad_number_reports_line(self):
         with pytest.raises(ConfigError, match="line 2: not a number"):
@@ -173,14 +171,14 @@ class TestParseConfig:
         # (see test_circuit's stage-arity test), so a config carrying one
         # serializes to text that parses back to it
         cfg = load_config(REPO / "configs" / "pavlov2_lowpower.conf")
-        stages = (cfg.stages[0], replace(cfg.stages[1], learning_v=0.3))
-        cfg = replace(cfg, stages=stages)
+        stages = (cfg.chain.stages[0], replace(cfg.chain.stages[1], learning_v=0.3))
+        cfg = replace(cfg, chain=replace(cfg.chain, stages=stages))
         text = serialize_config(cfg)
         assert "[stage.2]" in text and text.count("learning_v = ") == 2
         assert parse_config(text) == cfg
         parsed = parse_config("[schedule]\npreset = pavlov2\n[stage.1]\n"
                               "[stage.2]\nlearning_v = 0.3\n")
-        assert parsed.stages[1].learning_v == 0.3
+        assert parsed.chain.stages[1].learning_v == 0.3
 
     def test_segments_require_custom_preset(self):
         text = "[schedule]\npreset = pavlov1\nfood_segments = 0:0.1\n"
@@ -192,7 +190,7 @@ class TestParseConfig:
                 "food_segments = 0:0.05, 0.1:0.15:0.8\nring1_segments = 0:0.2\n"
                 "[sim]\nduration_s = 0.25\n")
         cfg = parse_config(text)
-        segs = dict(cfg.schedule.segments)
+        segs = dict(cfg.chain.schedule.segments)
         assert segs["food"] == ((0.0, 0.05, 1.0), (0.1, 0.15, 0.8))
         with pytest.raises(ConfigError, match="start:end"):
             parse_config("[schedule]\npreset = custom\n"
@@ -222,7 +220,7 @@ class TestParseConfig:
         text = ("[schedule]\npreset = custom\n"
                 "food_segments = 0:0.1, 0.2:0.3:0.8\nhigh_level_v = 2.5\n"
                 "ring1_segments = 0:0.1\n[sim]\nduration_s = 0.3\n")
-        segs = dict(parse_config(text).schedule.segments)
+        segs = dict(parse_config(text).chain.schedule.segments)
         assert segs["food"] == ((0.0, 0.1, 2.5), (0.2, 0.3, 0.8))
 
 
@@ -317,7 +315,7 @@ class TestErrorsAtKeyLine:
 
     def test_row_budget_boundary(self):
         # 1e7 rows at dt 1e-4 s parse; one more does not (nothing is allocated)
-        assert parse_config("[sim]\nduration_s = 999.9999\n").sim.duration_s == 999.9999
+        assert parse_config("[sim]\nduration_s = 999.9999\n").chain.duration == 999.9999
         with pytest.raises(ConfigError, match="^line 2: duration_s: dt must leave "
                                               "at most 10000000 trace rows"):
             parse_config("[sim]\nduration_s = 1000.0\n")
@@ -404,16 +402,17 @@ def experiment_configs(draw):
             for name in PARAM_NAMES if name in names)
     v_min, pulse_dt = draw(floats(-1.0, 0.5)), draw(floats(1e-3, 0.1))
     return ExperimentConfig(
-        device=device, stages=stages,
-        schedule=ScheduleSettings(
-            preset=preset, high_level_v=draw(floats(0.01, 5.0)),
-            zigzag_amplitude_v=draw(floats(0.0, 0.5)),
-            zigzag_frequency_hz=draw(floats(1.0, 1e3)), segments=tuple(segments)),
-        sim=SimSettings(dt_s=draw(floats(1e-5, 1e-3)),  # at most 1e6 rows
-                        duration_s=(draw(floats(1e-3, 10.0)) if preset == "custom"
-                                    else draw(st.none() | floats(1e-3, 10.0))),
-                        logic_threshold_v=draw(floats(0.01, 2.0)),
-                        readout_v=draw(floats(0.0, 1.0))),
+        chain=ChainConfig(
+            device=device, stages=stages,
+            schedule=StimulusSchedule(
+                preset=preset, high_level=draw(floats(0.01, 5.0)),
+                zigzag_amplitude=draw(floats(0.0, 0.5)),
+                zigzag_frequency=draw(floats(1.0, 1e3)), segments=tuple(segments)),
+            dt=draw(floats(1e-5, 1e-3)),  # at most 1e6 rows
+            duration=(draw(floats(1e-3, 10.0)) if preset == "custom"
+                      else draw(st.none() | floats(1e-3, 10.0))),
+            logic_threshold=draw(floats(0.01, 2.0)),
+            readout_amplitude=draw(floats(0.0, 1.0))),
         fit=FitSettings(grad_step=draw(floats(1e-9, 1e-2)),
                         max_iters=draw(st.integers(1, 1000)),
                         tol=draw(floats(0.0, 1e-3)),
@@ -453,6 +452,37 @@ class TestRoundTrip:
                 "ring1_segments = 0:0.2\n[sim]\nduration_s = 0.25\n")
         cfg = parse_config(text)
         assert parse_config(serialize_config(cfg)) == cfg
+
+
+# SHA-256 of `serialize_config`'s text, which every manifest records as
+# `config_text`: the default config, each shipped config (`vision_demo`
+# read as a vision config) and one custom schedule
+PINNED_CONFIG_TEXTS = {
+    "default": "7a83bef3a936e68f563cd80009b19fcd88b88ab891cac705e0ef7ea9ab934be5",
+    "fit_sinusoid": "61c30806a556d8a9927c0d3ad976c9a4feed57ed949f7deaa6b0536611df8c94",
+    "pavlov2_highgain": "07c32a775353761ac2a491bbbf1148bdea49e06971ab944b9e87781d10fea6e9",
+    "pavlov2_lowpower": "5a74934267c4e3ca875e6683e2bd10fd89ba4df702bd9d57e88ceb1e108b451e",
+    "pavlov3": "f573cc521d65d3bf3015e341c0642748e2073147b879f90bbf94d38776f7c05f",
+    "vision_demo": "be727357c3981744ec6a44d00c1293dde45efeaf5b5d5f693f787bb7349100fe",
+    "custom": "680a4b43e08ac17ccc84b4182a618fd87444c1287b62c7da3f10204b365bd14c",
+}
+PINNED_CUSTOM_TEXT = (
+    "[schedule]\npreset = custom\nhigh_level_v = 1.5\n"
+    "food_segments = 0:0.05, 0.1:0.15:0.8\nring1_segments = 0:0.2\n"
+    "ring2_segments = 0.1:0.3\n[stage.1]\n[stage.2]\n[sim]\nduration_s = 0.4\n")
+
+
+@pytest.mark.parametrize("name", PINNED_CONFIG_TEXTS)
+def test_written_back_config_text_is_pinned(name):
+    if name == "default":
+        config = ExperimentConfig()
+    elif name == "custom":
+        config = parse_config(PINNED_CUSTOM_TEXT)
+    else:
+        config = load_config(REPO / "configs" / f"{name}.conf",
+                             vision=name.startswith("vision"))
+    text = serialize_config(config)
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_CONFIG_TEXTS[name]
 
 
 # Text-level fuzz: sections from the parser's own tables, keys mostly
@@ -529,13 +559,12 @@ def test_key_tables_name_domain_fields():
     def names(cls):
         return {f.name for f in fields(cls)}
 
-    schedule = {"preset", *inspect.signature(stimulus_schedule).parameters}
     for table, known in [(memassoc.cli._DEVICE_KEYS, names(DeviceParams)),
                          (memassoc.cli._STAGE_KEYS, names(StageConfig)),
                          (memassoc.cli._SIM_KEYS, names(ChainConfig)),
                          (memassoc.cli._VISION_KEYS, names(VisionConfig)),
                          (memassoc.cli._FIT_KEYS, names(FitConfig) | set(PARAM_NAMES)),
-                         (memassoc.cli._SCHEDULE_KEYS, schedule)]:
+                         (memassoc.cli._SCHEDULE_KEYS, names(StimulusSchedule))]:
         assert set(table.values()) <= known, set(table.values()) - known
 
 
@@ -544,7 +573,7 @@ class TestBuilders:
         cfg = load_config(REPO / "configs" / "pavlov2_lowpower.conf")
         chain = build_chain(cfg)
         assert len(chain.stages) == 2
-        assert chain.duration == 1.7
+        assert (chain.duration, chain.run_length) == (None, 1.7)
         assert chain.dt == 1e-4
 
     def test_preset_stage_count_mismatch(self):
@@ -606,7 +635,7 @@ class TestCmdFit:
         assert report["iterations"] <= 5
         assert report["rmse"] <= 1e-8
         refit = parse_config((out / "device_fit.conf").read_text())
-        assert refit.device.r_on == pytest.approx(20e3, rel=1e-3)
+        assert refit.chain.device.r_on == pytest.approx(20e3, rel=1e-3)
 
     def test_fit_budget_exhaustion_exits_2(self, trace_path, tmp_path):
         cfg = tmp_path / "fit.conf"
@@ -1545,6 +1574,70 @@ class TestHostileInputProperties:
             assert_one_line_unless_exit_0(result)
 
 
+# Line breaks are CR, LF and CRLF, as the trace reader's csv module counts
+# them; the other characters `str.splitlines` breaks at are not.
+LINE_BREAKS = ["\n", "\r", "\r\n"]
+NOT_LINE_BREAKS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
+                   "\u2029"]
+
+
+def line_breaks(text):
+    return len(re.findall(r"\r\n|\r|\n", text))
+
+
+def texts_of(pieces):
+    """Up to 40 pieces, line breaks and look-alike separators, joined."""
+    return st.lists(st.sampled_from(pieces + LINE_BREAKS + NOT_LINE_BREAKS),
+                    max_size=40).map("".join)
+
+
+def image_csv_error(tmp, text):
+    """`read_image_csv`'s message for `text` as img.csv, or None."""
+    path = Path(tmp) / "img.csv"
+    path.write_bytes(text.encode())
+    try:
+        read_image_csv(path)
+    except DataError as exc:
+        return str(exc)
+    return None
+
+
+class TestLineNumbers:
+    @pytest.mark.parametrize("text, line", [
+        ("[sim]\x85dt_s = x", 1),
+        ("[sim]\ndt_s = 1e-4\x0cduration_s = x", 2),
+        ("# note\u2028[sim]\r\ndt_s = x\r", 2),  # an entry outside any section
+    ])
+    def test_config_counts_only_real_breaks(self, text, line):
+        with pytest.raises(ConfigError, match=rf"^line {line}: "):
+            parse_config(text)
+
+    def test_csv_image_counts_only_real_breaks(self, tmp_path):
+        message = image_csv_error(tmp_path, "0,1\x0c1,0\n1,x\n")
+        assert message.startswith("img.csv:1: "), message
+        assert image_csv_error(tmp_path, "0,1\r\n\r1,x\n").startswith("img.csv:3: ")
+
+    @settings(max_examples=200, deadline=None)
+    @given(texts_of(["[sim]", "[schedule]", "[device]", "dt_s = ", "duration_s = ",
+                     "preset = custom", "food_segments = ", "0:0.1", "r_on_ohm = ",
+                     "1e-4", "x", "#", " = ", " "]))
+    def test_config_error_line_is_within_the_text(self, text):
+        try:
+            parse_config(text)
+        except ConfigError as exc:
+            line = int(re.match(r"^line (\d+): ", str(exc))[1])
+            assert line <= line_breaks(text) + 1, (text, str(exc))
+
+    @settings(max_examples=200, deadline=None)
+    @given(text=texts_of(["0", "1", "0.5", ",", "x", " ", "256"]))
+    def test_csv_image_error_line_is_within_the_text(self, tmp_path_factory, text):
+        with tempfile.TemporaryDirectory(dir=tmp_path_factory.getbasetemp()) as tmp:
+            message = image_csv_error(tmp, text)
+        m = re.match(r"^img\.csv:(\d+): ", message or "")
+        if m:
+            assert int(m[1]) <= line_breaks(text) + 1, (text, message)
+
+
 class TestConsoleMain:
     def test_no_arguments_is_usage_error(self, capsys):
         assert console_main([]) == 1
@@ -1709,6 +1802,14 @@ class TestManifests:
             console_main([*argv, "--out", str(out)])
             replay_manifest(out / "manifest.json", tmp_path / f"{command}_again")
             assert calls == [f"cmd_{command}"] * 2
+
+    def test_manifest_that_is_not_utf8_names_path_and_offset(self, tmp_path):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_bytes(b'{"command": "pavlov", \xff}')
+        with pytest.raises(DataError, match=rf"^{re.escape(str(manifest))}: not "
+                                            "UTF-8 text: byte 0xff at offset 22$"):
+            replay_manifest(manifest, tmp_path / "replayed")
+        assert not (tmp_path / "replayed").exists()
 
     def test_double_run_byte_identical(self, tmp_path):
         cfg = parse_config(CUSTOM_CHAIN)

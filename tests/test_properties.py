@@ -74,7 +74,6 @@ from memassoc.circuit import (
     _TRACE_CHUNK_ROWS,
     SCHEMES,
     ChainConfig,
-    Segment,
     SimTrace,
     StageConfig,
     StageTrace,
@@ -570,16 +569,11 @@ def test_read_image_csv_matches_line_by_line_reader(text):
 # --- chain engine ---------------------------------------------------------------
 
 @st.composite
-def segments(draw, duration, rippled):
+def windows(draw, duration):
     cuts = sorted(draw(st.lists(st.floats(0.0, duration), max_size=8,
                                 unique=True)))
-    segs = []
-    for a, b in zip(cuts[::2], cuts[1::2]):
-        if b > a:
-            ripple = draw(st.floats(0.0, 0.3)) if rippled else 0.0
-            segs.append(Segment(a, b, draw(st.floats(0.2, 1.5)), ripple,
-                                draw(st.floats(20.0, 500.0))))
-    return tuple(segs)
+    return tuple((a, b, draw(st.floats(0.2, 1.5)))
+                 for a, b in zip(cuts[::2], cuts[1::2]) if b > a)
 
 
 @st.composite
@@ -602,13 +596,16 @@ def chain_case(draw):
             v_learn_max=draw(st.floats(0.2, 0.6)),
             state_threshold_v=draw(st.floats(0.03, 0.2))))
     # signals either share one window set (co-pulsed, so higher stages
-    # can learn) or draw their own
-    shared = draw(segments(duration, False))
-    signals = {"food": draw(st.just(shared) | segments(duration, False))}
-    for k in range(1, n_stages + 1):
-        signals[f"ring{k}"] = draw(st.just(shared) | segments(duration, True))
+    # can learn) or draw their own; one ripple runs on every ring
+    shared = draw(windows(duration))
+    roles = ["food"] + [f"ring{k}" for k in range(1, n_stages + 1)]
+    schedule = StimulusSchedule(
+        preset="custom", zigzag_amplitude=draw(st.floats(0.0, 0.3)),
+        zigzag_frequency=draw(st.floats(20.0, 500.0)),
+        segments=tuple((role, draw(st.just(shared) | windows(duration)))
+                       for role in roles))
     config = ChainConfig(
-        stages=tuple(stages), schedule=StimulusSchedule(signals),
+        stages=tuple(stages), schedule=schedule,
         duration=duration, device=device, dt=dt,
         logic_threshold=draw(st.floats(0.1, 1.0)),
         readout_amplitude=draw(st.floats(0.0, 0.3)))
