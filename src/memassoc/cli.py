@@ -17,8 +17,8 @@ Subcommands:
 
 Every run also writes manifest.json (tool version, command, resolved
 config snapshot and its hash, output hashes).  `replay_manifest`
-re-executes the snapshot and returns the fresh output hashes, which
-must match the recorded ones byte for byte.
+checks a manifest, re-executes the snapshot and returns the fresh output
+hashes, which must match the recorded ones byte for byte.
 
 Exit codes: 0 success, 1 usage/config error, 2 runtime/data error.
 """
@@ -67,7 +67,6 @@ from .vision import (
 )
 
 __all__ = [
-    "FitSettings",
     "ExperimentConfig",
     "parse_config",
     "serialize_config",
@@ -123,31 +122,15 @@ _VISION_KEYS = {
 }
 
 
-# Each section is held as its domain object: [device], [stage.K],
-# [schedule] and [sim] together as the chain (`ChainConfig`, with its
-# `DeviceParams` and `StimulusSchedule`), [vision] as `VisionConfig`.  Only
-# [fit] stays a plain record: `FitConfig` merges its default bounds into the
-# overrides, so it cannot be written back.  `parse_config` checks the record
-# through `FitConfig`; its defaults are the domain's own, and only the bound
-# overrides set theirs here.
-
-@dataclass(frozen=True)
-class FitSettings:
-    grad_step: float = FitConfig.grad_step
-    max_iters: int = FitConfig.max_iters
-    tol: float = FitConfig.tol
-    source_r_ohm: float = FitConfig.source_r_ohm
-    lower: tuple[tuple[str, float], ...] = ()   # (fit param, bound)
-    upper: tuple[tuple[str, float], ...] = ()
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """A parsed config.  Every stage and the vision array run on the
-    `[device]` parameters, `chain.device`."""
+    """A parsed config, each section held as its domain object: [device],
+    [stage.K], [schedule] and [sim] together as the chain, [fit] as
+    `FitConfig`, [vision] as `VisionConfig`.  Every stage, the fit's start
+    and the vision array run on the `[device]` parameters, `chain.device`."""
 
     chain: ChainConfig = field(default_factory=ChainConfig)
-    fit: FitSettings = field(default_factory=FitSettings)
+    fit: FitConfig = field(default_factory=FitConfig)
     vision: VisionConfig = field(default_factory=VisionConfig)
 
 
@@ -304,16 +287,16 @@ def _parse_schedule(section: _Section) -> StimulusSchedule:
                     **values, segments=segments)
 
 
-def _parse_fit(section: _Section) -> FitSettings:
+def _parse_fit(section: _Section) -> dict[str, Any]:
+    """The `FitConfig` fields the section sets, read but not yet checked;
+    each `_lo` / `_hi` key gives one (fit parameter, bound) pair."""
     values = _values(section, _FIT_KEYS, FitConfig)
-
-    def bounds(end: str) -> tuple[tuple[str, float], ...]:
-        given = {_FIT_KEYS[key]: v for key, v in values.items() if key.endswith(end)}
-        return tuple((name, given[name]) for name in PARAM_NAMES if name in given)
-
-    return FitSettings(
-        **{key: v for key, v in values.items() if not key.endswith(("_lo", "_hi"))},
-        lower=bounds("_lo"), upper=bounds("_hi"))
+    fields = {_FIT_KEYS[key]: v for key, v in values.items()
+              if not key.endswith(("_lo", "_hi"))}
+    for end, name in (("_lo", "lower"), ("_hi", "upper")):
+        fields[name] = tuple((_FIT_KEYS[key], v) for key, v in values.items()
+                             if key.endswith(end))
+    return fields
 
 
 def parse_config(text: str, *, vision: bool = False) -> ExperimentConfig:
@@ -344,21 +327,22 @@ def parse_config(text: str, *, vision: bool = False) -> ExperimentConfig:
     schedule = _parse_schedule(sched_section)
     sim_values = {_SIM_KEYS[key]: v for key, v in
                   _values(sim_section, _SIM_KEYS, ChainConfig).items()}
-    fit_settings = _parse_fit(fit_section)
+    fit_fields = _parse_fit(fit_section)
     vision_values = {_VISION_KEYS[key]: v for key, v in
                      _values(vision_section, _VISION_KEYS, VisionConfig).items()}
     chain = _located([(sched_section, _SCHEDULE_KEYS), (sim_section, _SIM_KEYS),
                       (section(f"stage.{len(stages)}"), {})], ChainConfig,
                      stages=stages, schedule=schedule, device=device, **sim_values)
-    config = ExperimentConfig(chain=chain, fit=fit_settings)
-    _located([(fit_section, _FIT_KEYS)], build_fit_config, config)
+    at_fit = [(fit_section, _FIT_KEYS)]
+    fit_config = _located(at_fit, FitConfig, **fit_fields)
+    _located(at_fit, fit_config.bounds, device)
     at_vision = [(vision_section, _VISION_KEYS)]
     vision_config = _located(at_vision, VisionConfig, **vision_values)
     if vision:
         _located(at_vision + [(dev, _DEVICE_KEYS)], vision_config.check_reach, device)
     if vision_config.similarity_threshold is not None:
         _located(at_vision, vision_config.check_classify, device)
-    return replace(config, vision=vision_config)
+    return ExperimentConfig(chain=chain, fit=fit_config, vision=vision_config)
 
 
 def _block(section: str, pairs: list[tuple[str, Any]]) -> str:
@@ -382,8 +366,8 @@ def _device_block(device: DeviceParams) -> str:
 
 def serialize_config(config: ExperimentConfig) -> str:
     """Canonical text form; `parse_config` reads it back to equality."""
-    chain, fit_settings = config.chain, config.fit
-    bounds = {"lo": dict(fit_settings.lower), "hi": dict(fit_settings.upper)}
+    chain, fit_config = config.chain, config.fit
+    bounds = {"_lo": dict(fit_config.lower), "_hi": dict(fit_config.upper)}
     blocks = [_device_block(chain.device)]
     blocks += [_block(f"stage.{k}", [(key, getattr(stage, name))
                                      for key, name in _STAGE_KEYS.items()])
@@ -397,8 +381,8 @@ def serialize_config(config: ExperimentConfig) -> str:
     blocks.append(_block("sim", [(key, getattr(chain, name))
                                  for key, name in _SIM_KEYS.items()]))
     blocks.append(_block("fit", [
-        (key, bounds[key[-2:]].get(name) if key[-3:] in ("_lo", "_hi")
-         else getattr(fit_settings, key)) for key, name in _FIT_KEYS.items()]))
+        (key, bounds[key[-3:]].get(name) if key[-3:] in bounds
+         else getattr(fit_config, name)) for key, name in _FIT_KEYS.items()]))
     blocks.append(_block("vision", [(key, getattr(config.vision, name))
                                     for key, name in _VISION_KEYS.items()]))
     return "\n".join(blocks)
@@ -423,11 +407,7 @@ def build_chain(config: ExperimentConfig) -> ChainConfig:
 
 
 def build_fit_config(config: ExperimentConfig) -> FitConfig:
-    settings = config.fit
-    return FitConfig(initial=build_device(config), lower=dict(settings.lower),
-                     upper=dict(settings.upper), grad_step=settings.grad_step,
-                     max_iters=settings.max_iters, tol=settings.tol,
-                     source_r_ohm=settings.source_r_ohm)
+    return config.fit
 
 
 def build_train_config(config: ExperimentConfig) -> VisionConfig:
@@ -534,7 +514,7 @@ def cmd_fit(config: ExperimentConfig, trace_path: str | Path,
     """Fit the device to a trace; exit 0 only on convergence."""
     fit_config = build_fit_config(config)
     trace = read_trace_csv(trace_path)
-    result = fit(trace, fit_config)
+    result = fit(trace, build_device(config), fit_config)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "device_fit.conf").write_text(_device_block(result.params))
@@ -626,13 +606,55 @@ def cmd_vision(config: ExperimentConfig, train_dir: str | Path,
     return 0
 
 
+# The inputs a manifest's `args` records for each command, as path strings.
+_COMMAND_INPUTS = {"fit": {"trace"}, "pavlov": set(), "vision-train": {"train_dir"},
+                   "vision-classify": {"train_dir", "test_dir"}}
+_MANIFEST_FIELDS = {"command": str, "args": dict, "config_text": str,
+                    "config_sha256": str, "outputs": dict}
+
+
+def _read_manifest(path: Path) -> dict[str, Any]:
+    """The manifest at `path`; a malformed one raises `DataError` naming it."""
+    def malformed(problem: str) -> DataError:
+        return DataError(f"{path}: malformed manifest: {problem}")
+
+    try:
+        manifest = json.loads(read_input(path, DataError))
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise malformed(f"not JSON ({exc})") from exc
+    if not isinstance(manifest, dict):
+        raise malformed(f"expected a JSON object, got {type(manifest).__name__}")
+    for key, kind in _MANIFEST_FIELDS.items():
+        if not isinstance(manifest.get(key), kind):
+            raise malformed(f"{key} must be a JSON "
+                            f"{'object' if kind is dict else 'string'}")
+    command, args = manifest["command"], manifest["args"]
+    if command not in _COMMAND_INPUTS:
+        raise malformed(f"unknown command {command!r}")
+    if (set(args) != _COMMAND_INPUTS[command]
+            or not all(isinstance(arg, str) for arg in args.values())):
+        raise malformed(f"{command} args must be the path strings "
+                        f"{sorted(_COMMAND_INPUTS[command])}, got {args!r}")
+    for name, digest in manifest["outputs"].items():
+        if (name in ("", ".", "..") or Path(name).name != name
+                or not isinstance(digest, str)):
+            raise malformed(f"output {name!r} must be a plain file name with a "
+                            "hash string")
+    # no run writes a lone surrogate: one fails to match instead of raising
+    config_bytes = manifest["config_text"].encode("utf-8", "surrogatepass")
+    if hashlib.sha256(config_bytes).hexdigest() != manifest["config_sha256"]:
+        raise malformed("config_sha256 does not match config_text")
+    return manifest
+
+
 def replay_manifest(manifest_path: str | Path,
                     out_dir: str | Path) -> dict[str, str]:
     """Re-execute a manifest's run into `out_dir`; return fresh output hashes.
 
-    A faithful replay reproduces the recorded `outputs` hashes exactly.
+    A faithful replay reproduces the recorded `outputs` hashes exactly.  A
+    malformed manifest raises `DataError` naming it before anything runs.
     """
-    manifest = json.loads(read_input(Path(manifest_path), DataError))
+    manifest = _read_manifest(Path(manifest_path))
     command = manifest["command"]
     config = parse_config(manifest["config_text"],
                           vision=command.startswith("vision"))
@@ -643,16 +665,14 @@ def replay_manifest(manifest_path: str | Path,
 
 def _run(command: str, config: ExperimentConfig, args: Mapping[str, Any],
          out_dir: str | Path) -> int:
-    """Run one command on a parsed config.  `args` holds its inputs under
-    argparse's names, which a manifest's `args` record; each `cmd_*` is
-    looked up when the command runs."""
+    """Run one command of `_COMMAND_INPUTS` on a parsed config.  `args`
+    holds its inputs under argparse's names, which a manifest's `args`
+    record; each `cmd_*` is looked up when the command runs."""
     if command == "fit":
         return cmd_fit(config, args["trace"], out_dir)
     if command == "pavlov":
         return cmd_pavlov(config, out_dir)
-    if command in ("vision-train", "vision-classify"):
-        return cmd_vision(config, args["train_dir"], args.get("test_dir"), out_dir)
-    raise DataError(f"manifest names unknown command {command!r}")
+    return cmd_vision(config, args["train_dir"], args.get("test_dir"), out_dir)
 
 
 # --- entry point -------------------------------------------------------------

@@ -17,7 +17,9 @@ non-increasing and the whole routine is deterministic.
 The fitted vector covers (r_on, r_off, alpha_on, alpha_off, k_on, k_off,
 v_on, v_off); the structural state bounds w_on / w_off are taken from the
 initial guess and held fixed.  Each objective evaluation restarts the
-integration from the fully reset state w = w_on.
+integration from the fully reset state w = w_on.  The box is
+`default_bounds(initial)` with `FitConfig`'s overrides in place, built
+once per fit by `FitConfig.bounds`, which refuses one that misses the start.
 
 The recorded trace is validated once, when it is built, and its columns
 are read-only float64 copies.  What the replay and the score derive from
@@ -46,7 +48,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Callable
@@ -263,15 +265,16 @@ def rmse(model: IVTrace, real: IVTrace) -> float:
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Search settings; bounds are per-parameter closed intervals."""
+    """The [fit] section: search settings, and box overrides as (fit
+    parameter, bound) pairs kept in `PARAM_NAMES` order.  A parameter
+    without a pair keeps its `default_bounds` edge (see `bounds`)."""
 
-    initial: DeviceParams
-    lower: dict[str, float] = field(default_factory=dict)
-    upper: dict[str, float] = field(default_factory=dict)
     grad_step: float = 1e-6   # relative central-difference step
     max_iters: int = 200
     tol: float = 1e-12        # objective-improvement stop tolerance
     source_r_ohm: float = 0.0
+    lower: tuple[tuple[str, float], ...] = ()
+    upper: tuple[tuple[str, float], ...] = ()
 
     def __post_init__(self) -> None:
         require(self,
@@ -280,20 +283,30 @@ class FitConfig:
                 ("tol", 0.0 <= self.tol < math.inf, "be finite and >= 0"),
                 ("source_r_ohm", 0.0 <= self.source_r_ohm < math.inf,
                  "be finite and >= 0"))
-        for name, bound in [*self.lower.items(), *self.upper.items()]:
+        for end in ("lower", "upper"):
+            names = [name for name, _ in getattr(self, end)]
+            if not set(names) <= set(PARAM_NAMES) or len(set(names)) < len(names):
+                raise InvalidInputError(f"{end} bounds must name fit parameters, "
+                                        f"each at most once, got {names}")
+            object.__setattr__(self, end, tuple(sorted(
+                getattr(self, end), key=lambda pair: PARAM_NAMES.index(pair[0]))))
+        for name, bound in self.lower + self.upper:
             if not math.isfinite(bound):
                 raise InvalidInputError(f"bounds for {name} must be finite, got {bound!r}")
-        lower, upper = default_bounds(self.initial)
+
+    def bounds(self, initial: DeviceParams) -> tuple[dict[str, float], dict[str, float]]:
+        """`default_bounds(initial)` with the overrides in place; raises
+        unless every parameter's box brackets its initial value."""
+        lower, upper = default_bounds(initial)
         lower.update(self.lower)
         upper.update(self.upper)
         for name in PARAM_NAMES:
-            lo, hi, p0 = lower[name], upper[name], getattr(self.initial, name)
+            lo, hi, p0 = lower[name], upper[name], getattr(initial, name)
             if not lo <= p0 <= hi:
                 raise InvalidInputError(
                     f"bounds for {name} must bracket the initial guess: "
                     f"{lo!r} <= {p0!r} <= {hi!r} fails")
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
+        return lower, upper
 
 
 @dataclass(frozen=True)
@@ -338,15 +351,17 @@ def _to_vector(params: DeviceParams) -> np.ndarray:
     return x
 
 
-def _from_vector(x: np.ndarray, cfg: FitConfig) -> DeviceParams:
+def _from_vector(x: np.ndarray, initial: DeviceParams, lower: dict[str, float],
+                 upper: dict[str, float]) -> DeviceParams:
+    """The parameters at `x`, clamped to the box; w_on / w_off are `initial`'s."""
     values: dict[str, float] = {}
     for j, name in enumerate(PARAM_NAMES):
         if name in _LOG_SPACE:
             p = math.exp(x[j]) * _PARAM_SIGN.get(name, 1.0)
         else:
             p = float(x[j])
-        values[name] = min(max(p, cfg.lower[name]), cfg.upper[name])
-    return DeviceParams(w_on=cfg.initial.w_on, w_off=cfg.initial.w_off, **values)
+        values[name] = min(max(p, lower[name]), upper[name])
+    return DeviceParams(w_on=initial.w_on, w_off=initial.w_off, **values)
 
 
 def central_difference_gradient(f: Callable[[np.ndarray], float],
@@ -363,19 +378,21 @@ def central_difference_gradient(f: Callable[[np.ndarray], float],
 
 
 @np.errstate(over="ignore")
-def fit(real: IVTrace, config: FitConfig) -> FitResult:
-    """Minimize `rmse` of the replayed model against the recorded trace.
+def fit(real: IVTrace, initial: DeviceParams, config: FitConfig) -> FitResult:
+    """Minimize `rmse` of the replayed model against the recorded trace,
+    starting from `initial` inside `config.bounds(initial)`.
 
     Deterministic: identical inputs yield the identical result.  The
     returned history holds the accepted objective values, first entry the
     starting point, and is non-increasing.
     """
+    lower, upper = config.bounds(initial)
     infeasible = 0  # evaluations scored `_INFEASIBLE` so far
 
     def objective(x: np.ndarray, start: bool = False) -> float:
         nonlocal infeasible
         try:
-            params = _from_vector(x, config)
+            params = _from_vector(x, initial, lower, upper)
         except (InvalidInputError, OverflowError):
             # clamped box corner that violates a cross-parameter ordering
             # (e.g. r_on >= r_off), or a log-space coordinate too large for
@@ -402,7 +419,7 @@ def fit(real: IVTrace, config: FitConfig) -> FitResult:
         g = central_difference_gradient(objective, at, config.grad_step)
         return g, infeasible > seen
 
-    x = _to_vector(config.initial)
+    x = _to_vector(initial)
     f_x = objective(x, start=True)
     if not math.isfinite(f_x):
         raise InvalidStartError(
@@ -462,7 +479,7 @@ def fit(real: IVTrace, config: FitConfig) -> FitResult:
             converged, stop_reason = True, "tol"
             break
 
-    params = _from_vector(x, config)
+    params = _from_vector(x, initial, lower, upper)
     return FitResult(params=params, rmse=f_x, iterations=iterations,
                      converged=converged, objective_history=tuple(history),
                      stop_reason=stop_reason)

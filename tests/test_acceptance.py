@@ -18,7 +18,7 @@ from memassoc.circuit import (
     SCHEME_LEARNING,
     StageConfig,
 )
-from memassoc.cli import build_fit_config, console_main, load_config
+from memassoc.cli import build_device, build_fit_config, console_main, load_config
 from memassoc.device import DeviceParams, pulse, trajectory
 from memassoc.fit import fit, read_trace_csv
 from memassoc.vision import binarize, load_image
@@ -102,8 +102,8 @@ def test_acceptance_2_hysteresis_and_pulses():
 
 def test_acceptance_3_fit_self_consistency():
     trace = read_trace_csv(REPO / "data" / "iv" / "sine_10hz_0v5.csv")
-    config = build_fit_config(load_config(REPO / "configs" / "fit_sinusoid.conf"))
-    result = fit(trace, config)
+    config = load_config(REPO / "configs" / "fit_sinusoid.conf")
+    result = fit(trace, build_device(config), build_fit_config(config))
     hist = np.array(result.objective_history)
     monotone = bool(np.all(np.diff(hist) <= 1e-15))
     ok = result.converged and result.rmse <= 1e-3 and monotone

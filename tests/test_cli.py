@@ -31,7 +31,6 @@ from memassoc import __version__
 from memassoc.circuit import FIRST_STAGE, ChainConfig, StageConfig, StimulusSchedule
 from memassoc.cli import (
     ExperimentConfig,
-    FitSettings,
     build_chain,
     build_fit_config,
     build_infer_config,
@@ -313,6 +312,18 @@ class TestErrorsAtKeyLine:
         with pytest.raises(ConfigError, match=rf"^line {line}: {re.escape(header)}: "):
             parse_config(text)
 
+    @pytest.mark.parametrize("text, message", [
+        ("[sim]\ndt_s = 5\n[fit]\ngrad_step = x\n", "line 4: not a number: 'x'"),
+        ("[sim]\ndt_s = 5\n[fit]\ngrad_step = -1\n", "line 2: dt_s: duration must"),
+        ("[fit]\nbogus = 1\n[sim]\ndt_s = 5\n", "line 2: unknown key 'bogus' in [fit]"),
+    ], ids=["fit_read_error_first", "chain_before_fit_range", "fit_unknown_key_first"])
+    def test_fit_and_chain_errors_keep_their_order(self, text, message):
+        """[fit]'s values are read with every other section's, before the
+        chain is built, and checked after it: a read error there comes
+        first, a range error there after the chain's."""
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
+            parse_config(text)
+
     def test_row_budget_boundary(self):
         # 1e7 rows at dt 1e-4 s parse; one more does not (nothing is allocated)
         assert parse_config("[sim]\nduration_s = 999.9999\n").chain.duration == 999.9999
@@ -394,12 +405,12 @@ def experiment_configs(draw):
                 t = start + draw(floats(1e-3, 0.5))
                 windows.append((start, t, draw(floats(-2.0, 5.0))))
             segments.append((role, tuple(windows)))
-    fit_bounds = {}
+    fit_bounds = {}  # pairs in any order: `FitConfig` keeps them sorted
     for end, sign in (("lower", -1.0), ("upper", 1.0)):
-        names = draw(st.sets(st.sampled_from(PARAM_NAMES)))
+        names = draw(st.lists(st.sampled_from(PARAM_NAMES), unique=True))
         fit_bounds[end] = tuple(
             (name, getattr(device, name) + sign * draw(floats(0.0, 10.0)))
-            for name in PARAM_NAMES if name in names)
+            for name in names)
     v_min, pulse_dt = draw(floats(-1.0, 0.5)), draw(floats(1e-3, 0.1))
     return ExperimentConfig(
         chain=ChainConfig(
@@ -413,10 +424,10 @@ def experiment_configs(draw):
                       else draw(st.none() | floats(1e-3, 10.0))),
             logic_threshold=draw(floats(0.01, 2.0)),
             readout_amplitude=draw(floats(0.0, 1.0))),
-        fit=FitSettings(grad_step=draw(floats(1e-9, 1e-2)),
-                        max_iters=draw(st.integers(1, 1000)),
-                        tol=draw(floats(0.0, 1e-3)),
-                        source_r_ohm=draw(floats(0.0, 1e4)), **fit_bounds),
+        fit=FitConfig(grad_step=draw(floats(1e-9, 1e-2)),
+                      max_iters=draw(st.integers(1, 1000)),
+                      tol=draw(floats(0.0, 1e-3)),
+                      source_r_ohm=draw(floats(0.0, 1e4)), **fit_bounds),
         vision=VisionConfig(
             binarize_threshold=draw(floats(0.01, 0.99)),
             predicate=draw(st.sampled_from(["equal-binary", "abs-diff"])),
@@ -608,7 +619,7 @@ class TestBuilders:
         three = parse_config("[schedule]\npreset = pavlov3\n"
                              "[stage.1]\n[stage.2]\n[stage.3]\n")
         assert build_chain(three).stages == (FIRST_STAGE, StageConfig(), StageConfig())
-        assert build_fit_config(cfg) == FitConfig(initial=DeviceParams())
+        assert build_fit_config(cfg) == FitConfig()
         assert build_train_config(cfg) == VisionConfig()
         classify_cfg = parse_config("[vision]\nsimilarity_threshold = 0.6\n")
         assert build_infer_config(classify_cfg) == VisionConfig(
@@ -1749,6 +1760,13 @@ class TestTraceWriterProcesses:
         os.waitpid(forked[-1], 0)  # the writer never learned its pid
 
 
+def _edit_json(text, change):
+    """`text`'s JSON object after `change` edits it in place."""
+    manifest = json.loads(text)
+    change(manifest)
+    return json.dumps(manifest)
+
+
 class TestManifests:
     def test_manifest_replays_identically(self, tmp_path):
         cfg = parse_config(CUSTOM_CHAIN)
@@ -1808,6 +1826,38 @@ class TestManifests:
         manifest.write_bytes(b'{"command": "pavlov", \xff}')
         with pytest.raises(DataError, match=rf"^{re.escape(str(manifest))}: not "
                                             "UTF-8 text: byte 0xff at offset 22$"):
+            replay_manifest(manifest, tmp_path / "replayed")
+        assert not (tmp_path / "replayed").exists()
+
+    @pytest.mark.parametrize("edit, problem", [
+        (lambda text: text[:-20], "not JSON"),
+        (lambda text: "[1, 2]", "expected a JSON object, got list"),
+        (lambda text: _edit_json(text, lambda m: m.pop("command")),
+         "command must be a JSON string"),
+        (lambda text: _edit_json(text, lambda m: m.update(command="fit")),
+         "fit args must be the path strings ['trace'], got {}"),
+        (lambda text: _edit_json(text, lambda m: m.update(command="replay")),
+         "unknown command 'replay'"),
+        (lambda text: _edit_json(text, lambda m: m["outputs"].update({"../x": "0"})),
+         "output '../x' must be a plain file name with a hash string"),
+        (lambda text: _edit_json(text, lambda m: m["outputs"].update({"x": None})),
+         "output 'x' must be a plain file name with a hash string"),
+        (lambda text: _edit_json(text, lambda m: m.update(config_sha256="0" * 64)),
+         "config_sha256 does not match config_text"),
+        (lambda text: _edit_json(text, lambda m: m.update(
+            config_text=m["config_text"] + "\ud800")),
+         "config_sha256 does not match config_text"),
+    ], ids=["truncated", "list", "no_command", "fit_without_trace",
+            "unknown_command", "output_outside_out_dir", "output_without_hash",
+            "wrong_config_hash", "lone_surrogate"])
+    def test_malformed_manifest_names_path_before_running(self, tmp_path, edit,
+                                                          problem):
+        out = tmp_path / "run"
+        cmd_pavlov(parse_config(CUSTOM_CHAIN), out)
+        manifest = out / "manifest.json"
+        manifest.write_text(edit(manifest.read_text()))
+        with pytest.raises(DataError, match=rf"^{re.escape(str(manifest))}: malformed "
+                                            rf"manifest: {re.escape(problem)}"):
             replay_manifest(manifest, tmp_path / "replayed")
         assert not (tmp_path / "replayed").exists()
 

@@ -8,6 +8,8 @@ Covered here:
 - gradient vs an independently coded central-difference oracle;
 - fit determinism, monotone accepted objective, trivial start at truth,
   and full self-consistency recovery from a +-30% perturbed start;
+- `FitConfig` bound overrides: kept in parameter order, each name known
+  and given once, and merged into a box that must bracket the start;
 - a start whose line search overflows exp still returns a result, and so
   does one whose gradient probe overflows the device replay;
 - trace columns are read-only copies, and the shipped `fit_sinusoid.conf`
@@ -247,14 +249,14 @@ class TestGradient:
 
 class TestFit:
     def test_start_at_truth_is_immediate(self, reference_trace):
-        res = fit(reference_trace, FitConfig(initial=TRUE))
+        res = fit(reference_trace, TRUE, FitConfig())
         assert res.converged
         assert res.stop_reason == "objective_floor"
         assert res.iterations == 0
         assert res.rmse <= 1e-12
 
     def test_self_consistency_from_perturbed_start(self, reference_trace):
-        res = fit(reference_trace, FitConfig(initial=perturbed_start()))
+        res = fit(reference_trace, perturbed_start(), FitConfig())
         assert res.converged
         assert res.rmse <= 1e-3
         hist = np.array(res.objective_history)
@@ -262,30 +264,53 @@ class TestFit:
         assert hist[0] > 1e-3  # the start really was off
 
     def test_deterministic(self, reference_trace):
-        cfg = FitConfig(initial=perturbed_start(), max_iters=25)
-        r1 = fit(reference_trace, cfg)
-        r2 = fit(reference_trace, cfg)
+        cfg = FitConfig(max_iters=25)
+        r1 = fit(reference_trace, perturbed_start(), cfg)
+        r2 = fit(reference_trace, perturbed_start(), cfg)
         assert r1.params == r2.params
         assert r1.objective_history == r2.objective_history
 
     def test_iteration_budget_reported_not_converged(self, reference_trace):
-        res = fit(reference_trace, FitConfig(initial=perturbed_start(), max_iters=2))
+        res = fit(reference_trace, perturbed_start(), FitConfig(max_iters=2))
         assert res.iterations == 2
         assert not res.converged
         assert res.stop_reason == "max_iters"
 
     def test_bounds_clamp_is_respected(self, reference_trace):
-        lower, upper = default_bounds(perturbed_start())
-        cfg = FitConfig(initial=perturbed_start(), lower=lower, upper=upper,
+        start = perturbed_start()
+        lower, upper = default_bounds(start)
+        cfg = FitConfig(lower=tuple(lower.items()), upper=tuple(upper.items()),
                         max_iters=40)
-        res = fit(reference_trace, cfg)
+        res = fit(reference_trace, start, cfg)
+        assert cfg.bounds(start) == (lower, upper)
         for name in PARAM_NAMES:
-            assert cfg.lower[name] - 1e-12 <= getattr(res.params, name) \
-                <= cfg.upper[name] + 1e-12
+            assert lower[name] - 1e-12 <= getattr(res.params, name) \
+                <= upper[name] + 1e-12
 
     def test_bounds_must_bracket_initial(self):
-        with pytest.raises(InvalidInputError):
-            FitConfig(initial=TRUE, lower={"r_on": 30e3})
+        cfg = FitConfig(lower=(("r_on", 30e3),))
+        with pytest.raises(InvalidInputError, match="^bounds for r_on must bracket "
+                                                    "the initial guess"):
+            cfg.bounds(TRUE)
+        with pytest.raises(InvalidInputError, match="^bounds for r_on must bracket"):
+            fit(sine_drive(), TRUE, cfg)
+        assert cfg.bounds(DeviceParams(r_on=40e3))[0]["r_on"] == 30e3
+
+    @pytest.mark.parametrize("end", ["lower", "upper"])
+    @pytest.mark.parametrize("pairs", [(("bogus", 1.0),), (("r_on", 1e3), ("r_on", 2e3)),
+                                       (("w_on", 0.0),)],
+                             ids=["unknown", "repeated", "not_fitted"])
+    def test_bound_names_known_and_once(self, end, pairs):
+        with pytest.raises(InvalidInputError, match=rf"^{end} bounds must name fit "
+                                                    "parameters, each at most once"):
+            FitConfig(**{end: pairs})
+
+    def test_bound_pairs_kept_in_parameter_order(self):
+        cfg = FitConfig(lower=(("v_off", -1.0), ("r_on", 1e3)),
+                        upper=(("k_on", 9.0), ("alpha_on", 9.0), ("r_off", 1e6)))
+        assert cfg.lower == (("r_on", 1e3), ("v_off", -1.0))
+        assert cfg.upper == (("r_off", 1e6), ("alpha_on", 9.0), ("k_on", 9.0))
+        assert cfg == FitConfig(lower=cfg.lower, upper=cfg.upper)
 
     def test_invalid_start_raises(self):
         t = np.arange(3.0)
@@ -293,7 +318,7 @@ class TestFit:
         # rmse inside the first objective evaluation
         real = IVTrace(t, np.array([0.1, 0.1, 0.1]), np.zeros(3))
         with pytest.raises((InvalidStartError, InvalidInputError)):
-            fit(real, FitConfig(initial=TRUE))
+            fit(real, TRUE, FitConfig())
 
     def test_exp_overflow_start_is_searched_not_raised(self):
         # every parameter 0.7x or 1.3x the device behind the shipped sine
@@ -304,7 +329,7 @@ class TestFit:
             name: getattr(TRUE, name) * (1.3 if 252 >> j & 1 else 0.7)
             for j, name in enumerate(PARAM_NAMES)})
         real = read_trace_csv(REPO / "data" / "iv" / "sine_10hz_0v5.csv")
-        res = fit(real, FitConfig(initial=start))
+        res = fit(real, start, FitConfig())
         assert isinstance(res, FitResult)
         assert math.isfinite(res.rmse)
 
@@ -340,7 +365,7 @@ class TestFit:
                 raise
 
         monkeypatch.setattr(memassoc.fit, "simulate_current", counting_replay)
-        res = fit(real, FitConfig(initial=start, max_iters=5))
+        res = fit(real, start, FitConfig(max_iters=5))
         assert raised, "no replay overflowed: the case no longer tests back-off"
         assert math.isfinite(res.rmse)
         # the overflowing probe put the surrogate into the gradient, so the
@@ -353,9 +378,9 @@ class TestFit:
     def test_shipped_config_fit_is_pinned(self, monkeypatch):
         # the shipped fit, replay for replay: a change that moves one float
         # of any objective eval, or adds or drops an eval, shows here
-        from memassoc.cli import build_fit_config, load_config
+        from memassoc.cli import build_device, build_fit_config, load_config
 
-        config = build_fit_config(load_config(REPO / "configs" / "fit_sinusoid.conf"))
+        config = load_config(REPO / "configs" / "fit_sinusoid.conf")
         real = read_trace_csv(REPO / "data" / "iv" / "sine_10hz_0v5.csv")
         calls = []
         replay = memassoc.fit.simulate_current
@@ -365,7 +390,7 @@ class TestFit:
             return replay(*args, **kwargs)
 
         monkeypatch.setattr(memassoc.fit, "simulate_current", counting_replay)
-        res = fit(real, config)
+        res = fit(real, build_device(config), build_fit_config(config))
         assert (res.iterations, len(calls)) == (78, 1429)
         assert repr(res.rmse) == "2.1612733124098566e-07"
         assert res.converged and res.stop_reason == "tol"
@@ -373,6 +398,6 @@ class TestFit:
 
     def test_structural_state_bounds_fixed(self, reference_trace):
         start = perturbed_start()
-        res = fit(reference_trace, FitConfig(initial=start, max_iters=5))
+        res = fit(reference_trace, start, FitConfig(max_iters=5))
         assert res.params.w_on == start.w_on
         assert res.params.w_off == start.w_off
