@@ -61,7 +61,6 @@ from .vision import (
     classify,
     load_image,
     new_array,
-    state_grid,
     train_many,
     write_state_csv,
 )
@@ -494,8 +493,20 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
+# Each command's inputs, the path strings its manifest's `args` record, and
+# its outputs, the files it writes beside manifest.json and whose hashes the
+# manifest records.
+_COMMAND_INPUTS = {"fit": {"trace"}, "pavlov": set(), "vision-train": {"train_dir"},
+                   "vision-classify": {"train_dir", "test_dir"}}
+_COMMAND_OUTPUTS = {"fit": {"device_fit.conf", "fit_report.json"},
+                    "pavlov": {"trace.csv", "metrics.txt", "plot_trace.py"},
+                    "vision-train": {"array_state.csv"},
+                    "vision-classify": {"array_state.csv", "report.csv"}}
+
+
 def _write_manifest(out_dir: Path, command: str, config: ExperimentConfig,
-                    args: dict[str, Any], outputs: list[str]) -> None:
+                    args: dict[str, Any]) -> None:
+    """manifest.json for a `command` run whose outputs are in `out_dir`."""
     text = serialize_config(config)
     manifest = {
         "version": __version__,
@@ -503,7 +514,8 @@ def _write_manifest(out_dir: Path, command: str, config: ExperimentConfig,
         "args": args,
         "config_sha256": hashlib.sha256(text.encode()).hexdigest(),
         "config_text": text,
-        "outputs": {name: _sha256(out_dir / name) for name in sorted(outputs)},
+        "outputs": {name: _sha256(out_dir / name)
+                    for name in sorted(_COMMAND_OUTPUTS[command])},
     }
     (out_dir / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n")
@@ -522,8 +534,7 @@ def cmd_fit(config: ExperimentConfig, trace_path: str | Path,
               "rmse": result.rmse}
     (out / "fit_report.json").write_text(
         json.dumps(report, indent=2, sort_keys=True) + "\n")
-    _write_manifest(out, "fit", config, {"trace": str(trace_path)},
-                    ["device_fit.conf", "fit_report.json"])
+    _write_manifest(out, "fit", config, {"trace": str(trace_path)})
     if result.converged:
         return 0
     print(f"error: fit did not converge: stopped on {result.stop_reason} after "
@@ -540,8 +551,7 @@ def cmd_pavlov(config: ExperimentConfig, out_dir: str | Path) -> int:
     write_sim_trace_csv(trace, out / "trace.csv")
     write_metrics_report(metrics(trace), out / "metrics.txt")
     (out / "plot_trace.py").write_text(_PLOT_SCRIPT)
-    _write_manifest(out, "pavlov", config, {},
-                    ["trace.csv", "metrics.txt", "plot_trace.py"])
+    _write_manifest(out, "pavlov", config, {})
     return 0
 
 
@@ -593,22 +603,17 @@ def cmd_vision(config: ExperimentConfig, train_dir: str | Path,
                      f"{infer.similarity_threshold:.10g},{res.label}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_state_csv(state_grid(array), out / "array_state.csv")
-    outputs = ["array_state.csv"]
+    write_state_csv(array.state, out / "array_state.csv")
     args: dict[str, Any] = {"train_dir": str(train_dir)}
     command = "vision-train"
     if test_dir is not None:
         command = "vision-classify"
         args["test_dir"] = str(test_dir)
         (out / "report.csv").write_text("\n".join(lines) + "\n")
-        outputs.append("report.csv")
-    _write_manifest(out, command, config, args, outputs)
+    _write_manifest(out, command, config, args)
     return 0
 
 
-# The inputs a manifest's `args` records for each command, as path strings.
-_COMMAND_INPUTS = {"fit": {"trace"}, "pavlov": set(), "vision-train": {"train_dir"},
-                   "vision-classify": {"train_dir", "test_dir"}}
 _MANIFEST_FIELDS = {"command": str, "args": dict, "config_text": str,
                     "config_sha256": str, "outputs": dict}
 
@@ -640,6 +645,10 @@ def _read_manifest(path: Path) -> dict[str, Any]:
                 or not isinstance(digest, str)):
             raise malformed(f"output {name!r} must be a plain file name with a "
                             "hash string")
+    if set(manifest["outputs"]) != _COMMAND_OUTPUTS[command]:
+        raise malformed(f"{command} outputs must be the files "
+                        f"{sorted(_COMMAND_OUTPUTS[command])}, "
+                        f"got {sorted(manifest['outputs'])}")
     # no run writes a lone surrogate: one fails to match instead of raising
     config_bytes = manifest["config_text"].encode("utf-8", "surrogatepass")
     if hashlib.sha256(config_bytes).hexdigest() != manifest["config_sha256"]:

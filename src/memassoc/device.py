@@ -45,9 +45,13 @@ recomputed only from the same w, so every row equals the oracle's
 
 `pulse` holds a constant voltage per cell for n steps, on one device (the
 vision label device, stepped as a grid of one cell) or on a grid (the
-vision array).  Only the cells that can move are stepped: a cell is
-movable when v >= v_on and w < w_off, or v <= v_off and w > w_on.  Every
-other cell sits in the dead zone or is driven into the bound it already
+vision array).  Like `trajectory`, it is its input checks followed by a
+private fold, `_fold`; the vision training pulse, whose inputs pass the
+checks by construction (the array's own grid, voltages it built and
+checked finite, the config's dt and step count), calls the fold
+directly.  Only the cells that can move are stepped: a cell is movable
+when v >= v_on and w < w_off, or v <= v_off and w > w_on.  Every other
+cell sits in the dead zone or is driven into the bound it already
 holds, so the rectangular window keeps its state, and `pulse` copies it
 without computing its rate.  The test over-approximates (a rate that
 rounds to zero still passes), and such a cell's sum stays at its state.
@@ -253,7 +257,15 @@ def pulse(params: DeviceParams, w: float | np.ndarray, v: float | np.ndarray,
         raise InvalidInputError(f"need finite dt > 0, got dt={dt!r}")
     if not isinstance(n_steps, (int, np.integer)) or n_steps < 0:
         raise InvalidInputError(f"n_steps must be an integer >= 0, got {n_steps!r}")
+    return _fold(params, ws, vs, dt, n_steps)
 
+
+def _fold(params: DeviceParams, ws: np.ndarray, vs: np.ndarray, dt: float,
+          n_steps: int) -> float | np.ndarray:
+    """The stepping of `pulse` on float arrays whose checks have passed: `ws`
+    and `vs` of one shape, no input checked again.  The result is a new
+    array (or a float for 0-d inputs); `ws` is only read."""
+    lo, hi = params.w_on, params.w_off
     shape = ws.shape
     ws, vs = ws.ravel(), vs.ravel()
     u = ws.copy()

@@ -32,6 +32,17 @@ cost the movability test alone.  A drift rate beyond the float range on
 a cell that can move fails the training or label pulse with a
 `DataError` that names it; on a cell that cannot move it is never
 evaluated.
+
+What does not change from one image, pair or probe to the next is done
+once per run.  The config checks its threshold, voltages, dt and step
+budgets when it is built, so matching binarizes each grid with one
+comparison into a boolean mask and counts with `np.count_nonzero`, and
+the training pulse steps `pulse`'s fold on the array's own grid and on
+voltages built here, without running `pulse`'s input checks again (the
+label pulse, run once per drive, keeps them).  An array holds its cell
+grid read-only and computes its normalized `state` grid once, so every
+probe of a trained array, and the written `array_state.csv`, read one
+grid.
 """
 
 from __future__ import annotations
@@ -42,11 +53,11 @@ import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Collection, Sequence
+from typing import Callable, Collection, Sequence
 
 import numpy as np
 
-from .device import DeviceParams, pulse, resistance
+from .device import DeviceParams, _fold, pulse, resistance
 from .errors import DataError, InvalidInputError, read_input, require, split_lines
 
 __all__ = [
@@ -62,7 +73,6 @@ __all__ = [
     "load_image",
     "read_image_csv",
     "read_image_pgm",
-    "binarize",
     "match_counts",
     "modulation_voltages",
     "train_pair",
@@ -156,29 +166,41 @@ class VisionConfig:
 
 @dataclass(frozen=True)
 class ArrayState:
-    """Shared device parameters plus the per-cell state grid."""
+    """Shared device parameters plus the per-cell state grid, held as a
+    read-only float copy (the caller's array keeps its flags), so the
+    normalized grid `state` can be computed once per array."""
 
     params: DeviceParams
     w: np.ndarray
 
     def __post_init__(self) -> None:
-        w = np.asarray(self.w, dtype=float)
+        w = np.array(self.w, dtype=float)
         if w.ndim != 2:
             raise InvalidInputError(f"cell grid must be 2-D, got shape {w.shape}")
         if not np.all(np.isfinite(w)):
             raise InvalidInputError("cell states must be finite")
         if w.min() < self.params.w_on or w.max() > self.params.w_off:
             raise InvalidInputError("cell states must lie within device bounds")
+        w.flags.writeable = False
         object.__setattr__(self, "w", w)
 
     @classmethod
     def _trusted(cls, params: DeviceParams, w: np.ndarray) -> ArrayState:
-        """An array whose float grid is known to pass `__post_init__`,
-        built without running its checks again."""
+        """An array on `w`, a new float grid known to pass `__post_init__`
+        that no one else holds, built without running its checks again."""
+        w.flags.writeable = False
         array = object.__new__(cls)
         object.__setattr__(array, "params", params)
         object.__setattr__(array, "w", w)
         return array
+
+    @functools.cached_property
+    def state(self) -> np.ndarray:
+        """`state_grid(self)`, computed on first use and read-only: every
+        probe of a trained array reads the same grid."""
+        grid = state_grid(self)
+        grid.flags.writeable = False
+        return grid
 
 
 def new_array(params: DeviceParams | None = None,
@@ -316,23 +338,17 @@ def load_image(path: Path, side: int = GRID_SIDE,
 
 # --- training --------------------------------------------------------------
 
-def _pulse(what: str, params: DeviceParams, w: float | np.ndarray,
-           v: float | np.ndarray, dt: float, n_steps: int) -> float | np.ndarray:
-    """`device.pulse`, with a drift rate beyond the float range as a
-    `DataError` that names the pulse."""
+def _pulse(what: str, step: Callable[..., float | np.ndarray],
+           params: DeviceParams, w: float | np.ndarray, v: float | np.ndarray,
+           dt: float, n_steps: int) -> float | np.ndarray:
+    """`step(params, w, v, dt, n_steps)`, which is `device.pulse` or, on
+    float arrays that pass its checks already, its fold, with a drift rate
+    beyond the float range as a `DataError` that names the pulse."""
     try:
-        return pulse(params, w, v, dt, n_steps)
+        return step(params, w, v, dt, n_steps)
     except OverflowError as exc:
         raise DataError(f"{what}: the device's drift rate is beyond the "
                         "float range") from exc
-
-
-def binarize(img: np.ndarray,
-             threshold: float = VisionConfig.binarize_threshold) -> np.ndarray:
-    """Intensities mapped to {0, 1} by >= threshold."""
-    if not 0.0 < threshold < 1.0:
-        raise InvalidInputError(f"threshold must lie in (0,1), got {threshold!r}")
-    return (np.asarray(img, dtype=float) >= threshold).astype(float)
 
 
 def match_counts(input_img: np.ndarray, teacher_img: np.ndarray,
@@ -349,14 +365,14 @@ def match_counts(input_img: np.ndarray, teacher_img: np.ndarray,
         raise InvalidInputError(
             f"input {inp.shape} and teacher {tea.shape} shapes differ")
     if cfg.predicate == "equal-binary":
-        inp = binarize(inp, cfg.binarize_threshold)
-        tea = binarize(tea, cfg.binarize_threshold)
+        # each image binarized once, as the mask of intensities >= the
+        # threshold, which `cfg` has checked
+        inp_on = inp >= cfg.binarize_threshold
+        tea_on = tea >= cfg.binarize_threshold
         if cfg.scope == "corresponding":
-            counts = (inp == tea).astype(float)
-            return counts, 1
-        ones = float(np.sum(inp == 1.0))
-        counts = np.where(tea == 1.0, ones, inp.size - ones)
-        return counts, inp.size
+            return (inp_on == tea_on).astype(float), 1
+        ones = float(np.count_nonzero(inp_on))
+        return np.where(tea_on, ones, inp.size - ones), inp.size
     # abs-diff predicate on raw intensities
     if cfg.scope == "corresponding":
         counts = (np.abs(inp - tea) <= cfg.tau).astype(float)
@@ -387,9 +403,14 @@ def train_pair(array: ArrayState, input_img: np.ndarray,
             f"array shape {array.w.shape}")
     counts, scope_n = match_counts(input_img, teacher_img, cfg)
     volts = modulation_voltages(counts, scope_n, cfg.v_min, cfg.v_max)
-    w = _pulse("training pulse", array.params, array.w, volts, cfg.dt,
+    # the grid is the array's own and `cfg` has checked dt and the pulse's
+    # step count: of `pulse`'s checks only finite voltages remain, which a
+    # span v_max - v_min near the float range can break
+    if not np.isfinite(volts).all():
+        raise InvalidInputError("voltages must be finite")
+    w = _pulse("training pulse", _fold, array.params, array.w, volts, cfg.dt,
                int(round(cfg.pulse_dt / cfg.dt)))
-    # `pulse` returns a float grid of the array's shape within the bounds
+    # the fold returns a new float grid of the array's shape within the bounds
     return ArrayState._trusted(array.params, w)
 
 
@@ -419,11 +440,18 @@ def similarity(state: np.ndarray, img: np.ndarray,
     """Mean squared difference between the state map and the inverted
     binary image; 0 means the array encodes exactly this pattern."""
     state = np.asarray(state, dtype=float)
-    target = 1.0 - binarize(img, binarize_threshold)
-    if state.shape != target.shape:
+    if not 0.0 < binarize_threshold < 1.0:
         raise InvalidInputError(
-            f"state {state.shape} and image {target.shape} shapes differ")
-    return float(np.mean((state - target) ** 2))
+            f"threshold must lie in (0,1), got {binarize_threshold!r}")
+    img = np.asarray(img, dtype=float)
+    if state.shape != img.shape:
+        raise InvalidInputError(
+            f"state {state.shape} and image {img.shape} shapes differ")
+    # the inverted binary image as a mask, True where the intensity is not
+    # >= the threshold (nan included): subtracting it subtracts 1.0 or 0.0
+    squares = (state - ~(img >= binarize_threshold)) ** 2
+    # `np.mean`'s sum and division, without its ~5 us of dispatch
+    return float(np.add.reduce(squares, axis=None)) / squares.size
 
 
 def midpoint_threshold(scores_a: Sequence[float],
@@ -441,8 +469,8 @@ def _label_resistance(device: DeviceParams, drive: float, dt: float,
     """Label device's resistance after a pulse of `n_steps` steps of dt at
     `drive`, from w_on.  Every verdict restarts the device at w_on, so the
     result depends on these arguments alone and is computed once for each."""
-    return resistance(device, _pulse("label pulse", device, device.w_on, drive,
-                                     dt, n_steps))
+    return resistance(device, _pulse("label pulse", pulse, device, device.w_on,
+                                     drive, dt, n_steps))
 
 
 @dataclass(frozen=True)
@@ -463,7 +491,7 @@ def classify(array: ArrayState, img: np.ndarray,
     boundary (50 kOhm by default).
     """
     cfg.check_classify(array.params)
-    score = similarity(state_grid(array), img, cfg.binarize_threshold)
+    score = similarity(array.state, img, cfg.binarize_threshold)
     drive = (cfg.label_learn_v if score < cfg.similarity_threshold
              else cfg.label_forget_v)
     r = _label_resistance(array.params, drive, cfg.dt,

@@ -3,7 +3,9 @@
 Each function is the plain-float, one-step-at-a-time form of the model in
 `memassoc.device` and `memassoc.circuit`, written from the formulas in
 their docstrings.  The property tests check `trajectory`, `pulse` and
-`run_chain` (its signal sampler included) against these bit for bit, and
+`run_chain` (its signal sampler included) against these bit for bit,
+`errors.split_lines` against the regex split, the vision matching and
+scoring against the float-grid formulas built on `binarize`, and
 `vision.read_image_csv` against the line-at-a-time reader at the end;
 the package never calls them.
 """
@@ -11,11 +13,12 @@ the package never calls them.
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 
 from memassoc.device import resistance
-from memassoc.errors import DataError
+from memassoc.errors import DataError, InvalidInputError
 
 
 def drift_rate(params, w, v):
@@ -155,3 +158,32 @@ def read_image_csv(path):
                 f"{path.name}: intensity {float(raw.max())!r} exceeds 255")
         return raw / 255.0
     return raw
+
+
+def split_lines(text):
+    """`text` split at CR, LF and CRLF by one regex, CRLF tried first."""
+    return re.split(r"\r\n|\r|\n", text)
+
+
+def binarize(img, threshold=0.5):
+    """Intensities mapped to {0.0, 1.0} by >= threshold, as a float grid."""
+    if not 0.0 < threshold < 1.0:
+        raise InvalidInputError(f"threshold must lie in (0,1), got {threshold!r}")
+    return (np.asarray(img, dtype=float) >= threshold).astype(float)
+
+
+def match_counts_binary(input_img, teacher_img, threshold, scope):
+    """Match counts and scope size of the equal-binary predicate on the
+    `binarize` grids: position-wise equality under `corresponding` scope,
+    else per teacher pixel the input entries equal to it."""
+    inp, tea = binarize(input_img, threshold), binarize(teacher_img, threshold)
+    if scope == "corresponding":
+        return (inp == tea).astype(float), 1
+    ones = float(np.sum(inp == 1.0))
+    return np.where(tea == 1.0, ones, inp.size - ones), inp.size
+
+
+def similarity(state, img, threshold=0.5):
+    """Mean squared difference between the state grid and 1 - binarize(img)."""
+    return float(np.mean((np.asarray(state, dtype=float)
+                          - (1.0 - binarize(img, threshold))) ** 2))

@@ -21,8 +21,8 @@ from memassoc.circuit import (
 from memassoc.cli import build_device, build_fit_config, console_main, load_config
 from memassoc.device import DeviceParams, pulse, trajectory
 from memassoc.fit import fit, read_trace_csv
-from memassoc.vision import binarize, load_image
-from oracle import select
+from memassoc.vision import load_image
+from oracle import binarize, select
 
 REPO = Path(__file__).resolve().parents[1]
 PARAMS = DeviceParams()

@@ -43,7 +43,7 @@ from memassoc.cli import (
     serialize_config,
 )
 from memassoc.device import DeviceParams
-from memassoc.errors import ConfigError, DataError
+from memassoc.errors import ConfigError, DataError, split_lines
 from memassoc.fit import (
     PARAM_NAMES,
     FitConfig,
@@ -52,6 +52,7 @@ from memassoc.fit import (
     write_trace_csv,
 )
 from memassoc.vision import VisionConfig, read_image_csv
+from oracle import split_lines as split_lines_by_regex
 
 REPO = Path(__file__).resolve().parents[1]
 CONFIGS = sorted((REPO / "configs").glob("*.conf"))
@@ -1628,6 +1629,12 @@ class TestLineNumbers:
         assert message.startswith("img.csv:1: "), message
         assert image_csv_error(tmp_path, "0,1\r\n\r1,x\n").startswith("img.csv:3: ")
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(LINE_BREAKS + NOT_LINE_BREAKS) | st.text(max_size=3),
+                    max_size=40).map("".join))
+    def test_split_lines_equals_regex_split(self, text):
+        assert split_lines(text) == split_lines_by_regex(text)
+
     @settings(max_examples=200, deadline=None)
     @given(texts_of(["[sim]", "[schedule]", "[device]", "dt_s = ", "duration_s = ",
                      "preset = custom", "food_segments = ", "0:0.1", "r_on_ohm = ",
@@ -1842,6 +1849,14 @@ class TestManifests:
          "output '../x' must be a plain file name with a hash string"),
         (lambda text: _edit_json(text, lambda m: m["outputs"].update({"x": None})),
          "output 'x' must be a plain file name with a hash string"),
+        (lambda text: _edit_json(text, lambda m: m["outputs"].update(
+            {"extra.csv": "0" * 64})),
+         "pavlov outputs must be the files ['metrics.txt', 'plot_trace.py', "
+         "'trace.csv'], got ['extra.csv', 'metrics.txt', 'plot_trace.py', "
+         "'trace.csv']"),
+        (lambda text: _edit_json(text, lambda m: m["outputs"].pop("trace.csv")),
+         "pavlov outputs must be the files ['metrics.txt', 'plot_trace.py', "
+         "'trace.csv'], got ['metrics.txt', 'plot_trace.py']"),
         (lambda text: _edit_json(text, lambda m: m.update(config_sha256="0" * 64)),
          "config_sha256 does not match config_text"),
         (lambda text: _edit_json(text, lambda m: m.update(
@@ -1849,7 +1864,8 @@ class TestManifests:
          "config_sha256 does not match config_text"),
     ], ids=["truncated", "list", "no_command", "fit_without_trace",
             "unknown_command", "output_outside_out_dir", "output_without_hash",
-            "wrong_config_hash", "lone_surrogate"])
+            "output_not_written", "output_missing", "wrong_config_hash",
+            "lone_surrogate"])
     def test_malformed_manifest_names_path_before_running(self, tmp_path, edit,
                                                           problem):
         out = tmp_path / "run"
@@ -1858,6 +1874,21 @@ class TestManifests:
         manifest.write_text(edit(manifest.read_text()))
         with pytest.raises(DataError, match=rf"^{re.escape(str(manifest))}: malformed "
                                             rf"manifest: {re.escape(problem)}"):
+            replay_manifest(manifest, tmp_path / "replayed")
+        assert not (tmp_path / "replayed").exists()
+
+    def test_input_path_that_cannot_be_encoded_names_it(self, tmp_path):
+        # a manifest's args are JSON strings, so one can hold a lone
+        # surrogate, which no file system path encodes
+        text = serialize_config(ExperimentConfig())
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({
+            "command": "fit", "args": {"trace": "\ud800.csv"},
+            "config_text": text,
+            "config_sha256": hashlib.sha256(text.encode()).hexdigest(),
+            "outputs": {"device_fit.conf": "0", "fit_report.json": "0"}}))
+        with pytest.raises(DataError, match=r"^\ud800\.csv: path cannot be "
+                                            "encoded: surrogates not allowed$"):
             replay_manifest(manifest, tmp_path / "replayed")
         assert not (tmp_path / "replayed").exists()
 

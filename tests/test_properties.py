@@ -40,6 +40,13 @@ comparisons):
     texts of one value (-0 kept apart from 0);
   * `classify` reads the label device's resistance after the same pulse
     that `device.trajectory` steps through;
+  * equal-binary `match_counts`, under both scopes, and `similarity` equal
+    the oracle's formulas on `binarize` float grids bit for bit, on grids
+    whose cells sit at the threshold, one ULP either side of it, at 0.0,
+    -0.0, 1.0 and nan; a trained array's cached `state` grid is
+    `state_grid` of it, bit for bit, and read-only like its cell grid; and
+    `train_pair`, which steps the unchecked fold, equals `device.pulse`
+    over the voltages `modulation_voltages` derives from the same counts;
   * the stage-at-a-time `run_chain` equals the oracle's row-at-a-time
     chain, which samples every row with its own scalar sampler and selects
     from its own wildcard copy of the truth tables, on random custom
@@ -96,11 +103,16 @@ from memassoc.vision import (
     ArrayState,
     VisionConfig,
     classify,
+    match_counts,
+    modulation_voltages,
     new_array,
     read_image_csv,
+    similarity,
+    state_grid,
     train_pair,
 )
-from oracle import fold, run_chain_rows
+from oracle import fold, match_counts_binary, run_chain_rows
+from oracle import similarity as similarity_of_binarized
 from oracle import read_image_csv as read_image_csv_by_line
 
 finite = dict(allow_nan=False, allow_infinity=False)
@@ -514,6 +526,85 @@ def test_classify_label_resistance_matches_trajectory(case):
     n = int(round(cfg.label_pulse_s / cfg.dt))
     want = trajectory(array.params, [drive] * n, cfg.dt, array.params.w_on)[-1]
     assert got.label_resistance == want
+
+
+@st.composite
+def binary_case(draw):
+    """A threshold and three grids of one shape: input, teacher and state.
+    Image cells sit at the threshold, one ULP either side of it, at 0.0,
+    -0.0, 1.0 or nan, or anywhere in [0, 1]; state cells at 0.0, -0.0,
+    1.0 or anywhere in [0, 1]."""
+    threshold = draw(st.sampled_from([0.5, 1e-9, 1.0 - 1e-9])
+                     | st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    pixels = (st.sampled_from([threshold, math.nextafter(threshold, 0.0),
+                               math.nextafter(threshold, 1.0), 0.0, -0.0, 1.0,
+                               math.nan])
+              | st.floats(0.0, 1.0))
+    shape = (draw(st.integers(1, 5)), draw(st.integers(1, 5)))
+    cells = shape[0] * shape[1]
+
+    def grid(values):
+        return np.reshape(draw(st.lists(values, min_size=cells, max_size=cells)),
+                          shape)
+
+    state = grid(st.sampled_from([0.0, -0.0, 1.0]) | st.floats(0.0, 1.0))
+    return threshold, grid(pixels), grid(pixels), state
+
+
+@settings(max_examples=300, deadline=None)
+@given(binary_case())
+def test_binary_matching_equals_binarize_formulas(case):
+    threshold, inp, teacher, state = case
+    for scope in ("all-vector", "corresponding"):
+        cfg = VisionConfig(binarize_threshold=threshold, scope=scope)
+        counts, n = match_counts(inp, teacher, cfg)
+        want_counts, want_n = match_counts_binary(inp, teacher, threshold, scope)
+        assert n == want_n
+        assert np.array_equal(bits64(counts), bits64(want_counts))
+    got = similarity(state, inp, threshold)
+    want = similarity_of_binarized(state, inp, threshold)
+    assert bits64(np.array(got)) == bits64(np.array(want))
+
+
+@st.composite
+def training_case(draw):
+    """An array on a drawn device, a binary input and teacher, and a rule
+    whose voltages reach past v_on from a v_min at 0 V, at v_off, or
+    anywhere from 0.5 V below v_off up to v_on, for 1 to 40 steps."""
+    device = draw(device_params())
+    side = draw(st.integers(1, 5))
+    array = ArrayState(device, np.reshape(draw(st.lists(
+        start_state(device), min_size=side * side, max_size=side * side)),
+        (side, side)))
+    inp, teacher = (np.reshape(draw(st.lists(
+        st.sampled_from([0.0, 1.0]), min_size=side * side,
+        max_size=side * side)), (side, side)) for _ in range(2))
+    dt = draw(st.floats(1e-5, 1e-2))
+    cfg = VisionConfig(
+        scope=draw(st.sampled_from(["all-vector", "corresponding"])),
+        v_min=draw(st.sampled_from([0.0, device.v_off])
+                   | st.floats(device.v_off - 0.5, device.v_on)),
+        v_max=device.v_on + draw(st.floats(1e-3, 1.0)),
+        dt=dt, pulse_dt=dt * draw(st.integers(1, 40)))
+    return array, inp, teacher, cfg
+
+
+@settings(max_examples=200, deadline=None)
+@given(training_case())
+def test_trained_array_equals_checked_pulse(case):
+    array, inp, teacher, cfg = case
+    trained = train_pair(array, inp, teacher, cfg)
+    volts = modulation_voltages(*match_counts(inp, teacher, cfg), cfg.v_min,
+                                cfg.v_max)
+    want = pulse(array.params, array.w, volts, cfg.dt,
+                 int(round(cfg.pulse_dt / cfg.dt)))
+    assert np.array_equal(bits64(trained.w), bits64(want))
+    for grid in (trained.w, trained.state):
+        assert not grid.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            grid[0, 0] = 0.5
+    assert trained.state is trained.state
+    assert np.array_equal(bits64(trained.state), bits64(state_grid(trained)))
 
 
 # --- CSV images -----------------------------------------------------------------

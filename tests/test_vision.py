@@ -30,7 +30,6 @@ from memassoc.vision import (
     _label_resistance,
     ArrayState,
     VisionConfig,
-    binarize,
     classify,
     load_image,
     match_counts,
@@ -44,7 +43,7 @@ from memassoc.vision import (
     train_pair,
     write_state_csv,
 )
-from oracle import step
+from oracle import binarize, step
 
 DATA = Path(__file__).resolve().parents[1] / "data" / "vision"
 THETA = 0.2911  # frozen from the shipped calibration split
@@ -364,11 +363,28 @@ class TestTraining:
         with pytest.raises(InvalidInputError, match="v_on"):
             train_pair(new_array(side=2), np.ones((2, 2)), np.ones((2, 2)), cfg)
 
+    def test_voltage_span_beyond_float_range_is_refused(self):
+        # v_max - v_min overflows, so every voltage is inf or nan; the
+        # training pulse skips `pulse`'s checks but still refuses them
+        cfg = VisionConfig(v_min=-1e308, v_max=1e308)
+        with pytest.raises(InvalidInputError, match="^voltages must be finite$"):
+            train_pair(new_array(side=2), np.ones((2, 2)), np.ones((2, 2)), cfg)
+
     def test_array_state_validation(self):
         with pytest.raises(InvalidInputError):
             ArrayState(DeviceParams(), np.array([0.0, 1.0]))  # 1-D
         with pytest.raises(InvalidInputError):
             ArrayState(DeviceParams(), np.full((2, 2), 1.5))  # out of bounds
+
+    def test_array_holds_a_read_only_copy(self):
+        # the state grid is computed once per array, so its cells must not
+        # change under it; the caller's grid stays writable and its own
+        w = np.full((2, 2), 0.5)
+        array = ArrayState(DeviceParams(), w)
+        w[0, 0] = 0.0
+        assert w.flags.writeable and array.w[0, 0] == 0.5
+        assert not array.w.flags.writeable
+        np.testing.assert_array_equal(array.state, np.full((2, 2), 0.5))
 
 
 class TestStateAndSimilarity:
