@@ -125,6 +125,8 @@ class VisionConfig:
                 ("v_min", math.isfinite(self.v_min), "be finite"),
                 ("v_max", self.v_min < self.v_max < math.inf,
                  f"be finite and exceed v_min={self.v_min!r}"),
+                ("v_max", math.isfinite(self.v_max - self.v_min),
+                 f"lie within the float range of v_min={self.v_min!r}"),
                 ("pulse_dt", 0.0 < self.pulse_dt < math.inf, "be positive and finite"),
                 self._dt_fits("pulse_dt"))
         if self.similarity_threshold is not None:
@@ -403,11 +405,8 @@ def train_pair(array: ArrayState, input_img: np.ndarray,
             f"array shape {array.w.shape}")
     counts, scope_n = match_counts(input_img, teacher_img, cfg)
     volts = modulation_voltages(counts, scope_n, cfg.v_min, cfg.v_max)
-    # the grid is the array's own and `cfg` has checked dt and the pulse's
-    # step count: of `pulse`'s checks only finite voltages remain, which a
-    # span v_max - v_min near the float range can break
-    if not np.isfinite(volts).all():
-        raise InvalidInputError("voltages must be finite")
+    # `pulse`'s checks hold by construction: the grid is the array's own,
+    # `cfg` has checked dt, the step count and a finite v_max - v_min
     w = _pulse("training pulse", _fold, array.params, array.w, volts, cfg.dt,
                int(round(cfg.pulse_dt / cfg.dt)))
     # the fold returns a new float grid of the array's shape within the bounds
@@ -449,9 +448,7 @@ def similarity(state: np.ndarray, img: np.ndarray,
             f"state {state.shape} and image {img.shape} shapes differ")
     # the inverted binary image as a mask, True where the intensity is not
     # >= the threshold (nan included): subtracting it subtracts 1.0 or 0.0
-    squares = (state - ~(img >= binarize_threshold)) ** 2
-    # `np.mean`'s sum and division, without its ~5 us of dispatch
-    return float(np.add.reduce(squares, axis=None)) / squares.size
+    return float(np.mean((state - ~(img >= binarize_threshold)) ** 2))
 
 
 def midpoint_threshold(scores_a: Sequence[float],

@@ -1846,9 +1846,12 @@ class TestManifests:
         (lambda text: _edit_json(text, lambda m: m.update(command="replay")),
          "unknown command 'replay'"),
         (lambda text: _edit_json(text, lambda m: m["outputs"].update({"../x": "0"})),
-         "output '../x' must be a plain file name with a hash string"),
-        (lambda text: _edit_json(text, lambda m: m["outputs"].update({"x": None})),
-         "output 'x' must be a plain file name with a hash string"),
+         "pavlov outputs must be the files ['metrics.txt', 'plot_trace.py', "
+         "'trace.csv'], got ['../x', 'metrics.txt', 'plot_trace.py', "
+         "'trace.csv']"),
+        (lambda text: _edit_json(text, lambda m: m["outputs"].update(
+            {"trace.csv": None})),
+         "output 'trace.csv' must have a hash string"),
         (lambda text: _edit_json(text, lambda m: m["outputs"].update(
             {"extra.csv": "0" * 64})),
          "pavlov outputs must be the files ['metrics.txt', 'plot_trace.py', "

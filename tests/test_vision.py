@@ -214,8 +214,11 @@ class TestBinarizeAndCounts:
                               np.indices((4, 4)).sum(axis=0) % 2)
 
     def test_binarize_threshold_range(self):
-        with pytest.raises(InvalidInputError):
-            binarize(np.zeros((2, 2)), 0.0)
+        # `similarity` binarizes against a bare threshold, so it checks it
+        for threshold in (0.0, 1.0):
+            with pytest.raises(InvalidInputError,
+                               match=r"threshold must lie in \(0,1\)"):
+                similarity(np.zeros((2, 2)), np.zeros((2, 2)), threshold)
 
     def test_all_vector_extremes(self):
         cfg = VisionConfig()
@@ -364,11 +367,11 @@ class TestTraining:
             train_pair(new_array(side=2), np.ones((2, 2)), np.ones((2, 2)), cfg)
 
     def test_voltage_span_beyond_float_range_is_refused(self):
-        # v_max - v_min overflows, so every voltage is inf or nan; the
-        # training pulse skips `pulse`'s checks but still refuses them
-        cfg = VisionConfig(v_min=-1e308, v_max=1e308)
-        with pytest.raises(InvalidInputError, match="^voltages must be finite$"):
-            train_pair(new_array(side=2), np.ones((2, 2)), np.ones((2, 2)), cfg)
+        # v_max - v_min would overflow every voltage to inf or nan; the
+        # training pulse skips `pulse`'s checks, so the config refuses it
+        with pytest.raises(InvalidInputError, match=r"^v_max must lie within the "
+                           r"float range of v_min=-1e\+308, got 1e\+308$"):
+            VisionConfig(v_min=-1e308, v_max=1e308)
 
     def test_array_state_validation(self):
         with pytest.raises(InvalidInputError):
