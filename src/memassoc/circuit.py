@@ -313,11 +313,13 @@ class ChainConfig:
         return ("food",) + tuple(f"ring{k}" for k in range(1, len(self.stages) + 1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StageTrace:
     """Per-stage recorded columns plus the constants metrics needs.
 
-    The scheme column is stored as int8 codes into `SCHEMES`.
+    The scheme column is stored as int8 codes into `SCHEMES`.  A trace
+    compares by identity and hashes by `id` (`eq=False`): an array field has
+    no single truth value to compare by.
     """
 
     mod_v: np.ndarray
@@ -334,9 +336,10 @@ class StageTrace:
         return self.scheme_code == SCHEMES.index(name)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimTrace:
-    """Column-oriented chain simulation record on a uniform time grid."""
+    """Column-oriented chain simulation record on a uniform time grid; it
+    compares by identity and hashes by `id`, as `StageTrace` does."""
 
     t: np.ndarray
     dt: float

@@ -15,10 +15,11 @@ Subcommands:
   vision-classify train, then score and label a directory of images;
                   adds report.csv
 
-Every run also writes manifest.json (tool version, command, resolved
-config snapshot and its hash, output hashes).  `replay_manifest`
-checks a manifest, re-executes the snapshot and returns the fresh output
-hashes, which must match the recorded ones byte for byte.
+Every run also writes manifest.json (tool version, command, resolved config
+snapshot and its hash, output hashes).  `replay_manifest` checks a manifest,
+re-executes the snapshot and returns the fresh output hashes, which must
+match the recorded ones byte for byte.  The parser, the runs and the
+manifests read the commands, inputs and outputs from one table, `_COMMANDS`.
 
 Exit codes: 0 success, 1 usage/config error, 2 runtime/data error.
 """
@@ -32,7 +33,7 @@ import re
 import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 from . import __version__
 from .circuit import (
@@ -493,29 +494,58 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-# Each command's inputs, the path strings its manifest's `args` record, and
-# its outputs, the files it writes beside manifest.json and whose hashes the
-# manifest records.
-_COMMAND_INPUTS = {"fit": {"trace"}, "pavlov": set(), "vision-train": {"train_dir"},
-                   "vision-classify": {"train_dir", "test_dir"}}
-_COMMAND_OUTPUTS = {"fit": {"device_fit.conf", "fit_report.json"},
-                    "pavlov": {"trace.csv", "metrics.txt", "plot_trace.py"},
-                    "vision-train": {"array_state.csv"},
-                    "vision-classify": {"array_state.csv", "report.csv"}}
+class _Command(NamedTuple):
+    """One subcommand: its help; its positional inputs with their help, the
+    paths a manifest's `args` record; the files it writes beside manifest.json,
+    whose hashes the manifest records; the `ExperimentConfig` part it runs on
+    (only the chain sweeps, a vision config is parsed with `vision`, and
+    `--dt-override` sets the part's `dt`); and `run(config, args, out_dir)`,
+    which calls its `cmd_*` by name, so a wrapper set on the module sees it."""
+
+    help: str
+    inputs: dict[str, str]
+    outputs: tuple[str, ...]
+    runs_on: str
+    run: Callable[[ExperimentConfig, Mapping[str, Any], str | Path], int]
+
+
+_COMMANDS = {
+    "fit": _Command(
+        "extract device parameters from an I-V trace",
+        {"trace": "CSV trace with t_s,v_v,i_a columns"},
+        ("device_fit.conf", "fit_report.json"), "fit",
+        lambda config, args, out: cmd_fit(config, args["trace"], out)),
+    "pavlov": _Command(
+        "simulate the associative chain", {},
+        ("metrics.txt", "plot_trace.py", "trace.csv"), "chain",
+        lambda config, args, out: cmd_pavlov(config, out)),
+    "vision-train": _Command(
+        "train the image array",
+        {"train_dir": "directory with teacher.* and inputs"},
+        ("array_state.csv",), "vision",
+        lambda config, args, out: cmd_vision(config, args["train_dir"], None, out)),
+    "vision-classify": _Command(
+        "train the array, then label a test directory",
+        {"train_dir": "directory with teacher.* and inputs",
+         "test_dir": "directory of images to label"},
+        ("array_state.csv", "report.csv"), "vision",
+        lambda config, args, out: cmd_vision(config, args["train_dir"],
+                                             args["test_dir"], out)),
+}
 
 
 def _write_manifest(out_dir: Path, command: str, config: ExperimentConfig,
-                    args: dict[str, Any]) -> None:
-    """manifest.json for a `command` run whose outputs are in `out_dir`."""
+                    *paths: str | Path) -> None:
+    """manifest.json of a `command` run on input `paths`, outputs in `out_dir`."""
     text = serialize_config(config)
     manifest = {
         "version": __version__,
         "command": command,
-        "args": args,
+        "args": {name: str(p) for name, p in zip(_COMMANDS[command].inputs, paths)},
         "config_sha256": hashlib.sha256(text.encode()).hexdigest(),
         "config_text": text,
         "outputs": {name: _sha256(out_dir / name)
-                    for name in sorted(_COMMAND_OUTPUTS[command])},
+                    for name in sorted(_COMMANDS[command].outputs)},
     }
     (out_dir / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n")
@@ -534,7 +564,7 @@ def cmd_fit(config: ExperimentConfig, trace_path: str | Path,
               "rmse": result.rmse}
     (out / "fit_report.json").write_text(
         json.dumps(report, indent=2, sort_keys=True) + "\n")
-    _write_manifest(out, "fit", config, {"trace": str(trace_path)})
+    _write_manifest(out, "fit", config, trace_path)
     if result.converged:
         return 0
     print(f"error: fit did not converge: stopped on {result.stop_reason} after "
@@ -551,7 +581,7 @@ def cmd_pavlov(config: ExperimentConfig, out_dir: str | Path) -> int:
     write_sim_trace_csv(trace, out / "trace.csv")
     write_metrics_report(metrics(trace), out / "metrics.txt")
     (out / "plot_trace.py").write_text(_PLOT_SCRIPT)
-    _write_manifest(out, "pavlov", config, {})
+    _write_manifest(out, "pavlov", config)
     return 0
 
 
@@ -604,13 +634,11 @@ def cmd_vision(config: ExperimentConfig, train_dir: str | Path,
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_state_csv(array.state, out / "array_state.csv")
-    args: dict[str, Any] = {"train_dir": str(train_dir)}
-    command = "vision-train"
-    if test_dir is not None:
-        command = "vision-classify"
-        args["test_dir"] = str(test_dir)
+    if test_dir is None:
+        _write_manifest(out, "vision-train", config, train_dir)
+    else:
         (out / "report.csv").write_text("\n".join(lines) + "\n")
-    _write_manifest(out, command, config, args)
+        _write_manifest(out, "vision-classify", config, train_dir, test_dir)
     return 0
 
 
@@ -634,17 +662,17 @@ def _read_manifest(path: Path) -> dict[str, Any]:
             raise malformed(f"{key} must be a JSON "
                             f"{'object' if kind is dict else 'string'}")
     command, args = manifest["command"], manifest["args"]
-    if command not in _COMMAND_INPUTS:
+    if command not in _COMMANDS:
         raise malformed(f"unknown command {command!r}")
-    if (set(args) != _COMMAND_INPUTS[command]
+    inputs, outputs = _COMMANDS[command].inputs, _COMMANDS[command].outputs
+    if (set(args) != set(inputs)
             or not all(isinstance(arg, str) for arg in args.values())):
         raise malformed(f"{command} args must be the path strings "
-                        f"{sorted(_COMMAND_INPUTS[command])}, got {args!r}")
+                        f"{sorted(inputs)}, got {args!r}")
     # the command's own plain file names, so none is hashed outside out_dir
-    if set(manifest["outputs"]) != _COMMAND_OUTPUTS[command]:
+    if set(manifest["outputs"]) != set(outputs):
         raise malformed(f"{command} outputs must be the files "
-                        f"{sorted(_COMMAND_OUTPUTS[command])}, "
-                        f"got {sorted(manifest['outputs'])}")
+                        f"{sorted(outputs)}, got {sorted(manifest['outputs'])}")
     for name, digest in manifest["outputs"].items():
         if not isinstance(digest, str):
             raise malformed(f"output {name!r} must have a hash string")
@@ -660,27 +688,19 @@ def replay_manifest(manifest_path: str | Path,
     """Re-execute a manifest's run into `out_dir`; return fresh output hashes.
 
     A faithful replay reproduces the recorded `outputs` hashes exactly.  A
-    malformed manifest raises `DataError` naming it before anything runs.
+    malformed manifest raises `DataError`, and a `config_text` that does
+    not parse `ConfigError`, naming it before anything runs.
     """
     manifest = _read_manifest(Path(manifest_path))
-    command = manifest["command"]
-    config = parse_config(manifest["config_text"],
-                          vision=command.startswith("vision"))
-    _run(command, config, manifest["args"], out_dir)
+    command = _COMMANDS[manifest["command"]]
+    try:
+        config = parse_config(manifest["config_text"],
+                              vision=command.runs_on == "vision")
+    except ConfigError as exc:
+        raise ConfigError(f"{manifest_path}: {exc}") from exc
+    command.run(config, manifest["args"], out_dir)
     out = Path(out_dir)
     return {name: _sha256(out / name) for name in manifest["outputs"]}
-
-
-def _run(command: str, config: ExperimentConfig, args: Mapping[str, Any],
-         out_dir: str | Path) -> int:
-    """Run one command of `_COMMAND_INPUTS` on a parsed config.  `args`
-    holds its inputs under argparse's names, which a manifest's `args`
-    record; each `cmd_*` is looked up when the command runs."""
-    if command == "fit":
-        return cmd_fit(config, args["trace"], out_dir)
-    if command == "pavlov":
-        return cmd_pavlov(config, out_dir)
-    return cmd_vision(config, args["train_dir"], args.get("test_dir"), out_dir)
 
 
 # --- entry point -------------------------------------------------------------
@@ -699,56 +719,46 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="memassoc",
         description="Memristive associative-learning experiment runner")
     sub = parser.add_subparsers(dest="command", required=True)
-    p_fit = sub.add_parser("fit", parents=[common],
-                           help="extract device parameters from an I-V trace")
-    p_fit.add_argument("trace", help="CSV trace with t_s,v_v,i_a columns")
-    sub.add_parser("pavlov", parents=[common],
-                   help="simulate the associative chain")
-    p_tr = sub.add_parser("vision-train", parents=[common],
-                          help="train the image array")
-    p_tr.add_argument("train_dir", help="directory with teacher.* and inputs")
-    p_cl = sub.add_parser("vision-classify", parents=[common],
-                          help="train the array, then label a test directory")
-    p_cl.add_argument("train_dir", help="directory with teacher.* and inputs")
-    p_cl.add_argument("test_dir", help="directory of images to label")
+    for name, command in _COMMANDS.items():
+        command_parser = sub.add_parser(name, parents=[common], help=command.help)
+        for arg, arg_help in command.inputs.items():
+            command_parser.add_argument(arg, help=arg_help)
     return parser
 
 
-def _with_dt_override(config: ExperimentConfig, ns: argparse.Namespace,
+def _with_dt_override(config: ExperimentConfig, runs_on: str, dt: float | None,
                       path: str | None) -> ExperimentConfig:
-    """The config with `--dt-override` as its [sim] dt_s for pavlov runs,
-    its [vision] dt_s otherwise, checked by building what the run builds;
-    an error names the config's `path` (None: the defaults) and the flag."""
-    if ns.dt_override is None:
+    """The config with `--dt-override` (`dt`) as the `dt` of its `runs_on`
+    part, checked by building what the run builds; an error names the
+    config's `path` (None: the defaults) and the flag."""
+    if dt is None:
         return config
-    if ns.command == "fit":
+    part = getattr(config, runs_on)
+    if not hasattr(part, "dt"):
         raise ConfigError("--dt-override only applies to simulation runs")
     try:
-        if ns.command == "pavlov":
-            config = replace(config, chain=replace(config.chain, dt=ns.dt_override))
-        else:
-            config = replace(config, vision=replace(config.vision, dt=ns.dt_override))
+        return replace(config, **{runs_on: replace(part, dt=dt)})
     except InvalidInputError as exc:
         where = "" if path is None else f"{path}: "
-        raise ConfigError(f"{where}--dt-override {ns.dt_override!r}: {exc}") from exc
-    return config
+        raise ConfigError(f"{where}--dt-override {dt!r}: {exc}") from exc
 
 
 def _dispatch(ns: argparse.Namespace) -> int:
     """Parse every config and check it under `--dt-override` before the
-    first one runs, then run them in order; a pavlov sweep writes each run
+    first one runs, then run them in order; a chain sweep writes each run
     under its config's file stem."""
-    if len(ns.config) > 1 and ns.command != "pavlov":
+    command = _COMMANDS[ns.command]
+    if len(ns.config) > 1 and command.runs_on != "chain":
         raise ConfigError(f"{ns.command} accepts a single --config")
     outs = ([str(Path(ns.out) / Path(path).stem) for path in ns.config]
             if len(ns.config) > 1 else [ns.out])
     if len(set(outs)) != len(outs):
         raise ConfigError("sweep configs must have distinct file stems")
-    vision = ns.command.startswith("vision")
-    parsed = ([(path, load_config(path, vision=vision)) for path in ns.config]
-              or [(None, ExperimentConfig())])
-    configs = [_with_dt_override(config, ns, path) for path, config in parsed]
-    return max(_run(ns.command, config, vars(ns), out)
+    parsed = ([(path, load_config(path, vision=command.runs_on == "vision"))
+               for path in ns.config] or [(None, ExperimentConfig())])
+    configs = [_with_dt_override(config, command.runs_on, ns.dt_override, path)
+               for path, config in parsed]
+    return max(command.run(config, vars(ns), out)
                for config, out in zip(configs, outs))
 
 

@@ -84,12 +84,14 @@ _INFEASIBLE = 1e6  # objective surrogate outside the feasible parameter set
 _PROBES = 50  # Armijo halvings per line search
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IVTrace:
     """Sampled drive/response trace: time (s), voltage (V), current (A).
 
     The columns are read-only float64 copies, so the values derived from
-    them below, each computed on first use, cannot go stale.
+    them below, each computed on first use, cannot go stale.  A trace
+    compares by identity and hashes by `id` (`eq=False`): an array field has
+    no single truth value to compare by.
     """
 
     t: np.ndarray

@@ -166,11 +166,13 @@ class VisionConfig:
                  f"be finite and lie below v_off={device.v_off!r}"))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ArrayState:
     """Shared device parameters plus the per-cell state grid, held as a
     read-only float copy (the caller's array keeps its flags), so the
-    normalized grid `state` can be computed once per array."""
+    normalized grid `state` can be computed once per array.  An array
+    compares by identity and hashes by `id` (`eq=False`): its grid has no
+    single truth value to compare by."""
 
     params: DeviceParams
     w: np.ndarray

@@ -478,6 +478,10 @@ PINNED_CONFIG_TEXTS = {
     "vision_demo": "be727357c3981744ec6a44d00c1293dde45efeaf5b5d5f693f787bb7349100fe",
     "custom": "680a4b43e08ac17ccc84b4182a618fd87444c1287b62c7da3f10204b365bd14c",
 }
+# the command README runs each shipped config with
+SHIPPED_COMMANDS = {"fit_sinusoid": "fit", "pavlov2_highgain": "pavlov",
+                    "pavlov2_lowpower": "pavlov", "pavlov3": "pavlov",
+                    "vision_demo": "vision-classify"}
 PINNED_CUSTOM_TEXT = (
     "[schedule]\npreset = custom\nhigh_level_v = 1.5\n"
     "food_segments = 0:0.05, 0.1:0.15:0.8\nring1_segments = 0:0.2\n"
@@ -491,8 +495,9 @@ def test_written_back_config_text_is_pinned(name):
     elif name == "custom":
         config = parse_config(PINNED_CUSTOM_TEXT)
     else:
+        runs_on = memassoc.cli._COMMANDS[SHIPPED_COMMANDS[name]].runs_on
         config = load_config(REPO / "configs" / f"{name}.conf",
-                             vision=name.startswith("vision"))
+                             vision=runs_on == "vision")
     text = serialize_config(config)
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_CONFIG_TEXTS[name]
 
@@ -767,12 +772,9 @@ class TestCmdFit:
 
 
 class TestCmdPavlov:
-    def test_outputs_and_metrics(self, tmp_path):
+    def test_metrics(self, tmp_path):
         out = tmp_path / "run"
         assert console_main(["pavlov", "--out", str(out)]) == 0
-        names = {p.name for p in out.iterdir()}
-        assert names == {"trace.csv", "metrics.txt", "plot_trace.py",
-                         "manifest.json"}
         metrics = dict(line.split("=") for line in
                        (out / "metrics.txt").read_text().splitlines())
         assert float(metrics["stage1.switch_time_s"]) == pytest.approx(
@@ -1656,18 +1658,85 @@ class TestLineNumbers:
             assert int(m[1]) <= line_breaks(text) + 1, (text, message)
 
 
+# The parser's text at an 80-column terminal: each usage line, and the help
+# of `memassoc` and of each subcommand
+USAGE = {
+    "memassoc": "usage: memassoc [-h] {fit,pavlov,vision-train,vision-classify} ...\n",
+    "fit": "usage: memassoc fit [-h] [--config PATH] [--out DIR] [--dt-override DT] trace\n",
+    "pavlov": "usage: memassoc pavlov [-h] [--config PATH] [--out DIR] [--dt-override DT]\n",
+    "vision-train": """\
+usage: memassoc vision-train [-h] [--config PATH] [--out DIR]
+                             [--dt-override DT]
+                             train_dir
+""",
+    "vision-classify": """\
+usage: memassoc vision-classify [-h] [--config PATH] [--out DIR]
+                                [--dt-override DT]
+                                train_dir test_dir
+""",
+}
+SUBCOMMAND_OPTIONS = """
+options:
+  -h, --help        show this help message and exit
+  --config PATH     config file (repeatable for pavlov sweeps); defaults apply
+                    when omitted
+  --out DIR         output directory (default: ./out)
+  --dt-override DT  override [sim] dt_s
+"""
+HELP = {
+    "memassoc": USAGE["memassoc"] + """
+Memristive associative-learning experiment runner
+
+positional arguments:
+  {fit,pavlov,vision-train,vision-classify}
+    fit                 extract device parameters from an I-V trace
+    pavlov              simulate the associative chain
+    vision-train        train the image array
+    vision-classify     train the array, then label a test directory
+
+options:
+  -h, --help            show this help message and exit
+""",
+    "fit": USAGE["fit"] + """
+positional arguments:
+  trace             CSV trace with t_s,v_v,i_a columns
+""" + SUBCOMMAND_OPTIONS,
+    "pavlov": USAGE["pavlov"] + SUBCOMMAND_OPTIONS,
+    "vision-train": USAGE["vision-train"] + """
+positional arguments:
+  train_dir         directory with teacher.* and inputs
+""" + SUBCOMMAND_OPTIONS,
+    "vision-classify": USAGE["vision-classify"] + """
+positional arguments:
+  train_dir         directory with teacher.* and inputs
+  test_dir          directory of images to label
+""" + SUBCOMMAND_OPTIONS,
+}
+
+
 class TestConsoleMain:
-    def test_no_arguments_is_usage_error(self, capsys):
-        assert console_main([]) == 1
-        capsys.readouterr()
+    @pytest.mark.parametrize("prog", HELP)
+    def test_help_text_is_pinned(self, capsys, monkeypatch, prog):
+        monkeypatch.setenv("COLUMNS", "80")
+        argv = [] if prog == "memassoc" else [prog]
+        assert console_main([*argv, "--help"]) == 0
+        assert capsys.readouterr() == (HELP[prog], "")
 
-    def test_unknown_subcommand(self, capsys):
-        assert console_main(["dance"]) == 1
-        capsys.readouterr()
-
-    def test_help_exits_zero(self, capsys):
-        assert console_main(["--help"]) == 0
-        capsys.readouterr()
+    @pytest.mark.parametrize("argv, prog, message", [
+        ([], "memassoc", "the following arguments are required: command"),
+        (["dance"], "memassoc", "argument command: invalid choice: 'dance' (choose "
+                                "from 'fit', 'pavlov', 'vision-train', "
+                                "'vision-classify')"),
+        (["fit"], "fit", "the following arguments are required: trace"),
+        (["vision-classify", "a"], "vision-classify",
+         "the following arguments are required: test_dir"),
+    ], ids=["no_arguments", "unknown_subcommand", "fit_without_trace",
+            "classify_without_test_dir"])
+    def test_usage_error_is_pinned(self, capsys, monkeypatch, argv, prog, message):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert console_main(argv) == 1
+        name = prog if prog == "memassoc" else f"memassoc {prog}"
+        assert capsys.readouterr() == ("", f"{USAGE[prog]}{name}: error: {message}\n")
 
     def test_fit_rejects_multiple_configs(self, tmp_path, capsys):
         (tmp_path / "a.conf").write_text("")
@@ -1827,6 +1896,37 @@ class TestManifests:
             console_main([*argv, "--out", str(out)])
             replay_manifest(out / "manifest.json", tmp_path / f"{command}_again")
             assert calls == [f"cmd_{command}"] * 2
+
+    @pytest.mark.parametrize("command", memassoc.cli._COMMANDS)
+    def test_run_writes_exactly_its_outputs_and_a_valid_manifest(self, tmp_path,
+                                                                  command):
+        """Each command, on a shipped config of the part it runs on and the
+        shipped data, writes the files its table entry names."""
+        entry = memassoc.cli._COMMANDS[command]
+        config = next(name for name, shipped in SHIPPED_COMMANDS.items()
+                      if memassoc.cli._COMMANDS[shipped].runs_on == entry.runs_on)
+        inputs = {"trace": SINE_TRACE, "train_dir": str(REPO / "data/vision/train"),
+                  "test_dir": str(REPO / "data/vision/test")}
+        out = tmp_path / "run"
+        assert console_main([command, *(inputs[name] for name in entry.inputs),
+                             "--config", str(REPO / "configs" / f"{config}.conf"),
+                             "--out", str(out)]) == 0
+        assert {p.name for p in out.iterdir()} == {*entry.outputs, "manifest.json"}
+        manifest = memassoc.cli._read_manifest(out / "manifest.json")
+        assert manifest["command"] == command
+        assert manifest["args"] == {name: inputs[name] for name in entry.inputs}
+
+    def test_config_text_that_does_not_parse_names_the_manifest(self, tmp_path):
+        text = "[sim]\nbogus = 1\n"
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({
+            "command": "pavlov", "args": {}, "config_text": text,
+            "config_sha256": hashlib.sha256(text.encode()).hexdigest(),
+            "outputs": {"metrics.txt": "0", "plot_trace.py": "0", "trace.csv": "0"}}))
+        with pytest.raises(ConfigError, match=rf"^{re.escape(str(manifest))}: line 2: "
+                                              r"unknown key 'bogus' in \[sim\]$"):
+            replay_manifest(manifest, tmp_path / "replayed")
+        assert not (tmp_path / "replayed").exists()
 
     def test_manifest_that_is_not_utf8_names_path_and_offset(self, tmp_path):
         manifest = tmp_path / "manifest.json"
@@ -1995,6 +2095,18 @@ def test_readme_defaults_match_the_default_config():
                     wrong.append((section, key, m[3], value))
     assert wrong == []
     assert checked >= 30
+
+
+def test_prose_lists_of_commands_match_the_table():
+    """The `cli` docstring's "Subcommands:" list and README's `memassoc.cli`
+    row are the two copies of the command set the table cannot generate."""
+    listing = memassoc.cli.__doc__.split("Subcommands:\n")[1].split("\n\n")[0]
+    row = next(line for line in (REPO / "README.md").read_text().splitlines()
+               if line.startswith("| `memassoc.cli` |"))
+    commands = list(memassoc.cli._COMMANDS)
+    assert re.findall(r"^  (\S+)", listing, re.M) == commands
+    named = row.split("entry point:")[1].split(";")[0]
+    assert re.findall(r"`([\w-]+)`", named) == commands
 
 
 def test_exported_names_are_used_outside_tests():

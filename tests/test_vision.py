@@ -14,7 +14,9 @@ Covered invariants:
   * the remembered label pulse: configs that differ in one field the
     pulse reads each get their own resistance, and the memo stays bounded;
   * similarity extremes and classification against the shipped demo data
-    (clusters separate, 10/10 labels with the frozen threshold).
+    (clusters separate, 10/10 labels with the frozen threshold);
+  * every record that holds arrays (`ArrayState`, and the fit's and the
+    chain's traces) compares and hashes by identity without raising.
 """
 
 import re
@@ -24,8 +26,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from memassoc.circuit import SimTrace, StageTrace
 from memassoc.device import DeviceParams, pulse, trajectory
 from memassoc.errors import DataError, InvalidInputError
+from memassoc.fit import IVTrace
 from memassoc.vision import (
     _label_resistance,
     ArrayState,
@@ -543,3 +547,22 @@ class TestDemoSuite:
         write_state_csv(state_grid(arr), b)
         assert a.read_bytes() == b.read_bytes()
         assert len(a.read_text().splitlines()) == 20
+
+
+def _stage_trace():
+    return StageTrace(mod_v=np.zeros(3), scheme_code=np.zeros(3, np.int8),
+                      r_ohm=np.ones(3), s_v=np.zeros(3), resp_v=np.zeros(3),
+                      p_w=np.zeros(3), r_on=1.0, reset_r_ohm=1.0)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: new_array(DeviceParams(), side=2),
+    lambda: IVTrace(np.arange(3.0), np.zeros(3), np.zeros(3)),
+    _stage_trace,
+    lambda: SimTrace(np.arange(3.0), 1.0, ("food",), np.zeros((1, 3)),
+                     (_stage_trace(),)),
+], ids=["ArrayState", "IVTrace", "StageTrace", "SimTrace"])
+def test_array_records_compare_and_hash_by_identity(make):
+    a, b = make(), make()
+    assert a == a and a != b
+    assert len({a, a, b}) == 2
