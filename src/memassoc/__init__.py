@@ -1,6 +1,6 @@
 """Behavioral simulation of memristive associative-learning circuits.
 
-Subpackages:
+Modules:
 
 - ``device``  threshold-drift memristor model (drift rate, resistance, Euler stepping)
 - ``fit``     parameter extraction from measured I-V traces

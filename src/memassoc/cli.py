@@ -38,6 +38,7 @@ from typing import Any, Callable, Mapping, NamedTuple, Sequence
 from . import __version__
 from .circuit import (
     FIRST_STAGE,
+    SCHEME_LEARNING,
     ChainConfig,
     StageConfig,
     StimulusSchedule,
@@ -499,8 +500,9 @@ class _Command(NamedTuple):
     paths a manifest's `args` record; the files it writes beside manifest.json,
     whose hashes the manifest records; the `ExperimentConfig` part it runs on
     (only the chain sweeps, a vision config is parsed with `vision`, and
-    `--dt-override` sets the part's `dt`); and `run(config, args, out_dir)`,
-    which calls its `cmd_*` by name, so a wrapper set on the module sees it."""
+    a part in `_DT_SECTIONS` takes `--dt-override` as its `dt`); and
+    `run(config, args, out_dir)`, which calls its `cmd_*` by name, so a
+    wrapper set on the module sees it."""
 
     help: str
     inputs: dict[str, str]
@@ -508,6 +510,8 @@ class _Command(NamedTuple):
     runs_on: str
     run: Callable[[ExperimentConfig, Mapping[str, Any], str | Path], int]
 
+
+_DT_SECTIONS = {"chain": "sim", "vision": "vision"}  # part with a dt -> its section
 
 _COMMANDS = {
     "fit": _Command(
@@ -565,6 +569,9 @@ def cmd_fit(config: ExperimentConfig, trace_path: str | Path,
     (out / "fit_report.json").write_text(
         json.dumps(report, indent=2, sort_keys=True) + "\n")
     _write_manifest(out, "fit", config, trace_path)
+    if result.at_bounds:
+        print(f"warning: {out}: the fit ended with {', '.join(result.at_bounds)} "
+              "on an edge of its box", file=sys.stderr)
     if result.converged:
         return 0
     print(f"error: fit did not converge: stopped on {result.stop_reason} after "
@@ -582,6 +589,11 @@ def cmd_pavlov(config: ExperimentConfig, out_dir: str | Path) -> int:
     write_metrics_report(metrics(trace), out / "metrics.txt")
     (out / "plot_trace.py").write_text(_PLOT_SCRIPT)
     _write_manifest(out, "pavlov", config)
+    idle = [str(k) for k, stage in enumerate(trace.stages, start=1)
+            if not stage.in_scheme(SCHEME_LEARNING).any()]
+    if idle:
+        print(f"warning: {out}: no learning-scheme row in stage {', '.join(idle)}",
+              file=sys.stderr)
     return 0
 
 
@@ -624,8 +636,8 @@ def cmd_vision(config: ExperimentConfig, train_dir: str | Path,
     probes = [(p.name, load_image(p, allow_resize=allow)) for p in probe_paths]
     # train and classify before creating --out, so a run that fails there
     # leaves no directory
-    array = train_many(new_array(build_device(config)), inputs, teacher,
-                       train_config)
+    fresh = new_array(build_device(config))
+    array = train_many(fresh, inputs, teacher, train_config)
     lines = ["name,similarity,threshold,label"]
     for name, img in probes:
         res = classify(array, img, infer)
@@ -639,6 +651,8 @@ def cmd_vision(config: ExperimentConfig, train_dir: str | Path,
     else:
         (out / "report.csv").write_text("\n".join(lines) + "\n")
         _write_manifest(out, "vision-classify", config, train_dir, test_dir)
+    if (array.w == fresh.w).all():
+        print(f"warning: {out}: training moved no cell of the array", file=sys.stderr)
     return 0
 
 
@@ -706,23 +720,22 @@ def replay_manifest(manifest_path: str | Path,
 # --- entry point -------------------------------------------------------------
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", action="append", default=[],
-                        metavar="PATH", help="config file (repeatable for "
-                        "pavlov sweeps); defaults apply when omitted")
-    common.add_argument("--out", default="out", metavar="DIR",
-                        help="output directory (default: ./out)")
-    common.add_argument("--dt-override", type=float, default=None,
-                        metavar="DT", help="override [sim] dt_s")
-
     parser = argparse.ArgumentParser(
         prog="memassoc",
         description="Memristive associative-learning experiment runner")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in _COMMANDS.items():
-        command_parser = sub.add_parser(name, parents=[common], help=command.help)
+        add = sub.add_parser(name, help=command.help).add_argument
+        sweeps = f" (repeatable for {name} sweeps)" if command.runs_on == "chain" else ""
+        add("--config", action="append", default=[], metavar="PATH",
+            help=f"config file{sweeps}; defaults apply when omitted")
+        add("--out", default="out", metavar="DIR",
+            help="output directory (default: ./out)")
+        if command.runs_on in _DT_SECTIONS:
+            add("--dt-override", type=float, metavar="DT",
+                help=f"override [{_DT_SECTIONS[command.runs_on]}] dt_s")
         for arg, arg_help in command.inputs.items():
-            command_parser.add_argument(arg, help=arg_help)
+            add(arg, help=arg_help)
     return parser
 
 
@@ -733,11 +746,8 @@ def _with_dt_override(config: ExperimentConfig, runs_on: str, dt: float | None,
     config's `path` (None: the defaults) and the flag."""
     if dt is None:
         return config
-    part = getattr(config, runs_on)
-    if not hasattr(part, "dt"):
-        raise ConfigError("--dt-override only applies to simulation runs")
     try:
-        return replace(config, **{runs_on: replace(part, dt=dt)})
+        return replace(config, **{runs_on: replace(getattr(config, runs_on), dt=dt)})
     except InvalidInputError as exc:
         where = "" if path is None else f"{path}: "
         raise ConfigError(f"{where}--dt-override {dt!r}: {exc}") from exc
@@ -756,7 +766,8 @@ def _dispatch(ns: argparse.Namespace) -> int:
         raise ConfigError("sweep configs must have distinct file stems")
     parsed = ([(path, load_config(path, vision=command.runs_on == "vision"))
                for path in ns.config] or [(None, ExperimentConfig())])
-    configs = [_with_dt_override(config, command.runs_on, ns.dt_override, path)
+    dt = getattr(ns, "dt_override", None)
+    configs = [_with_dt_override(config, command.runs_on, dt, path)
                for path, config in parsed]
     return max(command.run(config, vars(ns), out)
                for config, out in zip(configs, outs))

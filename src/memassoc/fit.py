@@ -319,6 +319,8 @@ class FitResult:
     objective reached 1e-15), `gradient` (a stationary point), `tol` (an
     accepted step improved by at most `FitConfig.tol`), `line_search`
     (no step along the search direction was accepted) or `max_iters`.
+    `at_bounds` names, in `PARAM_NAMES` order, the fitted parameters that
+    equal an edge of the box `FitConfig.bounds` gave the search.
     """
 
     params: DeviceParams
@@ -327,6 +329,7 @@ class FitResult:
     converged: bool
     objective_history: tuple[float, ...]
     stop_reason: str
+    at_bounds: tuple[str, ...]
 
 
 def default_bounds(initial: DeviceParams) -> tuple[dict[str, float], dict[str, float]]:
@@ -482,6 +485,8 @@ def fit(real: IVTrace, initial: DeviceParams, config: FitConfig) -> FitResult:
             break
 
     params = _from_vector(x, initial, lower, upper)
+    at_bounds = tuple(name for name in PARAM_NAMES
+                      if getattr(params, name) in (lower[name], upper[name]))
     return FitResult(params=params, rmse=f_x, iterations=iterations,
                      converged=converged, objective_history=tuple(history),
-                     stop_reason=stop_reason)
+                     stop_reason=stop_reason, at_bounds=at_bounds)

@@ -680,6 +680,30 @@ class TestCmdFit:
             f"iterations (rmse {report['rmse']!r}); "
             "fit_report.json records converged: false"]
 
+    def test_fit_ending_on_its_box_warns_and_keeps_its_report(self, tmp_path, capsys):
+        """Start corner 21 of the benchmark's fit starts: each parameter of
+        the device behind the shipped sine trace scaled by 1.3 where bit j
+        of 21 is set, else 0.7.  The search stops on `tol` with five
+        parameters on its box; the report and exit code are those of any
+        converged fit, and one warning names the five."""
+        truth = {"r_on_ohm": 20e3, "r_off_ohm": 190e3, "alpha_on": 1.0,
+                 "alpha_off": 1.0, "k_on_per_s": 2.82, "k_off_per_s": -18.33,
+                 "v_on_v": 0.14, "v_off_v": -0.16}
+        device = "".join(f"{key} = {value * (1.3 if 21 >> bit & 1 else 0.7)!r}\n"
+                         for bit, (key, value) in enumerate(truth.items()))
+        cfg = tmp_path / "fit.conf"
+        cfg.write_text(f"[device]\n{device}\n[fit]\ngrad_step = 1e-6\n"
+                       "max_iters = 200\ntol = 1e-12\n")
+        out = tmp_path / "out"
+        assert console_main(["fit", SINE_TRACE, "--config", str(cfg),
+                             "--out", str(out)]) == 0
+        report = json.loads((out / "fit_report.json").read_text())
+        assert report["converged"] is True and report["iterations"] == 66
+        assert report["rmse"] == pytest.approx(1.154e-3, abs=1e-6)
+        assert capsys.readouterr() == (
+            "", f"warning: {out}: the fit ended with alpha_on, k_on, k_off, "
+                "v_on, v_off on an edge of its box\n")
+
     def test_single_sample_trace_rejected(self, tmp_path, capsys):
         bad = tmp_path / "one.csv"
         bad.write_text("t_s,v_v,i_a\n0,0.1,1e-6\n")
@@ -779,6 +803,22 @@ class TestCmdPavlov:
                        (out / "metrics.txt").read_text().splitlines())
         assert float(metrics["stage1.switch_time_s"]) == pytest.approx(
             0.2693, abs=1e-6)
+
+    @pytest.mark.parametrize("stages, idle", [(1, "1"), (2, "1, 2")])
+    def test_run_that_learns_nothing_warns_once(self, tmp_path, capsys, stages, idle):
+        """No stimulus reaches a 5 V logic threshold, so no row of any stage
+        runs the learning scheme: the run still exits 0 with its outputs,
+        and one stderr line names the output directory and the stages."""
+        cfg = tmp_path / "c.conf"
+        cfg.write_text(f"[schedule]\npreset = pavlov{stages}\n[sim]\nlogic_threshold_v = 5\n"
+                       + "".join(f"[stage.{k}]\n" for k in range(1, stages + 1)))
+        out = tmp_path / "run"
+        assert console_main(["pavlov", "--config", str(cfg), "--out", str(out)]) == 0
+        assert capsys.readouterr() == (
+            "", f"warning: {out}: no learning-scheme row in stage {idle}\n")
+        assert "switch_time_s" not in (out / "metrics.txt").read_text()
+        assert {p.name for p in out.iterdir()} == {
+            *memassoc.cli._COMMANDS["pavlov"].outputs, "manifest.json"}
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("device", [
@@ -982,6 +1022,24 @@ class TestCmdVision:
         assert rows == {"hit.csv": "cat", "miss.csv": "non-cat"}
         state = (out / "array_state.csv").read_text().splitlines()
         assert len(state) == 20
+
+    def test_training_that_moves_no_cell_warns_once(self, tmp_path, capsys):
+        """Position-wise, a blank input matches no pixel of a full teacher,
+        so every cell gets `v_min_v` = 0 V, below the set threshold: the run
+        still exits 0 and writes the untouched state, with one warning."""
+        train = tmp_path / "train"
+        train.mkdir()
+        write_grid(train / "teacher.csv", np.ones((20, 20)))
+        write_grid(train / "blank.csv", np.zeros((20, 20)))
+        cfg = tmp_path / "v.conf"
+        cfg.write_text("[vision]\nmatch_scope = corresponding\n")
+        out = tmp_path / "out"
+        assert console_main(["vision-train", str(train), "--config", str(cfg),
+                             "--out", str(out)]) == 0
+        assert capsys.readouterr() == (
+            "", f"warning: {out}: training moved no cell of the array\n")
+        assert set((out / "array_state.csv").read_text().split()) == {
+            ",".join(["1"] * 20)}
 
     def test_train_only_writes_state(self, vision_dirs, tmp_path):
         train, _ = vision_dirs
@@ -1276,6 +1334,14 @@ def run_in_process(parent, text, argv):
 # in INTERNALERROR instead of its report (tests/test_tooling.py).
 
 
+def without_warning(lines, out):
+    """The stderr `lines` but the one `warning: <out>: ...` line a run that
+    did nothing, or a fit that ended on its box, may print."""
+    warned = [line for line in lines if line.startswith(f"warning: {out}: ")]
+    assert len(warned) <= 1, lines
+    return [line for line in lines if line not in warned]
+
+
 def assert_one_error_line(code, lines):
     assert code == 2 and len(lines) == 1, (code, lines)
     assert lines[0].startswith("error: ")
@@ -1295,6 +1361,7 @@ class TestVisionExtremeDevice:
         train, test = shared_vision_dirs
         with run_in_process(train.parent, text, ["vision-classify", str(train),
                                                  str(test)]) as (code, lines, out):
+            lines = without_warning(lines, out)
             if code == 0:
                 rows = (out / "report.csv").read_text().splitlines()[1:]
                 assert len(rows) == 2 and lines == []
@@ -1314,6 +1381,7 @@ class TestChainExtremeDevice:
             return
         with run_in_process(tmp_path_factory.getbasetemp(), text,
                             ["pavlov"]) as (code, lines, out):
+            lines = without_warning(lines, out)
             if code == 0:
                 assert lines == []
                 with (out / "trace.csv").open(newline="") as fh:
@@ -1341,6 +1409,7 @@ class TestFitExtremeDevice:
             return
         with run_in_process(tmp_path_factory.getbasetemp(), text,
                             ["fit", SINE_TRACE]) as (code, lines, out):
+            lines = without_warning(lines, out)
             if code == 0:
                 assert lines == []
                 report = json.loads((out / "fit_report.json").read_text())
@@ -1662,7 +1731,7 @@ class TestLineNumbers:
 # of `memassoc` and of each subcommand
 USAGE = {
     "memassoc": "usage: memassoc [-h] {fit,pavlov,vision-train,vision-classify} ...\n",
-    "fit": "usage: memassoc fit [-h] [--config PATH] [--out DIR] [--dt-override DT] trace\n",
+    "fit": "usage: memassoc fit [-h] [--config PATH] [--out DIR] trace\n",
     "pavlov": "usage: memassoc pavlov [-h] [--config PATH] [--out DIR] [--dt-override DT]\n",
     "vision-train": """\
 usage: memassoc vision-train [-h] [--config PATH] [--out DIR]
@@ -1675,13 +1744,12 @@ usage: memassoc vision-classify [-h] [--config PATH] [--out DIR]
                                 train_dir test_dir
 """,
 }
-SUBCOMMAND_OPTIONS = """
+VISION_OPTIONS = """
 options:
   -h, --help        show this help message and exit
-  --config PATH     config file (repeatable for pavlov sweeps); defaults apply
-                    when omitted
+  --config PATH     config file; defaults apply when omitted
   --out DIR         output directory (default: ./out)
-  --dt-override DT  override [sim] dt_s
+  --dt-override DT  override [vision] dt_s
 """
 HELP = {
     "memassoc": USAGE["memassoc"] + """
@@ -1699,18 +1767,30 @@ options:
 """,
     "fit": USAGE["fit"] + """
 positional arguments:
-  trace             CSV trace with t_s,v_v,i_a columns
-""" + SUBCOMMAND_OPTIONS,
-    "pavlov": USAGE["pavlov"] + SUBCOMMAND_OPTIONS,
+  trace          CSV trace with t_s,v_v,i_a columns
+
+options:
+  -h, --help     show this help message and exit
+  --config PATH  config file; defaults apply when omitted
+  --out DIR      output directory (default: ./out)
+""",
+    "pavlov": USAGE["pavlov"] + """
+options:
+  -h, --help        show this help message and exit
+  --config PATH     config file (repeatable for pavlov sweeps); defaults apply
+                    when omitted
+  --out DIR         output directory (default: ./out)
+  --dt-override DT  override [sim] dt_s
+""",
     "vision-train": USAGE["vision-train"] + """
 positional arguments:
   train_dir         directory with teacher.* and inputs
-""" + SUBCOMMAND_OPTIONS,
+""" + VISION_OPTIONS,
     "vision-classify": USAGE["vision-classify"] + """
 positional arguments:
   train_dir         directory with teacher.* and inputs
   test_dir          directory of images to label
-""" + SUBCOMMAND_OPTIONS,
+""" + VISION_OPTIONS,
 }
 
 
@@ -1730,8 +1810,11 @@ class TestConsoleMain:
         (["fit"], "fit", "the following arguments are required: trace"),
         (["vision-classify", "a"], "vision-classify",
          "the following arguments are required: test_dir"),
+        # the subparser leaves an option it does not offer to the top level
+        (["fit", "trace.csv", "--dt-override", "1e-4"], "memassoc",
+         "unrecognized arguments: --dt-override 1e-4"),
     ], ids=["no_arguments", "unknown_subcommand", "fit_without_trace",
-            "classify_without_test_dir"])
+            "classify_without_test_dir", "fit_dt_override"])
     def test_usage_error_is_pinned(self, capsys, monkeypatch, argv, prog, message):
         monkeypatch.setenv("COLUMNS", "80")
         assert console_main(argv) == 1
@@ -1747,10 +1830,22 @@ class TestConsoleMain:
         assert code == 1
         capsys.readouterr()
 
-    def test_fit_rejects_dt_override(self, tmp_path, capsys):
-        code = console_main(["fit", "trace.csv", "--dt-override", "1e-4"])
-        assert code == 1
-        capsys.readouterr()
+    @pytest.mark.parametrize("name", memassoc.cli._COMMANDS)
+    def test_dt_override_is_offered_where_the_part_has_a_dt(self, capsys,
+                                                             monkeypatch, name):
+        """A subcommand offers `--dt-override` exactly when the config part
+        it runs on has a `dt`, and its help names the section whose `dt_s`
+        sets that `dt`."""
+        runs_on = memassoc.cli._COMMANDS[name].runs_on
+        monkeypatch.setenv("COLUMNS", "80")
+        assert console_main([name, "--help"]) == 0
+        offered = re.search(r"--dt-override DT +override \[(\w+)\] dt_s\n",
+                            capsys.readouterr().out)
+        assert (offered is not None) == hasattr(getattr(ExperimentConfig(), runs_on),
+                                                "dt")
+        if offered:
+            config = parse_config(f"[{offered[1]}]\ndt_s = 2e-5\n")
+            assert getattr(config, runs_on).dt == 2e-5
 
     def test_unreadable_config_exits_1(self, tmp_path, capsys):
         code = console_main(["pavlov", "--config", str(tmp_path / "nope.conf"),
@@ -1899,9 +1994,11 @@ class TestManifests:
 
     @pytest.mark.parametrize("command", memassoc.cli._COMMANDS)
     def test_run_writes_exactly_its_outputs_and_a_valid_manifest(self, tmp_path,
-                                                                  command):
+                                                                  capsys, command):
         """Each command, on a shipped config of the part it runs on and the
-        shipped data, writes the files its table entry names."""
+        shipped data, writes the files its table entry names, and prints
+        nothing: every stage learns, training moves cells, and the fit ends
+        inside its box."""
         entry = memassoc.cli._COMMANDS[command]
         config = next(name for name, shipped in SHIPPED_COMMANDS.items()
                       if memassoc.cli._COMMANDS[shipped].runs_on == entry.runs_on)
@@ -1911,6 +2008,7 @@ class TestManifests:
         assert console_main([command, *(inputs[name] for name in entry.inputs),
                              "--config", str(REPO / "configs" / f"{config}.conf"),
                              "--out", str(out)]) == 0
+        assert capsys.readouterr() == ("", "")
         assert {p.name for p in out.iterdir()} == {*entry.outputs, "manifest.json"}
         manifest = memassoc.cli._read_manifest(out / "manifest.json")
         assert manifest["command"] == command
@@ -2069,6 +2167,18 @@ class TestBenchmarkSurface:
         assert all(work == {"label_steps": 2500} for work in labels)
 
 
+def readme_config_sections():
+    """README's "Config format" bullet of each section, by section name
+    (`[stage.K]` as `stage.1`)."""
+    reference = (REPO / "README.md").read_text().split("## Config format")[1]
+    sections = {}
+    for item in reference.split("\n## ")[0].split("\n- ")[1:]:
+        item = item.split("\n\n")[0]
+        header = re.match(r"`\[(\w+)(\.K)?\]`", item)
+        sections["stage.1" if header[2] else header[1]] = item
+    return sections
+
+
 def test_readme_defaults_match_the_default_config():
     """README's config reference is the one prose copy of the defaults:
     each number it gives in parentheses, as `key` (x) or `a`/`b` (x), is
@@ -2080,12 +2190,8 @@ def test_readme_defaults_match_the_default_config():
         elif line:
             key, value = line.split(" = ")
             serialized[section, key] = value
-    reference = (REPO / "README.md").read_text().split("## Config format")[1]
     checked, wrong = 0, []
-    for item in reference.split("\n## ")[0].split("\n- ")[1:]:
-        item = item.split("\n\n")[0]
-        header = re.match(r"`\[(\w+)(\.K)?\]`", item)
-        section = "stage.1" if header[2] else header[1]
+    for section, item in readme_config_sections().items():
         for m in re.finditer(r"`(\w+)`(?:/`(\w+)`)?\s+\(([−\d.e+-]+)\)", item):
             documented = float(m[3].replace("−", "-"))
             for key in filter(None, m.group(1, 2)):
@@ -2095,6 +2201,25 @@ def test_readme_defaults_match_the_default_config():
                     wrong.append((section, key, m[3], value))
     assert wrong == []
     assert checked >= 30
+
+
+def test_readme_names_every_config_key():
+    """README's bullet of each section is the one prose copy of its key
+    table, so it names each key in backticks.  The `[fit]` box keys,
+    `<device key>_lo` and `_hi`, are given there by a pattern and are
+    left out."""
+    cli = memassoc.cli
+    tables = {"device": cli._DEVICE_KEYS, "stage.1": cli._STAGE_KEYS,
+              "schedule": cli._SCHEDULE_KEYS, "sim": cli._SIM_KEYS,
+              "fit": [key for key in cli._FIT_KEYS if not key.endswith(("_lo", "_hi"))],
+              "vision": cli._VISION_KEYS}
+    sections = readme_config_sections()
+    assert set(sections) == set(tables)
+    missing = {section: [key for key in keys
+                         if key not in re.findall(r"`(\w+)`", sections[section])]
+               for section, keys in tables.items()}
+    assert missing == {section: [] for section in tables}
+    assert len(tables["fit"]) == 4
 
 
 def test_prose_lists_of_commands_match_the_table():

@@ -395,6 +395,7 @@ class TestFit:
         assert repr(res.rmse) == "2.1612733124098566e-07"
         assert res.converged and res.stop_reason == "tol"
         assert res.objective_history[-1] == res.rmse
+        assert res.at_bounds == ()
 
     def test_structural_state_bounds_fixed(self, reference_trace):
         start = perturbed_start()
