@@ -84,13 +84,6 @@ SCHEME_LEARNING = "learning"
 SCHEME_FORGETTING = "forgetting"
 SCHEME_NATURAL = "natural_forgetting"
 
-DEFAULT_R_F = 5e3             # ohm, feedback resistance of the inverting stage
-DEFAULT_STATE_THRESHOLD = 0.1  # V, state-signal level that asserts "learned"
-DEFAULT_LOGIC_THRESHOLD = 0.5  # V, stimulus presence threshold
-DEFAULT_READOUT_V = 0.1        # V, sub-threshold readout amplitude
-DEFAULT_ZIGZAG_AMPLITUDE = 0.1  # V, ripple on ring highs
-DEFAULT_ZIGZAG_FREQUENCY = 100.0  # Hz
-DEFAULT_HIGH_LEVEL = 1.0       # V, stimulus high level
 MAX_ROWS = 10_000_000          # trace rows per run, about 2 GB of trace CSV
 
 
@@ -131,9 +124,9 @@ class StimulusSchedule:
     """
 
     preset: str = "pavlov1"
-    high_level: float = DEFAULT_HIGH_LEVEL
-    zigzag_amplitude: float = DEFAULT_ZIGZAG_AMPLITUDE
-    zigzag_frequency: float = DEFAULT_ZIGZAG_FREQUENCY
+    high_level: float = 1.0          # V, stimulus high level
+    zigzag_amplitude: float = 0.1    # V, ripple on ring highs
+    zigzag_frequency: float = 100.0  # Hz
     segments: tuple[tuple[str, tuple[Window, ...]], ...] = ()
 
     def __post_init__(self) -> None:
@@ -193,21 +186,18 @@ def _sample_signal_array(schedule: StimulusSchedule, role: str,
                          t: np.ndarray) -> np.ndarray:
     """Level of `role`'s signal at each time in t: its window's level, on a
     `ring*` role plus a triangle ripple (0, +1, 0, -1 per period from the
-    window start), 0 outside every window."""
+    window start), 0 outside every window.  t must be sorted."""
     out = np.zeros_like(t)
     ripple = role.startswith("ring") and schedule.zigzag_amplitude > 0.0
     for start, end, level in schedule.windows[role]:
-        mask = (t >= start) & (t < end)
-        if not mask.any():
-            continue
-        levels = np.full(int(mask.sum()), level)
+        i, j = np.searchsorted(t, (start, end))
+        out[i:j] = level
         if ripple:
-            phase = (t[mask] - start) * schedule.zigzag_frequency
+            phase = (t[i:j] - start) * schedule.zigzag_frequency
             p = phase - np.floor(phase)
             tri = np.where(p < 0.25, 4.0 * p,
                            np.where(p < 0.75, 2.0 - 4.0 * p, 4.0 * p - 4.0))
-            levels = levels + schedule.zigzag_amplitude * tri
-        out[mask] = levels
+            out[i:j] += schedule.zigzag_amplitude * tri
     return out
 
 
@@ -238,10 +228,10 @@ class StageConfig:
     learning_v: float | None = None          # V, None: the adjusted voltage
     forgetting_v: float = -0.19              # V, active forgetting
     natural_forgetting_v: float = -0.18      # V, natural decay
-    r_f: float = DEFAULT_R_F                 # ohm, feedback resistance
+    r_f: float = 5e3                         # ohm, feedback resistance
     gain: float = 1.8                        # adjusted-voltage gain
     v_learn_max: float = 0.47                # V, adjusted-voltage clamp
-    state_threshold_v: float = DEFAULT_STATE_THRESHOLD  # V, on previous stage's S
+    state_threshold_v: float = 0.1           # V, previous stage's S that asserts "learned"
 
     def __post_init__(self) -> None:
         # learning sets the device; both forgetting schemes reset it
@@ -268,8 +258,8 @@ class ChainConfig:
     duration: float | None = None
     device: DeviceParams = field(default_factory=DeviceParams)
     dt: float = 1e-4
-    logic_threshold: float = DEFAULT_LOGIC_THRESHOLD
-    readout_amplitude: float = DEFAULT_READOUT_V
+    logic_threshold: float = 0.5     # V, stimulus presence threshold
+    readout_amplitude: float = 0.1   # V, sub-threshold readout amplitude
 
     def __post_init__(self) -> None:
         if len(self.stages) < 1:

@@ -780,13 +780,10 @@ def console_main(argv: Sequence[str] | None = None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return _dispatch(ns)
-    except (DataError, InvalidStartError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ConfigError, InvalidInputError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
+    except (DataError, InvalidStartError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

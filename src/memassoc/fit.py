@@ -17,9 +17,9 @@ non-increasing and the whole routine is deterministic.
 The fitted vector covers (r_on, r_off, alpha_on, alpha_off, k_on, k_off,
 v_on, v_off); the structural state bounds w_on / w_off are taken from the
 initial guess and held fixed.  Each objective evaluation restarts the
-integration from the fully reset state w = w_on.  The box is
-`default_bounds(initial)` with `FitConfig`'s overrides in place, built
-once per fit by `FitConfig.bounds`, which refuses one that misses the start.
+integration from the fully reset state w = w_on.  `FitConfig.bounds`
+builds the box once per fit: a wide multiplicative box around the initial
+guess with `FitConfig`'s overrides in place, refused if it misses the start.
 
 The recorded trace is validated once, when it is built, and its columns
 are read-only float64 copies.  What the replay and the score derive from
@@ -67,7 +67,6 @@ __all__ = [
     "simulate_current",
     "rmse",
     "central_difference_gradient",
-    "default_bounds",
     "fit",
 ]
 
@@ -269,7 +268,7 @@ def rmse(model: IVTrace, real: IVTrace) -> float:
 class FitConfig:
     """The [fit] section: search settings, and box overrides as (fit
     parameter, bound) pairs kept in `PARAM_NAMES` order.  A parameter
-    without a pair keeps its `default_bounds` edge (see `bounds`)."""
+    without a pair keeps its default edge (see `bounds`)."""
 
     grad_step: float = 1e-6   # relative central-difference step
     max_iters: int = 200
@@ -297,9 +296,20 @@ class FitConfig:
                 raise InvalidInputError(f"bounds for {name} must be finite, got {bound!r}")
 
     def bounds(self, initial: DeviceParams) -> tuple[dict[str, float], dict[str, float]]:
-        """`default_bounds(initial)` with the overrides in place; raises
-        unless every parameter's box brackets its initial value."""
-        lower, upper = default_bounds(initial)
+        """A wide multiplicative box around the initial guess
+        (sign-preserving) with the overrides in place; raises unless every
+        parameter's box brackets its initial value."""
+        lower: dict[str, float] = {}
+        upper: dict[str, float] = {}
+        for name in PARAM_NAMES:
+            p0 = getattr(initial, name)
+            scale = 8.0 if name in _LOG_SPACE else 4.0
+            mag = abs(p0)
+            lo_mag, hi_mag = mag / scale, mag * scale
+            if p0 >= 0.0:
+                lower[name], upper[name] = lo_mag, hi_mag
+            else:
+                lower[name], upper[name] = -hi_mag, -lo_mag
         lower.update(self.lower)
         upper.update(self.upper)
         for name in PARAM_NAMES:
@@ -330,22 +340,6 @@ class FitResult:
     objective_history: tuple[float, ...]
     stop_reason: str
     at_bounds: tuple[str, ...]
-
-
-def default_bounds(initial: DeviceParams) -> tuple[dict[str, float], dict[str, float]]:
-    """Wide multiplicative box around the initial guess (sign-preserving)."""
-    lower: dict[str, float] = {}
-    upper: dict[str, float] = {}
-    for name in PARAM_NAMES:
-        p0 = getattr(initial, name)
-        scale = 8.0 if name in _LOG_SPACE else 4.0
-        mag = abs(p0)
-        lo_mag, hi_mag = mag / scale, mag * scale
-        if p0 >= 0.0:
-            lower[name], upper[name] = lo_mag, hi_mag
-        else:
-            lower[name], upper[name] = -hi_mag, -lo_mag
-    return lower, upper
 
 
 def _to_vector(params: DeviceParams) -> np.ndarray:

@@ -181,6 +181,8 @@ class ArrayState:
         w = np.array(self.w, dtype=float)
         if w.ndim != 2:
             raise InvalidInputError(f"cell grid must be 2-D, got shape {w.shape}")
+        if w.size == 0:
+            raise InvalidInputError(f"cell grid must not be empty, got shape {w.shape}")
         if not np.all(np.isfinite(w)):
             raise InvalidInputError("cell states must be finite")
         if w.min() < self.params.w_on or w.max() > self.params.w_off:

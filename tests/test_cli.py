@@ -1,6 +1,7 @@
 """Runner tests: config parsing, serialization round trips, subcommand
 behavior, exit codes, manifests, and byte determinism."""
 
+import argparse
 import ast
 import contextlib
 import csv
@@ -43,7 +44,13 @@ from memassoc.cli import (
     serialize_config,
 )
 from memassoc.device import DeviceParams
-from memassoc.errors import ConfigError, DataError, split_lines
+from memassoc.errors import (
+    ConfigError,
+    DataError,
+    InvalidInputError,
+    InvalidStartError,
+    split_lines,
+)
 from memassoc.fit import (
     PARAM_NAMES,
     FitConfig,
@@ -719,8 +726,14 @@ class TestCmdFit:
         ("t_s,v_v,i_a\n0,0.1,0\n1,0.2,0\n", "trace current is zero throughout"),
         ("t_s,v_v,i_a\n-1e308,0.1,1e-6\n1e308,0.2,1e-6\n",
          "trace sample intervals must be finite"),
+        ("t_s,v_v,i_a\n0,0.1,nan\n1,0.2,1e-6\n",
+         "bad.csv: trace contains non-finite samples"),
+        # the csv module's own refusal, past its default field size limit
+        ("t_s,v_v,i_a\n" + "0" * 131073 + ",0.1,1e-6\n1,0.2,1e-6\n",
+         "bad.csv:2: field larger than field limit (131072)"),
     ], ids=["non_numeric", "four_fields", "two_fields",
-            "zero_voltage", "zero_current", "interval_beyond_float_range"])
+            "zero_voltage", "zero_current", "interval_beyond_float_range",
+            "non_finite", "field_beyond_csv_limit"])
     def test_bad_trace_exits_2_before_writing(self, tmp_path, capsys, text, message):
         bad = tmp_path / "bad.csv"
         bad.write_text(text)
@@ -876,6 +889,14 @@ class TestCmdPavlov:
                              "--out", str(out)]) == 1
         assert re.match(rf"config error: {re.escape(str(cfg))}: line \d+: ",
                         capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_empty_key_exits_1_at_its_line_before_writing(self, tmp_path):
+        cfg = tmp_path / "e.conf"
+        cfg.write_text("[sim]\n = 3\n")
+        out = tmp_path / "run"
+        assert run_quietly(["pavlov", "--config", str(cfg), "--out", str(out)]) == (
+            1, [f"config error: {cfg}: line 2: empty key"], [])
         assert not out.exists()
 
     def test_fit_rejects_invalid_chain_sections(self, tmp_path, capsys):
@@ -1068,6 +1089,16 @@ class TestCmdVision:
                              "--out", str(tmp_path / "out")])
         assert code == 2
         assert "teacher" in capsys.readouterr().err
+
+    def test_teacher_without_inputs_exits_2_before_writing(self, tmp_path):
+        train = tmp_path / "train"
+        train.mkdir()
+        (train / "teacher.csv").write_bytes(
+            (REPO / "data" / "vision" / "train" / "teacher.csv").read_bytes())
+        out = tmp_path / "out"
+        assert run_quietly(["vision-train", str(train), "--out", str(out)]) == (
+            2, ["error: no training inputs next to teacher.csv"], [])
+        assert not out.exists()
 
     def test_malformed_image_names_file(self, vision_dirs, tmp_path, capsys):
         train, test = vision_dirs
@@ -1794,6 +1825,19 @@ positional arguments:
 }
 
 
+def choice_list(*names):
+    """`names` as the running argparse lists them after "choose from": with
+    their quotes on the releases that print each choice's repr, bare on
+    those that print its str (3.13.13 does), read off a one-choice probe."""
+    probe = argparse.ArgumentParser(exit_on_error=False)
+    probe.add_argument("x", choices=["a"])
+    try:
+        probe.parse_args(["b"])
+    except argparse.ArgumentError as exc:
+        quote = "'" if "(choose from 'a')" in str(exc) else ""
+    return ", ".join(f"{quote}{name}{quote}" for name in names)
+
+
 class TestConsoleMain:
     @pytest.mark.parametrize("prog", HELP)
     def test_help_text_is_pinned(self, capsys, monkeypatch, prog):
@@ -1805,8 +1849,8 @@ class TestConsoleMain:
     @pytest.mark.parametrize("argv, prog, message", [
         ([], "memassoc", "the following arguments are required: command"),
         (["dance"], "memassoc", "argument command: invalid choice: 'dance' (choose "
-                                "from 'fit', 'pavlov', 'vision-train', "
-                                "'vision-classify')"),
+                                "from " + choice_list("fit", "pavlov", "vision-train",
+                                                      "vision-classify") + ")"),
         (["fit"], "fit", "the following arguments are required: trace"),
         (["vision-classify", "a"], "vision-classify",
          "the following arguments are required: test_dir"),
@@ -1852,6 +1896,18 @@ class TestConsoleMain:
                              "--out", str(tmp_path / "o")])
         assert code == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize("error, code, prefix", [
+        (ConfigError, 1, "config error"), (InvalidInputError, 1, "config error"),
+        (DataError, 2, "error"), (InvalidStartError, 2, "error"),
+        (OSError, 2, "error"),
+    ], ids=lambda value: getattr(value, "__name__", None))
+    def test_run_errors_map_to_exit_codes(self, monkeypatch, error, code, prefix):
+        def fail(ns):
+            raise error("no run")
+
+        monkeypatch.setattr(memassoc.cli, "_dispatch", fail)
+        assert run_quietly(["pavlov"]) == (code, [f"{prefix}: no run"], [])
 
 
 class TestTraceWriterProcesses:

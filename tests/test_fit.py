@@ -35,7 +35,6 @@ from memassoc.fit import (
     FitResult,
     IVTrace,
     central_difference_gradient,
-    default_bounds,
     fit,
     read_trace_csv,
     rmse,
@@ -278,7 +277,7 @@ class TestFit:
 
     def test_bounds_clamp_is_respected(self, reference_trace):
         start = perturbed_start()
-        lower, upper = default_bounds(start)
+        lower, upper = FitConfig().bounds(start)
         cfg = FitConfig(lower=tuple(lower.items()), upper=tuple(upper.items()),
                         max_iters=40)
         res = fit(reference_trace, start, cfg)

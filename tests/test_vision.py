@@ -166,7 +166,9 @@ class TestImageIO:
         ("1.5", "img.pgm: bad PGM sample"),
         ("9" * 400, "img.pgm: bad PGM sample"),
         ("16", "img.pgm: intensity 16 exceeds 15"),
-    ], ids=["negative", "nan", "fraction", "beyond-float", "beyond-maxval"])
+        ("", "img.pgm: expected 2 samples, got 1"),
+    ], ids=["negative", "nan", "fraction", "beyond-float", "beyond-maxval",
+            "missing"])
     def test_pgm_ascii_samples_are_integers_in_range(self, tmp_path, sample,
                                                      message):
         path = tmp_path / "img.pgm"
@@ -365,6 +367,12 @@ class TestTraining:
         with pytest.raises(DataError, match="^training pulse: .*beyond the float"):
             train_pair(new_array(params, side=2), img, img, cfg)
 
+    def test_teacher_of_another_shape_rejected(self):
+        with pytest.raises(InvalidInputError, match=r"^teacher shape \(3, 3\) does "
+                           r"not match array shape \(2, 2\)$"):
+            train_pair(new_array(side=2), np.ones((3, 3)), np.ones((3, 3)),
+                       VisionConfig())
+
     def test_unreachable_threshold_rejected(self):
         cfg = VisionConfig(v_max=0.1)
         with pytest.raises(InvalidInputError, match="v_on"):
@@ -382,6 +390,11 @@ class TestTraining:
             ArrayState(DeviceParams(), np.array([0.0, 1.0]))  # 1-D
         with pytest.raises(InvalidInputError):
             ArrayState(DeviceParams(), np.full((2, 2), 1.5))  # out of bounds
+        with pytest.raises(InvalidInputError,
+                           match=r"^cell grid must not be empty, got shape \(0, 3\)$"):
+            ArrayState(DeviceParams(), np.zeros((0, 3)))
+        with pytest.raises(InvalidInputError, match=r"shape \(0, 0\)$"):
+            new_array(side=0)
 
     def test_array_holds_a_read_only_copy(self):
         # the state grid is computed once per array, so its cells must not
