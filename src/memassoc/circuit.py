@@ -19,11 +19,11 @@ bits and the previous stage's post-step state signal S = r_f / M, and that
 stage has already run over the whole time grid.  So `run_chain`:
 
 1. samples all signal levels on the grid and derives the logic bits;
-2. reads each row's scheme from a fixed truth table, indexed by the row's
-   logic pattern read as a binary number: stage 1 from the 4-row table
-   over the (food, ring1) bits, stage k >= 2 from the 8-row table over
-   (state bit, ring(k-1) bit, ring(k) bit), the state bit being the
-   previous stage's S >= threshold over its whole S column;
+2. reads each row's scheme from one fixed 8-row truth table, indexed by
+   the row's (gate bit, ring(k-1) bit, ring(k) bit) read as a binary
+   number, the gate bit being the previous stage's S >= threshold over
+   its whole S column.  Stage 1 reads the food signal as ring 0, and its
+   gate is always asserted, so it reads the table's second half;
 3. gives each scheme the stage's voltage for it: `learning_v`,
    `forgetting_v` or `natural_forgetting_v`.  A higher stage without a
    fixed `learning_v` learns at the adjusted voltage, g * S clamped to
@@ -201,19 +201,17 @@ def _sample_signal_array(schedule: StimulusSchedule, role: str,
     return out
 
 
-# Modulation truth tables: the scheme code of each logic pattern, indexed by
-# the pattern read as a binary number, first bit most significant.  The
-# codes index `SCHEMES`.
+# The modulation truth table: the scheme code of each logic pattern
+# (gate, ring(k-1), ring(k)), indexed by the pattern read as a binary
+# number, first bit most significant.  The codes index `SCHEMES`.
 SCHEMES = (SCHEME_NATURAL, SCHEME_FORGETTING, SCHEME_LEARNING)
 _NATURAL, _FORGETTING, _LEARNING = range(len(SCHEMES))
-# Stage 1 over (food, ring1): coincidence learns; the conditioned stimulus
-# alone actively forgets; everything else, food alone included, decays.
-_FIRST_ORDER = np.array([_NATURAL, _FORGETTING, _NATURAL, _LEARNING], dtype=np.int8)
-# Stage k over (previous state, ring(k-1), ring(k)): learning needs the new
-# stimulus, the previously learned one and an asserted previous stage; the
-# new stimulus without its predecessor actively forgets; the rest decays.
-_HIGHER_ORDER = np.array([_NATURAL, _FORGETTING, _NATURAL, _NATURAL,
-                          _NATURAL, _FORGETTING, _NATURAL, _LEARNING], dtype=np.int8)
+# Learning needs the new stimulus, the previously learned one and an
+# asserted gate; the new stimulus without its predecessor actively forgets;
+# the rest decays.  Stage 1's gate is always asserted and its ring 0 is
+# food, so its second half reads: coincidence learns, ring 1 alone forgets.
+_TRUTH_TABLE = np.array([_NATURAL, _FORGETTING, _NATURAL, _NATURAL,
+                         _NATURAL, _FORGETTING, _NATURAL, _LEARNING], dtype=np.int8)
 
 
 @dataclass(frozen=True)
@@ -264,8 +262,7 @@ class ChainConfig:
     def __post_init__(self) -> None:
         if len(self.stages) < 1:
             raise InvalidInputError("chain needs at least one stage")
-        if not 0.0 < self.dt < math.inf:
-            raise InvalidInputError(f"dt must be positive and finite, got {self.dt!r}")
+        require(self, ("dt", 0.0 < self.dt < math.inf, "be positive and finite"))
         duration = self.run_length
         if not isinstance(duration, (int, float)):
             raise InvalidInputError(
@@ -279,12 +276,10 @@ class ChainConfig:
             raise InvalidInputError(
                 f"dt must leave at most {MAX_ROWS} trace rows over "
                 f"duration={duration!r}, got dt={self.dt!r}")
-        if not 0.0 < self.logic_threshold < math.inf:
-            raise InvalidInputError(f"logic threshold must be positive and finite, "
-                                    f"got logic_threshold={self.logic_threshold!r}")
-        if not 0.0 <= self.readout_amplitude < math.inf:
-            raise InvalidInputError(f"readout amplitude must be finite and >= 0, "
-                                    f"got readout_amplitude={self.readout_amplitude!r}")
+        require(self, ("logic_threshold", 0.0 < self.logic_threshold < math.inf,
+                       "be positive and finite"),
+                ("readout_amplitude", 0.0 <= self.readout_amplitude < math.inf,
+                 "be finite and >= 0"))
         needed = self.signal_names()
         roles = set(self.schedule.windows)
         if roles != set(needed):
@@ -372,12 +367,11 @@ def run_chain(config: ChainConfig,
     readout = config.readout_amplitude
     stage_traces: list[StageTrace] = []
     for k, stage in enumerate(config.stages):
-        if k == 0:
-            code = _FIRST_ORDER[bits[0] * 2 + bits[1]]
-        else:
-            s_prev = stage_traces[-1].s_v
-            state_bit = s_prev >= stage.state_threshold_v
-            code = _HIGHER_ORDER[state_bit * 4 + bits[k] * 2 + bits[k + 1]]
+        # stage 1's gate is always asserted, so it reads the table's second
+        # half; its learning_v is fixed, so nothing reads its s_prev
+        s_prev = stage_traces[-1].s_v if k else math.inf
+        code = _TRUTH_TABLE[(s_prev >= stage.state_threshold_v) * 4
+                            + bits[k] * 2 + bits[k + 1]]
         # per scheme code; without a fixed learning_v the adjusted voltage
         # fills the learning rows
         mod_v = np.array([stage.natural_forgetting_v, stage.forgetting_v,

@@ -222,6 +222,11 @@ def _values(section: _Section, keys: Mapping[str, str],
     return values
 
 
+def _fields(section: _Section, keys: Mapping[str, str], domain: type) -> dict[str, Any]:
+    """`_values` by the `domain` field each key sets."""
+    return {keys[key]: value for key, value in _values(section, keys, domain).items()}
+
+
 def _located(located: Sequence[tuple[_Section, Mapping[str, str]]],
              make: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
     """`make(*args, **kwargs)`, its error re-raised at the line of the key,
@@ -264,10 +269,9 @@ def _stage_count(sections: dict[str, _Section]) -> int:
 
 
 def _parse_stage(index: int, section: _Section) -> StageConfig:
-    values = {_STAGE_KEYS[key]: value
-              for key, value in _values(section, _STAGE_KEYS, StageConfig).items()}
     return _located([(section, _STAGE_KEYS)], replace,
-                    FIRST_STAGE if index == 1 else StageConfig(), **values)
+                    FIRST_STAGE if index == 1 else StageConfig(),
+                    **_fields(section, _STAGE_KEYS, StageConfig))
 
 
 def _parse_schedule(section: _Section) -> StimulusSchedule:
@@ -277,8 +281,7 @@ def _parse_schedule(section: _Section) -> StimulusSchedule:
              if _ROLE_RE.match(key)}
     scalars = _Section(section.name, section.line, {
         key: entry for key, entry in section.entries.items() if key not in roles})
-    values = {_SCHEDULE_KEYS[key]: v for key, v in
-              _values(scalars, _SCHEDULE_KEYS, StimulusSchedule).items()}
+    values = _fields(scalars, _SCHEDULE_KEYS, StimulusSchedule)
     level = values.get("high_level", StimulusSchedule.high_level)
     # only a custom schedule reads its lists: a preset refuses them unread
     custom = values.get("preset") == "custom"
@@ -318,19 +321,16 @@ def parse_config(text: str, *, vision: bool = False) -> ExperimentConfig:
         return sections.get(name, _Section(name))
 
     dev = section("device")
-    device = _located([(dev, _DEVICE_KEYS)], DeviceParams, **{
-        _DEVICE_KEYS[key]: v
-        for key, v in _values(dev, _DEVICE_KEYS, DeviceParams).items()})
+    device = _located([(dev, _DEVICE_KEYS)], DeviceParams,
+                      **_fields(dev, _DEVICE_KEYS, DeviceParams))
     stages = tuple(_parse_stage(k, section(f"stage.{k}"))
                    for k in range(1, _stage_count(sections) + 1))
     sched_section, sim_section, fit_section, vision_section = map(
         section, ("schedule", "sim", "fit", "vision"))
     schedule = _parse_schedule(sched_section)
-    sim_values = {_SIM_KEYS[key]: v for key, v in
-                  _values(sim_section, _SIM_KEYS, ChainConfig).items()}
+    sim_values = _fields(sim_section, _SIM_KEYS, ChainConfig)
     fit_fields = _parse_fit(fit_section)
-    vision_values = {_VISION_KEYS[key]: v for key, v in
-                     _values(vision_section, _VISION_KEYS, VisionConfig).items()}
+    vision_values = _fields(vision_section, _VISION_KEYS, VisionConfig)
     chain = _located([(sched_section, _SCHEDULE_KEYS), (sim_section, _SIM_KEYS),
                       (section(f"stage.{len(stages)}"), {})], ChainConfig,
                      stages=stages, schedule=schedule, device=device, **sim_values)
@@ -346,10 +346,13 @@ def parse_config(text: str, *, vision: bool = False) -> ExperimentConfig:
     return ExperimentConfig(chain=chain, fit=fit_config, vision=vision_config)
 
 
-def _block(section: str, pairs: list[tuple[str, Any]]) -> str:
-    """One section of `key = value` lines; None values are left out."""
+def _block(section: str, keys: Mapping[str, str], obj: Any,
+           extra: Sequence[tuple[str, Any]] = ()) -> str:
+    """One section of `key = value` lines: each key of `keys` with the field
+    of `obj` it sets, then the `extra` pairs; None values are left out."""
     lines = [f"[{section}]"]
-    for key, value in pairs:
+    for key, value in [*((key, getattr(obj, name)) for key, name in keys.items()),
+                       *extra]:
         if value is None:
             continue
         if isinstance(value, bool):
@@ -360,33 +363,24 @@ def _block(section: str, pairs: list[tuple[str, Any]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _device_block(device: DeviceParams) -> str:
-    return _block("device", [(key, getattr(device, name))
-                             for key, name in _DEVICE_KEYS.items()])
-
-
 def serialize_config(config: ExperimentConfig) -> str:
     """Canonical text form; `parse_config` reads it back to equality."""
     chain, fit_config = config.chain, config.fit
     bounds = {"_lo": dict(fit_config.lower), "_hi": dict(fit_config.upper)}
-    blocks = [_device_block(chain.device)]
-    blocks += [_block(f"stage.{k}", [(key, getattr(stage, name))
-                                     for key, name in _STAGE_KEYS.items()])
-               for k, stage in enumerate(chain.stages, start=1)]
-    blocks.append(_block("schedule", [
-        (key, getattr(chain.schedule, name))
-        for key, name in _SCHEDULE_KEYS.items()] + [
-        (f"{role}_segments", ", ".join(f"{a!r}:{b!r}:{level!r}"
-                                       for a, b, level in windows))
-        for role, windows in chain.schedule.segments]))
-    blocks.append(_block("sim", [(key, getattr(chain, name))
-                                 for key, name in _SIM_KEYS.items()]))
-    blocks.append(_block("fit", [
-        (key, bounds[key[-3:]].get(name) if key[-3:] in bounds
-         else getattr(fit_config, name)) for key, name in _FIT_KEYS.items()]))
-    blocks.append(_block("vision", [(key, getattr(config.vision, name))
-                                    for key, name in _VISION_KEYS.items()]))
-    return "\n".join(blocks)
+    return "\n".join([
+        _block("device", _DEVICE_KEYS, chain.device),
+        *(_block(f"stage.{k}", _STAGE_KEYS, stage)
+          for k, stage in enumerate(chain.stages, start=1)),
+        _block("schedule", _SCHEDULE_KEYS, chain.schedule, [
+            (f"{role}_segments", ", ".join(f"{a!r}:{b!r}:{level!r}"
+                                           for a, b, level in windows))
+            for role, windows in chain.schedule.segments]),
+        _block("sim", _SIM_KEYS, chain),
+        _block("fit", {key: name for key, name in _FIT_KEYS.items()
+                       if key[-3:] not in bounds}, fit_config,
+               [(key, bounds[key[-3:]].get(name)) for key, name in _FIT_KEYS.items()
+                if key[-3:] in bounds]),
+        _block("vision", _VISION_KEYS, config.vision)])
 
 
 def load_config(path: str | Path, *, vision: bool = False) -> ExperimentConfig:
@@ -563,7 +557,7 @@ def cmd_fit(config: ExperimentConfig, trace_path: str | Path,
     result = fit(trace, build_device(config), fit_config)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "device_fit.conf").write_text(_device_block(result.params))
+    (out / "device_fit.conf").write_text(_block("device", _DEVICE_KEYS, result.params))
     report = {"converged": result.converged, "iterations": result.iterations,
               "rmse": result.rmse}
     (out / "fit_report.json").write_text(

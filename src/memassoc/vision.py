@@ -77,7 +77,6 @@ __all__ = [
     "modulation_voltages",
     "train_pair",
     "train_many",
-    "state_grid",
     "similarity",
     "midpoint_threshold",
     "classify",
@@ -202,18 +201,23 @@ class ArrayState:
 
     @functools.cached_property
     def state(self) -> np.ndarray:
-        """`state_grid(self)`, computed on first use and read-only: every
-        probe of a trained array reads the same grid."""
-        grid = state_grid(self)
+        """Normalized state per cell: 0 at low resistance, 1 at high,
+        computed on first use and read-only: every probe of a trained array
+        reads the same grid.
+
+        (w_off - w) / (w_off - w_on) equals log(R / r_on) / log(r_off / r_on)
+        under the device's resistance map.
+        """
+        span = self.params.w_off - self.params.w_on
+        grid = (self.params.w_off - self.w) / span
         grid.flags.writeable = False
         return grid
 
 
-def new_array(params: DeviceParams | None = None,
-              side: int = GRID_SIDE) -> ArrayState:
-    """Fresh array with every cell fully reset (high resistance)."""
-    params = params or DeviceParams()
-    return ArrayState(params, np.full((side, side), params.w_on))
+def new_array(params: DeviceParams) -> ArrayState:
+    """Fresh `GRID_SIDE` x `GRID_SIDE` array with every cell fully reset
+    (high resistance)."""
+    return ArrayState(params, np.full((GRID_SIDE, GRID_SIDE), params.w_on))
 
 
 # --- image ingestion -------------------------------------------------------
@@ -320,9 +324,8 @@ def _box_resize(img: np.ndarray, side: int) -> np.ndarray:
     return out
 
 
-def load_image(path: Path, side: int = GRID_SIDE,
-               allow_resize: bool = False) -> np.ndarray:
-    """Image as a side x side grid of intensities in [0, 1].
+def load_image(path: Path, allow_resize: bool = False) -> np.ndarray:
+    """Image as a `GRID_SIDE` x `GRID_SIDE` grid of intensities in [0, 1].
 
     `IMAGE_READERS` picks the reader by lower-cased suffix.  Larger images
     are center-cropped and box-filtered down only when `allow_resize` is
@@ -332,13 +335,13 @@ def load_image(path: Path, side: int = GRID_SIDE,
     if suffix not in IMAGE_READERS:
         raise DataError(f"{path.name}: unsupported image format {suffix!r}")
     img = IMAGE_READERS[suffix](path)
-    if img.shape == (side, side):
+    if img.shape == (GRID_SIDE, GRID_SIDE):
         return img
-    if allow_resize and img.shape[0] >= side and img.shape[1] >= side:
-        return _box_resize(img, side)
+    if allow_resize and img.shape[0] >= GRID_SIDE and img.shape[1] >= GRID_SIDE:
+        return _box_resize(img, GRID_SIDE)
     raise DataError(
         f"{path.name}: image is {img.shape[0]}x{img.shape[1]}, "
-        f"expected {side}x{side}"
+        f"expected {GRID_SIDE}x{GRID_SIDE}"
         + ("" if allow_resize else " (resizing not enabled)"))
 
 
@@ -426,16 +429,6 @@ def train_many(array: ArrayState, inputs: Sequence[np.ndarray],
 
 
 # --- inference -------------------------------------------------------------
-
-def state_grid(array: ArrayState) -> np.ndarray:
-    """Normalized state per cell: 0 at low resistance, 1 at high.
-
-    (w_off - w) / (w_off - w_on) equals log(R / r_on) / log(r_off / r_on)
-    under the device's resistance map.
-    """
-    span = array.params.w_off - array.params.w_on
-    return (array.params.w_off - array.w) / span
-
 
 def similarity(state: np.ndarray, img: np.ndarray,
                binarize_threshold: float = VisionConfig.binarize_threshold

@@ -4,9 +4,10 @@ Covered invariants:
   * segment/schedule validation, half-open sampling, triangle ripple
     bounds, and the engine's sampler equals the oracle's scalar one on
     every row of the reference schedules;
-  * the package's two truth tables and the oracle's wildcard copy match
-    the documented rows; stage 1 needs a fixed learning voltage, and each
-    stage reads the table of its place in the chain at its own voltages;
+  * the package's one truth table, whose gated half stage 1 reads, and
+    the oracle's wildcard copies match the documented rows; stage 1 needs
+    a fixed learning voltage, and each stage reads the rows of its place
+    in the chain at its own voltages;
   * single-stage chain reproduces the analytic switch time under a
     continuous pairing drive;
   * the reference schedules reproduce frozen switch/reset/speedup values,
@@ -141,6 +142,7 @@ def pattern_index(bits):
 
 class TestLogicAndRules:
     def test_first_order_table(self):
+        """Stage 1 reads the table's gated half, with food as ring 0."""
         expected = {
             (1, 1): (SCHEME_LEARNING, 0.35),
             (0, 1): (SCHEME_FORGETTING, -0.175),
@@ -149,9 +151,8 @@ class TestLogicAndRules:
         }
         for bits, want in expected.items():
             assert select(FIRST_STAGE, bits) == want
-            code = circuit._FIRST_ORDER[pattern_index(bits)]
+            code = circuit._TRUTH_TABLE[pattern_index((1, *bits))]
             assert SCHEMES[code] == want[0], bits
-        assert len(circuit._FIRST_ORDER) == len(expected)
 
     def test_higher_order_table(self):
         expected = {
@@ -166,9 +167,9 @@ class TestLogicAndRules:
         }
         for bits, want in expected.items():
             assert select(StageConfig(), bits, 0.42) == want, bits
-            code = circuit._HIGHER_ORDER[pattern_index(bits)]
+            code = circuit._TRUTH_TABLE[pattern_index(bits)]
             assert SCHEMES[code] == want[0], bits
-        assert len(circuit._HIGHER_ORDER) == len(expected)
+        assert len(circuit._TRUTH_TABLE) == len(expected)
 
     def test_stage_one_rejects_adjusted_voltage_rule(self):
         # the adjusted learning voltage reads the previous stage, which
@@ -404,12 +405,14 @@ class TestConfigValidation:
         sched = custom_schedule(food=[], ring1=[], ring2=[])
         with pytest.raises(InvalidInputError, match="roles"):
             single_stage_chain(sched, duration=0.1)
+        with pytest.raises(InvalidInputError, match="^chain needs at least one stage$"):
+            ChainConfig(stages=())
 
     def test_stage_arity_enforced(self):
-        # the table follows the stage's place in the chain, not its
+        # the rows follow the stage's place in the chain, not its
         # voltages: a stage with a fixed learning_v still learns only on
         # the 3-bit pattern (state, ring1, ring2) = (1, 1, 1) at stage 2,
-        # and a higher stage's voltages run the 2-bit table at stage 1
+        # and a higher stage's voltages run the gated half at stage 1
         sched = custom_schedule(food=[(0.0, 0.1)], ring1=[(0.05, 0.3)],
                                 ring2=[(0.0, 0.2)])
         fixed = StageConfig(learning_v=0.3)
@@ -443,12 +446,10 @@ class TestConfigValidation:
         sched = custom_schedule(food=[], ring1=[])
         stages = (FIRST_STAGE,)
         for bad in (math.inf, math.nan):
-            with pytest.raises(InvalidInputError, match="readout"):
-                ChainConfig(stages=stages, schedule=sched, duration=0.1,
-                            readout_amplitude=bad)
-            with pytest.raises(InvalidInputError, match="logic threshold"):
-                ChainConfig(stages=stages, schedule=sched, duration=0.1,
-                            logic_threshold=bad)
+            for name in ("dt", "logic_threshold", "readout_amplitude"):
+                with pytest.raises(InvalidInputError, match=f"^{name} must"):
+                    ChainConfig(stages=stages, schedule=sched, duration=0.1,
+                                **{name: bad})
             for name in ("learning_v", "forgetting_v", "natural_forgetting_v"):
                 with pytest.raises(InvalidInputError, match=f"^{name} must"):
                     StageConfig(**{name: bad})
@@ -538,6 +539,15 @@ class TestSerialization:
                           f"{st.resp_v[i]:.10g}", f"{st.p_w[i]:.10g}"]
             lines.append(",".join(cells))
         assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+    def test_usable_cpus_without_fork_or_affinity(self, monkeypatch):
+        # one process writes where it cannot fork; every CPU counts where
+        # the process cannot read its affinity
+        with monkeypatch.context() as m:
+            m.delattr(os, "fork", raising=False)
+            assert circuit._usable_cpus() == 1
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert circuit._usable_cpus() == (os.cpu_count() or 1)
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
                         reason="needs CPU affinity")

@@ -293,6 +293,15 @@ OUT_OF_RANGE = [
 ]
 
 
+# config key -> the domain field it sets, for every scalar key but the
+# fit's bounds, whose checks name the bounded parameter
+SCALAR_FIELDS = {**memassoc.cli._DEVICE_KEYS, **memassoc.cli._STAGE_KEYS,
+                 **memassoc.cli._SCHEDULE_KEYS, **memassoc.cli._SIM_KEYS,
+                 **memassoc.cli._VISION_KEYS,
+                 **{key: name for key, name in memassoc.cli._FIT_KEYS.items()
+                    if not key.endswith(("_lo", "_hi"))}}
+
+
 class TestErrorsAtKeyLine:
     """Each bad value fails in `parse_config` at the line of its own key."""
 
@@ -301,6 +310,18 @@ class TestErrorsAtKeyLine:
         line = next(n for n, entry in enumerate(text.splitlines(), start=1)
                     if entry.startswith(f"{key} ="))
         with pytest.raises(ConfigError, match=rf"^line {line}: {key}: "):
+            parse_config(text)
+
+    @pytest.mark.parametrize("text,key", [(text, key) for text, key in NON_FINITE
+                                          if key in SCALAR_FIELDS
+                                          and text.endswith("inf\n")])
+    def test_infinite_scalar_names_its_field_first(self, text, key):
+        """Every scalar field, the chain's `dt`, `logic_threshold` and
+        `readout_amplitude` included, is checked in the `require` form
+        `<field> must ...`.  (A nan never reaches a domain type.)"""
+        line = len(text.splitlines())
+        with pytest.raises(ConfigError,
+                           match=rf"^line {line}: {key}: {SCALAR_FIELDS[key]} must "):
             parse_config(text)
 
     def test_cross_section_error_names_section_header(self):

@@ -26,7 +26,7 @@ import pytest
 
 from memassoc.device import DeviceParams, drive_rate, pulse, resistance, trajectory
 from memassoc.errors import InvalidInputError
-from memassoc.vision import ArrayState, state_grid
+from memassoc.vision import ArrayState
 from oracle import drift_rate, fold
 
 P = DeviceParams()  # reference parameter set
@@ -101,7 +101,7 @@ class TestResistanceMap:
 
     def test_normalized_state_identity(self):
         w = np.linspace(P.w_on, P.w_off, 11)
-        n_direct = state_grid(ArrayState(P, w.reshape(1, -1)))[0]
+        n_direct = ArrayState(P, w.reshape(1, -1)).state[0]
         for wi, ni in zip(w, n_direct):
             n_from_r = math.log(resistance(P, wi) / P.r_on) / math.log(P.r_off / P.r_on)
             assert ni == pytest.approx(n_from_r, abs=1e-12)
@@ -112,7 +112,7 @@ class TestResistanceMap:
         # w such that R = 50 kohm, via the log identity
         w_50k = P.w_off - math.log(50e3 / P.r_on) / math.log(P.r_off / P.r_on)
         assert resistance(P, w_50k) == pytest.approx(50e3, rel=1e-12)
-        n_50k = state_grid(ArrayState(P, np.array([[w_50k]])))[0, 0]
+        n_50k = ArrayState(P, np.array([[w_50k]])).state[0, 0]
         assert n_50k == pytest.approx(0.4070, abs=5e-5)
 
 
@@ -341,10 +341,12 @@ class TestParamValidation:
         assert resistance(wide, wide.w_on) == pytest.approx(1e7, rel=1e-9)
 
     def test_non_finite_state_rejected(self):
-        # every entry point that takes a start state refuses a NaN one
+        # every entry point that takes a state refuses a NaN one
         with pytest.raises(InvalidInputError):
             pulse(P, float("nan"), 0.0, DT, 1)
         with pytest.raises(InvalidInputError):
             trajectory(P, [], DT, float("nan"))
         with pytest.raises(InvalidInputError):
             ArrayState(P, np.array([[0.5, float("nan")]]))
+        with pytest.raises(InvalidInputError, match="^state w must be finite, got nan$"):
+            resistance(P, float("nan"))

@@ -11,7 +11,8 @@ Covered here:
 - `FitConfig` bound overrides: kept in parameter order, each name known
   and given once, and merged into a box that must bracket the start;
 - a start whose line search overflows exp still returns a result, and so
-  does one whose gradient probe overflows the device replay;
+  does one whose gradient probe overflows the device replay; a start
+  corner whose search ends on a stationary point stops on `gradient`;
 - trace columns are read-only copies, and the shipped `fit_sinusoid.conf`
   fit is pinned: iterations, replay count, the rmse's float and the
   stop reason.
@@ -75,6 +76,10 @@ class TestIVTrace:
     def test_rejects_length_mismatch(self):
         with pytest.raises(InvalidInputError):
             IVTrace(np.array([0.0, 1.0]), np.zeros(2), np.zeros(3))
+
+    def test_rejects_columns_that_are_not_1d(self):
+        with pytest.raises(InvalidInputError, match="^trace columns must be 1-D$"):
+            IVTrace(np.array([0.0, 1.0]), np.zeros((2, 1)), np.zeros(2))
 
     def test_rejects_interval_beyond_float_range(self):
         # both timestamps are finite, but 1e308 - (-1e308) is not
@@ -331,6 +336,21 @@ class TestFit:
         res = fit(real, start, FitConfig())
         assert isinstance(res, FitResult)
         assert math.isfinite(res.rmse)
+
+    def test_stationary_corner_stops_on_gradient(self):
+        # corner 190 of the shipped fit's +-30% starts (1.3x where bit j is
+        # set): the search reaches a point on its box whose gradient is
+        # below the stationarity cutoff, the one start of the 256 that
+        # stops there
+        start = DeviceParams(**{
+            name: getattr(TRUE, name) * (1.3 if 190 >> j & 1 else 0.7)
+            for j, name in enumerate(PARAM_NAMES)})
+        real = read_trace_csv(REPO / "data" / "iv" / "sine_10hz_0v5.csv")
+        res = fit(real, start, FitConfig())
+        assert (res.stop_reason, res.iterations) == ("gradient", 70)
+        assert res.converged
+        assert res.rmse == pytest.approx(1.044e-3, abs=1e-6)
+        assert res.at_bounds == ("alpha_on", "k_on", "k_off", "v_on", "v_off")
 
     def test_replay_overflow_mid_search_backs_off(self, monkeypatch):
         # the smallest alpha_on whose replay of the shipped sine overflows

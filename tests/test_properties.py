@@ -44,7 +44,8 @@ comparisons):
     the oracle's formulas on `binarize` float grids bit for bit, on grids
     whose cells sit at the threshold, one ULP either side of it, at 0.0,
     -0.0, 1.0 and nan; a trained array's cached `state` grid is
-    `state_grid` of it, bit for bit, and read-only like its cell grid; and
+    (w_off - w) / (w_off - w_on) of it, bit for bit, and read-only like its
+    cell grid; and
     `train_pair`, which steps the unchecked fold, equals `device.pulse`
     over the voltages `modulation_voltages` derives from the same counts;
   * the stage-at-a-time `run_chain` equals the oracle's row-at-a-time
@@ -105,10 +106,8 @@ from memassoc.vision import (
     classify,
     match_counts,
     modulation_voltages,
-    new_array,
     read_image_csv,
     similarity,
-    state_grid,
     train_pair,
 )
 from oracle import fold, match_counts_binary, run_chain_rows
@@ -488,7 +487,8 @@ def test_train_pair_matches_scalar_step(alpha, seed, pulses):
     inp, teacher = rng.random((6, 6)), rng.random((6, 6))
     cfg = VisionConfig(predicate="abs-diff", tau=0.3, v_max=0.5,
                        pulse_dt=pulses * 1e-3, dt=1e-3)
-    got = train_pair(new_array(params, side=6), inp, teacher, cfg).w
+    fresh = ArrayState(params, np.full((6, 6), params.w_on))
+    got = train_pair(fresh, inp, teacher, cfg).w
     # the voltages train_pair derives, rebuilt from the documented formula
     counts = np.array([[np.sum(np.abs(inp - t) <= cfg.tau) for t in row]
                        for row in teacher], dtype=float)
@@ -604,7 +604,9 @@ def test_trained_array_equals_checked_pulse(case):
         with pytest.raises(ValueError, match="read-only"):
             grid[0, 0] = 0.5
     assert trained.state is trained.state
-    assert np.array_equal(bits64(trained.state), bits64(state_grid(trained)))
+    params = trained.params
+    want_state = (params.w_off - trained.w) / (params.w_off - params.w_on)
+    assert np.array_equal(bits64(trained.state), bits64(want_state))
 
 
 # --- CSV images -----------------------------------------------------------------

@@ -42,7 +42,6 @@ from memassoc.vision import (
     new_array,
     read_image_pgm,
     similarity,
-    state_grid,
     train_many,
     train_pair,
     write_state_csv,
@@ -51,6 +50,12 @@ from oracle import binarize, step
 
 DATA = Path(__file__).resolve().parents[1] / "data" / "vision"
 THETA = 0.2911  # frozen from the shipped calibration split
+
+
+def fresh_array(n, params=DeviceParams()):
+    """An n x n array with every cell fully reset, as `new_array` builds
+    one of `GRID_SIDE` x `GRID_SIDE`."""
+    return ArrayState(params, np.full((n, n), params.w_on))
 
 
 def write_csv(path, grid):
@@ -185,12 +190,13 @@ class TestImageIO:
 
     def test_csv_and_pgm_share_the_intensity_rule(self, tmp_path):
         # the same 8-bit image through either reader: the same floats
-        grid = np.array([[0, 1, 2], [128, 254, 255]])
+        # larger than the grid, so both are cropped and box-filtered alike
+        grid = np.arange(21 * 22).reshape(21, 22) % 256
         csv = write_csv(tmp_path / "a.csv", grid)
         pgm = tmp_path / "a.pgm"
-        pgm.write_text("P2 3 2 255\n" + " ".join(map(str, grid.ravel())) + "\n")
-        assert np.array_equal(load_image(csv, side=2, allow_resize=True),
-                              load_image(pgm, side=2, allow_resize=True))
+        pgm.write_text("P2 22 21 255\n" + " ".join(map(str, grid.ravel())) + "\n")
+        assert np.array_equal(load_image(csv, allow_resize=True),
+                              load_image(pgm, allow_resize=True))
         assert np.array_equal(read_image_pgm(pgm), grid / 255.0)
 
     def test_suffix_case_is_ignored(self, tmp_path):
@@ -323,24 +329,24 @@ class TestTraining:
         teacher = np.array([[1.0, 0.0], [0.0, 1.0]])
         inp = np.array([[1.0, 1.0], [1.0, 0.0]])  # three 1s: count 3 vs 1
         cfg = VisionConfig(v_max=0.6)
-        arr = train_pair(new_array(side=2), inp, teacher, cfg)
-        n = state_grid(arr)
+        arr = train_pair(fresh_array(2), inp, teacher, cfg)
+        n = arr.state
         assert n[0, 0] < n[0, 1]  # count 3 beats count 1
 
     def test_zero_count_cells_never_move(self):
         teacher = np.ones((2, 2))
         inp = np.zeros((2, 2))
-        arr = train_pair(new_array(side=2), inp, teacher, VisionConfig())
+        arr = train_pair(fresh_array(2), inp, teacher, VisionConfig())
         assert np.all(arr.w == arr.params.w_on)
 
     def test_repeated_training_saturates(self):
         teacher = np.ones((2, 2))
         inp = np.ones((2, 2))
-        arr = new_array(side=2)
-        previous = state_grid(arr).copy()
+        arr = fresh_array(2)
+        previous = arr.state
         for _ in range(12):
             arr = train_pair(arr, inp, teacher, VisionConfig())
-            current = state_grid(arr)
+            current = arr.state
             assert np.all(current <= previous + 1e-15)
             previous = current
         assert np.all(arr.w == arr.params.w_off)
@@ -350,8 +356,8 @@ class TestTraining:
         teacher = binarize(rng.random((4, 4)))
         inputs = [binarize(rng.random((4, 4))) for _ in range(3)]
         cfg = VisionConfig()
-        folded = train_many(new_array(side=4), inputs, teacher, cfg)
-        manual = new_array(side=4)
+        folded = train_many(fresh_array(4), inputs, teacher, cfg)
+        manual = fresh_array(4)
         for img in inputs:
             manual = train_pair(manual, img, teacher, cfg)
         np.testing.assert_array_equal(folded.w, manual.w)
@@ -365,18 +371,18 @@ class TestTraining:
         full = ArrayState(params, np.full((2, 2), params.w_off))
         np.testing.assert_array_equal(train_pair(full, img, img, cfg).w, full.w)
         with pytest.raises(DataError, match="^training pulse: .*beyond the float"):
-            train_pair(new_array(params, side=2), img, img, cfg)
+            train_pair(fresh_array(2, params), img, img, cfg)
 
     def test_teacher_of_another_shape_rejected(self):
         with pytest.raises(InvalidInputError, match=r"^teacher shape \(3, 3\) does "
                            r"not match array shape \(2, 2\)$"):
-            train_pair(new_array(side=2), np.ones((3, 3)), np.ones((3, 3)),
+            train_pair(fresh_array(2), np.ones((3, 3)), np.ones((3, 3)),
                        VisionConfig())
 
     def test_unreachable_threshold_rejected(self):
         cfg = VisionConfig(v_max=0.1)
         with pytest.raises(InvalidInputError, match="v_on"):
-            train_pair(new_array(side=2), np.ones((2, 2)), np.ones((2, 2)), cfg)
+            train_pair(fresh_array(2), np.ones((2, 2)), np.ones((2, 2)), cfg)
 
     def test_voltage_span_beyond_float_range_is_refused(self):
         # v_max - v_min would overflow every voltage to inf or nan; the
@@ -393,8 +399,6 @@ class TestTraining:
         with pytest.raises(InvalidInputError,
                            match=r"^cell grid must not be empty, got shape \(0, 3\)$"):
             ArrayState(DeviceParams(), np.zeros((0, 3)))
-        with pytest.raises(InvalidInputError, match=r"shape \(0, 0\)$"):
-            new_array(side=0)
 
     def test_array_holds_a_read_only_copy(self):
         # the state grid is computed once per array, so its cells must not
@@ -410,12 +414,12 @@ class TestTraining:
 class TestStateAndSimilarity:
     def test_state_extremes(self):
         params = DeviceParams()
-        fresh = new_array(params, side=2)
-        assert np.all(state_grid(fresh) == 1.0)
+        fresh = fresh_array(2, params)
+        assert np.all(fresh.state == 1.0)
         set_arr = ArrayState(params, np.full((2, 2), params.w_off))
-        assert np.all(state_grid(set_arr) == 0.0)
+        assert np.all(set_arr.state == 0.0)
         mid = ArrayState(params, np.full((2, 2), 0.5))
-        assert state_grid(mid) == pytest.approx(np.full((2, 2), 0.5))
+        assert mid.state == pytest.approx(np.full((2, 2), 0.5))
 
     def test_similarity_extremes(self):
         img = np.array([[1.0, 0.0], [0.0, 1.0]])
@@ -525,20 +529,21 @@ def demo_array():
     teacher = load_image(DATA / "train" / "teacher.csv")
     inputs = [load_image(p)
               for p in sorted((DATA / "train").glob("input_*.csv"))]
-    return train_many(new_array(), inputs, teacher, VisionConfig()), teacher
+    array = train_many(new_array(DeviceParams()), inputs, teacher, VisionConfig())
+    return array, teacher
 
 
 class TestDemoSuite:
     def test_high_count_cells_switch(self, demo_array):
         arr, teacher = demo_array
-        n = state_grid(arr)
+        n = arr.state
         bits = binarize(teacher)
         assert n[bits == 1].max() < 0.2
         assert np.all(n[bits == 0] == 1.0)  # background never crosses v_on
 
     def test_calibration_clusters_separate(self, demo_array):
         arr, _ = demo_array
-        state = state_grid(arr)
+        state = arr.state
         pos = [similarity(state, load_image(p))
                for p in sorted((DATA / "calibration").glob("cat_*.csv"))]
         neg = [similarity(state, load_image(p))
@@ -556,8 +561,8 @@ class TestDemoSuite:
     def test_state_csv_deterministic(self, demo_array, tmp_path):
         arr, _ = demo_array
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_state_csv(state_grid(arr), a)
-        write_state_csv(state_grid(arr), b)
+        write_state_csv(arr.state, a)
+        write_state_csv(arr.state, b)
         assert a.read_bytes() == b.read_bytes()
         assert len(a.read_text().splitlines()) == 20
 
@@ -569,7 +574,7 @@ def _stage_trace():
 
 
 @pytest.mark.parametrize("make", [
-    lambda: new_array(DeviceParams(), side=2),
+    lambda: new_array(DeviceParams()),
     lambda: IVTrace(np.arange(3.0), np.zeros(3), np.zeros(3)),
     _stage_trace,
     lambda: SimTrace(np.arange(3.0), 1.0, ("food",), np.zeros((1, 3)),
