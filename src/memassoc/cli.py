@@ -106,11 +106,11 @@ _SIM_KEYS = {
     "dt_s": "dt", "duration_s": "duration",
     "logic_threshold_v": "logic_threshold", "readout_v": "readout_amplitude",
 }
-# `<device key>_lo` / `_hi` bound one fitted parameter
+# `<device key>_lo` / `_hi` set one edge of a fitted parameter's box
 _FIT_KEYS = {
     "grad_step": "grad_step", "max_iters": "max_iters", "tol": "tol",
     "source_r_ohm": "source_r_ohm",
-    **{f"{key}_{end}": name for end in ("lo", "hi")
+    **{f"{key}_{end}": f"{name}_{end}" for end in ("lo", "hi")
        for key, name in _DEVICE_KEYS.items() if name in PARAM_NAMES},
 }
 _VISION_KEYS = {
@@ -291,18 +291,6 @@ def _parse_schedule(section: _Section) -> StimulusSchedule:
                     **values, segments=segments)
 
 
-def _parse_fit(section: _Section) -> dict[str, Any]:
-    """The `FitConfig` fields the section sets, read but not yet checked;
-    each `_lo` / `_hi` key gives one (fit parameter, bound) pair."""
-    values = _values(section, _FIT_KEYS, FitConfig)
-    fields = {_FIT_KEYS[key]: v for key, v in values.items()
-              if not key.endswith(("_lo", "_hi"))}
-    for end, name in (("_lo", "lower"), ("_hi", "upper")):
-        fields[name] = tuple((_FIT_KEYS[key], v) for key, v in values.items()
-                             if key.endswith(end))
-    return fields
-
-
 def parse_config(text: str, *, vision: bool = False) -> ExperimentConfig:
     """Parse a config document; defaults fill every gap.
 
@@ -329,13 +317,13 @@ def parse_config(text: str, *, vision: bool = False) -> ExperimentConfig:
         section, ("schedule", "sim", "fit", "vision"))
     schedule = _parse_schedule(sched_section)
     sim_values = _fields(sim_section, _SIM_KEYS, ChainConfig)
-    fit_fields = _parse_fit(fit_section)
+    fit_values = _fields(fit_section, _FIT_KEYS, FitConfig)
     vision_values = _fields(vision_section, _VISION_KEYS, VisionConfig)
     chain = _located([(sched_section, _SCHEDULE_KEYS), (sim_section, _SIM_KEYS),
                       (section(f"stage.{len(stages)}"), {})], ChainConfig,
                      stages=stages, schedule=schedule, device=device, **sim_values)
     at_fit = [(fit_section, _FIT_KEYS)]
-    fit_config = _located(at_fit, FitConfig, **fit_fields)
+    fit_config = _located(at_fit, FitConfig, **fit_values)
     _located(at_fit, fit_config.bounds, device)
     at_vision = [(vision_section, _VISION_KEYS)]
     vision_config = _located(at_vision, VisionConfig, **vision_values)
@@ -365,8 +353,7 @@ def _block(section: str, keys: Mapping[str, str], obj: Any,
 
 def serialize_config(config: ExperimentConfig) -> str:
     """Canonical text form; `parse_config` reads it back to equality."""
-    chain, fit_config = config.chain, config.fit
-    bounds = {"_lo": dict(fit_config.lower), "_hi": dict(fit_config.upper)}
+    chain = config.chain
     return "\n".join([
         _block("device", _DEVICE_KEYS, chain.device),
         *(_block(f"stage.{k}", _STAGE_KEYS, stage)
@@ -376,10 +363,7 @@ def serialize_config(config: ExperimentConfig) -> str:
                                            for a, b, level in windows))
             for role, windows in chain.schedule.segments]),
         _block("sim", _SIM_KEYS, chain),
-        _block("fit", {key: name for key, name in _FIT_KEYS.items()
-                       if key[-3:] not in bounds}, fit_config,
-               [(key, bounds[key[-3:]].get(name)) for key, name in _FIT_KEYS.items()
-                if key[-3:] in bounds]),
+        _block("fit", _FIT_KEYS, config.fit),
         _block("vision", _VISION_KEYS, config.vision)])
 
 
@@ -697,16 +681,17 @@ def replay_manifest(manifest_path: str | Path,
 
     A faithful replay reproduces the recorded `outputs` hashes exactly.  A
     malformed manifest raises `DataError`, and a `config_text` that does
-    not parse `ConfigError`, naming it before anything runs.
+    not parse or that the run refuses (a classification without its
+    threshold) `ConfigError`, naming it before anything is written.
     """
     manifest = _read_manifest(Path(manifest_path))
     command = _COMMANDS[manifest["command"]]
     try:
         config = parse_config(manifest["config_text"],
                               vision=command.runs_on == "vision")
+        command.run(config, manifest["args"], out_dir)
     except ConfigError as exc:
         raise ConfigError(f"{manifest_path}: {exc}") from exc
-    command.run(config, manifest["args"], out_dir)
     out = Path(out_dir)
     return {name: _sha256(out / name) for name in manifest["outputs"]}
 
@@ -750,7 +735,8 @@ def _with_dt_override(config: ExperimentConfig, runs_on: str, dt: float | None,
 def _dispatch(ns: argparse.Namespace) -> int:
     """Parse every config and check it under `--dt-override` before the
     first one runs, then run them in order; a chain sweep writes each run
-    under its config's file stem."""
+    under its config's file stem.  A config error a run raises (a
+    classification without its threshold) names the config's path."""
     command = _COMMANDS[ns.command]
     if len(ns.config) > 1 and command.runs_on != "chain":
         raise ConfigError(f"{ns.command} accepts a single --config")
@@ -763,8 +749,15 @@ def _dispatch(ns: argparse.Namespace) -> int:
     dt = getattr(ns, "dt_override", None)
     configs = [_with_dt_override(config, command.runs_on, dt, path)
                for path, config in parsed]
-    return max(command.run(config, vars(ns), out)
-               for config, out in zip(configs, outs))
+    status = 0
+    for (path, _), config, out in zip(parsed, configs, outs):
+        try:
+            status = max(status, command.run(config, vars(ns), out))
+        except ConfigError as exc:
+            if path is None:
+                raise
+            raise ConfigError(f"{path}: {exc}") from exc
+    return status
 
 
 def console_main(argv: Sequence[str] | None = None) -> int:

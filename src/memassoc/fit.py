@@ -19,7 +19,8 @@ v_on, v_off); the structural state bounds w_on / w_off are taken from the
 initial guess and held fixed.  Each objective evaluation restarts the
 integration from the fully reset state w = w_on.  `FitConfig.bounds`
 builds the box once per fit: a wide multiplicative box around the initial
-guess with `FitConfig`'s overrides in place, refused if it misses the start.
+guess with each edge `FitConfig` sets in place of its default, refused at
+the first edge set that misses the start.
 
 The recorded trace is validated once, when it is built, and its columns
 are read-only float64 copies.  What the replay and the score derive from
@@ -73,12 +74,11 @@ __all__ = [
 TRACE_HEADER = ("t_s", "v_v", "i_a")
 
 # Fitted parameters, in vector order.  Scale-like entries travel through
-# the optimizer as log |value| with the sign restored afterwards; the two
-# thresholds stay linear.
+# the optimizer as log |value| with the initial guess's sign restored
+# afterwards; the two thresholds stay linear.
 PARAM_NAMES = ("r_on", "r_off", "alpha_on", "alpha_off",
                "k_on", "k_off", "v_on", "v_off")
 _LOG_SPACE = ("r_on", "r_off", "alpha_on", "alpha_off", "k_on", "k_off")
-_PARAM_SIGN = {"k_off": -1.0, "v_off": -1.0}
 _INFEASIBLE = 1e6  # objective surrogate outside the feasible parameter set
 _PROBES = 50  # Armijo halvings per line search
 
@@ -266,16 +266,30 @@ def rmse(model: IVTrace, real: IVTrace) -> float:
 
 @dataclass(frozen=True)
 class FitConfig:
-    """The [fit] section: search settings, and box overrides as (fit
-    parameter, bound) pairs kept in `PARAM_NAMES` order.  A parameter
-    without a pair keeps its default edge (see `bounds`)."""
+    """The [fit] section: search settings, and one optional override per
+    edge of the fit's box, `<parameter>_lo` and `<parameter>_hi` for each
+    of `PARAM_NAMES`.  An edge left None keeps its default (see `bounds`)."""
 
     grad_step: float = 1e-6   # relative central-difference step
     max_iters: int = 200
     tol: float = 1e-12        # objective-improvement stop tolerance
     source_r_ohm: float = 0.0
-    lower: tuple[tuple[str, float], ...] = ()
-    upper: tuple[tuple[str, float], ...] = ()
+    r_on_lo: float | None = None
+    r_off_lo: float | None = None
+    alpha_on_lo: float | None = None
+    alpha_off_lo: float | None = None
+    k_on_lo: float | None = None
+    k_off_lo: float | None = None
+    v_on_lo: float | None = None
+    v_off_lo: float | None = None
+    r_on_hi: float | None = None
+    r_off_hi: float | None = None
+    alpha_on_hi: float | None = None
+    alpha_off_hi: float | None = None
+    k_on_hi: float | None = None
+    k_off_hi: float | None = None
+    v_on_hi: float | None = None
+    v_off_hi: float | None = None
 
     def __post_init__(self) -> None:
         require(self,
@@ -283,41 +297,32 @@ class FitConfig:
                 ("max_iters", self.max_iters >= 1, "be >= 1"),
                 ("tol", 0.0 <= self.tol < math.inf, "be finite and >= 0"),
                 ("source_r_ohm", 0.0 <= self.source_r_ohm < math.inf,
-                 "be finite and >= 0"))
-        for end in ("lower", "upper"):
-            names = [name for name, _ in getattr(self, end)]
-            if not set(names) <= set(PARAM_NAMES) or len(set(names)) < len(names):
-                raise InvalidInputError(f"{end} bounds must name fit parameters, "
-                                        f"each at most once, got {names}")
-            object.__setattr__(self, end, tuple(sorted(
-                getattr(self, end), key=lambda pair: PARAM_NAMES.index(pair[0]))))
-        for name, bound in self.lower + self.upper:
-            if not math.isfinite(bound):
-                raise InvalidInputError(f"bounds for {name} must be finite, got {bound!r}")
+                 "be finite and >= 0"),
+                # an edge left None keeps its default, which is finite
+                *((edge, math.isfinite(getattr(self, edge) or 0.0), "be finite")
+                  for edge in [f"{name}_{end}" for end in ("lo", "hi")
+                               for name in PARAM_NAMES]))
 
     def bounds(self, initial: DeviceParams) -> tuple[dict[str, float], dict[str, float]]:
-        """A wide multiplicative box around the initial guess
-        (sign-preserving) with the overrides in place; raises unless every
-        parameter's box brackets its initial value."""
+        """The box's lower and upper edges by parameter: a wide
+        multiplicative box around the initial guess (sign-preserving), each
+        edge set here in place of its default.  Raises, naming the edge,
+        unless every edge set brackets its parameter's initial value."""
         lower: dict[str, float] = {}
         upper: dict[str, float] = {}
+        checks = []
         for name in PARAM_NAMES:
             p0 = getattr(initial, name)
             scale = 8.0 if name in _LOG_SPACE else 4.0
-            mag = abs(p0)
-            lo_mag, hi_mag = mag / scale, mag * scale
-            if p0 >= 0.0:
-                lower[name], upper[name] = lo_mag, hi_mag
-            else:
-                lower[name], upper[name] = -hi_mag, -lo_mag
-        lower.update(self.lower)
-        upper.update(self.upper)
-        for name in PARAM_NAMES:
-            lo, hi, p0 = lower[name], upper[name], getattr(initial, name)
-            if not lo <= p0 <= hi:
-                raise InvalidInputError(
-                    f"bounds for {name} must bracket the initial guess: "
-                    f"{lo!r} <= {p0!r} <= {hi!r} fails")
+            lo, hi = getattr(self, f"{name}_lo"), getattr(self, f"{name}_hi")
+            checks += [(f"{name}_lo", lo is None or lo <= p0,
+                        f"not exceed the initial {name}={p0!r}"),
+                       (f"{name}_hi", hi is None or hi >= p0,
+                        f"not fall below the initial {name}={p0!r}")]
+            default_lo, default_hi = sorted((p0 / scale, p0 * scale))
+            lower[name] = default_lo if lo is None else lo
+            upper[name] = default_hi if hi is None else hi
+        require(self, *checks)
         return lower, upper
 
 
@@ -356,7 +361,7 @@ def _from_vector(x: np.ndarray, initial: DeviceParams, lower: dict[str, float],
     values: dict[str, float] = {}
     for j, name in enumerate(PARAM_NAMES):
         if name in _LOG_SPACE:
-            p = math.exp(x[j]) * _PARAM_SIGN.get(name, 1.0)
+            p = math.copysign(math.exp(x[j]), getattr(initial, name))
         else:
             p = float(x[j])
         values[name] = min(max(p, lower[name]), upper[name])

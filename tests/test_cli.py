@@ -209,8 +209,7 @@ class TestParseConfig:
 
     def test_fit_bounds_and_unknown_keys(self):
         cfg = parse_config("[fit]\nr_on_ohm_lo = 5e3\nv_on_v_hi = 0.5\n")
-        assert cfg.fit.lower == (("r_on", 5e3),)
-        assert cfg.fit.upper == (("v_on", 0.5),)
+        assert cfg.fit == FitConfig(r_on_lo=5e3, v_on_hi=0.5)
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config("[fit]\nmomentum = 0.9\n")
 
@@ -281,6 +280,10 @@ OUT_OF_RANGE = [
     ("[sim]\nduration_s = 0.1\ndt_s = 1e-8\n", "dt_s"),
     ("[fit]\nr_on_ohm_lo = 30e3\n", "r_on_ohm_lo"),
     ("[device]\nr_on_ohm = 5e3\n[fit]\nr_on_ohm_hi = 4e3\n", "r_on_ohm_hi"),
+    # an edge is blamed at its own key, whatever the parameter's other edge
+    ("[fit]\nk_on_per_s_lo = 1.0\nk_on_per_s_hi = inf\n", "k_on_per_s_hi"),
+    ("[fit]\nk_on_per_s_lo = 1.0\nk_on_per_s_hi = 2.0\n", "k_on_per_s_hi"),
+    ("[fit]\nk_on_per_s_hi = 9.0\nk_on_per_s_lo = 5.0\n", "k_on_per_s_lo"),
     ("[fit]\nsource_r_ohm = -1\n", "source_r_ohm"),
     ("[vision]\ndt_s = 0.1\n", "dt_s"),
     ("[vision]\nv_min_v = 0.5\nv_max_v = 0.4\n", "v_max_v"),
@@ -293,13 +296,10 @@ OUT_OF_RANGE = [
 ]
 
 
-# config key -> the domain field it sets, for every scalar key but the
-# fit's bounds, whose checks name the bounded parameter
+# config key -> the domain field it sets, for every scalar key
 SCALAR_FIELDS = {**memassoc.cli._DEVICE_KEYS, **memassoc.cli._STAGE_KEYS,
                  **memassoc.cli._SCHEDULE_KEYS, **memassoc.cli._SIM_KEYS,
-                 **memassoc.cli._VISION_KEYS,
-                 **{key: name for key, name in memassoc.cli._FIT_KEYS.items()
-                    if not key.endswith(("_lo", "_hi"))}}
+                 **memassoc.cli._VISION_KEYS, **memassoc.cli._FIT_KEYS}
 
 
 class TestErrorsAtKeyLine:
@@ -434,12 +434,11 @@ def experiment_configs(draw):
                 t = start + draw(floats(1e-3, 0.5))
                 windows.append((start, t, draw(floats(-2.0, 5.0))))
             segments.append((role, tuple(windows)))
-    fit_bounds = {}  # pairs in any order: `FitConfig` keeps them sorted
-    for end, sign in (("lower", -1.0), ("upper", 1.0)):
-        names = draw(st.lists(st.sampled_from(PARAM_NAMES), unique=True))
-        fit_bounds[end] = tuple(
-            (name, getattr(device, name) + sign * draw(floats(0.0, 10.0)))
-            for name in names)
+    fit_bounds = {}  # each edge set or left at its default
+    for end, sign in (("lo", -1.0), ("hi", 1.0)):
+        for name in draw(st.lists(st.sampled_from(PARAM_NAMES), unique=True)):
+            fit_bounds[f"{name}_{end}"] = (getattr(device, name)
+                                           + sign * draw(floats(0.0, 10.0)))
     v_min, pulse_dt = draw(floats(-1.0, 0.5)), draw(floats(1e-3, 0.1))
     return ExperimentConfig(
         chain=ChainConfig(
@@ -608,7 +607,7 @@ def test_key_tables_name_domain_fields():
                          (memassoc.cli._STAGE_KEYS, names(StageConfig)),
                          (memassoc.cli._SIM_KEYS, names(ChainConfig)),
                          (memassoc.cli._VISION_KEYS, names(VisionConfig)),
-                         (memassoc.cli._FIT_KEYS, names(FitConfig) | set(PARAM_NAMES)),
+                         (memassoc.cli._FIT_KEYS, names(FitConfig)),
                          (memassoc.cli._SCHEDULE_KEYS, names(StimulusSchedule))]:
         assert set(table.values()) <= known, set(table.values()) - known
 
@@ -1185,6 +1184,20 @@ class TestCmdVision:
         code = console_main(["vision-classify", str(train), str(test),
                              "--out", str(tmp_path / "o")])
         assert code == 1
+
+    def test_classify_without_threshold_names_the_config(self, vision_dirs,
+                                                         tmp_path, capsys):
+        train, test = vision_dirs
+        cfg = tmp_path / "v.conf"
+        cfg.write_text("[vision]\nmatch_tau = 0.2\n")
+        out = tmp_path / "o"
+        code = console_main(["vision-classify", str(train), str(test),
+                             "--config", str(cfg), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"config error: {cfg}: [vision] similarity_threshold is required "
+            "for classification\n")
+        assert not out.exists()
 
 
     def test_missing_test_dir_exits_2_before_writing(self, vision_dirs, tmp_path,
@@ -2100,6 +2113,23 @@ class TestManifests:
             "outputs": {"metrics.txt": "0", "plot_trace.py": "0", "trace.csv": "0"}}))
         with pytest.raises(ConfigError, match=rf"^{re.escape(str(manifest))}: line 2: "
                                               r"unknown key 'bogus' in \[sim\]$"):
+            replay_manifest(manifest, tmp_path / "replayed")
+        assert not (tmp_path / "replayed").exists()
+
+    def test_classify_without_threshold_names_the_manifest(self, vision_dirs,
+                                                           tmp_path):
+        train, test = vision_dirs
+        text = serialize_config(ExperimentConfig())
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({
+            "command": "vision-classify",
+            "args": {"train_dir": str(train), "test_dir": str(test)},
+            "config_text": text,
+            "config_sha256": hashlib.sha256(text.encode()).hexdigest(),
+            "outputs": {"array_state.csv": "0", "report.csv": "0"}}))
+        with pytest.raises(ConfigError, match=rf"^{re.escape(str(manifest))}: \[vision\] "
+                                              "similarity_threshold is required for "
+                                              "classification$"):
             replay_manifest(manifest, tmp_path / "replayed")
         assert not (tmp_path / "replayed").exists()
 
