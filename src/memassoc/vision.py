@@ -224,8 +224,9 @@ def new_array(params: DeviceParams) -> ArrayState:
 
 def _normalize_intensities(raw: np.ndarray, values: Collection[float],
                            origin: str, full_scale: float | None) -> np.ndarray:
-    """`raw` over its full scale once `values`, its (distinct) entries, are
-    finite, >= 0 and at most it: a PGM's maxval, a CSV's (None) 255 or 1."""
+    """`raw`, an image or a table of its values, over its full scale once
+    `values`, the image's distinct entries, are finite, >= 0 and at most
+    it: a PGM's maxval, a CSV's (None) 255 or 1."""
     if not all(map(math.isfinite, values)):
         raise DataError(f"{origin}: image entries must be finite and non-empty")
     lo, hi = min(values), max(values)
@@ -239,31 +240,49 @@ def _normalize_intensities(raw: np.ndarray, values: Collection[float],
 
 
 def read_image_csv(path: Path) -> np.ndarray:
-    """Rectangular grid of comma-separated intensities, any size."""
+    """Rectangular grid of comma-separated intensities, any size.  A grid
+    of one-character ASCII cells is read through a byte table, any other
+    one distinct cell text at a time, under the same checks and messages."""
     lines = split_lines(read_input(path, DataError))
     rows = [line for line in lines if line.strip()]
     if not rows:
         raise DataError(f"{path.name}: empty image")
+    cells = ",".join(rows)
+    n = cells.count(",") + 1
+    # one ASCII character per cell and rows of one length (never ragged), as
+    # in every shipped image: the cells at the even positions, commas at the
+    # odd ones
+    one_char = (len(cells) == 2 * n - 1 and cells.isascii()
+                and cells[1::2] == "," * (n - 1)
+                and len(set(map(len, rows))) == 1)
+    texts = cells[::2] if one_char else cells.split(",")
     # each distinct cell text through Python's float() once; most images
     # hold a handful of texts, such as "0" and "1"
-    texts = ",".join(rows).split(",")
     try:
         value = {text: float(text) for text in set(texts)}
     except ValueError:
-        # name the first bad line, counting blank lines
-        for ln, line in enumerate(lines, start=1):
-            if line.strip():
-                try:
+        # float() each cell again in file order, blank lines counted, so the
+        # first bad cell raises again and its line is named
+        try:
+            for ln, line in enumerate(lines, start=1):
+                if line.strip():
                     list(map(float, line.split(",")))
-                except ValueError as exc:
-                    raise DataError(f"{path.name}:{ln}: {exc}") from exc
-        raise
-    widths = {line.count(",") + 1 for line in rows}
-    if len(widths) != 1:
-        raise DataError(f"{path.name}: ragged rows (widths {sorted(widths)})")
-    raw = np.fromiter(map(value.__getitem__, texts), dtype=float,
-                      count=len(texts)).reshape(len(rows), widths.pop())
-    return _normalize_intensities(raw, value.values(), path.name, None)
+        except ValueError as exc:
+            raise DataError(f"{path.name}:{ln}: {exc}") from exc
+    if one_char:
+        # the cell bytes index a 128-entry table of scaled intensities
+        table = np.zeros(128)
+        table[[ord(text) for text in value]] = list(value.values())
+        img = _normalize_intensities(table, value.values(), path.name, None).take(
+            np.frombuffer(texts.encode("ascii"), np.uint8))
+    else:
+        widths = {line.count(",") + 1 for line in rows}
+        if len(widths) != 1:
+            raise DataError(f"{path.name}: ragged rows (widths {sorted(widths)})")
+        img = _normalize_intensities(
+            np.fromiter(map(value.__getitem__, texts), dtype=float, count=n),
+            value.values(), path.name, None)
+    return img.reshape(len(rows), -1)
 
 
 # a PGM header token: magic, width, height or maxval, each after whitespace

@@ -35,9 +35,13 @@ comparisons):
     zeros among the states), so that one state meets several voltages
     and one voltage several states, for up to 300 steps;
   * `vision.read_image_csv` reads the same intensities, or fails with the
-    same message, as the oracle's line-at-a-time reader, on texts with
-    blank, ragged, out-of-range and unparsable lines, and with several
-    texts of one value (-0 kept apart from 0);
+    same message, as the oracle's line-at-a-time reader, on texts broken
+    at LF, CRLF or a lone CR with blank, ragged, out-of-range and
+    unparsable lines, and with several texts of one value (-0 kept apart
+    from 0); half of them grids of one-character cells, its byte table's
+    input, beside one-character cells float() refuses, a non-ASCII digit
+    and a doubled comma that keeps the table's length arithmetic; and on
+    every shipped image and a seeded 0/1 grid with CRLF and blank lines;
   * `classify` reads the label device's resistance after the same pulse
     that `device.trajectory` steps through;
   * equal-binary `match_counts`, under both scopes, and `similarity` equal
@@ -74,7 +78,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import Phase, assume, given, settings
+from hypothesis import Phase, assume, example, given, settings
 from hypothesis import strategies as st
 
 from memassoc import circuit
@@ -618,13 +622,26 @@ CSV_CELLS = ["0", "1", "0.5", " 0.25 ", "\t1", "+1", "1e0", "-0", "\u0661",
              "255", "1_0", "0.0", "+0", "1.0"]
 CSV_OUT_OF_RANGE = ["256", "-1", "nan", "inf", "1e999"]
 CSV_BAD = ["", " ", "oops", "0x1", "1__0", "1 0"]
+# one-character cells, which `read_image_csv` reads through its byte table:
+# ASCII digits, characters float() refuses (and an empty cell, which ends
+# a row "0,1," with commas at odd positions alone), and a non-ASCII digit
+# and a doubled comma ("1,,00", as long as three one-character cells),
+# which each turn the grid away from the table
+CSV_CHARS = list("0123456789")
+CSV_BAD_CHARS = [" ", "-", ".", "e", ""]
+CSV_OFF_TABLE = ["\u0661", "1,,00"]
 
 
 @st.composite
 def csv_image_text(draw):
-    """One to six lines of a common width, joined by LF or CRLF: some
-    blank, some of another width, some with a cell out of range or one
-    that float() refuses."""
+    """One to six lines of a common width, joined by LF, CRLF or a lone
+    CR: some blank, some of another width, some with a cell that float()
+    refuses, or else out of range.  Half the texts hold one-character
+    cells, where the last kind is a cell that turns the grid away from
+    the byte table instead."""
+    one_char = draw(st.booleans())
+    pool, bad, other = ((CSV_CHARS, CSV_BAD_CHARS, CSV_OFF_TABLE) if one_char
+                        else (CSV_CELLS, CSV_BAD, CSV_OUT_OF_RANGE))
     width = draw(st.integers(1, 4))
     lines = []
     for _ in range(draw(st.integers(1, 6))):
@@ -633,30 +650,57 @@ def csv_image_text(draw):
             lines.append(draw(st.sampled_from(["", "  ", "\t"])))
             continue
         n = draw(st.integers(1, 4)) if kind == 1 else width
-        cells = draw(st.lists(st.sampled_from(CSV_CELLS), min_size=n, max_size=n))
+        cells = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
         if kind in (2, 3):
             cells[draw(st.integers(0, n - 1))] = draw(st.sampled_from(
-                CSV_BAD if kind == 2 else CSV_OUT_OF_RANGE))
+                bad if kind == 2 else other))
         lines.append(",".join(cells))
-    return draw(st.sampled_from(["\n", "\r\n"])).join(lines) + draw(
+    return draw(st.sampled_from(["\n", "\r\n", "\r"])).join(lines) + draw(
         st.sampled_from(["", "\n"]))
+
+
+def read_outcome(path):
+    """`path`'s intensities as raw IEEE bits read by `read_image_csv` and
+    by the line-at-a-time reader, or each reader's error message."""
+    outcomes = []
+    for read in (read_image_csv, read_image_csv_by_line):
+        try:
+            outcomes.append(bits64(read(path)).tolist())
+        except DataError as exc:
+            outcomes.append(str(exc))
+    return outcomes
 
 
 @settings(max_examples=300, deadline=None)
 @given(csv_image_text())
+@example("0,1,\n")           # commas at the odd positions, an empty last cell
+@example("1,,00\r1,0,1\r")  # 2n - 1 characters, a comma at an even position
 def test_read_image_csv_matches_line_by_line_reader(text):
     # the same intensities, or the same error: bad cell (first line
     # named, blank lines counted), then ragged rows, then range
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "img.csv"
         path.write_text(text, newline="")
-        outcomes = []
-        for read in (read_image_csv, read_image_csv_by_line):
-            try:
-                outcomes.append(bits64(read(path)).tolist())
-            except DataError as exc:
-                outcomes.append(str(exc))
+        outcomes = read_outcome(path)
     assert outcomes[0] == outcomes[1]
+
+
+@pytest.mark.parametrize("path", sorted(
+    (Path(__file__).resolve().parents[1] / "data" / "vision").glob("*/*.csv")),
+    ids=lambda path: f"{path.parent.name}/{path.name}")
+def test_shipped_images_read_as_line_by_line_reader(path):
+    outcomes = read_outcome(path)
+    assert isinstance(outcomes[0], list) and outcomes[0] == outcomes[1]
+
+
+def test_seeded_grid_with_crlf_and_blank_lines_reads_as_line_by_line_reader(
+        tmp_path):
+    grid = np.random.default_rng(0).integers(0, 2, (20, 20))
+    rows = [",".join(map(str, row)) for row in grid]
+    path = tmp_path / "img.csv"
+    path.write_bytes("\r\n".join(rows[:7] + [""] + rows[7:] + ["", ""]).encode())
+    outcomes = read_outcome(path)
+    assert outcomes[0] == outcomes[1] == bits64(grid.astype(float)).tolist()
 
 
 # --- chain engine ---------------------------------------------------------------
