@@ -49,17 +49,16 @@ bit-identical traces.
 from __future__ import annotations
 
 import math
-import os
 import shutil
 import tempfile
-import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
 from typing import BinaryIO, Sequence, TextIO
 
 import numpy as np
 
+from . import _fork
 from .device import DeviceParams, trajectory
 from .errors import DataError, InvalidInputError, require
 
@@ -452,16 +451,6 @@ def metrics(trace: SimTrace) -> dict[str, float]:
 _TRACE_CHUNK_ROWS = 2048
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on; 1 where it cannot fork."""
-    if not hasattr(os, "fork"):
-        return 1
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
 def _format_cells(values: np.ndarray) -> list[str]:
     """`.10g` text of each value, formatting each distinct bit pattern once.
 
@@ -485,38 +474,11 @@ def _write_chunks(fh: TextIO,
         fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
-def _fork_part_writer(columns: list[tuple[np.ndarray, tuple[str, ...] | None]],
-                      starts: range, part: BinaryIO) -> int:
-    """Fork a process that writes the chunks at `starts` into `part`; its pid.
-
-    A forked child shares the columns without copying or pickling them and
-    starts at once; a spawned one would first import numpy, which takes
-    about as long as the whole write.  The child never returns: it leaves
-    through `os._exit`, which skips the parent's buffers and exit handlers,
-    with status 0 once its part is flushed and 1 on any error.
-    """
-    # Python 3.12+ warns that forking a process with several threads may
-    # deadlock the child.  Importing numpy starts an OpenBLAS worker thread,
-    # so the warning would fire on every write.  The child runs only Python
-    # formatting and file writes, no BLAS, and the package starts no thread
-    # of its own, so the child needs no lock another thread could hold.
-    # That one warning is ignored here, and nothing else.
-    with warnings.catch_warnings():
-        warnings.filterwarnings(
-            "ignore", r"This process \(pid=\d+\) is multi-threaded, use of "
-            r"fork\(\) may lead to deadlocks", DeprecationWarning)
-        pid = os.fork()
-    if pid:
-        return pid
-    status = 1
-    try:
-        with open(part.fileno(), "w", newline="", closefd=False) as fh:
-            _write_chunks(fh, columns, starts)
-        status = 0
-    except BaseException as exc:  # reported here, re-raised as the exit status
-        os.write(2, f"trace writer process: {exc!r}\n".encode())
-    finally:
-        os._exit(status)
+def _write_part(columns: list[tuple[np.ndarray, tuple[str, ...] | None]],
+                starts: range, part: BinaryIO) -> None:
+    """Write the chunks at `starts` into `part`, in a forked writer process."""
+    with open(part.fileno(), "w", newline="", closefd=False) as fh:
+        _write_chunks(fh, columns, starts)
 
 
 def write_sim_trace_csv(trace: SimTrace, path: str | Path) -> None:
@@ -529,13 +491,14 @@ def write_sim_trace_csv(trace: SimTrace, path: str | Path) -> None:
     a column is formatted once.
 
     The chunks are split into up to one contiguous range per usable CPU.
-    This process writes the first range straight into `path`; a forked
-    process formats each other range into an anonymous temporary file in
-    the same directory, which is appended in order once that process has
-    exited.  The bytes do not depend on the number of processes, and are
-    identical to formatting every cell with `f"{x:.10g}"`.  A writer
-    process that fails raises `OSError`; no writer process outlives the
-    call.
+    This process writes the first range straight into `path`; a process
+    forked through the package's fork helper (`_fork.Workers`, shared
+    with the fit's gradient workers) formats each other range into an
+    anonymous temporary file in the same directory, which is appended in
+    order once that process has exited.  The bytes do not depend on the
+    number of processes, and are identical to formatting every cell with
+    `f"{x:.10g}"`.  A writer process that fails raises `OSError`; no
+    writer process outlives the call.
     """
     header = ["t_s"] + [f"{name}_v" for name in trace.signal_names]
     # (column, scheme names when the column holds scheme codes)
@@ -549,29 +512,26 @@ def write_sim_trace_csv(trace: SimTrace, path: str | Path) -> None:
                     (stage.resp_v, None), (stage.p_w, None)]
     path = Path(path)
     starts = range(0, len(trace.t), _TRACE_CHUNK_ROWS)
-    n_ranges = min(len(starts), _usable_cpus()) or 1
+    n_ranges = min(len(starts), _fork.usable_cpus()) or 1
     ranges = [starts[len(starts) * i // n_ranges:len(starts) * (i + 1) // n_ranges]
               for i in range(n_ranges)]
     parts: list[BinaryIO] = []
-    pids: list[int] = []  # writer processes not yet reaped, in range order
+    pids: list[int] = []  # the writer process of each part
     try:
-        for part_starts in ranges[1:]:
-            parts.append(tempfile.TemporaryFile(dir=path.parent))
-            pids.append(_fork_part_writer(columns, part_starts, parts[-1]))
-        with path.open("w", newline="") as fh:
-            fh.write(",".join(header) + "\n")
-            _write_chunks(fh, columns, ranges[0])
-            fh.flush()
-            for part in parts:
-                code = os.waitstatus_to_exitcode(os.waitpid(pids[0], 0)[1])
-                pids.pop(0)
-                if code != 0:
-                    raise OSError(f"trace writer process exited with status {code}")
-                part.seek(0)
-                shutil.copyfileobj(part, fh.buffer)  # in 64 KiB blocks
+        with _fork.Workers("trace writer") as writers:
+            for part_starts in ranges[1:]:
+                parts.append(tempfile.TemporaryFile(dir=path.parent))
+                pids.append(writers.fork(
+                    partial(_write_part, columns, part_starts, parts[-1])))
+            with path.open("w", newline="") as fh:
+                fh.write(",".join(header) + "\n")
+                _write_chunks(fh, columns, ranges[0])
+                fh.flush()
+                for part, pid in zip(parts, pids):
+                    writers.join(pid)
+                    part.seek(0)
+                    shutil.copyfileobj(part, fh.buffer)  # in 64 KiB blocks
     finally:
-        for pid in pids:  # left only when the write failed
-            os.waitpid(pid, 0)
         for part in parts:
             part.close()
 

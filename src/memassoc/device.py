@@ -192,7 +192,12 @@ def _step_loop(params: DeviceParams, volts: Iterable[float],
     floats whose checks have passed: one Euler step per (voltage, dt)
     pair, no input checked again.  With a positive `source_r_ohm`, v is a
     source voltage behind that series resistance and step k drives the
-    device with v[k] / (R + source_r_ohm) * R, R read before the step."""
+    device with v[k] / (R + source_r_ohm) * R, R read before the step.
+
+    The fit's gradient workers, forked through the package's fork helper
+    (`_fork.Workers`), run this loop on their share of the probes and
+    send its rows back raw, so it must stay free of any state the forked
+    copy could not see: it reads only its arguments."""
     w_on, w_off = params.w_on, params.w_off
     v_on, v_off = params.v_on, params.v_off
     k_on, k_off = params.k_on, params.k_off

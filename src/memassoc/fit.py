@@ -42,20 +42,37 @@ not count as converged; nor does one whose every probe was infeasible.
 A replay or score beyond the float range becomes inf without numpy's
 overflow warning: the search runs with overflow ignored, entered once
 per fit.
+
+The gradient's 2n probes are independent.  Once the start is known to be
+valid, `fit` forks up to one gradient worker per usable CPU, capped at
+2n and counting itself, through the package's fork helper
+(`_fork.Workers`, shared with the trace writer), and reaps them all
+before it returns.  A worker replays the probe points it is sent
+(`_from_vector` and `device._step_loop`) and streams the rows back as
+raw float64; the fit scores each through `simulate_current(...,
+replay=rows)` and `rmse`.  So every objective eval is still one
+`simulate_current` call in the fitting process, every float is the one
+a replay there gives, and the result does not depend on the number of
+CPUs.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
+import os
+import time
+from array import array
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
-from typing import Callable
+from typing import BinaryIO, Callable, Iterator, Sequence
 
 import numpy as np
 
+from . import _fork
 from .device import DeviceParams, _step_loop
 from .errors import DataError, InvalidInputError, InvalidStartError, read_input, require
 
@@ -219,7 +236,8 @@ def write_trace_csv(trace: IVTrace, path: str | Path) -> None:
 
 
 def simulate_current(params: DeviceParams, drive: IVTrace,
-                     source_r_ohm: float = 0.0) -> IVTrace:
+                     source_r_ohm: float = 0.0, *,
+                     replay: Sequence[float] | None = None) -> IVTrace:
     """Replay the drive voltage through the model from the state w_on.
 
     Returns a trace with identical timestamps; the state advances by one
@@ -229,14 +247,24 @@ def simulate_current(params: DeviceParams, drive: IVTrace,
     the device then sees the divided voltage, which also feeds the voltage
     error term of `rmse`.
 
+    `replay`, when given, is the resistance along that replay, one row per
+    drive sample, as `device._step_loop` computed it for these parameters
+    elsewhere (a forked gradient worker of `fit`); the loop is then not
+    run again.  Rows of another length raise `InvalidInputError`.
+
     Only `source_r_ohm` (finite, >= 0) is checked: the drive's columns
     passed `IVTrace`'s checks when it was built, and its step lists are
     computed once per trace.  The returned columns are read-only.
     """
     if not 0.0 <= source_r_ohm < math.inf:
         raise InvalidInputError(f"source_r_ohm must be >= 0, got {source_r_ohm!r}")
-    r = np.array(_step_loop(params, drive.step_v, drive.step_dt, params.w_on,
-                            source_r_ohm), dtype=float)
+    if replay is None:
+        replay = _step_loop(params, drive.step_v, drive.step_dt, params.w_on,
+                            source_r_ohm)
+    elif len(replay) != len(drive):
+        raise InvalidInputError(f"replay has {len(replay)} rows for a drive "
+                                f"of {len(drive)} samples")
+    r = np.array(replay, dtype=float)
     i_out = drive.v / (r + source_r_ohm)
     v_out = i_out * r if source_r_ohm > 0.0 else drive.v
     # finite, and read-only as every trace's columns are: a model trace can
@@ -368,17 +396,186 @@ def _from_vector(x: np.ndarray, initial: DeviceParams, lower: dict[str, float],
     return DeviceParams(w_on=initial.w_on, w_off=initial.w_off, **values)
 
 
-def central_difference_gradient(f: Callable[[np.ndarray], float],
-                                x: np.ndarray, rel_step: float) -> np.ndarray:
-    """Central differences with per-coordinate step rel_step * max(1, |x_j|)."""
-    g = np.empty(len(x))
-    for j in range(len(x)):
-        h = rel_step * max(1.0, abs(x[j]))
-        xp, xm = x.copy(), x.copy()
-        xp[j] += h
-        xm[j] -= h
-        g[j] = (f(xp) - f(xm)) / (2.0 * h)
-    return g
+def central_difference_gradient(f: Callable[..., float], x: np.ndarray,
+                                rel_step: float,
+                                replays: _ReplayWorkers | None = None) -> np.ndarray:
+    """Central differences with per-coordinate step rel_step * max(1, |x_j|).
+
+    `f(point)` scores each of the 2n probe points x + h_j e_j and
+    x - h_j e_j.  With `replays`, `fit`'s forked workers replay the probes
+    past this process's own share while it scores that share, and each of
+    theirs is scored here by `f(point, rows)` from the rows replayed
+    (None for a point a worker could not replay, which `f` then replays
+    itself).  Each value is the float `f(point)` gives, and g[j] combines
+    the same two values in the same order, so g does not depend on how
+    many workers there are.
+    """
+    steps = [rel_step * max(1.0, abs(x[j])) for j in range(len(x))]
+    points = np.tile(x, (2 * len(x), 1))  # row 2j: x + h_j e_j; 2j + 1: x - h_j e_j
+    for j, h in enumerate(steps):
+        points[2 * j, j] += h
+        points[2 * j + 1, j] -= h
+    own = len(points) if replays is None else replays.send(points)
+    values = [f(point) for point in points[:own]]
+    if replays is not None:
+        values += [f(point, rows) for point, rows in replays.receive(points[own:])]
+    return np.array([(values[2 * j] - values[2 * j + 1]) / (2.0 * h)
+                     for j, h in enumerate(steps)])
+
+
+_REPLAYED, _NOT_REPLAYED = b"\0", b"\1"  # a gradient worker's reply status
+
+
+class _ReplayWorkers:
+    """`count` forked processes that replay `fit`'s gradient probes.
+
+    The workers are forked through `forked` on entering the `with` block;
+    leaving it closes their request pipes, so they leave, and `forked`
+    reaps them when its own block ends.
+    `send` deals the points past the caller's share out to them in
+    contiguous blocks, as raw float64 points.  Each worker replies point
+    by point as it goes: a status byte, then the raw float64 resistance
+    rows of the replay, or nothing for a point whose `_from_vector` or
+    `_step_loop` raised, which the caller replays itself.  A reply that
+    ends early means its worker died: `receive` reaps it and raises
+    `OSError`.
+
+    The caller's share starts at an even split and then follows the
+    host.  After each gradient it grows by one point when the caller spent
+    more than 1/32 of the gradient's wall time off its CPU, waiting for a
+    reply or giving its CPU to a worker, and shrinks by one otherwise.
+    Where the workers find no free CPU, the caller so takes every point
+    back; it then offers one again after a rest of 1, 2, 4, ...
+    gradients, doubling with each offer that fails.  Which process
+    replays which point changes no value.
+    """
+
+    def __init__(self, forked: _fork.Workers, count: int, real: IVTrace,
+                 initial: DeviceParams, lower: dict[str, float],
+                 upper: dict[str, float], source_r_ohm: float) -> None:
+        self._serve = partial(_serve_probes, real, initial, lower, upper,
+                              source_r_ohm)
+        self._count = count
+        self._rows_bytes = 8 * len(real)
+        self._forked = forked
+        # (pid, request pipe's write end, reply pipe's reader) per worker
+        self._channels: list[tuple[int, int, BinaryIO]] = []
+        self._blocks: list[int] = []  # points each worker was last sent
+        self._points = 2 * len(PARAM_NAMES)  # per gradient
+        self._own = self._points // (count + 1)  # the caller's share
+        self._started = (0.0, 0.0)  # wall and CPU clocks at the last send
+        # gradients left before a share of every point is offered again,
+        # and the wait after the next failed offer (doubles each time)
+        self._rest = self._backoff = 1
+
+    def __enter__(self) -> _ReplayWorkers:
+        try:
+            for _ in range(self._count):
+                self._fork_one()
+        except BaseException:
+            self.__exit__()
+            raise
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        for _, requests, replies in self._channels:
+            os.close(requests)  # its worker leaves once this closes
+            replies.close()
+        self._channels.clear()
+
+    def _fork_one(self) -> None:
+        request_r, request_w = os.pipe()
+        reply_r, reply_w = os.pipe()
+        # the worker keeps only its own two ends: a copy of another pipe's
+        # end would keep that pipe open after its owner closed it
+        parent_ends = [request_w, reply_r] + [
+            fd for _, requests, replies in self._channels
+            for fd in (requests, replies.fileno())]
+        try:
+            pid = self._forked.fork(
+                partial(self._serve, parent_ends, request_r, reply_w))
+        except BaseException:
+            os.close(request_w)
+            os.close(reply_r)
+            raise
+        finally:
+            os.close(request_r)
+            os.close(reply_w)
+        self._channels.append((pid, request_w, open(reply_r, "rb")))
+
+    def send(self, points: np.ndarray) -> int:
+        """Send the workers their blocks of `points`; the caller's share,
+        the first points, is returned as its length."""
+        if not self._channels:
+            return len(points)
+        if self._own == len(points):
+            # kept them all: offer a point again once the rest is over
+            self._rest -= 1
+            if self._rest > 0:
+                return self._own
+            self._own -= 1
+        self._started = (time.perf_counter(), time.process_time())
+        blocks = np.array_split(points[self._own:], len(self._channels))
+        for (_, requests, _), block in zip(self._channels, blocks):
+            if len(block):
+                os.write(requests,
+                         len(block).to_bytes(4, "little") + block.tobytes())
+        self._blocks = [len(block) for block in blocks]
+        return self._own
+
+    def receive(self, sent: np.ndarray
+                ) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
+        """Each point `sent`, in order, with its replayed rows, or None for
+        a point its worker could not replay."""
+        if not len(sent):
+            return
+        points = iter(sent)
+        for (pid, _, replies), count in zip(self._channels, self._blocks):
+            for point in itertools.islice(points, count):
+                status = replies.read(1)
+                if status == _NOT_REPLAYED:
+                    yield point, None
+                    continue
+                rows = replies.read(self._rows_bytes)
+                if status != _REPLAYED or len(rows) != self._rows_bytes:
+                    self._forked.join(pid)  # raises, naming its exit status
+                    raise OSError("gradient worker process ended its reply early")
+                yield point, np.frombuffer(rows)
+        wall = time.perf_counter() - self._started[0]
+        idle = wall - (time.process_time() - self._started[1])
+        if idle > wall / 32:  # waited for a reply, or lost the CPU to a worker
+            self._own += 1
+            if self._own == self._points:
+                self._backoff *= 2
+                self._rest = self._backoff
+        else:
+            self._own = max(self._own - 1, 0)
+            self._backoff = 1
+
+
+def _serve_probes(real: IVTrace, initial: DeviceParams,
+                  lower: dict[str, float], upper: dict[str, float],
+                  source_r_ohm: float, parent_ends: list[int],
+                  requests: int, replies: int) -> None:
+    """A gradient worker's loop: replay each point of each batch read from
+    `requests` and reply on `replies`, until `requests` closes."""
+    for fd in parent_ends:
+        os.close(fd)
+    n = len(PARAM_NAMES)
+    with open(requests, "rb") as inbox, open(replies, "wb") as outbox:
+        while head := inbox.read(4):
+            count = int.from_bytes(head, "little")
+            for x in np.frombuffer(inbox.read(8 * n * count)).reshape(count, n):
+                try:
+                    params = _from_vector(x, initial, lower, upper)
+                    rows = _step_loop(params, real.step_v, real.step_dt,
+                                      params.w_on, source_r_ohm)
+                except Exception:  # the caller replays it, raising as it would
+                    outbox.write(_NOT_REPLAYED)
+                else:
+                    outbox.write(_REPLAYED)
+                    outbox.write(array("d", rows))
+                outbox.flush()
 
 
 @np.errstate(over="ignore")
@@ -393,7 +590,8 @@ def fit(real: IVTrace, initial: DeviceParams, config: FitConfig) -> FitResult:
     lower, upper = config.bounds(initial)
     infeasible = 0  # evaluations scored `_INFEASIBLE` so far
 
-    def objective(x: np.ndarray, start: bool = False) -> float:
+    def objective(x: np.ndarray, replay: np.ndarray | None = None, *,
+                  start: bool = False) -> float:
         nonlocal infeasible
         try:
             params = _from_vector(x, initial, lower, upper)
@@ -404,8 +602,8 @@ def fit(real: IVTrace, initial: DeviceParams, config: FitConfig) -> FitResult:
             infeasible += 1
             return _INFEASIBLE
         try:
-            model = simulate_current(params, real,
-                                     source_r_ohm=config.source_r_ohm)
+            model = simulate_current(params, real, config.source_r_ohm,
+                                     replay=replay)
         except OverflowError as exc:
             # a drift rate beyond the float range backs the search off the
             # same way; a start there leaves it nowhere to begin
@@ -420,7 +618,8 @@ def fit(real: IVTrace, initial: DeviceParams, config: FitConfig) -> FitResult:
     def gradient(at: np.ndarray) -> tuple[np.ndarray, bool]:
         """The gradient at `at`, and whether one of its probes was infeasible."""
         seen = infeasible
-        g = central_difference_gradient(objective, at, config.grad_step)
+        g = central_difference_gradient(objective, at, config.grad_step,
+                                        replays)
         return g, infeasible > seen
 
     x = _to_vector(initial)
@@ -436,52 +635,59 @@ def fit(real: IVTrace, initial: DeviceParams, config: FitConfig) -> FitResult:
     iterations = 0
     converged, stop_reason = False, "max_iters"
 
-    g, probe_infeasible = gradient(x)
-    for _ in range(config.max_iters):
-        if f_x <= 1e-15:
-            converged, stop_reason = True, "objective_floor"
-            break
-        if np.max(np.abs(g)) < grad_tol:
-            converged, stop_reason = True, "gradient"
-            break
-        d = -h_inv @ g
-        slope = float(g @ d)
-        if slope >= 0.0:       # stale curvature: fall back to steepest descent
-            h_inv = np.eye(n)
-            d = -g
-            slope = float(g @ d)
-        # Armijo backtracking: halve until sufficient decrease
-        alpha, accepted, seen = 1.0, False, infeasible
-        for _ in range(_PROBES):
-            x_new = x + alpha * d
-            f_new = objective(x_new)
-            if math.isfinite(f_new) and f_new <= f_x + 1e-4 * alpha * slope:
-                accepted = True
+    # up to one process per usable CPU scores the 2n gradient probes; the
+    # workers are forked here, after the start is known to be valid, and
+    # none outlives the block
+    workers = min(_fork.usable_cpus(), 2 * n) - 1
+    with _fork.Workers("gradient worker") as forked, \
+            _ReplayWorkers(forked, workers, real, initial, lower, upper,
+                           config.source_r_ohm) as replays:
+        g, probe_infeasible = gradient(x)
+        for _ in range(config.max_iters):
+            if f_x <= 1e-15:
+                converged, stop_reason = True, "objective_floor"
                 break
-            alpha *= 0.5
-        if not accepted:
-            # no acceptable step along d: stationary to line-search precision,
-            # unless an infeasible probe's surrogate inflated the gradient,
-            # or no probe along d was scored at all
-            converged = not probe_infeasible and infeasible - seen < _PROBES
-            stop_reason = "line_search"
-            break
-        g_new, probe_infeasible = gradient(x_new)
-        s = x_new - x
-        y = g_new - g
-        sy = float(s @ y)
-        if sy > 1e-12:         # curvature condition; skip update otherwise
-            rho = 1.0 / sy
-            eye = np.eye(n)
-            h_inv = ((eye - rho * np.outer(s, y)) @ h_inv
-                     @ (eye - rho * np.outer(y, s)) + rho * np.outer(s, s))
-        improvement = f_x - f_new
-        x, f_x, g = x_new, f_new, g_new
-        history.append(f_x)
-        iterations += 1
-        if improvement <= config.tol:
-            converged, stop_reason = True, "tol"
-            break
+            if np.max(np.abs(g)) < grad_tol:
+                converged, stop_reason = True, "gradient"
+                break
+            d = -h_inv @ g
+            slope = float(g @ d)
+            if slope >= 0.0:       # stale curvature: fall back to steepest descent
+                h_inv = np.eye(n)
+                d = -g
+                slope = float(g @ d)
+            # Armijo backtracking: halve until sufficient decrease
+            alpha, accepted, seen = 1.0, False, infeasible
+            for _ in range(_PROBES):
+                x_new = x + alpha * d
+                f_new = objective(x_new)
+                if math.isfinite(f_new) and f_new <= f_x + 1e-4 * alpha * slope:
+                    accepted = True
+                    break
+                alpha *= 0.5
+            if not accepted:
+                # no acceptable step along d: stationary to line-search precision,
+                # unless an infeasible probe's surrogate inflated the gradient,
+                # or no probe along d was scored at all
+                converged = not probe_infeasible and infeasible - seen < _PROBES
+                stop_reason = "line_search"
+                break
+            g_new, probe_infeasible = gradient(x_new)
+            s = x_new - x
+            y = g_new - g
+            sy = float(s @ y)
+            if sy > 1e-12:         # curvature condition; skip update otherwise
+                rho = 1.0 / sy
+                eye = np.eye(n)
+                h_inv = ((eye - rho * np.outer(s, y)) @ h_inv
+                         @ (eye - rho * np.outer(y, s)) + rho * np.outer(s, s))
+            improvement = f_x - f_new
+            x, f_x, g = x_new, f_new, g_new
+            history.append(f_x)
+            iterations += 1
+            if improvement <= config.tol:
+                converged, stop_reason = True, "tol"
+                break
 
     params = _from_vector(x, initial, lower, upper)
     at_bounds = tuple(name for name in PARAM_NAMES

@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from memassoc import circuit
+from memassoc import _fork, circuit
 from memassoc.circuit import (
     FIRST_STAGE,
     ChainConfig,
@@ -545,9 +545,9 @@ class TestSerialization:
         # the process cannot read its affinity
         with monkeypatch.context() as m:
             m.delattr(os, "fork", raising=False)
-            assert circuit._usable_cpus() == 1
+            assert _fork.usable_cpus() == 1
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        assert circuit._usable_cpus() == (os.cpu_count() or 1)
+        assert _fork.usable_cpus() == (os.cpu_count() or 1)
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
                         reason="needs CPU affinity")
@@ -558,7 +558,7 @@ class TestSerialization:
             schedule=StimulusSchedule(preset="pavlov2"), duration=0.97)
         trace = run_chain(cfg)  # 9701 rows: 5 chunks
         with monkeypatch.context() as m:
-            m.setattr(circuit, "_usable_cpus", lambda: 3)
+            m.setattr(_fork, "usable_cpus", lambda: 3)
             write_sim_trace_csv(trace, tmp_path / "forked.csv")
 
         def no_fork():

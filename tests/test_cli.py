@@ -24,6 +24,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import memassoc._fork
 import memassoc.circuit
 import memassoc.cli
 import memassoc.fit
@@ -1960,7 +1961,7 @@ class TestTraceWriterProcesses:
 
         monkeypatch.setattr(memassoc.circuit, "_format_cells", fail_in_child)
         monkeypatch.setattr(memassoc.circuit, "_TRACE_CHUNK_ROWS", 256)
-        monkeypatch.setattr(memassoc.circuit, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(memassoc._fork, "usable_cpus", lambda: 3)
         trace = memassoc.circuit.run_chain(build_chain(parse_config(CUSTOM_CHAIN)))
         with pytest.raises(OSError, match="trace writer process exited"):
             memassoc.circuit.write_sim_trace_csv(trace, tmp_path / "trace.csv")
@@ -1985,7 +1986,7 @@ class TestTraceWriterProcesses:
         warning from the fork still raises."""
         monkeypatch.setattr(memassoc.circuit, "_TRACE_CHUNK_ROWS", 256)
         trace = memassoc.circuit.run_chain(build_chain(parse_config(CUSTOM_CHAIN)))
-        monkeypatch.setattr(memassoc.circuit, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(memassoc._fork, "usable_cpus", lambda: 1)
         memassoc.circuit.write_sim_trace_csv(trace, tmp_path / "alone.csv")
 
         fork, forked = os.fork, []
@@ -2000,7 +2001,7 @@ class TestTraceWriterProcesses:
                 return pid
             return warning_fork
 
-        monkeypatch.setattr(memassoc.circuit, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(memassoc._fork, "usable_cpus", lambda: 3)
         monkeypatch.setattr(os, "fork", fork_that_warns(
             "This process (pid={pid}) is multi-threaded, use of fork() may "
             "lead to deadlocks in the child."))

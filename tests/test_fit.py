@@ -15,18 +15,32 @@ Covered here:
   corner whose search ends on a stationary point stops on `gradient`;
 - trace columns are read-only copies, and the shipped `fit_sinusoid.conf`
   fit is pinned: iterations, replay count, the rmse's float and the
-  stop reason.
+  stop reason;
+- `simulate_current` scores rows replayed elsewhere as its own, and
+  refuses rows of another length;
+- the forked gradient workers: one, two or three processes give the same
+  gradients and results bit for bit, infeasible probes included; the
+  3.12 fork warning is ignored; one usable CPU, or a start that cannot be
+  searched, forks nothing; a worker that dies fails the fit with
+  `OSError` (exit 2 at the CLI) and leaves no child behind.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import re
+import warnings
+from functools import cache
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import memassoc._fork
 import memassoc.fit
 from memassoc.device import DeviceParams
 from memassoc.errors import DataError, InvalidInputError, InvalidStartError
@@ -57,11 +71,43 @@ def reference_trace() -> IVTrace:
     return simulate_current(TRUE, sine_drive())
 
 
+def bits(a) -> np.ndarray:
+    """Raw IEEE bits, so that -0.0 and 0.0 count as different."""
+    return np.ascontiguousarray(a, dtype=float).view(np.int64)
+
+
 def perturbed_start(scale=0.3) -> DeviceParams:
     """All eight fitted parameters moved by +-scale, alternating sign."""
     factors = [1.0 + scale if j % 2 == 0 else 1.0 - scale for j in range(8)]
     return DeviceParams(**{n: getattr(TRUE, n) * f
                            for n, f in zip(PARAM_NAMES, factors)})
+
+
+@cache
+def shipped_sine() -> IVTrace:
+    return read_trace_csv(REPO / "data" / "iv" / "sine_10hz_0v5.csv")
+
+
+@cache
+def replay_overflow_start() -> DeviceParams:
+    """A start just below the smallest alpha_on whose replay of the shipped
+    sine overflows float pow at v_on = 1 mV, found by bisection: its
+    gradient's alpha_on probe (relative step ~6e-6) overflows."""
+    real = shipped_sine()
+
+    def overflows(alpha_on):
+        try:
+            simulate_current(DeviceParams(alpha_on=alpha_on, v_on=1e-3), real)
+        except OverflowError:
+            return True
+        return False
+
+    lo, hi = 10.0, 1000.0
+    assert not overflows(lo) and overflows(hi)
+    while hi - lo > 1e-9 * hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if overflows(mid) else (mid, hi)
+    return DeviceParams(alpha_on=lo * (1.0 - 1e-6), v_on=1e-3)
 
 
 class TestIVTrace:
@@ -181,6 +227,36 @@ class TestSimulateCurrent:
         drive = IVTrace(np.arange(2.0), np.ones(2), np.ones(2))
         with pytest.raises(InvalidInputError, match="source_r_ohm must be >= 0"):
             simulate_current(TRUE, drive, source_r_ohm=source)
+
+
+    @pytest.mark.parametrize("source", [0.0, 30e3])
+    def test_replay_rows_are_scored_as_its_own(self, source):
+        drive = sine_drive()
+        own = simulate_current(TRUE, drive, source)
+        rows = memassoc.fit._step_loop(TRUE, drive.step_v, drive.step_dt,
+                                       TRUE.w_on, source)
+
+        def loop_not_run(*args):
+            raise AssertionError("simulate_current ran the loop again")
+
+        with patch.object(memassoc.fit, "_step_loop", loop_not_run):
+            replayed = simulate_current(TRUE, drive, source, replay=rows)
+            from_bytes = simulate_current(TRUE, drive, source,
+                                          replay=np.array(rows))
+        for model in (replayed, from_bytes):
+            assert bits(model.i).tolist() == bits(own.i).tolist()
+            assert bits(model.v).tolist() == bits(own.v).tolist()
+            assert (model.v is drive.v) == (source == 0.0)
+            assert not model.i.flags.writeable
+
+    def test_replay_of_another_length_refused(self):
+        drive = sine_drive()
+        rows = simulate_current(TRUE, drive).i  # any float column
+        for wrong in (rows[:-1], np.append(rows, 1.0), []):
+            with pytest.raises(InvalidInputError,
+                               match=rf"^replay has {len(wrong)} rows for a "
+                                     rf"drive of {len(drive)} samples$"):
+                simulate_current(TRUE, drive, replay=wrong)
 
 
 class TestRmse:
@@ -342,25 +418,10 @@ class TestFit:
         assert res.at_bounds == ("alpha_on", "k_on", "k_off", "v_on", "v_off")
 
     def test_replay_overflow_mid_search_backs_off(self, monkeypatch):
-        # the smallest alpha_on whose replay of the shipped sine overflows
-        # float pow at v_on = 1 mV, found by bisection; the start sits just
-        # below it, so the gradient's alpha_on probe (relative step ~6e-6)
-        # overflows and must score as infeasible
-        real = read_trace_csv(REPO / "data" / "iv" / "sine_10hz_0v5.csv")
-
-        def overflows(alpha_on):
-            try:
-                simulate_current(DeviceParams(alpha_on=alpha_on, v_on=1e-3), real)
-            except OverflowError:
-                return True
-            return False
-
-        lo, hi = 10.0, 1000.0
-        assert not overflows(lo) and overflows(hi)
-        while hi - lo > 1e-9 * hi:
-            mid = 0.5 * (lo + hi)
-            lo, hi = (lo, mid) if overflows(mid) else (mid, hi)
-        start = DeviceParams(alpha_on=lo * (1.0 - 1e-6), v_on=1e-3)
+        # the gradient's alpha_on probe of this start overflows and must
+        # score as infeasible
+        real = shipped_sine()
+        start = replay_overflow_start()
 
         raised = []
         replay = memassoc.fit.simulate_current
@@ -410,3 +471,179 @@ class TestFit:
         res = fit(reference_trace, start, FitConfig(max_iters=5))
         assert res.params.w_on == start.w_on
         assert res.params.w_off == start.w_off
+
+
+def fit_with_cpus(cpus, real, start, config, shares=None):
+    """`fit` with `cpus` usable CPUs, and the gradients it computed.  With
+    `shares`, gradient k keeps the first shares[k % len(shares)] probes in
+    this process instead of the share the workers' timing would give."""
+    gradients = []
+    gradient = memassoc.fit.central_difference_gradient
+    send = memassoc.fit._ReplayWorkers.send
+
+    def recorded(*args):
+        gradients.append(gradient(*args))
+        return gradients[-1]
+
+    def send_share(self, points):
+        if shares is not None:
+            self._own = shares[len(gradients) % len(shares)]
+        return send(self, points)
+
+    with patch.object(memassoc._fork, "usable_cpus", lambda: cpus), \
+            patch.object(memassoc.fit, "central_difference_gradient", recorded), \
+            patch.object(memassoc.fit._ReplayWorkers, "send", send_share):
+        return fit(real, start, config), gradients
+
+
+def no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+# Each start is fitted, with and without a source resistance, by one, two
+# and three processes, the latter two with drawn shares of the probes kept in the calling process, or the
+# share their timing gives.  The named cases have infeasible gradient
+# probes: "clamp" puts r_off one probe step above r_on, whose lower edge
+# sits at its start, so r_on clamps at or above a lowered r_off;
+# "overflow" is the start whose alpha_on probe overflows the replay
+# without a source resistance (`test_replay_overflow_mid_search_backs_off`).  With a share of 0 the
+# workers replay those probes, fail, and the caller replays them again.
+@settings(max_examples=8, deadline=None)
+@given(st.one_of(st.sampled_from(["clamp", "overflow"]),
+                 st.lists(st.floats(0.7, 1.3), min_size=8, max_size=8)),
+       st.none() | st.lists(st.integers(0, 16), min_size=1, max_size=5),
+       st.sampled_from([0.0, 30e3]))
+@example("clamp", [0], 0.0)
+@example("overflow", [0], 0.0)
+@example("overflow", [16], 0.0)
+def test_worker_counts_give_identical_fits(case, shares, source):
+    config = FitConfig(max_iters=3, source_r_ohm=source)
+    if case == "clamp":
+        start = DeviceParams(r_on=100e3, r_off=100e3 * (1.0 + 2e-6))
+        config = FitConfig(max_iters=3, source_r_ohm=source,
+                           r_on_lo=start.r_on)
+    elif case == "overflow":
+        start = replay_overflow_start()
+    else:
+        start = DeviceParams(**{name: getattr(TRUE, name) * factor
+                                for name, factor in zip(PARAM_NAMES, case)})
+    (serial, gradients), *others = [
+        fit_with_cpus(cpus, shipped_sine(), start, config, shares)
+        for cpus in (1, 2, 3)]
+    for res, grads in others:
+        assert [bits(g).tolist() for g in grads] == \
+            [bits(g).tolist() for g in gradients]
+        assert bits(res.objective_history).tolist() == \
+            bits(serial.objective_history).tolist()
+        assert bits([getattr(res.params, name) for name in PARAM_NAMES]).tolist() \
+            == bits([getattr(serial.params, name) for name in PARAM_NAMES]).tolist()
+        assert (res.iterations, res.converged, res.stop_reason, res.at_bounds) \
+            == (serial.iterations, serial.converged, serial.stop_reason,
+                serial.at_bounds)
+    if case == "clamp" or (case == "overflow" and not source):
+        assert any((g >= 1e6).any() or (g <= -1e6).any() for g in gradients), \
+            "no gradient probe was infeasible"
+    no_child_left()
+
+
+class TestGradientWorkers:
+    def test_fork_warning_of_python_3_12_is_ignored(self, monkeypatch):
+        """From Python 3.12, `os.fork` in a process with several threads
+        warns in the parent.  The workers are forked with that one warning
+        ignored, so a fit passes under warnings as errors and matches the
+        fit in one process; any other warning from the fork still
+        raises."""
+        serial, _ = fit_with_cpus(1, shipped_sine(), perturbed_start(),
+                                  FitConfig(max_iters=3))
+        fork, forked = os.fork, []
+
+        def fork_that_warns(message):
+            def warning_fork():
+                pid = fork()
+                if pid:  # as CPython does, in the parent once the child runs
+                    forked.append(pid)
+                    warnings.warn(message.format(pid=os.getpid()),
+                                  DeprecationWarning, stacklevel=2)
+                return pid
+            return warning_fork
+
+        monkeypatch.setattr(os, "fork", fork_that_warns(
+            "This process (pid={pid}) is multi-threaded, use of fork() may "
+            "lead to deadlocks in the child."))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res, _ = fit_with_cpus(3, shipped_sine(), perturbed_start(),
+                                   FitConfig(max_iters=3))
+        assert len(forked) == 2
+        assert res == serial
+        no_child_left()
+
+        monkeypatch.setattr(os, "fork", fork_that_warns("pid {pid} forked"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DeprecationWarning, match="forked"):
+                fit_with_cpus(2, shipped_sine(), perturbed_start(),
+                              FitConfig(max_iters=3))
+        # the fit never learned the worker's pid; it leaves once its
+        # request pipe closes
+        os.waitpid(forked[-1], 0)
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                        reason="needs CPU affinity")
+    def test_one_usable_cpu_forks_nothing(self, monkeypatch):
+        forked, _ = fit_with_cpus(3, shipped_sine(), perturbed_start(),
+                                  FitConfig(max_iters=3))
+
+        def no_fork():
+            raise AssertionError("the fit forked with one usable CPU")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        saved = os.sched_getaffinity(0)
+        os.sched_setaffinity(0, {min(saved)})
+        try:
+            pinned = fit(shipped_sine(), perturbed_start(), FitConfig(max_iters=3))
+        finally:
+            os.sched_setaffinity(0, saved)
+        assert pinned == forked
+
+    def test_start_that_cannot_be_searched_forks_nothing(self, monkeypatch):
+        def no_fork():
+            raise AssertionError("the fit forked for a start it refused")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        monkeypatch.setattr(memassoc._fork, "usable_cpus", lambda: 3)
+        start = DeviceParams(alpha_on=replay_overflow_start().alpha_on * 1.01,
+                             v_on=1e-3)
+        with pytest.raises(InvalidStartError, match="replay overflows"):
+            fit(shipped_sine(), start, FitConfig())
+
+    def test_worker_that_dies_fails_the_fit(self, tmp_path, monkeypatch, capsys):
+        """A worker that dies makes the fit raise OSError, naming its exit
+        status, and the CLI exit 2 with one error line; the other worker
+        and the dead one are reaped."""
+        from memassoc.cli import console_main
+
+        parent = os.getpid()
+        step_loop = memassoc.fit._step_loop
+
+        def die_in_worker(*args):
+            if os.getpid() != parent:
+                os._exit(3)
+            return step_loop(*args)
+
+        monkeypatch.setattr(memassoc.fit, "_step_loop", die_in_worker)
+        monkeypatch.setattr(memassoc._fork, "usable_cpus", lambda: 3)
+        with pytest.raises(OSError, match="^gradient worker process exited "
+                                          "with status 3$"):
+            fit(shipped_sine(), perturbed_start(), FitConfig(max_iters=3))
+        no_child_left()
+
+        out = tmp_path / "fit"
+        assert console_main(["fit", str(REPO / "data" / "iv" / "sine_10hz_0v5.csv"),
+                             "--config", str(REPO / "configs" / "fit_sinusoid.conf"),
+                             "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "error: gradient worker process exited with status 3"]
+        no_child_left()

@@ -81,7 +81,7 @@ import pytest
 from hypothesis import Phase, assume, example, given, settings
 from hypothesis import strategies as st
 
-from memassoc import circuit
+from memassoc import _fork, circuit
 from memassoc.circuit import (
     _TRACE_CHUNK_ROWS,
     SCHEMES,
@@ -849,7 +849,7 @@ def test_trace_csv_matches_row_by_row_writer(case):
 
     with tempfile.TemporaryDirectory() as tmp, \
             patch.object(circuit, "_TRACE_CHUNK_ROWS", chunk_rows), \
-            patch.object(circuit, "_usable_cpus", lambda: cpus), \
+            patch.object(_fork, "usable_cpus", lambda: cpus), \
             patch.object(os, "fork", counted_fork):
         path = Path(tmp) / "trace.csv"
         write_sim_trace_csv(trace, path)
