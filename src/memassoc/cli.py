@@ -15,9 +15,13 @@ Subcommands:
   vision-classify train, then score and label a directory of images;
                   adds report.csv
 
-Every run also writes manifest.json (tool version, command, resolved config
-snapshot and its hash, output hashes).  `replay_manifest` checks a manifest,
-re-executes the snapshot and returns the fresh output hashes, which must
+`_run` runs a command, then writes manifest.json last (tool version, command,
+input paths, resolved config snapshot and its hash, output hashes); the CLI
+and `replay_manifest` run through it, and a bare `cmd_*` call writes none.
+Once its results are computed, a run removes manifest.json and every file a
+command writes from --out, nothing else; it refuses an input that is --out
+or one of those files.  `replay_manifest` checks a manifest, re-executes the
+snapshot and returns the hashes its fresh manifest records, which must
 match the recorded ones byte for byte.  The parser, the runs and the
 manifests read the commands, inputs and outputs from one table, `_COMMANDS`.
 
@@ -208,23 +212,18 @@ def _split_sections(text: str) -> dict[str, _Section]:
     return sections
 
 
-def _values(section: _Section, keys: Mapping[str, str],
-            domain: type) -> dict[str, Any]:
-    """The section's entries by config key, each read as the type of the
-    default of the `domain` field it sets (a float where there is none)."""
+def _fields(section: _Section, keys: Mapping[str, str], domain: type) -> dict[str, Any]:
+    """The section's entries by the `domain` field each key sets, each read
+    as the type of that field's default (a float where there is none)."""
     values = {}
     for key, (raw, ln) in section.entries.items():
         if key not in keys:
             raise ConfigError(f"line {ln}: unknown key {key!r} in [{section.name}]")
-        values[key] = _convert(raw, getattr(domain, keys[key], 0.0), f"line {ln}")
-        if values[key] != values[key]:  # nan fits no range and equals nothing
+        value = _convert(raw, getattr(domain, keys[key], 0.0), f"line {ln}")
+        if value != value:  # nan fits no range and equals nothing
             raise ConfigError(f"line {ln}: {key}: not a number: {raw!r}")
+        values[keys[key]] = value
     return values
-
-
-def _fields(section: _Section, keys: Mapping[str, str], domain: type) -> dict[str, Any]:
-    """`_values` by the `domain` field each key sets."""
-    return {keys[key]: value for key, value in _values(section, keys, domain).items()}
 
 
 def _located(located: Sequence[tuple[_Section, Mapping[str, str]]],
@@ -516,21 +515,51 @@ _COMMANDS = {
 }
 
 
-def _write_manifest(out_dir: Path, command: str, config: ExperimentConfig,
-                    *paths: str | Path) -> None:
-    """manifest.json of a `command` run on input `paths`, outputs in `out_dir`."""
-    text = serialize_config(config)
-    manifest = {
-        "version": __version__,
-        "command": command,
-        "args": {name: str(p) for name, p in zip(_COMMANDS[command].inputs, paths)},
-        "config_sha256": hashlib.sha256(text.encode()).hexdigest(),
-        "config_text": text,
-        "outputs": {name: _sha256(out_dir / name)
-                    for name in sorted(_COMMANDS[command].outputs)},
-    }
-    (out_dir / "manifest.json").write_text(
+_REMOVED = ("manifest.json",
+            *sorted({name for row in _COMMANDS.values() for name in row.outputs}))
+
+
+def _fresh_out(out_dir: str | Path) -> Path:
+    """`out_dir`, created, without the files `_REMOVED` names, manifest.json
+    first; no other file in it is touched."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for name in _REMOVED:
+        (out / name).unlink(missing_ok=True)
+    return out
+
+
+def _refuse_inputs_in(out_dir: str | Path, paths: Sequence[str | Path]) -> None:
+    """Refuse (`DataError`) an input that is `out_dir`, or a file in it that
+    `_fresh_out` removes, before the run reads it: no run removes its input."""
+    out = Path(out_dir).resolve()
+    for path in map(Path, paths):
+        try:  # a path no file system encodes names no file; its read fails
+            removed = out == path.resolve() or (path.name in _REMOVED
+                                                and out == path.parent.resolve())
+        except UnicodeEncodeError:
+            continue
+        if removed:
+            raise DataError(f"input {path} must not be --out {out_dir} or a "
+                            "file that runs write there")
+
+
+def _run(command: str, config: ExperimentConfig, args: Mapping[str, Any],
+         out_dir: str | Path) -> tuple[int, dict[str, str]]:
+    """Run `command`'s row, then write manifest.json into `out_dir`, last;
+    return the row's exit status and the output hashes the manifest records."""
+    row = _COMMANDS[command]
+    _refuse_inputs_in(out_dir, [args[name] for name in row.inputs])
+    status = row.run(config, args, out_dir)
+    out, text = Path(out_dir), serialize_config(config)
+    hashes = {name: _sha256(out / name) for name in sorted(row.outputs)}
+    manifest = {"version": __version__, "command": command,
+                "args": {name: str(args[name]) for name in row.inputs},
+                "config_sha256": hashlib.sha256(text.encode()).hexdigest(),
+                "config_text": text, "outputs": hashes}
+    (out / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    return status, hashes
 
 
 def cmd_fit(config: ExperimentConfig, trace_path: str | Path,
@@ -539,14 +568,12 @@ def cmd_fit(config: ExperimentConfig, trace_path: str | Path,
     fit_config = build_fit_config(config)
     trace = read_trace_csv(trace_path)
     result = fit(trace, build_device(config), fit_config)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _fresh_out(out_dir)
     (out / "device_fit.conf").write_text(_block("device", _DEVICE_KEYS, result.params))
     report = {"converged": result.converged, "iterations": result.iterations,
               "rmse": result.rmse}
     (out / "fit_report.json").write_text(
         json.dumps(report, indent=2, sort_keys=True) + "\n")
-    _write_manifest(out, "fit", config, trace_path)
     if result.at_bounds:
         print(f"warning: {out}: the fit ended with {', '.join(result.at_bounds)} "
               "on an edge of its box", file=sys.stderr)
@@ -561,12 +588,10 @@ def cmd_fit(config: ExperimentConfig, trace_path: str | Path,
 def cmd_pavlov(config: ExperimentConfig, out_dir: str | Path) -> int:
     """Run the chain and write trace, metrics, and the plot script."""
     trace = run_chain(build_chain(config))
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _fresh_out(out_dir)
     write_sim_trace_csv(trace, out / "trace.csv")
     write_metrics_report(metrics(trace), out / "metrics.txt")
     (out / "plot_trace.py").write_text(_PLOT_SCRIPT)
-    _write_manifest(out, "pavlov", config)
     idle = [str(k) for k, stage in enumerate(trace.stages, start=1)
             if not stage.in_scheme(SCHEME_LEARNING).any()]
     if idle:
@@ -612,8 +637,8 @@ def cmd_vision(config: ExperimentConfig, train_dir: str | Path,
     if not inputs:
         raise DataError(f"no training inputs next to {teacher_path.name}")
     probes = [(p.name, load_image(p, allow_resize=allow)) for p in probe_paths]
-    # train and classify before creating --out, so a run that fails there
-    # leaves no directory
+    # train and classify before touching --out, so a run that fails there
+    # leaves it as it was
     fresh = new_array(build_device(config))
     array = train_many(fresh, inputs, teacher, train_config)
     lines = ["name,similarity,threshold,label"]
@@ -621,14 +646,10 @@ def cmd_vision(config: ExperimentConfig, train_dir: str | Path,
         res = classify(array, img, infer)
         lines.append(f"{name},{res.score:.10g},"
                      f"{infer.similarity_threshold:.10g},{res.label}")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _fresh_out(out_dir)
     write_state_csv(array.state, out / "array_state.csv")
-    if test_dir is None:
-        _write_manifest(out, "vision-train", config, train_dir)
-    else:
+    if test_dir is not None:
         (out / "report.csv").write_text("\n".join(lines) + "\n")
-        _write_manifest(out, "vision-classify", config, train_dir, test_dir)
     if (array.w == fresh.w).all():
         print(f"warning: {out}: training moved no cell of the array", file=sys.stderr)
     return 0
@@ -677,7 +698,8 @@ def _read_manifest(path: Path) -> dict[str, Any]:
 
 def replay_manifest(manifest_path: str | Path,
                     out_dir: str | Path) -> dict[str, str]:
-    """Re-execute a manifest's run into `out_dir`; return fresh output hashes.
+    """Re-execute a manifest's run into `out_dir`; return the hashes its new
+    manifest records.
 
     A faithful replay reproduces the recorded `outputs` hashes exactly.  A
     malformed manifest raises `DataError`, and a `config_text` that does
@@ -685,15 +707,13 @@ def replay_manifest(manifest_path: str | Path,
     threshold) `ConfigError`, naming it before anything is written.
     """
     manifest = _read_manifest(Path(manifest_path))
-    command = _COMMANDS[manifest["command"]]
+    command = manifest["command"]
     try:
         config = parse_config(manifest["config_text"],
-                              vision=command.runs_on == "vision")
-        command.run(config, manifest["args"], out_dir)
+                              vision=_COMMANDS[command].runs_on == "vision")
+        return _run(command, config, manifest["args"], out_dir)[1]
     except ConfigError as exc:
         raise ConfigError(f"{manifest_path}: {exc}") from exc
-    out = Path(out_dir)
-    return {name: _sha256(out / name) for name in manifest["outputs"]}
 
 
 # --- entry point -------------------------------------------------------------
@@ -749,10 +769,12 @@ def _dispatch(ns: argparse.Namespace) -> int:
     dt = getattr(ns, "dt_override", None)
     configs = [_with_dt_override(config, command.runs_on, dt, path)
                for path, config in parsed]
+    for path, out in zip(ns.config, outs):
+        _refuse_inputs_in(out, [path])
     status = 0
     for (path, _), config, out in zip(parsed, configs, outs):
         try:
-            status = max(status, command.run(config, vars(ns), out))
+            status = max(status, _run(ns.command, config, vars(ns), out)[0])
         except ConfigError as exc:
             if path is None:
                 raise

@@ -5,6 +5,7 @@ import argparse
 import ast
 import contextlib
 import csv
+import errno
 import hashlib
 import importlib
 import io
@@ -37,7 +38,6 @@ from memassoc.cli import (
     build_fit_config,
     build_infer_config,
     build_train_config,
-    cmd_pavlov,
     console_main,
     load_config,
     parse_config,
@@ -1900,6 +1900,24 @@ class TestConsoleMain:
         name = prog if prog == "memassoc" else f"memassoc {prog}"
         assert capsys.readouterr() == ("", f"{USAGE[prog]}{name}: error: {message}\n")
 
+    def test_module_entry_point_exits_with_the_console_code(self):
+        """`python -m memassoc.cli` runs `console_main` and exits with its
+        code: 0 after the help, 1 on an unknown subcommand."""
+        env = {**os.environ, "COLUMNS": "80", "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))}
+
+        def run(*argv):
+            return subprocess.run([sys.executable, "-m", "memassoc.cli", *argv],
+                                  capture_output=True, text=True, env=env,
+                                  cwd=REPO, timeout=120)
+
+        helped = run("--help")
+        assert (helped.returncode, helped.stdout, helped.stderr) == (
+            0, HELP["memassoc"], "")
+        unknown = run("dance")
+        assert unknown.returncode == 1
+        assert "memassoc: error: argument command: invalid choice" in unknown.stderr
+
     def test_fit_rejects_multiple_configs(self, tmp_path, capsys):
         (tmp_path / "a.conf").write_text("")
         (tmp_path / "b.conf").write_text("")
@@ -2033,7 +2051,7 @@ class TestManifests:
     def test_manifest_replays_identically(self, tmp_path):
         cfg = parse_config(CUSTOM_CHAIN)
         out = tmp_path / "run"
-        assert cmd_pavlov(cfg, out) == 0
+        assert memassoc.cli._run("pavlov", cfg, {}, out)[0] == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["version"] == __version__
         assert set(manifest) == {"version", "command", "args",
@@ -2178,7 +2196,7 @@ class TestManifests:
     def test_malformed_manifest_names_path_before_running(self, tmp_path, edit,
                                                           problem):
         out = tmp_path / "run"
-        cmd_pavlov(parse_config(CUSTOM_CHAIN), out)
+        memassoc.cli._run("pavlov", parse_config(CUSTOM_CHAIN), {}, out)
         manifest = out / "manifest.json"
         manifest.write_text(edit(manifest.read_text()))
         with pytest.raises(DataError, match=rf"^{re.escape(str(manifest))}: malformed "
@@ -2201,16 +2219,150 @@ class TestManifests:
             replay_manifest(manifest, tmp_path / "replayed")
         assert not (tmp_path / "replayed").exists()
 
+    def test_replay_hashes_each_output_once(self, tmp_path, monkeypatch):
+        out, replayed = tmp_path / "run", tmp_path / "replayed"
+        memassoc.cli._run("pavlov", parse_config(CUSTOM_CHAIN), {}, out)
+        sha256, hashed = memassoc.cli._sha256, []
+
+        def counted(path):
+            hashed.append(path.name)
+            return sha256(path)
+
+        monkeypatch.setattr(memassoc.cli, "_sha256", counted)
+        fresh = replay_manifest(out / "manifest.json", replayed)
+        assert sorted(hashed) == sorted(memassoc.cli._COMMANDS["pavlov"].outputs)
+        assert fresh == json.loads((replayed / "manifest.json").read_text())["outputs"]
+
     def test_double_run_byte_identical(self, tmp_path):
         cfg = parse_config(CUSTOM_CHAIN)
         blobs = []
         for name in ("a", "b"):
             out = tmp_path / name
-            cmd_pavlov(cfg, out)
+            memassoc.cli._run("pavlov", cfg, {}, out)
             blobs.append((out / "trace.csv").read_bytes()
                          + (out / "metrics.txt").read_bytes()
                          + (out / "manifest.json").read_bytes())
         assert blobs[0] == blobs[1]
+
+
+def _files(directory):
+    """Each entry of `directory` by name: a file's bytes, or None for a
+    directory."""
+    return {p.name: None if p.is_dir() else p.read_bytes()
+            for p in directory.iterdir()}
+
+
+class TestOutputDirectory:
+    """A run into an --out that holds an earlier run leaves one run's files
+    and their manifest; one whose write fails leaves no manifest; one that
+    fails before writing leaves --out as it was.  No run touches a file
+    that no command writes."""
+
+    TRAIN, TEST = str(REPO / "data/vision/train"), str(REPO / "data/vision/test")
+
+    def vision(self, out, *inputs):
+        command = "vision-classify" if len(inputs) == 2 else "vision-train"
+        return console_main([command, *inputs, "--out", str(out), "--config",
+                             str(REPO / "configs/vision_demo.conf")])
+
+    def test_train_after_classify_leaves_only_its_own_files(self, tmp_path):
+        out = tmp_path / "run"
+        assert self.vision(out, self.TRAIN, self.TEST) == 0
+        assert self.vision(out, self.TRAIN) == 0
+        assert set(_files(out)) == {"array_state.csv", "manifest.json"}
+        manifest = memassoc.cli._read_manifest(out / "manifest.json")
+        assert manifest["command"] == "vision-train"
+        assert manifest["outputs"] == {
+            "array_state.csv": memassoc.cli._sha256(out / "array_state.csv")}
+
+    def test_failed_trace_write_leaves_no_manifest(self, tmp_path, monkeypatch,
+                                                    capsys):
+        out = tmp_path / "run"
+
+        def pavlov(name):
+            return console_main(["pavlov", "--config",
+                                 str(REPO / "configs" / f"{name}.conf"),
+                                 "--out", str(out)])
+
+        assert pavlov("pavlov2_lowpower") == 0
+        write_chunks = memassoc.circuit._write_chunks
+
+        def disk_full_after_one_chunk(fh, columns, starts):
+            write_chunks(fh, columns, starts[:1])
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(memassoc.circuit, "_write_chunks",
+                            disk_full_after_one_chunk)
+        monkeypatch.setattr(memassoc._fork, "usable_cpus", lambda: 1)
+        assert pavlov("pavlov3") == 2
+        assert capsys.readouterr().err == (
+            f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n")
+        assert set(_files(out)) == {"trace.csv"}
+
+    def test_run_that_fails_before_writing_leaves_out_as_it_was(self, tmp_path,
+                                                                 capsys):
+        out = tmp_path / "run"
+        assert self.vision(out, self.TRAIN, self.TEST) == 0
+        before = _files(out)
+        assert self.vision(out, self.TRAIN, str(tmp_path / "missing")) == 2
+        assert "test directory" in capsys.readouterr().err
+        assert _files(out) == before
+
+    def test_run_touches_no_file_that_no_command_writes(self, tmp_path):
+        out, cfg = tmp_path / "run", tmp_path / "c.conf"
+        cfg.write_text(CUSTOM_CHAIN)
+        (out / "keep").mkdir(parents=True)
+        (out / "keep" / "trace.csv").write_text("not a run\n")
+        (out / "notes.txt").write_text("mine\n")
+        assert console_main(["pavlov", "--config", str(cfg), "--out", str(out)]) == 0
+        files = _files(out)
+        assert set(files) == {*memassoc.cli._COMMANDS["pavlov"].outputs,
+                              "manifest.json", "keep", "notes.txt"}
+        assert files["notes.txt"] == b"mine\n"
+        assert _files(out / "keep") == {"trace.csv": b"not a run\n"}
+
+    def test_run_refuses_an_input_it_would_remove(self, tmp_path, capsys):
+        """A trace or config in --out under a name runs write, or an image
+        directory that is --out, is refused before anything is written."""
+        out = tmp_path / "run"
+        out.mkdir()
+        for image in Path(self.TRAIN).iterdir():
+            (out / image.name).write_bytes(image.read_bytes())
+        (out / "trace.csv").write_bytes(Path(SINE_TRACE).read_bytes())
+        (out / "device_fit.conf").write_text("[device]\n")
+        before = _files(out)
+        for argv, path in [(["fit", str(out / "trace.csv")], out / "trace.csv"),
+                           (["pavlov", "--config", str(out / "device_fit.conf")],
+                            out / "device_fit.conf"),
+                           (["vision-train", str(out)], out),
+                           (["vision-classify", self.TRAIN, str(out)], out)]:
+            assert console_main([*argv, "--out", str(out)]) == 2
+            assert capsys.readouterr().err == (
+                f"error: input {path} must not be --out {out} "
+                "or a file that runs write there\n")
+            assert _files(out) == before
+
+    def test_replay_refuses_an_input_in_its_out(self, tmp_path):
+        """A trace kept in --out under a name no run writes stays through a
+        run and its replay there; a replay into the directory of a trace
+        named like an output is refused and leaves it as it was."""
+        run, other = tmp_path / "run", tmp_path / "other"
+        run.mkdir()
+        other.mkdir()
+        (run / "sine.csv").write_bytes(Path(SINE_TRACE).read_bytes())
+        (other / "trace.csv").write_bytes(Path(SINE_TRACE).read_bytes())
+        config = str(REPO / "configs/fit_sinusoid.conf")
+        assert console_main(["fit", str(run / "sine.csv"), "--config", config,
+                             "--out", str(run)]) == 0
+        manifest = json.loads((run / "manifest.json").read_text())
+        assert replay_manifest(run / "manifest.json", run) == manifest["outputs"]
+        assert (run / "sine.csv").read_bytes() == Path(SINE_TRACE).read_bytes()
+        assert console_main(["fit", str(other / "trace.csv"), "--config", config,
+                             "--out", str(tmp_path / "fitted")]) == 0
+        before = _files(other)
+        with pytest.raises(DataError, match="must not be --out"):
+            replay_manifest(tmp_path / "fitted/manifest.json", other)
+        assert _files(other) == before
 
 
 class TestBenchmarkSurface:

@@ -1,4 +1,5 @@
-"""The suite's own settings: a failing property reports its example.
+"""The suite's own settings and CI: a failing property reports its
+example, and CI checks the pins of every benchmark workload.
 
 `pyproject.toml` turns every warning into an error.  Hypothesis reports a
 failing example through a module whose first import makes a third-party
@@ -6,6 +7,8 @@ package warn; the one filter scoped to that message keeps the report
 working, and every other warning stays an error.
 """
 
+import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -41,3 +44,12 @@ def test_failing_property_reports_falsifying_example(tmp_path):
     assert "INTERNALERROR" not in out
     assert "Falsifying example" in out
     assert "2 failed" in out
+
+
+def test_ci_checks_the_pins_of_every_benchmark_workload():
+    """The tier-1 workflow's benchmark step loops over exactly the workloads
+    BENCHMARK.json declares, so a new workload cannot skip the pin check."""
+    workflow = (REPO / ".github/workflows/tier1.yml").read_text()
+    [loop] = re.findall(r"^ *for workload in ([\w ]+); do$", workflow, re.M)
+    benchmark = json.loads((REPO / "BENCHMARK.json").read_text())
+    assert sorted(loop.split()) == sorted(w["name"] for w in benchmark["workloads"])
