@@ -11,11 +11,13 @@ corner is fitted twice: once with the fork helper reporting one usable
 CPU, so the gradient runs in this process alone, and once with the CPUs
 this process has, so it runs on forked workers where there are several.
 
-One line per corner: the stop reason, iterations, rmse, the parameters on
-the box (`at_bounds`), and `same` when the two `FitResult`s are equal
-field for field, bit for bit, or else the fields that differ.  A summary
-counts the stop reasons and the corners that differ.  Exits 1 when any
-corner differs.
+One line per corner: the stop reason, iterations, the objective evals
+(`simulate_current` calls, each one scored replay), rmse, the parameters
+on the box (`at_bounds`), and `same` when the two `FitResult`s are equal
+field for field, bit for bit, and the two fits made as many evals, or
+else the fields that differ (`objective_evals` for the count).  A
+summary counts the stop reasons and the corners that differ.  Exits 1
+when any corner differs.
 """
 
 from __future__ import annotations
@@ -28,10 +30,11 @@ import time
 from pathlib import Path
 from unittest.mock import patch
 
+import memassoc.fit
 from memassoc import _fork
 from memassoc.cli import build_fit_config, load_config
 from memassoc.device import DeviceParams
-from memassoc.fit import PARAM_NAMES, FitResult, fit, read_trace_csv
+from memassoc.fit import PARAM_NAMES, FitConfig, FitResult, IVTrace, fit, read_trace_csv
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -41,6 +44,22 @@ def corner_start(corner: int) -> DeviceParams:
     return dataclasses.replace(truth, **{
         name: getattr(truth, name) * (1.3 if corner >> j & 1 else 0.7)
         for j, name in enumerate(PARAM_NAMES)})
+
+
+def counted_fit(real: IVTrace, start: DeviceParams,
+                config: FitConfig) -> tuple[FitResult, int]:
+    """`fit`, and the number of `simulate_current` calls it made."""
+    calls = 0
+    replay = memassoc.fit.simulate_current
+
+    def counting_replay(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return replay(*args, **kwargs)
+
+    with patch.object(memassoc.fit, "simulate_current", counting_replay):
+        result = fit(real, start, config)
+    return result, calls
 
 
 def differing_fields(a: FitResult, b: FitResult) -> list[str]:
@@ -63,14 +82,17 @@ def main(argv: list[str] | None = None) -> int:
     for corner in corners:
         start = corner_start(corner)
         with patch.object(_fork, "usable_cpus", lambda: 1):
-            serial = fit(real, start, config)
-        forked = fit(real, start, config)
+            serial, evals = counted_fit(real, start, config)
+        forked, forked_evals = counted_fit(real, start, config)
         fields = differing_fields(serial, forked)
+        if forked_evals != evals:
+            fields.append("objective_evals")
         stops[serial.stop_reason] += 1
         if fields:
             differ.append(corner)
         print(f"{corner:3d}  {serial.stop_reason:<11} {serial.iterations:3d}  "
-              f"rmse={serial.rmse:.3e}  at_bounds={','.join(serial.at_bounds) or '-'}"
+              f"evals={evals:4d}  rmse={serial.rmse:.3e}  "
+              f"at_bounds={','.join(serial.at_bounds) or '-'}"
               f"  {'differ: ' + ','.join(fields) if fields else 'same'}")
     print(f"{len(corners)} corners in {time.perf_counter() - started:.1f} s: "
           + ", ".join(f"{n} {reason}" for reason, n in stops.most_common())

@@ -574,13 +574,15 @@ def cmd_fit(config: ExperimentConfig, trace_path: str | Path,
               "rmse": result.rmse}
     (out / "fit_report.json").write_text(
         json.dumps(report, indent=2, sort_keys=True) + "\n")
-    if result.at_bounds:
-        print(f"warning: {out}: the fit ended with {', '.join(result.at_bounds)} "
-              "on an edge of its box", file=sys.stderr)
+    on_box = f"{', '.join(result.at_bounds)} on an edge of its box"
     if result.converged:
+        if result.at_bounds:
+            print(f"warning: {out}: the fit ended with {on_box}", file=sys.stderr)
         return 0
+    # a failed run reports on one line, so the box goes with the error
     print(f"error: fit did not converge: stopped on {result.stop_reason} after "
-          f"{result.iterations} iterations (rmse {result.rmse!r}); "
+          f"{result.iterations} iterations (rmse {result.rmse!r})"
+          f"{', ending with ' + on_box if result.at_bounds else ''}; "
           "fit_report.json records converged: false", file=sys.stderr)
     return 2
 

@@ -43,17 +43,22 @@ A replay or score beyond the float range becomes inf without numpy's
 overflow warning: the search runs with overflow ignored, entered once
 per fit.
 
-The gradient's 2n probes are independent.  Once the start is known to be
-valid, `fit` forks up to one gradient worker per usable CPU, capped at
-2n and counting itself, through the package's fork helper
-(`_fork.Workers`, shared with the trace writer), and reaps them all
-before it returns.  A worker replays the probe points it is sent
-(`_from_vector` and `device._step_loop`) and streams the rows back as
-raw float64; the fit scores each through `simulate_current(...,
-replay=rows)` and `rmse`.  So every objective eval is still one
-`simulate_current` call in the fitting process, every float is the one
-a replay there gives, and the result does not depend on the number of
-CPUs.
+The gradient's 2n probes are independent, and so are the line search's
+halvings.  Once the start is known to be valid, `fit` forks up to one
+gradient worker per usable CPU, capped at 2n and counting itself,
+through the package's fork helper (`_fork.Workers`, shared with the
+trace writer), and reaps them all before it returns.  A worker replays
+the points it is sent (`_from_vector` and `device._step_loop`) and
+streams the rows back as raw float64: its share of each gradient's
+probes, and, while the fit scores a line-search candidate, the halvings
+after it, one per worker.  The fit scores a worker's point through
+`simulate_current(..., replay=rows)` and `rmse` without rebuilding its
+parameters, which the worker built from the same floats, and scores a
+line-search candidate only once the search reaches it; those past the
+accepted step are read and dropped.  So every objective eval is still
+one `simulate_current` call in the fitting process, every float is the
+one a replay there gives, and neither the result nor the number of evals
+depends on the number of CPUs.
 """
 
 from __future__ import annotations
@@ -62,6 +67,7 @@ import csv
 import io
 import itertools
 import math
+import operator
 import os
 import time
 from array import array
@@ -248,9 +254,10 @@ def simulate_current(params: DeviceParams, drive: IVTrace,
     error term of `rmse`.
 
     `replay`, when given, is the resistance along that replay, one row per
-    drive sample, as `device._step_loop` computed it for these parameters
+    drive sample, as `device._step_loop` computed it for some parameters
     elsewhere (a forked gradient worker of `fit`); the loop is then not
-    run again.  Rows of another length raise `InvalidInputError`.
+    run again, and `params` is not read.  Rows of another length raise
+    `InvalidInputError`.
 
     Only `source_r_ohm` (finite, >= 0) is checked: the drive's columns
     passed `IVTrace`'s checks when it was built, and its step lists are
@@ -427,7 +434,8 @@ _REPLAYED, _NOT_REPLAYED = b"\0", b"\1"  # a gradient worker's reply status
 
 
 class _ReplayWorkers:
-    """`count` forked processes that replay `fit`'s gradient probes.
+    """`count` forked processes that replay `fit`'s gradient probes and
+    line-search candidates.
 
     The workers are forked through `forked` on entering the `with` block;
     leaving it closes their request pipes, so they leave, and `forked`
@@ -437,17 +445,25 @@ class _ReplayWorkers:
     by point as it goes: a status byte, then the raw float64 resistance
     rows of the replay, or nothing for a point whose `_from_vector` or
     `_step_loop` raised, which the caller replays itself.  A reply that
-    ends early means its worker died: `receive` reaps it and raises
-    `OSError`.
+    ends early means its worker died: reading it reaps the worker and
+    raises `OSError`.
+
+    `halvings` hands each worker one line-search candidate ahead of the
+    one the caller replays, and reads its reply only once the caller asks
+    for that candidate.  The replies to candidates past the one the
+    search stopped at are read and dropped before the next gradient or
+    line search sends anything, so every reply a worker sends is read, in
+    order.
 
     The caller's share starts at an even split and then follows the
     host.  After each gradient it grows by one point when the caller spent
     more than 1/32 of the gradient's wall time off its CPU, waiting for a
     reply or giving its CPU to a worker, and shrinks by one otherwise.
     Where the workers find no free CPU, the caller so takes every point
-    back; it then offers one again after a rest of 1, 2, 4, ...
-    gradients, doubling with each offer that fails.  Which process
-    replays which point changes no value.
+    back, and keeps the line search's candidates too; it then offers one
+    point again after a rest of 1, 2, 4, ... gradients, doubling with
+    each offer that fails.  Line-search points do not enter that count
+    or its clock.  Which process replays which point changes no value.
     """
 
     def __init__(self, forked: _fork.Workers, count: int, real: IVTrace,
@@ -461,6 +477,8 @@ class _ReplayWorkers:
         # (pid, request pipe's write end, reply pipe's reader) per worker
         self._channels: list[tuple[int, int, BinaryIO]] = []
         self._blocks: list[int] = []  # points each worker was last sent
+        # (pid, reply pipe's reader) per line-search reply not yet read
+        self._pending: list[tuple[int, BinaryIO]] = []
         self._points = 2 * len(PARAM_NAMES)  # per gradient
         self._own = self._points // (count + 1)  # the caller's share
         self._started = (0.0, 0.0)  # wall and CPU clocks at the last send
@@ -506,6 +524,7 @@ class _ReplayWorkers:
     def send(self, points: np.ndarray) -> int:
         """Send the workers their blocks of `points`; the caller's share,
         the first points, is returned as its length."""
+        self._drop_pending()
         if not self._channels:
             return len(points)
         if self._own == len(points):
@@ -518,8 +537,7 @@ class _ReplayWorkers:
         blocks = np.array_split(points[self._own:], len(self._channels))
         for (_, requests, _), block in zip(self._channels, blocks):
             if len(block):
-                os.write(requests,
-                         len(block).to_bytes(4, "little") + block.tobytes())
+                _request(requests, block)
         self._blocks = [len(block) for block in blocks]
         return self._own
 
@@ -532,15 +550,7 @@ class _ReplayWorkers:
         points = iter(sent)
         for (pid, _, replies), count in zip(self._channels, self._blocks):
             for point in itertools.islice(points, count):
-                status = replies.read(1)
-                if status == _NOT_REPLAYED:
-                    yield point, None
-                    continue
-                rows = replies.read(self._rows_bytes)
-                if status != _REPLAYED or len(rows) != self._rows_bytes:
-                    self._forked.join(pid)  # raises, naming its exit status
-                    raise OSError("gradient worker process ended its reply early")
-                yield point, np.frombuffer(rows)
+                yield point, self._reply(pid, replies)
         wall = time.perf_counter() - self._started[0]
         idle = wall - (time.process_time() - self._started[1])
         if idle > wall / 32:  # waited for a reply, or lost the CPU to a worker
@@ -551,6 +561,59 @@ class _ReplayWorkers:
         else:
             self._own = max(self._own - 1, 0)
             self._backoff = 1
+
+    def halvings(self, x: np.ndarray, d: np.ndarray
+                 ) -> Iterator[tuple[float, np.ndarray, np.ndarray | None]]:
+        """The line search's `_PROBES` candidates in the order it tries
+        them: the step alpha = 1, 1/2, 1/4, ..., the point x + alpha d, and
+        the rows a worker replayed there, or None for a point the caller
+        replays itself.
+
+        Each candidate the caller replays goes with the next halvings, one
+        per worker, sent before it is yielded, unless the caller keeps
+        every gradient probe; a worker's reply is read only when its
+        candidate is asked for.  The steps are exact powers of two, each
+        half the one before, so every point is the float that halving one
+        step at a time gives."""
+        self._drop_pending()
+        channels = self._channels if self._own < self._points else []
+        alphas = itertools.accumulate(itertools.repeat(0.5, _PROBES - 1),
+                                      operator.mul, initial=1.0)
+        for alpha in alphas:
+            # zip takes a step from `alphas` only for a worker it has, so
+            # no worker is sent a step past the last
+            ahead = [(channel, step, x + step * d)
+                     for channel, step in zip(channels, alphas)]
+            for (pid, requests, replies), _, point in ahead:
+                _request(requests, point[np.newaxis])
+                self._pending.append((pid, replies))
+            yield alpha, x + alpha * d, None
+            for _, step, point in ahead:
+                yield step, point, self._reply(*self._pending.pop(0))
+
+    def _drop_pending(self) -> None:
+        """Read and drop the replies to the line-search candidates sent
+        past the one the search stopped at, so the next reply each worker
+        sends is the answer to the next request."""
+        while self._pending:
+            self._reply(*self._pending.pop(0))
+
+    def _reply(self, pid: int, replies: BinaryIO) -> np.ndarray | None:
+        """The next reply of worker `pid`: the rows it replayed, or None
+        for a point it could not replay."""
+        status = replies.read(1)
+        if status == _NOT_REPLAYED:
+            return None
+        rows = replies.read(self._rows_bytes)
+        if status != _REPLAYED or len(rows) != self._rows_bytes:
+            self._forked.join(pid)  # raises, naming its exit status
+            raise OSError("gradient worker process ended its reply early")
+        return np.frombuffer(rows)
+
+
+def _request(requests: int, block: np.ndarray) -> None:
+    """Send a worker a block of points: their count, then raw float64."""
+    os.write(requests, len(block).to_bytes(4, "little") + block.tobytes())
 
 
 def _serve_probes(real: IVTrace, initial: DeviceParams,
@@ -593,6 +656,11 @@ def fit(real: IVTrace, initial: DeviceParams, config: FitConfig) -> FitResult:
     def objective(x: np.ndarray, replay: np.ndarray | None = None, *,
                   start: bool = False) -> float:
         nonlocal infeasible
+        if replay is not None:
+            # a worker's `_from_vector` succeeded at x and replayed it, and
+            # `simulate_current` reads no parameters beside a replay
+            return rmse(simulate_current(initial, real, config.source_r_ohm,
+                                         replay=replay), real)
         try:
             params = _from_vector(x, initial, lower, upper)
         except (InvalidInputError, OverflowError):
@@ -602,8 +670,7 @@ def fit(real: IVTrace, initial: DeviceParams, config: FitConfig) -> FitResult:
             infeasible += 1
             return _INFEASIBLE
         try:
-            model = simulate_current(params, real, config.source_r_ohm,
-                                     replay=replay)
+            model = simulate_current(params, real, config.source_r_ohm)
         except OverflowError as exc:
             # a drift rate beyond the float range backs the search off the
             # same way; a start there leaves it nowhere to begin
@@ -635,9 +702,9 @@ def fit(real: IVTrace, initial: DeviceParams, config: FitConfig) -> FitResult:
     iterations = 0
     converged, stop_reason = False, "max_iters"
 
-    # up to one process per usable CPU scores the 2n gradient probes; the
-    # workers are forked here, after the start is known to be valid, and
-    # none outlives the block
+    # up to one process per usable CPU replays the 2n gradient probes and
+    # the line search's candidates; the workers are forked here, after the
+    # start is known to be valid, and none outlives the block
     workers = min(_fork.usable_cpus(), 2 * n) - 1
     with _fork.Workers("gradient worker") as forked, \
             _ReplayWorkers(forked, workers, real, initial, lower, upper,
@@ -657,14 +724,12 @@ def fit(real: IVTrace, initial: DeviceParams, config: FitConfig) -> FitResult:
                 d = -g
                 slope = float(g @ d)
             # Armijo backtracking: halve until sufficient decrease
-            alpha, accepted, seen = 1.0, False, infeasible
-            for _ in range(_PROBES):
-                x_new = x + alpha * d
-                f_new = objective(x_new)
+            accepted, seen = False, infeasible
+            for alpha, x_new, rows in replays.halvings(x, d):
+                f_new = objective(x_new, rows)
                 if math.isfinite(f_new) and f_new <= f_x + 1e-4 * alpha * slope:
                     accepted = True
                     break
-                alpha *= 0.5
             if not accepted:
                 # no acceptable step along d: stationary to line-search precision,
                 # unless an infeasible probe's surrogate inflated the gradient,

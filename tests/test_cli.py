@@ -1680,6 +1680,8 @@ def one_pair_train_dir(tmp_path_factory):
 class TestHostileInputProperties:
     @settings(max_examples=100, deadline=None)
     @given(blob=hostile_bytes(trace_texts().map(str.encode)))
+    # a fit that stops on max_iters with r_on on its box
+    @example(blob=b"t_s,v_v,i_a\n0,0.5,1e-6\n1e200,0.1,1e-6\n")
     def test_trace_csv(self, tmp_path_factory, blob):
         with tempfile.TemporaryDirectory(dir=tmp_path_factory.getbasetemp()) as tmp:
             trace, cfg = Path(tmp) / "trace.csv", Path(tmp) / "c.conf"

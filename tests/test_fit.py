@@ -19,9 +19,12 @@ Covered here:
 - `simulate_current` scores rows replayed elsewhere as its own, and
   refuses rows of another length;
 - the forked gradient workers: one, two or three processes give the same
-  gradients and results bit for bit, infeasible probes included; the
-  3.12 fork warning is ignored; one usable CPU, or a start that cannot be
-  searched, forks nothing; a worker that dies fails the fit with
+  gradients and results bit for bit, and make the same objective evals,
+  infeasible probes and failed line searches included; the workers
+  replay the line search's next halvings ahead, which it takes in the
+  serial order; the 3.12 fork warning is ignored; one usable CPU, or a
+  start that cannot be searched, forks nothing; a worker that dies on a
+  gradient probe or on a line-search candidate fails the fit with
   `OSError` (exit 2 at the CLI) and leaves no child behind.
 """
 
@@ -474,12 +477,17 @@ class TestFit:
 
 
 def fit_with_cpus(cpus, real, start, config, shares=None):
-    """`fit` with `cpus` usable CPUs, and the gradients it computed.  With
-    `shares`, gradient k keeps the first shares[k % len(shares)] probes in
-    this process instead of the share the workers' timing would give."""
-    gradients = []
+    """`fit` with `cpus` usable CPUs, the gradients it computed, and its
+    objective evals: its `simulate_current` calls, the count the benchmark
+    pins.  With `shares`, gradient k keeps the first shares[k % len(shares)]
+    probes in this process instead of the share the workers' timing would
+    give.  Only the gradients' sends are drawn; the line search that
+    follows a gradient deals its candidates as that gradient's share left
+    the workers."""
+    gradients, evals = [], []
     gradient = memassoc.fit.central_difference_gradient
     send = memassoc.fit._ReplayWorkers.send
+    replay = memassoc.fit.simulate_current
 
     def recorded(*args):
         gradients.append(gradient(*args))
@@ -490,10 +498,15 @@ def fit_with_cpus(cpus, real, start, config, shares=None):
             self._own = shares[len(gradients) % len(shares)]
         return send(self, points)
 
+    def counted(*args, **kwargs):
+        evals.append(args)
+        return replay(*args, **kwargs)
+
     with patch.object(memassoc._fork, "usable_cpus", lambda: cpus), \
             patch.object(memassoc.fit, "central_difference_gradient", recorded), \
-            patch.object(memassoc.fit._ReplayWorkers, "send", send_share):
-        return fit(real, start, config), gradients
+            patch.object(memassoc.fit._ReplayWorkers, "send", send_share), \
+            patch.object(memassoc.fit, "simulate_current", counted):
+        return fit(real, start, config), gradients, len(evals)
 
 
 def no_child_left():
@@ -501,14 +514,27 @@ def no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+# The start factors of a fit whose second line search halves six times
+# with a source resistance of 30 kOhm and accepts 1/64: on three
+# processes its candidates span three rounds of one replayed in the
+# caller and two on workers, and the last round's two worker candidates
+# are dropped.
+SEVERAL_HALVINGS = [0.92, 1.16, 0.72, 0.97, 0.92, 0.99, 0.78, 0.83]
+
+
 # Each start is fitted, with and without a source resistance, by one, two
-# and three processes, the latter two with drawn shares of the probes kept in the calling process, or the
-# share their timing gives.  The named cases have infeasible gradient
+# and three processes, the latter two with drawn shares of the probes kept
+# in the calling process, or the share their timing gives; each fit must
+# make the same objective evals.  The named cases have infeasible gradient
 # probes: "clamp" puts r_off one probe step above r_on, whose lower edge
 # sits at its start, so r_on clamps at or above a lowered r_off;
 # "overflow" is the start whose alpha_on probe overflows the replay
 # without a source resistance (`test_replay_overflow_mid_search_backs_off`).  With a share of 0 the
 # workers replay those probes, fail, and the caller replays them again.
+# Both stop on `line_search` after all 50 halvings, "overflow" only
+# without a source resistance: three processes split those into 16
+# rounds of three and a last round of two, so no candidate is sent past
+# the last one the search may try.
 @settings(max_examples=8, deadline=None)
 @given(st.one_of(st.sampled_from(["clamp", "overflow"]),
                  st.lists(st.floats(0.7, 1.3), min_size=8, max_size=8)),
@@ -517,6 +543,8 @@ def no_child_left():
 @example("clamp", [0], 0.0)
 @example("overflow", [0], 0.0)
 @example("overflow", [16], 0.0)
+@example(SEVERAL_HALVINGS, [4], 30e3)
+@example("clamp", [4], 30e3)
 def test_worker_counts_give_identical_fits(case, shares, source):
     config = FitConfig(max_iters=3, source_r_ohm=source)
     if case == "clamp":
@@ -528,10 +556,11 @@ def test_worker_counts_give_identical_fits(case, shares, source):
     else:
         start = DeviceParams(**{name: getattr(TRUE, name) * factor
                                 for name, factor in zip(PARAM_NAMES, case)})
-    (serial, gradients), *others = [
+    (serial, gradients, evals), *others = [
         fit_with_cpus(cpus, shipped_sine(), start, config, shares)
         for cpus in (1, 2, 3)]
-    for res, grads in others:
+    for res, grads, n in others:
+        assert n == evals
         assert [bits(g).tolist() for g in grads] == \
             [bits(g).tolist() for g in gradients]
         assert bits(res.objective_history).tolist() == \
@@ -547,6 +576,37 @@ def test_worker_counts_give_identical_fits(case, shares, source):
     no_child_left()
 
 
+def check_that_a_dying_worker_fails_the_fit(tmp_path, monkeypatch, capsys):
+    """A worker that dies on its first replay makes the fit raise OSError,
+    naming its exit status, and the CLI exit 2 with one error line; the
+    other worker and the dead one are reaped."""
+    from memassoc.cli import console_main
+
+    parent = os.getpid()
+    step_loop = memassoc.fit._step_loop
+
+    def die_in_worker(*args):
+        if os.getpid() != parent:
+            os._exit(3)
+        return step_loop(*args)
+
+    monkeypatch.setattr(memassoc.fit, "_step_loop", die_in_worker)
+    monkeypatch.setattr(memassoc._fork, "usable_cpus", lambda: 3)
+    with pytest.raises(OSError, match="^gradient worker process exited "
+                                      "with status 3$"):
+        fit(shipped_sine(), perturbed_start(), FitConfig(max_iters=3))
+    no_child_left()
+
+    out = tmp_path / "fit"
+    assert console_main(["fit", str(REPO / "data" / "iv" / "sine_10hz_0v5.csv"),
+                         "--config", str(REPO / "configs" / "fit_sinusoid.conf"),
+                         "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "error: gradient worker process exited with status 3"]
+    no_child_left()
+
+
 class TestGradientWorkers:
     def test_fork_warning_of_python_3_12_is_ignored(self, monkeypatch):
         """From Python 3.12, `os.fork` in a process with several threads
@@ -554,8 +614,8 @@ class TestGradientWorkers:
         ignored, so a fit passes under warnings as errors and matches the
         fit in one process; any other warning from the fork still
         raises."""
-        serial, _ = fit_with_cpus(1, shipped_sine(), perturbed_start(),
-                                  FitConfig(max_iters=3))
+        serial, *_ = fit_with_cpus(1, shipped_sine(), perturbed_start(),
+                                   FitConfig(max_iters=3))
         fork, forked = os.fork, []
 
         def fork_that_warns(message):
@@ -573,8 +633,8 @@ class TestGradientWorkers:
             "lead to deadlocks in the child."))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            res, _ = fit_with_cpus(3, shipped_sine(), perturbed_start(),
-                                   FitConfig(max_iters=3))
+            res, *_ = fit_with_cpus(3, shipped_sine(), perturbed_start(),
+                                    FitConfig(max_iters=3))
         assert len(forked) == 2
         assert res == serial
         no_child_left()
@@ -592,8 +652,8 @@ class TestGradientWorkers:
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
                         reason="needs CPU affinity")
     def test_one_usable_cpu_forks_nothing(self, monkeypatch):
-        forked, _ = fit_with_cpus(3, shipped_sine(), perturbed_start(),
-                                  FitConfig(max_iters=3))
+        forked, *_ = fit_with_cpus(3, shipped_sine(), perturbed_start(),
+                                   FitConfig(max_iters=3))
 
         def no_fork():
             raise AssertionError("the fit forked with one usable CPU")
@@ -618,32 +678,50 @@ class TestGradientWorkers:
         with pytest.raises(InvalidStartError, match="replay overflows"):
             fit(shipped_sine(), start, FitConfig())
 
+    def test_line_search_candidates_are_replayed_ahead(self):
+        """While the fit replays a line-search candidate, each worker
+        replays one of the next halvings; the search takes the same
+        candidates in the same order as in one process, and every third
+        one, from the first, is the fit's own."""
+        start = DeviceParams(**{name: getattr(TRUE, name) * factor
+                                for name, factor in zip(PARAM_NAMES,
+                                                        SEVERAL_HALVINGS)})
+        config = FitConfig(max_iters=3, source_r_ohm=30e3)
+        halvings = memassoc.fit._ReplayWorkers.halvings
+        searches = []
+
+        def recorded(self, x, d):
+            searches.append([])
+            for alpha, point, rows in halvings(self, x, d):
+                searches[-1].append((alpha, rows is not None))
+                yield alpha, point, rows
+
+        with patch.object(memassoc.fit._ReplayWorkers, "halvings", recorded):
+            serial, *_ = fit_with_cpus(1, shipped_sine(), start, config)
+            alone = searches[:]
+            forked, *_ = fit_with_cpus(3, shipped_sine(), start, config, [4])
+        ahead = searches[len(alone):]
+        assert forked == serial
+        steps = [[alpha for alpha, _ in search] for search in alone]
+        assert [len(search) for search in steps] == [1, 7, 1]
+        assert steps == [[0.5 ** k for k in range(len(search))]
+                         for search in steps]
+        assert [[alpha for alpha, _ in search] for search in ahead] == steps
+        assert not any(replayed for search in alone for _, replayed in search)
+        assert [[replayed for _, replayed in search] for search in ahead] \
+            == [[k % 3 != 0 for k in range(len(search))] for search in steps]
+        no_child_left()
+
     def test_worker_that_dies_fails_the_fit(self, tmp_path, monkeypatch, capsys):
-        """A worker that dies makes the fit raise OSError, naming its exit
-        status, and the CLI exit 2 with one error line; the other worker
-        and the dead one are reaped."""
-        from memassoc.cli import console_main
+        """The workers die on their first gradient probes."""
+        check_that_a_dying_worker_fails_the_fit(tmp_path, monkeypatch, capsys)
 
-        parent = os.getpid()
-        step_loop = memassoc.fit._step_loop
+    def test_worker_that_dies_on_a_line_search_candidate_fails_the_fit(
+            self, tmp_path, monkeypatch, capsys):
+        """Every gradient probe is replayed in the fitting process, so the
+        workers die on the first line search's halvings."""
+        gradient = memassoc.fit.central_difference_gradient
+        monkeypatch.setattr(memassoc.fit, "central_difference_gradient",
+                            lambda f, x, rel_step, replays: gradient(f, x, rel_step))
+        check_that_a_dying_worker_fails_the_fit(tmp_path, monkeypatch, capsys)
 
-        def die_in_worker(*args):
-            if os.getpid() != parent:
-                os._exit(3)
-            return step_loop(*args)
-
-        monkeypatch.setattr(memassoc.fit, "_step_loop", die_in_worker)
-        monkeypatch.setattr(memassoc._fork, "usable_cpus", lambda: 3)
-        with pytest.raises(OSError, match="^gradient worker process exited "
-                                          "with status 3$"):
-            fit(shipped_sine(), perturbed_start(), FitConfig(max_iters=3))
-        no_child_left()
-
-        out = tmp_path / "fit"
-        assert console_main(["fit", str(REPO / "data" / "iv" / "sine_10hz_0v5.csv"),
-                             "--config", str(REPO / "configs" / "fit_sinusoid.conf"),
-                             "--out", str(out)]) == 2
-        captured = capsys.readouterr()
-        assert captured.err.splitlines() == [
-            "error: gradient worker process exited with status 3"]
-        no_child_left()
