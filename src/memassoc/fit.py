@@ -47,17 +47,18 @@ The gradient's 2n probes are independent, and so are the line search's
 halvings.  Once the start is known to be valid, `fit` forks up to one
 gradient worker per usable CPU, capped at 2n and counting itself,
 through the package's fork helper (`_fork.Workers`, shared with the
-trace writer), and reaps them all before it returns.  A worker replays
-the points it is sent (`_from_vector` and `device._step_loop`) and
-streams the rows back as raw float64: its share of each gradient's
-probes, and, while the fit scores a line-search candidate, the halvings
-after it, one per worker.  The fit scores a worker's point through
-`simulate_current(..., replay=rows)` and `rmse` without rebuilding its
-parameters, which the worker built from the same floats, and scores a
-line-search candidate only once the search reaches it; those past the
-accepted step are read and dropped.  So every objective eval is still
-one `simulate_current` call in the fitting process, every float is the
-one a replay there gives, and neither the result nor the number of evals
+trace writer), and reaps them all before it returns.  One method,
+`_ReplayWorkers.deal`, sends the workers their points and reads their
+replies: each one's share of each gradient's probes, and, while the fit
+scores a line-search candidate, the halvings after it, one per worker.
+A worker replays each point (`_from_vector` and `device._step_loop`) and
+streams the rows back as raw float64.  The fit scores them through
+`simulate_current(..., replay=rows)` and `rmse` without rebuilding the
+parameters, which the worker built from the same floats, and reads a
+reply only when it reaches that point; those past the accepted step are
+read and dropped.  So every objective eval is still one
+`simulate_current` call in the fitting process, every float is the one a
+replay there gives, and neither the result nor the number of evals
 depends on the number of CPUs.
 """
 
@@ -67,7 +68,6 @@ import csv
 import io
 import itertools
 import math
-import operator
 import os
 import time
 from array import array
@@ -410,22 +410,24 @@ def central_difference_gradient(f: Callable[..., float], x: np.ndarray,
 
     `f(point)` scores each of the 2n probe points x + h_j e_j and
     x - h_j e_j.  With `replays`, `fit`'s forked workers replay the probes
-    past this process's own share while it scores that share, and each of
-    theirs is scored here by `f(point, rows)` from the rows replayed
-    (None for a point a worker could not replay, which `f` then replays
-    itself).  Each value is the float `f(point)` gives, and g[j] combines
-    the same two values in the same order, so g does not depend on how
-    many workers there are.
+    past this process's own share while it scores that share, and each
+    point is scored by `f(point, rows)`, with the rows a worker replayed
+    there or None for one `f` replays itself.  Each value is the float
+    `f(point)` gives, and g[j] combines the same two values in the same
+    order, so g does not depend on how many workers there are.
     """
     steps = [rel_step * max(1.0, abs(x[j])) for j in range(len(x))]
     points = np.tile(x, (2 * len(x), 1))  # row 2j: x + h_j e_j; 2j + 1: x - h_j e_j
     for j, h in enumerate(steps):
         points[2 * j, j] += h
         points[2 * j + 1, j] -= h
-    own = len(points) if replays is None else replays.send(points)
-    values = [f(point) for point in points[:own]]
-    if replays is not None:
-        values += [f(point, rows) for point, rows in replays.receive(points[own:])]
+    if replays is None:
+        values = [f(point) for point in points]
+    else:
+        own = replays.share()
+        values = [f(point, rows)
+                  for point, rows in zip(points, replays.deal(points, own))]
+        replays.tune(own)
     return np.array([(values[2 * j] - values[2 * j + 1]) / (2.0 * h)
                      for j, h in enumerate(steps)])
 
@@ -437,51 +439,44 @@ class _ReplayWorkers:
     """`count` forked processes that replay `fit`'s gradient probes and
     line-search candidates.
 
-    The workers are forked through `forked` on entering the `with` block;
-    leaving it closes their request pipes, so they leave, and `forked`
-    reaps them when its own block ends.
-    `send` deals the points past the caller's share out to them in
-    contiguous blocks, as raw float64 points.  Each worker replies point
-    by point as it goes: a status byte, then the raw float64 resistance
-    rows of the replay, or nothing for a point whose `_from_vector` or
-    `_step_loop` raised, which the caller replays itself.  A reply that
-    ends early means its worker died: reading it reaps the worker and
-    raises `OSError`.
+    The workers are forked through the class's own `_fork.Workers` on
+    entering the `with` block; leaving it closes their request pipes, so
+    they leave, and then reaps them.  `deal` alone sends them points, as
+    raw float64, and reads their replies, point by point: a status byte,
+    then the raw float64 resistance rows of the replay, or nothing for a
+    point whose `_from_vector` or `_step_loop` raised, which the caller
+    replays itself.  A reply that ends early, or a request its worker
+    cannot read, means the worker died: `deal` reaps it and raises
+    `OSError`.  Every reply a worker sends is read, in order, through one
+    queue.
 
-    `halvings` hands each worker one line-search candidate ahead of the
-    one the caller replays, and reads its reply only once the caller asks
-    for that candidate.  The replies to candidates past the one the
-    search stopped at are read and dropped before the next gradient or
-    line search sends anything, so every reply a worker sends is read, in
-    order.
-
-    The caller's share starts at an even split and then follows the
-    host.  After each gradient it grows by one point when the caller spent
-    more than 1/32 of the gradient's wall time off its CPU, waiting for a
-    reply or giving its CPU to a worker, and shrinks by one otherwise.
-    Where the workers find no free CPU, the caller so takes every point
-    back, and keeps the line search's candidates too; it then offers one
-    point again after a rest of 1, 2, 4, ... gradients, doubling with
-    each offer that fails.  Line-search points do not enter that count
-    or its clock.  Which process replays which point changes no value.
+    The caller's share of a gradient (`share`) starts at an even split and
+    then follows the host.  After each gradient (`tune`) it grows by one
+    point when the caller spent more than 1/32 of the gradient's wall time
+    off its CPU, waiting for a reply or giving its CPU to a worker, and
+    shrinks by one otherwise.  Where the workers find no free CPU, the
+    caller so takes every point back, and keeps the line search's
+    candidates too; it then offers one point again after a rest of 1, 2,
+    4, ... gradients, doubling with each offer that fails.  Line-search
+    points do not enter that count or its clock.  Which process replays
+    which point changes no value.
     """
 
-    def __init__(self, forked: _fork.Workers, count: int, real: IVTrace,
-                 initial: DeviceParams, lower: dict[str, float],
-                 upper: dict[str, float], source_r_ohm: float) -> None:
+    def __init__(self, count: int, real: IVTrace, initial: DeviceParams,
+                 lower: dict[str, float], upper: dict[str, float],
+                 source_r_ohm: float) -> None:
         self._serve = partial(_serve_probes, real, initial, lower, upper,
                               source_r_ohm)
         self._count = count
         self._rows_bytes = 8 * len(real)
-        self._forked = forked
+        self._forked = _fork.Workers("gradient worker")
         # (pid, request pipe's write end, reply pipe's reader) per worker
         self._channels: list[tuple[int, int, BinaryIO]] = []
-        self._blocks: list[int] = []  # points each worker was last sent
-        # (pid, reply pipe's reader) per line-search reply not yet read
+        # (pid, reply pipe's reader) per point sent and not yet answered
         self._pending: list[tuple[int, BinaryIO]] = []
         self._points = 2 * len(PARAM_NAMES)  # per gradient
         self._own = self._points // (count + 1)  # the caller's share
-        self._started = (0.0, 0.0)  # wall and CPU clocks at the last send
+        self._started = (0.0, 0.0)  # wall and CPU clocks at the last share
         # gradients left before a share of every point is offered again,
         # and the wait after the next failed offer (doubles each time)
         self._rest = self._backoff = 1
@@ -500,6 +495,7 @@ class _ReplayWorkers:
             os.close(requests)  # its worker leaves once this closes
             replies.close()
         self._channels.clear()
+        self._forked.__exit__()
 
     def _fork_one(self) -> None:
         request_r, request_w = os.pipe()
@@ -521,36 +517,27 @@ class _ReplayWorkers:
             os.close(reply_w)
         self._channels.append((pid, request_w, open(reply_r, "rb")))
 
-    def send(self, points: np.ndarray) -> int:
-        """Send the workers their blocks of `points`; the caller's share,
-        the first points, is returned as its length."""
-        self._drop_pending()
+    def share(self) -> int:
+        """The caller's share of the next gradient's probes, the first ones;
+        starts that gradient's clock when the workers get any."""
+        # an empty deal reads what the last line search left unread, so
+        # that waiting for it is not timed as a slow worker
+        list(self.deal(np.empty((0, len(PARAM_NAMES))), 0))
         if not self._channels:
-            return len(points)
-        if self._own == len(points):
+            return self._points
+        if self._own == self._points:
             # kept them all: offer a point again once the rest is over
             self._rest -= 1
             if self._rest > 0:
                 return self._own
             self._own -= 1
         self._started = (time.perf_counter(), time.process_time())
-        blocks = np.array_split(points[self._own:], len(self._channels))
-        for (_, requests, _), block in zip(self._channels, blocks):
-            if len(block):
-                _request(requests, block)
-        self._blocks = [len(block) for block in blocks]
         return self._own
 
-    def receive(self, sent: np.ndarray
-                ) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
-        """Each point `sent`, in order, with its replayed rows, or None for
-        a point its worker could not replay."""
-        if not len(sent):
-            return
-        points = iter(sent)
-        for (pid, _, replies), count in zip(self._channels, self._blocks):
-            for point in itertools.islice(points, count):
-                yield point, self._reply(pid, replies)
+    def tune(self, own: int) -> None:
+        """Tune the share once every reply to a gradient that kept `own` is read."""
+        if own == self._points:
+            return  # nothing was sent, so nothing was timed
         wall = time.perf_counter() - self._started[0]
         idle = wall - (time.process_time() - self._started[1])
         if idle > wall / 32:  # waited for a reply, or lost the CPU to a worker
@@ -562,41 +549,58 @@ class _ReplayWorkers:
             self._own = max(self._own - 1, 0)
             self._backoff = 1
 
+    def deal(self, points: np.ndarray, own: int) -> Iterator[np.ndarray | None]:
+        """The rows replayed at each of `points`, in order: None for the
+        first `own` (every point where there is no worker), which the
+        caller replays itself, and for one its worker could not replay.
+
+        First reads and drops the replies an earlier deal left unread,
+        such as those to line-search candidates past the accepted step,
+        then sends the rest of `points` to the workers, one contiguous
+        block each; a reply is read only when its point is reached."""
+        while self._pending:
+            self._reply(*self._pending.pop(0))
+        if not self._channels:
+            own = len(points)  # no worker to send the rest to
+        else:
+            # np.array_split's blocks, the first ones a point longer, cut as
+            # slices: array_split's 9 us would be paid on every search round
+            size, longer = divmod(len(points) - own, len(self._channels))
+            end = own
+            for k, (pid, requests, replies) in enumerate(self._channels):
+                block = points[end:(end := end + size + (k < longer))]
+                if len(block):
+                    self._request(pid, requests, block)
+                    self._pending += [(pid, replies)] * len(block)
+        yield from itertools.repeat(None, own)
+        while self._pending:
+            yield self._reply(*self._pending.pop(0))
+
     def halvings(self, x: np.ndarray, d: np.ndarray
                  ) -> Iterator[tuple[float, np.ndarray, np.ndarray | None]]:
         """The line search's `_PROBES` candidates in the order it tries
         them: the step alpha = 1, 1/2, 1/4, ..., the point x + alpha d, and
         the rows a worker replayed there, or None for a point the caller
-        replays itself.
+        replays itself.  The steps are exact powers of two, so every point
+        is the float that halving one step at a time gives.
 
-        Each candidate the caller replays goes with the next halvings, one
-        per worker, sent before it is yielded, unless the caller keeps
-        every gradient probe; a worker's reply is read only when its
-        candidate is asked for.  The steps are exact powers of two, each
-        half the one before, so every point is the float that halving one
-        step at a time gives."""
-        self._drop_pending()
-        channels = self._channels if self._own < self._points else []
-        alphas = itertools.accumulate(itertools.repeat(0.5, _PROBES - 1),
-                                      operator.mul, initial=1.0)
-        for alpha in alphas:
-            # zip takes a step from `alphas` only for a worker it has, so
-            # no worker is sent a step past the last
-            ahead = [(channel, step, x + step * d)
-                     for channel, step in zip(channels, alphas)]
-            for (pid, requests, replies), _, point in ahead:
-                _request(requests, point[np.newaxis])
-                self._pending.append((pid, replies))
-            yield alpha, x + alpha * d, None
-            for _, step, point in ahead:
-                yield step, point, self._reply(*self._pending.pop(0))
+        They are dealt in rounds of one per process, the first of each the
+        caller's own, or one at a time while the caller keeps every
+        gradient probe; the last round ends at the last step, so no worker
+        is sent a step past it."""
+        size = 1 + len(self._channels) if self._own < self._points else 1
+        for k in range(0, _PROBES, size):
+            alphas = [0.5 ** j for j in range(k, min(k + size, _PROBES))]
+            points = x + np.array(alphas)[:, np.newaxis] * d
+            yield from zip(alphas, points, self.deal(points, 1))
 
-    def _drop_pending(self) -> None:
-        """Read and drop the replies to the line-search candidates sent
-        past the one the search stopped at, so the next reply each worker
-        sends is the answer to the next request."""
-        while self._pending:
-            self._reply(*self._pending.pop(0))
+    def _request(self, pid: int, requests: int, block: np.ndarray) -> None:
+        """Send worker `pid` a block of points: their count, then raw float64."""
+        try:
+            os.write(requests, len(block).to_bytes(4, "little") + block.tobytes())
+        except BrokenPipeError:  # the worker died before reading it
+            self._forked.join(pid)  # raises, naming its exit status
+            raise
 
     def _reply(self, pid: int, replies: BinaryIO) -> np.ndarray | None:
         """The next reply of worker `pid`: the rows it replayed, or None
@@ -609,11 +613,6 @@ class _ReplayWorkers:
             self._forked.join(pid)  # raises, naming its exit status
             raise OSError("gradient worker process ended its reply early")
         return np.frombuffer(rows)
-
-
-def _request(requests: int, block: np.ndarray) -> None:
-    """Send a worker a block of points: their count, then raw float64."""
-    os.write(requests, len(block).to_bytes(4, "little") + block.tobytes())
 
 
 def _serve_probes(real: IVTrace, initial: DeviceParams,
@@ -706,9 +705,8 @@ def fit(real: IVTrace, initial: DeviceParams, config: FitConfig) -> FitResult:
     # the line search's candidates; the workers are forked here, after the
     # start is known to be valid, and none outlives the block
     workers = min(_fork.usable_cpus(), 2 * n) - 1
-    with _fork.Workers("gradient worker") as forked, \
-            _ReplayWorkers(forked, workers, real, initial, lower, upper,
-                           config.source_r_ohm) as replays:
+    with _ReplayWorkers(workers, real, initial, lower, upper,
+                        config.source_r_ohm) as replays:
         g, probe_infeasible = gradient(x)
         for _ in range(config.max_iters):
             if f_x <= 1e-15:

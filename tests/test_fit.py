@@ -22,17 +22,22 @@ Covered here:
   gradients and results bit for bit, and make the same objective evals,
   infeasible probes and failed line searches included; the workers
   replay the line search's next halvings ahead, which it takes in the
-  serial order; the 3.12 fork warning is ignored; one usable CPU, or a
-  start that cannot be searched, forks nothing; a worker that dies on a
-  gradient probe or on a line-search candidate fails the fit with
-  `OSError` (exit 2 at the CLI) and leaves no child behind.
+  serial order; `deal` yields one entry per point, in order, with the
+  rows `_step_loop` gives, and drops the replies an abandoned deal did
+  not read; the 3.12 fork warning is ignored; one usable CPU, or a start
+  that cannot be searched, forks nothing; a worker that dies on a
+  gradient probe or on a line-search candidate, or that died before a
+  request, fails the fit with `OSError` naming its exit status (exit 2
+  at the CLI) and leaves no child behind.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import re
+import signal
 import warnings
 from functools import cache
 from pathlib import Path
@@ -481,22 +486,22 @@ def fit_with_cpus(cpus, real, start, config, shares=None):
     objective evals: its `simulate_current` calls, the count the benchmark
     pins.  With `shares`, gradient k keeps the first shares[k % len(shares)]
     probes in this process instead of the share the workers' timing would
-    give.  Only the gradients' sends are drawn; the line search that
+    give.  Only the gradients' shares are drawn; the line search that
     follows a gradient deals its candidates as that gradient's share left
     the workers."""
     gradients, evals = [], []
     gradient = memassoc.fit.central_difference_gradient
-    send = memassoc.fit._ReplayWorkers.send
+    share = memassoc.fit._ReplayWorkers.share
     replay = memassoc.fit.simulate_current
 
     def recorded(*args):
         gradients.append(gradient(*args))
         return gradients[-1]
 
-    def send_share(self, points):
+    def drawn_share(self):
         if shares is not None:
             self._own = shares[len(gradients) % len(shares)]
-        return send(self, points)
+        return share(self)
 
     def counted(*args, **kwargs):
         evals.append(args)
@@ -504,7 +509,7 @@ def fit_with_cpus(cpus, real, start, config, shares=None):
 
     with patch.object(memassoc._fork, "usable_cpus", lambda: cpus), \
             patch.object(memassoc.fit, "central_difference_gradient", recorded), \
-            patch.object(memassoc.fit._ReplayWorkers, "send", send_share), \
+            patch.object(memassoc.fit._ReplayWorkers, "share", drawn_share), \
             patch.object(memassoc.fit, "simulate_current", counted):
         return fit(real, start, config), gradients, len(evals)
 
@@ -678,6 +683,46 @@ class TestGradientWorkers:
         with pytest.raises(InvalidStartError, match="replay overflows"):
             fit(shipped_sine(), start, FitConfig())
 
+    @pytest.mark.parametrize("workers", [0, 1, 2])
+    def test_deal_yields_each_point_once_in_order(self, workers):
+        """`deal` yields one entry per point: None for the caller's share
+        (every point without a worker), then each worker's rows, the ones
+        `_step_loop` gives there.  A deal left partway leaves replies
+        unread, which the next deal drops; a deal read to its end leaves
+        none."""
+        real = simulate_current(TRUE, sine_drive(duration=0.01))
+        lower, upper = FitConfig().bounds(TRUE)
+        points = (memassoc.fit._to_vector(TRUE)
+                  + np.linspace(0.0, 0.04, 5)[:, np.newaxis])
+
+        def replayed(point):
+            params = memassoc.fit._from_vector(point, TRUE, lower, upper)
+            return memassoc.fit._step_loop(params, real.step_v, real.step_dt,
+                                           params.w_on, 0.0)
+
+        expected = [bits(replayed(point)).tolist() for point in points]
+
+        def check(entries, own):
+            kept = own if workers else len(points)
+            assert len(entries) == len(points)
+            assert entries[:kept] == [None] * kept
+            assert [bits(rows).tolist() for rows in entries[kept:]] \
+                == expected[kept:]
+            assert not replays._pending
+
+        with memassoc.fit._ReplayWorkers(workers, real, TRUE, lower, upper,
+                                         0.0) as replays:
+            for own in range(len(points) + 1):
+                check(list(replays.deal(points, own)), own)
+            for own, taken in ((1, 2), (0, 1), (len(points), 1)):
+                left = replays.deal(points, own)
+                head = list(itertools.islice(left, taken))
+                assert len(head) == taken
+                assert len(replays._pending) == \
+                    (len(points) - max(own, taken) if workers else 0)
+                check(list(replays.deal(points, 2)), 2)
+        no_child_left()
+
     def test_line_search_candidates_are_replayed_ahead(self):
         """While the fit replays a line-search candidate, each worker
         replays one of the next halvings; the search takes the same
@@ -715,6 +760,45 @@ class TestGradientWorkers:
     def test_worker_that_dies_fails_the_fit(self, tmp_path, monkeypatch, capsys):
         """The workers die on their first gradient probes."""
         check_that_a_dying_worker_fails_the_fit(tmp_path, monkeypatch, capsys)
+
+    @pytest.mark.skipif(not hasattr(os, "waitid"), reason="needs os.waitid")
+    def test_worker_dead_before_a_request_fails_the_fit(self, tmp_path,
+                                                        monkeypatch, capsys):
+        """The first worker, killed before its third request, fails the
+        fit with `OSError` naming its exit status, not a broken pipe, and
+        the CLI exit 2 with one error line; every worker is reaped."""
+        from memassoc.cli import console_main
+
+        request = memassoc.fit._ReplayWorkers._request
+        sent = []
+
+        def request_to_a_dead_worker(self, pid, requests, block):
+            if pid == self._channels[0][0]:
+                sent.append(block)
+                if len(sent) == 3:  # dead, and reaped by nobody yet
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
+            request(self, pid, requests, block)
+
+        monkeypatch.setattr(memassoc.fit._ReplayWorkers, "_request",
+                            request_to_a_dead_worker)
+        monkeypatch.setattr(memassoc._fork, "usable_cpus", lambda: 3)
+        with pytest.raises(OSError, match="^gradient worker process exited "
+                                          "with status -9$"):
+            fit(shipped_sine(), perturbed_start(), FitConfig(max_iters=3))
+        assert len(sent) == 3
+        no_child_left()
+
+        sent.clear()
+        out = tmp_path / "fit"
+        assert console_main(["fit", str(REPO / "data" / "iv" / "sine_10hz_0v5.csv"),
+                             "--config", str(REPO / "configs" / "fit_sinusoid.conf"),
+                             "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "error: gradient worker process exited with status -9"]
+        assert len(sent) == 3
+        no_child_left()
 
     def test_worker_that_dies_on_a_line_search_candidate_fails_the_fit(
             self, tmp_path, monkeypatch, capsys):
